@@ -6,19 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, evaluate, grad
+from .autodiff import grad
 from .contract import (
-    CLASS_LOG_PROB, OUTPUT_LOG_PROB, SPAN_LOG_PROB, STAGE, STAGE_DELTA,
-    STATE_COMMITMENT, STATE_LOG_PROB, TOKEN_LOG_PROB,
+    CLASS_LOG_PROB, KIND_PROCESS, OUTPUT_LOG_PROB, SPAN_LOG_PROB, STAGE,
+    STAGE_DELTA, STATE_COMMITMENT, STATE_LOG_PROB, TOKEN_LOG_PROB,
     PREFIX_TOKEN, PROMPT_TOKEN,
     AttributionContract, ContractError, FeatureRef, canonical_id, validate,
 )
 from .models import (
     InfeasiblePerturbationError, ModelParams, PromptedInstance,
-    StagePerturbation, classifier_log_prob, instance_digest, run_perturbed_chain,
-    span_log_prob, state_log_prob, token_log_prob, trajectory_score,
+    StagePerturbation, instance_digest, run_perturbed_chain, trajectory_score,
 )
-from .models.transformer import build_fresh_forward_graph, check_context
+from .models.autoregressive import span_term, token_term
+from .models.classifier import class_term
+from .models.diffusion import DenoisingTrajectory, stage_term, stage_terms
+from .models.transformer import ForwardGraph, score_sum
 
 
 class StageScoreError(ContractError):
@@ -84,154 +86,105 @@ def _method_desc(**kw) -> tuple[tuple[str, object], ...]:
 
 @dataclass
 class BoundScore:
-    """A contract's score as a re-evaluable graph plus the feature geometry.
+    """A contract's score as passes over the cached score graph, one per
+    term, plus the feature geometry.
 
     ``feature_rows`` maps every token-kind FeatureRef of the instance (not
-    just the eligible ones) to the embedding rows it occupies, so callers
-    can move any subset of features along a path while everything else
-    stays at its actual value.
+    just the eligible ones) to the (term, embedding row) pairs it occupies,
+    so callers can move any subset of features along a path while
+    everything else stays at its actual value.
     """
-    graph: Graph
-    scalar: int
-    actual: dict[str, np.ndarray]
-    feature_rows: dict[FeatureRef, tuple[tuple[str, int], ...]]
+    graphs: list[ForwardGraph]
+    actual: list[dict[str, np.ndarray]]  # each term's leaf values
+    feature_rows: dict[FeatureRef, tuple[tuple[int, int], ...]]
 
-    def value(self, leaf_values: dict[str, np.ndarray] | None = None) -> float:
-        vals = evaluate(self.graph, leaf_values or self.actual)
-        return float(vals[self.scalar])
+    def value(self, bindings: list[dict[str, np.ndarray]] | None = None) -> float:
+        return score_sum(zip(self.graphs, self.actual if bindings is None else bindings))
 
-    def with_rows(self, rows: dict[FeatureRef, np.ndarray]) -> dict[str, np.ndarray]:
+    def grad(self, refs, bindings: list[dict[str, np.ndarray]] | None = None
+             ) -> dict[FeatureRef, np.ndarray]:
+        """d(score)/d(embedding) of each ref, summed over the terms it is in."""
+        bindings = self.actual if bindings is None else bindings
+        emb_grads = [grad(fg.graph, fg.score, vals)["emb"]
+                     for fg, vals in zip(self.graphs, bindings)]
+        out = {}
+        for ref in refs:
+            gsum = None
+            for term, row in self.feature_rows[ref]:
+                grow = emb_grads[term][row]
+                gsum = grow.copy() if gsum is None else gsum + grow
+            out[ref] = gsum
+        return out
+
+    def embedding(self, ref: FeatureRef) -> np.ndarray:
+        term, row = self.feature_rows[ref][0]
+        return self.actual[term]["emb"][row]
+
+    def with_rows(self, rows: dict[FeatureRef, np.ndarray]) -> list[dict[str, np.ndarray]]:
         """Leaf values with the given refs' embedding rows replaced."""
-        out = dict(self.actual)
-        touched: dict[str, np.ndarray] = {}
+        out = list(self.actual)
+        touched: dict[int, np.ndarray] = {}
         for ref, vec in rows.items():
-            for leaf, row in self.feature_rows[ref]:
-                if leaf not in touched:
-                    touched[leaf] = out[leaf].copy()
-                    out[leaf] = touched[leaf]
-                touched[leaf][row] = vec
+            for term, row in self.feature_rows[ref]:
+                if term not in touched:
+                    touched[term] = self.actual[term]["emb"].copy()
+                    out[term] = {**self.actual[term], "emb": touched[term]}
+                touched[term][row] = vec
         return out
 
 
-def _weight_leaves(params: ModelParams, suffix: str = "") -> dict[str, np.ndarray]:
-    return {name + suffix: w for name, w in params.weights.items()
-            if name not in ("emb", "pos")}
-
-
-def _emb_rows(params: ModelParams, tokens) -> np.ndarray:
-    return params.weights["emb"][np.asarray(tokens, dtype=int)]
-
-
 def bind_score(params: ModelParams, instance: PromptedInstance,
-               contract: AttributionContract) -> BoundScore:
-    """Build the contract's score graph over the instance's embeddings."""
-    hp = params.hyper
-    n = len(instance.prompt)
-    kind = contract.score_kind
+               contract: AttributionContract,
+               conditioning: DenoisingTrajectory | None = None) -> BoundScore:
+    """The contract's score as terms over the instance's embeddings.
 
+    ``conditioning`` is the chain whose states a diffusion score reads; by
+    default the instance's own trajectory."""
+    kind = contract.score_kind
     if kind == STAGE_DELTA:
         raise StageScoreError("stage_delta has no single differentiable scalar")
-
+    prompt = instance.prompt
+    n = len(prompt)
+    # each term, with the non-prompt features in its input as (ref, row)
     if kind in (TOKEN_LOG_PROB, SPAN_LOG_PROB):
-        gen = list(instance.generation)
+        gen = instance.generation
         if kind == TOKEN_LOG_PROB:
             t = contract.target[1]
-            tokens = list(instance.prompt) + gen[: t - 1]
-            check_context(hp, len(tokens))
-            fg = build_fresh_forward_graph(hp, len(tokens), causal=True)
-            scalar = fg.graph.pick(fg.log_probs, (len(tokens) - 1, gen[t - 1]))
+            term = token_term(prompt, gen[:t - 1], gen[t - 1])
         else:
-            tokens = list(instance.prompt) + gen
-            check_context(hp, len(tokens))
-            fg = build_fresh_forward_graph(hp, len(tokens), causal=True)
-            mask = np.zeros((len(tokens), hp.vocab_size))
-            for i, tok in enumerate(gen):
-                mask[n + i - 1, tok] = 1.0
-            scalar = fg.graph.sum_all(fg.graph.mul(fg.log_probs, fg.graph.const(mask)))
-        actual = _weight_leaves(params)
-        actual["emb"] = _emb_rows(params, tokens)
-        actual["pos"] = params.weights["pos"][: len(tokens)]
-        rows: dict[FeatureRef, tuple[tuple[str, int], ...]] = {}
-        for i in range(n):
-            rows[FeatureRef(PROMPT_TOKEN, i)] = (("emb", i),)
-        for i in range(len(tokens) - n):
-            rows[FeatureRef(PREFIX_TOKEN, i)] = (("emb", n + i),)
-        return BoundScore(graph=fg.graph, scalar=scalar, actual=actual,
-                          feature_rows=rows)
-
-    if kind == STATE_LOG_PROB:
+            term = span_term(prompt, gen)
+        parts = [(term, [(FeatureRef(PREFIX_TOKEN, i), n + i)
+                         for i in range(len(term.tokens) - n)])]
+    elif kind == CLASS_LOG_PROB:
+        parts = [(class_term(prompt, contract.target[1]), [])]
+    elif kind in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
         traj = instance.trajectory
-        t = contract.target[1]
-        state = traj.state_tokens(t, params.vocab.mask)
-        tokens = list(instance.prompt) + state
-        check_context(hp, len(tokens))
-        fg = build_fresh_forward_graph(hp, len(tokens), causal=False)
-        mask = np.zeros((len(tokens), hp.vocab_size))
-        for s in range(traj.response_len):
-            if traj.commit_steps[s] == t:
-                mask[n + s, traj.commit_tokens[s]] = 1.0
-        scalar = fg.graph.sum_all(fg.graph.mul(fg.log_probs, fg.graph.const(mask)))
-        actual = _weight_leaves(params)
-        actual["emb"] = _emb_rows(params, tokens)
-        actual["pos"] = params.weights["pos"][: len(tokens)]
-        rows = {}
-        for i in range(n):
-            rows[FeatureRef(PROMPT_TOKEN, i)] = (("emb", i),)
-        for s in range(traj.response_len):
-            if traj.commit_steps[s] > t:
-                ref = FeatureRef(STATE_COMMITMENT, traj.commit_steps[s], slot=s)
-                rows[ref] = (("emb", n + s),)
-        return BoundScore(graph=fg.graph, scalar=scalar, actual=actual,
-                          feature_rows=rows)
+        if conditioning is None:
+            conditioning = traj
+        mask_id = params.vocab.mask
+        if kind == STATE_LOG_PROB:
+            t = contract.target[1]
+            terms = {t: stage_term(prompt, traj, conditioning, t, mask_id)}
+        else:
+            terms = stage_terms(prompt, traj, conditioning, mask_id)
+        commits = [(FeatureRef(STATE_COMMITMENT, u, slot=s), n + s, u)
+                   for s, u in enumerate(traj.commit_steps)]
+        parts = [(term, [(ref, row) for ref, row, u in commits if u > t])
+                 for t, term in terms.items()]
+    else:
+        raise ContractError(f"cannot bind score kind {kind!r}")
 
-    if kind == OUTPUT_LOG_PROB:
-        traj = instance.trajectory
-        g = Graph()
-        total = None
-        actual: dict[str, np.ndarray] = {}
-        prompt_rows: dict[int, list[tuple[str, int]]] = {i: [] for i in range(n)}
-        commit_rows: dict[FeatureRef, list[tuple[str, int]]] = {}
-        for t in range(traj.num_steps, 0, -1):
-            slots = [s for s in range(traj.response_len)
-                     if traj.commit_steps[s] == t]
-            if not slots:
-                continue
-            suffix = f"@{t}"
-            tokens = list(instance.prompt) + traj.state_tokens(t, params.vocab.mask)
-            check_context(hp, len(tokens))
-            fg = build_fresh_forward_graph(hp, len(tokens), causal=False,
-                                           graph=g, suffix=suffix)
-            mask = np.zeros((len(tokens), hp.vocab_size))
-            for s in slots:
-                mask[n + s, traj.commit_tokens[s]] = 1.0
-            term = g.sum_all(g.mul(fg.log_probs, g.const(mask)))
-            total = term if total is None else g.add(total, term)
-            actual.update(_weight_leaves(params, suffix))
-            actual["emb" + suffix] = _emb_rows(params, tokens)
-            actual["pos" + suffix] = params.weights["pos"][: len(tokens)]
-            for i in range(n):
-                prompt_rows[i].append(("emb" + suffix, i))
-            for s in range(traj.response_len):
-                if traj.commit_steps[s] > t:
-                    ref = FeatureRef(STATE_COMMITMENT, traj.commit_steps[s], slot=s)
-                    commit_rows.setdefault(ref, []).append(("emb" + suffix, n + s))
-        rows = {FeatureRef(PROMPT_TOKEN, i): tuple(r) for i, r in prompt_rows.items()}
-        rows.update({ref: tuple(r) for ref, r in commit_rows.items()})
-        return BoundScore(graph=g, scalar=total, actual=actual, feature_rows=rows)
-
-    if kind == CLASS_LOG_PROB:
-        tokens = list(instance.prompt)
-        check_context(hp, len(tokens))
-        fg = build_fresh_forward_graph(hp, len(tokens), causal=False)
-        scalar = fg.graph.pick(fg.log_probs, (0, contract.target[1]))
-        actual = _weight_leaves(params)
-        actual["emb"] = _emb_rows(params, tokens)
-        actual["pos"] = params.weights["pos"][: len(tokens)]
-        rows = {FeatureRef(PROMPT_TOKEN, i): (("emb", i),) for i in range(n)}
-        return BoundScore(graph=fg.graph, scalar=scalar, actual=actual,
-                          feature_rows=rows)
-
-    raise ContractError(f"cannot bind score kind {kind!r}")
+    prompt_rows = [(FeatureRef(PROMPT_TOKEN, j), j) for j in range(n)]
+    graphs, actual = [], []
+    rows: dict[FeatureRef, list[tuple[int, int]]] = {}
+    for i, (term, refs) in enumerate(parts):
+        fg, vals = term.bind(params)
+        graphs.append(fg)
+        actual.append(vals)
+        for ref, row in prompt_rows + refs:
+            rows.setdefault(ref, []).append((i, row))
+    return BoundScore(graphs=graphs, actual=actual,
+                      feature_rows={ref: tuple(r) for ref, r in rows.items()})
 
 
 # -- score dispatch -------------------------------------------------------
@@ -242,34 +195,18 @@ def _check(contract: AttributionContract, params: ModelParams,
     violations = validate(contract, instance)
     if violations:
         raise ContractError("; ".join(violations))
-    kind_map = {"autoregressive": "autoregressive",
-                "masked_diffusion": "diffusion",
-                "classifier": "classifier"}
-    if kind_map[params.kind] != contract.process:
+    if KIND_PROCESS[params.kind] != contract.process:
         raise ContractError(
             f"model kind {params.kind} does not match contract process {contract.process}")
 
 
 def score(contract: AttributionContract, params: ModelParams,
-          instance: PromptedInstance) -> float:
-    """Evaluate the contract's score S on the (possibly perturbed) instance."""
+          instance: PromptedInstance,
+          conditioning: DenoisingTrajectory | None = None) -> float:
+    """Evaluate the contract's score S on the (possibly perturbed) instance;
+    ``conditioning`` as in bind_score."""
     _check(contract, params, instance)
-    kind = contract.score_kind
-    if kind == TOKEN_LOG_PROB:
-        t = contract.target[1]
-        gen = list(instance.generation)
-        return token_log_prob(params, instance.prompt, gen[: t - 1], gen[t - 1])
-    if kind == SPAN_LOG_PROB:
-        return span_log_prob(params, instance.prompt, instance.generation)
-    if kind == STATE_LOG_PROB:
-        return state_log_prob(params, instance.prompt, instance.trajectory,
-                              contract.target[1])
-    if kind == OUTPUT_LOG_PROB:
-        return trajectory_score(params, instance.prompt, instance.trajectory)
-    if kind == CLASS_LOG_PROB:
-        return classifier_log_prob(params, instance.prompt, contract.target[1])
-    raise StageScoreError(
-        "stage_delta is not a single scalar; use stage_attribution")
+    return bind_score(params, instance, contract, conditioning).value()
 
 
 # -- methods --------------------------------------------------------------
@@ -292,26 +229,16 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
     accum = {ref: None for ref in eligible}
     for k in range(1, steps + 1):
         alpha = (k - 0.5) / steps
-        rows = {}
+        rows = {ref: base_vec + alpha * (bs.embedding(ref) - base_vec)
+                for ref in eligible}
+        grads = bs.grad(eligible, bs.with_rows(rows))
         for ref in eligible:
-            leaf, row = bs.feature_rows[ref][0]
-            e = bs.actual[leaf][row]
-            rows[ref] = base_vec + alpha * (e - base_vec)
-        leaf_vals = bs.with_rows(rows)
-        grads = grad(bs.graph, bs.scalar, leaf_vals)
-        for ref in eligible:
-            gsum = None
-            for leaf, row in bs.feature_rows[ref]:
-                grow = grads[leaf][row]
-                gsum = grow.copy() if gsum is None else gsum + grow
-            accum[ref] = gsum if accum[ref] is None else accum[ref] + gsum
+            accum[ref] = grads[ref] if accum[ref] is None else accum[ref] + grads[ref]
 
     entries = []
     for ref in eligible:
-        leaf, row = bs.feature_rows[ref][0]
-        e = bs.actual[leaf][row]
         avg = accum[ref] / steps
-        entries.append((ref, float(np.dot(e - base_vec, avg))))
+        entries.append((ref, float(np.dot(bs.embedding(ref) - base_vec, avg))))
     return AttributionMap(
         entries=tuple(entries), contract_id=canonical_id(contract).digest,
         method=_method_desc(name="ig", steps=steps, baseline=baseline.kind),
@@ -334,13 +261,9 @@ def grad_times_input(params: ModelParams, instance: PromptedInstance,
                      contract: AttributionContract) -> AttributionMap:
     _check(contract, params, instance)
     bs = bind_score(params, instance, contract)
-    grads = grad(bs.graph, bs.scalar, bs.actual)
-    entries = []
-    for ref in contract.eligible:
-        total = 0.0
-        for leaf, row in bs.feature_rows[ref]:
-            total += float(np.dot(bs.actual[leaf][row], grads[leaf][row]))
-        entries.append((ref, total))
+    grads = bs.grad(contract.eligible)
+    entries = [(ref, float(np.dot(bs.embedding(ref), grads[ref])))
+               for ref in contract.eligible]
     return AttributionMap(
         entries=tuple(entries), contract_id=canonical_id(contract).digest,
         method=_method_desc(name="grad_x_input"),

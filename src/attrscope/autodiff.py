@@ -36,15 +36,6 @@ def as_tensor(value) -> np.ndarray:
     return arr
 
 
-def interpolate(actual: np.ndarray, baseline: np.ndarray, alpha: float) -> np.ndarray:
-    """Straight-line point baseline + alpha * (actual - baseline)."""
-    actual = np.asarray(actual, dtype=np.float64)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if actual.shape != baseline.shape:
-        raise ShapeError(f"interpolate shape mismatch {actual.shape} vs {baseline.shape}")
-    return baseline + alpha * (actual - baseline)
-
-
 @dataclass(frozen=True)
 class Node:
     nid: int

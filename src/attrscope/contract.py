@@ -22,6 +22,10 @@ P_CLASSIFIER = "classifier"
 P_AUTOREGRESSIVE = "autoregressive"
 P_DIFFUSION = "diffusion"
 PROCESS_KINDS = (P_CLASSIFIER, P_AUTOREGRESSIVE, P_DIFFUSION)
+# model and instance kind -> the process it runs
+KIND_PROCESS = {"autoregressive": P_AUTOREGRESSIVE,
+                "masked_diffusion": P_DIFFUSION,
+                "classifier": P_CLASSIFIER}
 
 # feature kinds
 PROMPT_TOKEN = "prompt_token"
@@ -112,7 +116,7 @@ def canonical_id(contract: AttributionContract) -> ContractID:
     return ContractID(text=text, digest=hashlib.sha256(text.encode()).hexdigest())
 
 
-_SCORE_TARGET = {
+SCORE_TARGET = {
     CLASS_LOG_PROB: "class",
     TOKEN_LOG_PROB: "token",
     SPAN_LOG_PROB: "span",
@@ -121,7 +125,7 @@ _SCORE_TARGET = {
     OUTPUT_LOG_PROB: "output",
 }
 
-_SCORE_PROCESS = {
+SCORE_PROCESS = {
     CLASS_LOG_PROB: P_CLASSIFIER,
     TOKEN_LOG_PROB: P_AUTOREGRESSIVE,
     SPAN_LOG_PROB: P_AUTOREGRESSIVE,
@@ -148,15 +152,12 @@ def validate(contract: AttributionContract,
                  + ", ".join(r.label() for r in sorted(overlap)))
 
     tk, tv = contract.target
-    if _SCORE_TARGET[contract.score_kind] != tk:
+    if SCORE_TARGET[contract.score_kind] != tk:
         v.append(f"score/target mismatch: {contract.score_kind} vs target {tk}")
-    if _SCORE_PROCESS[contract.score_kind] != contract.process:
+    if SCORE_PROCESS[contract.score_kind] != contract.process:
         v.append(f"score/process mismatch: {contract.score_kind} under {contract.process}")
 
-    kind_map = {"autoregressive": P_AUTOREGRESSIVE,
-                "masked_diffusion": P_DIFFUSION,
-                "classifier": P_CLASSIFIER}
-    if kind_map[instance.kind] != contract.process:
+    if KIND_PROCESS[instance.kind] != contract.process:
         v.append(f"process/instance mismatch: {contract.process} vs {instance.kind} instance")
         return v
 

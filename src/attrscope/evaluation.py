@@ -7,16 +7,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attribution import (
-    AttributionMap, BaselinePolicy, PAD_BASELINE, bind_score,
-    grad_times_input, integrated_gradients, occlusion, score,
-    stage_attribution,
+    AttributionMap, BaselinePolicy, PAD_BASELINE, grad_times_input,
+    integrated_gradients, occlusion, score, stage_attribution,
 )
 from .contract import (
     OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
     STATE_COMMITMENT, STATE_LOG_PROB,
     AttributionContract, ContractError, FeatureRef, canonical_id,
 )
-from .models import ModelParams, PromptedInstance, teacher_forced_score
+from .models import ModelParams, PromptedInstance
 from .models.diffusion import DenoisingTrajectory, run_chain, masked_log_probs
 
 DELETE = "delete_to_baseline"
@@ -56,9 +55,8 @@ class PerturbedContext:
     contract: AttributionContract
     instance: PromptedInstance              # token-perturbed where applicable
     replaced: tuple[FeatureRef, ...]
-    # state-level only: replayed conditioning tokens (prompt + state z_t)
-    state_tokens: tuple[int, ...] | None = None
-    # prompt-to-output only: conditioning chain after the policy is applied
+    # diffusion only: the chain whose states the score is conditioned on
+    # (state-level: replayed down to z_t; prompt-to-output: after the policy)
     conditioning: DenoisingTrajectory | None = None
 
 
@@ -81,20 +79,16 @@ def perturb(params: ModelParams, instance: PromptedInstance,
             prompt[ref.index] = rep_tok
 
     kind = contract.score_kind
-    if kind == STATE_LOG_PROB:
-        t = contract.target[1]
-        subs = {(ref.index, ref.slot): rep_tok for ref in features
-                if ref.kind == STATE_COMMITMENT}
-        state = _replay_to_state(params, prompt, instance.trajectory, t, subs)
-        return PerturbedContext(contract=contract, instance=instance,
-                                replaced=tuple(features),
-                                state_tokens=tuple(prompt) + tuple(state))
-
-    if kind == OUTPUT_LOG_PROB:
+    if kind in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
         traj = instance.trajectory
-        if policy.rescoring == REGENERATE:
+        if kind == STATE_LOG_PROB:
+            subs = {(ref.index, ref.slot): rep_tok for ref in features
+                    if ref.kind == STATE_COMMITMENT}
+            conditioning = _replay_to_state(params, prompt, traj,
+                                            contract.target[1], subs)
+        elif policy.rescoring == REGENERATE:
             conditioning = run_chain(params, prompt, traj.response_len,
-                                      traj.commit_plan(), traj.seed)
+                                     traj.commit_plan(), traj.seed)
         else:
             conditioning = traj
         inst = replace(instance, prompt=tuple(prompt))
@@ -114,9 +108,12 @@ def perturb(params: ModelParams, instance: PromptedInstance,
 
 
 def _replay_to_state(params: ModelParams, prompt, traj: DenoisingTrajectory,
-                     t: int, substitutions: dict[tuple[int, int], int]) -> list[int]:
+                     t: int, substitutions: dict[tuple[int, int], int]
+                     ) -> DenoisingTrajectory:
     """Re-run the chain from z_T down to z_t with the original slot schedule;
-    substituted commitments are forced, the rest re-predicted greedily."""
+    substituted commitments are forced, the rest re-predicted greedily. The
+    result's state z_t is the replayed one; its later commits are the
+    original chain's."""
     n = len(prompt)
     mask_id = params.vocab.mask
     slots = [mask_id] * traj.response_len
@@ -129,25 +126,13 @@ def _replay_to_state(params: ModelParams, prompt, traj: DenoisingTrajectory,
         for s in stage_slots:
             forced = substitutions.get((u, s))
             slots[s] = forced if forced is not None else int(np.argmax(rows[n + s]))
-    return slots
+    return replace(traj, commit_tokens=tuple(
+        slot if u > t else tok
+        for slot, tok, u in zip(slots, traj.commit_tokens, traj.commit_steps)))
 
 
 def context_score(params: ModelParams, ctx: PerturbedContext) -> float:
-    contract = ctx.contract
-    kind = contract.score_kind
-    if kind == STATE_LOG_PROB:
-        t = contract.target[1]
-        traj = ctx.instance.trajectory
-        n = len(ctx.instance.prompt)
-        rows = masked_log_probs(params, list(ctx.state_tokens))
-        return float(sum(rows[n + s, traj.commit_tokens[s]]
-                         for s in range(traj.response_len)
-                         if traj.commit_steps[s] == t))
-    if kind == OUTPUT_LOG_PROB:
-        return teacher_forced_score(params, ctx.instance.prompt,
-                                    schedule=ctx.instance.trajectory,
-                                    conditioning=ctx.conditioning)
-    return score(contract, params, ctx.instance)
+    return score(ctx.contract, params, ctx.instance, ctx.conditioning)
 
 
 # -- curves ---------------------------------------------------------------

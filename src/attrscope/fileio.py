@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, asdict
 from . import __version__
 from .attribution import AttributionMap
 from .contract import (
-    AttributionContract, ContractError, FeatureRef, SCORE_KINDS, SETTINGS,
-    PROCESS_KINDS, SETTING_CLASSIFIER, SETTING_LOCAL, SETTING_P2O,
-    SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE,
+    AttributionContract, ContractError, FeatureRef, SCORE_KINDS, SCORE_PROCESS,
+    SCORE_TARGET, SETTINGS, PROCESS_KINDS, SETTING_CLASSIFIER, SETTING_LOCAL,
+    SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE,
     make_named,
 )
 from .evaluation import FaithfulnessCurve, FaithfulnessReport
@@ -162,13 +162,8 @@ def parse_contract_file(text: str) -> ParseResult:
                                     fields["setting"][1]))
             return ParseResult(None, diags)
         spec.score, spec.fixed, spec.eligible = _SETTING_TO_SCHEMATIC[spec.setting]
-        spec.output = {"class_log_prob": "class", "token_log_prob": "token",
-                       "span_log_prob": "span", "state_log_prob": "state",
-                       "stage_delta": "output", "output_log_prob": "output",
-                       }[spec.score]
-        spec.process = {"classifier": "classifier"}.get(
-            spec.setting, "diffusion" if spec.setting in
-            (SETTING_STATE, SETTING_STAGE, SETTING_P2O) else "autoregressive")
+        spec.output = SCORE_TARGET[spec.score]
+        spec.process = SCORE_PROCESS[spec.score]
     else:
         spec.score = take("score")
         if spec.score is None:
@@ -209,10 +204,7 @@ def parse_contract_file(text: str) -> ParseResult:
                                     f"no named setting matches {combo}", 0))
             return ParseResult(None, diags)
         spec.setting = setting
-        expected_process = ("classifier" if setting == SETTING_CLASSIFIER else
-                            "diffusion" if setting in (SETTING_STATE, SETTING_STAGE,
-                                                       SETTING_P2O)
-                            else "autoregressive")
+        expected_process = SCORE_PROCESS[spec.score]
         if spec.process != expected_process:
             diags.append(Diagnostic(E_BAD_COMBINATION,
                                     f"score {spec.score} requires process"

@@ -7,7 +7,9 @@ import numpy as np
 
 from ..autodiff import evaluate
 from .params import ModelParams, AR
-from .transformer import build_forward_graph, check_context, leaf_values
+from .transformer import (
+    ScoreTerm, build_forward_graph, check_context, leaf_values, terms_score,
+)
 from .instrumentation import bump
 
 
@@ -30,21 +32,34 @@ def ar_next_log_probs(params: ModelParams, prompt, prefix) -> np.ndarray:
     return _log_prob_rows(params, tokens)[-1]
 
 
+def token_term(prompt, prefix, target: int) -> ScoreTerm:
+    """log p(target | prompt, prefix): the last row of one causal pass."""
+    tokens = tuple(prompt) + tuple(prefix)
+    return ScoreTerm(tokens=tokens, causal=True,
+                     targets=((len(tokens) - 1, target),))
+
+
+def span_term(prompt, span) -> ScoreTerm:
+    """log p(span | prompt): one causal pass over prompt + span, where the
+    row before each span token scores that token."""
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
+    if not span:
+        raise ValueError("span must be non-empty")
+    n = len(prompt)
+    return ScoreTerm(tokens=tuple(prompt) + tuple(span), causal=True,
+                     targets=tuple((n + i - 1, tok) for i, tok in enumerate(span)))
+
+
 def token_log_prob(params: ModelParams, prompt, prefix, target: int) -> float:
-    return float(ar_next_log_probs(params, prompt, prefix)[target])
+    _require_ar(params)
+    return terms_score(params, [token_term(prompt, prefix, target)])
 
 
 def span_log_prob(params: ModelParams, prompt, span) -> float:
     """log p(span | prompt) = sum of per-token conditionals, one forward pass."""
     _require_ar(params)
-    span = list(span)
-    if not span:
-        raise ValueError("span must be non-empty")
-    tokens = list(prompt) + span
-    check_context(params.hyper, len(tokens))
-    rows = _log_prob_rows(params, tokens)
-    n = len(prompt)
-    return float(sum(rows[n + i - 1, span[i]] for i in range(len(span))))
+    return terms_score(params, [span_term(prompt, span)])
 
 
 @dataclass(frozen=True)

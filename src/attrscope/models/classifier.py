@@ -1,24 +1,19 @@
 """Toy classifier head over a pooled transformer representation."""
 from __future__ import annotations
 
-import numpy as np
-
-from ..autodiff import evaluate
 from .params import ModelParams, CLASSIFIER
-from .transformer import build_forward_graph, check_context, leaf_values
+from .transformer import ScoreTerm, terms_score
 
 
-def classifier_log_probs(params: ModelParams, tokens) -> np.ndarray:
-    if params.kind != CLASSIFIER:
-        raise ValueError(f"operation requires a classifier model, got {params.kind}")
-    check_context(params.hyper, len(tokens))
-    fg = build_forward_graph(params.hyper, len(tokens), causal=False)
-    vals = evaluate(fg.graph, leaf_values(params, tokens))
-    return vals[fg.log_probs][0]
+def class_term(tokens, class_index: int) -> ScoreTerm:
+    """log p(class | tokens): the pooled pass's only log-prob row."""
+    return ScoreTerm(tokens=tuple(tokens), causal=False,
+                     targets=((0, class_index),))
 
 
 def classifier_log_prob(params: ModelParams, tokens, class_index: int) -> float:
-    logp = classifier_log_probs(params, tokens)
-    if not (0 <= class_index < len(logp)):
+    if params.kind != CLASSIFIER:
+        raise ValueError(f"operation requires a classifier model, got {params.kind}")
+    if not (0 <= class_index < params.hyper.n_classes):
         raise ValueError(f"class index {class_index} out of range")
-    return float(logp[class_index])
+    return terms_score(params, [class_term(tokens, class_index)])

@@ -13,7 +13,9 @@ import numpy as np
 
 from ..autodiff import evaluate
 from .params import ModelParams, DIFFUSION
-from .transformer import build_forward_graph, check_context, leaf_values
+from .transformer import (
+    ScoreTerm, build_forward_graph, check_context, leaf_values, terms_score,
+)
 from .instrumentation import bump
 
 ABLATE = "ablate"
@@ -109,14 +111,9 @@ def default_commit_plan(response_len: int, num_steps: int) -> dict[int, int]:
 
 
 def run_chain(params: ModelParams, prompt, response_len: int,
-               plan: dict[int, int], seed: int,
-               substitute: StagePerturbation | None = None,
-               forced: dict[int, dict[int, int]] | None = None) -> DenoisingTrajectory:
-    """Execute the unmasking chain under an explicit per-stage commit plan.
-
-    ``forced`` optionally pins {stage: {slot: token}} commitments, used by
-    state-level evaluation to replay a chain with substituted commitments.
-    """
+              plan: dict[int, int], seed: int,
+              substitute: StagePerturbation | None = None) -> DenoisingTrajectory:
+    """Execute the unmasking chain under an explicit per-stage commit plan."""
     bump("diffusion_chain")
     num_steps = max(plan)
     if sum(plan.values()) != response_len:
@@ -142,11 +139,8 @@ def run_chain(params: ModelParams, prompt, response_len: int,
         # confidence = model's max log-prob at the open slot
         ranked = sorted(open_slots, key=lambda s: (-float(rows[n + s].max()), s))
         chosen = ranked[:k]
-        stage_forced = (forced or {}).get(t, {})
         for s in sorted(chosen):
-            if s in stage_forced:
-                tok = stage_forced[s]
-            elif substitute is not None and substitute.stage == t:
+            if substitute is not None and substitute.stage == t:
                 logp = rows[n + s] / substitute.temperature
                 p = np.exp(logp - logp.max())
                 p /= p.sum()
@@ -171,20 +165,38 @@ def diffusion_generate(params: ModelParams, prompt, response_len: int,
     return run_chain(params, prompt, response_len, plan, seed)
 
 
+def stage_term(prompt, schedule: DenoisingTrajectory,
+               conditioning: DenoisingTrajectory, t: int,
+               mask_id: int) -> ScoreTerm:
+    """The tokens ``schedule`` commits at stage t, scored by one
+    bidirectional pass over ``conditioning``'s state z_t."""
+    if not (1 <= t <= schedule.num_steps):
+        raise ValueError(f"step {t} outside 1..{schedule.num_steps}")
+    if conditioning.num_steps != schedule.num_steps:
+        raise ValueError("conditioning chain has a different stage count")
+    n = len(prompt)
+    return ScoreTerm(
+        tokens=tuple(prompt) + tuple(conditioning.state_tokens(t, mask_id)),
+        causal=False,
+        targets=tuple((n + s, tok) for s, (tok, u) in enumerate(
+            zip(schedule.commit_tokens, schedule.commit_steps)) if u == t))
+
+
+def stage_terms(prompt, schedule: DenoisingTrajectory,
+                conditioning: DenoisingTrajectory,
+                mask_id: int) -> dict[int, ScoreTerm]:
+    """Teacher-forced scoring: one stage_term per stage with commits, T..1."""
+    return {t: stage_term(prompt, schedule, conditioning, t, mask_id)
+            for t in range(schedule.num_steps, 0, -1)
+            if t in schedule.commit_steps}
+
+
 def state_log_prob(params: ModelParams, prompt, trajectory: DenoisingTrajectory,
                    t: int) -> float:
     """Sum of log-probs of the tokens committed at stage t, conditioned on z_t."""
     _require_diffusion(params)
-    if not (1 <= t <= trajectory.num_steps):
-        raise ValueError(f"step {t} outside 1..{trajectory.num_steps}")
-    slots = [s for s in range(trajectory.response_len)
-             if trajectory.commit_steps[s] == t]
-    if not slots:
-        return 0.0
-    n = len(prompt)
-    tokens = list(prompt) + trajectory.state_tokens(t, params.vocab.mask)
-    rows = masked_log_probs(params, tokens)
-    return float(sum(rows[n + s, trajectory.commit_tokens[s]] for s in slots))
+    return terms_score(params, [stage_term(prompt, trajectory, trajectory, t,
+                                           params.vocab.mask)])
 
 
 def teacher_forced_score(params: ModelParams, prompt,
@@ -193,20 +205,8 @@ def teacher_forced_score(params: ModelParams, prompt,
     """Score ``schedule``'s tokens at their commit stages under another
     chain's conditioning states."""
     _require_diffusion(params)
-    if conditioning.num_steps != schedule.num_steps:
-        raise ValueError("conditioning chain has a different stage count")
-    n = len(prompt)
-    mask_id = params.vocab.mask
-    total = 0.0
-    for t in range(schedule.num_steps, 0, -1):
-        slots = [s for s in range(schedule.response_len)
-                 if schedule.commit_steps[s] == t]
-        if not slots:
-            continue
-        tokens = list(prompt) + conditioning.state_tokens(t, mask_id)
-        rows = masked_log_probs(params, tokens)
-        total += float(sum(rows[n + s, schedule.commit_tokens[s]] for s in slots))
-    return total
+    terms = stage_terms(prompt, schedule, conditioning, params.vocab.mask)
+    return terms_score(params, terms.values())
 
 
 def trajectory_score(params: ModelParams, prompt,

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import Graph, NumericError, evaluate, grad
-from .params import (
-    AR, CLASSIFIER, DIFFUSION, Hyperparams, ModelParams, init_params,
-)
-from .transformer import build_fresh_forward_graph, check_context
+from ..autodiff import NumericError, evaluate, grad
+from .autoregressive import span_term
+from .classifier import class_term
+from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
+from .transformer import _CACHE, ScoreTerm, terms_score
 from .vocab import Vocab
 
 
@@ -18,43 +18,15 @@ class TrainingDiverged(Exception):
     """Loss became non-finite; aborts with the offending step recorded."""
 
 
-@dataclass(frozen=True)
-class LossGraph:
-    graph: Graph
-    loss: int  # scalar node: -sum(target_mask * log_probs)
+_LOSS_CACHE = _CACHE  # the one graph cache; attrbench/run.py clears it by this name
 
 
-_LOSS_CACHE: dict[tuple, LossGraph] = {}
-
-
-def _loss_graph(hp: Hyperparams, seq_len: int) -> LossGraph:
-    key = (hp, seq_len)
-    if key in _LOSS_CACHE:
-        return _LOSS_CACHE[key]
-    causal = hp.kind == AR
-    fg = build_fresh_forward_graph(hp, seq_len, causal)
-    g = fg.graph
-    if hp.kind == CLASSIFIER:
-        mask_shape = (1, hp.n_classes)
-    else:
-        mask_shape = (seq_len, hp.vocab_size)
-    mask = g.leaf(mask_shape, "target_mask", differentiable=False)
-    loss = g.mul(g.sum_all(g.mul(fg.log_probs, mask)), g.const(-1.0))
-    lg = LossGraph(graph=g, loss=loss)
-    _LOSS_CACHE[key] = lg
-    return lg
-
-
-def _example_inputs(params: ModelParams, example, rng: np.random.Generator):
-    """Tokens and target mask for one training example of the model's kind."""
+def _example_term(params: ModelParams, example, rng: np.random.Generator) -> ScoreTerm:
+    """The score term one training example maximises, for the model's kind."""
     hp = params.hyper
     if hp.kind == AR:
         prompt, target = example
-        tokens = list(prompt) + list(target)
-        mask = np.zeros((len(tokens), hp.vocab_size))
-        for i, tok in enumerate(target):
-            mask[len(prompt) + i - 1, tok] = 1.0
-        return tokens, mask
+        return span_term(prompt, target)
     if hp.kind == DIFFUSION:
         prompt, response = example
         n = len(prompt)
@@ -63,60 +35,40 @@ def _example_inputs(params: ModelParams, example, rng: np.random.Generator):
         masked = [s for s in range(len(response)) if rng.uniform() < p_mask]
         if not masked:
             masked = [int(rng.integers(len(response)))]
-        mask = np.zeros((len(tokens), hp.vocab_size))
         for s in masked:
             tokens[n + s] = params.vocab.mask
-            mask[n + s, response[s]] = 1.0
-        return tokens, mask
-    # classifier
+        return ScoreTerm(tokens=tuple(tokens), causal=False,
+                         targets=tuple((n + s, response[s]) for s in masked))
     tokens, label = example
-    mask = np.zeros((1, hp.n_classes))
-    mask[0, label] = 1.0
-    return list(tokens), mask
+    return class_term(tokens, label)
 
 
-def _step_grads(params: ModelParams, tokens, mask) -> tuple[float, dict[str, np.ndarray]]:
-    hp = params.hyper
-    check_context(hp, len(tokens))
-    lg = _loss_graph(hp, len(tokens))
-    leaf_vals = {name: w for name, w in params.weights.items()
-                 if name not in ("emb", "pos")}
-    ids = np.asarray(tokens, dtype=int)
-    leaf_vals["emb"] = params.weights["emb"][ids]
-    leaf_vals["pos"] = params.weights["pos"][:len(tokens)]
-    leaf_vals["target_mask"] = mask
-    vals = evaluate(lg.graph, leaf_vals)
-    grads = grad(lg.graph, lg.loss, leaf_vals, forward=vals)
+def _step_grads(params: ModelParams, term: ScoreTerm) -> tuple[float, dict[str, np.ndarray]]:
+    """The example's loss (minus its score) and the score's gradient."""
+    fg, leaf_vals = term.bind(params)
+    vals = evaluate(fg.graph, leaf_vals)
+    grads = grad(fg.graph, fg.score, leaf_vals, forward=vals)
 
+    L = len(term.tokens)
     full: dict[str, np.ndarray] = {}
     for name, gval in grads.items():
         if name == "emb":
             ge = np.zeros_like(params.weights["emb"])
-            np.add.at(ge, ids, gval)
+            np.add.at(ge, np.asarray(term.tokens, dtype=int), gval)
             full["emb"] = ge
         elif name == "pos":
             gp = np.zeros_like(params.weights["pos"])
-            gp[:len(tokens)] = gval
+            gp[:L] = gval
             full["pos"] = gp
         else:
             full[name] = gval
-    return float(vals[lg.loss]), full
+    return -float(vals[fg.score]), full
 
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
     rng = np.random.default_rng(seed)  # fixed seed: checkpoints comparable
-    total = 0.0
-    for example in corpus:
-        tokens, mask = _example_inputs(params, example, rng)
-        lg = _loss_graph(params.hyper, len(tokens))
-        leaf_vals = {name: w for name, w in params.weights.items()
-                     if name not in ("emb", "pos")}
-        ids = np.asarray(tokens, dtype=int)
-        leaf_vals["emb"] = params.weights["emb"][ids]
-        leaf_vals["pos"] = params.weights["pos"][:len(tokens)]
-        leaf_vals["target_mask"] = mask
-        total += float(evaluate(lg.graph, leaf_vals)[lg.loss])
-    return total / len(corpus)
+    terms = (_example_term(params, example, rng) for example in corpus)
+    return -terms_score(params, terms) / len(corpus)
 
 
 @dataclass
@@ -154,8 +106,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         batch_loss = 0.0
         try:
             for j in idx:
-                tokens, mask = _example_inputs(params, corpus[int(j)], rng)
-                loss, grads = _step_grads(params, tokens, mask)
+                term = _example_term(params, corpus[int(j)], rng)
+                loss, grads = _step_grads(params, term)
                 batch_loss += loss
                 for name, gval in grads.items():
                     if name in acc:
@@ -166,9 +118,10 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (last finite: {last_loss})") from exc
         last_loss = batch_loss / batch_size
+        # ascend the score, i.e. descend the loss
         new_weights = dict(params.weights)
         for name, gval in acc.items():
-            new_weights[name] = params.weights[name] - (lr_t / batch_size) * gval
+            new_weights[name] = params.weights[name] + (lr_t / batch_size) * gval
         params = ModelParams(hyper=hp, vocab=params.vocab, weights=new_weights)
 
     return TrainResult(params=params, final_loss=losses[-1],

@@ -1,8 +1,12 @@
-"""Transformer forward passes expressed as autodiff graphs.
+"""Transformer forward passes expressed as autodiff graphs, ending in the
+one score every contract score and the training loss are built from.
 
 Graphs depend only on (hyperparams, sequence length, attention mode), so
 they are cached and re-evaluated with different leaf values; weights and
-the per-token input embeddings are all differentiable leaves.
+the per-token input embeddings are all differentiable leaves. Each graph
+ends in ``score = sum(log_probs * target_mask)``, where the target mask is
+a non-differentiable leaf: one forward pass of a score is a ScoreTerm,
+naming the tokens and the (row, column) log-prob entries it sums.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Graph
+from ..autodiff import Graph, evaluate
 from .params import Hyperparams, ModelParams, CLASSIFIER
 
 NEG_MASK = -1e9  # additive attention mask; large but finite
@@ -26,6 +30,7 @@ class ForwardGraph:
     seq_len: int
     logits: int
     log_probs: int  # log_softmax node: (L, V), or (1, C) for classifiers
+    score: int      # scalar: sum(log_probs * target_mask)
 
 
 _CACHE: dict[tuple, ForwardGraph] = {}
@@ -40,18 +45,13 @@ def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool) -> ForwardG
     return fg
 
 
-def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
-                              graph: Graph | None = None,
-                              suffix: str = "") -> ForwardGraph:
-    """Uncached variant; callers may append further nodes to the graph.
-
-    ``suffix`` renames every leaf, so several forward passes can share one
-    graph (each pass binds its own leaf values).
-    """
-    g = graph if graph is not None else Graph()
+def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
+                              causal: bool) -> ForwardGraph:
+    """Uncached variant of build_forward_graph."""
+    g = Graph()
     d, dh = hp.width, hp.head_dim
-    emb = g.leaf((seq_len, d), "emb" + suffix)
-    pos = g.leaf((seq_len, d), "pos" + suffix)
+    emb = g.leaf((seq_len, d), "emb")
+    pos = g.leaf((seq_len, d), "pos")
     x = g.add(emb, pos)
 
     if causal:
@@ -61,47 +61,54 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
     mask_c = g.const(mask)
     scale_c = g.const(1.0 / np.sqrt(dh))
 
-    def wleaf(shape, name: str) -> int:
-        return g.leaf(shape, name + suffix)
-
     def affine_ln(xid: int, gname: str, bname: str) -> int:
         h = g.layer_norm(xid)
-        h = g.mul(h, wleaf((d,), gname))
-        return g.add(h, wleaf((d,), bname))
+        h = g.mul(h, g.leaf((d,), gname))
+        return g.add(h, g.leaf((d,), bname))
 
     for i in range(hp.layers):
         p = f"blk{i}."
         h = affine_ln(x, p + "ln1.g", p + "ln1.b")
         attn = None
         for hd in range(hp.heads):
-            q = g.matmul(h, wleaf((d, dh), p + f"wq{hd}"))
-            k = g.matmul(h, wleaf((d, dh), p + f"wk{hd}"))
-            v = g.matmul(h, wleaf((d, dh), p + f"wv{hd}"))
+            q = g.matmul(h, g.leaf((d, dh), p + f"wq{hd}"))
+            k = g.matmul(h, g.leaf((d, dh), p + f"wk{hd}"))
+            v = g.matmul(h, g.leaf((d, dh), p + f"wv{hd}"))
             s = g.mul(g.matmul(q, g.transpose(k)), scale_c)
             s = g.add(s, mask_c)
             a = g.softmax(s)
-            o = g.matmul(g.matmul(a, v), wleaf((dh, d), p + f"wo{hd}"))
+            o = g.matmul(g.matmul(a, v), g.leaf((dh, d), p + f"wo{hd}"))
             attn = o if attn is None else g.add(attn, o)
         x = g.add(x, attn)
 
         h2 = affine_ln(x, p + "ln2.g", p + "ln2.b")
-        u = g.add(g.matmul(h2, wleaf((d, hp.mlp_hidden), p + "mlp.w1")),
-                  wleaf((hp.mlp_hidden,), p + "mlp.b1"))
-        y = g.add(g.matmul(g.gelu(u), wleaf((hp.mlp_hidden, d), p + "mlp.w2")),
-                  wleaf((d,), p + "mlp.b2"))
+        u = g.add(g.matmul(h2, g.leaf((d, hp.mlp_hidden), p + "mlp.w1")),
+                  g.leaf((hp.mlp_hidden,), p + "mlp.b1"))
+        y = g.add(g.matmul(g.gelu(u), g.leaf((hp.mlp_hidden, d), p + "mlp.w2")),
+                  g.leaf((d,), p + "mlp.b2"))
         x = g.add(x, y)
 
     xf = affine_ln(x, "lnf.g", "lnf.b")
     if hp.kind == CLASSIFIER:
         pool = g.matmul(g.const(np.full((1, seq_len), 1.0 / seq_len)), xf)
-        logits = g.add(g.matmul(pool, wleaf((d, hp.n_classes), "head.w")),
-                       wleaf((hp.n_classes,), "head.b"))
+        logits = g.add(g.matmul(pool, g.leaf((d, hp.n_classes), "head.w")),
+                       g.leaf((hp.n_classes,), "head.b"))
     else:
-        logits = g.add(g.matmul(xf, wleaf((d, hp.vocab_size), "out.w")),
-                       wleaf((hp.vocab_size,), "out.b"))
+        logits = g.add(g.matmul(xf, g.leaf((d, hp.vocab_size), "out.w")),
+                       g.leaf((hp.vocab_size,), "out.b"))
     lsm = g.log_softmax(logits)
+    target_mask = g.leaf(_mask_shape(hp, seq_len), "target_mask",
+                         differentiable=False)
+    score = g.sum_all(g.mul(lsm, target_mask))
 
-    return ForwardGraph(graph=g, seq_len=seq_len, logits=logits, log_probs=lsm)
+    return ForwardGraph(graph=g, seq_len=seq_len, logits=logits, log_probs=lsm,
+                        score=score)
+
+
+def _mask_shape(hp: Hyperparams, seq_len: int) -> tuple[int, int]:
+    if hp.kind == CLASSIFIER:
+        return (1, hp.n_classes)
+    return (seq_len, hp.vocab_size)
 
 
 def check_context(hp: Hyperparams, length: int) -> None:
@@ -120,12 +127,45 @@ def embed_tokens(params: ModelParams, tokens) -> np.ndarray:
     return params.weights["emb"][ids]
 
 
-def leaf_values(params: ModelParams, tokens) -> dict[str, np.ndarray]:
-    """Leaf bindings for a forward pass over concrete tokens."""
+def leaf_values(params: ModelParams, tokens,
+                targets=()) -> dict[str, np.ndarray]:
+    """Leaf bindings for a forward pass over concrete tokens; the score node
+    sums the log-probs at the (row, column) entries in ``targets``."""
     L = len(tokens)
     check_context(params.hyper, L)
     vals = {name: w for name, w in params.weights.items()
             if name not in ("emb", "pos")}
     vals["emb"] = embed_tokens(params, tokens)
     vals["pos"] = params.weights["pos"][:L]
+    mask = np.zeros(_mask_shape(params.hyper, L))
+    for row, col in targets:
+        mask[row, col] = 1.0
+    vals["target_mask"] = mask
     return vals
+
+
+@dataclass(frozen=True)
+class ScoreTerm:
+    """One forward pass of a score: the sum of ``log_probs[row, col]`` over
+    ``targets`` for a pass over ``tokens``."""
+    tokens: tuple[int, ...]
+    causal: bool
+    targets: tuple[tuple[int, int], ...]
+
+    def bind(self, params: ModelParams) -> tuple[ForwardGraph, dict[str, np.ndarray]]:
+        """The cached score graph of this pass and its leaf values."""
+        vals = leaf_values(params, self.tokens, self.targets)
+        return build_forward_graph(params.hyper, len(self.tokens), self.causal), vals
+
+
+def score_sum(bound) -> float:
+    """Sum of the score nodes of (ForwardGraph, leaf values) passes."""
+    total = 0.0
+    for fg, vals in bound:
+        total += float(evaluate(fg.graph, vals)[fg.score])
+    return total
+
+
+def terms_score(params: ModelParams, terms) -> float:
+    """A score given as terms, evaluated on the model's own weights."""
+    return score_sum(term.bind(params) for term in terms)

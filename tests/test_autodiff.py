@@ -5,7 +5,6 @@ import pytest
 
 from attrscope.autodiff import (
     Graph, GraphError, NumericError, ShapeError, as_tensor, evaluate, grad,
-    interpolate,
 )
 
 FD_STEP = 1e-4
@@ -197,10 +196,3 @@ class TestHelpers:
     def test_as_tensor_is_float64(self):
         t = as_tensor([1, 2, 3])
         assert t.dtype == np.float64
-
-    def test_interpolate_endpoints(self, rng):
-        a, b = rng.standard_normal(5), rng.standard_normal(5)
-        assert np.allclose(interpolate(a, b, 1.0), a, atol=1e-15)
-        assert np.array_equal(interpolate(a, b, 0.0), b)
-        mid = interpolate(a, b, 0.5)
-        assert np.allclose(mid, (a + b) / 2)

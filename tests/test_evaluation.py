@@ -2,11 +2,11 @@
 identities, discipline guarantees, and report plumbing."""
 import pytest
 
-from attrscope.attribution import integrated_gradients, score
+from attrscope.attribution import bind_score, integrated_gradients, score
 from attrscope.contract import (
-    FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_LOCAL, SETTING_P2O,
-    SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE,
-    make_named,
+    FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
+    SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE,
+    SETTING_STATE, make_named,
 )
 from attrscope.evaluation import (
     DELETE, EvaluationError, FaithfulnessCurve, INSERT, PerturbationPolicy,
@@ -52,19 +52,41 @@ class TestPerturb:
         assert ctx.instance.prompt[0] == ar_instance.prompt[0]
         assert ctx.instance.generation == ar_instance.generation
 
-    def test_empty_perturbation_is_identity(self, tiny_ar_model, ar_instance):
-        c = make_named(SETTING_PROMPT_COND, ar_instance, 1)
-        ctx = perturb(tiny_ar_model, ar_instance, c, [], POLICY)
-        live = score(c, tiny_ar_model, ar_instance)
-        assert context_score(tiny_ar_model, ctx) == live
+    @staticmethod
+    def assert_identity(params, instance, contract):
+        """Evaluation, scoring and the bound attribution graph agree exactly
+        on the unperturbed instance."""
+        ctx = perturb(params, instance, contract, [], POLICY)
+        live = score(contract, params, instance)
+        assert context_score(params, ctx) == live
+        assert bind_score(params, instance, contract).value() == live
+
+    def test_empty_perturbation_is_identity(self, tiny_ar_model, ar_instance,
+                                            diffusion_model, diff_instance,
+                                            classifier_model, tiny_corpus):
+        t = len(ar_instance.generation)
+        cls_instance = PromptedInstance(prompt=tiny_corpus.heldout_pairs[0][0],
+                                        seed=0, class_target=1)
+        cases = [
+            (tiny_ar_model, ar_instance, make_named(SETTING_LOCAL, ar_instance, t)),
+            (tiny_ar_model, ar_instance,
+             make_named(SETTING_PROMPT_COND, ar_instance, 1)),
+            (tiny_ar_model, ar_instance, make_named(SETTING_SPAN, ar_instance)),
+            (diffusion_model, diff_instance,
+             make_named(SETTING_STATE, diff_instance, 1)),
+            (diffusion_model, diff_instance,
+             make_named(SETTING_P2O, diff_instance)),
+            (classifier_model, cls_instance,
+             make_named(SETTING_CLASSIFIER, cls_instance)),
+        ]
+        for params, instance, contract in cases:
+            self.assert_identity(params, instance, contract)
 
     def test_state_level_identity_replay(self, diffusion_model,
                                          diff_instance):
-        t = diff_instance.trajectory.num_steps
-        c = make_named(SETTING_STATE, diff_instance, 1)
-        ctx = perturb(diffusion_model, diff_instance, c, [], POLICY)
-        live = score(c, diffusion_model, diff_instance)
-        assert context_score(diffusion_model, ctx) == live
+        for t in range(1, diff_instance.trajectory.num_steps + 1):
+            c = make_named(SETTING_STATE, diff_instance, t)
+            self.assert_identity(diffusion_model, diff_instance, c)
 
     def test_regenerate_restricted_to_prompt_to_output(self, diffusion_model,
                                                        diff_instance):
