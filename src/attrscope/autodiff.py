@@ -28,14 +28,6 @@ class NumericError(Exception):
     """A public operation produced a non-finite value; the run must abort."""
 
 
-def as_tensor(value) -> np.ndarray:
-    """Coerce to a float64 array and reject non-finite data."""
-    arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite tensor value")
-    return arr
-
-
 @dataclass(frozen=True)
 class Node:
     nid: int
@@ -114,11 +106,6 @@ class Graph:
     def pick(self, a: int, index: tuple[int, ...]) -> int:
         """Scalar element extraction."""
         return self._push("pick", (a,), attrs=tuple(index))
-
-    # -- queries ----------------------------------------------------------
-
-    def differentiable_leaves(self) -> list[str]:
-        return [n.name for n in self.nodes if n.op == "leaf" and n.differentiable]
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

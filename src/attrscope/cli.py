@@ -238,7 +238,7 @@ def cmd_generate(args) -> int:
             raise CLIError("diffusion generation needs --response-len and --steps")
         traj = diffusion_generate(params, prompt, args.response_len,
                                   args.steps, args.seed)
-        text = params.vocab.decode(traj.final_output)
+        text = params.vocab.decode(traj.commit_tokens)
     else:
         raise CLIError("generate applies to sequence models only")
     print(text)
@@ -378,6 +378,9 @@ def cmd_rerun(args) -> int:
         raise CLIError(f"cannot read manifest: {exc}", EXIT_IO) from exc
     except (json.JSONDecodeError, TypeError) as exc:
         raise CLIError(f"manifest rejected: {exc}") from exc
+    if manifest.argv[:1] == ["rerun"]:
+        raise CLIError("manifest rejected: it records a rerun; rerun the"
+                       " original run's manifest instead")
     for path, digest in manifest.input_digests.items():
         try:
             now = file_digest(path)

@@ -41,8 +41,19 @@ SETTING_SPAN = "span-level-prompt"
 SETTING_STATE = "state-level"
 SETTING_STAGE = "denoising-stage"
 SETTING_P2O = "prompt-to-output"
-SETTINGS = (SETTING_CLASSIFIER, SETTING_LOCAL, SETTING_PROMPT_COND,
-            SETTING_SPAN, SETTING_STATE, SETTING_STAGE, SETTING_P2O)
+# setting -> (score kind, held-fixed name, eligible name): the only
+# definition of a setting. Contract files use the same names; a name joins
+# feature groups with "+" (see _refs).
+SETTING_SCHEMA = {
+    SETTING_CLASSIFIER: (CLASS_LOG_PROB, "none", "input"),
+    SETTING_LOCAL: (TOKEN_LOG_PROB, "none", "prompt+prefix"),
+    SETTING_PROMPT_COND: (TOKEN_LOG_PROB, "prefix", "prompt"),
+    SETTING_SPAN: (SPAN_LOG_PROB, "span", "prompt"),
+    SETTING_STATE: (STATE_LOG_PROB, "none", "prompt+states"),
+    SETTING_STAGE: (STAGE_DELTA, "none", "stages"),
+    SETTING_P2O: (OUTPUT_LOG_PROB, "none", "prompt"),
+}
+SETTINGS = tuple(SETTING_SCHEMA)
 
 
 class ContractError(Exception):
@@ -72,10 +83,6 @@ class FeatureRef:
         if self.kind == STATE_COMMITMENT:
             return f"{self.kind}[step={self.index},slot={self.slot}]"
         return f"{self.kind}[{self.index}]"
-
-
-# target: (kind, value) where kind in {class, token, span, state, output}
-TargetKind = str
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,8 @@ SCORE_TARGET = {
     STAGE_DELTA: "output",
     OUTPUT_LOG_PROB: "output",
 }
+# target kinds whose index a named setting takes from the caller's t
+INDEXED_TARGETS = ("token", "state")
 
 SCORE_PROCESS = {
     CLASS_LOG_PROB: P_CLASSIFIER,
@@ -211,69 +220,57 @@ def validate(contract: AttributionContract,
     return v
 
 
+def _target_index(setting: str, kind: str, instance: PromptedInstance,
+                  t: int | None) -> int:
+    if kind == "class":
+        return instance.class_target
+    if kind == "span":
+        return len(instance.generation)
+    if kind == "output":
+        return 0
+    # INDEXED_TARGETS: t names a generated token or a denoising stage
+    if t is None:
+        raise ContractError(f"{setting} needs a target {kind} index t")
+    bound = (len(instance.generation) if kind == "token"
+             else instance.trajectory.num_steps)
+    if not (1 <= t <= bound):
+        raise ContractError(f"t={t} outside 1..{bound}")
+    return t
+
+
+def _refs(name: str, instance: PromptedInstance,
+          t: int | None) -> tuple[FeatureRef, ...]:
+    """The features a held-fixed or eligible name denotes on the instance:
+    "+" joins groups; prefix is the generation before token t, span all of
+    it, and states the commitments visible in state z_t."""
+    refs: list[FeatureRef] = []
+    traj = instance.trajectory
+    for part in name.split("+"):
+        if part in ("input", "prompt"):
+            refs += [FeatureRef(PROMPT_TOKEN, i) for i in range(len(instance.prompt))]
+        elif part in ("prefix", "span"):
+            end = t - 1 if part == "prefix" else len(instance.generation)
+            refs += [FeatureRef(PREFIX_TOKEN, i) for i in range(end)]
+        elif part == "states":
+            refs += [FeatureRef(STATE_COMMITMENT, u, slot=s)
+                     for s, u in enumerate(traj.commit_steps) if u > t]
+        elif part == "stages":
+            refs += [FeatureRef(STAGE, u) for u in range(1, traj.num_steps + 1)]
+    return tuple(refs)
+
+
 def make_named(setting: str, instance: PromptedInstance,
                t: int | None = None) -> AttributionContract:
     """Construct one of the seven named settings, bound to the instance."""
-    n = len(instance.prompt)
-    prompt_refs = tuple(FeatureRef(PROMPT_TOKEN, i) for i in range(n))
-
-    if setting == SETTING_CLASSIFIER:
-        if instance.class_target is None:
-            raise ContractError("classifier setting needs a classifier instance")
-        return AttributionContract(
-            score_kind=CLASS_LOG_PROB, held_fixed=frozenset(),
-            target=("class", instance.class_target), process=P_CLASSIFIER,
-            eligible=prompt_refs)
-
-    if setting in (SETTING_LOCAL, SETTING_PROMPT_COND, SETTING_SPAN):
-        if instance.generation is None:
-            raise ContractError(f"{setting} needs an autoregressive instance")
-        gen_len = len(instance.generation)
-        if setting == SETTING_SPAN:
-            span_refs = frozenset(FeatureRef(PREFIX_TOKEN, i) for i in range(gen_len))
-            return AttributionContract(
-                score_kind=SPAN_LOG_PROB, held_fixed=span_refs,
-                target=("span", gen_len), process=P_AUTOREGRESSIVE,
-                eligible=prompt_refs)
-        if t is None:
-            raise ContractError(f"{setting} needs a target token index t")
-        if not (1 <= t <= gen_len):
-            raise ContractError(f"t={t} outside 1..{gen_len}")
-        prefix_refs = tuple(FeatureRef(PREFIX_TOKEN, i) for i in range(t - 1))
-        if setting == SETTING_LOCAL:
-            return AttributionContract(
-                score_kind=TOKEN_LOG_PROB, held_fixed=frozenset(),
-                target=("token", t), process=P_AUTOREGRESSIVE,
-                eligible=prompt_refs + prefix_refs)
-        return AttributionContract(
-            score_kind=TOKEN_LOG_PROB, held_fixed=frozenset(prefix_refs),
-            target=("token", t), process=P_AUTOREGRESSIVE,
-            eligible=prompt_refs)
-
-    if setting in (SETTING_STATE, SETTING_STAGE, SETTING_P2O):
-        traj = instance.trajectory
-        if traj is None:
-            raise ContractError(f"{setting} needs a diffusion instance")
-        if setting == SETTING_STATE:
-            if t is None:
-                raise ContractError("state-level setting needs a step index t")
-            if not (1 <= t <= traj.num_steps):
-                raise ContractError(f"t={t} outside 1..{traj.num_steps}")
-            commit_refs = tuple(
-                FeatureRef(STATE_COMMITMENT, traj.commit_steps[s], slot=s)
-                for s in range(traj.response_len) if traj.commit_steps[s] > t)
-            return AttributionContract(
-                score_kind=STATE_LOG_PROB, held_fixed=frozenset(),
-                target=("state", t), process=P_DIFFUSION,
-                eligible=prompt_refs + commit_refs)
-        if setting == SETTING_STAGE:
-            stage_refs = tuple(FeatureRef(STAGE, u)
-                               for u in range(1, traj.num_steps + 1))
-            return AttributionContract(
-                score_kind=STAGE_DELTA, held_fixed=frozenset(),
-                target=("output", 0), process=P_DIFFUSION, eligible=stage_refs)
-        return AttributionContract(
-            score_kind=OUTPUT_LOG_PROB, held_fixed=frozenset(),
-            target=("output", 0), process=P_DIFFUSION, eligible=prompt_refs)
-
-    raise ContractError(f"unknown setting {setting!r}")
+    if setting not in SETTING_SCHEMA:
+        raise ContractError(f"unknown setting {setting!r}")
+    score_kind, fixed, eligible = SETTING_SCHEMA[setting]
+    process = SCORE_PROCESS[score_kind]
+    if KIND_PROCESS[instance.kind] != process:
+        article = "an" if process[0] in "aeiou" else "a"
+        raise ContractError(f"{setting} needs {article} {process} instance")
+    target_kind = SCORE_TARGET[score_kind]
+    target = (target_kind, _target_index(setting, target_kind, instance, t))
+    return AttributionContract(
+        score_kind=score_kind, held_fixed=frozenset(_refs(fixed, instance, t)),
+        target=target, process=process, eligible=_refs(eligible, instance, t))

@@ -9,6 +9,7 @@ import numpy as np
 from .models.vocab import Vocab, make_vocab
 
 MAX_VOCAB = 64
+HELDOUT_FRAC = 0.2  # share of the pairs held out from training
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class SynCorpus:
         return self.target_ids[self.source_ids.index(source_token_id)]
 
 
-def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int, seed: int,
-                    heldout_frac: float = 0.2) -> SynCorpus:
+def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
+                    seed: int) -> SynCorpus:
     if lexicon_size < 2:
         raise ValueError("need a lexicon of at least 2 entries")
     n_tokens = 5 + 2 * lexicon_size  # specials + TR: + lexicon
@@ -67,7 +68,7 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int, seed: int,
         target = tuple(target_ids[i] for i in seq) + (eos,)
         pairs.append((prompt, target))
 
-    n_held = max(1, int(round(heldout_frac * len(pairs))))
+    n_held = max(1, int(round(HELDOUT_FRAC * len(pairs))))
     return SynCorpus(lexicon_size=lexicon_size, vocab=vocab,
                      source_ids=source_ids, target_ids=target_ids,
                      train_pairs=tuple(pairs[n_held:]),

@@ -30,13 +30,10 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class PerturbationPolicy:
-    mode: str = DELETE
     replacement: BaselinePolicy = PAD_BASELINE
     rescoring: str = RESCORE
 
     def __post_init__(self):
-        if self.mode not in (DELETE, INSERT):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.rescoring not in (RESCORE, REGENERATE):
             raise ValueError(f"unknown rescoring {self.rescoring!r}")
         if self.replacement.kind == "zero_embedding":
@@ -54,7 +51,6 @@ class PerturbedContext:
     contract; C-members are never touched."""
     contract: AttributionContract
     instance: PromptedInstance              # token-perturbed where applicable
-    replaced: tuple[FeatureRef, ...]
     # diffusion only: the chain whose states the score is conditioned on
     # (state-level: replayed down to z_t; prompt-to-output: after the policy)
     conditioning: DenoisingTrajectory | None = None
@@ -93,7 +89,6 @@ def perturb(params: ModelParams, instance: PromptedInstance,
             conditioning = traj
         inst = replace(instance, prompt=tuple(prompt))
         return PerturbedContext(contract=contract, instance=inst,
-                                replaced=tuple(features),
                                 conditioning=conditioning)
 
     # token-level autoregressive and classifier scores
@@ -103,8 +98,7 @@ def perturb(params: ModelParams, instance: PromptedInstance,
             gen[ref.index] = rep_tok
     inst = replace(instance, prompt=tuple(prompt),
                    generation=tuple(gen) if gen is not None else None)
-    return PerturbedContext(contract=contract, instance=inst,
-                            replaced=tuple(features))
+    return PerturbedContext(contract=contract, instance=inst)
 
 
 def _replay_to_state(params: ModelParams, prompt, traj: DenoisingTrajectory,
@@ -157,22 +151,35 @@ def _check_map(attr_map: AttributionMap, contract: AttributionContract) -> None:
         raise EvaluationError("attribution map does not match the contract")
 
 
+def _curve(attr_map: AttributionMap, params: ModelParams,
+           instance: PromptedInstance, contract: AttributionContract,
+           K: int, policy: PerturbationPolicy, order: list[FeatureRef] | None,
+           ordering_label: str, mode: str) -> FaithfulnessCurve:
+    """Score the instance with the top-k features at baseline (deletion),
+    or with every eligible feature but the top k at baseline (insertion)."""
+    _check_map(attr_map, contract)
+    order = ranked_features(attr_map) if order is None else order
+    if K > len(contract.eligible):
+        raise EvaluationError("K exceeds the eligible set")
+    scores = []
+    for k in range(K + 1):
+        removed = order[:k]
+        if mode == INSERT:
+            restored = set(removed)
+            removed = [ref for ref in contract.eligible if ref not in restored]
+        ctx = perturb(params, instance, contract, removed, policy)
+        scores.append(context_score(params, ctx))
+    return FaithfulnessCurve(k_values=tuple(range(K + 1)), scores=tuple(scores),
+                             ordering=ordering_label, mode=mode)
+
+
 def deletion_curve(attr_map: AttributionMap, params: ModelParams,
                    instance: PromptedInstance, contract: AttributionContract,
                    K: int, policy: PerturbationPolicy,
                    order: list[FeatureRef] | None = None,
                    ordering_label: str = "map") -> FaithfulnessCurve:
-    _check_map(attr_map, contract)
-    order = ranked_features(attr_map) if order is None else order
-    if K > len(contract.eligible):
-        raise EvaluationError("K exceeds the eligible set")
-    pol = replace(policy, mode=DELETE)
-    scores = []
-    for k in range(K + 1):
-        ctx = perturb(params, instance, contract, order[:k], pol)
-        scores.append(context_score(params, ctx))
-    return FaithfulnessCurve(k_values=tuple(range(K + 1)), scores=tuple(scores),
-                             ordering=ordering_label, mode=DELETE)
+    return _curve(attr_map, params, instance, contract, K, policy, order,
+                  ordering_label, DELETE)
 
 
 def insertion_curve(attr_map: AttributionMap, params: ModelParams,
@@ -181,21 +188,8 @@ def insertion_curve(attr_map: AttributionMap, params: ModelParams,
                     order: list[FeatureRef] | None = None,
                     ordering_label: str = "map") -> FaithfulnessCurve:
     """Dual of deletion: start all-eligible-at-baseline, restore top-k."""
-    _check_map(attr_map, contract)
-    order = ranked_features(attr_map) if order is None else order
-    if K > len(contract.eligible):
-        raise EvaluationError("K exceeds the eligible set")
-    pol = replace(policy, mode=INSERT)
-    all_eligible = list(contract.eligible)
-    scores = []
-    for k in range(K + 1):
-        restored = set(order[:k])
-        removed = [ref for ref in all_eligible if ref not in restored]
-        ctx = perturb(params, instance, contract, removed,
-                      replace(pol, mode=DELETE))
-        scores.append(context_score(params, ctx))
-    return FaithfulnessCurve(k_values=tuple(range(K + 1)), scores=tuple(scores),
-                             ordering=ordering_label, mode=INSERT)
+    return _curve(attr_map, params, instance, contract, K, policy, order,
+                  ordering_label, INSERT)
 
 
 def aopc(curve: FaithfulnessCurve) -> float:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, asdict
 from . import __version__
 from .attribution import AttributionMap
 from .contract import (
-    AttributionContract, ContractError, FeatureRef, SCORE_KINDS, SCORE_PROCESS,
-    SCORE_TARGET, SETTINGS, PROCESS_KINDS, SETTING_CLASSIFIER, SETTING_LOCAL,
-    SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE,
+    AttributionContract, ContractError, FeatureRef, INDEXED_TARGETS,
+    PROCESS_KINDS, SCORE_KINDS, SCORE_PROCESS, SCORE_TARGET, SETTING_SCHEMA,
     make_named,
 )
 from .evaluation import FaithfulnessCurve, FaithfulnessReport
@@ -83,22 +82,10 @@ _KNOWN_FIELDS = {
     "steps", "class", "seed",
 }
 
-_FIXED_VALUES = ("none", "prefix", "span")
-_OUTPUT_VALUES = ("class", "token", "span", "state", "output")
-_ELIGIBLE_VALUES = ("input", "prompt", "prompt+prefix", "prompt+states", "stages")
-
-# (score, fixed, eligible) -> named setting
-_SCHEMATIC_TO_SETTING = {
-    ("class_log_prob", "none", "input"): SETTING_CLASSIFIER,
-    ("token_log_prob", "none", "prompt+prefix"): SETTING_LOCAL,
-    ("token_log_prob", "prefix", "prompt"): SETTING_PROMPT_COND,
-    ("span_log_prob", "span", "prompt"): SETTING_SPAN,
-    ("state_log_prob", "none", "prompt+states"): SETTING_STATE,
-    ("stage_delta", "none", "stages"): SETTING_STAGE,
-    ("output_log_prob", "none", "prompt"): SETTING_P2O,
-}
-
-_SETTING_TO_SCHEMATIC = {v: k for k, v in _SCHEMATIC_TO_SETTING.items()}
+_FIXED_VALUES = tuple(sorted({f for _, f, _ in SETTING_SCHEMA.values()}))
+_OUTPUT_VALUES = tuple(dict.fromkeys(SCORE_TARGET[s] for s in SCORE_KINDS))
+_ELIGIBLE_VALUES = tuple(sorted({e for _, _, e in SETTING_SCHEMA.values()}))
+_SCHEMATIC_TO_SETTING = {row: setting for setting, row in SETTING_SCHEMA.items()}
 
 
 def parse_contract_file(text: str) -> ParseResult:
@@ -156,12 +143,12 @@ def parse_contract_file(text: str) -> ParseResult:
     spec.seed = take_int("seed", 0)
 
     if spec.setting is not None:
-        if spec.setting not in SETTINGS:
+        if spec.setting not in SETTING_SCHEMA:
             diags.append(Diagnostic(E_BAD_VALUE,
                                     f"unknown setting {spec.setting!r}",
                                     fields["setting"][1]))
             return ParseResult(None, diags)
-        spec.score, spec.fixed, spec.eligible = _SETTING_TO_SCHEMATIC[spec.setting]
+        spec.score, spec.fixed, spec.eligible = SETTING_SCHEMA[spec.setting]
         spec.output = SCORE_TARGET[spec.score]
         spec.process = SCORE_PROCESS[spec.score]
     else:
@@ -192,7 +179,7 @@ def parse_contract_file(text: str) -> ParseResult:
                                         f" got {value!r}", fields[key][1]))
         if diags:
             return ParseResult(None, diags)
-        if spec.fixed != "none" and spec.eligible in ("prompt+prefix",):
+        if spec.fixed != "none" and "prefix" in spec.eligible.split("+"):
             diags.append(Diagnostic(E_OVERLAP, "eligible/fixed overlap: the"
                                     " generated prefix is both eligible and fixed",
                                     fields.get("fixed", ("", 0))[1]))
@@ -204,14 +191,15 @@ def parse_contract_file(text: str) -> ParseResult:
                                     f"no named setting matches {combo}", 0))
             return ParseResult(None, diags)
         spec.setting = setting
-        expected_process = SCORE_PROCESS[spec.score]
-        if spec.process != expected_process:
-            diags.append(Diagnostic(E_BAD_COMBINATION,
-                                    f"score {spec.score} requires process"
-                                    f" {expected_process}", fields["process"][1]))
-            return ParseResult(None, diags)
+        for key, table in (("process", SCORE_PROCESS), ("output", SCORE_TARGET)):
+            expected = table[spec.score]
+            if getattr(spec, key) != expected:
+                diags.append(Diagnostic(E_BAD_COMBINATION,
+                                        f"score {spec.score} requires {key}"
+                                        f" {expected}", fields[key][1]))
+                return ParseResult(None, diags)
 
-    if spec.output in ("token", "state") and spec.target is None:
+    if spec.output in INDEXED_TARGETS and spec.target is None:
         diags.append(Diagnostic(E_MISSING_TARGET, "missing target index", 0))
         return ParseResult(None, diags)
     if diags:
@@ -221,10 +209,7 @@ def parse_contract_file(text: str) -> ParseResult:
 
 def resolve_contract(spec: ContractSpec,
                      instance: PromptedInstance) -> AttributionContract:
-    target = spec.target
-    if spec.setting == SETTING_CLASSIFIER:
-        return make_named(spec.setting, instance)
-    return make_named(spec.setting, instance, target)
+    return make_named(spec.setting, instance, spec.target)
 
 
 # -- digest-footed structured text ----------------------------------------

@@ -15,10 +15,6 @@ from .models import ModelParams, PromptedInstance
 _SHADES = " .:-=+*#%@"  # terminal intensity ramp, light to dark
 
 
-class HeatmapError(Exception):
-    pass
-
-
 def _token_text(params: ModelParams, token_id: int) -> str:
     return params.vocab.tokens[token_id]
 
@@ -30,21 +26,19 @@ def _cells(attr_map: AttributionMap, instance: PromptedInstance,
     fixed = contract.held_fixed
     tk, tv = contract.target
 
-    def lookup(ref: FeatureRef):
-        return scores.get(ref)
-
     cells = []
     for i, tok in enumerate(instance.prompt):
         ref = FeatureRef(PROMPT_TOKEN, i)
-        cells.append({"text": _token_text(params, tok), "score": lookup(ref),
-                      "fixed": ref in fixed, "target": False})
+        cells.append({"text": _token_text(params, tok),
+                      "score": scores.get(ref), "fixed": ref in fixed,
+                      "target": False})
 
     if instance.generation is not None:
         for i, tok in enumerate(instance.generation):
             ref = FeatureRef(PREFIX_TOKEN, i)
             is_target = (tk == "token" and tv == i + 1) or tk == "span"
             cells.append({"text": _token_text(params, tok),
-                          "score": lookup(ref), "fixed": ref in fixed,
+                          "score": scores.get(ref), "fixed": ref in fixed,
                           "target": is_target})
     elif instance.trajectory is not None:
         traj = instance.trajectory
@@ -52,7 +46,7 @@ def _cells(attr_map: AttributionMap, instance: PromptedInstance,
             ref = FeatureRef(STATE_COMMITMENT, traj.commit_steps[s], slot=s)
             is_target = (tk == "state" and traj.commit_steps[s] == tv) or tk == "output"
             cells.append({"text": _token_text(params, traj.commit_tokens[s]),
-                          "score": lookup(ref), "fixed": ref in fixed,
+                          "score": scores.get(ref), "fixed": ref in fixed,
                           "target": is_target})
     return cells
 

@@ -61,20 +61,12 @@ class DenoisingTrajectory:
             if not (1 <= u <= self.num_steps):
                 raise ValueError(f"commit step {u} outside 1..{self.num_steps}")
 
-    @property
-    def final_output(self) -> tuple[int, ...]:
-        return self.commit_tokens
-
     def state_tokens(self, t: int, mask_id: int) -> list[int]:
         """Slot tokens of state z_t; uncommitted slots carry the MASK id."""
         if not (0 <= t <= self.num_steps):
             raise ValueError(f"state index {t} outside 0..{self.num_steps}")
         return [tok if step > t else mask_id
                 for tok, step in zip(self.commit_tokens, self.commit_steps)]
-
-    def states(self, mask_id: int) -> list[list[int]]:
-        """z_T .. z_0 as token lists."""
-        return [self.state_tokens(t, mask_id) for t in range(self.num_steps, -1, -1)]
 
     def commit_plan(self) -> dict[int, int]:
         plan = {t: 0 for t in range(self.num_steps, 0, -1)}
@@ -114,7 +106,6 @@ def run_chain(params: ModelParams, prompt, response_len: int,
               plan: dict[int, int], seed: int,
               substitute: StagePerturbation | None = None) -> DenoisingTrajectory:
     """Execute the unmasking chain under an explicit per-stage commit plan."""
-    bump("diffusion_chain")
     num_steps = max(plan)
     if sum(plan.values()) != response_len:
         raise ValueError("commit plan does not cover the response")

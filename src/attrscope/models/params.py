@@ -38,6 +38,8 @@ class Hyperparams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.heads < 1:
+            raise ValueError("heads must be positive")
         if self.width % self.heads != 0:
             raise ValueError("width must divide evenly across heads")
 
@@ -165,25 +167,37 @@ def load_model(path: str) -> ModelParams:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise ModelIOError("bad magic; not a model file")
+    if len(blob) < 12:
+        raise ModelIOError("file ends inside the header length")
     (hlen,) = struct.unpack("<I", blob[8:12])
+    if 12 + hlen > len(blob):
+        raise ModelIOError(f"header length {hlen} runs past the end of the file")
     try:
         header = json.loads(blob[12:12 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        hp = Hyperparams(**header["hyper"])
+        v = header["vocab"]
+        vocab = Vocab(tokens=tuple(v["tokens"]), pad=v["pad"], mask=v["mask"],
+                      sep=v["sep"], eos=v["eos"])
+        shapes = weight_shapes(hp)
+        names = sorted(shapes)
+        if header["weight_order"] != names:
+            raise ModelIOError("weight_order does not list the model's weights"
+                               " in sorted order")
+        counts = [int(np.prod(shapes[name])) for name in names]
+        if len(blob) - 12 - hlen != 8 * sum(counts):
+            raise ModelIOError(f"weight body is {len(blob) - 12 - hlen} bytes,"
+                               f" expected {8 * sum(counts)}")
+        weights = {}
+        offset = 12 + hlen
+        for name, count in zip(names, counts):
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+            weights[name] = arr.reshape(shapes[name]).astype(np.float64)
+            offset += count * 8
+        params = ModelParams(hyper=hp, vocab=vocab, weights=weights)
+        model_id = header["model_id"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            ValueError) as exc:
         raise ModelIOError(f"corrupt header: {exc}") from exc
-    hp = Hyperparams(**header["hyper"])
-    v = header["vocab"]
-    vocab = Vocab(tokens=tuple(v["tokens"]), pad=v["pad"], mask=v["mask"],
-                  sep=v["sep"], eos=v["eos"])
-    shapes = weight_shapes(hp)
-    weights = {}
-    offset = 12 + hlen
-    for name in header["weight_order"]:
-        shape = shapes[name]
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        weights[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    params = ModelParams(hyper=hp, vocab=vocab, weights=weights)
-    if params.model_id != header["model_id"]:
+    if params.model_id != model_id:
         raise ModelIOError("model_id hash mismatch; file corrupted")
     return params

@@ -19,6 +19,8 @@ class TrainingDiverged(Exception):
 
 
 _LOSS_CACHE = _CACHE  # the one graph cache; attrbench/run.py clears it by this name
+CHECKPOINTS = 5        # mean-loss passes, evenly spaced from step 0 to the end
+LR_FLOOR_FRAC = 0.02   # the decayed rate never drops below this fraction of lr
 
 
 def _example_term(params: ModelParams, example, rng: np.random.Generator) -> ScoreTerm:
@@ -79,8 +81,7 @@ class TrainResult:
 
 
 def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
-          steps: int = 2000, lr: float = 0.5, batch_size: int = 8,
-          checkpoints: int = 5, lr_floor_frac: float = 0.02) -> TrainResult:
+          steps: int = 2000, lr: float = 0.5, batch_size: int = 8) -> TrainResult:
     """SGD with cosine decay; deterministic given (corpus, hp, seed)."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -89,8 +90,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     rng = np.random.default_rng(seed)
     params = init_params(hp, vocab, seed)
     eval_corpus = list(corpus[: min(64, len(corpus))])
-    checkpoint_at = {round(i * steps / max(1, checkpoints - 1))
-                     for i in range(checkpoints)}
+    checkpoint_at = {round(i * steps / (CHECKPOINTS - 1))
+                     for i in range(CHECKPOINTS)}
     losses: list[float] = []
     last_loss = math.nan
 
@@ -99,7 +100,7 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
             losses.append(_mean_loss(params, eval_corpus, seed=seed + 1))
         if step == steps:
             break
-        lr_t = max(lr * lr_floor_frac,
+        lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         idx = rng.integers(0, len(corpus), size=batch_size)
         acc: dict[str, np.ndarray] = {}

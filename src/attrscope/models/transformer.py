@@ -27,8 +27,6 @@ class ContextOverflowError(Exception):
 @dataclass(frozen=True)
 class ForwardGraph:
     graph: Graph
-    seq_len: int
-    logits: int
     log_probs: int  # log_softmax node: (L, V), or (1, C) for classifiers
     score: int      # scalar: sum(log_probs * target_mask)
 
@@ -101,8 +99,7 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
                          differentiable=False)
     score = g.sum_all(g.mul(lsm, target_mask))
 
-    return ForwardGraph(graph=g, seq_len=seq_len, logits=logits, log_probs=lsm,
-                        score=score)
+    return ForwardGraph(graph=g, log_probs=lsm, score=score)
 
 
 def _mask_shape(hp: Hyperparams, seq_len: int) -> tuple[int, int]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attrscope.autodiff import (
-    Graph, GraphError, NumericError, ShapeError, as_tensor, evaluate, grad,
+    Graph, GraphError, NumericError, ShapeError, evaluate, grad,
 )
 
 FD_STEP = 1e-4
@@ -190,9 +190,3 @@ class TestGraphMechanics:
         gs = grad(g, s, {"x": rng.standard_normal((2, 2)),
                          "m": np.ones((2, 2))})
         assert "m" not in gs and "x" in gs
-
-
-class TestHelpers:
-    def test_as_tensor_is_float64(self):
-        t = as_tensor([1, 2, 3])
-        assert t.dtype == np.float64

@@ -114,6 +114,15 @@ class TestRerun:
         assert main(["rerun", "--manifest", manifest_path,
                      "--out", str(tmp_path / "b")]) == EXIT_DIAGNOSTIC
 
+    def test_rerun_of_a_rerun_manifest_rejected(self, tmp_path):
+        path = str(tmp_path / "manifest.json")
+        json.dump({"tool_version": "0", "command": "rerun",
+                   "argv": ["rerun", "--manifest", path], "model_id": None,
+                   "contract_id": None, "input_digests": {}, "seeds": {},
+                   "timestamp": "", "outputs": []}, open(path, "w"))
+        assert main(["rerun", "--manifest", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
+
 
 class TestExitCodes:
     def test_bad_contract_file(self, workspace, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 
 from attrscope.attribution import AttributionMap, integrated_gradients
 from attrscope.contract import (
-    FeatureRef, PROMPT_TOKEN, SETTING_PROMPT_COND, SETTING_SPAN, canonical_id,
-    make_named,
+    FeatureRef, INDEXED_TARGETS, PROMPT_TOKEN, SCORE_PROCESS, SCORE_TARGET,
+    SETTING_PROMPT_COND, SETTING_SCHEMA, make_named,
 )
 from attrscope.corpus import make_syn_corpus
 from attrscope.evaluation import PerturbationPolicy, faithfulness_report
@@ -20,7 +20,9 @@ from attrscope.fileio import (
     resolve_contract, serialize_map, serialize_report, write_manifest,
 )
 from attrscope.heatmap import render_heatmap
-from attrscope.models import GreedyPolicy, PromptedInstance, ar_generate
+from attrscope.models import (
+    DenoisingTrajectory, GreedyPolicy, PromptedInstance, ar_generate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +48,34 @@ class TestContractFiles:
         assert resolve_contract(result.spec, ar_instance) == \
             make_named(SETTING_PROMPT_COND, ar_instance, t)
 
-    def test_explicit_schematic_equals_named(self, ar_instance):
-        t = len(ar_instance.generation)
-        text = ("score: token_log_prob\nfixed: prefix\noutput: token\n"
-                f"process: autoregressive\neligible: prompt\ntarget: {t}\n")
-        result = parse_contract_file(text)
-        assert result.ok
-        assert resolve_contract(result.spec, ar_instance) == \
-            make_named(SETTING_PROMPT_COND, ar_instance, t)
+    def test_explicit_schematic_equals_named(self):
+        """Every named setting, spelled out as its five fields, resolves to
+        the same contract as make_named and as its ``setting:`` file."""
+        traj = DenoisingTrajectory(num_steps=3, response_len=4,
+                                   commit_tokens=(7, 8, 9, 10),
+                                   commit_steps=(3, 2, 2, 1), seed=0)
+        instances = {
+            "autoregressive": PromptedInstance(prompt=(4, 5, 6), seed=0,
+                                               generation=(7, 8, 9)),
+            "diffusion": PromptedInstance(prompt=(4, 5), seed=0,
+                                          trajectory=traj),
+            "classifier": PromptedInstance(prompt=(4, 5, 6), seed=0,
+                                           class_target=1),
+        }
+        for setting, (score, fixed, eligible) in SETTING_SCHEMA.items():
+            output = SCORE_TARGET[score]
+            process = SCORE_PROCESS[score]
+            t = 2 if output in INDEXED_TARGETS else None
+            target = "" if t is None else f"target: {t}\n"
+            schematic = parse_contract_file(
+                f"score: {score}\nfixed: {fixed}\noutput: {output}\n"
+                f"process: {process}\neligible: {eligible}\n{target}")
+            named = parse_contract_file(f"setting: {setting}\n{target}")
+            assert schematic.ok and named.ok, setting
+            instance = instances[process]
+            expected = make_named(setting, instance, t)
+            assert resolve_contract(schematic.spec, instance) == expected
+            assert resolve_contract(named.spec, instance) == expected
 
     def test_empty_file_missing_score(self):
         result = parse_contract_file("")
@@ -69,6 +91,18 @@ class TestContractFiles:
         assert codes == [E_OVERLAP]
         assert any("eligible/fixed overlap" in d.message
                    for d in result.diagnostics)
+
+    @pytest.mark.parametrize("text, message", [
+        ("score: token_log_prob\nfixed: none\noutput: class\n"
+         "process: autoregressive\neligible: prompt+prefix\n",
+         "score token_log_prob requires output token"),
+        ("score: state_log_prob\nfixed: none\noutput: output\n"
+         "process: diffusion\neligible: prompt+states\n",
+         "score state_log_prob requires output state")])
+    def test_output_must_match_score(self, text, message):
+        result = parse_contract_file(text)
+        assert [str(d) for d in result.diagnostics] == [
+            f"E_BAD_COMBINATION: {message} (line 3)"]
 
     def test_unknown_score_diagnostic(self):
         result = parse_contract_file("score: wishful_thinking\n")

@@ -1,5 +1,8 @@
 """Model-layer tests: decoding, scores, the denoising chain, persistence,
 and training behavior."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,38 @@ class TestPersistence:
         blob = bytearray(open(path, "rb").read())
         blob[-3] ^= 0xFF
         open(path, "wb").write(bytes(blob))
+        with pytest.raises(ModelIOError):
+            load_model(path)
+
+    @staticmethod
+    def _with_header(blob: bytes, edit) -> bytes:
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode()
+        return blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:]
+
+    @pytest.mark.parametrize("mutation", [
+        "heads_zero", "unknown_weight_name", "unknown_hyper_key",
+        "shorter_than_12_bytes", "truncated_body", "trailing_bytes"])
+    def test_malformed_file_rejected(self, tiny_corpus, tmp_path, mutation):
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=16, mlp_hidden=32, context_len=16)
+        path = str(tmp_path / "m.bin")
+        save_model(init_params(hp, tiny_corpus.vocab, seed=0), path)
+        blob = open(path, "rb").read()
+        mutate = {
+            "heads_zero": lambda b: self._with_header(
+                b, lambda h: h["hyper"].update(heads=0)),
+            "unknown_weight_name": lambda b: self._with_header(
+                b, lambda h: h["weight_order"].__setitem__(0, "no.such")),
+            "unknown_hyper_key": lambda b: self._with_header(
+                b, lambda h: h["hyper"].update(dropout=0.1)),
+            "shorter_than_12_bytes": lambda b: b[:10],
+            "truncated_body": lambda b: b[:-5],
+            "trailing_bytes": lambda b: b + bytes(8),
+        }[mutation]
+        open(path, "wb").write(mutate(blob))
         with pytest.raises(ModelIOError):
             load_model(path)
 
