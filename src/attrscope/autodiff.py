@@ -4,6 +4,12 @@ Tensors are float64 numpy arrays. A Graph is an append-only list of node
 records (op kind, input node ids, optional constant payload); leaves are
 named so the same graph can be re-evaluated with different leaf values,
 which is what the attribution path loop needs.
+
+A leaf value may carry one leading batch axis: shape ``(B,) + shape``
+instead of the leaf's ``shape``. Every op acts on each batch slice alone
+(``matmul`` is stacked ``@``, reductions run over trailing axes), so one
+pass evaluates B points, and gradients into unbatched leaves are summed
+over the batch.
 """
 from __future__ import annotations
 
@@ -104,7 +110,7 @@ class Graph:
         return self._push("sum_all", (a,))
 
     def pick(self, a: int, index: tuple[int, ...]) -> int:
-        """Scalar element extraction."""
+        """Element extraction on the trailing axes: a scalar per point."""
         return self._push("pick", (a,), attrs=tuple(index))
 
 
@@ -131,6 +137,8 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -150,11 +158,11 @@ def _forward_op(node: Node, vals: list) -> np.ndarray:
         return ins[0] * ins[1]
     if op == "matmul":
         a, b = ins
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
         return a @ b
     if op == "transpose":
-        return ins[0].T
+        return ins[0].mT
     if op == "gelu":
         return _gelu(ins[0])
     if op == "tanh":
@@ -171,21 +179,30 @@ def _forward_op(node: Node, vals: list) -> np.ndarray:
     if op == "sum_all":
         return np.asarray(ins[0].sum())
     if op == "pick":
-        return np.asarray(ins[0][node.attrs])
+        return np.asarray(ins[0][(Ellipsis,) + node.attrs])
     raise GraphError(f"unknown op {op!r}")
 
 
 def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Forward pass; returns one value per node, indexed by node id."""
+    """Forward pass; returns one value per node, indexed by node id.
+
+    A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
+    batched leaf of one pass has the same B."""
     vals: list[np.ndarray] = []
+    batch = None
     for node in graph.nodes:
         if node.op == "leaf":
             if node.name not in leaf_values:
                 raise GraphError(f"missing value for leaf {node.name!r}")
             v = np.asarray(leaf_values[node.name], dtype=np.float64)
             if v.shape != node.shape:
-                raise ShapeError(
-                    f"leaf {node.name!r} expects shape {node.shape}, got {v.shape}")
+                if v.shape[1:] != node.shape:
+                    raise ShapeError(f"leaf {node.name!r} expects shape"
+                                     f" {node.shape}, got {v.shape}")
+                if batch is not None and v.shape[0] != batch:
+                    raise ShapeError(f"leaf {node.name!r} has batch size"
+                                     f" {v.shape[0]}, another leaf {batch}")
+                batch = v.shape[0]
         elif node.op == "const":
             v = node.const
         else:
@@ -229,10 +246,10 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             acc(0, _unbroadcast(g * ins[1], ins[0].shape))
             acc(1, _unbroadcast(g * ins[0], ins[1].shape))
         elif op == "matmul":
-            acc(0, g @ ins[1].T)
-            acc(1, ins[0].T @ g)
+            acc(0, _unbroadcast(g @ ins[1].mT, ins[0].shape))
+            acc(1, _unbroadcast(ins[0].mT @ g, ins[1].shape))
         elif op == "transpose":
-            acc(0, g.T)
+            acc(0, g.mT)
         elif op == "gelu":
             acc(0, g * _gelu_grad(ins[0]))
         elif op == "tanh":
@@ -258,7 +275,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             acc(0, np.broadcast_to(g, ins[0].shape).copy())
         elif op == "pick":
             gx = np.zeros_like(ins[0])
-            gx[node.attrs] = g
+            gx[(Ellipsis,) + node.attrs] = g
             acc(0, gx)
         else:
             raise GraphError(f"no gradient rule for op {op!r}")

@@ -291,11 +291,12 @@ def cmd_evaluate(args) -> int:
                    inputs=[args.contract, model_path],
                    seeds={"instance": spec.seed, "eval": args.seed})
     if report.deletion_aopc is not None:
+        line = (f"deletion AOPC {report.deletion_aopc:+.4f}"
+                f"  insertion AOPC {report.insertion_aopc:+.4f}")
         rand = report.random_deletion_aopcs
-        rand_mean = sum(rand) / len(rand) if rand else float("nan")
-        print(f"deletion AOPC {report.deletion_aopc:+.4f}"
-              f"  insertion AOPC {report.insertion_aopc:+.4f}"
-              f"  random deletion AOPC mean {rand_mean:+.4f}")
+        if rand:
+            line += f"  random deletion AOPC mean {sum(rand) / len(rand):+.4f}"
+        print(line)
     else:
         for ref, s in report.stage_entries:
             shown = "infeasible" if s is None else f"{s:+.4f}"
@@ -394,9 +395,20 @@ def cmd_rerun(args) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=sorted(_METHODS), default="ig")
-    p.add_argument("--ig-steps", type=int, default=64)
+    p.add_argument("--ig-steps", type=_int_at_least(1), default=64)
     p.add_argument("--baseline", choices=sorted(_BASELINES), default="pad")
     p.add_argument("--stage-kind", choices=("ablate", "noise_schedule",
                                             "substitute_step"),
@@ -454,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract", required=True)
     p.add_argument("--model", default=None)
     _add_method_flags(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--random-orderings", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(1), default=None)
+    p.add_argument("--random-orderings", type=_int_at_least(0), default=10)
     p.add_argument("--regenerate", action="store_true",
                    help="re-run the diffusion chain instead of rescoring")
     p.add_argument("--out", required=True)
@@ -473,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " contracts for one instance")
     p.add_argument("--contract", required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--ig-steps", type=int, default=32)
+    p.add_argument("--ig-steps", type=_int_at_least(1), default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_demo_fallacy)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, asdict
@@ -135,6 +136,16 @@ def parse_contract_file(text: str) -> ParseResult:
     spec.model_path = take("model")
     spec.prompt_text = take("prompt")
     spec.generation = take("generation", "greedy")
+    if spec.generation.startswith("sample:"):
+        value = spec.generation.split(":", 1)[1]
+        try:
+            temperature = float(value)
+        except ValueError:
+            temperature = math.nan
+        if not (math.isfinite(temperature) and temperature > 0):
+            diags.append(Diagnostic(E_BAD_VALUE, "sample temperature must be a"
+                                    f" finite number > 0, got {value!r}",
+                                    fields["generation"][1]))
     spec.gen_tokens = take("gen-tokens")
     spec.max_len = take_int("max-len", 16)
     spec.response_len = take_int("response-len")
@@ -396,8 +407,36 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """Raises TypeError when a field is missing, unknown or of the
+        wrong type."""
         data = json.loads(text)
-        return cls(**data)
+        if not isinstance(data, dict):
+            raise TypeError("manifest must be a JSON object")
+        manifest = cls(**data)
+        bad = [name for name, ok in manifest._field_types().items() if not ok]
+        if bad:
+            raise TypeError(f"wrongly typed field(s): {', '.join(bad)}")
+        return manifest
+
+    def _field_types(self) -> dict[str, bool]:
+        def strs(items):
+            return all(isinstance(x, str) for x in items)
+
+        return {
+            "tool_version": isinstance(self.tool_version, str),
+            "command": isinstance(self.command, str),
+            "argv": isinstance(self.argv, list) and strs(self.argv),
+            "model_id": self.model_id is None or isinstance(self.model_id, str),
+            "contract_id": (self.contract_id is None
+                            or isinstance(self.contract_id, str)),
+            # JSON object keys are always strings
+            "input_digests": (isinstance(self.input_digests, dict)
+                              and strs(self.input_digests.values())),
+            "seeds": (isinstance(self.seeds, dict)
+                      and all(type(v) is int for v in self.seeds.values())),
+            "timestamp": isinstance(self.timestamp, str),
+            "outputs": isinstance(self.outputs, list) and strs(self.outputs),
+        }
 
 
 def write_manifest(manifest: RunManifest, path: str) -> None:

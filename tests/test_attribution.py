@@ -1,20 +1,24 @@
 """Attribution-method tests: completeness, occlusion oracle, contract
-separation, stage perturbations, and map hygiene."""
+separation, stage perturbations, map hygiene, and batched IG against a
+sequential path loop."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from attrscope import attribution
 from attrscope.attribution import (
     AttributionMap, BaselinePolicy, MASK_BASELINE, PAD_BASELINE,
-    StageScoreError, ZERO_BASELINE, baseline_endpoint_score,
+    StageScoreError, ZERO_BASELINE, baseline_endpoint_score, bind_score,
     grad_times_input, integrated_gradients, occlusion, prefix_mass, score,
     stage_attribution,
 )
 from attrscope.contract import (
-    FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_LOCAL, SETTING_P2O,
-    SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE,
-    canonical_id, make_named,
+    FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
+    SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE,
+    SETTING_STATE, canonical_id, make_named,
 )
 from attrscope.models import (
     GreedyPolicy, PromptedInstance, ar_generate, diffusion_generate,
@@ -217,3 +221,115 @@ class TestMapHygiene:
         at_base = baseline_endpoint_score(classifier_model, inst, c,
                                           PAD_BASELINE)
         assert abs(total - (actual - at_base)) <= 1e-3 * (1 + abs(actual - at_base))
+
+
+def sequential_ig(params, instance, contract, baseline, steps):
+    """IG entries from one forward+backward pass per path point, adding the
+    gradients in k order: the reference the batched path loop must match."""
+    bs = bind_score(params, instance, contract)
+    base_vec = baseline.embedding(params)
+    eligible = contract.eligible
+    accum = {ref: None for ref in eligible}
+    for k in range(1, steps + 1):
+        alpha = (k - 0.5) / steps
+        rows = {ref: base_vec + alpha * (bs.embedding(ref) - base_vec)
+                for ref in eligible}
+        grads = bs.grad(eligible, bs.with_rows(rows))
+        for ref in eligible:
+            accum[ref] = grads[ref] if accum[ref] is None else accum[ref] + grads[ref]
+    return tuple((ref, float(np.dot(bs.embedding(ref) - base_vec,
+                                    accum[ref] / steps)))
+                 for ref in eligible)
+
+
+@st.composite
+def ig_cases(draw, models):
+    """(params, instance, contract, baseline, steps) over every setting with
+    a differentiable score, held-fixed prefix and span included."""
+    setting = draw(st.sampled_from([SETTING_LOCAL, SETTING_PROMPT_COND,
+                                    SETTING_SPAN, SETTING_STATE, SETTING_P2O,
+                                    SETTING_CLASSIFIER]))
+    params = models[setting]
+    tokens = st.integers(0, params.hyper.vocab_size - 1)
+    prompt = tuple(draw(st.lists(tokens, min_size=1, max_size=5)))
+    seed = draw(st.integers(0, 3))
+    t = None
+    if setting == SETTING_CLASSIFIER:
+        instance = PromptedInstance(
+            prompt=prompt, seed=seed,
+            class_target=draw(st.integers(0, params.hyper.n_classes - 1)))
+    elif setting in (SETTING_STATE, SETTING_P2O):
+        num_steps = draw(st.integers(1, 3))
+        traj = diffusion_generate(params, prompt,
+                                  draw(st.integers(num_steps, 4)), num_steps,
+                                  seed)
+        instance = PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
+        if setting == SETTING_STATE:
+            t = draw(st.integers(1, num_steps))
+    else:
+        gen = tuple(draw(st.lists(tokens, min_size=1, max_size=4)))
+        instance = PromptedInstance(prompt=prompt, seed=seed, generation=gen)
+        if setting != SETTING_SPAN:
+            # the simplest draw is the last token: the longest held-fixed prefix
+            t = len(gen) - draw(st.integers(0, len(gen) - 1))
+    contract = make_named(setting, instance, t)
+    baseline = draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE,
+                                     ZERO_BASELINE]))
+    steps = draw(st.one_of(st.integers(1, 20), st.just(64)))
+    return params, instance, contract, baseline, steps
+
+
+class TestBatchedPathLoop:
+    @pytest.fixture(scope="class")
+    def models(self, tiny_ar_model, diffusion_model, classifier_model):
+        return {SETTING_LOCAL: tiny_ar_model, SETTING_PROMPT_COND: tiny_ar_model,
+                SETTING_SPAN: tiny_ar_model, SETTING_STATE: diffusion_model,
+                SETTING_P2O: diffusion_model,
+                SETTING_CLASSIFIER: classifier_model}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_sequential_loop_and_keeps_context_rows(self, models, data):
+        params, instance, contract, baseline, steps = data.draw(
+            ig_cases(models))
+        passes = []
+
+        def recording_grad(graph, node, vals):
+            passes.append(vals)
+            return grad(graph, node, vals)
+
+        grad = attribution.grad
+        with mock.patch.object(attribution, "grad", recording_grad):
+            attr_map = integrated_gradients(params, instance, contract,
+                                            baseline=baseline, steps=steps)
+        assert attr_map.entries == sequential_ig(params, instance, contract,
+                                                 baseline, steps)
+
+        # one grad per term per pass of at most 8 points; each binding has
+        # the eligible rows on the path and every other row at its actual
+        # value (held-fixed features and non-eligible context alike)
+        bs = bind_score(params, instance, contract)
+        base_vec = baseline.embedding(params)
+        n_terms = len(bs.graphs)
+        ks = range(1, steps + 1)
+        chunks = [ks[i:i + 8] for i in range(0, steps, 8)]
+        assert len(passes) == len(chunks) * n_terms
+        for i, vals in enumerate(passes):
+            chunk, term = chunks[i // n_terms], i % n_terms
+            actual = bs.actual[term]
+            assert vals.keys() == actual.keys()
+            assert all(np.array_equal(vals[name], actual[name])
+                       for name in actual if name != "emb")
+            expected = np.repeat(actual["emb"][None], len(chunk), axis=0)
+            moved = False
+            for ref in contract.eligible:
+                for ref_term, row in bs.feature_rows[ref]:
+                    if ref_term == term:
+                        moved = True
+                        x = bs.embedding(ref)
+                        expected[:, row] = [base_vec + (k - 0.5) / steps
+                                            * (x - base_vec) for k in chunk]
+            if moved:
+                assert np.array_equal(vals["emb"], expected)
+            else:
+                assert np.array_equal(vals["emb"], actual["emb"])

@@ -1,11 +1,12 @@
 """Gradient-engine unit tests: finite-difference checks per primitive,
-normalization identities, purity, and non-finite handling."""
+normalization identities, purity, non-finite handling, and the batch axis."""
 import numpy as np
 import pytest
 
 from attrscope.autodiff import (
     Graph, GraphError, NumericError, ShapeError, evaluate, grad,
 )
+from attrscope.models.transformer import build_forward_graph, leaf_values
 
 FD_STEP = 1e-4
 
@@ -190,3 +191,65 @@ class TestGraphMechanics:
         gs = grad(g, s, {"x": rng.standard_normal((2, 2)),
                          "m": np.ones((2, 2))})
         assert "m" not in gs and "x" in gs
+
+
+class TestBatchAxis:
+    """A leading batch axis on a leaf evaluates every slice on its own."""
+
+    @pytest.mark.parametrize("model, causal, targets", [
+        ("tiny_ar_model", True, ((5, 3),)),
+        ("diffusion_model", False, ((2, 4), (4, 6))),
+        ("classifier_model", False, ((0, 1),)),
+    ])
+    def test_score_graph_grad_equals_stacked_slices(self, model, causal,
+                                                    targets, request, rng):
+        params = request.getfixturevalue(model)
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg = build_forward_graph(params.hyper, len(tokens), causal)
+        vals = leaf_values(params, tokens, targets)
+        embs = vals["emb"] + 0.1 * rng.standard_normal((5,) + vals["emb"].shape)
+
+        batched = grad(fg.graph, fg.score, {**vals, "emb": embs})
+        slices = [grad(fg.graph, fg.score, {**vals, "emb": e}) for e in embs]
+        assert batched["emb"].shape == embs.shape
+        assert np.array_equal(batched["emb"], np.stack([s["emb"] for s in slices]))
+        # unbatched leaves get the gradient summed over the batch
+        for name, g in batched.items():
+            if name != "emb":
+                assert g.shape == vals[name].shape
+                assert np.allclose(g, sum(s[name] for s in slices),
+                                   rtol=1e-12, atol=1e-12)
+
+    def _two_leaf_graph(self):
+        g = Graph()
+        x = g.leaf((3, 4), "x")
+        w = g.leaf((4, 2), "w")
+        g.sum_all(g.matmul(x, w))
+        return g
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((2, 3, 5), (4, 2)),      # wrong trailing shape
+        ((2, 2, 3, 4), (4, 2)),   # two leading axes
+        ((2, 3, 4), (3, 4, 2)),   # batch sizes differ between leaves
+    ])
+    def test_bad_batched_leaf_shapes(self, x_shape, w_shape):
+        g = self._two_leaf_graph()
+        with pytest.raises(ShapeError):
+            evaluate(g, {"x": np.ones(x_shape), "w": np.ones(w_shape)})
+
+    def test_pick_indexes_each_slice(self, rng):
+        g = Graph()
+        x = g.leaf((3, 4), "x")
+        s = g.sum_all(g.pick(g.log_softmax(x), (1, 2)))
+        xs = rng.standard_normal((2, 3, 4))
+        batched = grad(g, s, {"x": xs})["x"]
+        assert np.array_equal(batched,
+                              np.stack([grad(g, s, {"x": x})["x"] for x in xs]))
+
+    def test_batched_leaves_of_equal_size(self, rng):
+        g = self._two_leaf_graph()
+        xs = rng.standard_normal((3, 3, 4))
+        ws = rng.standard_normal((3, 4, 2))
+        out = evaluate(g, {"x": xs, "w": ws})[-1]
+        assert float(out) == pytest.approx(
+            sum(float((x @ w).sum()) for x, w in zip(xs, ws)), rel=1e-12)

@@ -124,6 +124,51 @@ class TestRerun:
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
 
 
+class TestRerunManifestTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("argv", 5), ("argv", "attribute"), ("input_digests", ["a"]),
+        ("seeds", {"instance": "0"})])
+    def test_wrongly_typed_field_rejected(self, field, value, tmp_path,
+                                          capsys):
+        data = {"tool_version": "0", "command": "gen-corpus",
+                "argv": ["gen-corpus", "--lexicon", "2", "--lengths", "1",
+                         "--n-pairs", "4"],
+                "model_id": None, "contract_id": None, "input_digests": {},
+                "seeds": {"corpus": 0}, "timestamp": "", "outputs": []}
+        data[field] = value
+        path = str(tmp_path / "manifest.json")
+        json.dump(data, open(path, "w"))
+        assert main(["rerun", "--manifest", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
+        assert "manifest rejected" in capsys.readouterr().err
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--random-orderings", "-3"], "--random-orderings"),
+        (["evaluate", "--k", "-2"], "--k"),
+        (["evaluate", "--k", "0"], "--k"),
+        (["evaluate", "--ig-steps", "0"], "--ig-steps"),
+        (["attribute", "--ig-steps", "-1"], "--ig-steps"),
+        (["demo-fallacy", "--ig-steps", "0"], "--ig-steps"),
+    ])
+    def test_out_of_range_rejected_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--contract", "c.contract", "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    def test_no_random_orderings_prints_no_random_mean(self, workspace,
+                                                       tmp_path, capsys):
+        code = main(["evaluate", "--contract", workspace["contract"],
+                     "--ig-steps", "4", "--k", "2", "--random-orderings", "0",
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "deletion AOPC" in out
+        assert "random" not in out and "nan" not in out
+
+
 class TestExitCodes:
     def test_bad_contract_file(self, workspace, tmp_path):
         bad = tmp_path / "bad.contract"

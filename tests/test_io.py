@@ -14,8 +14,8 @@ from attrscope.contract import (
 from attrscope.corpus import make_syn_corpus
 from attrscope.evaluation import PerturbationPolicy, faithfulness_report
 from attrscope.fileio import (
-    Diagnostic, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP, E_UNKNOWN_FIELD,
-    E_UNKNOWN_SCORE, MapParseError, RunManifest, atomic_write_text,
+    Diagnostic, E_BAD_VALUE, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP,
+    E_UNKNOWN_FIELD, E_UNKNOWN_SCORE, MapParseError, RunManifest, atomic_write_text,
     parse_contract_file, parse_map, parse_report, read_manifest,
     resolve_contract, serialize_map, serialize_report, write_manifest,
 )
@@ -103,6 +103,20 @@ class TestContractFiles:
         result = parse_contract_file(text)
         assert [str(d) for d in result.diagnostics] == [
             f"E_BAD_COMBINATION: {message} (line 3)"]
+
+    @pytest.mark.parametrize("temperature", ["0", "-1", "nan", "abc"])
+    def test_bad_sample_temperature(self, temperature):
+        result = parse_contract_file(
+            "setting: prompt-conditioned\ntarget: 1\n"
+            f"generation: sample:{temperature}\n")
+        assert [(d.code, d.line) for d in result.diagnostics] == [
+            (E_BAD_VALUE, 3)]
+        assert "sample temperature" in result.diagnostics[0].message
+
+    def test_sample_temperature_accepted(self):
+        result = parse_contract_file(
+            "setting: prompt-conditioned\ntarget: 1\ngeneration: sample:0.7\n")
+        assert result.ok and result.spec.generation == "sample:0.7"
 
     def test_unknown_score_diagnostic(self):
         result = parse_contract_file("score: wishful_thinking\n")
