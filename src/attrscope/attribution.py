@@ -20,7 +20,7 @@ from .models import (
 from .models.autoregressive import span_term, token_term
 from .models.classifier import class_term
 from .models.diffusion import DenoisingTrajectory, stage_term, stage_terms
-from .models.transformer import ForwardGraph, score_sum
+from .models.transformer import POINTS_PER_PASS, ForwardGraph, score_sums
 
 
 class StageScoreError(ContractError):
@@ -99,7 +99,11 @@ class BoundScore:
     feature_rows: dict[FeatureRef, tuple[tuple[int, int], ...]]
 
     def value(self, bindings: list[dict[str, np.ndarray]] | None = None) -> float:
-        return score_sum(zip(self.graphs, self.actual if bindings is None else bindings))
+        return self.values([self.actual if bindings is None else bindings])[0]
+
+    def values(self, bindings_list) -> list[float]:
+        """The score under each list of term bindings, in batched passes."""
+        return score_sums(zip(self.graphs, bindings) for bindings in bindings_list)
 
     def grad(self, refs, bindings: list[dict[str, np.ndarray]] | None = None
              ) -> dict[FeatureRef, np.ndarray]:
@@ -212,18 +216,20 @@ def score(contract: AttributionContract, params: ModelParams,
           conditioning: DenoisingTrajectory | None = None) -> float:
     """Evaluate the contract's score S on the (possibly perturbed) instance;
     ``conditioning`` as in bind_score."""
-    _check(contract, params, instance)
-    return bind_score(params, instance, contract, conditioning).value()
+    return scores(params, [(contract, instance, conditioning)])[0]
+
+
+def scores(params: ModelParams, cases) -> list[float]:
+    """score() of each (contract, instance, conditioning) case, with the
+    passes of all cases scored together in batched passes."""
+    bound = []
+    for contract, instance, conditioning in cases:
+        _check(contract, params, instance)
+        bound.append(bind_score(params, instance, contract, conditioning))
+    return score_sums(zip(bs.graphs, bs.actual) for bs in bound)
 
 
 # -- methods --------------------------------------------------------------
-
-# IG path points evaluated per forward+backward pass. A pass keeps every
-# point's forward values until its backward, about 0.3 MB per point for a
-# 2-layer, width-64 model, so peak memory grows with this number while the
-# per-node dispatch cost it saves shrinks: at 8, IG-64 runs in 8 passes.
-_PATH_POINTS_PER_PASS = 8
-
 
 def integrated_gradients(params: ModelParams, instance: PromptedInstance,
                          contract: AttributionContract,
@@ -240,8 +246,8 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
     eligible = contract.eligible
 
     accum = {ref: None for ref in eligible}
-    for first in range(1, steps + 1, _PATH_POINTS_PER_PASS):
-        ks = range(first, min(first + _PATH_POINTS_PER_PASS, steps + 1))
+    for first in range(1, steps + 1, POINTS_PER_PASS):
+        ks = range(first, min(first + POINTS_PER_PASS, steps + 1))
         rows = {ref: np.stack([base_vec + (k - 0.5) / steps
                                * (bs.embedding(ref) - base_vec) for k in ks])
                 for ref in eligible}
@@ -295,11 +301,9 @@ def occlusion(params: ModelParams, instance: PromptedInstance,
     _check(contract, params, instance)
     bs = bind_score(params, instance, contract)
     base_vec = baseline.embedding(params)
-    s_actual = bs.value()
-    entries = []
-    for ref in contract.eligible:
-        s_occ = bs.value(bs.with_rows({ref: base_vec}))
-        entries.append((ref, s_actual - s_occ))
+    s_actual, *s_occ = bs.values(
+        [bs.actual] + [bs.with_rows({ref: base_vec}) for ref in contract.eligible])
+    entries = [(ref, s_actual - s) for ref, s in zip(contract.eligible, s_occ)]
     return AttributionMap(
         entries=tuple(entries), contract_id=canonical_id(contract).digest,
         method=_method_desc(name="occlusion", baseline=baseline.kind),

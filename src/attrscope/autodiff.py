@@ -8,8 +8,9 @@ which is what the attribution path loop needs.
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
 (``matmul`` is stacked ``@``, reductions run over trailing axes), so one
-pass evaluates B points, and gradients into unbatched leaves are summed
-over the batch.
+pass evaluates B points: a node carries the batch axis when a leaf it
+depends on does, and ``sum_all`` gives one scalar per point. Gradients
+into unbatched leaves are summed over the batch.
 """
 from __future__ import annotations
 
@@ -107,6 +108,7 @@ class Graph:
         return self._push("layer_norm", (a,))
 
     def sum_all(self, a: int) -> int:
+        """Sum over the trailing axes: a scalar per point."""
         return self._push("sum_all", (a,))
 
     def pick(self, a: int, index: tuple[int, ...]) -> int:
@@ -147,7 +149,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _forward_op(node: Node, vals: list) -> np.ndarray:
+def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
     op = node.op
     ins = [vals[i] for i in node.inputs]
     if op == "add":
@@ -177,7 +179,8 @@ def _forward_op(node: Node, vals: list) -> np.ndarray:
         var = x.var(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + _LN_EPS)
     if op == "sum_all":
-        return np.asarray(ins[0].sum())
+        x = ins[0]
+        return x.reshape(len(x), -1).sum(axis=-1) if batched else np.asarray(x.sum())
     if op == "pick":
         return np.asarray(ins[0][(Ellipsis,) + node.attrs])
     raise GraphError(f"unknown op {op!r}")
@@ -189,6 +192,7 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
     A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
     batched leaf of one pass has the same B."""
     vals: list[np.ndarray] = []
+    batched: set[int] = set()  # the nodes that carry the batch axis
     batch = None
     for node in graph.nodes:
         if node.op == "leaf":
@@ -203,22 +207,40 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
                     raise ShapeError(f"leaf {node.name!r} has batch size"
                                      f" {v.shape[0]}, another leaf {batch}")
                 batch = v.shape[0]
+                batched.add(node.nid)
         elif node.op == "const":
             v = node.const
         else:
-            v = _forward_op(node, vals)
+            is_batched = not batched.isdisjoint(node.inputs)
+            v = _forward_op(node, vals, is_batched)
             if not np.all(np.isfinite(v)):
                 raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
+            if is_batched:
+                batched.add(node.nid)
         vals.append(v)
     return vals
 
 
+def _batched_nodes(graph: Graph, vals: list[np.ndarray]) -> set[int]:
+    """The nodes of an evaluated graph that carry the batch axis."""
+    batched: set[int] = set()
+    for node in graph.nodes:
+        if (vals[node.nid].shape != node.shape if node.op == "leaf"
+                else not batched.isdisjoint(node.inputs)):
+            batched.add(node.nid)
+    return batched
+
+
 def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
          forward: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """d(scalar)/d(leaf) for every differentiable leaf; zeros when unused."""
+    """d(scalar)/d(leaf) for every differentiable leaf; zeros when unused.
+
+    In a batched pass the target is one scalar per point, shape (B,), and
+    each point's gradient is seeded with 1."""
     vals = forward if forward is not None else evaluate(graph, leaf_values)
     out = vals[scalar_node]
-    if out.size != 1:
+    if out.shape != () and not (out.ndim == 1
+                                and scalar_node in _batched_nodes(graph, vals)):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
 
     adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(out)}
@@ -272,7 +294,9 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             gx = (g * xhat).mean(axis=-1, keepdims=True)
             acc(0, inv * (g - gm - xhat * gx))
         elif op == "sum_all":
-            acc(0, np.broadcast_to(g, ins[0].shape).copy())
+            x = ins[0]
+            g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
+            acc(0, np.broadcast_to(g, x.shape).copy())
         elif op == "pick":
             gx = np.zeros_like(ins[0])
             gx[(Ellipsis,) + node.attrs] = g

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -229,8 +230,8 @@ def cmd_generate(args) -> int:
     params, _ = _load_model(args)
     prompt = _encode_prompt(params, args.prompt)
     if params.kind == AR:
-        policy = (SamplePolicy(args.temperature) if args.temperature
-                  else GreedyPolicy())
+        policy = (SamplePolicy(args.temperature)
+                  if args.temperature is not None else GreedyPolicy())
         out_ids = ar_generate(params, prompt, args.max_len, policy, args.seed)
         text = params.vocab.decode(out_ids)
     elif params.kind == DIFFUSION:
@@ -406,6 +407,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite float > 0, else a usage error naming the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse's "invalid float value" message
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=sorted(_METHODS), default="ig")
     p.add_argument("--ig-steps", type=_int_at_least(1), default=64)
@@ -426,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic translation corpus")
-    p.add_argument("--lexicon", type=int, default=8)
+    p.add_argument("--lexicon", type=_int_at_least(2), default=8)
     p.add_argument("--lengths", default="1,2,3,4")
-    p.add_argument("--n-pairs", type=int, default=1000)
+    p.add_argument("--n-pairs", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_corpus)
@@ -436,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=("ar", "diffusion"), default="ar")
-    p.add_argument("--steps", type=int, default=2500)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--steps", type=_int_at_least(1), default=2500)
+    p.add_argument("--lr", type=_positive_float, default=0.05)
+    p.add_argument("--width", type=_int_at_least(1), default=64)
+    p.add_argument("--layers", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -447,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="decode from a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--prompt", required=True)
-    p.add_argument("--max-len", type=int, default=16)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--response-len", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--max-len", type=_int_at_least(1), default=16)
+    p.add_argument("--temperature", type=_positive_float, default=None)
+    p.add_argument("--response-len", type=_int_at_least(1), default=None)
+    p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, grad_times_input,
-    integrated_gradients, occlusion, score, stage_attribution,
+    integrated_gradients, occlusion, scores, stage_attribution,
 )
 from .contract import (
     OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
@@ -16,7 +16,7 @@ from .contract import (
     AttributionContract, ContractError, FeatureRef, canonical_id,
 )
 from .models import ModelParams, PromptedInstance
-from .models.diffusion import DenoisingTrajectory, run_chain, masked_log_probs
+from .models.diffusion import DenoisingTrajectory, masked_log_probs, run_chains
 
 DELETE = "delete_to_baseline"
 INSERT = "insert_from_baseline"
@@ -59,74 +59,96 @@ class PerturbedContext:
 def perturb(params: ModelParams, instance: PromptedInstance,
             contract: AttributionContract, features,
             policy: PerturbationPolicy) -> PerturbedContext:
-    features = list(features)
+    return perturb_sets(params, instance, contract, [features], policy)[0]
+
+
+def perturb_sets(params: ModelParams, instance: PromptedInstance,
+                 contract: AttributionContract, feature_sets,
+                 policy: PerturbationPolicy) -> list[PerturbedContext]:
+    """One perturbed context per set of features; the chains that
+    state-level and regenerated contexts need run in lockstep."""
+    feature_sets = [list(features) for features in feature_sets]
     eligible = set(contract.eligible)
-    for ref in features:
-        if ref not in eligible:
-            raise EvaluationError(f"feature outside eligible set: {ref.label()}")
+    for features in feature_sets:
+        for ref in features:
+            if ref not in eligible:
+                raise EvaluationError(f"feature outside eligible set: {ref.label()}")
     policy.check_contract(contract)
-    if any(ref.kind == STAGE for ref in features):
+    if any(ref.kind == STAGE for features in feature_sets for ref in features):
         raise EvaluationError("stage features are perturbed via stage_attribution")
 
     rep_tok = policy.replacement.token_id(params)
-    prompt = list(instance.prompt)
-    for ref in features:
-        if ref.kind == PROMPT_TOKEN:
-            prompt[ref.index] = rep_tok
+    contexts = []
+    for features in feature_sets:
+        prompt = list(instance.prompt)
+        gen = list(instance.generation) if instance.generation is not None else None
+        for ref in features:
+            if ref.kind == PROMPT_TOKEN:
+                prompt[ref.index] = rep_tok
+            elif ref.kind == PREFIX_TOKEN:
+                gen[ref.index] = rep_tok
+        inst = replace(instance, prompt=tuple(prompt),
+                       generation=tuple(gen) if gen is not None else None)
+        contexts.append(PerturbedContext(contract=contract, instance=inst))
 
     kind = contract.score_kind
-    if kind in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
-        traj = instance.trajectory
-        if kind == STATE_LOG_PROB:
-            subs = {(ref.index, ref.slot): rep_tok for ref in features
-                    if ref.kind == STATE_COMMITMENT}
-            conditioning = _replay_to_state(params, prompt, traj,
-                                            contract.target[1], subs)
-        elif policy.rescoring == REGENERATE:
-            conditioning = run_chain(params, prompt, traj.response_len,
-                                     traj.commit_plan(), traj.seed)
-        else:
-            conditioning = traj
-        inst = replace(instance, prompt=tuple(prompt))
-        return PerturbedContext(contract=contract, instance=inst,
-                                conditioning=conditioning)
-
-    # token-level autoregressive and classifier scores
-    gen = list(instance.generation) if instance.generation is not None else None
-    for ref in features:
-        if ref.kind == PREFIX_TOKEN:
-            gen[ref.index] = rep_tok
-    inst = replace(instance, prompt=tuple(prompt),
-                   generation=tuple(gen) if gen is not None else None)
-    return PerturbedContext(contract=contract, instance=inst)
+    if kind not in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
+        return contexts
+    # diffusion scores read the states of a conditioning chain
+    traj = instance.trajectory
+    prompts = [ctx.instance.prompt for ctx in contexts]
+    if kind == STATE_LOG_PROB:
+        subs = [{(ref.index, ref.slot): rep_tok for ref in features
+                 if ref.kind == STATE_COMMITMENT} for features in feature_sets]
+        conditionings = _replay_to_state(params, prompts, traj,
+                                         contract.target[1], subs)
+    elif policy.rescoring == REGENERATE:
+        conditionings = run_chains(params, prompts, traj.response_len,
+                                   traj.commit_plan(), traj.seed)
+    else:
+        conditionings = [traj] * len(prompts)
+    return [replace(ctx, conditioning=conditioning)
+            for ctx, conditioning in zip(contexts, conditionings)]
 
 
-def _replay_to_state(params: ModelParams, prompt, traj: DenoisingTrajectory,
-                     t: int, substitutions: dict[tuple[int, int], int]
-                     ) -> DenoisingTrajectory:
-    """Re-run the chain from z_T down to z_t with the original slot schedule;
-    substituted commitments are forced, the rest re-predicted greedily. The
-    result's state z_t is the replayed one; its later commits are the
-    original chain's."""
-    n = len(prompt)
+def _replay_to_state(params: ModelParams, prompts, traj: DenoisingTrajectory,
+                     t: int, substitutions: list[dict[tuple[int, int], int]]
+                     ) -> list[DenoisingTrajectory]:
+    """Re-run the chain from z_T down to z_t with the original slot schedule,
+    once per (prompt, substitutions) pair and all in lockstep; substituted
+    commitments are forced, the rest re-predicted greedily. Each result's
+    state z_t is the replayed one; its later commits are the original
+    chain's."""
+    if not prompts:
+        return []
+    n = len(prompts[0])
     mask_id = params.vocab.mask
-    slots = [mask_id] * traj.response_len
+    replays = [[mask_id] * traj.response_len for _ in prompts]
     for u in range(traj.num_steps, t, -1):
         stage_slots = [s for s in range(traj.response_len)
                        if traj.commit_steps[s] == u]
         if not stage_slots:
             continue
-        rows = masked_log_probs(params, list(prompt) + slots)
-        for s in stage_slots:
-            forced = substitutions.get((u, s))
-            slots[s] = forced if forced is not None else int(np.argmax(rows[n + s]))
-    return replace(traj, commit_tokens=tuple(
+        rows_per_replay = masked_log_probs(
+            params, [list(prompt) + slots for prompt, slots in zip(prompts, replays)])
+        for rows, slots, subs in zip(rows_per_replay, replays, substitutions):
+            for s in stage_slots:
+                forced = subs.get((u, s))
+                slots[s] = forced if forced is not None else int(np.argmax(rows[n + s]))
+    return [replace(traj, commit_tokens=tuple(
         slot if u > t else tok
         for slot, tok, u in zip(slots, traj.commit_tokens, traj.commit_steps)))
+        for slots in replays]
 
 
 def context_score(params: ModelParams, ctx: PerturbedContext) -> float:
-    return score(ctx.contract, params, ctx.instance, ctx.conditioning)
+    return context_scores(params, [ctx])[0]
+
+
+def context_scores(params: ModelParams, contexts) -> list[float]:
+    """The contract's score of each perturbed context, in batched passes."""
+    return scores(params, [(ctx.contract, ctx.instance, ctx.conditioning)
+                           for ctx in contexts])
 
 
 # -- curves ---------------------------------------------------------------
@@ -151,26 +173,52 @@ def _check_map(attr_map: AttributionMap, contract: AttributionContract) -> None:
         raise EvaluationError("attribution map does not match the contract")
 
 
-def _curve(attr_map: AttributionMap, params: ModelParams,
-           instance: PromptedInstance, contract: AttributionContract,
-           K: int, policy: PerturbationPolicy, order: list[FeatureRef] | None,
-           ordering_label: str, mode: str) -> FaithfulnessCurve:
-    """Score the instance with the top-k features at baseline (deletion),
-    or with every eligible feature but the top k at baseline (insertion)."""
-    _check_map(attr_map, contract)
-    order = ranked_features(attr_map) if order is None else order
-    if K > len(contract.eligible):
-        raise EvaluationError("K exceeds the eligible set")
-    scores = []
+def _points(order: list[FeatureRef], eligible, K: int,
+            mode: str) -> list[list[FeatureRef]]:
+    """The perturbed features at k = 0..K: the top k of ``order`` (deletion),
+    or every eligible feature but the top k (insertion)."""
+    points = []
     for k in range(K + 1):
         removed = order[:k]
         if mode == INSERT:
             restored = set(removed)
-            removed = [ref for ref in contract.eligible if ref not in restored]
-        ctx = perturb(params, instance, contract, removed, policy)
-        scores.append(context_score(params, ctx))
-    return FaithfulnessCurve(k_values=tuple(range(K + 1)), scores=tuple(scores),
-                             ordering=ordering_label, mode=mode)
+            removed = [ref for ref in eligible if ref not in restored]
+        points.append(removed)
+    return points
+
+
+def _curves(attr_map: AttributionMap, params: ModelParams,
+            instance: PromptedInstance, contract: AttributionContract,
+            K: int, policy: PerturbationPolicy,
+            orderings: list[tuple[list[FeatureRef], str]],
+            modes: tuple[str, ...]) -> list[FaithfulnessCurve]:
+    """The curve of each (order, label) ordering in each mode, ordering by
+    ordering. Each distinct set of perturbed features is perturbed and
+    scored once, and every curve point reads its score from that table."""
+    _check_map(attr_map, contract)
+    if K > len(contract.eligible):
+        raise EvaluationError("K exceeds the eligible set")
+    curves = [(label, mode, _points(order, contract.eligible, K, mode))
+              for order, label in orderings for mode in modes]
+    distinct: dict[frozenset, list[FeatureRef]] = {}
+    for _, _, points in curves:
+        for features in points:
+            distinct.setdefault(frozenset(features), features)
+    contexts = perturb_sets(params, instance, contract, distinct.values(), policy)
+    table = dict(zip(distinct, context_scores(params, contexts)))
+    return [FaithfulnessCurve(
+        k_values=tuple(range(K + 1)),
+        scores=tuple(table[frozenset(features)] for features in points),
+        ordering=label, mode=mode) for label, mode, points in curves]
+
+
+def _curve(attr_map: AttributionMap, params: ModelParams,
+           instance: PromptedInstance, contract: AttributionContract,
+           K: int, policy: PerturbationPolicy, order: list[FeatureRef] | None,
+           ordering_label: str, mode: str) -> FaithfulnessCurve:
+    order = ranked_features(attr_map) if order is None else order
+    return _curves(attr_map, params, instance, contract, K, policy,
+                   [(order, ordering_label)], (mode,))[0]
 
 
 def deletion_curve(attr_map: AttributionMap, params: ModelParams,
@@ -178,6 +226,7 @@ def deletion_curve(attr_map: AttributionMap, params: ModelParams,
                    K: int, policy: PerturbationPolicy,
                    order: list[FeatureRef] | None = None,
                    ordering_label: str = "map") -> FaithfulnessCurve:
+    """Score the instance with the top-k features at baseline."""
     return _curve(attr_map, params, instance, contract, K, policy, order,
                   ordering_label, DELETE)
 
@@ -260,25 +309,19 @@ def faithfulness_report(params: ModelParams, instance: PromptedInstance,
 
     if K is None:
         K = min(len(contract.eligible), 10)
-    dele = deletion_curve(attr_map, params, instance, contract, K, policy)
-    inse = insertion_curve(attr_map, params, instance, contract, K, policy)
-    rand_d, rand_i, rand_aopcs = [], [], []
     eligible = list(contract.eligible)
+    orderings = [(ranked_features(attr_map), "map")]
     for i in range(n_random):
         rng = np.random.default_rng(seed * 1000 + i)
-        order = [eligible[j] for j in rng.permutation(len(eligible))]
-        label = f"random:{seed * 1000 + i}"
-        rd = deletion_curve(attr_map, params, instance, contract, K, policy,
-                            order=order, ordering_label=label)
-        ri = insertion_curve(attr_map, params, instance, contract, K, policy,
-                             order=order, ordering_label=label)
-        rand_d.append(rd)
-        rand_i.append(ri)
-        rand_aopcs.append(aopc(rd))
+        orderings.append(([eligible[j] for j in rng.permutation(len(eligible))],
+                          f"random:{seed * 1000 + i}"))
+    dele, inse, *randoms = _curves(attr_map, params, instance, contract, K,
+                                   policy, orderings, (DELETE, INSERT))
+    rand_d, rand_i = randoms[0::2], randoms[1::2]
     return FaithfulnessReport(
         contract_id=cid, method=attr_map.method, K=K,
         policy_mode_pair=(policy.replacement.kind, policy.rescoring),
         deletion=dele, insertion=inse,
         random_deletions=tuple(rand_d), random_insertions=tuple(rand_i),
         deletion_aopc=aopc(dele), insertion_aopc=aopc(inse),
-        random_deletion_aopcs=tuple(rand_aopcs), seed=seed)
+        random_deletion_aopcs=tuple(aopc(rd) for rd in rand_d), seed=seed)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import evaluate
 from .params import ModelParams, DIFFUSION
 from .transformer import (
-    ScoreTerm, build_forward_graph, check_context, leaf_values, terms_score,
+    ScoreTerm, build_forward_graph, check_context, evaluate_passes,
+    leaf_values, terms_score,
 )
 from .instrumentation import bump
 
@@ -80,13 +80,16 @@ def _require_diffusion(params: ModelParams) -> None:
         raise ValueError(f"operation requires a masked-diffusion model, got {params.kind}")
 
 
-def masked_log_probs(params: ModelParams, tokens) -> np.ndarray:
-    """Bidirectional per-position log-probabilities, shape (L, vocab)."""
+def masked_log_probs(params: ModelParams, sequences) -> np.ndarray:
+    """Bidirectional per-position log-probabilities of equal-length token
+    sequences, in batched passes; shape (N, L, vocab)."""
     _require_diffusion(params)
-    check_context(params.hyper, len(tokens))
-    fg = build_forward_graph(params.hyper, len(tokens), causal=False)
-    vals = evaluate(fg.graph, leaf_values(params, tokens))
-    return vals[fg.log_probs]
+    sequences = [list(tokens) for tokens in sequences]
+    if len({len(tokens) for tokens in sequences}) != 1:
+        raise ValueError("need one or more sequences of equal length")
+    fg = build_forward_graph(params.hyper, len(sequences[0]), causal=False)
+    return np.stack(evaluate_passes(
+        fg, [leaf_values(params, tokens) for tokens in sequences], fg.log_probs))
 
 
 def default_commit_plan(response_len: int, num_steps: int) -> dict[int, int]:
@@ -106,46 +109,58 @@ def run_chain(params: ModelParams, prompt, response_len: int,
               plan: dict[int, int], seed: int,
               substitute: StagePerturbation | None = None) -> DenoisingTrajectory:
     """Execute the unmasking chain under an explicit per-stage commit plan."""
+    return run_chains(params, [prompt], response_len, plan, seed, substitute)[0]
+
+
+def run_chains(params: ModelParams, prompts, response_len: int,
+               plan: dict[int, int], seed: int,
+               substitute: StagePerturbation | None = None
+               ) -> list[DenoisingTrajectory]:
+    """run_chain for each of several equal-length prompts, the chains in
+    lockstep: one batched masked_log_probs call per stage. Each chain draws
+    from its own generator seeded with ``seed``."""
     num_steps = max(plan)
     if sum(plan.values()) != response_len:
         raise ValueError("commit plan does not cover the response")
-    n = len(prompt)
+    prompts = [list(prompt) for prompt in prompts]
+    if not prompts:
+        return []
+    n = len(prompts[0])
     check_context(params.hyper, n + response_len)
     mask_id = params.vocab.mask
-    rng = np.random.default_rng(seed)
+    # per chain: slot tokens, the stage each slot committed at (0: open), rng
+    chains = [([mask_id] * response_len, [0] * response_len,
+               np.random.default_rng(seed)) for _ in prompts]
 
-    slots = [mask_id] * response_len
-    commit_tokens = [0] * response_len
-    commit_steps = [0] * response_len
-    committed = [False] * response_len
-
+    open_count = response_len
     for t in range(num_steps, 0, -1):
         k = plan.get(t, 0)
         if k == 0:
             continue
-        open_slots = [s for s in range(response_len) if not committed[s]]
-        if k > len(open_slots):
-            raise ValueError(f"stage {t} commits {k} but only {len(open_slots)} open")
-        rows = masked_log_probs(params, list(prompt) + slots)
-        # confidence = model's max log-prob at the open slot
-        ranked = sorted(open_slots, key=lambda s: (-float(rows[n + s].max()), s))
-        chosen = ranked[:k]
-        for s in sorted(chosen):
-            if substitute is not None and substitute.stage == t:
-                logp = rows[n + s] / substitute.temperature
-                p = np.exp(logp - logp.max())
-                p /= p.sum()
-                tok = int(rng.choice(len(p), p=p))
-            else:
-                tok = int(np.argmax(rows[n + s]))
-            slots[s] = tok
-            commit_tokens[s] = tok
-            commit_steps[s] = t
-            committed[s] = True
+        if k > open_count:
+            raise ValueError(f"stage {t} commits {k} but only {open_count} open")
+        open_count -= k
+        rows_per_chain = masked_log_probs(
+            params, [prompt + slots for prompt, (slots, _, _) in zip(prompts, chains)])
+        for rows, (slots, steps, rng) in zip(rows_per_chain, chains):
+            open_slots = [s for s in range(response_len) if steps[s] == 0]
+            # confidence = model's max log-prob at the open slot
+            ranked = sorted(open_slots, key=lambda s: (-float(rows[n + s].max()), s))
+            for s in sorted(ranked[:k]):
+                if substitute is not None and substitute.stage == t:
+                    logp = rows[n + s] / substitute.temperature
+                    p = np.exp(logp - logp.max())
+                    p /= p.sum()
+                    tok = int(rng.choice(len(p), p=p))
+                else:
+                    tok = int(np.argmax(rows[n + s]))
+                slots[s] = tok
+                steps[s] = t
 
-    return DenoisingTrajectory(num_steps=num_steps, response_len=response_len,
-                               commit_tokens=tuple(commit_tokens),
-                               commit_steps=tuple(commit_steps), seed=seed)
+    return [DenoisingTrajectory(num_steps=num_steps, response_len=response_len,
+                                commit_tokens=tuple(slots),
+                                commit_steps=tuple(steps), seed=seed)
+            for slots, steps, _ in chains]
 
 
 def diffusion_generate(params: ModelParams, prompt, response_len: int,

@@ -1,6 +1,6 @@
 """Attribution-method tests: completeness, occlusion oracle, contract
-separation, stage perturbations, map hygiene, and batched IG against a
-sequential path loop."""
+separation, stage perturbations, map hygiene, and batched IG and occlusion
+against sequential loops."""
 import math
 from unittest import mock
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrscope import attribution
+from attrscope.autodiff import evaluate
 from attrscope.attribution import (
     AttributionMap, BaselinePolicy, MASK_BASELINE, PAD_BASELINE,
     StageScoreError, ZERO_BASELINE, baseline_endpoint_score, bind_score,
@@ -333,3 +334,32 @@ class TestBatchedPathLoop:
                 assert np.array_equal(vals["emb"], expected)
             else:
                 assert np.array_equal(vals["emb"], actual["emb"])
+
+
+def unbatched_value(bs, bindings):
+    """A BoundScore's value from one unbatched pass per term."""
+    total = 0.0
+    for fg, vals in zip(bs.graphs, bindings):
+        total += float(evaluate(fg.graph, vals)[fg.score])
+    return total
+
+
+class TestBatchedOcclusion:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_sequential_loop(self, data, tiny_ar_model,
+                                    diffusion_model, classifier_model):
+        models = {SETTING_LOCAL: tiny_ar_model,
+                  SETTING_PROMPT_COND: tiny_ar_model,
+                  SETTING_SPAN: tiny_ar_model, SETTING_STATE: diffusion_model,
+                  SETTING_P2O: diffusion_model,
+                  SETTING_CLASSIFIER: classifier_model}
+        params, instance, contract, _, _ = data.draw(ig_cases(models))
+        baseline = data.draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE]))
+        attr_map = occlusion(params, instance, contract, baseline=baseline)
+        bs = bind_score(params, instance, contract)
+        base_vec = baseline.embedding(params)
+        s_actual = unbatched_value(bs, bs.actual)
+        assert attr_map.entries == tuple(
+            (ref, s_actual - unbatched_value(bs, bs.with_rows({ref: base_vec})))
+            for ref in contract.eligible)

@@ -251,5 +251,33 @@ class TestBatchAxis:
         xs = rng.standard_normal((3, 3, 4))
         ws = rng.standard_normal((3, 4, 2))
         out = evaluate(g, {"x": xs, "w": ws})[-1]
-        assert float(out) == pytest.approx(
-            sum(float((x @ w).sum()) for x, w in zip(xs, ws)), rel=1e-12)
+        assert out.shape == (3,)  # one sum per point
+        assert np.array_equal(out, [(x @ w).sum() for x, w in zip(xs, ws)])
+
+    def test_sum_all_and_grad_per_point(self, rng):
+        """A batched sum_all gives one scalar per point, and grad seeds each
+        point with 1: both equal the unbatched pass on that point's slice."""
+        g = Graph()
+        x = g.leaf((3, 4), "x")
+        w = g.leaf((4, 2), "w")
+        s = g.sum_all(g.tanh(g.matmul(x, w)))
+        xs = rng.standard_normal((5, 3, 4))
+        wv = rng.standard_normal((4, 2))
+        out = evaluate(g, {"x": xs, "w": wv})[s]
+        assert out.shape == (5,)
+        assert np.array_equal(out, [evaluate(g, {"x": xv, "w": wv})[s]
+                                    for xv in xs])
+        batched = grad(g, s, {"x": xs, "w": wv})
+        slices = [grad(g, s, {"x": xv, "w": wv}) for xv in xs]
+        assert np.array_equal(batched["x"], np.stack([d["x"] for d in slices]))
+        assert np.allclose(batched["w"], sum(d["w"] for d in slices),
+                           rtol=1e-12, atol=1e-12)
+
+    def test_grad_target_must_be_a_scalar_per_point(self, rng):
+        g = Graph()
+        x = g.leaf((3, 4), "x")
+        row = g.pick(x, (1,))  # shape (4,): not a scalar, batched or not
+        with pytest.raises(GraphError):
+            grad(g, row, {"x": rng.standard_normal((3, 4))})
+        with pytest.raises(GraphError):
+            grad(g, row, {"x": rng.standard_normal((2, 3, 4))})

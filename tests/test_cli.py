@@ -151,12 +151,36 @@ class TestNumericArguments:
         (["evaluate", "--ig-steps", "0"], "--ig-steps"),
         (["attribute", "--ig-steps", "-1"], "--ig-steps"),
         (["demo-fallacy", "--ig-steps", "0"], "--ig-steps"),
+        (["train", "--steps", "-1"], "--steps"),
+        (["train", "--steps", "0"], "--steps"),
+        (["train", "--layers", "0"], "--layers"),
+        (["train", "--width", "0"], "--width"),
+        (["gen-corpus", "--lexicon", "1"], "--lexicon"),
+        (["gen-corpus", "--n-pairs", "0"], "--n-pairs"),
+        (["generate", "--max-len", "0"], "--max-len"),
+        (["generate", "--response-len", "0"], "--response-len"),
+        (["generate", "--steps", "-2"], "--steps"),
     ])
     def test_out_of_range_rejected_naming_the_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--contract", "c.contract", "--out", "o"])
         assert exc.value.code == EXIT_DIAGNOSTIC
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--temperature", "0"], "--temperature"),
+        (["generate", "--temperature", "-1"], "--temperature"),
+        (["generate", "--temperature", "nan"], "--temperature"),
+        (["train", "--lr", "0"], "--lr"),
+        (["train", "--lr", "inf"], "--lr"),
+    ])
+    def test_non_positive_float_rejected_naming_the_flag(self, argv, flag,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--model", "m.bin", "--prompt", "s0", "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert (f"argument {flag}: must be a finite number > 0"
+                in capsys.readouterr().err)
 
     def test_no_random_orderings_prints_no_random_mean(self, workspace,
                                                        tmp_path, capsys):

@@ -1,17 +1,26 @@
 """Faithfulness-evaluation tests: perturbation operators, curve endpoint
-identities, discipline guarantees, and report plumbing."""
-import pytest
+identities, discipline guarantees, report plumbing, and the batched report
+against a sequential point-by-point reference."""
+from unittest import mock
 
-from attrscope.attribution import bind_score, integrated_gradients, score
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from attrscope import evaluation
+from attrscope.attribution import (
+    MASK_BASELINE, PAD_BASELINE, bind_score, integrated_gradients, score,
+)
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
     SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE,
     SETTING_STATE, make_named,
 )
 from attrscope.evaluation import (
-    DELETE, EvaluationError, FaithfulnessCurve, INSERT, PerturbationPolicy,
-    REGENERATE, aopc, context_score, deletion_curve, faithfulness_report,
-    insertion_curve, perturb, ranked_features,
+    DELETE, EvaluationError, FaithfulnessCurve, FaithfulnessReport, INSERT,
+    PerturbationPolicy, REGENERATE, aopc, compute_map, context_score,
+    deletion_curve, faithfulness_report, insertion_curve, perturb,
+    ranked_features,
 )
 from attrscope.models import (
     GreedyPolicy, PromptedInstance, ar_generate, call_counters,
@@ -233,3 +242,141 @@ class TestReport:
                                 {"name": "ig", "steps": 4}, K=2,
                                 policy=POLICY, n_random=2, seed=5)
         assert a == b
+
+
+def sequential_report(params, instance, contract, method, K, policy,
+                      n_random, seed):
+    """The report built point by point: one perturb and one context_score per
+    curve point, with no de-duplication."""
+    attr_map = compute_map(params, instance, contract, method)
+    eligible = list(contract.eligible)
+    orderings = [(ranked_features(attr_map), "map")]
+    for i in range(n_random):
+        rng = np.random.default_rng(seed * 1000 + i)
+        orderings.append(([eligible[j] for j in rng.permutation(len(eligible))],
+                          f"random:{seed * 1000 + i}"))
+    curves = []
+    for order, label in orderings:
+        for mode in (DELETE, INSERT):
+            scores = []
+            for k in range(K + 1):
+                removed = order[:k]
+                if mode == INSERT:
+                    removed = [ref for ref in eligible if ref not in order[:k]]
+                ctx = perturb(params, instance, contract, removed, policy)
+                scores.append(context_score(params, ctx))
+            curves.append(FaithfulnessCurve(k_values=tuple(range(K + 1)),
+                                            scores=tuple(scores),
+                                            ordering=label, mode=mode))
+    dele, inse, *randoms = curves
+    return FaithfulnessReport(
+        contract_id=attr_map.contract_id, method=attr_map.method, K=K,
+        policy_mode_pair=(policy.replacement.kind, policy.rescoring),
+        deletion=dele, insertion=inse,
+        random_deletions=tuple(randoms[0::2]),
+        random_insertions=tuple(randoms[1::2]),
+        deletion_aopc=aopc(dele), insertion_aopc=aopc(inse),
+        random_deletion_aopcs=tuple(aopc(c) for c in randoms[0::2]),
+        seed=seed)
+
+
+@st.composite
+def report_cases(draw, ar_params, diff_params):
+    """(params, instance, contract, method, K, policy, n_random, seed) over
+    the AR settings and diffusion state-level and prompt-to-output, rescored
+    and regenerated."""
+    setting, rescoring = draw(st.sampled_from([
+        (SETTING_LOCAL, None), (SETTING_PROMPT_COND, None),
+        (SETTING_SPAN, None), (SETTING_STATE, None), (SETTING_P2O, None),
+        (SETTING_P2O, REGENERATE)]))
+    diffusion = setting in (SETTING_STATE, SETTING_P2O)
+    params = diff_params if diffusion else ar_params
+    tokens = st.integers(0, params.hyper.vocab_size - 1)
+    prompt = tuple(draw(st.lists(tokens, min_size=1, max_size=5)))
+    seed = draw(st.integers(0, 3))
+    t = None
+    if diffusion:
+        num_steps = draw(st.integers(1, 3))
+        traj = diffusion_generate(params, prompt,
+                                  draw(st.integers(num_steps, 4)), num_steps,
+                                  seed)
+        instance = PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
+        if setting == SETTING_STATE:
+            t = draw(st.integers(1, num_steps))
+    else:
+        gen = tuple(draw(st.lists(tokens, min_size=1, max_size=4)))
+        instance = PromptedInstance(prompt=prompt, seed=seed, generation=gen)
+        if setting != SETTING_SPAN:
+            t = len(gen) - draw(st.integers(0, len(gen) - 1))
+    contract = make_named(setting, instance, t)
+    replacement = draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE]))
+    policy = PerturbationPolicy(replacement=replacement,
+                                rescoring=rescoring or evaluation.RESCORE)
+    method = draw(st.sampled_from([{"name": "occlusion"},
+                                   {"name": "grad_x_input"}]))
+    K = draw(st.integers(1, len(contract.eligible)))
+    return (params, instance, contract, method, K, policy,
+            draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+
+
+class TestBatchedReport:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_sequential_reference(self, tiny_ar_model, diffusion_model,
+                                         data):
+        case = data.draw(report_cases(tiny_ar_model, diffusion_model))
+        params, instance, contract, method, K, policy, n_random, seed = case
+        report = faithfulness_report(params, instance, contract, method, K,
+                                     policy, n_random=n_random, seed=seed)
+        assert report == sequential_report(*case)
+
+    @pytest.mark.parametrize("setting, rescoring", [
+        (SETTING_PROMPT_COND, evaluation.RESCORE),
+        (SETTING_STATE, evaluation.RESCORE), (SETTING_P2O, REGENERATE)])
+    def test_one_perturbation_and_score_per_distinct_feature_set(
+            self, tiny_ar_model, ar_instance, diffusion_model, diff_instance,
+            setting, rescoring):
+        params, instance = ((diffusion_model, diff_instance)
+                            if setting in (SETTING_STATE, SETTING_P2O)
+                            else (tiny_ar_model, ar_instance))
+        contract = make_named(setting, instance,
+                              1 if setting != SETTING_P2O else None)
+        policy = PerturbationPolicy(rescoring=rescoring)
+        K, n_random = min(3, len(contract.eligible)), 10
+        perturbed, scored = [], []
+
+        def perturb_sets(params, instance, contract, feature_sets, policy):
+            feature_sets = list(feature_sets)
+            perturbed.append(feature_sets)
+            return perturb_sets_(params, instance, contract, feature_sets,
+                                 policy)
+
+        def context_scores(params, contexts):
+            scored.append(contexts)
+            return context_scores_(params, contexts)
+
+        perturb_sets_ = evaluation.perturb_sets
+        context_scores_ = evaluation.context_scores
+        with mock.patch.object(evaluation, "perturb_sets", perturb_sets), \
+                mock.patch.object(evaluation, "context_scores", context_scores):
+            report = faithfulness_report(params, instance, contract,
+                                         {"name": "occlusion"}, K, policy,
+                                         n_random=n_random, seed=0)
+        curves = (report.deletion, report.insertion,
+                  *report.random_deletions, *report.random_insertions)
+        assert sum(len(c.scores) for c in curves) == 2 * (K + 1) * (1 + n_random)
+        # every curve point's feature set, as the sequential loop builds it
+        eligible = list(contract.eligible)
+        orders = [ranked_features(compute_map(params, instance, contract,
+                                              {"name": "occlusion"}))]
+        for i in range(n_random):
+            rng = np.random.default_rng(i)
+            orders.append([eligible[j] for j in rng.permutation(len(eligible))])
+        points = {frozenset(order[:k]) for order in orders
+                  for k in range(K + 1)}
+        points |= {frozenset(eligible) - frozenset(order[:k])
+                   for order in orders for k in range(K + 1)}
+        assert len(perturbed) == 1 and len(scored) == 1
+        assert len(scored[0]) == len(perturbed[0])
+        assert sorted(map(frozenset, perturbed[0]), key=sorted) == \
+            sorted(points, key=sorted)

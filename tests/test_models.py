@@ -15,9 +15,14 @@ from attrscope.models import (
     state_log_prob, token_log_prob, trajectory_score, train,
     teacher_forced_score, run_perturbed_chain,
 )
-from attrscope.models.diffusion import perturbed_plan, run_chain
+from attrscope.autodiff import evaluate
+from attrscope.models.autoregressive import span_term
+from attrscope.models.diffusion import perturbed_plan, run_chain, run_chains
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
-from attrscope.models.transformer import ContextOverflowError, check_context
+from attrscope.models.transformer import (
+    ContextOverflowError, build_forward_graph, check_context, leaf_values,
+    score_sums,
+)
 
 
 def sample_prompt(corpus):
@@ -119,9 +124,73 @@ class TestDiffusionChain:
     def test_masked_log_probs_normalize(self, diffusion_model, tiny_corpus):
         prompt = sample_prompt(tiny_corpus)
         tokens = list(prompt) + [diffusion_model.vocab.mask] * 3
-        rows = masked_log_probs(diffusion_model, tokens)
+        rows = masked_log_probs(diffusion_model, [tokens])
         lse = np.logaddexp.reduce(rows, axis=-1)
         assert np.max(np.abs(lse)) < 1e-10
+
+
+class TestBatchedPasses:
+    """Batched passes give every sequence, chain and score exactly what an
+    unbatched pass over it gives, across several passes of 8."""
+
+    @staticmethod
+    def sequences(params, n, length, seed):
+        rng = np.random.default_rng(seed)
+        return [list(rng.integers(0, params.hyper.vocab_size, size=length))
+                for _ in range(n)]
+
+    def test_masked_log_probs_rows_equal_unbatched_passes(self,
+                                                          diffusion_model):
+        seqs = self.sequences(diffusion_model, 19, 6, seed=0)
+        rows = masked_log_probs(diffusion_model, seqs)
+        assert rows.shape == (19, 6, diffusion_model.hyper.vocab_size)
+        fg = build_forward_graph(diffusion_model.hyper, 6, causal=False)
+        for tokens, batched in zip(seqs, rows):
+            vals = evaluate(fg.graph, leaf_values(diffusion_model, tokens))
+            assert np.array_equal(batched, vals[fg.log_probs])
+
+    def test_masked_log_probs_needs_equal_lengths(self, diffusion_model):
+        with pytest.raises(ValueError):
+            masked_log_probs(diffusion_model, [[5, 6], [5, 6, 7]])
+        with pytest.raises(ValueError):
+            masked_log_probs(diffusion_model, [])
+
+    @pytest.mark.parametrize("substitute", [
+        None, StagePerturbation(2, "substitute_step", temperature=1.5)])
+    def test_lockstep_chains_equal_per_prompt_chains(self, diffusion_model,
+                                                     substitute):
+        prompts = self.sequences(diffusion_model, 11, 3, seed=1)
+        plan = default_commit_plan(5, 3)
+        chains = run_chains(diffusion_model, prompts, 5, plan, 7, substitute)
+        assert chains == [run_chain(diffusion_model, prompt, 5, plan, 7,
+                                    substitute=substitute)
+                          for prompt in prompts]
+
+    def test_score_sums_equal_unbatched_passes(self, tiny_ar_model):
+        # 3 lists of terms over two sequence lengths, 21 passes in all
+        rng = np.random.default_rng(2)
+        vocab = tiny_ar_model.hyper.vocab_size
+        lists = []
+        for n_terms in (9, 1, 11):
+            terms = [span_term(tuple(rng.integers(0, vocab, size=n)),
+                               tuple(rng.integers(0, vocab, size=n)))
+                     for n in rng.integers(2, 4, size=n_terms)]
+            lists.append([term.bind(tiny_ar_model) for term in terms])
+        expected = []
+        for bound in lists:
+            total = 0.0
+            for fg, vals in bound:
+                total += float(evaluate(fg.graph, vals)[fg.score])
+            expected.append(total)
+        assert score_sums(lists) == expected
+
+    def test_score_sums_rejects_a_batch_with_different_weights(
+            self, tiny_ar_model):
+        term = span_term([5, 6], [7])
+        fg, vals = term.bind(tiny_ar_model)
+        other = {**vals, "out.b": vals["out.b"] + 1.0}
+        with pytest.raises(ValueError):
+            score_sums([[(fg, vals)], [(fg, other)]])
 
 
 class TestPerturbedPlans:
