@@ -52,8 +52,6 @@ class BaselinePolicy:
 
 
 PAD_BASELINE = BaselinePolicy("pad_token")
-MASK_BASELINE = BaselinePolicy("mask_token")
-ZERO_BASELINE = BaselinePolicy("zero_embedding")
 
 
 @dataclass(frozen=True)
@@ -69,15 +67,6 @@ class AttributionMap:
         for ref, score in self.entries:
             if score is not None and not np.isfinite(score):
                 raise ValueError(f"non-finite attribution for {ref.label()}")
-
-    def scores(self) -> dict[FeatureRef, float | None]:
-        return dict(self.entries)
-
-    def argmax_ref(self) -> FeatureRef:
-        finite = [(ref, s) for ref, s in self.entries if s is not None]
-        if not finite:
-            raise ValueError("map has no finite entries")
-        return max(finite, key=lambda e: (e[1], e[0]))[0]
 
 
 def _method_desc(**kw) -> tuple[tuple[str, object], ...]:
@@ -100,9 +89,6 @@ class BoundScore:
     graphs: list[ForwardGraph]
     actual: list[dict[str, np.ndarray]]  # each term's leaf values
     feature_rows: dict[FeatureRef, tuple[tuple[int, int], ...]]
-
-    def value(self, bindings: list[dict[str, np.ndarray]] | None = None) -> float:
-        return self.values([self.actual if bindings is None else bindings])[0]
 
     def values(self, bindings_list) -> list[float]:
         """The score under each list of term bindings, in batched passes."""
@@ -215,16 +201,15 @@ def _check(contract: AttributionContract, params: ModelParams,
 
 
 def score(contract: AttributionContract, params: ModelParams,
-          instance: PromptedInstance,
-          conditioning: DenoisingTrajectory | None = None) -> float:
-    """Evaluate the contract's score S on the (possibly perturbed) instance;
-    ``conditioning`` as in bind_score."""
-    return scores(params, [(contract, instance, conditioning)])[0]
+          instance: PromptedInstance) -> float:
+    """Evaluate the contract's score S on the (possibly perturbed) instance."""
+    return scores(params, [(contract, instance, None)])[0]
 
 
 def scores(params: ModelParams, cases) -> list[float]:
-    """score() of each (contract, instance, conditioning) case, with the
-    passes of all cases scored together in batched passes."""
+    """The score of each (contract, instance, conditioning) case, with
+    ``conditioning`` as in bind_score; the passes of all cases are scored
+    together in batched passes."""
     bound = []
     for contract, instance, conditioning in cases:
         _check(contract, params, instance)
@@ -278,7 +263,7 @@ def baseline_endpoint_score(params: ModelParams, instance: PromptedInstance,
     bs = bind_score(params, instance, contract)
     base_vec = baseline.embedding(params)
     rows = {ref: base_vec for ref in contract.eligible}
-    return bs.value(bs.with_rows(rows))
+    return bs.values([bs.with_rows(rows)])[0]
 
 
 def grad_times_input(params: ModelParams, instance: PromptedInstance,

@@ -15,7 +15,7 @@ into unbatched leaves are summed over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class Node:
     name: str | None = None          # leaves only
     shape: tuple[int, ...] | None = None  # leaves only
     differentiable: bool = False     # leaves only
-    attrs: tuple = ()
 
 
 class Graph:
@@ -56,11 +55,11 @@ class Graph:
 
     # -- construction -----------------------------------------------------
 
-    def _push(self, op, inputs, const=None, attrs=(), **kw) -> int:
+    def _push(self, op, inputs, const=None, **kw) -> int:
         for i in inputs:
             if not (0 <= i < len(self.nodes)):
                 raise GraphError(f"node reference {i} out of range")
-        node = Node(len(self.nodes), op, tuple(inputs), const=const, attrs=attrs, **kw)
+        node = Node(len(self.nodes), op, tuple(inputs), const=const, **kw)
         self.nodes.append(node)
         return node.nid
 
@@ -78,9 +77,6 @@ class Graph:
     def add(self, a: int, b: int) -> int:
         return self._push("add", (a, b))
 
-    def sub(self, a: int, b: int) -> int:
-        return self._push("sub", (a, b))
-
     def mul(self, a: int, b: int) -> int:
         return self._push("mul", (a, b))
 
@@ -92,9 +88,6 @@ class Graph:
 
     def gelu(self, a: int) -> int:
         return self._push("gelu", (a,))
-
-    def tanh(self, a: int) -> int:
-        return self._push("tanh", (a,))
 
     def softmax(self, a: int) -> int:
         """Softmax over the last axis."""
@@ -110,10 +103,6 @@ class Graph:
     def sum_all(self, a: int) -> int:
         """Sum over the trailing axes: a scalar per point."""
         return self._push("sum_all", (a,))
-
-    def pick(self, a: int, index: tuple[int, ...]) -> int:
-        """Element extraction on the trailing axes: a scalar per point."""
-        return self._push("pick", (a,), attrs=tuple(index))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -154,8 +143,6 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
     ins = [vals[i] for i in node.inputs]
     if op == "add":
         return ins[0] + ins[1]
-    if op == "sub":
-        return ins[0] - ins[1]
     if op == "mul":
         return ins[0] * ins[1]
     if op == "matmul":
@@ -167,8 +154,6 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
         return ins[0].mT
     if op == "gelu":
         return _gelu(ins[0])
-    if op == "tanh":
-        return np.tanh(ins[0])
     if op == "softmax":
         return _softmax(ins[0])
     if op == "log_softmax":
@@ -181,8 +166,6 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
     if op == "sum_all":
         x = ins[0]
         return x.reshape(len(x), -1).sum(axis=-1) if batched else np.asarray(x.sum())
-    if op == "pick":
-        return np.asarray(ins[0][(Ellipsis,) + node.attrs])
     raise GraphError(f"unknown op {op!r}")
 
 
@@ -261,9 +244,6 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
         if op == "add":
             acc(0, _unbroadcast(g, ins[0].shape))
             acc(1, _unbroadcast(g, ins[1].shape))
-        elif op == "sub":
-            acc(0, _unbroadcast(g, ins[0].shape))
-            acc(1, _unbroadcast(-g, ins[1].shape))
         elif op == "mul":
             acc(0, _unbroadcast(g * ins[1], ins[0].shape))
             acc(1, _unbroadcast(g * ins[0], ins[1].shape))
@@ -274,9 +254,6 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             acc(0, g.mT)
         elif op == "gelu":
             acc(0, g * _gelu_grad(ins[0]))
-        elif op == "tanh":
-            y = vals[node.nid]
-            acc(0, g * (1.0 - y ** 2))
         elif op == "softmax":
             y = vals[node.nid]
             acc(0, y * (g - (g * y).sum(axis=-1, keepdims=True)))
@@ -297,10 +274,6 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             x = ins[0]
             g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
             acc(0, np.broadcast_to(g, x.shape).copy())
-        elif op == "pick":
-            gx = np.zeros_like(ins[0])
-            gx[(Ellipsis,) + node.attrs] = g
-            acc(0, gx)
         else:
             raise GraphError(f"no gradient rule for op {op!r}")
 

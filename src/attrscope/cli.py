@@ -27,8 +27,8 @@ from .evaluation import (
 )
 from .fileio import (
     MapParseError, RunManifest, atomic_write_text, file_digest, parse_map,
-    parse_contract_file, read_manifest, resolve_contract, serialize_map,
-    serialize_report, write_manifest,
+    parse_contract_file, read_manifest, serialize_map, serialize_report,
+    write_manifest,
 )
 from .heatmap import render_heatmap
 from .models import (
@@ -121,7 +121,7 @@ def _build_instance(spec, params) -> PromptedInstance:
 
 def _bound_contract(spec, instance):
     try:
-        contract = resolve_contract(spec, instance)
+        contract = make_named(spec.setting, instance, spec.target)
     except ContractError as exc:
         raise CLIError(f"contract cannot bind to this instance: {exc}") from exc
     problems = validate(contract, instance)
@@ -203,7 +203,7 @@ def _corpus_from_file(path: str):
                                config["n_pairs"], config["seed"])
     except OSError as exc:
         raise CLIError(f"cannot read corpus file: {exc}", EXIT_IO) from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CLIError(f"corpus file rejected: {exc}") from exc
 
 
@@ -378,7 +378,7 @@ def cmd_rerun(args) -> int:
         manifest = read_manifest(args.manifest)
     except OSError as exc:
         raise CLIError(f"cannot read manifest: {exc}", EXIT_IO) from exc
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, RecursionError, TypeError) as exc:
         raise CLIError(f"manifest rejected: {exc}") from exc
     if manifest.argv[:1] == ["rerun"]:
         raise CLIError("manifest rejected: it records a rerun; rerun the"

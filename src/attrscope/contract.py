@@ -111,16 +111,12 @@ class AttributionContract:
 
 @dataclass(frozen=True)
 class ContractID:
-    text: str
-    digest: str
-
-    def __str__(self) -> str:
-        return self.digest
+    digest: str  # sha256 of the contract's canonical text
 
 
 def canonical_id(contract: AttributionContract) -> ContractID:
     text = contract.canonical_text()
-    return ContractID(text=text, digest=hashlib.sha256(text.encode()).hexdigest())
+    return ContractID(digest=hashlib.sha256(text.encode()).hexdigest())
 
 
 SCORE_TARGET = {

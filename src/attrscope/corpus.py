@@ -2,7 +2,7 @@
 "TR: s_i1 .. s_il SEP" -> "t_i1 .. t_il EOS" pairs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,21 +14,9 @@ HELDOUT_FRAC = 0.2  # share of the pairs held out from training
 
 @dataclass(frozen=True)
 class SynCorpus:
-    lexicon_size: int
     vocab: Vocab
-    source_ids: tuple[int, ...]   # token id of s_i
-    target_ids: tuple[int, ...]   # token id of t_i (the bijection image)
     train_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     heldout_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    seed: int
-
-    @property
-    def tr_id(self) -> int:
-        return self.vocab.index("TR:")
-
-    def translate_source(self, source_token_id: int) -> int:
-        """Bijection image of a source token id."""
-        return self.target_ids[self.source_ids.index(source_token_id)]
 
 
 def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
@@ -45,8 +33,8 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
     vocab = make_vocab(["TR:"]
                        + [f"s{i}" for i in range(lexicon_size)]
                        + [f"t{i}" for i in range(lexicon_size)])
-    source_ids = tuple(vocab.index(f"s{i}") for i in range(lexicon_size))
-    target_ids = tuple(vocab.index(f"t{i}") for i in range(lexicon_size))
+    source_ids = [vocab.index(f"s{i}") for i in range(lexicon_size)]
+    target_ids = [vocab.index(f"t{i}") for i in range(lexicon_size)]  # s_i -> t_i
     tr, sep, eos = vocab.index("TR:"), vocab.sep, vocab.eos
 
     rng = np.random.default_rng(seed)
@@ -69,7 +57,5 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
         pairs.append((prompt, target))
 
     n_held = max(1, int(round(HELDOUT_FRAC * len(pairs))))
-    return SynCorpus(lexicon_size=lexicon_size, vocab=vocab,
-                     source_ids=source_ids, target_ids=target_ids,
-                     train_pairs=tuple(pairs[n_held:]),
-                     heldout_pairs=tuple(pairs[:n_held]), seed=seed)
+    return SynCorpus(vocab=vocab, train_pairs=tuple(pairs[n_held:]),
+                     heldout_pairs=tuple(pairs[:n_held]))

@@ -2,7 +2,7 @@
 deletion/insertion curves, AOPC, and random-ordering baselines."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .attribution import (
 from .contract import (
     OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
     STATE_COMMITMENT, STATE_LOG_PROB,
-    AttributionContract, ContractError, FeatureRef, canonical_id,
+    AttributionContract, FeatureRef, canonical_id,
 )
 from .models import ModelParams, PromptedInstance
 from .models.diffusion import ChainSpec, DenoisingTrajectory, run_chains
@@ -54,12 +54,6 @@ class PerturbedContext:
     # diffusion only: the chain whose states the score is conditioned on
     # (state-level: replayed down to z_t; prompt-to-output: after the policy)
     conditioning: DenoisingTrajectory | None = None
-
-
-def perturb(params: ModelParams, instance: PromptedInstance,
-            contract: AttributionContract, features,
-            policy: PerturbationPolicy) -> PerturbedContext:
-    return perturb_sets(params, instance, contract, [features], policy)[0]
 
 
 def perturb_sets(params: ModelParams, instance: PromptedInstance,
@@ -115,10 +109,6 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
     conditionings = run_chains(params, chains, traj.response_len, traj.seed)
     return [replace(ctx, conditioning=conditioning)
             for ctx, conditioning in zip(contexts, conditionings)]
-
-
-def context_score(params: ModelParams, ctx: PerturbedContext) -> float:
-    return context_scores(params, [ctx])[0]
 
 
 def context_scores(params: ModelParams, contexts) -> list[float]:
@@ -188,33 +178,20 @@ def _curves(attr_map: AttributionMap, params: ModelParams,
         ordering=label, mode=mode) for label, mode, points in curves]
 
 
-def _curve(attr_map: AttributionMap, params: ModelParams,
-           instance: PromptedInstance, contract: AttributionContract,
-           K: int, policy: PerturbationPolicy, order: list[FeatureRef] | None,
-           ordering_label: str, mode: str) -> FaithfulnessCurve:
-    order = ranked_features(attr_map) if order is None else order
-    return _curves(attr_map, params, instance, contract, K, policy,
-                   [(order, ordering_label)], (mode,))[0]
-
-
 def deletion_curve(attr_map: AttributionMap, params: ModelParams,
                    instance: PromptedInstance, contract: AttributionContract,
-                   K: int, policy: PerturbationPolicy,
-                   order: list[FeatureRef] | None = None,
-                   ordering_label: str = "map") -> FaithfulnessCurve:
-    """Score the instance with the top-k features at baseline."""
-    return _curve(attr_map, params, instance, contract, K, policy, order,
-                  ordering_label, DELETE)
+                   K: int, policy: PerturbationPolicy) -> FaithfulnessCurve:
+    """Score the instance with the map's top-k features at baseline."""
+    return _curves(attr_map, params, instance, contract, K, policy,
+                   [(ranked_features(attr_map), "map")], (DELETE,))[0]
 
 
 def insertion_curve(attr_map: AttributionMap, params: ModelParams,
                     instance: PromptedInstance, contract: AttributionContract,
-                    K: int, policy: PerturbationPolicy,
-                    order: list[FeatureRef] | None = None,
-                    ordering_label: str = "map") -> FaithfulnessCurve:
+                    K: int, policy: PerturbationPolicy) -> FaithfulnessCurve:
     """Dual of deletion: start all-eligible-at-baseline, restore top-k."""
-    return _curve(attr_map, params, instance, contract, K, policy, order,
-                  ordering_label, INSERT)
+    return _curves(attr_map, params, instance, contract, K, policy,
+                   [(ranked_features(attr_map), "map")], (INSERT,))[0]
 
 
 def aopc(curve: FaithfulnessCurve) -> float:

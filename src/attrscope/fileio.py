@@ -10,15 +10,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field, asdict
 
-from . import __version__
 from .attribution import AttributionMap
 from .contract import (
-    AttributionContract, ContractError, FeatureRef, INDEXED_TARGETS,
-    PROCESS_KINDS, SCORE_KINDS, SCORE_PROCESS, SCORE_TARGET, SETTING_SCHEMA,
-    make_named,
+    ContractError, FeatureRef, INDEXED_TARGETS, PROCESS_KINDS, SCORE_KINDS,
+    SCORE_PROCESS, SCORE_TARGET, SETTING_SCHEMA,
 )
 from .evaluation import FaithfulnessCurve, FaithfulnessReport
-from .models import PromptedInstance
 
 MAP_HEADER = "attrscope-map v1"
 REPORT_HEADER = "attrscope-report v1"
@@ -47,13 +44,9 @@ class Diagnostic:
 
 @dataclass
 class ContractSpec:
-    """Schematic contract plus instance binding, straight from a file."""
+    """A contract file: its named setting and target, plus the instance
+    binding."""
     setting: str | None = None
-    score: str | None = None
-    fixed: str = "none"
-    output: str | None = None
-    process: str | None = None
-    eligible: str | None = None
     target: int | None = None
     # instance binding
     model_path: str | None = None
@@ -159,28 +152,26 @@ def parse_contract_file(text: str) -> ParseResult:
                                     f"unknown setting {spec.setting!r}",
                                     fields["setting"][1]))
             return ParseResult(None, diags)
-        spec.score, spec.fixed, spec.eligible = SETTING_SCHEMA[spec.setting]
-        spec.output = SCORE_TARGET[spec.score]
-        spec.process = SCORE_PROCESS[spec.score]
+        output = SCORE_TARGET[SETTING_SCHEMA[spec.setting][0]]
     else:
-        spec.score = take("score")
-        if spec.score is None:
+        score = take("score")
+        if score is None:
             diags.append(Diagnostic(E_MISSING_FIELD,
                                     "missing required field: score", 0))
             return ParseResult(None, diags)
-        if spec.score not in SCORE_KINDS:
+        if score not in SCORE_KINDS:
             diags.append(Diagnostic(E_UNKNOWN_SCORE,
-                                    f"unknown score name {spec.score!r}",
+                                    f"unknown score name {score!r}",
                                     fields["score"][1]))
             return ParseResult(None, diags)
-        spec.fixed = take("fixed", "none")
-        spec.output = take("output")
-        spec.process = take("process")
-        spec.eligible = take("eligible")
-        for key, value, allowed in (("fixed", spec.fixed, _FIXED_VALUES),
-                                    ("output", spec.output, _OUTPUT_VALUES),
-                                    ("process", spec.process, PROCESS_KINDS),
-                                    ("eligible", spec.eligible, _ELIGIBLE_VALUES)):
+        fixed = take("fixed", "none")
+        output = take("output")
+        process = take("process")
+        eligible = take("eligible")
+        for key, value, allowed in (("fixed", fixed, _FIXED_VALUES),
+                                    ("output", output, _OUTPUT_VALUES),
+                                    ("process", process, PROCESS_KINDS),
+                                    ("eligible", eligible, _ELIGIBLE_VALUES)):
             if value is None:
                 diags.append(Diagnostic(E_MISSING_FIELD,
                                         f"missing required field: {key}", 0))
@@ -190,37 +181,31 @@ def parse_contract_file(text: str) -> ParseResult:
                                         f" got {value!r}", fields[key][1]))
         if diags:
             return ParseResult(None, diags)
-        if spec.fixed != "none" and "prefix" in spec.eligible.split("+"):
+        if fixed != "none" and "prefix" in eligible.split("+"):
             diags.append(Diagnostic(E_OVERLAP, "eligible/fixed overlap: the"
                                     " generated prefix is both eligible and fixed",
                                     fields.get("fixed", ("", 0))[1]))
             return ParseResult(None, diags)
-        combo = (spec.score, spec.fixed, spec.eligible)
-        setting = _SCHEMATIC_TO_SETTING.get(combo)
-        if setting is None:
+        combo = (score, fixed, eligible)
+        spec.setting = _SCHEMATIC_TO_SETTING.get(combo)
+        if spec.setting is None:
             diags.append(Diagnostic(E_BAD_COMBINATION,
                                     f"no named setting matches {combo}", 0))
             return ParseResult(None, diags)
-        spec.setting = setting
-        for key, table in (("process", SCORE_PROCESS), ("output", SCORE_TARGET)):
-            expected = table[spec.score]
-            if getattr(spec, key) != expected:
+        for key, value, table in (("process", process, SCORE_PROCESS),
+                                  ("output", output, SCORE_TARGET)):
+            if value != table[score]:
                 diags.append(Diagnostic(E_BAD_COMBINATION,
-                                        f"score {spec.score} requires {key}"
-                                        f" {expected}", fields[key][1]))
+                                        f"score {score} requires {key}"
+                                        f" {table[score]}", fields[key][1]))
                 return ParseResult(None, diags)
 
-    if spec.output in INDEXED_TARGETS and spec.target is None:
+    if output in INDEXED_TARGETS and spec.target is None:
         diags.append(Diagnostic(E_MISSING_TARGET, "missing target index", 0))
         return ParseResult(None, diags)
     if diags:
         return ParseResult(None, diags)
     return ParseResult(spec, [])
-
-
-def resolve_contract(spec: ContractSpec,
-                     instance: PromptedInstance) -> AttributionContract:
-    return make_named(spec.setting, instance, spec.target)
 
 
 # -- digest-footed structured text ----------------------------------------
@@ -230,6 +215,13 @@ class MapParseError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+
+
+# What a well-formed JSON body of the wrong shape or range raises while it
+# is read into a map or report: a number of 1e999 reads as inf, and
+# int(inf) raises OverflowError.
+_BODY_ERRORS = (KeyError, ValueError, TypeError, IndexError, OverflowError,
+                RecursionError)
 
 
 def _digest_document(header: str, body: dict) -> str:
@@ -254,7 +246,7 @@ def _parse_digest_document(text: str, header: str) -> dict:
         raise MapParseError("E_DIGEST", "digest mismatch; file corrupted")
     try:
         body = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MapParseError(E_SYNTAX, f"bad JSON body: {exc}") from exc
     if not isinstance(body, dict):
         raise MapParseError(E_SYNTAX, "body must be a JSON object")
@@ -269,7 +261,7 @@ def _ref_from_list(item) -> FeatureRef:
     try:
         kind, index, slot = item
         return FeatureRef(str(kind), int(index), int(slot))
-    except (ValueError, TypeError, ContractError) as exc:
+    except (ValueError, TypeError, OverflowError, ContractError) as exc:
         raise MapParseError(E_BAD_VALUE, f"bad feature ref {item!r}") from exc
 
 
@@ -301,7 +293,7 @@ def parse_map(text: str) -> AttributionMap:
             seed=int(body["seed"]))
     except MapParseError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except _BODY_ERRORS as exc:
         raise MapParseError(E_SYNTAX, f"malformed map body: {exc}") from exc
 
 
@@ -365,7 +357,7 @@ def parse_report(text: str) -> FaithfulnessReport:
             seed=int(body["seed"]))
     except MapParseError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except _BODY_ERRORS as exc:
         raise MapParseError(E_SYNTAX, f"malformed report body: {exc}") from exc
 
 
@@ -407,8 +399,9 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Raises TypeError when a field is missing, unknown or of the
-        wrong type."""
+        """Raises ValueError when the text is not JSON, RecursionError
+        when it nests too deeply, and TypeError when a field is missing,
+        unknown or of the wrong type."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise TypeError("manifest must be a JSON object")

@@ -2,10 +2,8 @@ from .vocab import Vocab
 from .params import (
     Hyperparams, ModelIOError, ModelParams, init_params, save_model, load_model,
 )
-from .instrumentation import call_counters, reset_counters
 from .autoregressive import (
     ar_next_log_probs,
-    token_log_prob,
     span_log_prob,
     ar_generate,
     GreedyPolicy,
@@ -18,23 +16,20 @@ from .diffusion import (
     default_commit_plan,
     diffusion_generate,
     masked_log_probs,
-    state_log_prob,
     trajectory_score,
     teacher_forced_score,
 )
-from .classifier import classifier_log_prob
 from .instance import PromptedInstance, instance_digest
 from .training import train, TrainingDiverged
 
 __all__ = [
     "Vocab", "Hyperparams", "ModelIOError", "ModelParams", "init_params",
     "save_model", "load_model",
-    "call_counters", "reset_counters",
-    "ar_next_log_probs", "token_log_prob", "span_log_prob", "ar_generate",
+    "ar_next_log_probs", "span_log_prob", "ar_generate",
     "GreedyPolicy", "SamplePolicy",
     "DenoisingTrajectory", "StagePerturbation", "InfeasiblePerturbationError",
     "default_commit_plan", "diffusion_generate", "masked_log_probs",
-    "state_log_prob", "trajectory_score", "teacher_forced_score",
-    "classifier_log_prob", "PromptedInstance", "instance_digest",
+    "trajectory_score", "teacher_forced_score",
+    "PromptedInstance", "instance_digest",
     "train", "TrainingDiverged",
 ]

@@ -10,7 +10,6 @@ from .params import ModelParams, AR
 from .transformer import (
     ScoreTerm, build_forward_graph, check_context, leaf_values, terms_score,
 )
-from .instrumentation import bump
 
 
 def _require_ar(params: ModelParams) -> None:
@@ -51,11 +50,6 @@ def span_term(prompt, span) -> ScoreTerm:
                      targets=tuple((n + i - 1, tok) for i, tok in enumerate(span)))
 
 
-def token_log_prob(params: ModelParams, prompt, prefix, target: int) -> float:
-    _require_ar(params)
-    return terms_score(params, [token_term(prompt, prefix, target)])
-
-
 def span_log_prob(params: ModelParams, prompt, span) -> float:
     """log p(span | prompt) = sum of per-token conditionals, one forward pass."""
     _require_ar(params)
@@ -64,13 +58,12 @@ def span_log_prob(params: ModelParams, prompt, span) -> float:
 
 @dataclass(frozen=True)
 class GreedyPolicy:
-    name: str = "greedy"
+    """Decode the most likely token at each step."""
 
 
 @dataclass(frozen=True)
 class SamplePolicy:
     temperature: float = 1.0
-    name: str = "sample"
 
 
 def ar_generate(params: ModelParams, prompt, max_len: int, policy, seed: int) -> list[int]:
@@ -78,7 +71,6 @@ def ar_generate(params: ModelParams, prompt, max_len: int, policy, seed: int) ->
     _require_ar(params)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    bump("ar_generate")
     rng = np.random.default_rng(seed)
     out: list[int] = []
     for _ in range(max_len):

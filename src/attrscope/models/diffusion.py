@@ -16,7 +16,6 @@ from .transformer import (
     ScoreTerm, build_forward_graph, check_context, evaluate_passes,
     leaf_values, terms_score,
 )
-from .instrumentation import bump
 
 ABLATE = "ablate"
 NOISE_SCHEDULE = "noise_schedule"
@@ -119,11 +118,10 @@ class ChainSpec:
 
 
 def run_chain(params: ModelParams, prompt, response_len: int,
-              plan: dict[int, int], seed: int,
-              substitute: StagePerturbation | None = None) -> DenoisingTrajectory:
+              plan: dict[int, int], seed: int) -> DenoisingTrajectory:
     """Execute the unmasking chain under an explicit per-stage commit plan."""
-    chain = ChainSpec(tuple(prompt), plan, substitute=substitute)
-    return run_chains(params, [chain], response_len, seed)[0]
+    return run_chains(params, [ChainSpec(tuple(prompt), plan)],
+                      response_len, seed)[0]
 
 
 def run_chains(params: ModelParams, chains, response_len: int,
@@ -194,7 +192,6 @@ def run_chains(params: ModelParams, chains, response_len: int,
 def diffusion_generate(params: ModelParams, prompt, response_len: int,
                        num_steps: int, seed: int) -> DenoisingTrajectory:
     _require_diffusion(params)
-    bump("diffusion_generate")
     plan = default_commit_plan(response_len, num_steps)
     return run_chain(params, prompt, response_len, plan, seed)
 
@@ -223,14 +220,6 @@ def stage_terms(prompt, schedule: DenoisingTrajectory,
     return {t: stage_term(prompt, schedule, conditioning, t, mask_id)
             for t in range(schedule.num_steps, 0, -1)
             if t in schedule.commit_steps}
-
-
-def state_log_prob(params: ModelParams, prompt, trajectory: DenoisingTrajectory,
-                   t: int) -> float:
-    """Sum of log-probs of the tokens committed at stage t, conditioned on z_t."""
-    _require_diffusion(params)
-    return terms_score(params, [stage_term(prompt, trajectory, trajectory, t,
-                                           params.vocab.mask)])
 
 
 def teacher_forced_score(params: ModelParams, prompt,

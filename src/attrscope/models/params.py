@@ -6,7 +6,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -195,8 +195,10 @@ def load_model(path: str) -> ModelParams:
             offset += count * 8
         params = ModelParams(hyper=hp, vocab=vocab, weights=weights)
         model_id = header["model_id"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON; a JSON number of 1e999
+        # reads as inf, and int(inf) raises OverflowError
         raise ModelIOError(f"corrupt header: {exc}") from exc
     if params.model_id != model_id:
         raise ModelIOError("model_id hash mismatch; file corrupted")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,8 @@ class TrainingDiverged(Exception):
 
 
 _LOSS_CACHE = _CACHE  # the one graph cache; attrbench/run.py clears it by this name
-CHECKPOINTS = 5        # mean-loss passes, evenly spaced from step 0 to the end
 LR_FLOOR_FRAC = 0.02   # the decayed rate never drops below this fraction of lr
+BATCH_SIZE = 8         # examples per SGD step
 
 
 def _example_term(params: ModelParams, example, rng: np.random.Generator) -> ScoreTerm:
@@ -68,7 +68,7 @@ def _step_grads(params: ModelParams, term: ScoreTerm) -> tuple[float, dict[str, 
 
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
-    rng = np.random.default_rng(seed)  # fixed seed: checkpoints comparable
+    rng = np.random.default_rng(seed)  # fixed seed: a loss comparable across runs
     terms = (_example_term(params, example, rng) for example in corpus)
     return -terms_score(params, terms) / len(corpus)
 
@@ -77,11 +77,10 @@ def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
 class TrainResult:
     params: ModelParams
     final_loss: float
-    checkpoint_losses: list[float] = field(default_factory=list)
 
 
 def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
-          steps: int = 2000, lr: float = 0.5, batch_size: int = 8) -> TrainResult:
+          steps: int = 2000, lr: float = 0.5) -> TrainResult:
     """SGD with cosine decay; deterministic given (corpus, hp, seed)."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -89,20 +88,12 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
     params = init_params(hp, vocab, seed)
-    eval_corpus = list(corpus[: min(64, len(corpus))])
-    checkpoint_at = {round(i * steps / (CHECKPOINTS - 1))
-                     for i in range(CHECKPOINTS)}
-    losses: list[float] = []
     last_loss = math.nan
 
-    for step in range(steps + 1):
-        if step in checkpoint_at:
-            losses.append(_mean_loss(params, eval_corpus, seed=seed + 1))
-        if step == steps:
-            break
+    for step in range(steps):
         lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
-        idx = rng.integers(0, len(corpus), size=batch_size)
+        idx = rng.integers(0, len(corpus), size=BATCH_SIZE)
         acc: dict[str, np.ndarray] = {}
         batch_loss = 0.0
         try:
@@ -118,12 +109,13 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         except NumericError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (last finite: {last_loss})") from exc
-        last_loss = batch_loss / batch_size
+        last_loss = batch_loss / BATCH_SIZE
         # ascend the score, i.e. descend the loss
         new_weights = dict(params.weights)
         for name, gval in acc.items():
-            new_weights[name] = params.weights[name] + (lr_t / batch_size) * gval
+            new_weights[name] = params.weights[name] + (lr_t / BATCH_SIZE) * gval
         params = ModelParams(hyper=hp, vocab=params.vocab, weights=new_weights)
 
-    return TrainResult(params=params, final_loss=losses[-1],
-                       checkpoint_losses=losses)
+    eval_corpus = list(corpus[: min(64, len(corpus))])
+    return TrainResult(params=params,
+                       final_loss=_mean_loss(params, eval_corpus, seed=seed + 1))

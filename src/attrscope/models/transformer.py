@@ -138,6 +138,9 @@ def leaf_values(params: ModelParams, tokens,
     vals["pos"] = params.weights["pos"][:L]
     mask = np.zeros(_mask_shape(params.hyper, L))
     for row, col in targets:
+        if not (0 <= row < mask.shape[0] and 0 <= col < mask.shape[1]):
+            raise ValueError(f"score target ({row}, {col}) outside the"
+                             f" {mask.shape[0]} x {mask.shape[1]} log-prob table")
         mask[row, col] = 1.0
     vals["target_mask"] = mask
     return vals

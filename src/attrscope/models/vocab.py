@@ -1,7 +1,7 @@
 """Symbolic token vocabulary with the four reserved specials."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

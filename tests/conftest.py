@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from attrscope.corpus import make_syn_corpus
-from attrscope.models import Hyperparams, init_params, train
+from attrscope.models import (
+    Hyperparams, ar_generate, diffusion_generate, init_params, train,
+)
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
 
 
@@ -18,7 +22,7 @@ def ar_model(corpus):
     hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab), layers=2, heads=2,
                      width=64, mlp_hidden=128, context_len=64)
     result = train(AR, list(corpus.train_pairs), corpus.vocab, hp, seed=0,
-                   steps=2500, lr=0.05, batch_size=8)
+                   steps=2500, lr=0.05)
     return result.params
 
 
@@ -34,7 +38,7 @@ def tiny_ar_model(tiny_corpus):
     hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=2,
                      heads=2, width=32, mlp_hidden=64, context_len=32)
     result = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
-                   seed=1, steps=80, lr=0.05, batch_size=8)
+                   seed=1, steps=80, lr=0.05)
     return result.params
 
 
@@ -44,7 +48,7 @@ def diffusion_model(tiny_corpus):
                      layers=2, heads=2, width=32, mlp_hidden=64,
                      context_len=32)
     result = train(DIFFUSION, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
-                   hp, seed=2, steps=120, lr=0.05, batch_size=8)
+                   hp, seed=2, steps=120, lr=0.05)
     return result.params
 
 
@@ -59,3 +63,28 @@ def classifier_model(tiny_corpus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def generation_calls(monkeypatch):
+    """The names of the generation functions called while the test runs.
+
+    Spies replace ar_generate and diffusion_generate under every name an
+    attrscope module binds them to, so a call through any import is seen;
+    each spy records its call and then runs the original."""
+    calls: list[str] = []
+    for original in (ar_generate, diffusion_generate):
+        def spy(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        bound = 0
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] != "attrscope" or module is None:
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+                    bound += 1
+        assert bound, f"no attrscope module binds {original.__name__}"
+    return calls

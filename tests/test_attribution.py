@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from attrscope import attribution
 from attrscope.autodiff import evaluate
 from attrscope.attribution import (
-    AttributionMap, BaselinePolicy, MASK_BASELINE, PAD_BASELINE,
-    StageScoreError, ZERO_BASELINE, baseline_endpoint_score, bind_score,
-    grad_times_input, integrated_gradients, occlusion, prefix_mass, score,
-    stage_attribution,
+    AttributionMap, BaselinePolicy, PAD_BASELINE, StageScoreError,
+    baseline_endpoint_score, bind_score, grad_times_input,
+    integrated_gradients, occlusion, prefix_mass, score, stage_attribution,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
@@ -26,8 +25,12 @@ from attrscope.models import (
     StagePerturbation, ar_generate, diffusion_generate, teacher_forced_score,
     trajectory_score,
 )
-from attrscope.models.diffusion import perturbed_plan, run_chain
+from attrscope.models.diffusion import (
+    ChainSpec, perturbed_plan, run_chains,
+)
 
+MASK_BASELINE = BaselinePolicy("mask_token")
+ZERO_BASELINE = BaselinePolicy("zero_embedding")
 
 @pytest.fixture(scope="module")
 def ar_instance(tiny_ar_model, tiny_corpus):
@@ -386,9 +389,9 @@ def sequential_stage_entries(params, instance, contract, pert_kind,
         except InfeasiblePerturbationError:
             entries.append((ref, None))
             continue
-        new = run_chain(params, prompt, traj.response_len, new_plan,
-                        traj.seed, substitute=pert
-                        if pert_kind == "substitute_step" else None)
+        chain = ChainSpec(prompt, new_plan, substitute=pert
+                          if pert_kind == "substitute_step" else None)
+        new = run_chains(params, [chain], traj.response_len, traj.seed)[0]
         entries.append((ref, base - teacher_forced_score(params, prompt, traj,
                                                          new)))
     return tuple(entries)

@@ -8,6 +8,9 @@ import pytest
 from attrscope.cli import (
     EXIT_DIAGNOSTIC, EXIT_IO, EXIT_OK, main,
 )
+from attrscope.corpus import make_syn_corpus
+from attrscope.models import Hyperparams, init_params, save_model
+from attrscope.models.params import CLASSIFIER
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +243,23 @@ class TestExitCodes:
                      "occlusion", "--out", str(tmp_path / "o")]) == \
             EXIT_DIAGNOSTIC
         assert "exceeds context" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_index", ["-1", "99"])
+    def test_class_outside_the_classifier_head(self, tmp_path, capsys,
+                                               class_index):
+        corpus = make_syn_corpus(4, [1, 2], 24, seed=3)
+        hp = Hyperparams(kind=CLASSIFIER, vocab_size=len(corpus.vocab),
+                         layers=1, heads=2, width=16, mlp_hidden=32,
+                         context_len=16, n_classes=3)
+        model = str(tmp_path / "classifier.bin")
+        save_model(init_params(hp, corpus.vocab, seed=0), model)
+        contract = tmp_path / "c.contract"
+        contract.write_text(f"setting: classifier\nmodel: {model}\n"
+                            f"prompt: TR: s1 SEP\nclass: {class_index}\n")
+        assert main(["attribute", "--contract", str(contract),
+                     "--ig-steps", "2", "--out", str(tmp_path / "o")]) == \
+            EXIT_DIAGNOSTIC
+        assert "outside the 1 x 3 log-prob table" in capsys.readouterr().err
 
     def test_prompt_outside_vocab(self, workspace, tmp_path):
         contract = tmp_path / "c.contract"

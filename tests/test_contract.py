@@ -164,7 +164,7 @@ class TestCanonicalID:
 
     def test_text_mentions_all_five_fields(self):
         inst = PromptedInstance(prompt=(4,), seed=0, generation=(6,))
-        text = canonical_id(make_named(SETTING_LOCAL, inst, 1)).text
+        text = make_named(SETTING_LOCAL, inst, 1).canonical_text()
         for key in ("score:", "fixed:", "output:", "process:", "eligible:"):
             assert key in text
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from attrscope import evaluation
 from attrscope.attribution import (
-    MASK_BASELINE, PAD_BASELINE, bind_score, integrated_gradients, score,
+    PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients, score,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
@@ -20,16 +20,17 @@ from attrscope.contract import (
 )
 from attrscope.evaluation import (
     DELETE, EvaluationError, FaithfulnessCurve, FaithfulnessReport, INSERT,
-    PerturbationPolicy, REGENERATE, aopc, compute_map, context_score,
-    deletion_curve, faithfulness_report, insertion_curve, perturb,
-    perturb_sets, ranked_features,
+    PerturbationPolicy, REGENERATE, aopc, compute_map, context_scores,
+    deletion_curve, faithfulness_report, insertion_curve, perturb_sets,
+    ranked_features,
 )
 from attrscope.models import (
-    GreedyPolicy, PromptedInstance, ar_generate, call_counters,
-    diffusion_generate, masked_log_probs, reset_counters,
+    GreedyPolicy, PromptedInstance, ar_generate, diffusion_generate,
+    masked_log_probs,
 )
 
 POLICY = PerturbationPolicy()
+MASK_BASELINE = BaselinePolicy("mask_token")
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +52,14 @@ class TestPerturb:
         c = make_named(SETTING_PROMPT_COND, ar_instance,
                        len(ar_instance.generation))
         with pytest.raises(EvaluationError):
-            perturb(tiny_ar_model, ar_instance, c,
-                    [FeatureRef(PREFIX_TOKEN, 0)], POLICY)
+            perturb_sets(tiny_ar_model, ar_instance, c,
+                         [[FeatureRef(PREFIX_TOKEN, 0)]], POLICY)
 
     def test_prompt_token_replaced_by_baseline(self, tiny_ar_model,
                                                ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance, 1)
-        ctx = perturb(tiny_ar_model, ar_instance, c,
-                      [FeatureRef(PROMPT_TOKEN, 1)], POLICY)
+        ctx = perturb_sets(tiny_ar_model, ar_instance, c,
+                           [[FeatureRef(PROMPT_TOKEN, 1)]], POLICY)[0]
         assert ctx.instance.prompt[1] == tiny_ar_model.vocab.pad
         assert ctx.instance.prompt[0] == ar_instance.prompt[0]
         assert ctx.instance.generation == ar_instance.generation
@@ -67,10 +68,11 @@ class TestPerturb:
     def assert_identity(params, instance, contract):
         """Evaluation, scoring and the bound attribution graph agree exactly
         on the unperturbed instance."""
-        ctx = perturb(params, instance, contract, [], POLICY)
+        ctx = perturb_sets(params, instance, contract, [[]], POLICY)[0]
         live = score(contract, params, instance)
-        assert context_score(params, ctx) == live
-        assert bind_score(params, instance, contract).value() == live
+        assert context_scores(params, [ctx]) == [live]
+        bs = bind_score(params, instance, contract)
+        assert bs.values([bs.actual]) == [live]
 
     def test_empty_perturbation_is_identity(self, tiny_ar_model, ar_instance,
                                             diffusion_model, diff_instance,
@@ -104,7 +106,7 @@ class TestPerturb:
         c = make_named(SETTING_STATE, diff_instance, 1)
         regen = PerturbationPolicy(rescoring=REGENERATE)
         with pytest.raises(EvaluationError):
-            perturb(diffusion_model, diff_instance, c, [], regen)
+            perturb_sets(diffusion_model, diff_instance, c, [[]], regen)
 
 
 class TestCurves:
@@ -194,23 +196,24 @@ class TestAOPC:
 
 
 class TestDiscipline:
-    def test_span_eval_never_generates(self, tiny_ar_model, ar_instance):
+    def test_span_eval_never_generates(self, tiny_ar_model, ar_instance,
+                                       generation_calls):
         c = make_named(SETTING_SPAN, ar_instance)
         attr_map = integrated_gradients(tiny_ar_model, ar_instance, c,
                                         steps=8)
-        reset_counters()
         deletion_curve(attr_map, tiny_ar_model, ar_instance, c, 2, POLICY)
-        assert call_counters["ar_generate"] == 0
-        assert call_counters["diffusion_generate"] == 0
+        assert generation_calls == []
 
     def test_prompt_conditioned_eval_never_touches_prefix(self, tiny_ar_model,
                                                           ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance,
                        len(ar_instance.generation))
-        for k in range(len(c.eligible) + 1):
-            order = list(c.eligible)
-            ctx = perturb(tiny_ar_model, ar_instance, c, order[:k], POLICY)
-            assert ctx.instance.generation == ar_instance.generation
+        order = list(c.eligible)
+        contexts = perturb_sets(tiny_ar_model, ar_instance, c,
+                                [order[:k] for k in range(len(order) + 1)],
+                                POLICY)
+        assert all(ctx.instance.generation == ar_instance.generation
+                   for ctx in contexts)
 
 
 class TestReport:
@@ -248,7 +251,7 @@ class TestReport:
 
 def sequential_report(params, instance, contract, method, K, policy,
                       n_random, seed):
-    """The report built point by point: one perturb and one context_score per
+    """The report built point by point: one perturbation and one score per
     curve point, with no de-duplication."""
     attr_map = compute_map(params, instance, contract, method)
     eligible = list(contract.eligible)
@@ -265,8 +268,9 @@ def sequential_report(params, instance, contract, method, K, policy,
                 removed = order[:k]
                 if mode == INSERT:
                     removed = [ref for ref in eligible if ref not in order[:k]]
-                ctx = perturb(params, instance, contract, removed, policy)
-                scores.append(context_score(params, ctx))
+                ctx = perturb_sets(params, instance, contract, [removed],
+                                   policy)[0]
+                scores.append(context_scores(params, [ctx])[0])
             curves.append(FaithfulnessCurve(k_values=tuple(range(K + 1)),
                                             scores=tuple(scores),
                                             ordering=label, mode=mode))

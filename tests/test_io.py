@@ -17,7 +17,7 @@ from attrscope.fileio import (
     Diagnostic, E_BAD_VALUE, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP,
     E_UNKNOWN_FIELD, E_UNKNOWN_SCORE, MapParseError, RunManifest, atomic_write_text,
     parse_contract_file, parse_map, parse_report, read_manifest,
-    resolve_contract, serialize_map, serialize_report, write_manifest,
+    serialize_map, serialize_report, write_manifest,
 )
 from attrscope.heatmap import render_heatmap
 from attrscope.models import (
@@ -45,7 +45,8 @@ class TestContractFiles:
         result = parse_contract_file(
             f"setting: prompt-conditioned\ntarget: {t}\n")
         assert result.ok
-        assert resolve_contract(result.spec, ar_instance) == \
+        spec = result.spec
+        assert make_named(spec.setting, ar_instance, spec.target) == \
             make_named(SETTING_PROMPT_COND, ar_instance, t)
 
     def test_explicit_schematic_equals_named(self):
@@ -74,8 +75,9 @@ class TestContractFiles:
             assert schematic.ok and named.ok, setting
             instance = instances[process]
             expected = make_named(setting, instance, t)
-            assert resolve_contract(schematic.spec, instance) == expected
-            assert resolve_contract(named.spec, instance) == expected
+            for spec in (schematic.spec, named.spec):
+                assert make_named(spec.setting, instance, spec.target) == \
+                    expected
 
     def test_empty_file_missing_score(self):
         result = parse_contract_file("")
@@ -283,8 +285,8 @@ class TestCorpus:
             sources = prompt[1:-1]  # strip TR: and SEP
             outputs = target[:-1]   # strip EOS
             assert len(sources) == len(outputs)
-            for s, t in zip(sources, outputs):
-                assert corpus.translate_source(s) == t
+            for s, t in zip(sources, outputs):  # s_i -> t_i
+                assert corpus.vocab.tokens[t] == "t" + corpus.vocab.tokens[s][1:]
 
     def test_deterministic(self):
         assert make_syn_corpus(4, [1, 2], 30, seed=9) == \

@@ -7,26 +7,26 @@ import numpy as np
 import pytest
 
 from attrscope.models import (
-    DenoisingTrajectory, GreedyPolicy, Hyperparams, ModelIOError,
+    GreedyPolicy, Hyperparams, ModelIOError,
     PromptedInstance, SamplePolicy, StagePerturbation,
     InfeasiblePerturbationError, ar_generate, ar_next_log_probs,
-    classifier_log_prob, default_commit_plan, diffusion_generate, init_params,
-    instance_digest, load_model, masked_log_probs, save_model, span_log_prob,
-    state_log_prob, token_log_prob, trajectory_score, train,
-    teacher_forced_score,
+    default_commit_plan, diffusion_generate, init_params, instance_digest,
+    load_model, masked_log_probs, save_model, span_log_prob, trajectory_score,
+    train, teacher_forced_score,
 )
 from attrscope import attribution
 from attrscope.attribution import stage_attribution
 from attrscope.autodiff import evaluate
 from attrscope.contract import SETTING_STAGE, make_named
-from attrscope.models.autoregressive import span_term
+from attrscope.models.autoregressive import span_term, token_term
+from attrscope.models.classifier import class_term
 from attrscope.models.diffusion import (
-    ChainSpec, perturbed_plan, run_chain, run_chains,
+    ChainSpec, perturbed_plan, run_chains, stage_term,
 )
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
 from attrscope.models.transformer import (
     ContextOverflowError, build_forward_graph, check_context, leaf_values,
-    score_sums,
+    score_sums, terms_score,
 )
 
 
@@ -44,7 +44,8 @@ class TestAutoregressive:
         prompt, target = tiny_corpus.heldout_pairs[0]
         span = list(target)
         total = span_log_prob(tiny_ar_model, prompt, span)
-        parts = sum(token_log_prob(tiny_ar_model, prompt, span[:i], span[i])
+        parts = sum(terms_score(tiny_ar_model,
+                                [token_term(prompt, span[:i], span[i])])
                     for i in range(len(span)))
         assert abs(total - parts) < 1e-10
 
@@ -122,7 +123,9 @@ class TestDiffusionChain:
         prompt = sample_prompt(tiny_corpus)
         traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
         total = trajectory_score(diffusion_model, prompt, traj)
-        parts = sum(state_log_prob(diffusion_model, prompt, traj, t)
+        mask = diffusion_model.vocab.mask
+        parts = sum(terms_score(diffusion_model,
+                                [stage_term(prompt, traj, traj, t, mask)])
                     for t in range(1, traj.num_steps + 1))
         assert abs(total - parts) < 1e-10
 
@@ -181,8 +184,7 @@ class TestBatchedPasses:
             chains = [ChainSpec(tuple(prompt), plan, substitute=substitute)
                       for prompt in prompts]
         assert run_chains(diffusion_model, chains, 5, 7) == [
-            run_chain(diffusion_model, chain.prompt, 5, chain.plan, 7,
-                      substitute=chain.substitute) for chain in chains]
+            run_chains(diffusion_model, [chain], 5, 7)[0] for chain in chains]
 
     def test_score_sums_equal_unbatched_passes(self, tiny_ar_model):
         # 3 lists of terms over two sequence lengths, 21 passes in all
@@ -273,9 +275,17 @@ class TestPerturbedPlans:
 class TestClassifier:
     def test_log_prob_normalized(self, classifier_model, tiny_corpus):
         prompt = sample_prompt(tiny_corpus)
-        total = sum(np.exp(classifier_log_prob(classifier_model, prompt, c))
+        total = sum(np.exp(terms_score(classifier_model,
+                                       [class_term(prompt, c)]))
                     for c in range(classifier_model.hyper.n_classes))
         assert abs(total - 1.0) < 1e-10
+
+    def test_class_outside_the_head_rejected(self, classifier_model,
+                                             tiny_corpus):
+        prompt = sample_prompt(tiny_corpus)
+        for class_index in (-1, 3, 99):  # 3 classes
+            with pytest.raises(ValueError, match="outside the 1 x 3"):
+                terms_score(classifier_model, [class_term(prompt, class_index)])
 
 
 class TestPersistence:
@@ -358,15 +368,18 @@ class TestTraining:
     def test_loss_decreases(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
-        result = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
-                       hp, seed=0, steps=40, lr=0.05, batch_size=4)
-        assert result.checkpoint_losses[-1] < result.checkpoint_losses[0]
+        def final_loss(steps):
+            return train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+                         hp, seed=0, steps=steps, lr=0.05).final_loss
+
+        # zero steps: the loss of the initial weights
+        assert final_loss(40) < final_loss(0)
 
     def test_training_deterministic(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         a = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
-                  seed=0, steps=10, lr=0.05, batch_size=4)
+                  seed=0, steps=10, lr=0.05)
         b = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
-                  seed=0, steps=10, lr=0.05, batch_size=4)
+                  seed=0, steps=10, lr=0.05)
         assert a.params.model_id == b.params.model_id
