@@ -11,6 +11,15 @@ instead of the leaf's ``shape``. Every op acts on each batch slice alone
 pass evaluates B points: a node carries the batch axis when a leaf it
 depends on does, and ``sum_all`` gives one scalar per point. Gradients
 into unbatched leaves are summed over the batch.
+
+A pass checks finiteness once, at its end: on the graph's output nodes,
+which no other node reads, and on the input of each ``softmax``. Every
+other op turns a non-finite input into a non-finite output (``inf * 0``
+and ``NaN * 0`` are NaN), and softmax alone can turn one into a finite
+output (``exp(-inf) = 0``), so a non-finite op node anywhere shows in one
+of the checked nodes. When the check fails, the pass runs again with a
+check after every op node, so that ``NumericError`` names the first
+non-finite node. ``grad`` checks each gradient it returns.
 """
 from __future__ import annotations
 
@@ -52,6 +61,12 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.leaves: dict[str, int] = {}
+        # the op nodes a pass checks for finiteness: the output nodes and
+        # the softmax inputs (a softmax reads its input, so the two are
+        # disjoint), kept as the graph is built
+        self._unread: dict[int, None] = {}
+        self._softmax_inputs: dict[int, None] = {}
+        self.finite_checks: tuple[int, ...] = ()
 
     # -- construction -----------------------------------------------------
 
@@ -61,6 +76,13 @@ class Graph:
                 raise GraphError(f"node reference {i} out of range")
         node = Node(len(self.nodes), op, tuple(inputs), const=const, **kw)
         self.nodes.append(node)
+        for i in inputs:
+            self._unread.pop(i, None)
+        if op not in ("leaf", "const"):
+            self._unread[node.nid] = None
+            if op == "softmax" and self.nodes[inputs[0]].op not in ("leaf", "const"):
+                self._softmax_inputs[inputs[0]] = None
+            self.finite_checks = (*self._softmax_inputs, *self._unread)
         return node.nid
 
     def leaf(self, shape, name: str, differentiable: bool = True) -> int:
@@ -173,7 +195,22 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
     """Forward pass; returns one value per node, indexed by node id.
 
     A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
-    batched leaf of one pass has the same B."""
+    batched leaf of one pass has the same B. Raises NumericError, naming
+    the first non-finite op node, when any op node is non-finite."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = _forward(graph, leaf_values, check_each=False)
+        if all(np.isfinite(vals[i]).all() for i in graph.finite_checks):
+            return vals
+    except Exception:
+        pass  # the checked pass raises this, or a NumericError before it
+    return _forward(graph, leaf_values, check_each=True)
+
+
+def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
+             check_each: bool) -> list[np.ndarray]:
+    """The forward pass; with ``check_each``, it raises NumericError at the
+    first op node with a non-finite value."""
     vals: list[np.ndarray] = []
     batched: set[int] = set()  # the nodes that carry the batch axis
     batch = None
@@ -196,7 +233,7 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
         else:
             is_batched = not batched.isdisjoint(node.inputs)
             v = _forward_op(node, vals, is_batched)
-            if not np.all(np.isfinite(v)):
+            if check_each and not np.all(np.isfinite(v)):
                 raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
             if is_batched:
                 batched.add(node.nid)
@@ -217,6 +254,7 @@ def _batched_nodes(graph: Graph, vals: list[np.ndarray]) -> set[int]:
 def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
          forward: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """d(scalar)/d(leaf) for every differentiable leaf; zeros when unused.
+    Raises NumericError, naming the leaf, when a gradient is non-finite.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -281,5 +319,9 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     for node in graph.nodes:
         if node.op == "leaf" and node.differentiable:
             g = adj.get(node.nid)
-            result[node.name] = g if g is not None else np.zeros(node.shape)
+            if g is None:
+                g = np.zeros(node.shape)
+            elif not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for leaf {node.name!r}")
+            result[node.name] = g
     return result

@@ -2,9 +2,11 @@
 normalization identities, purity, non-finite handling, and the batch axis."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attrscope.autodiff import (
-    Graph, GraphError, NumericError, ShapeError, evaluate, grad,
+    Graph, GraphError, NumericError, ShapeError, _forward, _forward_op,
+    evaluate, grad,
 )
 from attrscope.models.transformer import build_forward_graph, leaf_values
 
@@ -261,3 +263,116 @@ class TestBatchAxis:
         with pytest.raises(GraphError):
             grad(g, col, {"x": rng.standard_normal((2, 3, 4)),
                           "w": rng.standard_normal((4, 1))})
+
+
+def per_node_evaluate(graph: Graph, leaf_values) -> list:
+    """The forward pass with a finiteness check after every op node: the
+    reference for which passes evaluate rejects, and with what message."""
+    vals = []
+    batched = set()
+    for node in graph.nodes:
+        if node.op == "leaf":
+            v = np.asarray(leaf_values[node.name], dtype=np.float64)
+            if v.shape != node.shape:
+                batched.add(node.nid)
+        elif node.op == "const":
+            v = node.const
+        else:
+            is_batched = not batched.isdisjoint(node.inputs)
+            v = _forward_op(node, vals, is_batched)
+            if not np.all(np.isfinite(v)):
+                raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
+            if is_batched:
+                batched.add(node.nid)
+        vals.append(v)
+    return vals
+
+
+def outcome(evaluate_fn, graph, leaf_values):
+    """The values of a pass, or the message of the NumericError it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return evaluate_fn(graph, leaf_values)
+        except NumericError as exc:
+            return str(exc)
+
+
+class TestFiniteness:
+    """evaluate checks the output nodes and softmax inputs once per pass,
+    and rejects exactly the passes a per-node check rejects."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tiny_ar_model, diffusion_model, classifier_model):
+        return [tiny_ar_model, diffusion_model, classifier_model]
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_rejects_exactly_where_the_per_node_check_does(self, models,
+                                                           data):
+        params = data.draw(st.sampled_from(models))
+        length = data.draw(st.integers(1, 6))
+        tokens = data.draw(st.lists(
+            st.integers(0, params.hyper.vocab_size - 1),
+            min_size=length, max_size=length))
+        fg = build_forward_graph(params.hyper, length,
+                                 causal=data.draw(st.booleans()))
+        vals = leaf_values(params, tokens, ((0, 0),))
+        batch = data.draw(st.sampled_from([None, 1, 3]))
+        if batch is not None:
+            vals = {**vals, "emb": np.stack([vals["emb"]] * batch),
+                    "target_mask": np.stack([vals["target_mask"]] * batch)}
+        # one or two non-finite entries at drawn leaves and positions
+        for _ in range(data.draw(st.integers(1, 2))):
+            name = data.draw(st.sampled_from(sorted(vals)))
+            value = vals[name].astype(np.float64, copy=True)
+            flat = value.reshape(-1)
+            flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+            vals = {**vals, name: value}
+
+        expected = outcome(per_node_evaluate, fg.graph, vals)
+        got = outcome(evaluate, fg.graph, vals)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            assert all(np.array_equal(a, b, equal_nan=True)
+                       for a, b in zip(got, expected))
+
+    def test_finite_checks_are_the_outputs_and_softmax_inputs(self):
+        g = Graph()
+        x = g.leaf((2, 3), "x")
+        m = g.leaf((2, 3), "m", differentiable=False)
+        shifted = g.add(x, m)
+        sm = g.softmax(shifted)
+        side = g.gelu(x)          # read by no node
+        s = g.sum_all(sm)
+        assert sorted(g.finite_checks) == [shifted, side, s]
+
+    def test_softmax_hides_minus_inf_yet_the_pass_is_rejected(self):
+        g = Graph()
+        x = g.leaf((2, 3), "x")
+        m = g.leaf((2, 3), "m", differentiable=False)
+        shifted = g.add(x, m)
+        s = g.sum_all(g.softmax(shifted))
+        mask = np.zeros((2, 3))
+        mask[0, 1] = -np.inf
+        leaves = {"x": np.ones((2, 3)), "m": mask}
+        # exp(-inf) = 0, so the output node alone is finite
+        assert np.isfinite(_forward(g, leaves, check_each=False)[s])
+        message = f"non-finite output at node {shifted} (add)"
+        assert outcome(per_node_evaluate, g, leaves) == message
+        assert outcome(evaluate, g, leaves) == message
+
+    def test_grad_rejects_a_non_finite_gradient(self):
+        # gelu'(x) at |x| = 1e200 is 0 * inf: the forward pass is finite
+        g = Graph()
+        x = g.leaf((2,), "x")
+        w = g.leaf((2,), "w")
+        s = g.sum_all(g.mul(g.gelu(x), w))
+        leaves = {"x": np.array([1e200, 1.0]), "w": np.zeros(2)}
+        assert np.isfinite(evaluate(g, leaves)[s])
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match="gradient for leaf 'x'"):
+            grad(g, s, leaves)
