@@ -10,7 +10,7 @@ from ..autodiff import NumericError, evaluate, grad
 from .autoregressive import span_term
 from .classifier import class_term
 from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
-from .transformer import _CACHE, ScoreTerm, terms_score
+from .transformer import _CACHE, ScoreTerm, _stacked, terms_score
 from .vocab import Vocab
 
 
@@ -45,26 +45,32 @@ def _example_term(params: ModelParams, example, rng: np.random.Generator) -> Sco
     return class_term(tokens, label)
 
 
-def _step_grads(params: ModelParams, term: ScoreTerm) -> tuple[float, dict[str, np.ndarray]]:
-    """The example's loss (minus its score) and the score's gradient."""
-    fg, leaf_vals = term.bind(params)
-    vals = evaluate(fg.graph, leaf_vals)
-    grads = grad(fg.graph, fg.score, leaf_vals, forward=vals)
-
-    L = len(term.tokens)
-    full: dict[str, np.ndarray] = {}
-    for name, gval in grads.items():
-        if name == "emb":
-            ge = np.zeros_like(params.weights["emb"])
-            np.add.at(ge, np.asarray(term.tokens, dtype=int), gval)
-            full["emb"] = ge
-        elif name == "pos":
-            gp = np.zeros_like(params.weights["pos"])
-            gp[:L] = gval
-            full["pos"] = gp
-        else:
-            full[name] = gval
-    return -float(vals[fg.score]), full
+def _batch_grads(params: ModelParams,
+                 terms: list[ScoreTerm]) -> tuple[float, dict[str, np.ndarray]]:
+    """The minibatch's loss (minus its summed score) and the summed score's
+    gradient, from one forward and one backward pass per length bucket."""
+    buckets: dict[tuple[int, bool], list[ScoreTerm]] = {}
+    for term in terms:
+        buckets.setdefault((len(term.tokens), term.causal), []).append(term)
+    loss = 0.0
+    acc: dict[str, np.ndarray] = {}
+    for (L, _), bucket in buckets.items():
+        bound = [term.bind(params) for term in bucket]
+        fg, vals = bound[0][0], _stacked([v for _, v in bound])
+        forward = evaluate(fg.graph, vals)
+        loss -= float(forward[fg.score].sum())
+        for name, gval in grad(fg.graph, fg.score, vals, forward=forward).items():
+            if name == "emb":  # (B, L, d): one row per token of each term
+                ge = np.zeros_like(params.weights["emb"])
+                ids = np.asarray([term.tokens for term in bucket], dtype=int)
+                np.add.at(ge, ids.reshape(-1), gval.reshape(-1, gval.shape[-1]))
+                gval = ge
+            elif name == "pos":
+                gp = np.zeros_like(params.weights["pos"])
+                gp[:L] = gval
+                gval = gp
+            acc[name] = acc[name] + gval if name in acc else gval
+    return loss, acc
 
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
@@ -94,18 +100,9 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         idx = rng.integers(0, len(corpus), size=BATCH_SIZE)
-        acc: dict[str, np.ndarray] = {}
-        batch_loss = 0.0
+        terms = [_example_term(params, corpus[int(j)], rng) for j in idx]
         try:
-            for j in idx:
-                term = _example_term(params, corpus[int(j)], rng)
-                loss, grads = _step_grads(params, term)
-                batch_loss += loss
-                for name, gval in grads.items():
-                    if name in acc:
-                        acc[name] += gval
-                    else:
-                        acc[name] = gval.copy()
+            batch_loss, acc = _batch_grads(params, terms)
         except NumericError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (last finite: {last_loss})") from exc

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attrscope.models import (
     GreedyPolicy, Hyperparams, ModelIOError,
@@ -16,13 +17,14 @@ from attrscope.models import (
 )
 from attrscope import attribution
 from attrscope.attribution import stage_attribution
-from attrscope.autodiff import evaluate
+from attrscope.autodiff import evaluate, grad
 from attrscope.contract import SETTING_STAGE, make_named
 from attrscope.models.autoregressive import span_term, token_term
 from attrscope.models.classifier import class_term
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains, stage_term,
 )
+from attrscope.models import training
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
 from attrscope.models.transformer import (
     ContextOverflowError, build_forward_graph, check_context, leaf_values,
@@ -383,3 +385,104 @@ class TestTraining:
         b = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                   seed=0, steps=10, lr=0.05)
         assert a.params.model_id == b.params.model_id
+
+
+def per_example_grads(params, term):
+    """One example's loss (minus its score) and gradient, from its own
+    forward and backward pass: the reference for the batched step."""
+    fg, vals = term.bind(params)
+    forward = evaluate(fg.graph, vals)
+    full = {}
+    for name, gval in grad(fg.graph, fg.score, vals, forward=forward).items():
+        if name == "emb":
+            full[name] = np.zeros_like(params.weights["emb"])
+            np.add.at(full[name], np.asarray(term.tokens, dtype=int), gval)
+        elif name == "pos":
+            full[name] = np.zeros_like(params.weights["pos"])
+            full[name][:len(term.tokens)] = gval
+        else:
+            full[name] = gval
+    return -float(forward[fg.score]), full
+
+
+def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
+    """train() with one pass per example, drawing each example's term just
+    before its pass; returns the weights and the terms in drawing order."""
+    rng = np.random.default_rng(seed)
+    params = init_params(hp, vocab, seed)
+    drawn = []
+    for step in range(steps):
+        lr_t = max(lr * training.LR_FLOOR_FRAC,
+                   0.5 * lr * (1.0 + np.cos(np.pi * step / steps)))
+        acc = {}
+        for j in rng.integers(0, len(corpus), size=training.BATCH_SIZE):
+            term = training._example_term(params, corpus[int(j)], rng)
+            drawn.append(term)
+            for name, gval in per_example_grads(params, term)[1].items():
+                acc[name] = acc[name] + gval if name in acc else gval
+        params = training.ModelParams(
+            hyper=hp, vocab=params.vocab,
+            weights={**params.weights,
+                     **{name: params.weights[name]
+                        + (lr_t / training.BATCH_SIZE) * g
+                        for name, g in acc.items()}})
+    return params.weights, drawn
+
+
+def assert_close(got, expected, rtol=1e-12):
+    assert np.max(np.abs(got - expected)) <= rtol * max(1.0, np.max(np.abs(expected)))
+
+
+class TestBatchedTrainingStep:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_per_example_passes(self, tiny_ar_model, diffusion_model,
+                                       tiny_corpus, data):
+        """A minibatch of mixed lengths, AR (causal) and diffusion (masked,
+        bidirectional) terms alike, on either model."""
+        params = data.draw(st.sampled_from([tiny_ar_model, diffusion_model]))
+        pairs = tiny_corpus.train_pairs
+        picks = data.draw(st.lists(st.integers(0, len(pairs) - 1),
+                                   min_size=1, max_size=training.BATCH_SIZE))
+        rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+        terms = []
+        for i in picks:
+            prompt, target = pairs[i]
+            if data.draw(st.booleans()):
+                terms.append(span_term(prompt, target))
+            else:
+                terms.append(training._example_term(diffusion_model, pairs[i], rng))
+        loss, grads = training._batch_grads(params, terms)
+
+        reference = [per_example_grads(params, term) for term in terms]
+        assert_close(loss, sum(r[0] for r in reference))
+        assert grads.keys() == reference[0][1].keys()
+        for name, g in grads.items():
+            assert_close(g, sum(r[1][name] for r in reference))
+
+    @pytest.mark.parametrize("kind", [AR, DIFFUSION])
+    def test_training_draws_the_same_terms(self, tiny_corpus, monkeypatch,
+                                           kind):
+        """train() draws every example's term, diffusion masks included,
+        from the same random stream as a per-example loop would, and ends
+        at the same weights up to summation order."""
+        hp = Hyperparams(kind=kind, vocab_size=len(tiny_corpus.vocab),
+                         layers=1, heads=2, width=16, mlp_hidden=32,
+                         context_len=16)
+        corpus = list(tiny_corpus.train_pairs)
+        expected, expected_terms = per_example_train(
+            kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3, lr=0.05)
+
+        drawn = []
+        draw = training._example_term
+
+        def recording(params, example, rng):
+            drawn.append(draw(params, example, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(training, "_example_term", recording)
+        result = train(kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3,
+                       lr=0.05)
+        assert drawn[:len(expected_terms)] == expected_terms
+        for name, w in result.params.weights.items():
+            assert_close(w, expected[name], rtol=1e-10)
