@@ -1,5 +1,6 @@
 """File-format tests: contract files, map/report digests, fuzzing,
 heatmaps, corpora, and manifests."""
+import hashlib
 import json
 import os
 
@@ -300,6 +301,38 @@ class TestCorpus:
     def test_vocab_budget(self):
         with pytest.raises(ValueError):
             make_syn_corpus(40, [1], 10, seed=0)
+
+    @pytest.mark.parametrize("args, digest", [
+        ((8, [1, 2, 3, 4], 1000, 3),  # the benchmark's corpus
+         "4a381fa2c3d8dcc2e2b641f5d3ee37237b1945b5a2972f6a7e5c62e2756c99c1"),
+        ((4, [1, 2, 3, 4], 140, 5),
+         "d01312ab8649dee6bfde59942c1a15f9f1f38ae29036e2f11862d1c30980e893"),
+        ((2, [1, 2], 10, 0),  # asks more pairs than the 6 distinct ones
+         "888a32832b2a398a7665fff2a2d0f76d5cdc1f53ca4edf7612df292b275dab51"),
+    ])
+    def test_corpora_keep_their_bytes(self, args, digest):
+        """Pinned from the draw loop that stopped only after 100 attempts
+        per pair: stopping once every distinct sequence is drawn changes
+        no corpus."""
+        c = make_syn_corpus(*args)
+        text = repr((c.vocab, c.train_pairs, c.heldout_pairs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_stops_once_every_sequence_is_drawn(self):
+        corpus = make_syn_corpus(2, [1], 30000, seed=0)
+        assert len(corpus.train_pairs + corpus.heldout_pairs) == 2
+
+    @pytest.mark.parametrize("n_pairs", [1e999, float("nan"), 2.0, True, 0,
+                                         -3, "4", None])
+    def test_n_pairs_must_be_a_positive_int(self, n_pairs):
+        with pytest.raises(ValueError, match="n_pairs"):
+            make_syn_corpus(2, [1], n_pairs, seed=0)
+
+    @pytest.mark.parametrize("lengths", [[], [0], [1e999], [True], [2.0],
+                                         [31], [10 ** 400]])
+    def test_lengths_are_small_positive_ints(self, lengths):
+        with pytest.raises(ValueError, match="length"):
+            make_syn_corpus(2, lengths, 4, seed=0)
 
 
 class TestManifests:
