@@ -265,6 +265,34 @@ def _ref_from_list(item) -> FeatureRef:
         raise MapParseError(E_BAD_VALUE, f"bad feature ref {item!r}") from exc
 
 
+def _finite_number(value) -> float:
+    """A score or AOPC: a finite number and not a bool, as the serializers
+    write it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise MapParseError(E_BAD_VALUE, f"not a finite number: {value!r}")
+    return float(value)
+
+
+def _optional_number(value) -> float | None:
+    return None if value is None else _finite_number(value)
+
+
+def _method_from_list(items) -> tuple[tuple[str, object], ...]:
+    """A method description: [name, value] pairs whose values are the
+    scalars _method_desc records."""
+    method = []
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str)):
+            raise MapParseError(E_BAD_VALUE, f"bad method entry {item!r}")
+        name, value = item
+        if not (value is None or isinstance(value, (str, int))):
+            value = _finite_number(value)
+        method.append((name, value))
+    return tuple(method)
+
+
 def serialize_map(attr_map: AttributionMap) -> str:
     body = {
         "contract_id": attr_map.contract_id,
@@ -281,13 +309,12 @@ def parse_map(text: str) -> AttributionMap:
     body = _parse_digest_document(text, MAP_HEADER)
     try:
         entries = tuple(
-            (_ref_from_list(item[:3]),
-             None if item[3] is None else float(item[3]))
+            (_ref_from_list(item[:3]), _optional_number(item[3]))
             for item in body["entries"])
         return AttributionMap(
             entries=entries,
             contract_id=str(body["contract_id"]),
-            method=tuple((str(k), v) for k, v in body["method"]),
+            method=_method_from_list(body["method"]),
             model_id=str(body["model_id"]),
             instance_digest=str(body["instance_digest"]),
             seed=int(body["seed"]))
@@ -308,8 +335,15 @@ def _curve_from_dict(d) -> FaithfulnessCurve | None:
     if d is None:
         return None
     return FaithfulnessCurve(k_values=tuple(int(k) for k in d["k_values"]),
-                             scores=tuple(float(s) for s in d["scores"]),
+                             scores=tuple(_finite_number(s) for s in d["scores"]),
                              ordering=str(d["ordering"]), mode=str(d["mode"]))
+
+
+def _policy_from_list(value) -> tuple[str, str]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, str) for v in value)):
+        raise MapParseError(E_BAD_VALUE, f"policy must be two strings: {value!r}")
+    return tuple(value)
 
 
 def serialize_report(report: FaithfulnessReport) -> str:
@@ -337,22 +371,21 @@ def parse_report(text: str) -> FaithfulnessReport:
     try:
         return FaithfulnessReport(
             contract_id=str(body["contract_id"]),
-            method=tuple((str(k), v) for k, v in body["method"]),
+            method=_method_from_list(body["method"]),
             K=int(body["K"]),
-            policy_mode_pair=tuple(body["policy"]),
+            policy_mode_pair=_policy_from_list(body["policy"]),
             deletion=_curve_from_dict(body["deletion"]),
             insertion=_curve_from_dict(body["insertion"]),
             random_deletions=tuple(_curve_from_dict(c)
                                    for c in body["random_deletions"]),
             random_insertions=tuple(_curve_from_dict(c)
                                     for c in body["random_insertions"]),
-            deletion_aopc=body["deletion_aopc"],
-            insertion_aopc=body["insertion_aopc"],
-            random_deletion_aopcs=tuple(float(x)
+            deletion_aopc=_optional_number(body["deletion_aopc"]),
+            insertion_aopc=_optional_number(body["insertion_aopc"]),
+            random_deletion_aopcs=tuple(_finite_number(x)
                                         for x in body["random_deletion_aopcs"]),
             stage_entries=tuple(
-                (_ref_from_list(item[:3]),
-                 None if item[3] is None else float(item[3]))
+                (_ref_from_list(item[:3]), _optional_number(item[3]))
                 for item in body["stage_entries"]),
             seed=int(body["seed"]))
     except MapParseError:

@@ -1,12 +1,13 @@
-"""Fuzzers for every file the tool reads back: model files, attribution
-maps, faithfulness reports and run manifests.
+"""Fuzzers for every file the tool reads: model files, attribution maps,
+faithfulness reports, run manifests and corpus files.
 
 Each case mutates a valid file, either byte by byte or by replacing one
 JSON value and then recomputing the file's digest (the map and report
 footer, the model header's length and model_id), so that the mutation
 reaches the parser behind the digest check. Every case must end in the
 file type's own error (ModelIOError, MapParseError) or a successful read,
-and a manifest rerun in CLI exit 0, 2 or 4: never another exception."""
+a manifest rerun in CLI exit 0, 2 or 4, and a training run on a corpus
+file in exit 0 or 2: never another exception, and never a hang."""
 import hashlib
 import json
 import struct
@@ -217,8 +218,26 @@ class TestReportFileFuzz:
     @example(mutation=("json", ("K",), "1e999"))
     @example(mutation=("json", ("deletion", "k_values", 0), "1e999"))
     @example(mutation=("json", (), DEEP))
+    @example(mutation=("json", ("deletion_aopc",), '"x"'))
+    @example(mutation=("json", ("policy",), '{"a": 1}'))
     def test_parse_rejects_or_reads(self, mutation):
-        check_parse(parse_report, digest_document(SAMPLE_REPORT, mutation))
+        """A report that parses is one serialize_report writes back."""
+        try:
+            report = parse_report(digest_document(SAMPLE_REPORT, mutation))
+        except MapParseError:
+            return
+        assert parse_report(serialize_report(report)) == report
+
+    @pytest.mark.parametrize("path, raw", [
+        (("deletion_aopc",), '"x"'), (("insertion_aopc",), "true"),
+        (("deletion_aopc",), "NaN"), (("random_deletion_aopcs", 0), "1e999"),
+        (("policy",), '{"a": 1}'), (("policy",), '["pad_token"]'),
+        (("policy", 1), "3"), (("deletion", "scores", 0), '"-1.0"'),
+        (("method", 0), '"ab"'), (("method", 0, 1), "NaN"),
+    ])
+    def test_wrongly_typed_field_rejected(self, path, raw):
+        with pytest.raises(MapParseError):
+            parse_report(digest_document(SAMPLE_REPORT, ("json", path, raw)))
 
     def test_json_mutation_passes_the_digest_check(self):
         text = digest_document(SAMPLE_REPORT, ("json", ("K",), "2"))
@@ -262,3 +281,29 @@ class TestManifestFuzz:
         assert main(["rerun", "--manifest", path,
                      "--out", str(workdir / "rerun")]) == EXIT_DIAGNOSTIC
         assert "manifest rejected" in capsys.readouterr().err
+
+
+SAMPLE_CORPUS = json.dumps({"lexicon_size": 2, "lengths": [1, 2],
+                            "n_pairs": 4, "seed": 0}, sort_keys=True)
+
+
+class TestCorpusFileFuzz:
+    @FUZZ
+    @given(mutation=mutations)
+    @example(mutation=("json", ("n_pairs",), "1e999"))
+    @example(mutation=("json", ("n_pairs",), "30000"))
+    @example(mutation=("json", ("n_pairs",), "true"))
+    @example(mutation=("json", ("lengths", 0), "1" + "0" * 400))
+    @example(mutation=("json", ("lengths", 0), "1e999"))
+    @example(mutation=("json", (), DEEP))
+    def test_train_exits_cleanly(self, workdir, mutation):
+        if mutation[0] == "bytes":
+            blob = mutate_bytes(SAMPLE_CORPUS.encode(), mutation[1])
+        else:
+            blob = mutate_json(SAMPLE_CORPUS, *mutation[1:]).encode()
+        path = str(workdir / "corpus.json")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert main(["train", "--corpus", path, "--steps", "1", "--width", "4",
+                     "--layers", "1", "--out", str(workdir / "trained")]) \
+            in (EXIT_OK, EXIT_DIAGNOSTIC)
