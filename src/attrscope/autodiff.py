@@ -204,8 +204,9 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
             vals = _forward(graph, leaf_values, check_each=False)
         if all(np.isfinite(vals[i]).all() for i in graph.finite_checks):
             return vals
-    except Exception:
-        pass  # the checked pass raises this, or a NumericError before it
+    except (GraphError, ValueError):
+        pass  # a malformed pass: the checked pass raises this error again,
+        # or a NumericError at an earlier node
     return _forward(graph, leaf_values, check_each=True)
 
 

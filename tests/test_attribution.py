@@ -342,6 +342,31 @@ class TestBatchedPathLoop:
                 assert np.array_equal(vals["emb"], actual["emb"])
 
 
+class TestCompletenessProperty:
+    """IG completeness over generated instances, for every setting with a
+    differentiable score (a stage contract has none: IG refuses it) and
+    both token baselines: the map sums to S(actual) - S(baseline endpoint)
+    within the bound the hand-picked completeness tests use at the same
+    step counts."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_map_sums_to_the_score_difference(self, data, tiny_ar_model,
+                                              diffusion_model,
+                                              classifier_model):
+        models = {SETTING_LOCAL: tiny_ar_model,
+                  SETTING_PROMPT_COND: tiny_ar_model,
+                  SETTING_SPAN: tiny_ar_model, SETTING_STATE: diffusion_model,
+                  SETTING_P2O: diffusion_model,
+                  SETTING_CLASSIFIER: classifier_model}
+        params, instance, contract, _, _ = data.draw(ig_cases(models))
+        baseline = data.draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE]))
+        steps = data.draw(st.sampled_from([64, 128]))
+        err, mag = completeness_error(params, instance, contract, steps,
+                                      baseline)
+        assert err <= 1e-3 * (1 + mag)
+
+
 def unbatched_value(bs, bindings):
     """A BoundScore's value from one unbatched pass per term."""
     total = 0.0

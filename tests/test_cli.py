@@ -3,13 +3,16 @@ manifest reruns."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from attrscope.cli import (
-    EXIT_DIAGNOSTIC, EXIT_IO, EXIT_OK, main,
+    EXIT_DIAGNOSTIC, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
 )
 from attrscope.corpus import make_syn_corpus
-from attrscope.models import Hyperparams, init_params, save_model
+from attrscope.models import (
+    Hyperparams, ModelParams, init_params, load_model, save_model,
+)
 from attrscope.models.params import CLASSIFIER
 
 
@@ -260,6 +263,27 @@ class TestExitCodes:
                      "--ig-steps", "2", "--out", str(tmp_path / "o")]) == \
             EXIT_DIAGNOSTIC
         assert "outside the 1 x 3 log-prob table" in capsys.readouterr().err
+
+    def test_non_finite_gradient_exits_3(self, workspace, tmp_path, capsys):
+        """MLP pre-activations near 1e160 leave the forward pass finite
+        (the zero second MLP layer drops them), but gelu's gradient there
+        is 0 * inf: IG aborts as a numeric failure, not a bad map."""
+        params = load_model(os.path.join(workspace["model"], "model.bin"))
+        weights = dict(params.weights)
+        for i in range(params.hyper.layers):
+            weights[f"blk{i}.mlp.w1"] = weights[f"blk{i}.mlp.w1"] * 1e160
+            weights[f"blk{i}.mlp.w2"] = np.zeros_like(weights[f"blk{i}.mlp.w2"])
+        model = str(tmp_path / "model.bin")
+        save_model(ModelParams(hyper=params.hyper, vocab=params.vocab,
+                               weights=weights), model)
+        contract = tmp_path / "c.contract"
+        contract.write_text(open(workspace["contract"]).read().replace(
+            os.path.join(workspace["model"], "model.bin"), model))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["attribute", "--contract", str(contract),
+                         "--ig-steps", "4", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite gradient for leaf 'emb'" in capsys.readouterr().err
 
     def test_prompt_outside_vocab(self, workspace, tmp_path):
         contract = tmp_path / "c.contract"
