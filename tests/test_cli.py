@@ -264,6 +264,15 @@ class TestExitCodes:
             EXIT_DIAGNOSTIC
         assert "outside the 1 x 3 log-prob table" in capsys.readouterr().err
 
+    def test_diverged_training_exits_3(self, workspace, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main(["train", "--corpus",
+                         os.path.join(workspace["corpus"], "corpus.json"),
+                         "--steps", "20", "--lr", "1e30", "--width", "16",
+                         "--layers", "1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite loss at step" in capsys.readouterr().err
+
     def test_non_finite_gradient_exits_3(self, workspace, tmp_path, capsys):
         """MLP pre-activations near 1e160 leave the forward pass finite
         (the zero second MLP layer drops them), but gelu's gradient there

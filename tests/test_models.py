@@ -1,6 +1,7 @@
 """Model-layer tests: decoding, scores, the denoising chain, persistence,
 and training behavior."""
 import json
+import math
 import struct
 
 import numpy as np
@@ -13,7 +14,7 @@ from attrscope.models import (
     InfeasiblePerturbationError, ar_generate, ar_next_log_probs,
     default_commit_plan, diffusion_generate, init_params, instance_digest,
     load_model, masked_log_probs, save_model, span_log_prob, trajectory_score,
-    train, teacher_forced_score,
+    train, teacher_forced_score, TrainingDiverged,
 )
 from attrscope import attribution
 from attrscope.attribution import stage_attribution
@@ -377,6 +378,16 @@ class TestTraining:
         # zero steps: the loss of the initial weights
         assert final_loss(40) < final_loss(0)
 
+    def test_divergence_names_the_step(self, tiny_corpus):
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=16, mlp_hidden=32, context_len=16)
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDiverged,
+                              match="non-finite loss at step 6 ") as info:
+            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                  seed=0, steps=20, lr=1e30)
+        assert "non-finite output at node" in str(info.value.__cause__)
+
     def test_training_deterministic(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
@@ -413,7 +424,7 @@ def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
     drawn = []
     for step in range(steps):
         lr_t = max(lr * training.LR_FLOOR_FRAC,
-                   0.5 * lr * (1.0 + np.cos(np.pi * step / steps)))
+                   0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         acc = {}
         for j in rng.integers(0, len(corpus), size=training.BATCH_SIZE):
             term = training._example_term(params, corpus[int(j)], rng)
@@ -483,6 +494,7 @@ class TestBatchedTrainingStep:
         monkeypatch.setattr(training, "_example_term", recording)
         result = train(kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3,
                        lr=0.05)
+        # the terms after the SGD steps' are the final mean loss's
         assert drawn[:len(expected_terms)] == expected_terms
         for name, w in result.params.weights.items():
             assert_close(w, expected[name], rtol=1e-10)
