@@ -205,8 +205,9 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
         if all(np.isfinite(vals[i]).all() for i in graph.finite_checks):
             return vals
     except (GraphError, ValueError):
-        pass  # a malformed pass: the checked pass raises this error again,
+        # a malformed pass: the checked pass below raises the same error,
         # or a NumericError at an earlier node
+        pass
     return _forward(graph, leaf_values, check_each=True)
 
 

@@ -365,6 +365,17 @@ class TestFiniteness:
         assert outcome(per_node_evaluate, g, leaves) == message
         assert outcome(evaluate, g, leaves) == message
 
+    def test_a_bad_node_before_a_malformed_binding_is_named(self):
+        # the pass stops at the first non-finite node, as a per-node check
+        # would, before it reaches the missing leaf
+        g = Graph()
+        x = g.leaf((2,), "x")
+        h = g.gelu(x)
+        g.sum_all(g.mul(h, g.leaf((2,), "w")))
+        with pytest.raises(NumericError,
+                           match=f"non-finite output at node {h} \\(gelu\\)"):
+            evaluate(g, {"x": np.array([np.nan, 1.0])})
+
     def test_grad_rejects_a_non_finite_gradient(self):
         # gelu'(x) at |x| = 1e200 is 0 * inf: the forward pass is finite
         g = Graph()
