@@ -305,7 +305,7 @@ class TestFiniteness:
     def models(self, tiny_ar_model, diffusion_model, classifier_model):
         return [tiny_ar_model, diffusion_model, classifier_model]
 
-    @settings(max_examples=120, deadline=None, derandomize=True,
+    @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_rejects_exactly_where_the_per_node_check_does(self, models,
@@ -322,8 +322,8 @@ class TestFiniteness:
         if batch is not None:
             vals = {**vals, "emb": np.stack([vals["emb"]] * batch),
                     "target_mask": np.stack([vals["target_mask"]] * batch)}
-        # one or two non-finite entries at drawn leaves and positions
-        for _ in range(data.draw(st.integers(1, 2))):
+        # up to two non-finite entries at drawn leaves and positions
+        for _ in range(data.draw(st.integers(0, 2))):
             name = data.draw(st.sampled_from(sorted(vals)))
             value = vals[name].astype(np.float64, copy=True)
             flat = value.reshape(-1)
