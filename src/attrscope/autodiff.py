@@ -108,6 +108,14 @@ class Graph:
     def transpose(self, a: int) -> int:
         return self._push("transpose", (a,))
 
+    def expand(self, a: int) -> int:
+        """Insert a heads axis: (..., L, d) becomes (..., 1, L, d)."""
+        return self._push("expand", (a,))
+
+    def sum_heads(self, a: int) -> int:
+        """Sum over the heads axis: (..., H, L, d) becomes (..., L, d)."""
+        return self._push("sum_heads", (a,))
+
     def gelu(self, a: int) -> int:
         return self._push("gelu", (a,))
 
@@ -176,6 +184,14 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
         return a @ b
     if op == "transpose":
         return ins[0].mT
+    if op == "expand":
+        if ins[0].ndim < 2:
+            raise ShapeError(f"expand needs an (L, d) operand, got {ins[0].shape}")
+        return ins[0][..., None, :, :]
+    if op == "sum_heads":
+        if ins[0].ndim < 3:
+            raise ShapeError(f"sum_heads needs an (H, L, d) operand, got {ins[0].shape}")
+        return ins[0].sum(axis=-3)
     if op == "gelu":
         return _gelu(ins[0])
     if op == "softmax":
@@ -294,6 +310,10 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             acc(1, _unbroadcast(ins[0].mT @ g, ins[1].shape))
         elif op == "transpose":
             acc(0, g.mT)
+        elif op == "expand":
+            acc(0, g[..., 0, :, :])
+        elif op == "sum_heads":
+            acc(0, np.broadcast_to(g[..., None, :, :], ins[0].shape))
         elif op == "gelu":
             acc(0, g * _gelu_grad(ins[0]))
         elif op == "softmax":

@@ -1,6 +1,7 @@
 """Model parameters, content hashing, and the binary persistence format."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -81,6 +82,31 @@ def weight_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# per-head attention weights, saved as blk{i}.wq{h} and bound to the score
+# graph stacked on a leading heads axis as one leaf, blk{i}.wq
+HEAD_WEIGHTS = ("wq", "wk", "wv", "wo")
+
+
+def stacked_heads(hp: Hyperparams) -> dict[str, tuple[str, ...]]:
+    """Each stacked attention leaf and the per-head weights it stacks, in
+    head order."""
+    return {f"blk{i}.{w}": tuple(f"blk{i}.{w}{h}" for h in range(hp.heads))
+            for i in range(hp.layers) for w in HEAD_WEIGHTS}
+
+
+def per_head(hp: Hyperparams, leaves: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Values keyed by score-graph leaf, keyed by weight instead: each
+    stacked attention value is split back into its heads."""
+    groups = stacked_heads(hp)
+    out = {}
+    for name, value in leaves.items():
+        if name in groups:
+            out.update(zip(groups[name], value))
+        else:
+            out[name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ModelParams:
     hyper: Hyperparams
@@ -98,6 +124,18 @@ class ModelParams:
                     f"weight {name!r} has shape {self.weights[name].shape}, want {shape}")
         if len(self.vocab) != self.hyper.vocab_size:
             raise ValueError("vocab size disagrees with hyperparams")
+
+    @functools.cached_property
+    def graph_weights(self) -> dict[str, np.ndarray]:
+        """The weights as score-graph leaves: per-head attention weights
+        stacked as (H, d, dh) or (H, dh, d) under one name, every other
+        weight as it is. Stacked once, so every binding shares the arrays."""
+        groups = stacked_heads(self.hyper)
+        stacked = {name: np.stack([self.weights[n] for n in names])
+                   for name, names in groups.items()}
+        unstacked = {n for names in groups.values() for n in names}
+        return {**{n: w for n, w in self.weights.items() if n not in unstacked},
+                **stacked}
 
     @property
     def kind(self) -> str:

@@ -9,7 +9,9 @@ import numpy as np
 from ..autodiff import NumericError, evaluate, grad
 from .autoregressive import span_term
 from .classifier import class_term
-from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
+from .params import (
+    AR, DIFFUSION, Hyperparams, ModelParams, init_params, per_head,
+)
 from .transformer import _CACHE, ScoreTerm, _stacked, terms_score
 from .vocab import Vocab
 
@@ -109,7 +111,7 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         last_loss = batch_loss / BATCH_SIZE
         # ascend the score, i.e. descend the loss
         new_weights = dict(params.weights)
-        for name, gval in acc.items():
+        for name, gval in per_head(hp, acc).items():
             new_weights[name] = params.weights[name] + (lr_t / BATCH_SIZE) * gval
         params = ModelParams(hyper=hp, vocab=params.vocab, weights=new_weights)
 

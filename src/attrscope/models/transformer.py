@@ -49,7 +49,7 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
                               causal: bool) -> ForwardGraph:
     """Uncached variant of build_forward_graph."""
     g = Graph()
-    d, dh = hp.width, hp.head_dim
+    d, dh, H = hp.width, hp.head_dim, hp.heads
     emb = g.leaf((seq_len, d), "emb")
     pos = g.leaf((seq_len, d), "pos")
     x = g.add(emb, pos)
@@ -68,18 +68,15 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
 
     for i in range(hp.layers):
         p = f"blk{i}."
-        h = affine_ln(x, p + "ln1.g", p + "ln1.b")
-        attn = None
-        for hd in range(hp.heads):
-            q = g.matmul(h, g.leaf((d, dh), p + f"wq{hd}"))
-            k = g.matmul(h, g.leaf((d, dh), p + f"wk{hd}"))
-            v = g.matmul(h, g.leaf((d, dh), p + f"wv{hd}"))
-            s = g.mul(g.matmul(q, g.transpose(k)), scale_c)
-            s = g.add(s, mask_c)
-            a = g.softmax(s)
-            o = g.matmul(g.matmul(a, v), g.leaf((dh, d), p + f"wo{hd}"))
-            attn = o if attn is None else g.add(attn, o)
-        x = g.add(x, attn)
+        # every head at once: the heads axis sits before the rows
+        h = g.expand(affine_ln(x, p + "ln1.g", p + "ln1.b"))
+        q = g.matmul(h, g.leaf((H, d, dh), p + "wq"))
+        k = g.matmul(h, g.leaf((H, d, dh), p + "wk"))
+        v = g.matmul(h, g.leaf((H, d, dh), p + "wv"))
+        s = g.mul(g.matmul(q, g.transpose(k)), scale_c)
+        a = g.softmax(g.add(s, mask_c))
+        o = g.matmul(g.matmul(a, v), g.leaf((H, dh, d), p + "wo"))
+        x = g.add(x, g.sum_heads(o))
 
         h2 = affine_ln(x, p + "ln2.g", p + "ln2.b")
         u = g.add(g.matmul(h2, g.leaf((d, hp.mlp_hidden), p + "mlp.w1")),
@@ -132,7 +129,7 @@ def leaf_values(params: ModelParams, tokens,
     sums the log-probs at the (row, column) entries in ``targets``."""
     L = len(tokens)
     check_context(params.hyper, L)
-    vals = {name: w for name, w in params.weights.items()
+    vals = {name: w for name, w in params.graph_weights.items()
             if name not in ("emb", "pos")}
     vals["emb"] = embed_tokens(params, tokens)
     vals["pos"] = params.weights["pos"][:L]

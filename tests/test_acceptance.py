@@ -109,7 +109,7 @@ class TestA1GradientCorrectness:
             return float(evaluate(fg.graph, vals)[fg.score])
 
         checked = 0
-        for name in ("emb", "blk0.wq0", "blk1.mlp.w1", "out.w", "lnf.g"):
+        for name in ("emb", "blk0.wq", "blk1.mlp.w1", "out.w", "lnf.g"):
             gval = grads[name]
             arr = base_vals[name]
             flat_idx = rng.integers(0, arr.size, size=3)

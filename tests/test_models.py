@@ -26,7 +26,7 @@ from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains, stage_term,
 )
 from attrscope.models import training
-from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
+from attrscope.models.params import AR, CLASSIFIER, DIFFUSION, per_head
 from attrscope.models.transformer import (
     ContextOverflowError, build_forward_graph, check_context, leaf_values,
     score_sums, terms_score,
@@ -436,7 +436,7 @@ def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
             weights={**params.weights,
                      **{name: params.weights[name]
                         + (lr_t / training.BATCH_SIZE) * g
-                        for name, g in acc.items()}})
+                        for name, g in per_head(hp, acc).items()}})
     return params.weights, drawn
 
 
