@@ -126,9 +126,14 @@ class Graph:
     def log_softmax(self, a: int) -> int:
         return self._push("log_softmax", (a,))
 
-    def layer_norm(self, a: int) -> int:
-        """Normalize the last axis to zero mean / unit variance (no affine)."""
-        return self._push("layer_norm", (a,))
+    def layer_norm(self, a: int, gain: int, bias: int) -> int:
+        """Normalize the last axis to zero mean and unit variance, then
+        scale by ``gain`` and shift by ``bias``, both unbatched (d,)."""
+        return self._push("layer_norm", (a, gain, bias))
+
+    def affine(self, a: int, w: int, b: int) -> int:
+        """``a @ w + b`` for an unbatched (d, m) ``w`` and (m,) ``b``."""
+        return self._push("affine", (a, w, b))
 
     def sum_all(self, a: int) -> int:
         """Sum over the trailing axes: a scalar per point."""
@@ -157,6 +162,22 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x2)
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` minus its mean over the last axis, and its standard deviation
+    there (with the layer-norm epsilon); moments are ``sum / n``."""
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    return xc, np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
+
+
+def _check_affine_shapes(op: str, x: np.ndarray, w: np.ndarray,
+                         b: np.ndarray) -> None:
+    """``w`` is the (d, m) weight, or the (d,) gain of a layer norm."""
+    if x.ndim < 1 or w.ndim not in (1, 2) or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[-1:]:
+        raise ShapeError(f"{op} shapes {x.shape}, {w.shape}, {b.shape}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -199,10 +220,18 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
     if op == "log_softmax":
         return _log_softmax(ins[0])
     if op == "layer_norm":
-        x = ins[0]
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + _LN_EPS)
+        x, gain, bias = ins
+        if gain.ndim != 1:
+            raise ShapeError(f"layer_norm gain must be (d,), got {gain.shape}")
+        _check_affine_shapes(op, x, gain, bias)
+        xc, std = _centred(x)
+        return xc / std * gain + bias
+    if op == "affine":
+        x, w, b = ins
+        if w.ndim != 2:
+            raise ShapeError(f"affine weight must be (d, m), got {w.shape}")
+        _check_affine_shapes(op, x, w, b)
+        return x @ w + b
     if op == "sum_all":
         x = ins[0]
         return x.reshape(len(x), -1).sum(axis=-1) if batched else np.asarray(x.sum())
@@ -323,15 +352,22 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             y = vals[node.nid]
             acc(0, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
         elif op == "layer_norm":
-            x = ins[0]
+            x, gain, bias = ins
             n = x.shape[-1]
-            mu = x.mean(axis=-1, keepdims=True)
-            var = x.var(axis=-1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + _LN_EPS)
-            xhat = (x - mu) * inv
-            gm = g.mean(axis=-1, keepdims=True)
-            gx = (g * xhat).mean(axis=-1, keepdims=True)
-            acc(0, inv * (g - gm - xhat * gx))
+            xc, std = _centred(x)
+            gh = g * gain  # the gradient into the normalized x
+            inv = 1.0 / std
+            xhat = xc * inv
+            gm = gh.sum(axis=-1, keepdims=True) / n
+            gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
+            acc(0, inv * (gh - gm - xhat * gx))
+            acc(1, _unbroadcast(g * (xc / std), gain.shape))
+            acc(2, _unbroadcast(g, bias.shape))
+        elif op == "affine":
+            x, w, b = ins
+            acc(0, g @ w.T)
+            acc(1, _unbroadcast(x.mT @ g, w.shape))
+            acc(2, _unbroadcast(g, b.shape))
         elif op == "sum_all":
             x = ins[0]
             g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))

@@ -61,15 +61,17 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
     mask_c = g.const(mask)
     scale_c = g.const(1.0 / np.sqrt(dh))
 
-    def affine_ln(xid: int, gname: str, bname: str) -> int:
-        h = g.layer_norm(xid)
-        h = g.mul(h, g.leaf((d,), gname))
-        return g.add(h, g.leaf((d,), bname))
+    def layer_norm(xid: int, name: str) -> int:
+        return g.layer_norm(xid, g.leaf((d,), name + ".g"),
+                            g.leaf((d,), name + ".b"))
+
+    def affine(xid: int, shape: tuple[int, int], w: str, b: str) -> int:
+        return g.affine(xid, g.leaf(shape, w), g.leaf(shape[1:], b))
 
     for i in range(hp.layers):
         p = f"blk{i}."
         # every head at once: the heads axis sits before the rows
-        h = g.expand(affine_ln(x, p + "ln1.g", p + "ln1.b"))
+        h = g.expand(layer_norm(x, p + "ln1"))
         q = g.matmul(h, g.leaf((H, d, dh), p + "wq"))
         k = g.matmul(h, g.leaf((H, d, dh), p + "wk"))
         v = g.matmul(h, g.leaf((H, d, dh), p + "wv"))
@@ -78,21 +80,16 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
         o = g.matmul(g.matmul(a, v), g.leaf((H, dh, d), p + "wo"))
         x = g.add(x, g.sum_heads(o))
 
-        h2 = affine_ln(x, p + "ln2.g", p + "ln2.b")
-        u = g.add(g.matmul(h2, g.leaf((d, hp.mlp_hidden), p + "mlp.w1")),
-                  g.leaf((hp.mlp_hidden,), p + "mlp.b1"))
-        y = g.add(g.matmul(g.gelu(u), g.leaf((hp.mlp_hidden, d), p + "mlp.w2")),
-                  g.leaf((d,), p + "mlp.b2"))
-        x = g.add(x, y)
+        m = hp.mlp_hidden
+        u = affine(layer_norm(x, p + "ln2"), (d, m), p + "mlp.w1", p + "mlp.b1")
+        x = g.add(x, affine(g.gelu(u), (m, d), p + "mlp.w2", p + "mlp.b2"))
 
-    xf = affine_ln(x, "lnf.g", "lnf.b")
+    xf = layer_norm(x, "lnf")
     if hp.kind == CLASSIFIER:
         pool = g.matmul(g.const(np.full((1, seq_len), 1.0 / seq_len)), xf)
-        logits = g.add(g.matmul(pool, g.leaf((d, hp.n_classes), "head.w")),
-                       g.leaf((hp.n_classes,), "head.b"))
+        logits = affine(pool, (d, hp.n_classes), "head.w", "head.b")
     else:
-        logits = g.add(g.matmul(xf, g.leaf((d, hp.vocab_size), "out.w")),
-                       g.leaf((hp.vocab_size,), "out.b"))
+        logits = affine(xf, (d, hp.vocab_size), "out.w", "out.b")
     lsm = g.log_softmax(logits)
     target_mask = g.leaf(_mask_shape(hp, seq_len), "target_mask",
                          differentiable=False)

@@ -68,33 +68,50 @@ def diff_instances(model, corpus, n, response_len=4, steps=3):
 class TestA1GradientCorrectness:
     def test_A1_primitives_and_transformer_match_finite_differences(
             self, tiny_ar_model, rng):
-        # -- primitives: 104 random entries spread across every op the
-        # transformer graph builds, each made a scalar through gelu
-        ops = ["add", "mul", "matmul", "gelu", "softmax", "log_softmax",
-               "layer_norm", "transpose"]
-        per_op = 13
-        for opname in ops:
+        # -- primitives: 13 random entries of each input of every op the
+        # transformer graph builds, each op made a scalar through gelu
+        shapes = {"a": (4, 4), "b": (4, 4), "gain": (4,), "bias": (4,),
+                  "heads": (2, 4, 4)}
+        primitives = {
+            "add": lambda g, x: g.add(x("a"), x("b")),
+            "mul": lambda g, x: g.mul(x("a"), x("b")),
+            "matmul": lambda g, x: g.matmul(x("a"), x("b")),
+            "gelu": lambda g, x: g.gelu(x("a")),
+            "softmax": lambda g, x: g.softmax(x("a")),
+            "log_softmax": lambda g, x: g.log_softmax(x("a")),
+            "transpose": lambda g, x: g.transpose(x("a")),
+            "layer_norm": lambda g, x: g.layer_norm(x("a"), x("gain"),
+                                                    x("bias")),
+            "affine": lambda g, x: g.affine(x("a"), x("b"), x("bias")),
+            # an (L, d) operand against per-head weights, as in attention
+            "expand": lambda g, x: g.matmul(g.expand(x("a")), x("heads")),
+            "sum_heads": lambda g, x: g.sum_heads(x("heads")),
+        }
+        per_input = 13
+        checked = 0
+        for opname, build in primitives.items():
             g = Graph()
-            a = g.leaf((4, 4), "a")
-            if opname in ("add", "mul", "matmul"):
-                b = g.leaf((4, 4), "b")
-                node = getattr(g, opname)(a, b)
-            else:
-                node = getattr(g, opname)(a)
-            s = g.sum_all(g.gelu(node))
-            vals = {"a": rng.standard_normal((4, 4)),
-                    "b": rng.standard_normal((4, 4))}
-            ga = grad(g, s, vals)["a"]
+            s = g.sum_all(g.gelu(build(g, lambda name: g.leaf(shapes[name],
+                                                              name))))
+            vals = {name: rng.standard_normal(shapes[name])
+                    for name in g.leaves}
+            grads = grad(g, s, vals)
 
-            def f(av):
-                return float(evaluate(g, {**vals, "a": av})[s])
+            def f(vals):
+                return float(evaluate(g, vals)[s])
 
-            for _ in range(per_op):
-                i, j = int(rng.integers(4)), int(rng.integers(4))
-                xp = vals["a"].copy(); xp[i, j] += FD_STEP
-                xm = vals["a"].copy(); xm[i, j] -= FD_STEP
-                fd = (f(xp) - f(xm)) / (2 * FD_STEP)
-                assert abs(ga[i, j] - fd) / max(1.0, abs(fd)) <= 1e-4, opname
+            for name in g.leaves:
+                for _ in range(per_input):
+                    idx = tuple(int(rng.integers(n)) for n in shapes[name])
+                    vp = {**vals, name: vals[name].copy()}
+                    vp[name][idx] += FD_STEP
+                    vm = {**vals, name: vals[name].copy()}
+                    vm[name][idx] -= FD_STEP
+                    fd = (f(vp) - f(vm)) / (2 * FD_STEP)
+                    assert abs(grads[name][idx] - fd) / max(1.0, abs(fd)) \
+                        <= 1e-4, (opname, name)
+                    checked += 1
+        assert checked == 19 * per_input
 
         # -- full 2-layer transformer score vs finite differences: the
         # score node with a one-hot target mask, log p(target | tokens)
@@ -109,7 +126,8 @@ class TestA1GradientCorrectness:
             return float(evaluate(fg.graph, vals)[fg.score])
 
         checked = 0
-        for name in ("emb", "blk0.wq", "blk1.mlp.w1", "out.w", "lnf.g"):
+        for name in ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
+                     "lnf.g"):
             gval = grads[name]
             arr = base_vals[name]
             flat_idx = rng.integers(0, arr.size, size=3)
@@ -120,7 +138,7 @@ class TestA1GradientCorrectness:
                 fd = (f(vp) - f(vm)) / (2 * FD_STEP)
                 assert abs(gval[idx] - fd) / max(1.0, abs(fd)) <= 1e-4, name
                 checked += 1
-        assert checked == 15
+        assert checked == 18
 
 
 class TestA2ScoreConsistency:

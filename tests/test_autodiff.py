@@ -40,11 +40,25 @@ def check_unary(build, shape, rng, n_entries=6, rtol=1e-5):
         assert abs(gx[idx] - fd) / denom < rtol, (idx, gx[idx], fd)
 
 
+def affine_layer_norm(g: Graph, x: int) -> int:
+    """A layer norm of a (..., 5) node with a fixed non-trivial gain and bias."""
+    return g.layer_norm(x, g.const(np.linspace(0.5, 1.5, 5)),
+                        g.const(np.linspace(-1.0, 1.0, 5)))
+
+
+UNARY = {
+    "gelu": Graph.gelu,
+    "softmax": Graph.softmax,
+    "log_softmax": Graph.log_softmax,
+    "layer_norm": affine_layer_norm,
+    "transpose": Graph.transpose,
+}
+
+
 class TestPrimitiveGradients:
-    @pytest.mark.parametrize("opname", ["gelu", "softmax", "log_softmax",
-                                        "layer_norm", "transpose"])
+    @pytest.mark.parametrize("opname", list(UNARY))
     def test_unary_ops(self, opname, rng):
-        check_unary(lambda g, x: getattr(g, opname)(x), (4, 5), rng)
+        check_unary(UNARY[opname], (4, 5), rng)
 
     def test_add_mul_broadcast(self, rng):
         for op in ("add", "mul"):
@@ -80,7 +94,7 @@ class TestPrimitiveGradients:
         g = Graph()
         x = g.leaf((5, 5), "x")
         w = g.leaf((5, 5), "w")
-        h = g.layer_norm(g.gelu(g.matmul(x, w)))
+        h = affine_layer_norm(g, g.gelu(g.matmul(x, w)))
         s = g.sum_all(g.mul(g.softmax(h), g.log_softmax(h)))
         for trial in range(100):
             xv = rng.standard_normal((5, 5))
@@ -113,7 +127,7 @@ class TestNormalization:
     def test_layer_norm_moments(self, rng):
         g = Graph()
         x = g.leaf((3, 8), "x")
-        ln = g.layer_norm(x)
+        ln = g.layer_norm(x, g.const(np.ones(8)), g.const(np.zeros(8)))
         vals = evaluate(g, {"x": rng.standard_normal((3, 8))})
         assert np.max(np.abs(vals[ln].mean(axis=-1))) < 1e-12
         assert np.max(np.abs(vals[ln].var(axis=-1) - 1.0)) < 1e-4
