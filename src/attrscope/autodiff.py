@@ -191,6 +191,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """``g`` summed over every axis but the last, in one reduction."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
 def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
     op = node.op
     ins = [vals[i] for i in node.inputs]
@@ -361,13 +366,14 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             gm = gh.sum(axis=-1, keepdims=True) / n
             gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
             acc(0, inv * (gh - gm - xhat * gx))
-            acc(1, _unbroadcast(g * (xc / std), gain.shape))
-            acc(2, _unbroadcast(g, bias.shape))
+            acc(1, _row_sum(g * xhat))
+            acc(2, _row_sum(g))
         elif op == "affine":
             x, w, b = ins
             acc(0, g @ w.T)
-            acc(1, _unbroadcast(x.mT @ g, w.shape))
-            acc(2, _unbroadcast(g, b.shape))
+            # the batch and rows folded into one GEMM, not one per point
+            acc(1, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            acc(2, _row_sum(g))
         elif op == "sum_all":
             x = ins[0]
             g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
