@@ -99,7 +99,7 @@ class BoundScore:
         """d(score)/d(embedding) of each ref, summed over the terms it is in;
         of shape (B, d) for batched bindings, one row per point."""
         bindings = self.actual if bindings is None else bindings
-        emb_grads = [grad(fg.graph, fg.score, vals)["emb"]
+        emb_grads = [grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"]
                      for fg, vals in zip(self.graphs, bindings)]
         out = {}
         for ref in refs:

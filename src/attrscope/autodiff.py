@@ -52,7 +52,6 @@ class Node:
     const: np.ndarray | None = None
     name: str | None = None          # leaves only
     shape: tuple[int, ...] | None = None  # leaves only
-    differentiable: bool = False     # leaves only
 
 
 class Graph:
@@ -67,6 +66,20 @@ class Graph:
         self._unread: dict[int, None] = {}
         self._softmax_inputs: dict[int, None] = {}
         self.finite_checks: tuple[int, ...] = ()
+        # leaf names -> which nodes read one of those leaves; see reads
+        self._reads: dict[frozenset, list[bool]] = {}
+
+    def reads(self, names) -> list[bool]:
+        """For each node, whether it is one of the named leaves or depends
+        on one: the nodes a gradient into those leaves flows through."""
+        key = frozenset(names)
+        if key not in self._reads:
+            out: list[bool] = []
+            for node in self.nodes:
+                out.append(node.name in key if node.op == "leaf"
+                           else any(out[i] for i in node.inputs))
+            self._reads[key] = out
+        return self._reads[key]
 
     # -- construction -----------------------------------------------------
 
@@ -76,6 +89,7 @@ class Graph:
                 raise GraphError(f"node reference {i} out of range")
         node = Node(len(self.nodes), op, tuple(inputs), const=const, **kw)
         self.nodes.append(node)
+        self._reads.clear()
         for i in inputs:
             self._unread.pop(i, None)
         if op not in ("leaf", "const"):
@@ -85,11 +99,10 @@ class Graph:
             self.finite_checks = (*self._softmax_inputs, *self._unread)
         return node.nid
 
-    def leaf(self, shape, name: str, differentiable: bool = True) -> int:
+    def leaf(self, shape, name: str) -> int:
         if name in self.leaves:
             raise GraphError(f"duplicate leaf name {name!r}")
-        nid = self._push("leaf", (), name=name, shape=tuple(shape),
-                         differentiable=differentiable)
+        nid = self._push("leaf", (), name=name, shape=tuple(shape))
         self.leaves[name] = nid
         return nid
 
@@ -306,19 +319,47 @@ def _batched_nodes(graph: Graph, vals: list[np.ndarray]) -> set[int]:
 
 
 def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
-         forward: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """d(scalar)/d(leaf) for every differentiable leaf; zeros when unused.
-    Raises NumericError, naming the leaf, when a gradient is non-finite.
+         wrt, forward: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """d(scalar)/d(leaf) for each leaf named in ``wrt``, in that order;
+    zeros for a leaf the scalar does not read. The backward pass skips
+    every input that leads to none of them. Raises GraphError for a name
+    that is no leaf, and NumericError, naming the leaf, when a returned
+    gradient is non-finite.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
+    wrt = tuple(wrt)
+    for name in wrt:
+        if name not in graph.leaves:
+            raise GraphError(f"grad asks for {name!r}, which is no leaf")
     vals = forward if forward is not None else evaluate(graph, leaf_values)
     out = vals[scalar_node]
     if out.shape != () and not (out.ndim == 1
                                 and scalar_node in _batched_nodes(graph, vals)):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
 
-    adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(out)}
+    # every gradient returned is checked below, so intermediate overflow
+    # is not worth a warning
+    with np.errstate(all="ignore"):
+        adj = _backward(graph, scalar_node, vals, graph.reads(wrt))
+    result: dict[str, np.ndarray] = {}
+    for name in wrt:
+        node = graph.nodes[graph.leaves[name]]
+        g = adj.get(node.nid)
+        if g is None:
+            g = np.zeros(node.shape)
+        elif not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for leaf {name!r}")
+        result[name] = g
+    return result
+
+
+def _backward(graph: Graph, scalar_node: int, vals: list[np.ndarray],
+              needed: list[bool]) -> dict[int, np.ndarray]:
+    """The adjoint of each needed leaf; inputs not needed get none."""
+    if not needed[scalar_node]:
+        return {}
+    adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(vals[scalar_node])}
     for node in reversed(graph.nodes[: scalar_node + 1]):
         if node.op in ("leaf", "const"):
             continue
@@ -326,6 +367,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
         if g is None:
             continue
         ins = [vals[i] for i in node.inputs]
+        want = [needed[i] for i in node.inputs]
 
         def acc(idx: int, contrib: np.ndarray):
             i = node.inputs[idx]
@@ -334,14 +376,19 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
 
         op = node.op
         if op == "add":
-            acc(0, _unbroadcast(g, ins[0].shape))
-            acc(1, _unbroadcast(g, ins[1].shape))
+            for idx in (0, 1):
+                if want[idx]:
+                    acc(idx, _unbroadcast(g, ins[idx].shape))
         elif op == "mul":
-            acc(0, _unbroadcast(g * ins[1], ins[0].shape))
-            acc(1, _unbroadcast(g * ins[0], ins[1].shape))
+            if want[0]:
+                acc(0, _unbroadcast(g * ins[1], ins[0].shape))
+            if want[1]:
+                acc(1, _unbroadcast(g * ins[0], ins[1].shape))
         elif op == "matmul":
-            acc(0, _unbroadcast(g @ ins[1].mT, ins[0].shape))
-            acc(1, _unbroadcast(ins[0].mT @ g, ins[1].shape))
+            if want[0]:
+                acc(0, _unbroadcast(g @ ins[1].mT, ins[0].shape))
+            if want[1]:
+                acc(1, _unbroadcast(ins[0].mT @ g, ins[1].shape))
         elif op == "transpose":
             acc(0, g.mT)
         elif op == "expand":
@@ -357,37 +404,34 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             y = vals[node.nid]
             acc(0, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
         elif op == "layer_norm":
-            x, gain, bias = ins
-            n = x.shape[-1]
-            xc, std = _centred(x)
-            gh = g * gain  # the gradient into the normalized x
-            inv = 1.0 / std
-            xhat = xc * inv
-            gm = gh.sum(axis=-1, keepdims=True) / n
-            gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
-            acc(0, inv * (gh - gm - xhat * gx))
-            acc(1, _row_sum(g * xhat))
-            acc(2, _row_sum(g))
+            x, gain, _ = ins
+            if want[0] or want[1]:
+                xc, std = _centred(x)
+                inv = 1.0 / std
+                xhat = xc * inv
+            if want[0]:
+                n = x.shape[-1]
+                gh = g * gain  # the gradient into the normalized x
+                gm = gh.sum(axis=-1, keepdims=True) / n
+                gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
+                acc(0, inv * (gh - gm - xhat * gx))
+            if want[1]:
+                acc(1, _row_sum(g * xhat))
+            if want[2]:
+                acc(2, _row_sum(g))
         elif op == "affine":
-            x, w, b = ins
-            acc(0, g @ w.T)
-            # the batch and rows folded into one GEMM, not one per point
-            acc(1, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            acc(2, _row_sum(g))
+            x, w, _ = ins
+            if want[0]:
+                acc(0, g @ w.T)
+            if want[1]:
+                # the batch and rows folded into one GEMM, not one per point
+                acc(1, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            if want[2]:
+                acc(2, _row_sum(g))
         elif op == "sum_all":
             x = ins[0]
             g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
             acc(0, np.broadcast_to(g, x.shape).copy())
         else:
             raise GraphError(f"no gradient rule for op {op!r}")
-
-    result: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        if node.op == "leaf" and node.differentiable:
-            g = adj.get(node.nid)
-            if g is None:
-                g = np.zeros(node.shape)
-            elif not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for leaf {node.name!r}")
-            result[node.name] = g
-    return result
+    return adj

@@ -61,7 +61,9 @@ def _batch_grads(params: ModelParams,
         fg, vals = bound[0][0], _stacked([v for _, v in bound])
         forward = evaluate(fg.graph, vals)
         loss -= float(forward[fg.score].sum())
-        for name, gval in grad(fg.graph, fg.score, vals, forward=forward).items():
+        weights = [name for name in fg.graph.leaves if name != "target_mask"]
+        for name, gval in grad(fg.graph, fg.score, vals, weights,
+                               forward=forward).items():
             if name == "emb":  # (B, L, d): one row per token of each term
                 ge = np.zeros_like(params.weights["emb"])
                 ids = np.asarray([term.tokens for term in bucket], dtype=int)

@@ -91,8 +91,7 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
     else:
         logits = affine(xf, (d, hp.vocab_size), "out.w", "out.b")
     lsm = g.log_softmax(logits)
-    target_mask = g.leaf(_mask_shape(hp, seq_len), "target_mask",
-                         differentiable=False)
+    target_mask = g.leaf(_mask_shape(hp, seq_len), "target_mask")
     score = g.sum_all(g.mul(lsm, target_mask))
 
     return ForwardGraph(graph=g, log_probs=lsm, score=score)

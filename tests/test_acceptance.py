@@ -95,7 +95,7 @@ class TestA1GradientCorrectness:
                                                               name))))
             vals = {name: rng.standard_normal(shapes[name])
                     for name in g.leaves}
-            grads = grad(g, s, vals)
+            grads = grad(g, s, vals, tuple(vals))
 
             def f(vals):
                 return float(evaluate(g, vals)[s])
@@ -120,14 +120,15 @@ class TestA1GradientCorrectness:
         target = 7
         fg = build_fresh_forward_graph(params.hyper, len(tokens), causal=True)
         base_vals = leaf_values(params, tokens, ((len(tokens) - 1, target),))
-        grads = grad(fg.graph, fg.score, base_vals)
+        checked_leaves = ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
+                          "lnf.g")
+        grads = grad(fg.graph, fg.score, base_vals, checked_leaves)
 
         def f(vals):
             return float(evaluate(fg.graph, vals)[fg.score])
 
         checked = 0
-        for name in ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
-                     "lnf.g"):
+        for name in checked_leaves:
             gval = grads[name]
             arr = base_vals[name]
             flat_idx = rng.integers(0, arr.size, size=3)

@@ -301,9 +301,9 @@ class TestBatchedPathLoop:
             ig_cases(models))
         passes = []
 
-        def recording_grad(graph, node, vals):
+        def recording_grad(graph, node, vals, wrt):
             passes.append(vals)
-            return grad(graph, node, vals)
+            return grad(graph, node, vals, wrt)
 
         grad = attribution.grad
         with mock.patch.object(attribution, "grad", recording_grad):

@@ -1,5 +1,7 @@
 """Gradient-engine unit tests: finite-difference checks per primitive,
 normalization identities, purity, non-finite handling, and the batch axis."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ def check_unary(build, shape, rng, n_entries=6, rtol=1e-5):
     def f(xv):
         return float(evaluate(g, {"x": xv})[s])
 
-    gx = grad(g, s, {"x": val})["x"]
+    gx = grad(g, s, {"x": val}, ("x",))["x"]
     flat = [tuple(int(i) for i in idx)
             for idx in rng.integers(0, shape, size=(n_entries, len(shape)))]
     for idx, fd in fd_grad(f, val, flat).items():
@@ -67,7 +69,7 @@ class TestPrimitiveGradients:
             b = g.leaf((4,), "b")
             s = g.sum_all(getattr(g, op)(a, b))
             av, bv = rng.standard_normal((3, 4)), rng.standard_normal(4)
-            gs = grad(g, s, {"a": av, "b": bv})
+            gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
 
             def f_b(bv2):
                 return float(evaluate(g, {"a": av, "b": bv2})[s])
@@ -81,7 +83,7 @@ class TestPrimitiveGradients:
         b = g.leaf((4, 2), "b")
         s = g.sum_all(g.gelu(g.matmul(a, b)))
         av, bv = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-        gs = grad(g, s, {"a": av, "b": bv})
+        gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
 
         def f(av2):
             return float(evaluate(g, {"a": av2, "b": bv})[s])
@@ -99,7 +101,7 @@ class TestPrimitiveGradients:
         for trial in range(100):
             xv = rng.standard_normal((5, 5))
             wv = rng.standard_normal((5, 5))
-            gx = grad(g, s, {"x": xv, "w": wv})["x"]
+            gx = grad(g, s, {"x": xv, "w": wv}, ("x",))["x"]
 
             def f(xv2):
                 return float(evaluate(g, {"x": xv2, "w": wv})[s])
@@ -185,14 +187,23 @@ class TestGraphMechanics:
         with pytest.raises(NumericError):
             evaluate(g, {"x": np.array([np.nan, 1.0])})
 
-    def test_grad_ignores_non_differentiable_leaves(self, rng):
+    def test_grad_returns_exactly_the_requested_leaves(self, rng):
         g = Graph()
         x = g.leaf((2, 2), "x")
-        m = g.leaf((2, 2), "m", differentiable=False)
+        m = g.leaf((2, 2), "m")
+        unread = g.leaf((3,), "unread")
         s = g.sum_all(g.mul(x, m))
-        gs = grad(g, s, {"x": rng.standard_normal((2, 2)),
-                         "m": np.ones((2, 2))})
-        assert "m" not in gs and "x" in gs
+        leaves = {"x": rng.standard_normal((2, 2)), "m": np.ones((2, 2)),
+                  "unread": np.ones(3)}
+        for wrt in [("x",), ("m", "x"), ("unread",), ()]:
+            gs = grad(g, s, leaves, wrt)
+            assert tuple(gs) == wrt
+        assert np.array_equal(grad(g, s, leaves, ("m",))["m"], leaves["x"])
+        assert np.array_equal(grad(g, s, leaves, ("unread",))["unread"],
+                              np.zeros(3))
+        for bad in [("y",), ("x", "y")]:
+            with pytest.raises(GraphError, match="no leaf"):
+                grad(g, s, leaves, bad)
 
 
 class TestBatchAxis:
@@ -211,8 +222,10 @@ class TestBatchAxis:
         vals = leaf_values(params, tokens, targets)
         embs = vals["emb"] + 0.1 * rng.standard_normal((5,) + vals["emb"].shape)
 
-        batched = grad(fg.graph, fg.score, {**vals, "emb": embs})
-        slices = [grad(fg.graph, fg.score, {**vals, "emb": e}) for e in embs]
+        weights = [name for name in fg.graph.leaves if name != "target_mask"]
+        batched = grad(fg.graph, fg.score, {**vals, "emb": embs}, weights)
+        slices = [grad(fg.graph, fg.score, {**vals, "emb": e}, weights)
+                  for e in embs]
         assert batched["emb"].shape == embs.shape
         assert np.array_equal(batched["emb"], np.stack([s["emb"] for s in slices]))
         # unbatched leaves get the gradient summed over the batch
@@ -260,8 +273,8 @@ class TestBatchAxis:
         assert out.shape == (5,)
         assert np.array_equal(out, [evaluate(g, {"x": xv, "w": wv})[s]
                                     for xv in xs])
-        batched = grad(g, s, {"x": xs, "w": wv})
-        slices = [grad(g, s, {"x": xv, "w": wv}) for xv in xs]
+        batched = grad(g, s, {"x": xs, "w": wv}, ("x", "w"))
+        slices = [grad(g, s, {"x": xv, "w": wv}, ("x", "w")) for xv in xs]
         assert np.array_equal(batched["x"], np.stack([d["x"] for d in slices]))
         assert np.allclose(batched["w"], sum(d["w"] for d in slices),
                            rtol=1e-12, atol=1e-12)
@@ -273,10 +286,10 @@ class TestBatchAxis:
         col = g.matmul(x, w)  # shape (3, 1): not a scalar, batched or not
         with pytest.raises(GraphError):
             grad(g, col, {"x": rng.standard_normal((3, 4)),
-                          "w": rng.standard_normal((4, 1))})
+                          "w": rng.standard_normal((4, 1))}, ("x", "w"))
         with pytest.raises(GraphError):
             grad(g, col, {"x": rng.standard_normal((2, 3, 4)),
-                          "w": rng.standard_normal((4, 1))})
+                          "w": rng.standard_normal((4, 1))}, ("x", "w"))
 
 
 def per_node_evaluate(graph: Graph, leaf_values) -> list:
@@ -357,7 +370,7 @@ class TestFiniteness:
     def test_finite_checks_are_the_outputs_and_softmax_inputs(self):
         g = Graph()
         x = g.leaf((2, 3), "x")
-        m = g.leaf((2, 3), "m", differentiable=False)
+        m = g.leaf((2, 3), "m")
         shifted = g.add(x, m)
         sm = g.softmax(shifted)
         side = g.gelu(x)          # read by no node
@@ -367,7 +380,7 @@ class TestFiniteness:
     def test_softmax_hides_minus_inf_yet_the_pass_is_rejected(self):
         g = Graph()
         x = g.leaf((2, 3), "x")
-        m = g.leaf((2, 3), "m", differentiable=False)
+        m = g.leaf((2, 3), "m")
         shifted = g.add(x, m)
         s = g.sum_all(g.softmax(shifted))
         mask = np.zeros((2, 3))
@@ -398,6 +411,8 @@ class TestFiniteness:
         s = g.sum_all(g.mul(g.gelu(x), w))
         leaves = {"x": np.array([1e200, 1.0]), "w": np.zeros(2)}
         assert np.isfinite(evaluate(g, leaves)[s])
-        with np.errstate(all="ignore"), \
+        # grad checks what it returns, so the overflow on the way warns not
+        with warnings.catch_warnings(), \
                 pytest.raises(NumericError, match="gradient for leaf 'x'"):
-            grad(g, s, leaves)
+            warnings.simplefilter("error", RuntimeWarning)
+            grad(g, s, leaves, ("x", "w"))

@@ -2,6 +2,7 @@
 manifest reruns."""
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -288,7 +289,9 @@ class TestExitCodes:
         contract = tmp_path / "c.contract"
         contract.write_text(open(workspace["contract"]).read().replace(
             os.path.join(workspace["model"], "model.bin"), model))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the abort is the diagnostic alone: no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["attribute", "--contract", str(contract),
                          "--ig-steps", "4", "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERIC

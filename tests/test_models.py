@@ -404,7 +404,9 @@ def per_example_grads(params, term):
     fg, vals = term.bind(params)
     forward = evaluate(fg.graph, vals)
     full = {}
-    for name, gval in grad(fg.graph, fg.score, vals, forward=forward).items():
+    weights = [name for name in fg.graph.leaves if name != "target_mask"]
+    for name, gval in grad(fg.graph, fg.score, vals, weights,
+                           forward=forward).items():
         if name == "emb":
             full[name] = np.zeros_like(params.weights["emb"])
             np.add.at(full[name], np.asarray(term.tokens, dtype=int), gval)
