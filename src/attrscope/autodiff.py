@@ -5,6 +5,17 @@ records (op kind, input node ids, optional constant payload); leaves are
 named so the same graph can be re-evaluated with different leaf values,
 which is what the attribution path loop needs.
 
+The ops are the transformer's, built to keep the node count small, since
+each node costs a Python dispatch per pass: ``expand`` inserts a heads
+axis before the rows, so one ``matmul`` against an (H, d, dh) weight runs
+every head, and ``sum_heads`` sums that axis; ``layer_norm(x, gain,
+bias)`` and ``affine(x, w, b)`` (``x @ w + b``) are one node each.
+
+``grad(graph, node, leaf_values, wrt)`` returns the gradient of each leaf
+named in ``wrt`` and no other: its backward pass skips every input that
+leads to none of them (``Graph.reads``), so a caller that reads only the
+input embeddings computes no weight gradient.
+
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
 (``matmul`` is stacked ``@``, reductions run over trailing axes), so one
@@ -19,7 +30,8 @@ and ``NaN * 0`` are NaN), and softmax alone can turn one into a finite
 output (``exp(-inf) = 0``), so a non-finite op node anywhere shows in one
 of the checked nodes. When the check fails, the pass runs again with a
 check after every op node, so that ``NumericError`` names the first
-non-finite node. ``grad`` checks each gradient it returns.
+non-finite node. ``grad`` checks each gradient it returns, and so runs
+its backward pass with numpy's floating-point warnings off.
 """
 from __future__ import annotations
 

@@ -2,10 +2,12 @@
 one score every contract score and the training loss are built from.
 
 Graphs depend only on (hyperparams, sequence length, attention mode), so
-they are cached and re-evaluated with different leaf values; weights and
-the per-token input embeddings are all differentiable leaves. Each graph
-ends in ``score = sum(log_probs * target_mask)``, where the target mask is
-a non-differentiable leaf: one forward pass of a score is a ScoreTerm,
+they are cached and re-evaluated with different leaf values. The weights
+and the per-token input embeddings are leaves; each layer's attention
+weights are bound stacked on a heads axis (``ModelParams.graph_weights``),
+so every head runs in the same nodes. Each graph ends in
+``score = sum(log_probs * target_mask)``, where the target mask is a leaf
+no caller asks a gradient of: one forward pass of a score is a ScoreTerm,
 naming the tokens and the (row, column) log-prob entries it sums.
 """
 from __future__ import annotations

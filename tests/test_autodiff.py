@@ -292,6 +292,48 @@ class TestBatchAxis:
                           "w": rng.standard_normal((4, 1))}, ("x", "w"))
 
 
+class TestRequestedGradients:
+    """grad computes only what leads to the leaves in wrt, and that prunes
+    no work the requested gradients depend on."""
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("model, causal, targets", [
+        ("tiny_ar_model", True, ((5, 3), (2, 1))),
+        ("diffusion_model", False, ((2, 4), (4, 6))),
+        ("classifier_model", False, ((0, 1),)),
+    ])
+    def test_emb_only_equals_the_full_backward(self, model, causal, targets,
+                                               batch, request, rng):
+        params = request.getfixturevalue(model)
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg = build_forward_graph(params.hyper, len(tokens), causal)
+        vals = leaf_values(params, tokens, targets)
+        if batch is not None:
+            vals = {**vals,
+                    "emb": vals["emb"] + 0.1 * rng.standard_normal(
+                        (batch,) + vals["emb"].shape),
+                    "target_mask": np.stack([vals["target_mask"]] * batch)}
+        full = grad(fg.graph, fg.score, vals, tuple(fg.graph.leaves))
+        assert tuple(full) == tuple(fg.graph.leaves)
+        emb = grad(fg.graph, fg.score, vals, ("emb",))
+        assert tuple(emb) == ("emb",)
+        assert np.array_equal(emb["emb"], full["emb"])
+
+
+    def test_only_the_path_from_emb_is_walked(self, tiny_ar_model):
+        fg = build_forward_graph(tiny_ar_model.hyper, 4, causal=True)
+        reads = fg.graph.reads(("emb",))
+        for name, nid in fg.graph.leaves.items():
+            assert reads[nid] == (name == "emb"), name
+        assert reads[fg.score] and reads[fg.log_probs]
+        # a graph that grows has its cached answers dropped
+        g = Graph()
+        x = g.leaf((2,), "x")
+        assert g.reads(("y",)) == [False]
+        g.add(x, g.leaf((2,), "y"))
+        assert g.reads(("y",)) == [False, True, True]
+
+
 def per_node_evaluate(graph: Graph, leaf_values) -> list:
     """The forward pass with a finiteness check after every op node: the
     reference for which passes evaluate rejects, and with what message."""

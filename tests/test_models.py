@@ -2,6 +2,7 @@
 and training behavior."""
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,10 +27,12 @@ from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains, stage_term,
 )
 from attrscope.models import training
-from attrscope.models.params import AR, CLASSIFIER, DIFFUSION, per_head
+from attrscope.models.params import (
+    AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
+)
 from attrscope.models.transformer import (
-    ContextOverflowError, build_forward_graph, check_context, leaf_values,
-    score_sums, terms_score,
+    ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
+    leaf_values, score_sums, terms_score,
 )
 
 
@@ -349,6 +352,123 @@ class TestPersistence:
         b = init_params(hp, tiny_corpus.vocab, seed=1)
         assert a.model_id != b.model_id
         assert a.model_id == init_params(hp, tiny_corpus.vocab, seed=0).model_id
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+class TestModelFileFormat:
+    """ar_l1_w8.bin is a 1-layer, 2-head, width-8 AR model written (after
+    3 SGD steps) by the code from before the attention weights were bound
+    on a heads axis (commit a24c4e5); ar_l1_w8.json holds its model_id,
+    the model_id of init_params at its seed, and its score for one term,
+    all computed by that code."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        with open(os.path.join(FIXTURES, "ar_l1_w8.json")) as fh:
+            meta = json.load(fh)
+        return os.path.join(FIXTURES, "ar_l1_w8.bin"), meta
+
+    def test_loads_with_the_same_id_and_score(self, fixture):
+        path, meta = fixture
+        params = load_model(path)
+        assert params.model_id == meta["model_id"]
+        term = ScoreTerm(tokens=tuple(meta["term"]["tokens"]),
+                         causal=meta["term"]["causal"],
+                         targets=tuple(map(tuple, meta["term"]["targets"])))
+        assert abs(terms_score(params, [term]) - meta["score"]) <= 1e-12
+
+    def test_save_rewrites_it_byte_identically(self, fixture, tmp_path):
+        path, _ = fixture
+        out = str(tmp_path / "m.bin")
+        save_model(load_model(path), out)
+        with open(path, "rb") as a, open(out, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_init_params_keeps_its_draw_order(self, fixture):
+        path, meta = fixture
+        params = load_model(path)
+        init = init_params(params.hyper, params.vocab, meta["init_seed"])
+        assert init.model_id == meta["init_model_id"]
+
+
+def random_model(kind, vocab, heads, seed):
+    """A 2-layer model whose every weight, gains and biases included, is
+    drawn at random, so no head or affine term is trivial."""
+    hp = Hyperparams(kind=kind, vocab_size=len(vocab), layers=2, heads=heads,
+                     width=16, mlp_hidden=24, context_len=16,
+                     n_classes=3 if kind == CLASSIFIER else 0)
+    rng = np.random.default_rng(seed)
+    weights = {name: (1.0 if name.endswith(".g") else 0.0)
+               + 0.3 * rng.standard_normal(shape)
+               for name, shape in weight_shapes(hp).items()}
+    return ModelParams(hyper=hp, vocab=vocab, weights=weights)
+
+
+def per_head_log_probs(params, tokens, causal):
+    """The transformer's log-prob table in plain numpy, one head at a time
+    from the per-head weights: the reference for the heads-axis graph."""
+    hp, w = params.hyper, params.weights
+    L = len(tokens)
+
+    def layer_norm(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-6) * w[name + ".g"] + w[name + ".b"]
+
+    def log_softmax(x):
+        shifted = x - x.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def gelu(x):
+        return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                        * (x + 0.044715 * x ** 3)))
+
+    mask = np.triu(np.full((L, L), -1e9), k=1) if causal else np.zeros((L, L))
+    x = w["emb"][list(tokens)] + w["pos"][:L]
+    for i in range(hp.layers):
+        p = f"blk{i}."
+        h = layer_norm(x, p + "ln1")
+        for hd in range(hp.heads):
+            q, k, v = (h @ w[p + f"{name}{hd}"] for name in ("wq", "wk", "wv"))
+            a = np.exp(log_softmax(q @ k.T / np.sqrt(hp.head_dim) + mask))
+            x = x + a @ v @ w[p + f"wo{hd}"]
+        u = layer_norm(x, p + "ln2") @ w[p + "mlp.w1"] + w[p + "mlp.b1"]
+        x = x + gelu(u) @ w[p + "mlp.w2"] + w[p + "mlp.b2"]
+    xf = layer_norm(x, "lnf")
+    if hp.kind == CLASSIFIER:
+        return log_softmax(xf.mean(axis=0, keepdims=True) @ w["head.w"]
+                           + w["head.b"])
+    return log_softmax(xf @ w["out.w"] + w["out.b"])
+
+
+class TestHeadsAxis:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("kind, causal", [(AR, True), (DIFFUSION, False),
+                                              (CLASSIFIER, False)])
+    def test_graph_equals_a_per_head_loop(self, tiny_corpus, kind, causal,
+                                          heads):
+        params = random_model(kind, tiny_corpus.vocab, heads, seed=heads)
+        rng = np.random.default_rng(heads)
+        for length in (1, 5, 9):
+            tokens = rng.integers(0, len(tiny_corpus.vocab), size=length)
+            fg = build_forward_graph(params.hyper, length, causal)
+            got = evaluate(fg.graph, leaf_values(params, tokens))[fg.log_probs]
+            expected = per_head_log_probs(params, tokens, causal)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_heads_are_stacked_once_per_model(self, tiny_ar_model):
+        a = leaf_values(tiny_ar_model, [1, 2, 3])
+        b = leaf_values(tiny_ar_model, [4, 5])
+        assert a["blk0.wq"] is b["blk0.wq"]
+        assert a["blk1.wo"].shape == (2, 16, 32)
+        assert per_head(tiny_ar_model.hyper, tiny_ar_model.graph_weights) \
+            .keys() == tiny_ar_model.weights.keys()
+        for name, w in per_head(tiny_ar_model.hyper,
+                                tiny_ar_model.graph_weights).items():
+            assert np.array_equal(w, tiny_ar_model.weights[name])
 
 
 class TestInstances:
