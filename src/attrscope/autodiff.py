@@ -197,14 +197,6 @@ def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
 
 
-def _check_affine_shapes(op: str, x: np.ndarray, w: np.ndarray,
-                         b: np.ndarray) -> None:
-    """``w`` is the (d, m) weight, or the (d,) gain of a layer norm."""
-    if x.ndim < 1 or w.ndim not in (1, 2) or x.shape[-1] != w.shape[0] \
-            or b.shape != w.shape[-1:]:
-        raise ShapeError(f"{op} shapes {x.shape}, {w.shape}, {b.shape}")
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -251,16 +243,14 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
         return _log_softmax(ins[0])
     if op == "layer_norm":
         x, gain, bias = ins
-        if gain.ndim != 1:
-            raise ShapeError(f"layer_norm gain must be (d,), got {gain.shape}")
-        _check_affine_shapes(op, x, gain, bias)
+        if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+            raise ShapeError(f"layer_norm shapes {x.shape}, {gain.shape}, {bias.shape}")
         xc, std = _centred(x)
         return xc / std * gain + bias
     if op == "affine":
         x, w, b = ins
-        if w.ndim != 2:
-            raise ShapeError(f"affine weight must be (d, m), got {w.shape}")
-        _check_affine_shapes(op, x, w, b)
+        if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+            raise ShapeError(f"affine shapes {x.shape}, {w.shape}, {b.shape}")
         return x @ w + b
     if op == "sum_all":
         x = ins[0]

@@ -130,12 +130,10 @@ class ModelParams:
         """The weights as score-graph leaves: per-head attention weights
         stacked as (H, d, dh) or (H, dh, d) under one name, every other
         weight as it is. Stacked once, so every binding shares the arrays."""
-        groups = stacked_heads(self.hyper)
-        stacked = {name: np.stack([self.weights[n] for n in names])
-                   for name, names in groups.items()}
-        unstacked = {n for names in groups.values() for n in names}
-        return {**{n: w for n, w in self.weights.items() if n not in unstacked},
-                **stacked}
+        leaves = dict(self.weights)
+        for name, names in stacked_heads(self.hyper).items():
+            leaves[name] = np.stack([leaves.pop(n) for n in names])
+        return leaves
 
     @property
     def kind(self) -> str:

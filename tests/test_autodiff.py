@@ -180,6 +180,24 @@ class TestGraphMechanics:
         with pytest.raises((ShapeError, GraphError)):
             evaluate(g, {"x": np.zeros((4, 4))})
 
+    @pytest.mark.parametrize("build, shapes", [
+        (lambda g, x, y, z: g.layer_norm(x, y, z), [(3, 4), (3,), (3,)]),
+        (lambda g, x, y, z: g.layer_norm(x, y, z), [(3, 4), (4,), (3,)]),
+        (lambda g, x, y, z: g.layer_norm(x, y, z), [(3, 4), (2, 4), (2, 4)]),
+        (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (4, 2), (3,)]),
+        (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (3, 2), (2,)]),
+        (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (2, 4, 2), (2,)]),
+        (lambda g, x, y, z: g.expand(x), [(4,), (1,), (1,)]),
+        (lambda g, x, y, z: g.sum_heads(x), [(3, 4), (1,), (1,)]),
+    ])
+    def test_fused_and_heads_ops_reject_bad_shapes(self, build, shapes):
+        g = Graph()
+        g.sum_all(build(g, *(g.leaf(shape, name)
+                             for shape, name in zip(shapes, "xyz"))))
+        with pytest.raises(ShapeError):
+            evaluate(g, {name: np.ones(shape)
+                         for shape, name in zip(shapes, "xyz")})
+
     def test_non_finite_raises(self):
         g = Graph()
         x = g.leaf((2,), "x")
