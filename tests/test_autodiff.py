@@ -471,7 +471,8 @@ class TestFiniteness:
         s = g.sum_all(g.mul(g.gelu(x), w))
         leaves = {"x": np.array([1e200, 1.0]), "w": np.zeros(2)}
         assert np.isfinite(evaluate(g, leaves)[s])
-        # grad checks what it returns, so the overflow on the way warns not
+        # grad checks the gradients it returns, so overflow on the way must
+        # not warn
         with warnings.catch_warnings(), \
                 pytest.raises(NumericError, match="gradient for leaf 'x'"):
             warnings.simplefilter("error", RuntimeWarning)
