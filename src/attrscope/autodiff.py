@@ -30,8 +30,9 @@ and ``NaN * 0`` are NaN), and softmax alone can turn one into a finite
 output (``exp(-inf) = 0``), so a non-finite op node anywhere shows in one
 of the checked nodes. When the check fails, the pass runs again with a
 check after every op node, so that ``NumericError`` names the first
-non-finite node. ``grad`` checks each gradient it returns, and so runs
-its backward pass with numpy's floating-point warnings off.
+non-finite node. ``grad`` checks each gradient it returns. Every pass,
+forward or backward, checked or not, so runs with numpy's floating-point
+warnings off.
 """
 from __future__ import annotations
 
@@ -273,7 +274,10 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
         # a malformed pass: the checked pass below raises the same error,
         # or a NumericError at an earlier node
         pass
-    return _forward(graph, leaf_values, check_each=True)
+    # the checked pass raises at its first non-finite node, so the overflow
+    # on the way there is not worth a warning
+    with np.errstate(all="ignore"):
+        return _forward(graph, leaf_values, check_each=True)
 
 
 def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],

@@ -61,8 +61,10 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
     while (len(sequences) < min(n_pairs, distinct)
            and attempts < 100 * n_pairs):
         attempts += 1
-        length = int(rng.choice(lengths))
-        seq = tuple(int(rng.integers(lexicon_size)) for _ in range(length))
+        # the same draws as rng.choice(lengths) and one rng.integers call
+        # per token, in fewer calls
+        length = lengths[int(rng.integers(len(lengths)))]
+        seq = tuple(rng.integers(lexicon_size, size=length).tolist())
         if seq in seen:
             continue
         seen.add(seq)

@@ -139,8 +139,10 @@ class ModelParams:
     def kind(self) -> str:
         return self.hyper.kind
 
-    @property
+    @functools.cached_property
     def model_id(self) -> str:
+        """SHA-256 of the header and the weights; hashed once per model,
+        since nothing writes a model's weight arrays in place."""
         header = _header_dict(self)
         digest = hashlib.sha256()
         digest.update(json.dumps(header, sort_keys=True).encode())

@@ -12,7 +12,10 @@ from .classifier import class_term
 from .params import (
     AR, DIFFUSION, Hyperparams, ModelParams, init_params, per_head,
 )
-from .transformer import _CACHE, ScoreTerm, _stacked, terms_score
+from .transformer import (
+    _CACHE, ScoreTerm, _bind, _target_masks, build_forward_graph,
+    check_context, terms_score,
+)
 from .vocab import Vocab
 
 
@@ -26,7 +29,8 @@ BATCH_SIZE = 8         # examples per SGD step
 
 
 def _example_term(params: ModelParams, example, rng: np.random.Generator) -> ScoreTerm:
-    """The score term one training example maximises, for the model's kind."""
+    """The score term one training example maximises, for the model's kind;
+    it reads the model's kind and vocab, never its weights."""
     hp = params.hyper
     if hp.kind == AR:
         prompt, target = example
@@ -47,30 +51,43 @@ def _example_term(params: ModelParams, example, rng: np.random.Generator) -> Sco
     return class_term(tokens, label)
 
 
-def _batch_grads(params: ModelParams,
+def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
                  terms: list[ScoreTerm]) -> tuple[float, dict[str, np.ndarray]]:
     """The minibatch's loss (minus its summed score) and the summed score's
-    gradient, from one forward and one backward pass per length bucket."""
-    buckets: dict[tuple[int, bool], list[ScoreTerm]] = {}
+    gradient, keyed by score-graph leaf, at the weights ``leaves`` (as
+    ``ModelParams.graph_weights`` holds them).
+
+    Every causal term runs in one forward and one backward pass, right-padded
+    with the ``pad`` id to the longest: a causal row never attends to a later
+    one, and pad rows are in no target, so they change no real row and get
+    exactly zero gradient. Padding would change what a bidirectional row
+    attends to, so bidirectional terms run in one pass per length."""
+    buckets: dict[int | None, list[ScoreTerm]] = {}
     for term in terms:
-        buckets.setdefault((len(term.tokens), term.causal), []).append(term)
+        buckets.setdefault(None if term.causal else len(term.tokens),
+                           []).append(term)
     loss = 0.0
     acc: dict[str, np.ndarray] = {}
-    for (L, _), bucket in buckets.items():
-        bound = [term.bind(params) for term in bucket]
-        fg, vals = bound[0][0], _stacked([v for _, v in bound])
+    for bucket in buckets.values():
+        L = max(len(term.tokens) for term in bucket)
+        check_context(hp, L)
+        ids = np.full((len(bucket), L), pad)
+        for row, term in zip(ids, bucket):
+            row[:len(term.tokens)] = term.tokens
+        fg = build_forward_graph(hp, L, bucket[0].causal)
+        vals = _bind(hp, leaves, ids,
+                     _target_masks(hp, L, [term.targets for term in bucket]))
         forward = evaluate(fg.graph, vals)
         loss -= float(forward[fg.score].sum())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
         for name, gval in grad(fg.graph, fg.score, vals, weights,
                                forward=forward).items():
             if name == "emb":  # (B, L, d): one row per token of each term
-                ge = np.zeros_like(params.weights["emb"])
-                ids = np.asarray([term.tokens for term in bucket], dtype=int)
+                ge = np.zeros_like(leaves["emb"])
                 np.add.at(ge, ids.reshape(-1), gval.reshape(-1, gval.shape[-1]))
                 gval = ge
             elif name == "pos":
-                gp = np.zeros_like(params.weights["pos"])
+                gp = np.zeros_like(leaves["pos"])
                 gp[:L] = gval
                 gval = gp
             acc[name] = acc[name] + gval if name in acc else gval
@@ -91,32 +108,41 @@ class TrainResult:
 
 def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
           steps: int = 2000, lr: float = 0.5) -> TrainResult:
-    """SGD with cosine decay; deterministic given (corpus, hp, seed)."""
+    """SGD with cosine decay; deterministic given (corpus, hp, seed).
+
+    Each step draws BATCH_SIZE examples and ascends their summed score by
+    one forward and one backward pass over all of them (one per length for
+    bidirectional terms; see ``_batch_grads``). The weights are held as the
+    score graph's leaves throughout, and made a ModelParams once, at the
+    end."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
     if hp.kind != kind:
         raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
-    params = init_params(hp, vocab, seed)
+    init = init_params(hp, vocab, seed)
+    # the weights as the score graph's leaves; each step rebinds them
+    leaves = dict(init.graph_weights)
     last_loss = math.nan
 
     for step in range(steps):
         lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         idx = rng.integers(0, len(corpus), size=BATCH_SIZE)
-        terms = [_example_term(params, corpus[int(j)], rng) for j in idx]
+        terms = [_example_term(init, corpus[int(j)], rng) for j in idx]
         try:
-            batch_loss, acc = _batch_grads(params, terms)
+            batch_loss, acc = _batch_grads(hp, vocab.pad, leaves, terms)
         except NumericError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (last finite: {last_loss})") from exc
         last_loss = batch_loss / BATCH_SIZE
-        # ascend the score, i.e. descend the loss
-        new_weights = dict(params.weights)
-        for name, gval in per_head(hp, acc).items():
-            new_weights[name] = params.weights[name] + (lr_t / BATCH_SIZE) * gval
-        params = ModelParams(hyper=hp, vocab=params.vocab, weights=new_weights)
+        # ascend the score, i.e. descend the loss; the next pass checks the
+        # weights' finiteness, so overflow here is not worth a warning
+        with np.errstate(all="ignore"):
+            for name, gval in acc.items():
+                leaves[name] = leaves[name] + (lr_t / BATCH_SIZE) * gval
 
+    params = ModelParams(hyper=hp, vocab=vocab, weights=per_head(hp, leaves))
     eval_corpus = list(corpus[: min(64, len(corpus))])
     return TrainResult(params=params,
                        final_loss=_mean_loss(params, eval_corpus, seed=seed + 1))

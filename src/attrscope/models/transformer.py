@@ -113,32 +113,46 @@ def check_context(hp: Hyperparams, length: int) -> None:
         raise ValueError("sequence must be non-empty")
 
 
-def embed_tokens(params: ModelParams, tokens) -> np.ndarray:
-    """Token-embedding rows for a sequence (positional added in-graph)."""
-    ids = np.asarray(tokens, dtype=int)
-    if ids.size and (ids.min() < 0 or ids.max() >= params.hyper.vocab_size):
+def _target_masks(hp: Hyperparams, seq_len: int, target_lists) -> np.ndarray:
+    """One target-mask leaf value per list of score targets, stacked: 1 at
+    each (row, column) log-prob entry the pass's score sums, else 0."""
+    target_lists = list(target_lists)
+    masks = np.zeros((len(target_lists),) + _mask_shape(hp, seq_len))
+    rows, cols = masks.shape[1:]
+    for mask, targets in zip(masks, target_lists):
+        for row, col in targets:
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ValueError(f"score target ({row}, {col}) outside the"
+                                 f" {rows} x {cols} log-prob table")
+            mask[row, col] = 1.0
+    return masks
+
+
+def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
+          target_mask: np.ndarray) -> dict[str, np.ndarray]:
+    """Leaf values for a pass over the token ids ``ids``, of shape (L,), or
+    (B, L) for a batched pass, taken from the score-graph leaves ``leaves``
+    (``ModelParams.graph_weights``): the embeddings are the emb rows of the
+    ids, and every weight leaf is shared, not copied. The caller checks L
+    against the context window."""
+    ids = np.asarray(ids, dtype=int)
+    if ids.min() < 0 or ids.max() >= hp.vocab_size:
         raise ValueError("token index out of vocab range")
-    return params.weights["emb"][ids]
+    vals = dict(leaves)
+    vals["emb"] = leaves["emb"][ids]
+    vals["pos"] = leaves["pos"][:ids.shape[-1]]
+    vals["target_mask"] = target_mask
+    return vals
 
 
 def leaf_values(params: ModelParams, tokens,
                 targets=()) -> dict[str, np.ndarray]:
     """Leaf bindings for a forward pass over concrete tokens; the score node
     sums the log-probs at the (row, column) entries in ``targets``."""
-    L = len(tokens)
-    check_context(params.hyper, L)
-    vals = {name: w for name, w in params.graph_weights.items()
-            if name not in ("emb", "pos")}
-    vals["emb"] = embed_tokens(params, tokens)
-    vals["pos"] = params.weights["pos"][:L]
-    mask = np.zeros(_mask_shape(params.hyper, L))
-    for row, col in targets:
-        if not (0 <= row < mask.shape[0] and 0 <= col < mask.shape[1]):
-            raise ValueError(f"score target ({row}, {col}) outside the"
-                             f" {mask.shape[0]} x {mask.shape[1]} log-prob table")
-        mask[row, col] = 1.0
-    vals["target_mask"] = mask
-    return vals
+    hp = params.hyper
+    check_context(hp, len(tokens))
+    mask = _target_masks(hp, len(tokens), [targets])[0]
+    return _bind(hp, params.graph_weights, tokens, mask)
 
 
 @dataclass(frozen=True)

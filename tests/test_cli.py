@@ -265,14 +265,24 @@ class TestExitCodes:
             EXIT_DIAGNOSTIC
         assert "outside the 1 x 3 log-prob table" in capsys.readouterr().err
 
-    def test_diverged_training_exits_3(self, workspace, tmp_path, capsys):
-        with np.errstate(all="ignore"):
+    @staticmethod
+    def train_diverges(workspace, tmp_path, capsys, lr):
+        # the abort is the diagnostic alone: no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["train", "--corpus",
                          os.path.join(workspace["corpus"], "corpus.json"),
-                         "--steps", "20", "--lr", "1e30", "--width", "16",
+                         "--steps", "20", "--lr", lr, "--width", "16",
                          "--layers", "1", "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERIC
         assert "non-finite loss at step" in capsys.readouterr().err
+
+    def test_diverged_training_exits_3(self, workspace, tmp_path, capsys):
+        self.train_diverges(workspace, tmp_path, capsys, "1e30")
+
+    def test_overflowing_sgd_update_exits_3(self, workspace, tmp_path, capsys):
+        """At this rate the first SGD update itself overflows."""
+        self.train_diverges(workspace, tmp_path, capsys, "1e308")
 
     def test_non_finite_gradient_exits_3(self, workspace, tmp_path, capsys):
         """MLP pre-activations near 1e160 leave the forward pass finite

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attrscope.attribution import AttributionMap, integrated_gradients
 from attrscope.contract import (
@@ -317,6 +318,32 @@ class TestCorpus:
         c = make_syn_corpus(*args)
         text = repr((c.vocab, c.train_pairs, c.heldout_pairs))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lexicon_size=st.integers(2, 29),
+           lengths=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+           n_pairs=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_draws_equal_the_per_token_loop(self, lexicon_size, lengths,
+                                            n_pairs, seed):
+        """make_syn_corpus draws a length and its tokens in two calls; the
+        per-token loop below, its earlier form, is the reference."""
+        corpus = make_syn_corpus(lexicon_size, lengths, n_pairs, seed)
+        rng = np.random.default_rng(seed)
+        lengths = sorted(set(lengths))
+        distinct = sum(lexicon_size ** length for length in lengths)
+        seen, sequences, attempts = set(), [], 0
+        while (len(sequences) < min(n_pairs, distinct)
+               and attempts < 100 * n_pairs):
+            attempts += 1
+            length = int(rng.choice(lengths))
+            seq = tuple(int(rng.integers(lexicon_size)) for _ in range(length))
+            if seq not in seen:
+                seen.add(seq)
+                sequences.append(seq)
+        pairs = corpus.heldout_pairs + corpus.train_pairs
+        assert [tuple(corpus.vocab.tokens[t][1:] for t in target[:-1])
+                for _, target in pairs] == \
+            [tuple(str(i) for i in seq) for seq in sequences]
 
     def test_stops_once_every_sequence_is_drawn(self):
         corpus = make_syn_corpus(2, [1], 30000, seed=0)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from attrscope.models.classifier import class_term
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains, stage_term,
 )
-from attrscope.models import training
+from attrscope.models import params as model_params, training
 from attrscope.models.params import (
     AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
 )
@@ -353,6 +354,27 @@ class TestPersistence:
         assert a.model_id != b.model_id
         assert a.model_id == init_params(hp, tiny_corpus.vocab, seed=0).model_id
 
+    def test_a_model_is_hashed_once(self, tiny_corpus, tmp_path, monkeypatch):
+        """Saving a model, loading it back and reading both ids again
+        hashes each of the two models once."""
+        hashed = []
+        sha256 = model_params.hashlib.sha256
+
+        def counting(*args):
+            hashed.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(model_params, "hashlib",
+                            SimpleNamespace(sha256=counting))
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=16, mlp_hidden=32, context_len=16)
+        model = init_params(hp, tiny_corpus.vocab, seed=0)
+        path = str(tmp_path / "model.bin")
+        save_model(model, path)
+        loaded = load_model(path)
+        assert model.model_id == loaded.model_id == model.model_id
+        assert len(hashed) == 2
+
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -562,6 +584,19 @@ def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
     return params.weights, drawn
 
 
+def record_terms(monkeypatch):
+    """The terms training draws, in drawing order, as it draws them."""
+    drawn = []
+    draw = training._example_term
+
+    def recording(params, example, rng):
+        drawn.append(draw(params, example, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(training, "_example_term", recording)
+    return drawn
+
+
 def assert_close(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * max(1.0, np.max(np.abs(expected)))
 
@@ -585,7 +620,8 @@ class TestBatchedTrainingStep:
                 terms.append(span_term(prompt, target))
             else:
                 terms.append(training._example_term(diffusion_model, pairs[i], rng))
-        loss, grads = training._batch_grads(params, terms)
+        loss, grads = training._batch_grads(params.hyper, params.vocab.pad,
+                                            params.graph_weights, terms)
 
         reference = [per_example_grads(params, term) for term in terms]
         assert_close(loss, sum(r[0] for r in reference))
@@ -606,17 +642,82 @@ class TestBatchedTrainingStep:
         expected, expected_terms = per_example_train(
             kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3, lr=0.05)
 
-        drawn = []
-        draw = training._example_term
-
-        def recording(params, example, rng):
-            drawn.append(draw(params, example, rng))
-            return drawn[-1]
-
-        monkeypatch.setattr(training, "_example_term", recording)
+        drawn = record_terms(monkeypatch)
         result = train(kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3,
                        lr=0.05)
         # the terms after the SGD steps' are the final mean loss's
         assert drawn[:len(expected_terms)] == expected_terms
         for name, w in result.params.weights.items():
             assert_close(w, expected[name], rtol=1e-10)
+
+
+def spy_passes(monkeypatch):
+    """Spies on training's evaluate and grad: each call appends the pass's
+    kind and its emb leaf's shape, and grad's its emb gradient too."""
+    calls, emb_grads = [], []
+    evaluate_fn, grad_fn = training.evaluate, training.grad
+
+    def evaluating(graph, vals):
+        calls.append(("evaluate", vals["emb"].shape))
+        return evaluate_fn(graph, vals)
+
+    def differentiating(graph, node, vals, wrt, forward=None):
+        calls.append(("grad", vals["emb"].shape))
+        out = grad_fn(graph, node, vals, wrt, forward=forward)
+        emb_grads.append(out["emb"])
+        return out
+
+    monkeypatch.setattr(training, "evaluate", evaluating)
+    monkeypatch.setattr(training, "grad", differentiating)
+    return calls, emb_grads
+
+
+class TestOnePassPerStep:
+    def test_an_ar_step_is_one_padded_pass(self, tiny_corpus, monkeypatch):
+        """train() on an AR corpus makes one evaluate and one grad per step,
+        both over all the step's terms at the longest term's length."""
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=16, mlp_hidden=32, context_len=16)
+        drawn = record_terms(monkeypatch)
+        calls, _ = spy_passes(monkeypatch)
+        steps, B = 5, training.BATCH_SIZE
+        train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+              seed=2, steps=steps, lr=0.05)
+        lengths = [[len(term.tokens) for term in drawn[i * B:(i + 1) * B]]
+                   for i in range(steps)]
+        assert any(len(set(step)) > 1 for step in lengths)  # padding happened
+        assert calls == [(kind, (B, max(step), hp.width))
+                         for step in lengths for kind in ("evaluate", "grad")]
+
+    def test_bidirectional_terms_get_one_pass_per_length(
+            self, diffusion_model, tiny_corpus, monkeypatch):
+        by_length = {}
+        for pair in tiny_corpus.train_pairs:
+            by_length.setdefault(len(pair[0]) + len(pair[1]), []).append(pair)
+        short, long = sorted(by_length)[:2]
+        pairs = [by_length[short][0], by_length[long][0],
+                 by_length[short][1], by_length[long][1], by_length[long][2]]
+        rng = np.random.default_rng(0)
+        terms = [training._example_term(diffusion_model, pair, rng)
+                 for pair in pairs]
+        calls, _ = spy_passes(monkeypatch)
+        training._batch_grads(diffusion_model.hyper, diffusion_model.vocab.pad,
+                              diffusion_model.graph_weights, terms)
+        d = diffusion_model.hyper.width
+        assert calls == [("evaluate", (2, short, d)), ("grad", (2, short, d)),
+                         ("evaluate", (3, long, d)), ("grad", (3, long, d))]
+
+    def test_pad_rows_get_exactly_zero_gradient(self, tiny_ar_model,
+                                                tiny_corpus, monkeypatch):
+        terms = [span_term(*pair) for pair in tiny_corpus.train_pairs[:8]]
+        lengths = [len(term.tokens) for term in terms]
+        assert len(set(lengths)) > 1
+        _, emb_grads = spy_passes(monkeypatch)
+        training._batch_grads(tiny_ar_model.hyper, tiny_ar_model.vocab.pad,
+                              tiny_ar_model.graph_weights, terms)
+        (g,) = emb_grads
+        assert g.shape[:2] == (len(terms), max(lengths))
+        for rows, n in zip(g, lengths):
+            assert np.all(rows[n:] == 0.0)
+            # a term's last token is read by no target row; the rest are
+            assert np.all(np.any(rows[:n - 1] != 0.0, axis=-1))
