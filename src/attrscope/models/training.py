@@ -28,14 +28,14 @@ LR_FLOOR_FRAC = 0.02   # the decayed rate never drops below this fraction of lr
 BATCH_SIZE = 8         # examples per SGD step
 
 
-def _example_term(params: ModelParams, example, rng: np.random.Generator) -> ScoreTerm:
-    """The score term one training example maximises, for the model's kind;
-    it reads the model's kind and vocab, never its weights."""
-    hp = params.hyper
-    if hp.kind == AR:
+def _example_term(kind: str, vocab: Vocab, example,
+                  rng: np.random.Generator) -> ScoreTerm:
+    """The score term one training example maximises, for a model of
+    ``kind`` over ``vocab``."""
+    if kind == AR:
         prompt, target = example
         return span_term(prompt, target)
-    if hp.kind == DIFFUSION:
+    if kind == DIFFUSION:
         prompt, response = example
         n = len(prompt)
         tokens = list(prompt) + list(response)
@@ -44,7 +44,7 @@ def _example_term(params: ModelParams, example, rng: np.random.Generator) -> Sco
         if not masked:
             masked = [int(rng.integers(len(response)))]
         for s in masked:
-            tokens[n + s] = params.vocab.mask
+            tokens[n + s] = vocab.mask
         return ScoreTerm(tokens=tuple(tokens), causal=False,
                          targets=tuple((n + s, response[s]) for s in masked))
     tokens, label = example
@@ -96,7 +96,8 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
     rng = np.random.default_rng(seed)  # fixed seed: a loss comparable across runs
-    terms = (_example_term(params, example, rng) for example in corpus)
+    terms = (_example_term(params.kind, params.vocab, example, rng)
+             for example in corpus)
     return -terms_score(params, terms) / len(corpus)
 
 
@@ -120,16 +121,15 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     if hp.kind != kind:
         raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
-    init = init_params(hp, vocab, seed)
     # the weights as the score graph's leaves; each step rebinds them
-    leaves = dict(init.graph_weights)
+    leaves = dict(init_params(hp, vocab, seed).graph_weights)
     last_loss = math.nan
 
     for step in range(steps):
         lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         idx = rng.integers(0, len(corpus), size=BATCH_SIZE)
-        terms = [_example_term(init, corpus[int(j)], rng) for j in idx]
+        terms = [_example_term(kind, vocab, corpus[int(j)], rng) for j in idx]
         try:
             batch_loss, acc = _batch_grads(hp, vocab.pad, leaves, terms)
         except NumericError as exc:

@@ -571,7 +571,7 @@ def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         acc = {}
         for j in rng.integers(0, len(corpus), size=training.BATCH_SIZE):
-            term = training._example_term(params, corpus[int(j)], rng)
+            term = training._example_term(kind, vocab, corpus[int(j)], rng)
             drawn.append(term)
             for name, gval in per_example_grads(params, term)[1].items():
                 acc[name] = acc[name] + gval if name in acc else gval
@@ -589,8 +589,8 @@ def record_terms(monkeypatch):
     drawn = []
     draw = training._example_term
 
-    def recording(params, example, rng):
-        drawn.append(draw(params, example, rng))
+    def recording(*args):
+        drawn.append(draw(*args))
         return drawn[-1]
 
     monkeypatch.setattr(training, "_example_term", recording)
@@ -619,7 +619,8 @@ class TestBatchedTrainingStep:
             if data.draw(st.booleans()):
                 terms.append(span_term(prompt, target))
             else:
-                terms.append(training._example_term(diffusion_model, pairs[i], rng))
+                terms.append(training._example_term(
+                    DIFFUSION, diffusion_model.vocab, pairs[i], rng))
         loss, grads = training._batch_grads(params.hyper, params.vocab.pad,
                                             params.graph_weights, terms)
 
@@ -698,8 +699,8 @@ class TestOnePassPerStep:
         pairs = [by_length[short][0], by_length[long][0],
                  by_length[short][1], by_length[long][1], by_length[long][2]]
         rng = np.random.default_rng(0)
-        terms = [training._example_term(diffusion_model, pair, rng)
-                 for pair in pairs]
+        terms = [training._example_term(DIFFUSION, diffusion_model.vocab,
+                                        pair, rng) for pair in pairs]
         calls, _ = spy_passes(monkeypatch)
         training._batch_grads(diffusion_model.hyper, diffusion_model.vocab.pad,
                               diffusion_model.graph_weights, terms)
