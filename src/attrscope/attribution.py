@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import grad
 from .contract import (
     CLASS_LOG_PROB, KIND_PROCESS, OUTPUT_LOG_PROB, SPAN_LOG_PROB, STAGE,
     STAGE_DELTA, STATE_COMMITMENT, STATE_LOG_PROB, TOKEN_LOG_PROB,
@@ -23,7 +22,9 @@ from .models.diffusion import (
     SUBSTITUTE_STEP, ChainSpec, DenoisingTrajectory, perturbed_plan,
     run_chains, stage_term, stage_terms,
 )
-from .models.transformer import POINTS_PER_PASS, ForwardGraph, score_sums
+from .models.transformer import (
+    POINTS_PER_PASS, ScoreTerm, run_groups, score_sums,
+)
 
 
 class StageScoreError(ContractError):
@@ -78,29 +79,38 @@ def _method_desc(**kw) -> tuple[tuple[str, object], ...]:
 
 @dataclass
 class BoundScore:
-    """A contract's score as passes over the cached score graph, one per
-    term, plus the feature geometry.
+    """A contract's score as one pass group per term (see
+    ``transformer.run_groups``), plus the feature geometry.
 
     ``feature_rows`` maps every token-kind FeatureRef of the instance (not
     just the eligible ones) to the (term, embedding row) pairs it occupies,
     so callers can move any subset of features along a path while
     everything else stays at its actual value.
     """
-    graphs: list[ForwardGraph]
-    actual: list[dict[str, np.ndarray]]  # each term's leaf values
+    params: ModelParams
+    terms: list[ScoreTerm]
     feature_rows: dict[FeatureRef, tuple[tuple[int, int], ...]]
 
-    def values(self, bindings_list) -> list[float]:
-        """The score under each list of term bindings, in batched passes."""
-        return score_sums(zip(self.graphs, bindings) for bindings in bindings_list)
+    def with_rows(self, rows) -> list[tuple[ScoreTerm, dict[int, np.ndarray]]]:
+        """The terms' pass groups with each given ref's embedding rows
+        replaced by one row (d,), or B rows (B, d) for B points; every other
+        row keeps its actual value."""
+        overrides: list[dict[int, np.ndarray]] = [{} for _ in self.terms]
+        for ref, vec in rows.items():
+            for term, row in self.feature_rows[ref]:
+                overrides[term][row] = vec
+        return list(zip(self.terms, overrides))
 
-    def grad(self, refs, bindings: list[dict[str, np.ndarray]] | None = None
-             ) -> dict[FeatureRef, np.ndarray]:
-        """d(score)/d(embedding) of each ref, summed over the terms it is in;
-        of shape (B, d) for batched bindings, one row per point."""
-        bindings = self.actual if bindings is None else bindings
-        emb_grads = [grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"]
-                     for fg, vals in zip(self.graphs, bindings)]
+    def values(self, rows_list) -> list[float]:
+        """The score with each {ref: (d,) vector} set of replaced rows (see
+        with_rows), in batched passes."""
+        return score_sums(self.params, [self.with_rows(r) for r in rows_list])
+
+    def grad(self, refs, rows=None) -> dict[FeatureRef, np.ndarray]:
+        """d(score)/d(embedding) of each ref, summed over the terms it is
+        in, with ``rows`` replaced as in with_rows; of shape (B, d) for
+        (B, d) rows, one row per point."""
+        emb_grads = run_groups(self.params, self.with_rows(rows or {}), "emb_grad")
         out = {}
         for ref in refs:
             gsum = None
@@ -112,25 +122,7 @@ class BoundScore:
 
     def embedding(self, ref: FeatureRef) -> np.ndarray:
         term, row = self.feature_rows[ref][0]
-        return self.actual[term]["emb"][row]
-
-    def with_rows(self, rows: dict[FeatureRef, np.ndarray]) -> list[dict[str, np.ndarray]]:
-        """Leaf values with the given refs' embedding rows replaced.
-
-        Each vector is one row (d,), or B rows (B, d) for a batch of B
-        bindings; a term the refs touch then gets an emb of shape (B, L, d)
-        whose other rows are the actual ones."""
-        out = list(self.actual)
-        touched: dict[int, np.ndarray] = {}
-        for ref, vec in rows.items():
-            for term, row in self.feature_rows[ref]:
-                if term not in touched:
-                    emb = self.actual[term]["emb"]
-                    touched[term] = np.broadcast_to(
-                        emb, vec.shape[:-1] + emb.shape).copy()
-                    out[term] = {**self.actual[term], "emb": touched[term]}
-                touched[term][..., row, :] = vec
-        return out
+        return self.params.weights["emb"][self.terms[term].tokens[row]]
 
 
 def bind_score(params: ModelParams, instance: PromptedInstance,
@@ -175,15 +167,11 @@ def bind_score(params: ModelParams, instance: PromptedInstance,
         raise ContractError(f"cannot bind score kind {kind!r}")
 
     prompt_rows = [(FeatureRef(PROMPT_TOKEN, j), j) for j in range(n)]
-    graphs, actual = [], []
     rows: dict[FeatureRef, list[tuple[int, int]]] = {}
-    for i, (term, refs) in enumerate(parts):
-        fg, vals = term.bind(params)
-        graphs.append(fg)
-        actual.append(vals)
+    for i, (_, refs) in enumerate(parts):
         for ref, row in prompt_rows + refs:
             rows.setdefault(ref, []).append((i, row))
-    return BoundScore(graphs=graphs, actual=actual,
+    return BoundScore(params=params, terms=[term for term, _ in parts],
                       feature_rows={ref: tuple(r) for ref, r in rows.items()})
 
 
@@ -214,7 +202,7 @@ def scores(params: ModelParams, cases) -> list[float]:
     for contract, instance, conditioning in cases:
         _check(contract, params, instance)
         bound.append(bind_score(params, instance, contract, conditioning))
-    return score_sums(zip(bs.graphs, bs.actual) for bs in bound)
+    return score_sums(params, [bs.with_rows({}) for bs in bound])
 
 
 # -- methods --------------------------------------------------------------
@@ -235,11 +223,12 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
 
     accum = {ref: None for ref in eligible}
     for first in range(1, steps + 1, POINTS_PER_PASS):
-        ks = range(first, min(first + POINTS_PER_PASS, steps + 1))
-        rows = {ref: np.stack([base_vec + (k - 0.5) / steps
-                               * (bs.embedding(ref) - base_vec) for k in ks])
+        # the points' alphas (k - 0.5) / steps, one row per point
+        alphas = (np.arange(first, min(first + POINTS_PER_PASS, steps + 1))
+                  - 0.5)[:, None] / steps
+        rows = {ref: base_vec + alphas * (bs.embedding(ref) - base_vec)
                 for ref in eligible}
-        grads = bs.grad(eligible, bs.with_rows(rows))
+        grads = bs.grad(eligible, rows)
         for ref in eligible:
             for g in grads[ref]:  # in k order, as a sequential loop adds them
                 accum[ref] = g if accum[ref] is None else accum[ref] + g
@@ -263,7 +252,7 @@ def baseline_endpoint_score(params: ModelParams, instance: PromptedInstance,
     bs = bind_score(params, instance, contract)
     base_vec = baseline.embedding(params)
     rows = {ref: base_vec for ref in contract.eligible}
-    return bs.values([bs.with_rows(rows)])[0]
+    return bs.values([rows])[0]
 
 
 def grad_times_input(params: ModelParams, instance: PromptedInstance,
@@ -290,7 +279,7 @@ def occlusion(params: ModelParams, instance: PromptedInstance,
     bs = bind_score(params, instance, contract)
     base_vec = baseline.embedding(params)
     s_actual, *s_occ = bs.values(
-        [bs.actual] + [bs.with_rows({ref: base_vec}) for ref in contract.eligible])
+        [{}] + [{ref: base_vec} for ref in contract.eligible])
     entries = [(ref, s_actual - s) for ref, s in zip(contract.eligible, s_occ)]
     return AttributionMap(
         entries=tuple(entries), contract_id=canonical_id(contract).digest,
@@ -329,10 +318,10 @@ def stage_attribution(params: ModelParams, instance: PromptedInstance,
             substitute=pert if pert_kind == SUBSTITUTE_STEP else None)
     reruns = run_chains(params, chains.values(), traj.response_len, traj.seed)
     # the original output's teacher-forced score under each re-run's states
-    perturbed = dict(zip(chains, score_sums(
-        [term.bind(params) for term in
+    perturbed = dict(zip(chains, score_sums(params, [
+        [(term, {}) for term in
          stage_terms(prompt, traj, new, params.vocab.mask).values()]
-        for new in reruns)))
+        for new in reruns])))
     entries = [(ref, base - perturbed[ref] if ref in perturbed else None)
                for ref in contract.eligible]
     return AttributionMap(

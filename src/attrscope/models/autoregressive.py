@@ -5,11 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import evaluate
 from .params import ModelParams, AR
-from .transformer import (
-    ScoreTerm, build_forward_graph, check_context, leaf_values, terms_score,
-)
+from .transformer import ScoreTerm, check_context, run_groups, terms_score
 
 
 def _require_ar(params: ModelParams) -> None:
@@ -17,18 +14,12 @@ def _require_ar(params: ModelParams) -> None:
         raise ValueError(f"operation requires an autoregressive model, got {params.kind}")
 
 
-def _log_prob_rows(params: ModelParams, tokens: list[int]) -> np.ndarray:
-    fg = build_forward_graph(params.hyper, len(tokens), causal=True)
-    vals = evaluate(fg.graph, leaf_values(params, tokens))
-    return vals[fg.log_probs]
-
-
 def ar_next_log_probs(params: ModelParams, prompt, prefix) -> np.ndarray:
     """log p(. | prompt, prefix): a vector over the vocabulary."""
     _require_ar(params)
-    tokens = list(prompt) + list(prefix)
-    check_context(params.hyper, len(tokens))
-    return _log_prob_rows(params, tokens)[-1]
+    term = ScoreTerm(tokens=tuple(prompt) + tuple(prefix), causal=True,
+                     targets=())
+    return run_groups(params, [(term, {})], "log_probs")[0][-1]
 
 
 def token_term(prompt, prefix, target: int) -> ScoreTerm:

@@ -12,10 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ModelParams, DIFFUSION
-from .transformer import (
-    ScoreTerm, build_forward_graph, check_context, evaluate_passes,
-    leaf_values, terms_score,
-)
+from .transformer import ScoreTerm, check_context, run_groups, terms_score
 
 ABLATE = "ablate"
 NOISE_SCHEDULE = "noise_schedule"
@@ -83,12 +80,12 @@ def masked_log_probs(params: ModelParams, sequences) -> np.ndarray:
     """Bidirectional per-position log-probabilities of equal-length token
     sequences, in batched passes; shape (N, L, vocab)."""
     _require_diffusion(params)
-    sequences = [list(tokens) for tokens in sequences]
+    sequences = [tuple(tokens) for tokens in sequences]
     if len({len(tokens) for tokens in sequences}) != 1:
         raise ValueError("need one or more sequences of equal length")
-    fg = build_forward_graph(params.hyper, len(sequences[0]), causal=False)
-    return np.stack(evaluate_passes(
-        fg, [leaf_values(params, tokens) for tokens in sequences], fg.log_probs))
+    return np.stack(run_groups(
+        params, [(ScoreTerm(tokens=tokens, causal=False, targets=()), {})
+                 for tokens in sequences], "log_probs"))
 
 
 def default_commit_plan(response_len: int, num_steps: int) -> dict[int, int]:

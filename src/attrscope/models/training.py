@@ -76,7 +76,7 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
             row[:len(term.tokens)] = term.tokens
         fg = build_forward_graph(hp, L, bucket[0].causal)
         vals = _bind(hp, leaves, ids,
-                     _target_masks(hp, L, [term.targets for term in bucket]))
+                     _target_masks(hp, L, [term.targets for term in bucket]), ())
         forward = evaluate(fg.graph, vals)
         loss -= float(forward[fg.score].sum())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
@@ -144,5 +144,10 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
 
     params = ModelParams(hyper=hp, vocab=vocab, weights=per_head(hp, leaves))
     eval_corpus = list(corpus[: min(64, len(corpus))])
-    return TrainResult(params=params,
-                       final_loss=_mean_loss(params, eval_corpus, seed=seed + 1))
+    try:
+        final_loss = _mean_loss(params, eval_corpus, seed=seed + 1)
+    except NumericError as exc:  # the last update overflowed
+        raise TrainingDiverged(
+            f"non-finite final loss after {steps} steps"
+            f" (last finite: {last_loss})") from exc
+    return TrainResult(params=params, final_loss=final_loss)

@@ -9,6 +9,10 @@ so every head runs in the same nodes. Each graph ends in
 ``score = sum(log_probs * target_mask)``, where the target mask is a leaf
 no caller asks a gradient of: one forward pass of a score is a ScoreTerm,
 naming the tokens and the (row, column) log-prob entries it sums.
+
+Every score, log-prob and embedding-gradient pass is bound as a pass
+group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
+``_bind``, which training calls too, is the one place leaf values are built.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Graph, evaluate
+from ..autodiff import Graph, evaluate, grad
 from .params import Hyperparams, ModelParams, CLASSIFIER
 
 NEG_MASK = -1e9  # additive attention mask; large but finite
@@ -129,30 +133,24 @@ def _target_masks(hp: Hyperparams, seq_len: int, target_lists) -> np.ndarray:
 
 
 def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
-          target_mask: np.ndarray) -> dict[str, np.ndarray]:
+          target_mask: np.ndarray, overrides) -> dict[str, np.ndarray]:
     """Leaf values for a pass over the token ids ``ids``, of shape (L,), or
     (B, L) for a batched pass, taken from the score-graph leaves ``leaves``
     (``ModelParams.graph_weights``): the embeddings are the emb rows of the
-    ids, and every weight leaf is shared, not copied. The caller checks L
-    against the context window."""
-    ids = np.asarray(ids, dtype=int)
-    if ids.min() < 0 or ids.max() >= hp.vocab_size:
+    ids, with each (index, vector) of ``overrides`` written to
+    ``emb[index]``, and every weight leaf is shared, not copied. The caller
+    checks L against the context window."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.view(np.uint64).max() >= hp.vocab_size:  # catches negative ids too
         raise ValueError("token index out of vocab range")
+    emb = leaves["emb"][ids]
+    for index, vec in overrides:
+        emb[index] = vec
     vals = dict(leaves)
-    vals["emb"] = leaves["emb"][ids]
+    vals["emb"] = emb
     vals["pos"] = leaves["pos"][:ids.shape[-1]]
     vals["target_mask"] = target_mask
     return vals
-
-
-def leaf_values(params: ModelParams, tokens,
-                targets=()) -> dict[str, np.ndarray]:
-    """Leaf bindings for a forward pass over concrete tokens; the score node
-    sums the log-probs at the (row, column) entries in ``targets``."""
-    hp = params.hyper
-    check_context(hp, len(tokens))
-    mask = _target_masks(hp, len(tokens), [targets])[0]
-    return _bind(hp, params.graph_weights, tokens, mask)
 
 
 @dataclass(frozen=True)
@@ -163,68 +161,87 @@ class ScoreTerm:
     causal: bool
     targets: tuple[tuple[int, int], ...]
 
-    def bind(self, params: ModelParams) -> tuple[ForwardGraph, dict[str, np.ndarray]]:
-        """The cached score graph of this pass and its leaf values."""
-        vals = leaf_values(params, self.tokens, self.targets)
-        return build_forward_graph(params.hyper, len(self.tokens), self.causal), vals
 
-
-# Points per forward pass, for IG's path points and for every batch of
-# score and log-prob passes. A pass keeps every point's forward values (and,
-# for IG, until its backward), about 0.3 MB per point for a 2-layer,
-# width-64 model, so peak memory grows with this number while the per-node
-# dispatch cost it saves shrinks.
+# Points per pass: run_groups packs the pass groups over one cached graph,
+# IG's path points among them, into passes of at most this many. A pass
+# keeps every point's forward values (and, for IG, until its backward),
+# about 0.3 MB per point for a 2-layer, width-64 model, so peak memory
+# grows with this number while the per-node dispatch cost it saves shrinks.
 POINTS_PER_PASS = 8
-# The leaves that differ between passes over one cached graph; a batch
-# stacks them and shares every other leaf.
-_PER_PASS_LEAVES = ("emb", "target_mask")
 
 
-def _stacked(passes: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """One batched binding of unbatched passes over the same graph."""
-    first = passes[0]
-    vals = {}
-    for name, value in first.items():
-        if name in _PER_PASS_LEAVES:
-            vals[name] = np.stack([p[name] for p in passes])
-            continue
-        for p in passes[1:]:
-            if p[name] is not value and not np.array_equal(p[name], value):
-                raise ValueError(f"passes of one batch differ in leaf {name!r}")
-        vals[name] = value
-    return vals
+def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
+    """Per pass group, the value of its "score" or "log_probs" node, or
+    (``read`` "emb_grad") the gradient of its score in its embeddings.
+
+    A pass group is a (ScoreTerm, overrides) pair; ``overrides`` maps an
+    embedding row to the vector that replaces it, (d,) for one pass or
+    (B, d) for B passes, whose B values come back stacked. The groups over
+    one cached graph (length, attention mode) share passes, in order."""
+    hp = params.hyper
+    sizes = []  # per group: B, or None for one unbatched pass
+    by_graph: dict[tuple[int, bool], list[int]] = {}
+    for i, (term, overrides) in enumerate(groups):
+        batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
+        if len(batch) > 1:
+            raise ValueError("overrides of one pass group differ in batch size")
+        sizes.append(batch.pop() if batch else None)
+        by_graph.setdefault((len(term.tokens), term.causal), []).append(i)
+    pieces: list[list[np.ndarray]] = [[] for _ in groups]
+    for (length, causal), members in by_graph.items():
+        check_context(hp, length)
+        fg = build_forward_graph(hp, length, causal)
+        points = [(i, k) for i in members for k in range(sizes[i] or 1)]
+        for first in range(0, len(points), POINTS_PER_PASS):
+            _run_pass(params, fg, groups, read, pieces,
+                      points[first:first + POINTS_PER_PASS])
+    return [p[0][0] if n is None else p[0] if len(p) == 1 else np.concatenate(p)
+            for p, n in zip(pieces, sizes)]
 
 
-def evaluate_passes(fg: ForwardGraph, passes: list[dict[str, np.ndarray]],
-                    node: int) -> list[np.ndarray]:
-    """The value of ``node`` in each pass over ``fg``, computed in forward
-    passes of up to POINTS_PER_PASS passes stacked on their emb and
-    target_mask leaves; every other leaf must be equal in all passes."""
-    out: list[np.ndarray] = []
-    for first in range(0, len(passes), POINTS_PER_PASS):
-        batch = _stacked(passes[first:first + POINTS_PER_PASS])
-        out.extend(evaluate(fg.graph, batch)[node])
-    return out
+def _run_pass(params: ModelParams, fg: ForwardGraph, groups, read: str,
+              pieces: list[list[np.ndarray]], points) -> None:
+    """One pass over ``fg`` of ``points``, each (group, point); appends
+    each group's values in it, stacked, to the group's pieces."""
+    segments: dict[int, list[int]] = {}  # group -> its points in this pass
+    for i, k in points:
+        segments.setdefault(i, []).append(k)
+    ids, overrides = [], []
+    for i, ks in segments.items():
+        term, rows = groups[i]
+        at = slice(len(ids), len(ids) + len(ks))
+        overrides += [((at, row), vec if vec.ndim == 1 else vec[ks[0]:ks[-1] + 1])
+                      for row, vec in rows.items()]
+        ids += [term.tokens] * len(ks)
+    hp = params.hyper
+    masks = _target_masks(hp, len(ids[0]),
+                          [groups[i][0].targets for i in segments])
+    if len(ids) > len(segments):  # a group has several points in the pass
+        masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
+    vals = _bind(hp, params.graph_weights, ids, masks, overrides)
+    if len(ids) == 1:  # numpy runs a one-point pass faster unbatched
+        vals["emb"], vals["target_mask"] = vals["emb"][0], vals["target_mask"][0]
+    if read == "emb_grad":
+        out = grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"]
+    else:
+        out = evaluate(fg.graph, vals)[getattr(fg, read)]
+    out = out[None] if len(ids) == 1 else out
+    for i, ks in segments.items():
+        pieces[i].append(out[:len(ks)])
+        out = out[len(ks):]
 
 
-def score_sums(bound_lists) -> list[float]:
-    """For each list of (ForwardGraph, leaf values) passes, the sum of their
-    score nodes, added in list order. Passes over the same cached graph are
-    scored together, whichever lists they come from."""
-    bound_lists = [list(bound) for bound in bound_lists]
-    groups: dict[int, tuple[ForwardGraph, list]] = {}
-    for i, bound in enumerate(bound_lists):
-        for j, (fg, vals) in enumerate(bound):
-            groups.setdefault(id(fg), (fg, []))[1].append((i, j, vals))
-    scores = [[0.0] * len(bound) for bound in bound_lists]
-    for fg, passes in groups.values():
-        values = evaluate_passes(fg, [vals for _, _, vals in passes], fg.score)
-        for (i, j, _), value in zip(passes, values):
-            scores[i][j] = float(value)
+def score_sums(params: ModelParams, group_lists) -> list[float]:
+    """For each list of pass groups (see run_groups), the sum of their
+    scores, added in list order. The groups of all lists are run together."""
+    values = iter(run_groups(params, [group for groups in group_lists
+                                      for group in groups], "score"))
     # plain left-to-right adds: sum() compensates on Python >= 3.12
-    return [functools.reduce(operator.add, terms, 0.0) for terms in scores]
+    return [functools.reduce(operator.add,
+                             [float(next(values)) for _ in groups], 0.0)
+            for groups in group_lists]
 
 
 def terms_score(params: ModelParams, terms) -> float:
     """A score given as terms, evaluated on the model's own weights."""
-    return score_sums([[term.bind(params) for term in terms]])[0]
+    return score_sums(params, [[(term, {}) for term in terms]])[0]

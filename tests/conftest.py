@@ -8,6 +8,22 @@ from attrscope.models import (
     Hyperparams, ar_generate, diffusion_generate, init_params, train,
 )
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
+from attrscope.models.transformer import (
+    _bind, _target_masks, build_forward_graph, check_context,
+)
+
+
+def bind_pass(params, term, rows=None):
+    """The cached score graph of one unbatched pass over the ScoreTerm
+    ``term`` and its leaf values, bound by ``transformer._bind`` on the
+    model's own weights; ``rows`` maps an embedding row to the (d,) vector
+    that replaces it. The reference the batched pass groups must match."""
+    hp = params.hyper
+    check_context(hp, len(term.tokens))
+    mask = _target_masks(hp, len(term.tokens), [term.targets])[0]
+    vals = _bind(hp, params.graph_weights, term.tokens, mask,
+                 (rows or {}).items())
+    return build_forward_graph(hp, len(term.tokens), term.causal), vals
 
 
 @pytest.fixture(scope="session")

@@ -30,8 +30,9 @@ from attrscope.models import (
 from attrscope.models.autoregressive import token_term
 from attrscope.models.diffusion import perturbed_plan, run_chain, InfeasiblePerturbationError
 from attrscope.models.transformer import (
-    build_fresh_forward_graph, leaf_values, terms_score,
+    ScoreTerm, build_fresh_forward_graph, terms_score,
 )
+from conftest import bind_pass
 
 FD_STEP = 1e-4
 POLICY = PerturbationPolicy()
@@ -119,7 +120,8 @@ class TestA1GradientCorrectness:
         tokens = [4, 5, 2, 6]
         target = 7
         fg = build_fresh_forward_graph(params.hyper, len(tokens), causal=True)
-        base_vals = leaf_values(params, tokens, ((len(tokens) - 1, target),))
+        _, base_vals = bind_pass(params, ScoreTerm(
+            tuple(tokens), True, ((len(tokens) - 1, target),)))
         checked_leaves = ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
                           "lnf.g")
         grads = grad(fg.graph, fg.score, base_vals, checked_leaves)

@@ -1,6 +1,7 @@
 """Attribution-method tests: completeness, occlusion oracle, contract
 separation, stage perturbations, map hygiene, and batched IG and occlusion
 and lockstep stage re-runs against sequential loops."""
+import contextlib
 import math
 from unittest import mock
 
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attrscope import attribution
-from attrscope.autodiff import evaluate
+from attrscope.autodiff import evaluate, grad
 from attrscope.attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, StageScoreError,
     baseline_endpoint_score, bind_score, grad_times_input,
@@ -25,9 +25,12 @@ from attrscope.models import (
     StagePerturbation, ar_generate, diffusion_generate, teacher_forced_score,
     trajectory_score,
 )
+from attrscope.models import transformer
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains,
 )
+from attrscope.models.transformer import POINTS_PER_PASS
+from conftest import bind_pass
 
 MASK_BASELINE = BaselinePolicy("mask_token")
 ZERO_BASELINE = BaselinePolicy("zero_embedding")
@@ -230,9 +233,26 @@ class TestMapHygiene:
         assert abs(total - (actual - at_base)) <= 1e-3 * (1 + abs(actual - at_base))
 
 
+def unbatched_grad(bs, refs, rows):
+    """BoundScore.grad from one unbatched forward+backward pass per term."""
+    emb_grads = []
+    for term, overrides in bs.with_rows(rows):
+        fg, vals = bind_pass(bs.params, term, overrides)
+        emb_grads.append(grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"])
+    out = {}
+    for ref in refs:
+        gsum = None
+        for term, row in bs.feature_rows[ref]:
+            gsum = (emb_grads[term][row].copy() if gsum is None
+                    else gsum + emb_grads[term][row])
+        out[ref] = gsum
+    return out
+
+
 def sequential_ig(params, instance, contract, baseline, steps):
-    """IG entries from one forward+backward pass per path point, adding the
-    gradients in k order: the reference the batched path loop must match."""
+    """IG entries from one unbatched forward+backward pass per term and
+    path point, adding the gradients in k order: the reference the batched
+    path loop must match."""
     bs = bind_score(params, instance, contract)
     base_vec = baseline.embedding(params)
     eligible = contract.eligible
@@ -241,12 +261,47 @@ def sequential_ig(params, instance, contract, baseline, steps):
         alpha = (k - 0.5) / steps
         rows = {ref: base_vec + alpha * (bs.embedding(ref) - base_vec)
                 for ref in eligible}
-        grads = bs.grad(eligible, bs.with_rows(rows))
+        grads = unbatched_grad(bs, eligible, rows)
         for ref in eligible:
             accum[ref] = grads[ref] if accum[ref] is None else accum[ref] + grads[ref]
     return tuple((ref, float(np.dot(bs.embedding(ref) - base_vec,
                                     accum[ref] / steps)))
                  for ref in eligible)
+
+
+@contextlib.contextmanager
+def recorded_passes(name):
+    """Records the leaf values of every pass that run_groups makes through
+    transformer's ``evaluate`` or ``grad``."""
+    original = getattr(transformer, name)
+    passes = []
+
+    def recording(graph, *args, **kwargs):
+        passes.append(args[0] if name == "evaluate" else args[1])
+        return original(graph, *args, **kwargs)
+
+    with mock.patch.object(transformer, name, recording):
+        yield passes
+
+
+def pass_points(params, vals):
+    """The (emb, target mask) of each point of a pass, after checking that
+    it binds at most POINTS_PER_PASS points (a one-point pass unbatched),
+    shares every weight leaf with the model, and takes pos from its
+    weight."""
+    weights = params.graph_weights
+    emb, mask = vals["emb"], vals["target_mask"]
+    if emb.ndim == 2:
+        emb, mask = emb[None], mask[None]
+    assert emb.ndim == 3 and len(emb) <= POINTS_PER_PASS
+    assert len(mask) == len(emb)
+    assert vals.keys() == weights.keys() | {"target_mask"}
+    assert np.shares_memory(vals["pos"], weights["pos"])
+    assert np.array_equal(vals["pos"], weights["pos"][:emb.shape[1]])
+    for name, value in vals.items():
+        if name not in ("emb", "pos", "target_mask"):
+            assert value is weights[name], name
+    return list(zip(emb, mask))
 
 
 @st.composite
@@ -299,47 +354,42 @@ class TestBatchedPathLoop:
     def test_equals_sequential_loop_and_keeps_context_rows(self, models, data):
         params, instance, contract, baseline, steps = data.draw(
             ig_cases(models))
-        passes = []
-
-        def recording_grad(graph, node, vals, wrt):
-            passes.append(vals)
-            return grad(graph, node, vals, wrt)
-
-        grad = attribution.grad
-        with mock.patch.object(attribution, "grad", recording_grad):
+        with recorded_passes("grad") as passes:
             attr_map = integrated_gradients(params, instance, contract,
                                             baseline=baseline, steps=steps)
         assert attr_map.entries == sequential_ig(params, instance, contract,
                                                  baseline, steps)
 
-        # one grad per term per pass of at most 8 points; each binding has
-        # the eligible rows on the path and every other row at its actual
-        # value (held-fixed features and non-eligible context alike)
+        # every pass binds at most 8 points and the model's own weights;
+        # each point has the eligible rows on the path and every other row
+        # at its actual value (held-fixed features and non-eligible context
+        # alike). Each batch of 8 path points packs the terms' points by
+        # graph, in term order.
         bs = bind_score(params, instance, contract)
         base_vec = baseline.embedding(params)
-        n_terms = len(bs.graphs)
-        ks = range(1, steps + 1)
-        chunks = [ks[i:i + 8] for i in range(0, steps, 8)]
-        assert len(passes) == len(chunks) * n_terms
-        for i, vals in enumerate(passes):
-            chunk, term = chunks[i // n_terms], i % n_terms
-            actual = bs.actual[term]
-            assert vals.keys() == actual.keys()
-            assert all(np.array_equal(vals[name], actual[name])
-                       for name in actual if name != "emb")
-            expected = np.repeat(actual["emb"][None], len(chunk), axis=0)
-            moved = False
+        by_graph = {}
+        for i, term in enumerate(bs.terms):
+            by_graph.setdefault((len(term.tokens), term.causal), []).append(i)
+        expected = []  # (term, k) of each point, in pass order
+        for first in range(1, steps + 1, POINTS_PER_PASS):
+            ks = range(first, min(first + POINTS_PER_PASS, steps + 1))
+            expected += [(i, k) for members in by_graph.values()
+                         for i in members for k in ks]
+        points = []  # (emb, target mask) of each point, in pass order
+        for vals in passes:
+            points += pass_points(params, vals)
+        assert len(points) == len(expected)
+        for (emb, mask), (i, k) in zip(points, expected):
+            term = bs.terms[i]
+            _, actual = bind_pass(params, term)
+            path = actual["emb"].copy()
             for ref in contract.eligible:
                 for ref_term, row in bs.feature_rows[ref]:
-                    if ref_term == term:
-                        moved = True
+                    if ref_term == i:
                         x = bs.embedding(ref)
-                        expected[:, row] = [base_vec + (k - 0.5) / steps
-                                            * (x - base_vec) for k in chunk]
-            if moved:
-                assert np.array_equal(vals["emb"], expected)
-            else:
-                assert np.array_equal(vals["emb"], actual["emb"])
+                        path[row] = base_vec + (k - 0.5) / steps * (x - base_vec)
+            assert np.array_equal(emb, path)
+            assert np.array_equal(mask, actual["target_mask"])
 
 
 class TestCompletenessProperty:
@@ -367,10 +417,12 @@ class TestCompletenessProperty:
         assert err <= 1e-3 * (1 + mag)
 
 
-def unbatched_value(bs, bindings):
-    """A BoundScore's value from one unbatched pass per term."""
+def unbatched_value(bs, rows):
+    """A BoundScore's value with ``rows`` replaced, from one unbatched pass
+    per term."""
     total = 0.0
-    for fg, vals in zip(bs.graphs, bindings):
+    for term, overrides in bs.with_rows(rows):
+        fg, vals = bind_pass(bs.params, term, overrides)
         total += float(evaluate(fg.graph, vals)[fg.score])
     return total
 
@@ -387,13 +439,17 @@ class TestBatchedOcclusion:
                   SETTING_CLASSIFIER: classifier_model}
         params, instance, contract, _, _ = data.draw(ig_cases(models))
         baseline = data.draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE]))
-        attr_map = occlusion(params, instance, contract, baseline=baseline)
+        with recorded_passes("evaluate") as passes:
+            attr_map = occlusion(params, instance, contract, baseline=baseline)
         bs = bind_score(params, instance, contract)
         base_vec = baseline.embedding(params)
-        s_actual = unbatched_value(bs, bs.actual)
+        s_actual = unbatched_value(bs, {})
         assert attr_map.entries == tuple(
-            (ref, s_actual - unbatched_value(bs, bs.with_rows({ref: base_vec})))
+            (ref, s_actual - unbatched_value(bs, {ref: base_vec}))
             for ref in contract.eligible)
+        # the actual score and one per eligible feature, one point per term
+        assert sum(len(pass_points(params, vals)) for vals in passes) \
+            == len(bs.terms) * (1 + len(contract.eligible))
 
 
 def sequential_stage_entries(params, instance, contract, pert_kind,

@@ -10,7 +10,8 @@ from attrscope.autodiff import (
     Graph, GraphError, NumericError, ShapeError, _forward, _forward_op,
     evaluate, grad,
 )
-from attrscope.models.transformer import build_forward_graph, leaf_values
+from attrscope.models.transformer import ScoreTerm, build_forward_graph
+from conftest import bind_pass
 
 FD_STEP = 1e-4
 
@@ -236,8 +237,7 @@ class TestBatchAxis:
                                                     targets, request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
-        fg = build_forward_graph(params.hyper, len(tokens), causal)
-        vals = leaf_values(params, tokens, targets)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets))
         embs = vals["emb"] + 0.1 * rng.standard_normal((5,) + vals["emb"].shape)
 
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
@@ -324,8 +324,7 @@ class TestRequestedGradients:
                                                batch, request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
-        fg = build_forward_graph(params.hyper, len(tokens), causal)
-        vals = leaf_values(params, tokens, targets)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets))
         if batch is not None:
             vals = {**vals,
                     "emb": vals["emb"] + 0.1 * rng.standard_normal(
@@ -402,9 +401,8 @@ class TestFiniteness:
         tokens = data.draw(st.lists(
             st.integers(0, params.hyper.vocab_size - 1),
             min_size=length, max_size=length))
-        fg = build_forward_graph(params.hyper, length,
-                                 causal=data.draw(st.booleans()))
-        vals = leaf_values(params, tokens, ((0, 0),))
+        fg, vals = bind_pass(params, ScoreTerm(
+            tuple(tokens), data.draw(st.booleans()), ((0, 0),)))
         batch = data.draw(st.sampled_from([None, 1, 3]))
         if batch is not None:
             vals = {**vals, "emb": np.stack([vals["emb"]] * batch),

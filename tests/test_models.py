@@ -32,9 +32,10 @@ from attrscope.models.params import (
     AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
 )
 from attrscope.models.transformer import (
-    ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
-    leaf_values, score_sums, terms_score,
+    ContextOverflowError, ScoreTerm, check_context,
+    run_groups, score_sums, terms_score,
 )
+from conftest import bind_pass
 
 
 def sample_prompt(corpus):
@@ -159,10 +160,11 @@ class TestBatchedPasses:
         seqs = self.sequences(diffusion_model, 19, 6, seed=0)
         rows = masked_log_probs(diffusion_model, seqs)
         assert rows.shape == (19, 6, diffusion_model.hyper.vocab_size)
-        fg = build_forward_graph(diffusion_model.hyper, 6, causal=False)
         for tokens, batched in zip(seqs, rows):
-            vals = evaluate(fg.graph, leaf_values(diffusion_model, tokens))
-            assert np.array_equal(batched, vals[fg.log_probs])
+            fg, vals = bind_pass(diffusion_model,
+                                 ScoreTerm(tuple(tokens), False, ()))
+            assert np.array_equal(batched,
+                                  evaluate(fg.graph, vals)[fg.log_probs])
 
     def test_masked_log_probs_needs_equal_lengths(self, diffusion_model):
         with pytest.raises(ValueError):
@@ -194,30 +196,53 @@ class TestBatchedPasses:
             run_chains(diffusion_model, [chain], 5, 7)[0] for chain in chains]
 
     def test_score_sums_equal_unbatched_passes(self, tiny_ar_model):
-        # 3 lists of terms over two sequence lengths, 21 passes in all
+        # per kind of overrides, 3 lists of pass groups, 21 in all: causal
+        # and bidirectional terms over two sequence lengths, several groups
+        # to a pass, and batched groups of 1-11 points that straddle passes
+        params = tiny_ar_model
         rng = np.random.default_rng(2)
-        vocab = tiny_ar_model.hyper.vocab_size
-        lists = []
-        for n_terms in (9, 1, 11):
-            terms = [span_term(tuple(rng.integers(0, vocab, size=n)),
-                               tuple(rng.integers(0, vocab, size=n)))
-                     for n in rng.integers(2, 4, size=n_terms)]
-            lists.append([term.bind(tiny_ar_model) for term in terms])
-        expected = []
-        for bound in lists:
-            total = 0.0
-            for fg, vals in bound:
-                total += float(evaluate(fg.graph, vals)[fg.score])
-            expected.append(total)
-        assert score_sums(lists) == expected
+        vocab, d = params.hyper.vocab_size, params.hyper.width
 
-    def test_score_sums_rejects_a_batch_with_different_weights(
-            self, tiny_ar_model):
-        term = span_term([5, 6], [7])
-        fg, vals = term.bind(tiny_ar_model)
-        other = {**vals, "out.b": vals["out.b"] + 1.0}
-        with pytest.raises(ValueError):
-            score_sums([[(fg, vals)], [(fg, other)]])
+        def unbatched(term, rows):
+            """One unbatched pass per point of the group."""
+            batch = {len(vec) for vec in rows.values() if vec.ndim == 2}
+            if batch:
+                return [unbatched(term, {row: vec[k]
+                                         for row, vec in rows.items()})
+                        for k in range(batch.pop())]
+            fg, vals = bind_pass(params, term, rows)
+            return float(evaluate(fg.graph, vals)[fg.score])
+
+        for overrides in ("none", "row", "batched", "mixed"):
+            lists = []
+            for n_groups in (9, 1, 11):
+                groups = []
+                for n in rng.integers(2, 4, size=n_groups):
+                    span = span_term(tuple(rng.integers(0, vocab, size=n)),
+                                     tuple(rng.integers(0, vocab, size=n)))
+                    term = ScoreTerm(span.tokens, bool(rng.integers(2)),
+                                     span.targets)
+                    kind = (overrides if overrides != "mixed" else
+                            ("none", "row", "batched")[rng.integers(3)])
+                    shape = {"none": None, "row": (d,),
+                             "batched": (int(rng.integers(1, 12)), d)}[kind]
+                    rows = rng.choice(2 * n, size=2, replace=False)
+                    groups.append((term, {} if shape is None else {
+                        int(row): rng.standard_normal(shape)
+                        for row in rows}))
+                lists.append(groups)
+
+            flat = [group for groups in lists for group in groups]
+            assert [v.tolist() for v in run_groups(params, flat, "score")] \
+                == [unbatched(*group) for group in flat]
+            if overrides in ("none", "row"):  # one score per group
+                sums = []
+                for groups in lists:
+                    total = 0.0
+                    for group in groups:
+                        total += unbatched(*group)
+                    sums.append(total)
+                assert score_sums(params, lists) == sums
 
 
 class TestPerturbedPlans:
@@ -475,15 +500,15 @@ class TestHeadsAxis:
         rng = np.random.default_rng(heads)
         for length in (1, 5, 9):
             tokens = rng.integers(0, len(tiny_corpus.vocab), size=length)
-            fg = build_forward_graph(params.hyper, length, causal)
-            got = evaluate(fg.graph, leaf_values(params, tokens))[fg.log_probs]
+            fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, ()))
+            got = evaluate(fg.graph, vals)[fg.log_probs]
             expected = per_head_log_probs(params, tokens, causal)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_heads_are_stacked_once_per_model(self, tiny_ar_model):
-        a = leaf_values(tiny_ar_model, [1, 2, 3])
-        b = leaf_values(tiny_ar_model, [4, 5])
+        _, a = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), True, ()))
+        _, b = bind_pass(tiny_ar_model, ScoreTerm((4, 5), True, ()))
         assert a["blk0.wq"] is b["blk0.wq"]
         assert a["blk1.wo"].shape == (2, 16, 32)
         assert per_head(tiny_ar_model.hyper, tiny_ar_model.graph_weights) \
@@ -530,6 +555,17 @@ class TestTraining:
                   seed=0, steps=20, lr=1e30)
         assert "non-finite output at node" in str(info.value.__cause__)
 
+    def test_overflow_in_the_last_update_raises_diverged(self, tiny_corpus):
+        # the one step's loss is finite; its update overflows the weights,
+        # so the final loss pass is the first to see it
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=16, mlp_hidden=32, context_len=16)
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite final loss after 1 steps") as info:
+            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                  seed=0, steps=1, lr=1e308)
+        assert "non-finite output at node" in str(info.value.__cause__)
+
     def test_training_deterministic(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
@@ -543,7 +579,7 @@ class TestTraining:
 def per_example_grads(params, term):
     """One example's loss (minus its score) and gradient, from its own
     forward and backward pass: the reference for the batched step."""
-    fg, vals = term.bind(params)
+    fg, vals = bind_pass(params, term)
     forward = evaluate(fg.graph, vals)
     full = {}
     weights = [name for name in fg.graph.leaves if name != "target_mask"]
