@@ -10,6 +10,8 @@ each node costs a Python dispatch per pass: ``expand`` inserts a heads
 axis before the rows, so one ``matmul`` against an (H, d, dh) weight runs
 every head, and ``sum_heads`` sums that axis; ``layer_norm(x, gain,
 bias)`` and ``affine(x, w, b)`` (``x @ w + b``) are one node each.
+``rows(x, rows)`` takes constant rows, ``x[..., rows, :]``, so a graph can
+compute only the rows its output reads.
 
 ``grad(graph, node, leaf_values, wrt)`` returns the gradient of each leaf
 named in ``wrt`` and no other: its backward pass skips every input that
@@ -161,6 +163,17 @@ class Graph:
         """``a @ w + b`` for an unbatched (d, m) ``w`` and (m,) ``b``."""
         return self._push("affine", (a, w, b))
 
+    def rows(self, a: int, rows) -> int:
+        """The given rows, ``a[..., rows, :]``: (..., L, d) becomes
+        (..., len(rows), d). The rows are constant, distinct and at least
+        one; an operand with fewer than ``max(rows) + 1`` rows is a
+        ShapeError."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if (rows.ndim != 1 or not len(rows) or rows.min() < 0
+                or len(np.unique(rows)) != len(rows)):
+            raise GraphError(f"rows must be distinct row indices, got {rows}")
+        return self._push("rows", (a,), const=rows)
+
     def sum_all(self, a: int) -> int:
         """Sum over the trailing axes: a scalar per point."""
         return self._push("sum_all", (a,))
@@ -236,6 +249,11 @@ def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
         if ins[0].ndim < 3:
             raise ShapeError(f"sum_heads needs an (H, L, d) operand, got {ins[0].shape}")
         return ins[0].sum(axis=-3)
+    if op == "rows":
+        x, rows = ins[0], node.const
+        if x.ndim < 2 or rows.max() >= x.shape[-2]:
+            raise ShapeError(f"rows {rows.tolist()} of an operand of shape {x.shape}")
+        return x[..., rows, :]
     if op == "gelu":
         return _gelu(ins[0])
     if op == "softmax":
@@ -401,6 +419,10 @@ def _backward(graph: Graph, scalar_node: int, vals: list[np.ndarray],
             acc(0, g[..., 0, :, :])
         elif op == "sum_heads":
             acc(0, np.broadcast_to(g[..., None, :, :], ins[0].shape))
+        elif op == "rows":
+            gx = np.zeros(ins[0].shape)
+            gx[..., node.const, :] = g
+            acc(0, gx)
         elif op == "gelu":
             acc(0, g * _gelu_grad(ins[0]))
         elif op == "softmax":

@@ -15,11 +15,13 @@ def _require_ar(params: ModelParams) -> None:
 
 
 def ar_next_log_probs(params: ModelParams, prompt, prefix) -> np.ndarray:
-    """log p(. | prompt, prefix): a vector over the vocabulary."""
+    """log p(. | prompt, prefix): a vector over the vocabulary, from a pass
+    that computes the last row alone."""
     _require_ar(params)
-    term = ScoreTerm(tokens=tuple(prompt) + tuple(prefix), causal=True,
-                     targets=())
-    return run_groups(params, [(term, {})], "log_probs")[0][-1]
+    tokens = tuple(prompt) + tuple(prefix)
+    term = ScoreTerm(tokens=tokens, causal=True, targets=(),
+                     rows=(len(tokens) - 1,))
+    return run_groups(params, [(term, {})], "log_probs")[0][0]
 
 
 def token_term(prompt, prefix, target: int) -> ScoreTerm:

@@ -76,16 +76,21 @@ def _require_diffusion(params: ModelParams) -> None:
         raise ValueError(f"operation requires a masked-diffusion model, got {params.kind}")
 
 
-def masked_log_probs(params: ModelParams, sequences) -> np.ndarray:
-    """Bidirectional per-position log-probabilities of equal-length token
-    sequences, in batched passes; shape (N, L, vocab)."""
+def masked_log_probs(params: ModelParams, sequences,
+                     positions=None) -> np.ndarray:
+    """Bidirectional log-probabilities of equal-length token sequences at
+    the sorted ``positions`` (default: every position), in batched passes
+    that compute only those rows; shape (N, len(positions), vocab)."""
     _require_diffusion(params)
     sequences = [tuple(tokens) for tokens in sequences]
     if len({len(tokens) for tokens in sequences}) != 1:
         raise ValueError("need one or more sequences of equal length")
+    rows = tuple(range(len(sequences[0])) if positions is None else positions)
+    if list(rows) != sorted(set(rows)):
+        raise ValueError("positions must be sorted and distinct")
     return np.stack(run_groups(
-        params, [(ScoreTerm(tokens=tokens, causal=False, targets=()), {})
-                 for tokens in sequences], "log_probs"))
+        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows),
+                  {}) for tokens in sequences], "log_probs"))
 
 
 def default_commit_plan(response_len: int, num_steps: int) -> dict[int, int]:
@@ -144,16 +149,25 @@ def run_chains(params: ModelParams, chains, response_len: int,
         fixed = [None if chain.schedule is None
                  else [s for s, u in enumerate(chain.schedule) if u == t]
                  for chain in chains]
-        predict = [i for i, (chain, slots) in enumerate(zip(chains, fixed))
-                   if (chain.plan.get(t, 0) if slots is None
-                       else any((t, s) not in chain.forced for s in slots))]
-        rows = {}
-        if predict:
-            rows = dict(zip(predict, masked_log_probs(
-                params, [list(chains[i].prompt) + runs[i][0] for i in predict])))
+        # per chain that predicts a token at t, the slots it reads: its
+        # open slots when it ranks them, else the unforced slots it commits
+        reads = {}
+        for i, (chain, slots) in enumerate(zip(chains, fixed)):
+            if slots is None:
+                if chain.plan.get(t, 0):
+                    reads[i] = [s for s, u in enumerate(runs[i][1]) if u == 0]
+            elif any((t, s) not in chain.forced for s in slots):
+                reads[i] = [s for s in slots if (t, s) not in chain.forced]
+        read = sorted(set().union(*reads.values()))
+        logp = {}  # chain -> slot -> log-probs, over the slots any chain reads
+        if read:
+            n = len(chains[0].prompt)
+            tables = masked_log_probs(
+                params, [list(chains[i].prompt) + runs[i][0] for i in reads],
+                [n + s for s in read])
+            logp = {i: dict(zip(read, table)) for i, table in zip(reads, tables)}
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
             slots, steps, rng = runs[i]
-            n = len(chain.prompt)
             if slots_at_t is None:
                 k = chain.plan.get(t, 0)
                 open_slots = [s for s in range(response_len) if steps[s] == 0]
@@ -164,18 +178,18 @@ def run_chains(params: ModelParams, chains, response_len: int,
                     continue  # the chain made no pass at t
                 # confidence = model's max log-prob at the open slot
                 ranked = sorted(open_slots,
-                                key=lambda s: (-float(rows[i][n + s].max()), s))
+                                key=lambda s: (-float(logp[i][s].max()), s))
                 slots_at_t = sorted(ranked[:k])
             for s in slots_at_t:
                 if (t, s) in chain.forced:
                     tok = chain.forced[(t, s)]
                 elif chain.substitute is not None and chain.substitute.stage == t:
-                    logp = rows[i][n + s] / chain.substitute.temperature
-                    p = np.exp(logp - logp.max())
+                    scaled = logp[i][s] / chain.substitute.temperature
+                    p = np.exp(scaled - scaled.max())
                     p /= p.sum()
                     tok = int(rng.choice(len(p), p=p))
                 else:
-                    tok = int(np.argmax(rows[i][n + s]))
+                    tok = int(np.argmax(logp[i][s]))
                 slots[s] = tok
                 steps[s] = t
 

@@ -75,8 +75,8 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
         for row, term in zip(ids, bucket):
             row[:len(term.tokens)] = term.tokens
         fg = build_forward_graph(hp, L, bucket[0].causal)
-        vals = _bind(hp, leaves, ids,
-                     _target_masks(hp, L, [term.targets for term in bucket]), ())
+        vals = _bind(hp, leaves, ids, _target_masks(
+            hp, fg.rows, [term.targets for term in bucket]), ())
         forward = evaluate(fg.graph, vals)
         loss -= float(forward[fg.score].sum())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]

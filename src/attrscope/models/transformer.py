@@ -1,14 +1,23 @@
 """Transformer forward passes expressed as autodiff graphs, ending in the
 one score every contract score and the training loss are built from.
 
-Graphs depend only on (hyperparams, sequence length, attention mode), so
-they are cached and re-evaluated with different leaf values. The weights
-and the per-token input embeddings are leaves; each layer's attention
-weights are bound stacked on a heads axis (``ModelParams.graph_weights``),
-so every head runs in the same nodes. Each graph ends in
-``score = sum(log_probs * target_mask)``, where the target mask is a leaf
-no caller asks a gradient of: one forward pass of a score is a ScoreTerm,
-naming the tokens and the (row, column) log-prob entries it sums.
+Graphs depend only on (hyperparams, sequence length, attention mode, the
+rows they compute), so they are cached and re-evaluated with different
+leaf values. The weights and the per-token input embeddings are leaves;
+each layer's attention weights are bound stacked on a heads axis
+(``ModelParams.graph_weights``), so every head runs in the same nodes.
+Each graph ends in ``score = sum(log_probs * target_mask)``, where the
+target mask is a leaf no caller asks a gradient of: one forward pass of a
+score is a ScoreTerm, naming the tokens and the (row, column) log-prob
+entries it sums.
+
+A pass computes only the log-prob rows it reads. In the last block, keys
+and values stay on every row, while the query, the attention output, the
+MLP, the final layer norm and the output head run on the read rows alone.
+A causal pass also stops at its last read row: no earlier row attends to a
+later one, so the graph is built at length ``max(rows) + 1``. The graph of
+every row is the full graph, which training and the classifier's pooled
+head use.
 
 Every score, log-prob and embedding-gradient pass is bound as a pass
 group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
@@ -35,25 +44,35 @@ class ContextOverflowError(ValueError):
 @dataclass(frozen=True)
 class ForwardGraph:
     graph: Graph
-    log_probs: int  # log_softmax node: (L, V), or (1, C) for classifiers
+    log_probs: int  # log_softmax node: (len(rows), V), or (1, C) for classifiers
     score: int      # scalar: sum(log_probs * target_mask)
+    rows: tuple[int, ...]  # the sequence row of each log-prob row
 
 
 _CACHE: dict[tuple, ForwardGraph] = {}
 
 
-def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool) -> ForwardGraph:
-    key = (hp, seq_len, causal)
+def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
+                        rows=None) -> ForwardGraph:
+    """The cached score graph over ``seq_len`` tokens whose log-prob table
+    holds only the sorted sequence rows ``rows``. Every row, or None, gives
+    the full graph, which is a classifier's only graph."""
+    if rows is not None:
+        rows = tuple(rows)
+        if hp.kind == CLASSIFIER or rows == tuple(range(seq_len)):
+            rows = None
+    key = (hp, seq_len, causal, rows)
     if key in _CACHE:
         return _CACHE[key]
-    fg = build_fresh_forward_graph(hp, seq_len, causal)
+    fg = build_fresh_forward_graph(hp, seq_len, causal, rows)
     _CACHE[key] = fg
     return fg
 
 
-def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
-                              causal: bool) -> ForwardGraph:
-    """Uncached variant of build_forward_graph."""
+def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
+                              rows=None) -> ForwardGraph:
+    """Uncached variant of build_forward_graph, for the rows it passes: a
+    tuple of some of the rows, or None."""
     g = Graph()
     d, dh, H = hp.width, hp.head_dim, hp.heads
     emb = g.leaf((seq_len, d), "emb")
@@ -78,11 +97,17 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
         p = f"blk{i}."
         # every head at once: the heads axis sits before the rows
         h = g.expand(layer_norm(x, p + "ln1"))
-        q = g.matmul(h, g.leaf((H, d, dh), p + "wq"))
+        hq, mask_q = h, mask_c
+        if rows is not None and i == hp.layers - 1:
+            # from here on only the read rows: their queries attend to the
+            # keys and values of every row
+            hq, x = g.rows(h, rows), g.rows(x, rows)
+            mask_q = g.const(mask[list(rows)])
+        q = g.matmul(hq, g.leaf((H, d, dh), p + "wq"))
         k = g.matmul(h, g.leaf((H, d, dh), p + "wk"))
         v = g.matmul(h, g.leaf((H, d, dh), p + "wv"))
         s = g.mul(g.matmul(q, g.transpose(k)), scale_c)
-        a = g.softmax(g.add(s, mask_c))
+        a = g.softmax(g.add(s, mask_q))
         o = g.matmul(g.matmul(a, v), g.leaf((H, dh, d), p + "wo"))
         x = g.add(x, g.sum_heads(o))
 
@@ -94,19 +119,19 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
     if hp.kind == CLASSIFIER:
         pool = g.matmul(g.const(np.full((1, seq_len), 1.0 / seq_len)), xf)
         logits = affine(pool, (d, hp.n_classes), "head.w", "head.b")
+        table_rows = (0,)
     else:
         logits = affine(xf, (d, hp.vocab_size), "out.w", "out.b")
+        table_rows = tuple(range(seq_len)) if rows is None else rows
     lsm = g.log_softmax(logits)
-    target_mask = g.leaf(_mask_shape(hp, seq_len), "target_mask")
+    target_mask = g.leaf((len(table_rows), _columns(hp)), "target_mask")
     score = g.sum_all(g.mul(lsm, target_mask))
 
-    return ForwardGraph(graph=g, log_probs=lsm, score=score)
+    return ForwardGraph(graph=g, log_probs=lsm, score=score, rows=table_rows)
 
 
-def _mask_shape(hp: Hyperparams, seq_len: int) -> tuple[int, int]:
-    if hp.kind == CLASSIFIER:
-        return (1, hp.n_classes)
-    return (seq_len, hp.vocab_size)
+def _columns(hp: Hyperparams) -> int:
+    return hp.n_classes if hp.kind == CLASSIFIER else hp.vocab_size
 
 
 def check_context(hp: Hyperparams, length: int) -> None:
@@ -117,18 +142,20 @@ def check_context(hp: Hyperparams, length: int) -> None:
         raise ValueError("sequence must be non-empty")
 
 
-def _target_masks(hp: Hyperparams, seq_len: int, target_lists) -> np.ndarray:
-    """One target-mask leaf value per list of score targets, stacked: 1 at
-    each (row, column) log-prob entry the pass's score sums, else 0."""
+def _target_masks(hp: Hyperparams, rows, target_lists) -> np.ndarray:
+    """One target-mask leaf value per list of score targets, stacked, for a
+    log-prob table of the sequence rows ``rows`` (``ForwardGraph.rows``):
+    1 at each (row, column) log-prob entry the pass's score sums, else 0."""
     target_lists = list(target_lists)
-    masks = np.zeros((len(target_lists),) + _mask_shape(hp, seq_len))
-    rows, cols = masks.shape[1:]
+    cols = _columns(hp)
+    masks = np.zeros((len(target_lists), len(rows), cols))
+    at = {row: i for i, row in enumerate(rows)}
     for mask, targets in zip(masks, target_lists):
         for row, col in targets:
-            if not (0 <= row < rows and 0 <= col < cols):
+            if row not in at or not 0 <= col < cols:
                 raise ValueError(f"score target ({row}, {col}) outside the"
-                                 f" {rows} x {cols} log-prob table")
-            mask[row, col] = 1.0
+                                 f" {len(rows)} x {cols} log-prob table")
+            mask[at[row], col] = 1.0
     return masks
 
 
@@ -156,53 +183,78 @@ def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
 @dataclass(frozen=True)
 class ScoreTerm:
     """One forward pass of a score: the sum of ``log_probs[row, col]`` over
-    ``targets`` for a pass over ``tokens``."""
+    ``targets`` for a pass over ``tokens``. The pass reads the target rows
+    and ``rows``, the further rows a "log_probs" read of it returns, and
+    computes only those (see run_groups); a term that names no row reads
+    every row."""
     tokens: tuple[int, ...]
     causal: bool
     targets: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...] = ()
 
 
 # Points per pass: run_groups packs the pass groups over one cached graph,
 # IG's path points among them, into passes of at most this many. A pass
 # keeps every point's forward values (and, for IG, until its backward),
-# about 0.3 MB per point for a 2-layer, width-64 model, so peak memory
-# grows with this number while the per-node dispatch cost it saves shrinks.
+# up to about 0.3 MB per point for a 2-layer, width-64 model at full
+# length (less on a graph pruned to a few rows), so peak memory grows with
+# this number while the per-node dispatch cost it saves shrinks.
 POINTS_PER_PASS = 8
 
 
+def _graph_key(hp: Hyperparams, term: ScoreTerm):
+    """(length, attention mode, rows) of the cached graph that passes over
+    ``term`` run on: the rows are the log-prob rows it reads (None: every
+    row), and a causal graph ends at the last of them."""
+    length = len(term.tokens)
+    check_context(hp, length)
+    rows = sorted({row for row, _ in term.targets}.union(term.rows))
+    if hp.kind == CLASSIFIER or not rows:
+        return length, term.causal, None
+    if rows[0] < 0 or rows[-1] >= length:
+        raise ValueError(f"log-prob rows {rows} outside a pass over"
+                         f" {length} tokens")
+    if term.causal:
+        length = rows[-1] + 1
+    return length, term.causal, None if len(rows) == length else tuple(rows)
+
+
 def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
-    """Per pass group, the value of its "score" or "log_probs" node, or
-    (``read`` "emb_grad") the gradient of its score in its embeddings.
+    """Per pass group, the value of its "score" node, its "log_probs" rows
+    (the rows its term reads, in row order), or (``read`` "emb_grad") the
+    gradient of its score in its embeddings: (L, d) for a term of L tokens,
+    exactly zero in the rows after a causal pass's last read row.
 
     A pass group is a (ScoreTerm, overrides) pair; ``overrides`` maps an
     embedding row to the vector that replaces it, (d,) for one pass or
     (B, d) for B passes, whose B values come back stacked. The groups over
-    one cached graph (length, attention mode) share passes, in order."""
+    one cached graph (length, attention mode, rows read) share passes, in
+    order."""
     hp = params.hyper
     sizes = []  # per group: B, or None for one unbatched pass
-    by_graph: dict[tuple[int, bool], list[int]] = {}
+    by_graph: dict[tuple, list[int]] = {}
     for i, (term, overrides) in enumerate(groups):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
         if len(batch) > 1:
             raise ValueError("overrides of one pass group differ in batch size")
         sizes.append(batch.pop() if batch else None)
-        by_graph.setdefault((len(term.tokens), term.causal), []).append(i)
+        by_graph.setdefault(_graph_key(hp, term), []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
-    for (length, causal), members in by_graph.items():
-        check_context(hp, length)
-        fg = build_forward_graph(hp, length, causal)
+    for key, members in by_graph.items():
+        fg = build_forward_graph(hp, *key)
         points = [(i, k) for i in members for k in range(sizes[i] or 1)]
         for first in range(0, len(points), POINTS_PER_PASS):
-            _run_pass(params, fg, groups, read, pieces,
+            _run_pass(params, fg, key[0], groups, read, pieces,
                       points[first:first + POINTS_PER_PASS])
     return [p[0][0] if n is None else p[0] if len(p) == 1 else np.concatenate(p)
             for p, n in zip(pieces, sizes)]
 
 
-def _run_pass(params: ModelParams, fg: ForwardGraph, groups, read: str,
-              pieces: list[list[np.ndarray]], points) -> None:
-    """One pass over ``fg`` of ``points``, each (group, point); appends
-    each group's values in it, stacked, to the group's pieces."""
+def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
+              read: str, pieces: list[list[np.ndarray]], points) -> None:
+    """One pass over ``fg``, a graph over the first ``length`` tokens of
+    each term, of ``points``, each (group, point); appends each group's
+    values in it, stacked, to the group's pieces."""
     segments: dict[int, list[int]] = {}  # group -> its points in this pass
     for i, k in points:
         segments.setdefault(i, []).append(k)
@@ -211,11 +263,10 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, groups, read: str,
         term, rows = groups[i]
         at = slice(len(ids), len(ids) + len(ks))
         overrides += [((at, row), vec if vec.ndim == 1 else vec[ks[0]:ks[-1] + 1])
-                      for row, vec in rows.items()]
-        ids += [term.tokens] * len(ks)
+                      for row, vec in rows.items() if row < length]
+        ids += [term.tokens[:length]] * len(ks)
     hp = params.hyper
-    masks = _target_masks(hp, len(ids[0]),
-                          [groups[i][0].targets for i in segments])
+    masks = _target_masks(hp, fg.rows, [groups[i][0].targets for i in segments])
     if len(ids) > len(segments):  # a group has several points in the pass
         masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
     vals = _bind(hp, params.graph_weights, ids, masks, overrides)
@@ -227,8 +278,14 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, groups, read: str,
         out = evaluate(fg.graph, vals)[getattr(fg, read)]
     out = out[None] if len(ids) == 1 else out
     for i, ks in segments.items():
-        pieces[i].append(out[:len(ks)])
-        out = out[len(ks):]
+        piece, out = out[:len(ks)], out[len(ks):]
+        full = len(groups[i][0].tokens)
+        if read == "emb_grad" and full > length:
+            # the rows the causal pass stopped before feed no row it reads
+            piece = np.concatenate(
+                [piece, np.zeros((len(ks), full - length, piece.shape[-1]))],
+                axis=1)
+        pieces[i].append(piece)
 
 
 def score_sums(params: ModelParams, group_lists) -> list[float]:

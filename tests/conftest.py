@@ -9,21 +9,27 @@ from attrscope.models import (
 )
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
 from attrscope.models.transformer import (
-    _bind, _target_masks, build_forward_graph, check_context,
+    _bind, _graph_key, _target_masks, build_forward_graph, check_context,
 )
 
 
-def bind_pass(params, term, rows=None):
+def bind_pass(params, term, rows=None, pruned=False):
     """The cached score graph of one unbatched pass over the ScoreTerm
     ``term`` and its leaf values, bound by ``transformer._bind`` on the
     model's own weights; ``rows`` maps an embedding row to the (d,) vector
-    that replaces it. The reference the batched pass groups must match."""
+    that replaces it. The graph is the full one over every token, or with
+    ``pruned`` the one run_groups runs the term's passes on, which computes
+    only the rows the term reads and, causal, stops at the last of them."""
     hp = params.hyper
     check_context(hp, len(term.tokens))
-    mask = _target_masks(hp, len(term.tokens), [term.targets])[0]
-    vals = _bind(hp, params.graph_weights, term.tokens, mask,
-                 (rows or {}).items())
-    return build_forward_graph(hp, len(term.tokens), term.causal), vals
+    length, causal, graph_rows = (_graph_key(hp, term) if pruned else
+                                  (len(term.tokens), term.causal, None))
+    fg = build_forward_graph(hp, length, causal, graph_rows)
+    mask = _target_masks(hp, fg.rows, [term.targets])[0]
+    vals = _bind(hp, params.graph_weights, term.tokens[:length], mask,
+                 [(row, vec) for row, vec in (rows or {}).items()
+                  if row < length])
+    return fg, vals
 
 
 @pytest.fixture(scope="session")

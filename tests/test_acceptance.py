@@ -87,6 +87,8 @@ class TestA1GradientCorrectness:
             # an (L, d) operand against per-head weights, as in attention
             "expand": lambda g, x: g.matmul(g.expand(x("a")), x("heads")),
             "sum_heads": lambda g, x: g.sum_heads(x("heads")),
+            # rows 1 and 2 are not taken: their gradient is zero
+            "rows": lambda g, x: g.rows(x("a"), (3, 0)),
         }
         per_input = 13
         checked = 0
@@ -112,7 +114,23 @@ class TestA1GradientCorrectness:
                     assert abs(grads[name][idx] - fd) / max(1.0, abs(fd)) \
                         <= 1e-4, (opname, name)
                     checked += 1
-        assert checked == 19 * per_input
+        # the rows op on a batched operand: 3 points of an (L, d) leaf,
+        # each point's scalar against its own entries
+        g = Graph()
+        s = g.sum_all(g.gelu(g.rows(g.leaf((4, 4), "a"), (2, 0))))
+        xs = rng.standard_normal((3, 4, 4))
+        ga = grad(g, s, {"a": xs}, ("a",))["a"]
+        assert ga.shape == xs.shape
+        for _ in range(per_input):
+            idx = tuple(int(rng.integers(n)) for n in xs.shape)
+            xp, xm = xs.copy(), xs.copy()
+            xp[idx] += FD_STEP
+            xm[idx] -= FD_STEP
+            fd = (evaluate(g, {"a": xp})[s][idx[0]]
+                  - evaluate(g, {"a": xm})[s][idx[0]]) / (2 * FD_STEP)
+            assert abs(ga[idx] - fd) / max(1.0, abs(fd)) <= 1e-4, idx
+            checked += 1
+        assert checked == 21 * per_input
 
         # -- full 2-layer transformer score vs finite differences: the
         # score node with a one-hot target mask, log p(target | tokens)

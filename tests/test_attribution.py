@@ -29,7 +29,9 @@ from attrscope.models import transformer
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains,
 )
-from attrscope.models.transformer import POINTS_PER_PASS
+from attrscope.models.transformer import (
+    POINTS_PER_PASS, _graph_key, build_forward_graph, run_groups,
+)
 from conftest import bind_pass
 
 MASK_BASELINE = BaselinePolicy("mask_token")
@@ -234,11 +236,16 @@ class TestMapHygiene:
 
 
 def unbatched_grad(bs, refs, rows):
-    """BoundScore.grad from one unbatched forward+backward pass per term."""
+    """BoundScore.grad from one unbatched forward+backward pass per term,
+    on the graph run_groups runs the term on; the rows after a causal
+    graph's last read row get zero."""
     emb_grads = []
     for term, overrides in bs.with_rows(rows):
-        fg, vals = bind_pass(bs.params, term, overrides)
-        emb_grads.append(grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"])
+        fg, vals = bind_pass(bs.params, term, overrides, pruned=True)
+        g = np.zeros((len(term.tokens), bs.params.hyper.width))
+        g[:len(vals["emb"])] = grad(fg.graph, fg.score, vals,
+                                    wrt=("emb",))["emb"]
+        emb_grads.append(g)
     out = {}
     for ref in refs:
         gsum = None
@@ -364,12 +371,12 @@ class TestBatchedPathLoop:
         # each point has the eligible rows on the path and every other row
         # at its actual value (held-fixed features and non-eligible context
         # alike). Each batch of 8 path points packs the terms' points by
-        # graph, in term order.
+        # graph (length, attention mode, rows read), in term order.
         bs = bind_score(params, instance, contract)
         base_vec = baseline.embedding(params)
         by_graph = {}
         for i, term in enumerate(bs.terms):
-            by_graph.setdefault((len(term.tokens), term.causal), []).append(i)
+            by_graph.setdefault(_graph_key(params.hyper, term), []).append(i)
         expected = []  # (term, k) of each point, in pass order
         for first in range(1, steps + 1, POINTS_PER_PASS):
             ks = range(first, min(first + POINTS_PER_PASS, steps + 1))
@@ -381,11 +388,11 @@ class TestBatchedPathLoop:
         assert len(points) == len(expected)
         for (emb, mask), (i, k) in zip(points, expected):
             term = bs.terms[i]
-            _, actual = bind_pass(params, term)
+            _, actual = bind_pass(params, term, pruned=True)
             path = actual["emb"].copy()
             for ref in contract.eligible:
                 for ref_term, row in bs.feature_rows[ref]:
-                    if ref_term == i:
+                    if ref_term == i and row < len(path):
                         x = bs.embedding(ref)
                         path[row] = base_vec + (k - 0.5) / steps * (x - base_vec)
             assert np.array_equal(emb, path)
@@ -419,10 +426,10 @@ class TestCompletenessProperty:
 
 def unbatched_value(bs, rows):
     """A BoundScore's value with ``rows`` replaced, from one unbatched pass
-    per term."""
+    per term on the graph run_groups runs the term on."""
     total = 0.0
     for term, overrides in bs.with_rows(rows):
-        fg, vals = bind_pass(bs.params, term, overrides)
+        fg, vals = bind_pass(bs.params, term, overrides, pruned=True)
         total += float(evaluate(fg.graph, vals)[fg.score])
     return total
 
@@ -503,3 +510,87 @@ class TestLockstepStageReruns:
         assert attr_map.entries == sequential_stage_entries(
             diffusion_model, instance, contract, pert_kind, commit_count,
             temperature)
+
+
+class TestPrunedGraphs:
+    """A pass group runs on a graph that computes only the log-prob rows
+    its score reads, and a causal one stops at the last of them. Under
+    every setting that binds a score, its scores, the log-prob rows it
+    reads and its embedding gradients equal one unbatched pass over the
+    full graph within 1e-12, and the rows it stopped before get exactly
+    zero gradient."""
+
+    @staticmethod
+    def instances(setting, params, tiny_corpus):
+        """(instance, contract) pairs with prompts and outputs of several
+        lengths, every target t of the token settings among them."""
+        out = []
+        for i, (prompt, _) in enumerate(tiny_corpus.heldout_pairs[:3]):
+            prompt = prompt[:1 + 2 * i]  # prompts of 1, 3 and 5 tokens
+            if setting in (SETTING_STATE, SETTING_P2O):
+                traj = diffusion_generate(params, prompt, 2 + i, 1 + i, seed=i)
+                instance = PromptedInstance(prompt=prompt, seed=i,
+                                            trajectory=traj)
+                ts = range(1, traj.num_steps + 1) if setting == SETTING_STATE \
+                    else [None]
+            else:
+                gen = tuple(ar_generate(params, prompt, 2 + i, GreedyPolicy(),
+                                        seed=i))
+                instance = PromptedInstance(prompt=prompt, seed=i,
+                                            generation=gen)
+                ts = [None] if setting == SETTING_SPAN \
+                    else range(1, len(gen) + 1)
+            out += [(instance, make_named(setting, instance, t)) for t in ts]
+        return out
+
+    @pytest.mark.parametrize("setting", [SETTING_LOCAL, SETTING_PROMPT_COND,
+                                         SETTING_SPAN, SETTING_STATE,
+                                         SETTING_P2O])
+    def test_equals_the_full_graph(self, setting, tiny_ar_model,
+                                   diffusion_model, tiny_corpus):
+        params = (diffusion_model if setting in (SETTING_STATE, SETTING_P2O)
+                  else tiny_ar_model)
+        hp, d = params.hyper, params.hyper.width
+        rng = np.random.default_rng(7)
+        pruned = 0
+        for instance, contract in self.instances(setting, params, tiny_corpus):
+            for term in bind_score(params, instance, contract).terms:
+                read = sorted({row for row, _ in term.targets})
+                length = read[-1] + 1 if term.causal else len(term.tokens)
+                fg = build_forward_graph(hp, *_graph_key(hp, term))
+                assert list(fg.rows) == read
+                pruned += len(fg.rows) < len(term.tokens)
+                rows = rng.choice(len(term.tokens), replace=False,
+                                  size=min(2, len(term.tokens)))
+                for shape in (None, (d,), (3, d)):
+                    overrides = {} if shape is None else {
+                        int(row): rng.standard_normal(shape) for row in rows}
+                    self.check(params, term, overrides, read, length)
+        assert pruned  # the settings' terms do run on pruned graphs
+
+    @staticmethod
+    def check(params, term, overrides, read, length):
+        groups = [(term, overrides)]
+        score, = run_groups(params, groups, "score")
+        log_probs, = run_groups(params, groups, "log_probs")
+        emb_grad, = run_groups(params, groups, "emb_grad")
+        batch = {len(v) for v in overrides.values() if v.ndim == 2}
+        if batch:  # one value per point, stacked
+            points = [{row: v[k] for row, v in overrides.items()}
+                      for k in range(batch.pop())]
+        else:
+            points = [overrides]
+            score, log_probs, emb_grad = (score[None], log_probs[None],
+                                          emb_grad[None])
+        assert len(score) == len(log_probs) == len(emb_grad) == len(points)
+        for k, point in enumerate(points):
+            fg, vals = bind_pass(params, term, point)
+            full = evaluate(fg.graph, vals)
+            assert abs(score[k] - full[fg.score]) <= 1e-12
+            assert log_probs[k].shape == (len(read), params.hyper.vocab_size)
+            assert np.max(np.abs(log_probs[k] - full[fg.log_probs][read])) \
+                <= 1e-12
+            g = grad(fg.graph, fg.score, vals, ("emb",))["emb"]
+            assert emb_grad[k].shape == g.shape
+            assert np.max(np.abs(emb_grad[k] - g)) <= 1e-12
+            assert not emb_grad[k][length:].any()

@@ -190,6 +190,9 @@ class TestGraphMechanics:
         (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (2, 4, 2), (2,)]),
         (lambda g, x, y, z: g.expand(x), [(4,), (1,), (1,)]),
         (lambda g, x, y, z: g.sum_heads(x), [(3, 4), (1,), (1,)]),
+        # a row index past the operand's rows, and a one-dim operand
+        (lambda g, x, y, z: g.rows(x, (0, 3)), [(3, 4), (1,), (1,)]),
+        (lambda g, x, y, z: g.rows(x, (0,)), [(4,), (1,), (1,)]),
     ])
     def test_fused_and_heads_ops_reject_bad_shapes(self, build, shapes):
         g = Graph()
@@ -198,6 +201,12 @@ class TestGraphMechanics:
         with pytest.raises(ShapeError):
             evaluate(g, {name: np.ones(shape)
                          for shape, name in zip(shapes, "xyz")})
+
+    @pytest.mark.parametrize("rows", [(), (1, 1), (-1,), ((0, 1),)])
+    def test_rows_must_be_distinct_row_indices(self, rows):
+        g = Graph()
+        with pytest.raises(GraphError):
+            g.rows(g.leaf((3, 4), "x"), rows)
 
     def test_non_finite_raises(self):
         g = Graph()

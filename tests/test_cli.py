@@ -2,10 +2,12 @@
 manifest reruns."""
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attrscope.cli import (
     EXIT_DIAGNOSTIC, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
@@ -129,6 +131,58 @@ class TestRerun:
                    "timestamp": "", "outputs": []}, open(path, "w"))
         assert main(["rerun", "--manifest", path,
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
+
+
+class TestRerunProperty:
+    """``rerun`` of a generated ``attribute`` manifest writes the same map
+    bytes, over the three AR settings, the three embedding and token
+    methods, and prompts and generations of several lengths. The graph a
+    pass runs on depends on the rows its score reads, so this pins that
+    the choice is a function of the manifest's inputs."""
+
+    @pytest.fixture(scope="class")
+    def model_file(self, tiny_ar_model, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("rerun") / "model.bin")
+        save_model(tiny_ar_model, path)
+        return path
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rerun_writes_the_same_map(self, model_file, tiny_ar_model, data):
+        vocab = tiny_ar_model.vocab
+        words = st.lists(st.sampled_from(vocab.tokens[2:]), min_size=1,
+                         max_size=5)
+        setting = data.draw(st.sampled_from(
+            ["local-next-token", "prompt-conditioned", "span-level-prompt"]))
+        fields = f"setting: {setting}\nmodel: {model_file}\n" \
+            f"prompt: {' '.join(data.draw(words))}\nseed: 0\n"
+        if data.draw(st.booleans()):
+            gen = data.draw(words)
+            fields += f"gen-tokens: {' '.join(gen)}\n"
+            gen_len = len(gen)
+        else:  # greedy decoding, which may stop early at EOS
+            gen_len = 1
+            fields += f"generation: greedy\nmax-len: {data.draw(st.integers(1, 4))}\n"
+        if setting != "span-level-prompt":
+            fields += f"target: {data.draw(st.integers(1, gen_len))}\n"
+        method = data.draw(st.sampled_from(["ig", "gxi", "occlusion"]))
+        argv = ["--method", method, "--baseline",
+                data.draw(st.sampled_from(["pad", "mask"]))]
+        if method == "ig":
+            argv += ["--ig-steps", str(data.draw(st.integers(1, 12)))]
+        with tempfile.TemporaryDirectory() as root:
+            contract = os.path.join(root, "c.contract")
+            with open(contract, "w") as fh:
+                fh.write(fields)
+            first, again = os.path.join(root, "a"), os.path.join(root, "b")
+            assert main(["attribute", "--contract", contract, *argv,
+                         "--out", first]) == EXIT_OK
+            assert main(["rerun", "--manifest",
+                         os.path.join(first, "manifest.json"),
+                         "--out", again]) == EXIT_OK
+            with open(os.path.join(first, "map.txt"), "rb") as a, \
+                    open(os.path.join(again, "map.txt"), "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestRerunManifestTypes:

@@ -31,8 +31,9 @@ from attrscope.models import params as model_params, training
 from attrscope.models.params import (
     AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
 )
+from attrscope.models import transformer
 from attrscope.models.transformer import (
-    ContextOverflowError, ScoreTerm, check_context,
+    ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
     run_groups, score_sums, terms_score,
 )
 from conftest import bind_pass
@@ -204,13 +205,14 @@ class TestBatchedPasses:
         vocab, d = params.hyper.vocab_size, params.hyper.width
 
         def unbatched(term, rows):
-            """One unbatched pass per point of the group."""
+            """One unbatched pass per point of the group, on the graph
+            run_groups runs the term on."""
             batch = {len(vec) for vec in rows.values() if vec.ndim == 2}
             if batch:
                 return [unbatched(term, {row: vec[k]
                                          for row, vec in rows.items()})
                         for k in range(batch.pop())]
-            fg, vals = bind_pass(params, term, rows)
+            fg, vals = bind_pass(params, term, rows, pruned=True)
             return float(evaluate(fg.graph, vals)[fg.score])
 
         for overrides in ("none", "row", "batched", "mixed"):
@@ -243,6 +245,104 @@ class TestBatchedPasses:
                         total += unbatched(*group)
                     sums.append(total)
                 assert score_sums(params, lists) == sums
+
+
+class TestLogProbReads:
+    """A log-prob read names its rows and gets only those, within 1e-12
+    of the full graph's table."""
+
+    def test_next_log_probs_are_the_full_graphs_last_row(self, tiny_ar_model,
+                                                         tiny_corpus):
+        prompt = sample_prompt(tiny_corpus)
+        for prefix in ([], [5], [5, 6, 7]):
+            tokens = tuple(prompt) + tuple(prefix)
+            fg, vals = bind_pass(tiny_ar_model, ScoreTerm(tokens, True, ()))
+            full = evaluate(fg.graph, vals)[fg.log_probs]
+            got = ar_next_log_probs(tiny_ar_model, prompt, prefix)
+            assert got.shape == (tiny_ar_model.hyper.vocab_size,)
+            assert np.max(np.abs(got - full[-1])) <= 1e-12
+
+    def test_masked_log_probs_at_positions(self, diffusion_model):
+        seqs = TestBatchedPasses.sequences(diffusion_model, 11, 6, seed=3)
+        full = masked_log_probs(diffusion_model, seqs)
+        for positions in ([5], [0, 3], [1, 2, 4, 5]):
+            got = masked_log_probs(diffusion_model, seqs, positions)
+            assert got.shape == (11, len(positions),
+                                 diffusion_model.hyper.vocab_size)
+            assert np.max(np.abs(got - full[:, positions])) <= 1e-12
+        with pytest.raises(ValueError):
+            masked_log_probs(diffusion_model, seqs, [3, 1])
+        with pytest.raises(ValueError):
+            masked_log_probs(diffusion_model, seqs, [6])
+
+
+class TestGraphCache:
+    """Graphs are cached by (hp, length, attention mode, rows read)."""
+
+    @staticmethod
+    def graphs_run(params, groups):
+        """The graph of every pass run_groups makes for ``groups``."""
+        graphs = []
+        original = transformer.evaluate
+
+        def recording(graph, *args, **kwargs):
+            graphs.append(graph)
+            return original(graph, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transformer, "evaluate", recording)
+            run_groups(params, groups, "score")
+        return graphs
+
+    def test_every_row_read_is_the_full_graph(self, tiny_ar_model,
+                                              diffusion_model):
+        for params, causal in ((tiny_ar_model, True), (diffusion_model, False)):
+            hp = params.hyper
+            tokens = (4, 5, 6, 7, 8)
+            # a causal pass reading rows 0-3 stops there: the full graph of 4
+            n = 4 if causal else 5
+            term = ScoreTerm(tokens, causal, tuple((r, 3) for r in range(n)))
+            graphs = self.graphs_run(params, [(term, {})])
+            assert graphs == [build_forward_graph(hp, n, causal).graph]
+            assert build_forward_graph(hp, n, causal, range(n)) \
+                is build_forward_graph(hp, n, causal)
+            # reading fewer rows takes a graph of its own
+            fewer = ScoreTerm(tokens, causal, ((1, 3), (3, 2)))
+            graph, = self.graphs_run(params, [(fewer, {})])
+            assert build_forward_graph(hp, n, causal, (1, 3)).graph is graph
+            assert graph is not graphs[0]
+            assert [node.op for node in graph.nodes].count("rows") == 2
+
+    def test_the_classifier_graph_does_not_change(self, classifier_model,
+                                                  tiny_corpus):
+        hp = classifier_model.hyper
+        prompt = tuple(sample_prompt(tiny_corpus))
+        full = build_forward_graph(hp, len(prompt), False)
+        assert build_forward_graph(hp, len(prompt), False, (0,)) is full
+        assert "rows" not in {node.op for node in full.graph.nodes}
+        assert full.rows == (0,)
+        assert self.graphs_run(classifier_model,
+                               [(class_term(prompt, 1), {})]) == [full.graph]
+
+    def test_training_passes_build_no_pruned_graph(self, tiny_corpus):
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=8, mlp_hidden=16, context_len=16)
+        graphs = []
+        original = training.evaluate
+
+        def recording(graph, *args, **kwargs):
+            graphs.append(graph)
+            return original(graph, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "evaluate", recording)
+            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                  seed=0, steps=3, lr=0.05)
+        assert len(graphs) == 3  # one pass per step
+        for graph in graphs:
+            assert "rows" not in {node.op for node in graph.nodes}
+            length = graph.nodes[graph.leaves["emb"]].shape[0]
+            assert graph is build_forward_graph(hp, length, True).graph
 
 
 class TestPerturbedPlans:
