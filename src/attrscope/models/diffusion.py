@@ -77,17 +77,17 @@ def _require_diffusion(params: ModelParams) -> None:
 
 
 def masked_log_probs(params: ModelParams, sequences,
-                     positions=None) -> np.ndarray:
+                     positions) -> np.ndarray:
     """Bidirectional log-probabilities of equal-length token sequences at
-    the sorted ``positions`` (default: every position), in batched passes
-    that compute only those rows; shape (N, len(positions), vocab)."""
+    the sorted ``positions``, in batched passes that compute only those
+    rows; shape (N, len(positions), vocab)."""
     _require_diffusion(params)
     sequences = [tuple(tokens) for tokens in sequences]
     if len({len(tokens) for tokens in sequences}) != 1:
         raise ValueError("need one or more sequences of equal length")
-    rows = tuple(range(len(sequences[0])) if positions is None else positions)
-    if list(rows) != sorted(set(rows)):
-        raise ValueError("positions must be sorted and distinct")
+    rows = tuple(positions)
+    if not rows or list(rows) != sorted(set(rows)):
+        raise ValueError("positions must be sorted, distinct and at least one")
     return np.stack(run_groups(
         params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows),
                   {}) for tokens in sequences], "log_probs"))
@@ -149,23 +149,17 @@ def run_chains(params: ModelParams, chains, response_len: int,
         fixed = [None if chain.schedule is None
                  else [s for s, u in enumerate(chain.schedule) if u == t]
                  for chain in chains]
-        # per chain that predicts a token at t, the slots it reads: its
-        # open slots when it ranks them, else the unforced slots it commits
-        reads = {}
-        for i, (chain, slots) in enumerate(zip(chains, fixed)):
-            if slots is None:
-                if chain.plan.get(t, 0):
-                    reads[i] = [s for s, u in enumerate(runs[i][1]) if u == 0]
-            elif any((t, s) not in chain.forced for s in slots):
-                reads[i] = [s for s in slots if (t, s) not in chain.forced]
-        read = sorted(set().union(*reads.values()))
-        logp = {}  # chain -> slot -> log-probs, over the slots any chain reads
-        if read:
+        predict = [i for i, (chain, slots) in enumerate(zip(chains, fixed))
+                   if (chain.plan.get(t, 0) if slots is None
+                       else any((t, s) not in chain.forced for s in slots))]
+        rows = {}  # per predicting chain, the log-probs of each response slot
+        if predict:
+            # every response slot, not just a chain's open ones, so that a
+            # chain's pass never depends on the chains it runs beside
             n = len(chains[0].prompt)
-            tables = masked_log_probs(
-                params, [list(chains[i].prompt) + runs[i][0] for i in reads],
-                [n + s for s in read])
-            logp = {i: dict(zip(read, table)) for i, table in zip(reads, tables)}
+            rows = dict(zip(predict, masked_log_probs(
+                params, [list(chains[i].prompt) + runs[i][0] for i in predict],
+                range(n, n + response_len))))
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
             slots, steps, rng = runs[i]
             if slots_at_t is None:
@@ -178,18 +172,18 @@ def run_chains(params: ModelParams, chains, response_len: int,
                     continue  # the chain made no pass at t
                 # confidence = model's max log-prob at the open slot
                 ranked = sorted(open_slots,
-                                key=lambda s: (-float(logp[i][s].max()), s))
+                                key=lambda s: (-float(rows[i][s].max()), s))
                 slots_at_t = sorted(ranked[:k])
             for s in slots_at_t:
                 if (t, s) in chain.forced:
                     tok = chain.forced[(t, s)]
                 elif chain.substitute is not None and chain.substitute.stage == t:
-                    scaled = logp[i][s] / chain.substitute.temperature
-                    p = np.exp(scaled - scaled.max())
+                    logp = rows[i][s] / chain.substitute.temperature
+                    p = np.exp(logp - logp.max())
                     p /= p.sum()
                     tok = int(rng.choice(len(p), p=p))
                 else:
-                    tok = int(np.argmax(logp[i][s]))
+                    tok = int(np.argmax(rows[i][s]))
                 slots[s] = tok
                 steps[s] = t
 

@@ -260,10 +260,10 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
         segments.setdefault(i, []).append(k)
     ids, overrides = [], []
     for i, ks in segments.items():
-        term, rows = groups[i]
+        term, replaced = groups[i]
         at = slice(len(ids), len(ids) + len(ks))
         overrides += [((at, row), vec if vec.ndim == 1 else vec[ks[0]:ks[-1] + 1])
-                      for row, vec in rows.items() if row < length]
+                      for row, vec in replaced.items() if row < length]
         ids += [term.tokens[:length]] * len(ks)
     hp = params.hyper
     masks = _target_masks(hp, fg.rows, [groups[i][0].targets for i in segments])

@@ -403,7 +403,8 @@ def replay_to_state(params, prompts, traj, t, substitutions):
         if not stage_slots:
             continue
         rows_per_replay = masked_log_probs(
-            params, [list(prompt) + slots for prompt, slots in zip(prompts, replays)])
+            params, [list(prompt) + slots for prompt, slots in zip(prompts, replays)],
+            range(n + traj.response_len))
         for rows, slots, subs in zip(rows_per_replay, replays, substitutions):
             for s in stage_slots:
                 forced = subs.get((u, s))

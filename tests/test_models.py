@@ -141,7 +141,7 @@ class TestDiffusionChain:
     def test_masked_log_probs_normalize(self, diffusion_model, tiny_corpus):
         prompt = sample_prompt(tiny_corpus)
         tokens = list(prompt) + [diffusion_model.vocab.mask] * 3
-        rows = masked_log_probs(diffusion_model, [tokens])
+        rows = masked_log_probs(diffusion_model, [tokens], range(len(tokens)))
         lse = np.logaddexp.reduce(rows, axis=-1)
         assert np.max(np.abs(lse)) < 1e-10
 
@@ -159,7 +159,7 @@ class TestBatchedPasses:
     def test_masked_log_probs_rows_equal_unbatched_passes(self,
                                                           diffusion_model):
         seqs = self.sequences(diffusion_model, 19, 6, seed=0)
-        rows = masked_log_probs(diffusion_model, seqs)
+        rows = masked_log_probs(diffusion_model, seqs, range(6))
         assert rows.shape == (19, 6, diffusion_model.hyper.vocab_size)
         for tokens, batched in zip(seqs, rows):
             fg, vals = bind_pass(diffusion_model,
@@ -169,9 +169,9 @@ class TestBatchedPasses:
 
     def test_masked_log_probs_needs_equal_lengths(self, diffusion_model):
         with pytest.raises(ValueError):
-            masked_log_probs(diffusion_model, [[5, 6], [5, 6, 7]])
+            masked_log_probs(diffusion_model, [[5, 6], [5, 6, 7]], [0])
         with pytest.raises(ValueError):
-            masked_log_probs(diffusion_model, [])
+            masked_log_probs(diffusion_model, [], [0])
 
     @pytest.mark.parametrize("substitute", [
         None, StagePerturbation(2, "substitute_step", temperature=1.5),
@@ -264,7 +264,7 @@ class TestLogProbReads:
 
     def test_masked_log_probs_at_positions(self, diffusion_model):
         seqs = TestBatchedPasses.sequences(diffusion_model, 11, 6, seed=3)
-        full = masked_log_probs(diffusion_model, seqs)
+        full = masked_log_probs(diffusion_model, seqs, range(6))
         for positions in ([5], [0, 3], [1, 2, 4, 5]):
             got = masked_log_probs(diffusion_model, seqs, positions)
             assert got.shape == (11, len(positions),
@@ -272,6 +272,8 @@ class TestLogProbReads:
             assert np.max(np.abs(got - full[:, positions])) <= 1e-12
         with pytest.raises(ValueError):
             masked_log_probs(diffusion_model, seqs, [3, 1])
+        with pytest.raises(ValueError):
+            masked_log_probs(diffusion_model, seqs, [])
         with pytest.raises(ValueError):
             masked_log_probs(diffusion_model, seqs, [6])
 
