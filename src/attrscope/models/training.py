@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,8 +96,12 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
     rng = np.random.default_rng(seed)  # fixed seed: a loss comparable across runs
-    terms = (_example_term(params.kind, params.vocab, example, rng)
-             for example in corpus)
+    # every row read, so the full graphs the SGD steps use: a diffusion
+    # term's masked slots differ from term to term, and graphs pruned to
+    # them would give almost every term a graph and a pass of its own
+    terms = (replace(term, rows=tuple(range(len(term.tokens))))
+             for term in (_example_term(params.kind, params.vocab, example, rng)
+                          for example in corpus))
     return -terms_score(params, terms) / len(corpus)
 
 

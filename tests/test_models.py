@@ -326,25 +326,26 @@ class TestGraphCache:
         assert self.graphs_run(classifier_model,
                                [(class_term(prompt, 1), {})]) == [full.graph]
 
-    def test_training_passes_build_no_pruned_graph(self, tiny_corpus):
-        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
-                         heads=2, width=8, mlp_hidden=16, context_len=16)
+    @pytest.mark.parametrize("kind", [AR, DIFFUSION])
+    def test_training_builds_no_pruned_graph(self, tiny_corpus, kind):
+        # the SGD steps and the final loss alike
+        hp = Hyperparams(kind=kind, vocab_size=len(tiny_corpus.vocab),
+                         layers=1, heads=2, width=8, mlp_hidden=16,
+                         context_len=16)
         graphs = []
-        original = training.evaluate
-
-        def recording(graph, *args, **kwargs):
-            graphs.append(graph)
-            return original(graph, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "evaluate", recording)
-            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
-                  seed=0, steps=3, lr=0.05)
-        assert len(graphs) == 3  # one pass per step
+        for module in (training, transformer):
+            def recording(graph, *args, _original=module.evaluate, **kwargs):
+                graphs.append(graph)
+                return _original(graph, *args, **kwargs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, "evaluate", recording)
+                train(kind, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+                      hp, seed=0, steps=3, lr=0.05)
+        assert graphs
         for graph in graphs:
             assert "rows" not in {node.op for node in graph.nodes}
             length = graph.nodes[graph.leaves["emb"]].shape[0]
-            assert graph is build_forward_graph(hp, length, True).graph
+            assert graph is build_forward_graph(hp, length, kind == AR).graph
 
 
 class TestPerturbedPlans:
