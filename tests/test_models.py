@@ -27,11 +27,10 @@ from attrscope.models.classifier import class_term
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains, stage_term,
 )
-from attrscope.models import params as model_params, training
+from attrscope.models import params as model_params, training, transformer
 from attrscope.models.params import (
     AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
 )
-from attrscope.models import transformer
 from attrscope.models.transformer import (
     ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
     run_groups, score_sums, terms_score,
