@@ -15,8 +15,21 @@ compute only the rows its output reads.
 
 ``grad(graph, node, leaf_values, wrt)`` returns the gradient of each leaf
 named in ``wrt`` and no other: its backward pass skips every input that
-leads to none of them (``Graph.reads``), so a caller that reads only the
-input embeddings computes no weight gradient.
+leads to none of them, so a caller that reads only the input embeddings
+computes no weight gradient.
+
+A forward pass keeps, besides every node's value, what the backward reads
+and would otherwise compute again: each ``gelu``'s tanh and each
+``layer_norm``'s centred input and standard deviation. The backward reads
+them, in the forward's bits, and drops each one once its node's rule has
+run. Each kernel runs its arithmetic in a fixed order but writes into
+temporaries it allocated itself, not one new array per step.
+
+What a pass over a graph does is worked out once and kept on the Graph as
+a pass plan: per set of batched leaves, the forward's kernel calls and the
+nodes that carry the batch axis; per ``wrt``, the backward's rule calls
+over the nodes a gradient into ``wrt`` flows through, with the inputs each
+rule computes a gradient for.
 
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
@@ -38,8 +51,11 @@ warnings off.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +75,7 @@ class NumericError(Exception):
     """A public operation produced a non-finite value; the run must abort."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     nid: int
     op: str
@@ -67,6 +83,19 @@ class Node:
     const: np.ndarray | None = None
     name: str | None = None          # leaves only
     shape: tuple[int, ...] | None = None  # leaves only
+
+
+class ForwardPlan(NamedTuple):
+    """How a forward pass with a given set of batched leaves runs."""
+    batched: frozenset[int]  # the nodes that carry the batch axis
+    steps: list[tuple]       # per op node: (nid, kernel, input ids, saves)
+
+
+class Values(list):
+    """A forward pass's value of every node, indexed by node id; also the
+    nodes that carry the batch axis, and the arrays the pass keeps for a
+    backward (by node id), which the one ``grad`` given them takes."""
+    __slots__ = ("batched", "saved")
 
 
 class Graph:
@@ -81,20 +110,48 @@ class Graph:
         self._unread: dict[int, None] = {}
         self._softmax_inputs: dict[int, None] = {}
         self.finite_checks: tuple[int, ...] = ()
-        # leaf names -> which nodes read one of those leaves; see reads
-        self._reads: dict[frozenset, list[bool]] = {}
+        # a pass's values before it runs: each const node's, None elsewhere
+        self._template: list = []
+        # pass plans by batched leaf ids and by wrt; a new node drops them
+        self._forward_plans: dict[frozenset, ForwardPlan] = {}
+        self._backward_plans: dict[frozenset, list[tuple]] = {}
 
-    def reads(self, names) -> list[bool]:
-        """For each node, whether it is one of the named leaves or depends
-        on one: the nodes a gradient into those leaves flows through."""
-        key = frozenset(names)
-        if key not in self._reads:
-            out: list[bool] = []
+    def forward_plan(self, batched_leaves: frozenset[int]) -> ForwardPlan:
+        """The plan of a forward pass whose batched leaves are the leaf
+        node ids ``batched_leaves``."""
+        plan = self._forward_plans.get(batched_leaves)
+        if plan is None:
+            batched = set(batched_leaves)
+            steps = []
             for node in self.nodes:
-                out.append(node.name in key if node.op == "leaf"
-                           else any(out[i] for i in node.inputs))
-            self._reads[key] = out
-        return self._reads[key]
+                if node.op in ("leaf", "const"):
+                    continue
+                is_batched = not batched.isdisjoint(node.inputs)
+                if is_batched:
+                    batched.add(node.nid)
+                steps.append((node.nid, _kernel(node, is_batched), node.inputs,
+                              node.op in _SAVING))
+            plan = ForwardPlan(frozenset(batched), steps)
+            self._forward_plans[batched_leaves] = plan
+        return plan
+
+    def backward_plan(self, wrt) -> list[tuple]:
+        """The steps of a backward pass into the leaves named in ``wrt``:
+        per op node a gradient into them flows through, last node first,
+        (nid, rule, input ids, whether each input leads to them)."""
+        key = frozenset(wrt)
+        plan = self._backward_plans.get(key)
+        if plan is None:
+            needed: list[bool] = []
+            for node in self.nodes:
+                needed.append(node.name in key if node.op == "leaf"
+                              else any(needed[i] for i in node.inputs))
+            plan = [(node.nid, _rule(node), node.inputs,
+                     tuple(needed[i] for i in node.inputs))
+                    for node in reversed(self.nodes)
+                    if needed[node.nid] and node.op not in ("leaf", "const")]
+            self._backward_plans[key] = plan
+        return plan
 
     # -- construction -----------------------------------------------------
 
@@ -104,7 +161,9 @@ class Graph:
                 raise GraphError(f"node reference {i} out of range")
         node = Node(len(self.nodes), op, tuple(inputs), const=const, **kw)
         self.nodes.append(node)
-        self._reads.clear()
+        self._template.append(const if op == "const" else None)
+        self._forward_plans.clear()
+        self._backward_plans.clear()
         for i in inputs:
             self._unread.pop(i, None)
         if op not in ("leaf", "const"):
@@ -179,38 +238,6 @@ class Graph:
         return self._push("sum_all", (a,))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-# products, not ``x ** 3``: numpy's float power (pow) is far slower
-def _gelu(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x2)
-
-
-def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` minus its mean over the last axis, and its standard deviation
-    there (with the layer-norm epsilon); moments are ``sum / n``."""
-    n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    return xc, np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -227,57 +254,136 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def _forward_op(node: Node, vals: list, batched: bool) -> np.ndarray:
-    op = node.op
-    ins = [vals[i] for i in node.inputs]
-    if op == "add":
-        return ins[0] + ins[1]
-    if op == "mul":
-        return ins[0] * ins[1]
-    if op == "matmul":
-        a, b = ins
-        if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-        return a @ b
-    if op == "transpose":
-        return ins[0].mT
-    if op == "expand":
-        if ins[0].ndim < 2:
-            raise ShapeError(f"expand needs an (L, d) operand, got {ins[0].shape}")
-        return ins[0][..., None, :, :]
-    if op == "sum_heads":
-        if ins[0].ndim < 3:
-            raise ShapeError(f"sum_heads needs an (H, L, d) operand, got {ins[0].shape}")
-        return ins[0].sum(axis=-3)
-    if op == "rows":
-        x, rows = ins[0], node.const
-        if x.ndim < 2 or rows.max() >= x.shape[-2]:
-            raise ShapeError(f"rows {rows.tolist()} of an operand of shape {x.shape}")
-        return x[..., rows, :]
-    if op == "gelu":
-        return _gelu(ins[0])
-    if op == "softmax":
-        return _softmax(ins[0])
-    if op == "log_softmax":
-        return _log_softmax(ins[0])
-    if op == "layer_norm":
-        x, gain, bias = ins
-        if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
-            raise ShapeError(f"layer_norm shapes {x.shape}, {gain.shape}, {bias.shape}")
-        xc, std = _centred(x)
-        return xc / std * gain + bias
-    if op == "affine":
-        x, w, b = ins
-        if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-            raise ShapeError(f"affine shapes {x.shape}, {w.shape}, {b.shape}")
-        return x @ w + b
-    if op == "sum_all":
-        x = ins[0]
-        return x.reshape(len(x), -1).sum(axis=-1) if batched else np.asarray(x.sum())
-    raise GraphError(f"unknown op {op!r}")
+# -- forward kernels -------------------------------------------------------
+#
+# A kernel takes its op's input values and returns the node's value; the
+# kernels of the ops in _SAVING return (value, what the backward reads).
+# Where a docstring gives an expression, the kernel runs its operations in
+# that order, so it gives that expression's bits.
+
+def _matmul(a, b):
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
+    return a @ b
 
 
-def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarray]:
+def _transpose(x):
+    return x.mT
+
+
+def _expand(x):
+    if x.ndim < 2:
+        raise ShapeError(f"expand needs an (L, d) operand, got {x.shape}")
+    return x[..., None, :, :]
+
+
+def _sum_heads(x):
+    if x.ndim < 3:
+        raise ShapeError(f"sum_heads needs an (H, L, d) operand, got {x.shape}")
+    return x.sum(axis=-3)
+
+
+def _rows(x, rows):
+    if x.ndim < 2 or rows.max() >= x.shape[-2]:
+        raise ShapeError(f"rows {rows.tolist()} of an operand of shape {x.shape}")
+    return x[..., rows, :]
+
+
+# products, not ``x ** 3``: numpy's float power (pow) is far slower
+def _gelu(x):
+    """``0.5 * x * (1.0 + t)`` for ``t = tanh(c * (x + 0.044715 * (x * x
+    * x)))``, and ``t``."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x * 0.5
+    return y, t
+
+
+def _softmax(x):
+    """``e / e.sum(-1)`` for ``e = exp(x - x.max(-1))``."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _log_softmax(x):
+    """``s - log(exp(s).sum(-1))`` for ``s = x - x.max(-1)``."""
+    s = x - x.max(axis=-1, keepdims=True)
+    lse = np.exp(s).sum(axis=-1, keepdims=True)
+    s -= np.log(lse, out=lse)
+    return s
+
+
+def _centred(x):
+    """``x`` minus its mean over the last axis, and its standard deviation
+    there (with the layer-norm epsilon); moments are ``sum / n``."""
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True)
+    mean /= n
+    xc = x - mean
+    var = (xc * xc).sum(axis=-1, keepdims=True)
+    var /= n
+    var += _LN_EPS
+    return xc, np.sqrt(var, out=var)
+
+
+def _layer_norm(x, gain, bias):
+    """``xc / std * gain + bias``, and ``(xc, std)`` (see _centred)."""
+    if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+        raise ShapeError(f"layer_norm shapes {x.shape}, {gain.shape}, {bias.shape}")
+    xc, std = _centred(x)
+    y = xc / std
+    y *= gain
+    y += bias
+    return y, (xc, std)
+
+
+def _affine(x, w, b):
+    """``x @ w + b``."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine shapes {x.shape}, {w.shape}, {b.shape}")
+    y = x @ w
+    y += b
+    return y
+
+
+def _sum(x):
+    return np.asarray(x.sum())
+
+
+def _sum_points(x):
+    """A batched ``sum_all``: one sum per point."""
+    return x.reshape(len(x), -1).sum(axis=-1)
+
+
+_FORWARD = {
+    "add": operator.add, "mul": operator.mul, "matmul": _matmul, "transpose": _transpose,
+    "expand": _expand, "sum_heads": _sum_heads, "gelu": _gelu,
+    "softmax": _softmax, "log_softmax": _log_softmax,
+    "layer_norm": _layer_norm, "affine": _affine,
+}
+_SAVING = frozenset({"gelu", "layer_norm"})
+
+
+def _kernel(node: Node, batched: bool):
+    """The forward kernel of op node ``node``, which carries the batch axis
+    when ``batched``."""
+    if node.op == "rows":
+        return functools.partial(_rows, rows=node.const)
+    if node.op == "sum_all":
+        return _sum_points if batched else _sum
+    if node.op not in _FORWARD:
+        raise GraphError(f"unknown op {node.op!r}")
+    return _FORWARD[node.op]
+
+
+def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> Values:
     """Forward pass; returns one value per node, indexed by node id.
 
     A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
@@ -298,57 +404,70 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> list[np.ndarra
         return _forward(graph, leaf_values, check_each=True)
 
 
+def _leaf_value(node: Node, leaf_values, batch: int | None):
+    """The value bound to leaf ``node``, and its batch size (None when it
+    has the leaf's shape); ``batch`` is an earlier leaf's batch size."""
+    if node.name not in leaf_values:
+        raise GraphError(f"missing value for leaf {node.name!r}")
+    v = np.asarray(leaf_values[node.name], dtype=np.float64)
+    if v.shape == node.shape:
+        return v, None
+    if v.shape[1:] != node.shape:
+        raise ShapeError(f"leaf {node.name!r} expects shape"
+                         f" {node.shape}, got {v.shape}")
+    if batch is not None and v.shape[0] != batch:
+        raise ShapeError(f"leaf {node.name!r} has batch size"
+                         f" {v.shape[0]}, another leaf {batch}")
+    return v, v.shape[0]
+
+
 def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
-             check_each: bool) -> list[np.ndarray]:
+             check_each: bool) -> Values:
     """The forward pass; with ``check_each``, it raises NumericError at the
-    first op node with a non-finite value."""
-    vals: list[np.ndarray] = []
-    batched: set[int] = set()  # the nodes that carry the batch axis
-    batch = None
-    for node in graph.nodes:
-        if node.op == "leaf":
-            if node.name not in leaf_values:
-                raise GraphError(f"missing value for leaf {node.name!r}")
-            v = np.asarray(leaf_values[node.name], dtype=np.float64)
-            if v.shape != node.shape:
-                if v.shape[1:] != node.shape:
-                    raise ShapeError(f"leaf {node.name!r} expects shape"
-                                     f" {node.shape}, got {v.shape}")
-                if batch is not None and v.shape[0] != batch:
-                    raise ShapeError(f"leaf {node.name!r} has batch size"
-                                     f" {v.shape[0]}, another leaf {batch}")
-                batch = v.shape[0]
-                batched.add(node.nid)
-        elif node.op == "const":
-            v = node.const
-        else:
-            is_batched = not batched.isdisjoint(node.inputs)
-            v = _forward_op(node, vals, is_batched)
-            if check_each and not np.all(np.isfinite(v)):
-                raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
-            if is_batched:
-                batched.add(node.nid)
-        vals.append(v)
+    first op node with a non-finite value. A leaf that cannot be bound
+    raises once the op nodes before it have run."""
+    vals = Values(graph._template)
+    batched: list[int] = []
+    batch = error = None
+    stop = len(vals)
+    for nid in graph.leaves.values():
+        try:
+            vals[nid], b = _leaf_value(graph.nodes[nid], leaf_values, batch)
+        except GraphError as exc:
+            stop, error = nid, exc
+            break
+        if b is not None:
+            batch = b
+            batched.append(nid)
+    plan = graph.forward_plan(frozenset(batched))
+    saved = {}
+    for nid, kernel, inputs, saves in plan.steps:
+        if nid > stop:
+            break
+        v = kernel(*[vals[i] for i in inputs])
+        if saves:
+            v, saved[nid] = v
+        if check_each and not np.all(np.isfinite(v)):
+            raise NumericError(
+                f"non-finite output at node {nid} ({graph.nodes[nid].op})")
+        vals[nid] = v
+    if error is not None:
+        raise error
+    vals.batched, vals.saved = plan.batched, saved
     return vals
 
 
-def _batched_nodes(graph: Graph, vals: list[np.ndarray]) -> set[int]:
-    """The nodes of an evaluated graph that carry the batch axis."""
-    batched: set[int] = set()
-    for node in graph.nodes:
-        if (vals[node.nid].shape != node.shape if node.op == "leaf"
-                else not batched.isdisjoint(node.inputs)):
-            batched.add(node.nid)
-    return batched
-
-
 def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
-         wrt, forward: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
+         wrt, forward: Values | None = None) -> dict[str, np.ndarray]:
     """d(scalar)/d(leaf) for each leaf named in ``wrt``, in that order;
     zeros for a leaf the scalar does not read. The backward pass skips
     every input that leads to none of them. Raises GraphError for a name
     that is no leaf, and NumericError, naming the leaf, when a returned
     gradient is non-finite.
+
+    ``forward``, when given, is ``evaluate(graph, leaf_values)``; the
+    backward takes the arrays it kept, so it serves one ``grad`` (a second
+    is a GraphError), while its node values stay readable.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -358,14 +477,16 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             raise GraphError(f"grad asks for {name!r}, which is no leaf")
     vals = forward if forward is not None else evaluate(graph, leaf_values)
     out = vals[scalar_node]
-    if out.shape != () and not (out.ndim == 1
-                                and scalar_node in _batched_nodes(graph, vals)):
+    if out.shape != () and not (out.ndim == 1 and scalar_node in vals.batched):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
+    if vals.saved is None:
+        raise GraphError("this forward pass already served a grad")
+    saved, vals.saved = vals.saved, None
 
     # every gradient returned is checked below, so intermediate overflow
     # is not worth a warning
     with np.errstate(all="ignore"):
-        adj = _backward(graph, scalar_node, vals, graph.reads(wrt))
+        adj = _backward(graph.backward_plan(wrt), scalar_node, vals, saved)
     result: dict[str, np.ndarray] = {}
     for name in wrt:
         node = graph.nodes[graph.leaves[name]]
@@ -378,88 +499,165 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     return result
 
 
-def _backward(graph: Graph, scalar_node: int, vals: list[np.ndarray],
-              needed: list[bool]) -> dict[int, np.ndarray]:
-    """The adjoint of each needed leaf; inputs not needed get none."""
-    if not needed[scalar_node]:
-        return {}
+def _backward(steps: list[tuple], scalar_node: int, vals: Values,
+              saved: dict) -> dict[int, np.ndarray]:
+    """The adjoints, by node id, after running the backward plan ``steps``
+    from ``scalar_node``; each node's saved arrays are dropped once its
+    rule has run."""
     adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(vals[scalar_node])}
-    for node in reversed(graph.nodes[: scalar_node + 1]):
-        if node.op in ("leaf", "const"):
-            continue
-        g = adj.pop(node.nid, None)
+    for nid, rule, inputs, want in steps:
+        g = adj.pop(nid, None)
         if g is None:
             continue
-        ins = [vals[i] for i in node.inputs]
-        want = [needed[i] for i in node.inputs]
-
-        def acc(idx: int, contrib: np.ndarray):
-            i = node.inputs[idx]
-            prev = adj.get(i)
-            adj[i] = contrib if prev is None else prev + contrib
-
-        op = node.op
-        if op == "add":
-            for idx in (0, 1):
-                if want[idx]:
-                    acc(idx, _unbroadcast(g, ins[idx].shape))
-        elif op == "mul":
-            if want[0]:
-                acc(0, _unbroadcast(g * ins[1], ins[0].shape))
-            if want[1]:
-                acc(1, _unbroadcast(g * ins[0], ins[1].shape))
-        elif op == "matmul":
-            if want[0]:
-                acc(0, _unbroadcast(g @ ins[1].mT, ins[0].shape))
-            if want[1]:
-                acc(1, _unbroadcast(ins[0].mT @ g, ins[1].shape))
-        elif op == "transpose":
-            acc(0, g.mT)
-        elif op == "expand":
-            acc(0, g[..., 0, :, :])
-        elif op == "sum_heads":
-            acc(0, np.broadcast_to(g[..., None, :, :], ins[0].shape))
-        elif op == "rows":
-            gx = np.zeros(ins[0].shape)
-            gx[..., node.const, :] = g
-            acc(0, gx)
-        elif op == "gelu":
-            acc(0, g * _gelu_grad(ins[0]))
-        elif op == "softmax":
-            y = vals[node.nid]
-            acc(0, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-        elif op == "log_softmax":
-            y = vals[node.nid]
-            acc(0, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-        elif op == "layer_norm":
-            x, gain, _ = ins
-            if want[0] or want[1]:
-                xc, std = _centred(x)
-                inv = 1.0 / std
-                xhat = xc * inv
-            if want[0]:
-                n = x.shape[-1]
-                gh = g * gain  # the gradient into the normalized x
-                gm = gh.sum(axis=-1, keepdims=True) / n
-                gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
-                acc(0, inv * (gh - gm - xhat * gx))
-            if want[1]:
-                acc(1, _row_sum(g * xhat))
-            if want[2]:
-                acc(2, _row_sum(g))
-        elif op == "affine":
-            x, w, _ = ins
-            if want[0]:
-                acc(0, g @ w.T)
-            if want[1]:
-                # the batch and rows folded into one GEMM, not one per point
-                acc(1, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            if want[2]:
-                acc(2, _row_sum(g))
-        elif op == "sum_all":
-            x = ins[0]
-            g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
-            acc(0, np.broadcast_to(g, x.shape).copy())
-        else:
-            raise GraphError(f"no gradient rule for op {op!r}")
+        contribs = rule(g, want, [vals[i] for i in inputs], vals[nid],
+                        saved.pop(nid, None))
+        for i, contrib in zip(inputs, contribs):
+            if contrib is not None:
+                prev = adj.get(i)
+                adj[i] = contrib if prev is None else prev + contrib
     return adj
+
+
+# -- gradient rules --------------------------------------------------------
+#
+# A rule takes the node's adjoint ``g``, whether each input wants a
+# gradient, the input values, the node's value and what its forward kernel
+# saved; it returns one gradient per input, None for an input not wanted.
+# An op node with one input is walked only when that input is wanted. As
+# for the kernels, a docstring's expression gives a rule's order of
+# operations and so its bits.
+
+def _add_grad(g, want, ins, y, saved):
+    a, b = ins
+    return (_unbroadcast(g, a.shape) if want[0] else None,
+            _unbroadcast(g, b.shape) if want[1] else None)
+
+
+def _mul_grad(g, want, ins, y, saved):
+    a, b = ins
+    return (_unbroadcast(g * b, a.shape) if want[0] else None,
+            _unbroadcast(g * a, b.shape) if want[1] else None)
+
+
+def _matmul_grad(g, want, ins, y, saved):
+    a, b = ins
+    return (_unbroadcast(g @ b.mT, a.shape) if want[0] else None,
+            _unbroadcast(a.mT @ g, b.shape) if want[1] else None)
+
+
+def _transpose_grad(g, want, ins, y, saved):
+    return (g.mT,)
+
+
+def _expand_grad(g, want, ins, y, saved):
+    return (g[..., 0, :, :],)
+
+
+def _sum_heads_grad(g, want, ins, y, saved):
+    return (np.broadcast_to(g[..., None, :, :], ins[0].shape),)
+
+
+def _rows_grad(g, want, ins, y, saved, rows):
+    gx = np.zeros(ins[0].shape)
+    gx[..., rows, :] = g
+    return (gx,)
+
+
+def _gelu_grad(g, want, ins, y, t):
+    """``g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 *
+    0.044715 * x2))`` for ``x2 = x * x`` and the forward's tanh ``t``."""
+    x = ins[0]
+    x2 = x * x
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    h = x * 0.5
+    h *= d
+    h *= _GELU_C
+    x2 *= 3 * 0.044715
+    x2 += 1.0
+    h *= x2
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    d += h
+    d *= g
+    return (d,)
+
+
+def _softmax_grad(g, want, ins, y, saved):
+    """``y * (g - (g * y).sum(-1))``."""
+    d = g * y
+    np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+    d *= y
+    return (d,)
+
+
+def _log_softmax_grad(g, want, ins, y, saved):
+    """``g - exp(y) * g.sum(-1)``."""
+    d = np.exp(y)
+    d *= g.sum(axis=-1, keepdims=True)
+    np.subtract(g, d, out=d)
+    return (d,)
+
+
+def _layer_norm_grad(g, want, ins, y, saved):
+    """Into x, ``inv * (gh - gh.sum(-1) / n - xhat * (gh * xhat).sum(-1) /
+    n)`` for ``gh = g * gain``; into the gain, ``g * xhat`` summed over
+    all but the last axis; into the bias, ``g`` summed so. Here ``inv = 1
+    / std`` and ``xhat = xc * inv`` for the forward's ``(xc, std)``."""
+    gx = ggain = gbias = None
+    if want[0] or want[1]:
+        xc, std = saved
+        inv = 1.0 / std
+        xhat = xc * inv
+    if want[0]:
+        n = xc.shape[-1]
+        gh = g * ins[1]
+        gm = gh.sum(axis=-1, keepdims=True)
+        gm /= n
+        t = gh * xhat
+        gd = t.sum(axis=-1, keepdims=True)
+        gd /= n
+        np.multiply(xhat, gd, out=t)
+        gh -= gm
+        gh -= t
+        gh *= inv
+        gx = gh
+    if want[1]:
+        ggain = _row_sum(g * xhat)
+    if want[2]:
+        gbias = _row_sum(g)
+    return gx, ggain, gbias
+
+
+def _affine_grad(g, want, ins, y, saved):
+    x, w, _ = ins
+    # the batch and rows folded into one GEMM, not one per point
+    return (g @ w.T if want[0] else None,
+            x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            if want[1] else None,
+            _row_sum(g) if want[2] else None)
+
+
+def _sum_all_grad(g, want, ins, y, saved):
+    x = ins[0]
+    g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
+    return (np.broadcast_to(g, x.shape).copy(),)
+
+
+_RULES = {
+    "add": _add_grad, "mul": _mul_grad, "matmul": _matmul_grad,
+    "transpose": _transpose_grad, "expand": _expand_grad,
+    "sum_heads": _sum_heads_grad, "gelu": _gelu_grad,
+    "softmax": _softmax_grad, "log_softmax": _log_softmax_grad,
+    "layer_norm": _layer_norm_grad, "affine": _affine_grad,
+    "sum_all": _sum_all_grad,
+}
+
+
+def _rule(node: Node):
+    """The gradient rule of op node ``node``."""
+    if node.op == "rows":
+        return functools.partial(_rows_grad, rows=node.const)
+    if node.op not in _RULES:
+        raise GraphError(f"no gradient rule for op {node.op!r}")
+    return _RULES[node.op]

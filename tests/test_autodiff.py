@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from attrscope import autodiff
 from attrscope.autodiff import (
-    Graph, GraphError, NumericError, ShapeError, _forward, _forward_op,
-    evaluate, grad,
+    _GELU_C, _LN_EPS, _SAVING, Graph, GraphError, NumericError, ShapeError,
+    _forward, _kernel, evaluate, grad,
 )
 from attrscope.models.transformer import ScoreTerm, build_forward_graph
 from conftest import bind_pass
@@ -134,6 +135,128 @@ class TestNormalization:
         vals = evaluate(g, {"x": rng.standard_normal((3, 8))})
         assert np.max(np.abs(vals[ln].mean(axis=-1))) < 1e-12
         assert np.max(np.abs(vals[ln].var(axis=-1) - 1.0)) < 1e-4
+
+
+def row_sum(g):
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+# The kernels' expressions as they stood before the kernels wrote in place
+# and the backward read the forward's saved arrays: each returns the op's
+# value, or, given the adjoint ``g``, the gradient into each input.
+
+def ref_gelu(x):
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def ref_gelu_grad(g, x):
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
+    return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C
+                 * (1.0 + 3 * 0.044715 * x2)),)
+
+
+def ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_softmax_grad(g, x):
+    y = ref_softmax(x)
+    return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+
+def ref_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def ref_log_softmax_grad(g, x):
+    return (g - np.exp(ref_log_softmax(x)) * g.sum(axis=-1, keepdims=True),)
+
+
+def ref_centred(x):
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    return xc, np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
+
+
+def ref_layer_norm(x, gain, bias):
+    xc, std = ref_centred(x)
+    return xc / std * gain + bias
+
+
+def ref_layer_norm_grad(g, x, gain, bias):
+    xc, std = ref_centred(x)
+    inv = 1.0 / std
+    xhat = xc * inv
+    n = x.shape[-1]
+    gh = g * gain
+    gm = gh.sum(axis=-1, keepdims=True) / n
+    gx = (gh * xhat).sum(axis=-1, keepdims=True) / n
+    return inv * (gh - gm - xhat * gx), row_sum(g * xhat), row_sum(g)
+
+
+def ref_affine(x, w, b):
+    return x @ w + b
+
+
+def ref_affine_grad(g, x, w, b):
+    return (g @ w.T, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+            row_sum(g))
+
+
+# op -> (forward, backward, the shapes of its unbatched inputs given rows
+# L, width d and output width m)
+KERNELS = {
+    "gelu": (ref_gelu, ref_gelu_grad, lambda L, d, m: [(L, d)]),
+    "softmax": (ref_softmax, ref_softmax_grad, lambda L, d, m: [(L, d)]),
+    "log_softmax": (ref_log_softmax, ref_log_softmax_grad,
+                    lambda L, d, m: [(L, d)]),
+    "layer_norm": (ref_layer_norm, ref_layer_norm_grad,
+                   lambda L, d, m: [(L, d), (d,), (d,)]),
+    "affine": (ref_affine, ref_affine_grad,
+               lambda L, d, m: [(L, d), (d, m), (m,)]),
+}
+
+
+class TestKernelBits:
+    """Each kernel, forward and backward, gives the bits of the expression
+    it computes in place."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("op", list(KERNELS))
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=st.integers(1, 5), d=st.integers(1, 7), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, d=1, m=1, seed=0)
+    @example(rows=1, d=6, m=3, seed=1)
+    def test_one_op_graph_equals_the_expression(self, op, batch, rows, d, m,
+                                                seed):
+        forward, backward, shapes = KERNELS[op]
+        shapes = shapes(rows, d, m)
+        rng = np.random.default_rng(seed)
+        g = Graph()
+        names = ["x", "w", "b"][:len(shapes)]
+        out = getattr(g, op)(*(g.leaf(shape, name)
+                               for shape, name in zip(shapes, names)))
+        out_shape = (rows, m if op == "affine" else d)
+        # the output's adjoint is the leaf c: d(sum(out * c))/d(out) = c
+        s = g.sum_all(g.mul(out, g.leaf(out_shape, "c")))
+        lead = () if batch is None else (batch,)
+        vals = {name: 3 * rng.standard_normal(
+                    (lead if name == "x" else ()) + shape)
+                for shape, name in zip(shapes, names)}
+        vals["c"] = rng.standard_normal(lead + out_shape)
+
+        ins = [vals[name] for name in names]
+        assert np.array_equal(evaluate(g, vals)[out], forward(*ins))
+        grads = grad(g, s, vals, names)
+        for name, got, want in zip(names, grads.values(),
+                                   backward(vals["c"], *ins)):
+            assert np.array_equal(got, want), name
 
 
 class TestGraphMechanics:
@@ -348,16 +471,69 @@ class TestRequestedGradients:
 
     def test_only_the_path_from_emb_is_walked(self, tiny_ar_model):
         fg = build_forward_graph(tiny_ar_model.hyper, 4, causal=True)
-        reads = fg.graph.reads(("emb",))
+        steps = fg.graph.backward_plan(("emb",))
+        walked = [nid for nid, _, _, _ in steps]
+        wanted = {i for _, _, inputs, want in steps
+                  for i, wants in zip(inputs, want) if wants}
+        assert walked == sorted(walked, reverse=True)
         for name, nid in fg.graph.leaves.items():
-            assert reads[nid] == (name == "emb"), name
-        assert reads[fg.score] and reads[fg.log_probs]
-        # a graph that grows has its cached answers dropped
+            assert (nid in wanted) == (name == "emb"), name
+        assert fg.score in walked and fg.log_probs in walked
+        # a graph that grows has its cached plans dropped
         g = Graph()
         x = g.leaf((2,), "x")
-        assert g.reads(("y",)) == [False]
-        g.add(x, g.leaf((2,), "y"))
-        assert g.reads(("y",)) == [False, True, True]
+        assert g.backward_plan(("y",)) == []
+        y = g.leaf((2,), "y")
+        s = g.add(x, y)
+        assert [(nid, inputs, want) for nid, _, inputs, want
+                in g.backward_plan(("y",))] == [(s, (x, y), (False, True))]
+
+
+class TestSavedValues:
+    """The backward reads what the forward kept, and computes it no more."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("emb_only", [True, False])
+    def test_one_grad_computes_each_kept_value_once(self, tiny_ar_model,
+                                                    batch, emb_only,
+                                                    monkeypatch, rng):
+        params = tiny_ar_model
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), True, ((5, 3),)))
+        if batch is not None:
+            vals = {**vals,
+                    "emb": vals["emb"] + 0.1 * rng.standard_normal(
+                        (batch,) + vals["emb"].shape),
+                    "target_mask": np.stack([vals["target_mask"]] * batch)}
+        ops = [node.op for node in fg.graph.nodes]
+        assert (ops.count("layer_norm"), ops.count("gelu")) == (5, 2)
+        calls = {"moments": 0, "tanh": 0}
+
+        def counted(fn, key):
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(autodiff, "_centred",
+                            counted(autodiff._centred, "moments"))
+        monkeypatch.setattr(np, "tanh", counted(np.tanh, "tanh"))
+        wrt = ("emb",) if emb_only else tuple(
+            name for name in fg.graph.leaves if name != "target_mask")
+        grad(fg.graph, fg.score, vals, wrt)
+        assert calls == {"moments": 5, "tanh": 2}
+
+    def test_a_forward_serves_one_grad(self, rng):
+        g = Graph()
+        x = g.leaf((2, 3), "x")
+        s = g.sum_all(g.gelu(x))
+        leaves = {"x": rng.standard_normal((2, 3))}
+        forward = evaluate(g, leaves)
+        first = grad(g, s, leaves, ("x",), forward=forward)
+        assert np.array_equal(first["x"], grad(g, s, leaves, ("x",))["x"])
+        assert forward[s] == evaluate(g, leaves)[s]
+        with pytest.raises(GraphError, match="already served a grad"):
+            grad(g, s, leaves, ("x",), forward=forward)
 
 
 def per_node_evaluate(graph: Graph, leaf_values) -> list:
@@ -374,7 +550,9 @@ def per_node_evaluate(graph: Graph, leaf_values) -> list:
             v = node.const
         else:
             is_batched = not batched.isdisjoint(node.inputs)
-            v = _forward_op(node, vals, is_batched)
+            v = _kernel(node, is_batched)(*[vals[i] for i in node.inputs])
+            if node.op in _SAVING:
+                v = v[0]
             if not np.all(np.isfinite(v)):
                 raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
             if is_batched:
