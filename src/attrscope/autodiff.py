@@ -20,9 +20,8 @@ computes no weight gradient.
 
 A forward pass keeps, besides every node's value, what the backward reads
 and would otherwise compute again: each ``gelu``'s tanh and each
-``layer_norm``'s centred input and standard deviation. The backward reads
-them, in the forward's bits, and drops each one once its node's rule has
-run. Each kernel runs its arithmetic in a fixed order but writes into
+``layer_norm``'s mean and standard deviation. The backward reads them, in
+the forward's bits, and drops each one once its node's rule has run. Each kernel runs its arithmetic in a fixed order but writes into
 temporaries it allocated itself, not one new array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
@@ -321,8 +320,9 @@ def _log_softmax(x):
 
 
 def _centred(x):
-    """``x`` minus its mean over the last axis, and its standard deviation
-    there (with the layer-norm epsilon); moments are ``sum / n``."""
+    """``xc = x - mean`` for the mean of ``x`` over the last axis, the mean,
+    and the standard deviation there (with the layer-norm epsilon); moments
+    are ``sum / n``."""
     n = x.shape[-1]
     mean = x.sum(axis=-1, keepdims=True)
     mean /= n
@@ -330,18 +330,19 @@ def _centred(x):
     var = (xc * xc).sum(axis=-1, keepdims=True)
     var /= n
     var += _LN_EPS
-    return xc, np.sqrt(var, out=var)
+    return xc, mean, np.sqrt(var, out=var)
 
 
 def _layer_norm(x, gain, bias):
-    """``xc / std * gain + bias``, and ``(xc, std)`` (see _centred)."""
+    """``xc / std * gain + bias``, and the moments ``(mean, std)`` (see
+    _centred)."""
     if gain.shape != x.shape[-1:] or bias.shape != gain.shape:
         raise ShapeError(f"layer_norm shapes {x.shape}, {gain.shape}, {bias.shape}")
-    xc, std = _centred(x)
+    xc, mean, std = _centred(x)
     y = xc / std
     y *= gain
     y += bias
-    return y, (xc, std)
+    return y, (mean, std)
 
 
 def _affine(x, w, b):
@@ -603,14 +604,17 @@ def _layer_norm_grad(g, want, ins, y, saved):
     """Into x, ``inv * (gh - gh.sum(-1) / n - xhat * (gh * xhat).sum(-1) /
     n)`` for ``gh = g * gain``; into the gain, ``g * xhat`` summed over
     all but the last axis; into the bias, ``g`` summed so. Here ``inv = 1
-    / std`` and ``xhat = xc * inv`` for the forward's ``(xc, std)``."""
+    / std`` and ``xhat = (x - mean) * inv`` for the forward's moments:
+    ``x - mean`` is one subtraction with the forward's bits, cheaper to
+    run again than the centred array is to keep."""
     gx = ggain = gbias = None
     if want[0] or want[1]:
-        xc, std = saved
+        mean, std = saved
         inv = 1.0 / std
-        xhat = xc * inv
+        xhat = ins[0] - mean
+        xhat *= inv
     if want[0]:
-        n = xc.shape[-1]
+        n = xhat.shape[-1]
         gh = g * ins[1]
         gm = gh.sum(axis=-1, keepdims=True)
         gm /= n

@@ -197,10 +197,10 @@ class ScoreTerm:
 # IG's path points among them, into passes of at most this many. A pass
 # keeps every point's forward values (and, for IG, until its backward),
 # together with the arrays its backward reads (each gelu's tanh, each
-# layer norm's centred input and std): for a 2-layer, width-64 model over
-# 21 tokens, about 0.25 MB per point at 11 rows (0.05 MB of it kept for
-# the backward) and 1.9 MB at 64 rows (0.28 MB), less on a graph pruned to
-# a few rows. So peak memory grows with this number while the per-node
+# layer norm's mean and std): for a 2-layer, width-64 model over 21
+# tokens, about 0.23 MB per point at 11 rows (0.02 MB of it kept for the
+# backward) and 1.7 MB at 64 rows (0.13 MB), less on a graph pruned to a
+# few rows. So peak memory grows with this number while the per-node
 # dispatch cost it saves shrinks.
 POINTS_PER_PASS = 8
 
