@@ -86,14 +86,14 @@ class Node:
 
 class ForwardPlan(NamedTuple):
     """How a forward pass with a given set of batched leaves runs."""
-    batched: frozenset[int]  # the nodes that carry the batch axis
-    steps: list[tuple]       # per op node: (nid, kernel, input ids, saves)
+    batched: tuple[bool, ...]  # per node, whether it carries the batch axis
+    steps: list[tuple]         # per op node: (nid, kernel, input ids, saves)
 
 
 class Values(list):
-    """A forward pass's value of every node, indexed by node id; also the
-    nodes that carry the batch axis, and the arrays the pass keeps for a
-    backward (by node id), which the one ``grad`` given them takes."""
+    """A forward pass's value of every node, indexed by node id; also, per
+    node, whether it carries the batch axis, and the arrays the pass keeps
+    for a backward (by node id), which the one ``grad`` given them takes."""
     __slots__ = ("batched", "saved")
 
 
@@ -120,17 +120,16 @@ class Graph:
         node ids ``batched_leaves``."""
         plan = self._forward_plans.get(batched_leaves)
         if plan is None:
-            batched = set(batched_leaves)
+            batched: list[bool] = []
             steps = []
             for node in self.nodes:
                 if node.op in ("leaf", "const"):
+                    batched.append(node.nid in batched_leaves)
                     continue
-                is_batched = not batched.isdisjoint(node.inputs)
-                if is_batched:
-                    batched.add(node.nid)
-                steps.append((node.nid, _kernel(node, is_batched), node.inputs,
-                              node.op in _SAVING))
-            plan = ForwardPlan(frozenset(batched), steps)
+                batched.append(any(batched[i] for i in node.inputs))
+                steps.append((node.nid, _kernel(node, batched[-1]),
+                              node.inputs, node.op in _SAVING))
+            plan = ForwardPlan(tuple(batched), steps)
             self._forward_plans[batched_leaves] = plan
         return plan
 
@@ -145,10 +144,13 @@ class Graph:
             for node in self.nodes:
                 needed.append(node.name in key if node.op == "leaf"
                               else any(needed[i] for i in node.inputs))
-            plan = [(node.nid, _rule(node), node.inputs,
-                     tuple(needed[i] for i in node.inputs))
-                    for node in reversed(self.nodes)
-                    if needed[node.nid] and node.op not in ("leaf", "const")]
+            wants: dict[tuple, tuple] = {}  # one object per distinct tuple
+            plan = []
+            for node in reversed(self.nodes):
+                if needed[node.nid] and node.op not in ("leaf", "const"):
+                    want = tuple(needed[i] for i in node.inputs)
+                    plan.append((node.nid, _rule(node), node.inputs,
+                                 wants.setdefault(want, want)))
             self._backward_plans[key] = plan
         return plan
 
@@ -478,7 +480,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             raise GraphError(f"grad asks for {name!r}, which is no leaf")
     vals = forward if forward is not None else evaluate(graph, leaf_values)
     out = vals[scalar_node]
-    if out.shape != () and not (out.ndim == 1 and scalar_node in vals.batched):
+    if out.shape != () and not (out.ndim == 1 and vals.batched[scalar_node]):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
     if vals.saved is None:
         raise GraphError("this forward pass already served a grad")
