@@ -21,8 +21,9 @@ computes no weight gradient.
 A forward pass keeps, besides every node's value, what the backward reads
 and would otherwise compute again: each ``gelu``'s tanh and each
 ``layer_norm``'s mean and standard deviation. The backward reads them, in
-the forward's bits, and drops each one once its node's rule has run. Each kernel runs its arithmetic in a fixed order but writes into
-temporaries it allocated itself, not one new array per step.
+the forward's bits; they go when the forward's values go. Each kernel runs
+its arithmetic in a fixed order but writes into temporaries it allocated
+itself, not one new array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
 a pass plan: per set of batched leaves, the forward's kernel calls and the
@@ -93,7 +94,7 @@ class ForwardPlan(NamedTuple):
 class Values(list):
     """A forward pass's value of every node, indexed by node id; also, per
     node, whether it carries the batch axis, and the arrays the pass keeps
-    for a backward (by node id), which the one ``grad`` given them takes."""
+    for a backward, by node id."""
     __slots__ = ("batched", "saved")
 
 
@@ -293,7 +294,7 @@ def _rows(x, rows):
 # products, not ``x ** 3``: numpy's float power (pow) is far slower
 def _gelu(x):
     """``0.5 * x * (1.0 + t)`` for ``t = tanh(c * (x + 0.044715 * (x * x
-    * x)))``, and ``t``."""
+    * x)))``, ``c = sqrt(2 / pi)``, and ``t``."""
     t = x * x
     t *= x
     t *= 0.044715
@@ -366,8 +367,9 @@ def _sum_points(x):
 
 
 _FORWARD = {
-    "add": operator.add, "mul": operator.mul, "matmul": _matmul, "transpose": _transpose,
-    "expand": _expand, "sum_heads": _sum_heads, "gelu": _gelu,
+    "add": operator.add, "mul": operator.mul, "matmul": _matmul,
+    "transpose": _transpose, "expand": _expand, "sum_heads": _sum_heads,
+    "gelu": _gelu,
     "softmax": _softmax, "log_softmax": _log_softmax,
     "layer_norm": _layer_norm, "affine": _affine,
 }
@@ -468,9 +470,8 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     that is no leaf, and NumericError, naming the leaf, when a returned
     gradient is non-finite.
 
-    ``forward``, when given, is ``evaluate(graph, leaf_values)``; the
-    backward takes the arrays it kept, so it serves one ``grad`` (a second
-    is a GraphError), while its node values stay readable.
+    ``forward``, when given, is ``evaluate(graph, leaf_values)``, whose
+    kept arrays the backward reads.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -482,14 +483,11 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     out = vals[scalar_node]
     if out.shape != () and not (out.ndim == 1 and vals.batched[scalar_node]):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
-    if vals.saved is None:
-        raise GraphError("this forward pass already served a grad")
-    saved, vals.saved = vals.saved, None
 
     # every gradient returned is checked below, so intermediate overflow
     # is not worth a warning
     with np.errstate(all="ignore"):
-        adj = _backward(graph.backward_plan(wrt), scalar_node, vals, saved)
+        adj = _backward(graph.backward_plan(wrt), scalar_node, vals)
     result: dict[str, np.ndarray] = {}
     for name in wrt:
         node = graph.nodes[graph.leaves[name]]
@@ -502,18 +500,19 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     return result
 
 
-def _backward(steps: list[tuple], scalar_node: int, vals: Values,
-              saved: dict) -> dict[int, np.ndarray]:
+def _backward(steps: list[tuple], scalar_node: int,
+              vals: Values) -> dict[int, np.ndarray]:
     """The adjoints, by node id, after running the backward plan ``steps``
-    from ``scalar_node``; each node's saved arrays are dropped once its
-    rule has run."""
+    from ``scalar_node``. The arrays the forward kept stay until ``vals``
+    goes: dropping each after its node's rule raised peak RSS, since the
+    small freed moments split the heap."""
     adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(vals[scalar_node])}
     for nid, rule, inputs, want in steps:
         g = adj.pop(nid, None)
         if g is None:
             continue
         contribs = rule(g, want, [vals[i] for i in inputs], vals[nid],
-                        saved.pop(nid, None))
+                        vals.saved.get(nid))
         for i, contrib in zip(inputs, contribs):
             if contrib is not None:
                 prev = adj.get(i)
