@@ -443,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pairs", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("train", help="train a model on a corpus file")
     p.add_argument("--corpus", required=True)
@@ -454,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="decode from a trained model")
     p.add_argument("--model", required=True)
@@ -465,14 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("attribute", help="compute an attribution map")
     p.add_argument("--contract", required=True)
     p.add_argument("--model", default=None)
     _add_method_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("evaluate", help="contract-matched faithfulness report")
     p.add_argument("--contract", required=True)
@@ -483,14 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regenerate", action="store_true",
                    help="re-run the diffusion chain instead of rescoring")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("render", help="render a stored map as a heatmap")
     p.add_argument("--contract", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("demo-fallacy",
                        help="prefix mass under local vs prompt-conditioned"
@@ -499,20 +493,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--ig-steps", type=_int_at_least(1), default=32)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_demo_fallacy)
 
     p = sub.add_parser("rerun", help="reproduce a run from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
+    """Runs one command; may be called any number of times in a process."""
+    global _PARSER
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     # stash the argv minus the output directory for the manifest
     stripped = []
     skip = False
@@ -527,8 +525,11 @@ def main(argv=None) -> int:
             continue
         stripped.append(item)
     args._argv = stripped
+    # looked up by name on every call, so that a function rebound in this
+    # module after the parser was built is the one that runs
+    func = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

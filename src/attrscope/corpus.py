@@ -11,6 +11,8 @@ from .models.vocab import Vocab, make_vocab
 
 MAX_VOCAB = 64
 HELDOUT_FRAC = 0.2  # share of the pairs held out from training
+_WORD = 2 ** 32  # one raw next_uint32 word of the generator
+_WORDS_PER_BLOCK = 4096  # raw words drawn per bulk call
 
 
 @dataclass(frozen=True)
@@ -18,6 +20,56 @@ class SynCorpus:
     vocab: Vocab
     train_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     heldout_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _lemire_values(words: np.ndarray, n: int) -> list:
+    """The value ``Generator.integers(n)`` (2 <= n <= 2**32) makes of each
+    raw 32-bit word, or None where it rejects the word and draws again.
+
+    Lemire's method: m = word * n, rejected while m mod 2**32 is below
+    (2**32 - n) % n, else the value m >> 32."""
+    m = words * np.uint64(n)
+    values = (m >> np.uint64(32)).tolist()
+    rejected = m & np.uint64(_WORD - 1) < (_WORD - n) % n
+    for i in np.flatnonzero(rejected).tolist():
+        values[i] = None
+    return values
+
+
+class _BoundedDraws:
+    """The values successive ``rng.integers(n, size=k)`` calls would
+    return, read from raw words drawn a block at a time."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0  # the next unread word
+        self._values: dict[int, list] = {}  # n -> _lemire_values(words, n)
+
+    def take(self, n: int, k: int) -> list[int]:
+        if n == 1:
+            return [0] * k  # numpy draws no word for a one-value range
+        values = self._values.get(n)
+        if values is None:
+            values = self._values[n] = _lemire_values(self._words, n)
+        pos = self._pos
+        out = values[pos:pos + k]
+        if len(out) == k and None not in out:
+            self._pos = pos + k
+            return out
+        # a rejected word or the block's end: one word at a time
+        out = []
+        while len(out) < k:
+            if self._pos == len(self._words):
+                self._words = self._rng.integers(0, _WORD, size=_WORDS_PER_BLOCK,
+                                                 dtype=np.uint64)
+                self._pos = 0
+                values = _lemire_values(self._words, n)
+                self._values = {n: values}
+            if values[self._pos] is not None:
+                out.append(values[self._pos])
+            self._pos += 1
+        return out
 
 
 def _is_int(value) -> bool:
@@ -53,18 +105,23 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
     target_ids = [vocab.index(f"t{i}") for i in range(lexicon_size)]  # s_i -> t_i
     tr, sep, eos = vocab.index("TR:"), vocab.sep, vocab.eos
 
-    rng = np.random.default_rng(seed)
+    # rng.integers(n) takes one PCG64 next_uint32 word per value by
+    # Lemire's method, and integers(0, 2**32, dtype=np.uint64) returns those
+    # words as they are; so _BoundedDraws gives the values of
+    # rng.choice(lengths) and one rng.integers call per token, in the same
+    # order, from a few bulk draws. The generator is this call's own, so
+    # words drawn past the last one used change nothing.
+    # test_io.py::TestCorpus::test_draws_equal_the_per_token_loop and the
+    # pinned digests of test_corpora_keep_their_bytes hold it to that.
+    take = _BoundedDraws(np.random.default_rng(seed)).take
     seen: set[tuple[int, ...]] = set()
     sequences: list[tuple[int, ...]] = []
-    distinct = sum(lexicon_size ** length for length in lengths)
-    attempts = 0
-    while (len(sequences) < min(n_pairs, distinct)
-           and attempts < 100 * n_pairs):
+    wanted = min(n_pairs, sum(lexicon_size ** length for length in lengths))
+    n_lengths, max_attempts, attempts = len(lengths), 100 * n_pairs, 0
+    while len(sequences) < wanted and attempts < max_attempts:
         attempts += 1
-        # the same draws as rng.choice(lengths) and one rng.integers call
-        # per token, in fewer calls
-        length = lengths[int(rng.integers(len(lengths)))]
-        seq = tuple(rng.integers(lexicon_size, size=length).tolist())
+        length = lengths[take(n_lengths, 1)[0]]
+        seq = tuple(take(lexicon_size, length))
         if seq in seen:
             continue
         seen.add(seq)
@@ -72,8 +129,8 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
 
     pairs = []
     for seq in sequences:
-        prompt = (tr,) + tuple(source_ids[i] for i in seq) + (sep,)
-        target = tuple(target_ids[i] for i in seq) + (eos,)
+        prompt = (tr, *map(source_ids.__getitem__, seq), sep)
+        target = (*map(target_ids.__getitem__, seq), eos)
         pairs.append((prompt, target))
 
     n_held = max(1, int(round(HELDOUT_FRAC * len(pairs))))

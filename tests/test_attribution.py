@@ -90,6 +90,26 @@ class TestIntegratedGradients:
         fine, _ = completeness_error(tiny_ar_model, ar_instance, c, 128)
         assert fine <= coarse + 1e-12
 
+    def test_residual_shrinks_at_second_order(self, tiny_ar_model,
+                                              ar_instance):
+        """IG's path integral is a midpoint sum, whose error falls as
+        1/steps**2: each doubling of the steps divides the signed
+        completeness residual by about 4, not 2. This is why a fixed
+        step count can miss a fixed tolerance on a model whose score
+        curves harder along the path, with no fault in the map."""
+        c = make_named(SETTING_SPAN, ar_instance)
+        delta = (score(c, tiny_ar_model, ar_instance)
+                 - baseline_endpoint_score(tiny_ar_model, ar_instance, c,
+                                           PAD_BASELINE))
+        residuals = []
+        for steps in (16, 32, 64, 128):
+            attr_map = integrated_gradients(tiny_ar_model, ar_instance, c,
+                                            steps=steps)
+            residuals.append(sum(s for _, s in attr_map.entries) - delta)
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert abs(fine) > 1e-9  # far above rounding
+            assert 3.6 <= coarse / fine <= 4.4
+
     def test_entries_cover_exactly_the_eligible_set(self, tiny_ar_model,
                                                     ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance, 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attrscope import cli
 from attrscope.cli import (
     EXIT_DIAGNOSTIC, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
 )
@@ -183,6 +184,80 @@ class TestRerunProperty:
             with open(os.path.join(first, "map.txt"), "rb") as a, \
                     open(os.path.join(again, "map.txt"), "rb") as b:
                 assert a.read() == b.read()
+
+
+def recorder(calls):
+    """A subcommand function that records its arguments and succeeds."""
+    def cmd(args):
+        calls.append(args)
+        return EXIT_OK
+    return cmd
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        return builds
+
+    def test_usage_error_then_a_valid_call(self, builds, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_train", recorder(calls))
+        for argv in (["train", "--steps", "0", "--corpus", "c", "--out", "o"],
+                     ["no-such-command"], ["train", "--out", "o"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_DIAGNOSTIC
+        assert main(["train", "--corpus", "c.json", "--out", "o"]) == EXIT_OK
+        (args,) = calls
+        assert (args.corpus, args.steps, args.lr) == ("c.json", 2500, 0.05)
+        assert builds == [1]
+
+    def test_flags_do_not_leak_into_the_next_call(self, builds, monkeypatch):
+        calls = []
+        for name in ("cmd_train", "cmd_evaluate", "cmd_attribute"):
+            monkeypatch.setattr(cli, name, recorder(calls))
+        main(["train", "--corpus", "c.json", "--seed", "5", "--out", "o"])
+        main(["evaluate", "--contract", "c", "--out", "o"])
+        main(["attribute", "--contract", "c", "--ig-steps", "8",
+              "--method", "gxi", "--model", "m.bin", "--out", "o"])
+        main(["attribute", "--contract", "c", "--out", "o"])
+        train, evaluate, attribute, again = calls
+        assert train.seed == 5 and evaluate.seed == 0
+        assert (attribute.ig_steps, attribute.method, attribute.model) == \
+            (8, "gxi", "m.bin")
+        assert (again.ig_steps, again.method, again.model) == \
+            (64, "ig", None)
+        assert again._argv == ["attribute", "--contract", "c"]
+        assert not hasattr(evaluate, "corpus")
+        assert builds == [1]
+
+    def test_the_function_bound_at_call_time_runs(self, builds, monkeypatch):
+        first, second = [], []
+        monkeypatch.setattr(cli, "cmd_attribute", recorder(first))
+        main(["attribute", "--contract", "c", "--out", "o"])
+        monkeypatch.setattr(cli, "cmd_attribute", recorder(second))
+        main(["attribute", "--contract", "c", "--out", "o"])
+        assert len(first) == 1 and len(second) == 1
+        assert builds == [1]
+
+    def test_rerun_inside_main_writes_the_same_bytes(self, builds, tmp_path):
+        first, again = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["gen-corpus", "--lexicon", "3", "--lengths", "1,2",
+                     "--n-pairs", "5", "--seed", "4", "--out", first]) == EXIT_OK
+        assert main(["rerun", "--manifest",
+                     os.path.join(first, "manifest.json"),
+                     "--out", again]) == EXIT_OK
+        with open(os.path.join(first, "corpus.json"), "rb") as a, \
+                open(os.path.join(again, "corpus.json"), "rb") as b:
+            assert a.read() == b.read()
+        assert builds == [1]
 
 
 class TestRerunManifestTypes:

@@ -13,7 +13,7 @@ from attrscope.contract import (
     FeatureRef, INDEXED_TARGETS, PROMPT_TOKEN, SCORE_PROCESS, SCORE_TARGET,
     SETTING_PROMPT_COND, SETTING_SCHEMA, make_named,
 )
-from attrscope.corpus import make_syn_corpus
+from attrscope.corpus import _BoundedDraws, _lemire_values, make_syn_corpus
 from attrscope.evaluation import PerturbationPolicy, faithfulness_report
 from attrscope.fileio import (
     Diagnostic, E_BAD_VALUE, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP,
@@ -344,6 +344,23 @@ class TestCorpus:
         assert [tuple(corpus.vocab.tokens[t][1:] for t in target[:-1])
                 for _, target in pairs] == \
             [tuple(str(i) for i in seq) for seq in sequences]
+
+    @pytest.mark.parametrize("n", [3, 29, 2 ** 31 + 1])
+    def test_bounded_draws_equal_numpy(self, n):
+        """_BoundedDraws.take against Generator.integers from the same
+        seed, call by call, across several blocks of words. No corpus draw
+        meets a rejected word; at n = 2**31 + 1 about half are rejected."""
+        words = np.random.default_rng(17).integers(0, 2 ** 32, size=4096,
+                                                   dtype=np.uint64)
+        rejected = _lemire_values(words, n).count(None) / len(words)
+        assert (0.4 < rejected < 0.6) if n == 2 ** 31 + 1 else rejected == 0
+        draws = _BoundedDraws(np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            assert draws.take(n, 1) == [int(rng.integers(n))]
+        for k in [5, 1, 7, 2] * 800:  # one-value draws take no word
+            assert draws.take(1, 1) == [int(rng.integers(1))]
+            assert draws.take(n, k) == rng.integers(n, size=k).tolist()
 
     def test_stops_once_every_sequence_is_drawn(self):
         corpus = make_syn_corpus(2, [1], 30000, seed=0)
