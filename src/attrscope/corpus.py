@@ -2,6 +2,7 @@
 "TR: s_i1 .. s_il SEP" -> "t_i1 .. t_il EOS" pairs."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from .models.vocab import Vocab, make_vocab
 
 MAX_VOCAB = 64
 HELDOUT_FRAC = 0.2  # share of the pairs held out from training
-_WORD = 2 ** 32  # one raw next_uint32 word of the generator
+_WORD = 2 ** 32  # the values of one raw next_uint32 word
 _WORDS_PER_BLOCK = 4096  # raw words drawn per bulk call
 
 
@@ -23,8 +24,8 @@ class SynCorpus:
 
 
 def _lemire_values(words: np.ndarray, n: int) -> list:
-    """The value ``Generator.integers(n)`` (2 <= n <= 2**32) makes of each
-    raw 32-bit word, or None where it rejects the word and draws again.
+    """The value ``Generator.integers(n)`` (n <= 2**32) makes of each raw
+    32-bit word, or None where it rejects the word and draws again.
 
     Lemire's method: m = word * n, rejected while m mod 2**32 is below
     (2**32 - n) % n, else the value m >> 32."""
@@ -36,40 +37,35 @@ def _lemire_values(words: np.ndarray, n: int) -> list:
     return values
 
 
-class _BoundedDraws:
-    """The values successive ``rng.integers(n, size=k)`` calls would
-    return, read from raw words drawn a block at a time."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._words = np.empty(0, dtype=np.uint64)
-        self._pos = 0  # the next unread word
-        self._values: dict[int, list] = {}  # n -> _lemire_values(words, n)
-
-    def take(self, n: int, k: int) -> list[int]:
-        if n == 1:
-            return [0] * k  # numpy draws no word for a one-value range
-        values = self._values.get(n)
-        if values is None:
-            values = self._values[n] = _lemire_values(self._words, n)
-        pos = self._pos
-        out = values[pos:pos + k]
-        if len(out) == k and None not in out:
-            self._pos = pos + k
-            return out
-        # a rejected word or the block's end: one word at a time
-        out = []
-        while len(out) < k:
-            if self._pos == len(self._words):
-                self._words = self._rng.integers(0, _WORD, size=_WORDS_PER_BLOCK,
-                                                 dtype=np.uint64)
-                self._pos = 0
-                values = _lemire_values(self._words, n)
-                self._values = {n: values}
-            if values[self._pos] is not None:
-                out.append(values[self._pos])
-            self._pos += 1
-        return out
+def _attempts(rng: np.random.Generator, lengths: list[int],
+              lexicon_size: int):
+    """Yields, attempt after attempt, the tokens that
+    ``lengths[rng.integers(len(lengths))]`` and then that many
+    ``rng.integers(lexicon_size)`` calls would draw, read from raw words
+    that ``rng`` draws a block at a time."""
+    step = 1 if len(lengths) > 1 else 0  # numpy draws no word for one value
+    longest = max(lengths)
+    # the unread words, as the value each gives a length or a token draw
+    length_at, token_at, pos = [], [], 0
+    while True:
+        if len(token_at) - pos <= longest:  # an attempt's words at most
+            words = rng.integers(0, _WORD, size=_WORDS_PER_BLOCK,
+                                 dtype=np.uint64)
+            length_at = length_at[pos:] + _lemire_values(words, len(lengths))
+            token_at = token_at[pos:] + _lemire_values(words, lexicon_size)
+            pos = 0
+        i = length_at[pos]
+        if i is not None:
+            first = pos + step
+            tokens = token_at[first:first + lengths[i]]
+            if None not in tokens:
+                pos = first + lengths[i]
+                yield tuple(tokens)
+                continue
+        # a rejected word gives no value and the draw takes the next word:
+        # drop it from the stream and make the attempt again
+        skip = pos if i is None else first + tokens.index(None)
+        del length_at[skip], token_at[skip]
 
 
 def _is_int(value) -> bool:
@@ -107,25 +103,22 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
 
     # rng.integers(n) takes one PCG64 next_uint32 word per value by
     # Lemire's method, and integers(0, 2**32, dtype=np.uint64) returns those
-    # words as they are; so _BoundedDraws gives the values of
-    # rng.choice(lengths) and one rng.integers call per token, in the same
-    # order, from a few bulk draws. The generator is this call's own, so
-    # words drawn past the last one used change nothing.
-    # test_io.py::TestCorpus::test_draws_equal_the_per_token_loop and the
-    # pinned digests of test_corpora_keep_their_bytes hold it to that.
-    take = _BoundedDraws(np.random.default_rng(seed)).take
+    # words as they are; so _attempts draws what rng.choice(lengths) and one
+    # rng.integers call per token drew, in the same order, from a few bulk
+    # draws. The generator is this call's own, so the words drawn past the
+    # last attempt change nothing. test_io.py::TestCorpus pins this:
+    # test_draws_equal_the_per_token_loop and test_corpora_keep_their_bytes.
     seen: set[tuple[int, ...]] = set()
     sequences: list[tuple[int, ...]] = []
     wanted = min(n_pairs, sum(lexicon_size ** length for length in lengths))
-    n_lengths, max_attempts, attempts = len(lengths), 100 * n_pairs, 0
-    while len(sequences) < wanted and attempts < max_attempts:
-        attempts += 1
-        length = lengths[take(n_lengths, 1)[0]]
-        seq = tuple(take(lexicon_size, length))
-        if seq in seen:
-            continue
-        seen.add(seq)
-        sequences.append(seq)
+    for seq in itertools.islice(
+            _attempts(np.random.default_rng(seed), lengths, lexicon_size),
+            100 * n_pairs):
+        if seq not in seen:
+            seen.add(seq)
+            sequences.append(seq)
+            if len(sequences) == wanted:
+                break
 
     pairs = []
     for seq in sequences:

@@ -13,7 +13,7 @@ from attrscope.contract import (
     FeatureRef, INDEXED_TARGETS, PROMPT_TOKEN, SCORE_PROCESS, SCORE_TARGET,
     SETTING_PROMPT_COND, SETTING_SCHEMA, make_named,
 )
-from attrscope.corpus import _BoundedDraws, _lemire_values, make_syn_corpus
+from attrscope.corpus import _attempts, _lemire_values, make_syn_corpus
 from attrscope.evaluation import PerturbationPolicy, faithfulness_report
 from attrscope.fileio import (
     Diagnostic, E_BAD_VALUE, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP,
@@ -347,20 +347,41 @@ class TestCorpus:
 
     @pytest.mark.parametrize("n", [3, 29, 2 ** 31 + 1])
     def test_bounded_draws_equal_numpy(self, n):
-        """_BoundedDraws.take against Generator.integers from the same
-        seed, call by call, across several blocks of words. No corpus draw
-        meets a rejected word; at n = 2**31 + 1 about half are rejected."""
-        words = np.random.default_rng(17).integers(0, 2 ** 32, size=4096,
+        """The values _lemire_values makes of raw words against
+        Generator.integers(n) from the same seed, call by call, and the
+        attempts of a corpus draw against the per-draw loop. No corpus
+        draw meets a rejected word; at n = 2**31 + 1 about half are."""
+        words = np.random.default_rng(17).integers(0, 2 ** 32, size=20000,
                                                    dtype=np.uint64)
-        rejected = _lemire_values(words, n).count(None) / len(words)
+        values = _lemire_values(words, n)
+        rejected = values.count(None) / len(values)
         assert (0.4 < rejected < 0.6) if n == 2 ** 31 + 1 else rejected == 0
-        draws = _BoundedDraws(np.random.default_rng(17))
         rng = np.random.default_rng(17)
-        for _ in range(3000):
-            assert draws.take(n, 1) == [int(rng.integers(n))]
-        for k in [5, 1, 7, 2] * 800:  # one-value draws take no word
-            assert draws.take(1, 1) == [int(rng.integers(1))]
-            assert draws.take(n, k) == rng.integers(n, size=k).tolist()
+        kept = [v for v in values if v is not None]
+        assert kept == [int(rng.integers(n)) for _ in kept]
+        for lengths in ([1, 2, 5], [3]):  # one length takes no word
+            attempts = _attempts(np.random.default_rng(23), lengths, n)
+            rng = np.random.default_rng(23)
+            for _ in range(3000):  # several blocks of words
+                length = lengths[int(rng.integers(len(lengths)))]
+                assert next(attempts) == \
+                    tuple(int(rng.integers(n)) for _ in range(length))
+
+    def test_rejected_words_are_skipped(self):
+        """A word that Lemire's method rejects gives no value, for a
+        length draw and for a token draw; threshold (2**32 - n) % n is 1
+        for n = 3 and n = 5, so only the word 0 is rejected."""
+        class Words:
+            def integers(self, low, high, size, dtype):
+                block = np.full(size, 2 ** 31, dtype=dtype)
+                block[[0, 2, 4, 6]] = [0, 0, 2 ** 32 - 1, 2 ** 32 - 1]
+                return block
+        # words 0 2**31 0 2**31 2**32-1 2**31 2**32-1: length draw (n = 3)
+        # rejects 0, takes 2**31 (lengths[1]); token draws (n = 5) reject 0
+        # and take 2**31 (2) and 2**32-1 (4); the next length draw takes
+        # 2**31 and its tokens 2**32-1 (4) and 2**31 (2)
+        attempts = _attempts(Words(), [1, 2, 3], 5)
+        assert [next(attempts) for _ in range(3)] == [(2, 4), (4, 2), (2, 2)]
 
     def test_stops_once_every_sequence_is_drawn(self):
         corpus = make_syn_corpus(2, [1], 30000, seed=0)
