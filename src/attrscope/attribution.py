@@ -70,8 +70,14 @@ class AttributionMap:
                 raise ValueError(f"non-finite attribution for {ref.label()}")
 
 
-def _method_desc(**kw) -> tuple[tuple[str, object], ...]:
-    return tuple(sorted(kw.items()))
+def _map(params: ModelParams, instance: PromptedInstance,
+         contract: AttributionContract, entries, **method) -> AttributionMap:
+    """The map of ``entries`` for the instance under the contract, made by
+    the method ``method`` describes (stored as sorted (key, value) pairs)."""
+    return AttributionMap(
+        entries=tuple(entries), contract_id=canonical_id(contract).digest,
+        method=tuple(sorted(method.items())), model_id=params.model_id,
+        instance_digest=instance_digest(instance), seed=instance.seed)
 
 
 # -- differentiable score binding ----------------------------------------
@@ -233,15 +239,11 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
             for g in grads[ref]:  # in k order, as a sequential loop adds them
                 accum[ref] = g if accum[ref] is None else accum[ref] + g
 
-    entries = []
-    for ref in eligible:
-        avg = accum[ref] / steps
-        entries.append((ref, float(np.dot(bs.embedding(ref) - base_vec, avg))))
-    return AttributionMap(
-        entries=tuple(entries), contract_id=canonical_id(contract).digest,
-        method=_method_desc(name="ig", steps=steps, baseline=baseline.kind),
-        model_id=params.model_id, instance_digest=instance_digest(instance),
-        seed=instance.seed)
+    entries = [(ref, float(np.dot(bs.embedding(ref) - base_vec,
+                                  accum[ref] / steps)))
+               for ref in eligible]
+    return _map(params, instance, contract, entries,
+                name="ig", steps=steps, baseline=baseline.kind)
 
 
 def baseline_endpoint_score(params: ModelParams, instance: PromptedInstance,
@@ -262,11 +264,7 @@ def grad_times_input(params: ModelParams, instance: PromptedInstance,
     grads = bs.grad(contract.eligible)
     entries = [(ref, float(np.dot(bs.embedding(ref), grads[ref])))
                for ref in contract.eligible]
-    return AttributionMap(
-        entries=tuple(entries), contract_id=canonical_id(contract).digest,
-        method=_method_desc(name="grad_x_input"),
-        model_id=params.model_id, instance_digest=instance_digest(instance),
-        seed=instance.seed)
+    return _map(params, instance, contract, entries, name="grad_x_input")
 
 
 def occlusion(params: ModelParams, instance: PromptedInstance,
@@ -281,11 +279,8 @@ def occlusion(params: ModelParams, instance: PromptedInstance,
     s_actual, *s_occ = bs.values(
         [{}] + [{ref: base_vec} for ref in contract.eligible])
     entries = [(ref, s_actual - s) for ref, s in zip(contract.eligible, s_occ)]
-    return AttributionMap(
-        entries=tuple(entries), contract_id=canonical_id(contract).digest,
-        method=_method_desc(name="occlusion", baseline=baseline.kind),
-        model_id=params.model_id, instance_digest=instance_digest(instance),
-        seed=instance.seed)
+    return _map(params, instance, contract, entries,
+                name="occlusion", baseline=baseline.kind)
 
 
 def stage_attribution(params: ModelParams, instance: PromptedInstance,
@@ -324,12 +319,9 @@ def stage_attribution(params: ModelParams, instance: PromptedInstance,
         for new in reruns])))
     entries = [(ref, base - perturbed[ref] if ref in perturbed else None)
                for ref in contract.eligible]
-    return AttributionMap(
-        entries=tuple(entries), contract_id=canonical_id(contract).digest,
-        method=_method_desc(name="stage", kind=pert_kind,
-                            commit_count=commit_count, temperature=temperature),
-        model_id=params.model_id, instance_digest=instance_digest(instance),
-        seed=instance.seed)
+    return _map(params, instance, contract, entries, name="stage",
+                kind=pert_kind, commit_count=commit_count,
+                temperature=temperature)
 
 
 def prefix_mass(attr_map: AttributionMap) -> float:

@@ -119,15 +119,34 @@ def _build_instance(spec, params) -> PromptedInstance:
     return PromptedInstance(prompt=prompt, seed=spec.seed, trajectory=traj)
 
 
-def _bound_contract(spec, instance):
+def _bound_contract(setting, target, instance):
     try:
-        contract = make_named(spec.setting, instance, spec.target)
+        contract = make_named(setting, instance, target)
     except ContractError as exc:
         raise CLIError(f"contract cannot bind to this instance: {exc}") from exc
     problems = validate(contract, instance)
     if problems:
         raise CLIError("contract validation failed:\n" + "\n".join(problems))
     return contract
+
+
+def _contract_run(args, settings=None):
+    """What a command on a contract file works on: the file's spec, the
+    model and its path, the instance the spec builds on the model, and the
+    contracts of ``settings`` (by default the spec's own setting alone),
+    each bound to that instance at the spec's target. The spec's setting
+    must be one of ``settings``."""
+    spec = _load_contract_spec(args.contract)
+    if settings is None:
+        settings = (spec.setting,)
+    elif spec.setting not in settings:
+        raise CLIError(f"{args.command} needs a {' or '.join(settings)}"
+                       " contract file")
+    params, model_path = _load_model(args, spec)
+    instance = _build_instance(spec, params)
+    contracts = [_bound_contract(setting, spec.target, instance)
+                 for setting in settings]
+    return spec, params, model_path, instance, contracts
 
 
 def _method_config(args) -> dict:
@@ -253,10 +272,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    spec = _load_contract_spec(args.contract)
-    params, model_path = _load_model(args, spec)
-    instance = _build_instance(spec, params)
-    contract = _bound_contract(spec, instance)
+    spec, params, model_path, instance, (contract,) = _contract_run(args)
     attr_map = compute_map(params, instance, contract, _method_config(args))
     html, text = render_heatmap(attr_map, instance, contract, params)
     out = _outdir(args)
@@ -273,10 +289,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    spec = _load_contract_spec(args.contract)
-    params, model_path = _load_model(args, spec)
-    instance = _build_instance(spec, params)
-    contract = _bound_contract(spec, instance)
+    spec, params, model_path, instance, (contract,) = _contract_run(args)
     policy = PerturbationPolicy(
         replacement=BaselinePolicy(_BASELINES[args.baseline]),
         rescoring=REGENERATE if args.regenerate else RESCORE)
@@ -306,10 +319,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    spec = _load_contract_spec(args.contract)
-    params, model_path = _load_model(args, spec)
-    instance = _build_instance(spec, params)
-    contract = _bound_contract(spec, instance)
+    spec, params, model_path, instance, (contract,) = _contract_run(args)
     try:
         with open(args.map) as fh:
             attr_map = parse_map(fh.read())
@@ -333,20 +343,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_demo_fallacy(args) -> int:
-    spec = _load_contract_spec(args.contract)
-    if spec.setting not in (SETTING_LOCAL, SETTING_PROMPT_COND):
-        raise CLIError("demo-fallacy needs a local-next-token or"
-                       " prompt-conditioned contract file")
-    params, model_path = _load_model(args, spec)
-    instance = _build_instance(spec, params)
-    t = spec.target
+    settings = (SETTING_LOCAL, SETTING_PROMPT_COND)
+    spec, params, model_path, instance, contracts = _contract_run(args, settings)
     lines = []
     masses = {}
-    for setting in (SETTING_LOCAL, SETTING_PROMPT_COND):
-        contract = make_named(setting, instance, t)
-        problems = validate(contract, instance)
-        if problems:
-            raise CLIError("contract validation failed:\n" + "\n".join(problems))
+    for setting, contract in zip(settings, contracts):
         attr_map = compute_map(params, instance, contract,
                                {"name": "ig", "baseline": "pad_token",
                                 "steps": args.ig_steps})

@@ -280,7 +280,7 @@ def _optional_number(value) -> float | None:
 
 def _method_from_list(items) -> tuple[tuple[str, object], ...]:
     """A method description: [name, value] pairs whose values are the
-    scalars _method_desc records."""
+    scalars attribution._map records."""
     method = []
     for item in items:
         if not (isinstance(item, list) and len(item) == 2

@@ -39,8 +39,11 @@ class Hyperparams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.heads < 1:
-            raise ValueError("heads must be positive")
+        sizes = ["vocab_size", "layers", "heads", "width", "mlp_hidden",
+                 "context_len"] + (["n_classes"] if self.kind == CLASSIFIER else [])
+        for size in sizes:
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be positive")
         if self.width % self.heads != 0:
             raise ValueError("width must divide evenly across heads")
 
@@ -50,8 +53,10 @@ class Hyperparams:
 
 
 def weight_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
+    """Each weight's shape, in init_params's draw order; a block's attention
+    weights hold every head, stacked on a leading heads axis."""
     d, m = hp.width, hp.mlp_hidden
-    dh = hp.head_dim
+    dh, H = hp.head_dim, hp.heads
     shapes: dict[str, tuple[int, ...]] = {
         "emb": (hp.vocab_size, d),
         "pos": (hp.context_len, d),
@@ -60,11 +65,8 @@ def weight_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
         p = f"blk{i}."
         shapes[p + "ln1.g"] = (d,)
         shapes[p + "ln1.b"] = (d,)
-        for h in range(hp.heads):
-            shapes[p + f"wq{h}"] = (d, dh)
-            shapes[p + f"wk{h}"] = (d, dh)
-            shapes[p + f"wv{h}"] = (d, dh)
-            shapes[p + f"wo{h}"] = (dh, d)
+        shapes[p + "wq"] = shapes[p + "wk"] = shapes[p + "wv"] = (H, d, dh)
+        shapes[p + "wo"] = (H, dh, d)
         shapes[p + "ln2.g"] = (d,)
         shapes[p + "ln2.b"] = (d,)
         shapes[p + "mlp.w1"] = (d, m)
@@ -80,31 +82,6 @@ def weight_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
         shapes["out.w"] = (d, hp.vocab_size)
         shapes["out.b"] = (hp.vocab_size,)
     return shapes
-
-
-# per-head attention weights, saved as blk{i}.wq{h} and bound to the score
-# graph stacked on a leading heads axis as one leaf, blk{i}.wq
-HEAD_WEIGHTS = ("wq", "wk", "wv", "wo")
-
-
-def stacked_heads(hp: Hyperparams) -> dict[str, tuple[str, ...]]:
-    """Each stacked attention leaf and the per-head weights it stacks, in
-    head order."""
-    return {f"blk{i}.{w}": tuple(f"blk{i}.{w}{h}" for h in range(hp.heads))
-            for i in range(hp.layers) for w in HEAD_WEIGHTS}
-
-
-def per_head(hp: Hyperparams, leaves: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Values keyed by score-graph leaf, keyed by weight instead: each
-    stacked attention value is split back into its heads."""
-    groups = stacked_heads(hp)
-    out = {}
-    for name, value in leaves.items():
-        if name in groups:
-            out.update(zip(groups[name], value))
-        else:
-            out[name] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,16 +102,6 @@ class ModelParams:
         if len(self.vocab) != self.hyper.vocab_size:
             raise ValueError("vocab size disagrees with hyperparams")
 
-    @functools.cached_property
-    def graph_weights(self) -> dict[str, np.ndarray]:
-        """The weights as score-graph leaves: per-head attention weights
-        stacked as (H, d, dh) or (H, dh, d) under one name, every other
-        weight as it is. Stacked once, so every binding shares the arrays."""
-        leaves = dict(self.weights)
-        for name, names in stacked_heads(self.hyper).items():
-            leaves[name] = np.stack([leaves.pop(n) for n in names])
-        return leaves
-
     @property
     def kind(self) -> str:
         return self.hyper.kind
@@ -143,29 +110,66 @@ class ModelParams:
     def model_id(self) -> str:
         """SHA-256 of the header and the weights; hashed once per model,
         since nothing writes a model's weight arrays in place."""
-        header = _header_dict(self)
         digest = hashlib.sha256()
-        digest.update(json.dumps(header, sort_keys=True).encode())
-        for name in sorted(self.weights):
+        digest.update(json.dumps(_header_dict(self), sort_keys=True).encode())
+        for name, body in _file_arrays(self):
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(self.weights[name]).astype("<f8").tobytes())
+            digest.update(body)
         return digest.hexdigest()
 
 
 def init_params(hp: Hyperparams, vocab: Vocab, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
-    weights = {}
-    for name, shape in weight_shapes(hp).items():
+    arrays = {}
+    for name, _, _, shape in _file_layout(hp):  # the file's draw order
         if name.endswith(".g"):
-            weights[name] = np.ones(shape)
-        elif name.endswith(".b") or name.endswith((".b1", ".b2")):
-            weights[name] = np.zeros(shape)
+            arrays[name] = np.ones(shape)
+        elif name.endswith((".b", ".b1", ".b2")):
+            arrays[name] = np.zeros(shape)
         else:
-            weights[name] = rng.normal(0.0, 0.02, size=shape)
-    return ModelParams(hyper=hp, vocab=vocab, weights=weights)
+            arrays[name] = rng.normal(0.0, 0.02, size=shape)
+    return ModelParams(hyper=hp, vocab=vocab, weights=_stacked(hp, arrays))
 
 
 # -- persistence ---------------------------------------------------------
+#
+# A model file stores each attention weight one head at a time: the heads of
+# blk{i}.wq are the arrays blk{i}.wq0, blk{i}.wq1, ..., likewise wk, wv and
+# wo. Every other weight is stored whole, under its own name.
+
+
+def _file_layout(hp: Hyperparams) -> list[tuple[str, str, int | None, tuple]]:
+    """(array name, weight, head, shape) of each array in a model file, in
+    init_params's draw order: a block's attention arrays head by head
+    (wq0, wk0, wv0, wo0, wq1, ...); head None for a whole weight."""
+    shapes = weight_shapes(hp)
+    layout = []
+    for weight, shape in shapes.items():
+        block, _, w = weight.rpartition(".")
+        if w == "wq":
+            layout += [(f"{block}.{a}{h}", f"{block}.{a}", h,
+                        shapes[f"{block}.{a}"][1:])
+                       for h in range(hp.heads) for a in ("wq", "wk", "wv", "wo")]
+        elif w not in ("wk", "wv", "wo"):
+            layout.append((weight, weight, None, shape))
+    return layout
+
+
+def _stacked(hp: Hyperparams, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The weights, from a model file's arrays keyed by array name."""
+    weights = {w: np.empty(shape) for w, shape in weight_shapes(hp).items()}
+    for name, weight, head, _ in _file_layout(hp):
+        weights[weight][() if head is None else head] = arrays[name]
+    return weights
+
+
+def _file_arrays(params: ModelParams):
+    """(array name, little-endian f64 bytes) of each array in the model's
+    file, in file order: sorted by name."""
+    for name, weight, head, _ in sorted(_file_layout(params.hyper)):
+        array = params.weights[weight]
+        yield name, np.ascontiguousarray(
+            array if head is None else array[head]).astype("<f8").tobytes()
 
 
 def _header_dict(params: ModelParams) -> dict:
@@ -176,7 +180,7 @@ def _header_dict(params: ModelParams) -> dict:
             "pad": params.vocab.pad, "mask": params.vocab.mask,
             "sep": params.vocab.sep, "eos": params.vocab.eos,
         },
-        "weight_order": sorted(params.weights),
+        "weight_order": sorted(name for name, *_ in _file_layout(params.hyper)),
     }
 
 
@@ -185,9 +189,7 @@ def save_model(params: ModelParams, path: str) -> None:
     header = _header_dict(params)
     header["model_id"] = params.model_id
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(
-        np.ascontiguousarray(params.weights[n]).astype("<f8").tobytes()
-        for n in sorted(params.weights))
+    body = b"".join(body for _, body in _file_arrays(params))
     payload = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + body
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
@@ -216,22 +218,21 @@ def load_model(path: str) -> ModelParams:
         v = header["vocab"]
         vocab = Vocab(tokens=tuple(v["tokens"]), pad=v["pad"], mask=v["mask"],
                       sep=v["sep"], eos=v["eos"])
-        shapes = weight_shapes(hp)
-        names = sorted(shapes)
-        if header["weight_order"] != names:
+        layout = sorted(_file_layout(hp))
+        if header["weight_order"] != [name for name, *_ in layout]:
             raise ModelIOError("weight_order does not list the model's weights"
                                " in sorted order")
-        counts = [int(np.prod(shapes[name])) for name in names]
+        counts = [int(np.prod(shape)) for *_, shape in layout]
         if len(blob) - 12 - hlen != 8 * sum(counts):
             raise ModelIOError(f"weight body is {len(blob) - 12 - hlen} bytes,"
                                f" expected {8 * sum(counts)}")
-        weights = {}
+        arrays = {}
         offset = 12 + hlen
-        for name, count in zip(names, counts):
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            weights[name] = arr.reshape(shapes[name]).astype(np.float64)
+        for (name, _, _, shape), count in zip(layout, counts):
+            arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                         offset=offset).reshape(shape)
             offset += count * 8
-        params = ModelParams(hyper=hp, vocab=vocab, weights=weights)
+        params = ModelParams(hyper=hp, vocab=vocab, weights=_stacked(hp, arrays))
         model_id = header["model_id"]
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:

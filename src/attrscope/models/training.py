@@ -9,9 +9,7 @@ import numpy as np
 from ..autodiff import NumericError, evaluate, grad
 from .autoregressive import span_term
 from .classifier import class_term
-from .params import (
-    AR, DIFFUSION, Hyperparams, ModelParams, init_params, per_head,
-)
+from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
 from .transformer import (
     _CACHE, ScoreTerm, _bind, _target_masks, build_forward_graph,
     check_context, terms_score,
@@ -54,8 +52,8 @@ def _example_term(kind: str, vocab: Vocab, example,
 def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
                  terms: list[ScoreTerm]) -> tuple[float, dict[str, np.ndarray]]:
     """The minibatch's loss (minus its summed score) and the summed score's
-    gradient, keyed by score-graph leaf, at the weights ``leaves`` (as
-    ``ModelParams.graph_weights`` holds them).
+    gradient, keyed by weight, at the weights ``leaves`` (as
+    ``ModelParams.weights`` holds them).
 
     Every causal term runs in one forward and one backward pass, right-padded
     with the ``pad`` id to the longest: a causal row never attends to a later
@@ -125,8 +123,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     if hp.kind != kind:
         raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
-    # the weights as the score graph's leaves; each step rebinds them
-    leaves = dict(init_params(hp, vocab, seed).graph_weights)
+    # each step rebinds the weights
+    leaves = dict(init_params(hp, vocab, seed).weights)
     last_loss = math.nan
 
     for step in range(steps):
@@ -146,7 +144,7 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
             for name, gval in acc.items():
                 leaves[name] = leaves[name] + (lr_t / BATCH_SIZE) * gval
 
-    params = ModelParams(hyper=hp, vocab=vocab, weights=per_head(hp, leaves))
+    params = ModelParams(hyper=hp, vocab=vocab, weights=leaves)
     eval_corpus = list(corpus[: min(64, len(corpus))])
     try:
         final_loss = _mean_loss(params, eval_corpus, seed=seed + 1)

@@ -4,8 +4,8 @@ one score every contract score and the training loss are built from.
 Graphs depend only on (hyperparams, sequence length, attention mode, the
 rows they compute), so they are cached and re-evaluated with different
 leaf values. The weights and the per-token input embeddings are leaves;
-each layer's attention weights are bound stacked on a heads axis
-(``ModelParams.graph_weights``), so every head runs in the same nodes.
+each layer's attention weights hold every head on a leading axis, as
+``ModelParams.weights`` keeps them, so every head runs in the same nodes.
 Each graph ends in ``score = sum(log_probs * target_mask)``, where the
 target mask is a leaf no caller asks a gradient of: one forward pass of a
 score is a ScoreTerm, naming the tokens and the (row, column) log-prob
@@ -162,8 +162,8 @@ def _target_masks(hp: Hyperparams, rows, target_lists) -> np.ndarray:
 def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
           target_mask: np.ndarray, overrides) -> dict[str, np.ndarray]:
     """Leaf values for a pass over the token ids ``ids``, of shape (L,), or
-    (B, L) for a batched pass, taken from the score-graph leaves ``leaves``
-    (``ModelParams.graph_weights``): the embeddings are the emb rows of the
+    (B, L) for a batched pass, taken from the weights ``leaves`` (as
+    ``ModelParams.weights`` holds them): the embeddings are the emb rows of the
     ids, with each (index, vector) of ``overrides`` written to
     ``emb[index]``, and every weight leaf is shared, not copied. The caller
     checks L against the context window."""
@@ -272,7 +272,7 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     masks = _target_masks(hp, fg.rows, [groups[i][0].targets for i in segments])
     if len(ids) > len(segments):  # a group has several points in the pass
         masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
-    vals = _bind(hp, params.graph_weights, ids, masks, overrides)
+    vals = _bind(hp, params.weights, ids, masks, overrides)
     if len(ids) == 1:  # numpy runs a one-point pass faster unbatched
         vals["emb"], vals["target_mask"] = vals["emb"][0], vals["target_mask"][0]
     if read == "emb_grad":

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import sys
 
 import numpy as np
@@ -26,10 +28,57 @@ def bind_pass(params, term, rows=None, pruned=False):
                                   (len(term.tokens), term.causal, None))
     fg = build_forward_graph(hp, length, causal, graph_rows)
     mask = _target_masks(hp, fg.rows, [term.targets])[0]
-    vals = _bind(hp, params.graph_weights, term.tokens[:length], mask,
+    vals = _bind(hp, params.weights, term.tokens[:length], mask,
                  [(row, vec) for row, vec in (rows or {}).items()
                   if row < length])
     return fg, vals
+
+
+def file_shapes(hyper: dict) -> dict[str, tuple[int, ...]]:
+    """The arrays of a model file whose header holds the hyperparameters
+    ``hyper``, by name: the reference for the file format, which stores
+    each head of a block's attention weights as its own array
+    (``blk{i}.wq{h}``, ``wk{h}``, ``wv{h}`` of shape (d, dh), ``wo{h}`` of
+    shape (dh, d))."""
+    d, m, heads = hyper["width"], hyper["mlp_hidden"], hyper["heads"]
+    dh, V = d // heads, hyper["vocab_size"]
+    C = hyper["n_classes"] if hyper["kind"] == CLASSIFIER else V
+    out = "head" if hyper["kind"] == CLASSIFIER else "out"
+    shapes = {"emb": (V, d), "pos": (hyper["context_len"], d),
+              "lnf.g": (d,), "lnf.b": (d,), f"{out}.w": (d, C), f"{out}.b": (C,)}
+    for i in range(hyper["layers"]):
+        p = f"blk{i}."
+        shapes.update({p + "ln1.g": (d,), p + "ln1.b": (d,),
+                       p + "ln2.g": (d,), p + "ln2.b": (d,),
+                       p + "mlp.w1": (d, m), p + "mlp.b1": (m,),
+                       p + "mlp.w2": (m, d), p + "mlp.b2": (d,)})
+        for h in range(heads):
+            shapes.update({p + f"wq{h}": (d, dh), p + f"wk{h}": (d, dh),
+                           p + f"wv{h}": (d, dh), p + f"wo{h}": (dh, d)})
+    return shapes
+
+
+def file_arrays(hyper: dict, weight_order, body: bytes) -> list[tuple[str, bytes]]:
+    """(name, bytes) of each array in a model file's weight body, in the
+    header's ``weight_order``, each sized by file_shapes."""
+    shapes = file_shapes(hyper)
+    arrays, offset = [], 0
+    for name in weight_order:
+        size = 8 * math.prod(shapes[name])
+        arrays.append((name, body[offset:offset + size]))
+        offset += size
+    return arrays
+
+
+def file_model_id(header_text: str, arrays) -> str:
+    """The model_id a model file's header JSON (less its model_id) and its
+    arrays (see file_arrays) give: SHA-256 over the header, then each
+    array's name and bytes."""
+    digest = hashlib.sha256(header_text.encode())
+    for name, raw in arrays:
+        digest.update(name.encode())
+        digest.update(raw)
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Acceptance gate. One test per criterion A1-A9; the pytest -v line for
 each test is the pass/fail line for that criterion."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import binomtest
@@ -447,10 +449,8 @@ class TestA8Determinism:
                               os.path.join(out_b, name),
                               os.path.join(src, name)))
         for a, b, orig in pairs:
-            blob_a = open(a, "rb").read()
-            blob_b = open(b, "rb").read()
-            blob_orig = open(orig, "rb").read()
-            assert blob_a == blob_b == blob_orig
+            assert Path(a).read_bytes() == Path(b).read_bytes() \
+                == Path(orig).read_bytes()
 
 
 class TestA9ParserRobustness:

@@ -316,7 +316,7 @@ def pass_points(params, vals):
     it binds at most POINTS_PER_PASS points (a one-point pass unbatched),
     shares every weight leaf with the model, and takes pos from its
     weight."""
-    weights = params.graph_weights
+    weights = params.weights
     emb, mask = vals["emb"], vals["target_mask"]
     if emb.ndim == 2:
         emb, mask = emb[None], mask[None]

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,9 +108,8 @@ class TestRerun:
         assert main(["rerun", "--manifest", manifest,
                      "--out", third]) == EXIT_OK
         for name in ("map.txt", "heatmap.html", "heatmap.txt"):
-            a = open(os.path.join(first, name), "rb").read()
-            b = open(os.path.join(again, name), "rb").read()
-            c = open(os.path.join(third, name), "rb").read()
+            a, b, c = (Path(run, name).read_bytes()
+                       for run in (first, again, third))
             assert a == b == c
 
     def test_rerun_detects_changed_inputs(self, workspace, tmp_path):
@@ -117,19 +117,20 @@ class TestRerun:
         assert main(["attribute", "--contract", workspace["contract"],
                      "--ig-steps", "4", "--out", out]) == EXIT_OK
         manifest_path = os.path.join(out, "manifest.json")
-        data = json.load(open(manifest_path))
+        data = json.loads(Path(manifest_path).read_text())
         key = next(iter(data["input_digests"]))
         data["input_digests"][key] = "0" * 64
-        json.dump(data, open(manifest_path, "w"))
+        Path(manifest_path).write_text(json.dumps(data))
         assert main(["rerun", "--manifest", manifest_path,
                      "--out", str(tmp_path / "b")]) == EXIT_DIAGNOSTIC
 
     def test_rerun_of_a_rerun_manifest_rejected(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        json.dump({"tool_version": "0", "command": "rerun",
-                   "argv": ["rerun", "--manifest", path], "model_id": None,
-                   "contract_id": None, "input_digests": {}, "seeds": {},
-                   "timestamp": "", "outputs": []}, open(path, "w"))
+        Path(path).write_text(json.dumps({
+            "tool_version": "0", "command": "rerun",
+            "argv": ["rerun", "--manifest", path], "model_id": None,
+            "contract_id": None, "input_digests": {}, "seeds": {},
+            "timestamp": "", "outputs": []}))
         assert main(["rerun", "--manifest", path,
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
 
@@ -273,7 +274,7 @@ class TestRerunManifestTypes:
                 "seeds": {"corpus": 0}, "timestamp": "", "outputs": []}
         data[field] = value
         path = str(tmp_path / "manifest.json")
-        json.dump(data, open(path, "w"))
+        Path(path).write_text(json.dumps(data))
         assert main(["rerun", "--manifest", path,
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
         assert "manifest rejected" in capsys.readouterr().err
@@ -426,7 +427,7 @@ class TestExitCodes:
         save_model(ModelParams(hyper=params.hyper, vocab=params.vocab,
                                weights=weights), model)
         contract = tmp_path / "c.contract"
-        contract.write_text(open(workspace["contract"]).read().replace(
+        contract.write_text(Path(workspace["contract"]).read_text().replace(
             os.path.join(workspace["model"], "model.bin"), model))
         # the abort is the diagnostic alone: no numpy warning on the way
         with warnings.catch_warnings():
@@ -435,6 +436,17 @@ class TestExitCodes:
                          "--ig-steps", "4", "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERIC
         assert "non-finite gradient for leaf 'emb'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["attribute", "demo-fallacy"])
+    def test_target_out_of_range_cannot_bind(self, workspace, tmp_path,
+                                             capsys, command):
+        contract = tmp_path / "c.contract"
+        contract.write_text(Path(workspace["contract"]).read_text().replace(
+            "target: 1\n", "target: 9\n"))
+        assert main([command, "--contract", str(contract),
+                     "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
+        assert "error: contract cannot bind to this instance" \
+            in capsys.readouterr().err
 
     def test_prompt_outside_vocab(self, workspace, tmp_path):
         contract = tmp_path / "c.contract"

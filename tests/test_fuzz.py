@@ -26,6 +26,7 @@ from attrscope.fileio import (
 )
 from attrscope.models import Hyperparams, ModelIOError, init_params, load_model, save_model
 from attrscope.models.params import AR, MAGIC
+from conftest import file_arrays, file_model_id
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -100,21 +101,20 @@ def digest_document(text: str, mutation) -> str:
     return f"{header}\n{body}\ndigest: {hashlib.sha256(body.encode()).hexdigest()}\n"
 
 
-def model_file(blob: bytes, params, mutation) -> bytes:
+def model_file(blob: bytes, mutation) -> bytes:
     """A model file mutated; a JSON mutation of its header gets the header
-    length and model_id that the mutated header and the weights give."""
+    length and model_id that the mutated header and the file's own arrays
+    (its weight_order and body) give."""
     if mutation[0] == "bytes":
         return mutate_bytes(blob, mutation[1])
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen])
     del header["model_id"]
     text = mutate_json(json.dumps(header), *mutation[1:])
-    digest = hashlib.sha256(text.encode())
-    for name in sorted(params.weights):
-        digest.update(name.encode())
-        digest.update(params.weights[name].astype("<f8").tobytes())
+    model_id = file_model_id(text, file_arrays(
+        header["hyper"], header["weight_order"], blob[12 + hlen:]))
     if text.startswith("{") and text.endswith("}"):
-        text = f'{text[:-1]}, "model_id": "{digest.hexdigest()}"}}'
+        text = f'{text[:-1]}, "model_id": "{model_id}"}}'
     raw = text.encode()
     return MAGIC + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:]
 
@@ -126,6 +126,7 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def tiny_model(workdir):
+    """The bytes of a small AR model's file."""
     corpus = make_syn_corpus(2, [1], 2, seed=0)
     hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab), layers=1, heads=2,
                      width=8, mlp_hidden=8, context_len=8)
@@ -133,7 +134,7 @@ def tiny_model(workdir):
     path = str(workdir / "model.bin")
     save_model(params, path)
     with open(path, "rb") as fh:
-        return params, fh.read()
+        return fh.read()
 
 
 SAMPLE_MAP = serialize_map(AttributionMap(
@@ -161,10 +162,9 @@ class TestModelFileFuzz:
     @example(mutation=("json", ("hyper", "vocab_size"), "1e999"))
     @example(mutation=("json", ("vocab", "pad"), "4"))
     def test_load_rejects_or_reads(self, tiny_model, workdir, mutation):
-        params, blob = tiny_model
         path = str(workdir / "mutated.bin")
         with open(path, "wb") as fh:
-            fh.write(model_file(blob, params, mutation))
+            fh.write(model_file(tiny_model, mutation))
         try:
             load_model(path)
         except ModelIOError:
@@ -174,17 +174,15 @@ class TestModelFileFuzz:
 
     def test_json_mutation_passes_the_model_id_check(self, tiny_model,
                                                      workdir):
-        params, blob = tiny_model
         path = str(workdir / "pad4.bin")
         with open(path, "wb") as fh:
-            fh.write(model_file(blob, params, ("json", ("vocab", "pad"), "4")))
+            fh.write(model_file(tiny_model, ("json", ("vocab", "pad"), "4")))
         assert load_model(path).vocab.pad == 4
 
     def test_deep_header_exits_2(self, tiny_model, workdir, capsys):
-        params, blob = tiny_model
         path = str(workdir / "deep.bin")
         with open(path, "wb") as fh:
-            fh.write(model_file(blob, params, ("json", (), DEEP)))
+            fh.write(model_file(tiny_model, ("json", (), DEEP)))
         assert main(["generate", "--model", path, "--prompt", "TR: s0 SEP"]) \
             == EXIT_DIAGNOSTIC
         assert "model file rejected" in capsys.readouterr().err

@@ -3,6 +3,7 @@ heatmaps, corpora, and manifests."""
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,5 +418,5 @@ class TestManifests:
         path = str(tmp_path / "f.txt")
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
-        assert open(path).read() == "two"
+        assert Path(path).read_text() == "two"
         assert os.listdir(tmp_path) == ["f.txt"]  # no temp files left

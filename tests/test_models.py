@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,13 +30,14 @@ from attrscope.models.diffusion import (
 )
 from attrscope.models import params as model_params, training, transformer
 from attrscope.models.params import (
-    AR, CLASSIFIER, DIFFUSION, ModelParams, per_head, weight_shapes,
+    AR, CLASSIFIER, DIFFUSION, ModelParams, weight_shapes,
 )
 from attrscope.models.transformer import (
     ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
     run_groups, score_sums, terms_score,
 )
-from conftest import bind_pass
+from attrscope.cli import EXIT_DIAGNOSTIC, main
+from conftest import bind_pass, file_arrays, file_model_id, file_shapes
 
 
 def sample_prompt(corpus):
@@ -435,9 +437,11 @@ class TestPersistence:
     def test_tamper_detected(self, tiny_ar_model, tmp_path):
         path = str(tmp_path / "m.bin")
         save_model(tiny_ar_model, path)
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
         blob[-3] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
         with pytest.raises(ModelIOError):
             load_model(path)
 
@@ -457,7 +461,8 @@ class TestPersistence:
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         path = str(tmp_path / "m.bin")
         save_model(init_params(hp, tiny_corpus.vocab, seed=0), path)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         mutate = {
             "heads_zero": lambda b: self._with_header(
                 b, lambda h: h["hyper"].update(heads=0)),
@@ -469,9 +474,87 @@ class TestPersistence:
             "truncated_body": lambda b: b[:-5],
             "trailing_bytes": lambda b: b + bytes(8),
         }[mutation]
-        open(path, "wb").write(mutate(blob))
+        with open(path, "wb") as fh:
+            fh.write(mutate(blob))
         with pytest.raises(ModelIOError):
             load_model(path)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from([AR, DIFFUSION, CLASSIFIER]),
+           heads=st.sampled_from([1, 2, 4]), layers=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_round_trip_keeps_the_stacked_weights(self, tiny_corpus, kind,
+                                                  heads, layers, seed):
+        """load(save(p)) holds p's stacked weights bit for bit under the
+        same model_id, and the file holds each head as its own array."""
+        params = random_model(kind, tiny_corpus.vocab, heads, seed,
+                              layers=layers)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.bin")
+            save_model(params, path)
+            loaded = load_model(path)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        assert loaded.model_id == params.model_id
+        assert loaded.weights.keys() == params.weights.keys()
+        for name, w in params.weights.items():
+            assert loaded.weights[name].shape == w.shape
+            assert loaded.weights[name].tobytes() == w.tobytes(), name
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        assert header["weight_order"] == sorted(file_shapes(header["hyper"]))
+        assert any(name.endswith(f"wo{heads - 1}")
+                   for name in header["weight_order"])
+        arrays = dict(file_arrays(header["hyper"], header["weight_order"],
+                                  blob[12 + hlen:]))
+        for h in range(heads):
+            assert arrays[f"blk0.wk{h}"] == \
+                params.weights["blk0.wk"][h].astype("<f8").tobytes()
+
+    def test_per_head_weights_rejected(self, tiny_ar_model):
+        weights = {}
+        for name, w in tiny_ar_model.weights.items():
+            if name.endswith((".wq", ".wk", ".wv", ".wo")):
+                weights.update((f"{name}{h}", head) for h, head in enumerate(w))
+            else:
+                weights[name] = w
+        with pytest.raises(ValueError, match="weight name mismatch"):
+            ModelParams(hyper=tiny_ar_model.hyper, vocab=tiny_ar_model.vocab,
+                        weights=weights)
+
+    @pytest.mark.parametrize("kind, size, value", [
+        (AR, "vocab_size", 0), (AR, "layers", -2), (AR, "width", 0),
+        (AR, "mlp_hidden", 0), (AR, "context_len", 0),
+        (CLASSIFIER, "n_classes", 0)])
+    def test_a_size_that_cannot_run_is_rejected(self, tiny_corpus, tmp_path,
+                                                capsys, kind, size, value):
+        """A model file whose header gives a size below 1, with the
+        weight_order, body and model_id that header gives, is rejected on
+        load, and a command on it exits 2."""
+        vocab = tiny_corpus.vocab
+        hyper = {"kind": kind, "vocab_size": len(vocab), "layers": 1,
+                 "heads": 2, "width": 8, "mlp_hidden": 8, "context_len": 8,
+                 "n_classes": 3 if kind == CLASSIFIER else 0, size: value}
+        header = {"hyper": hyper,
+                  "vocab": {"tokens": list(vocab.tokens), "pad": vocab.pad,
+                            "mask": vocab.mask, "sep": vocab.sep,
+                            "eos": vocab.eos},
+                  "weight_order": sorted(file_shapes(hyper))}
+        body = bytes(8 * sum(math.prod(shape)
+                             for shape in file_shapes(hyper).values()))
+        header["model_id"] = file_model_id(
+            json.dumps(header, sort_keys=True),
+            file_arrays(hyper, header["weight_order"], body))
+        raw = json.dumps(header, sort_keys=True).encode()
+        path = str(tmp_path / "m.bin")
+        with open(path, "wb") as fh:
+            fh.write(model_params.MAGIC + struct.pack("<I", len(raw)) + raw
+                     + body)
+        with pytest.raises(ModelIOError, match=f"{size} must be positive"):
+            load_model(path)
+        assert main(["generate", "--model", path, "--prompt", "TR: s0 SEP"]) \
+            == EXIT_DIAGNOSTIC
+        assert "model file rejected" in capsys.readouterr().err
 
     def test_model_id_depends_on_weights(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
@@ -542,11 +625,11 @@ class TestModelFileFormat:
         assert init.model_id == meta["init_model_id"]
 
 
-def random_model(kind, vocab, heads, seed):
-    """A 2-layer model whose every weight, gains and biases included, is
-    drawn at random, so no head or affine term is trivial."""
-    hp = Hyperparams(kind=kind, vocab_size=len(vocab), layers=2, heads=heads,
-                     width=16, mlp_hidden=24, context_len=16,
+def random_model(kind, vocab, heads, seed, layers=2):
+    """A model whose every weight, gains and biases included, is drawn at
+    random, so no head or affine term is trivial."""
+    hp = Hyperparams(kind=kind, vocab_size=len(vocab), layers=layers,
+                     heads=heads, width=16, mlp_hidden=24, context_len=16,
                      n_classes=3 if kind == CLASSIFIER else 0)
     rng = np.random.default_rng(seed)
     weights = {name: (1.0 if name.endswith(".g") else 0.0)
@@ -556,8 +639,9 @@ def random_model(kind, vocab, heads, seed):
 
 
 def per_head_log_probs(params, tokens, causal):
-    """The transformer's log-prob table in plain numpy, one head at a time
-    from the per-head weights: the reference for the heads-axis graph."""
+    """The transformer's log-prob table in plain numpy, one head at a time,
+    each head's weights read from its row of the stacked weights: the
+    reference for the heads-axis graph."""
     hp, w = params.hyper, params.weights
     L = len(tokens)
 
@@ -580,9 +664,9 @@ def per_head_log_probs(params, tokens, causal):
         p = f"blk{i}."
         h = layer_norm(x, p + "ln1")
         for hd in range(hp.heads):
-            q, k, v = (h @ w[p + f"{name}{hd}"] for name in ("wq", "wk", "wv"))
+            q, k, v = (h @ w[p + name][hd] for name in ("wq", "wk", "wv"))
             a = np.exp(log_softmax(q @ k.T / np.sqrt(hp.head_dim) + mask))
-            x = x + a @ v @ w[p + f"wo{hd}"]
+            x = x + a @ v @ w[p + "wo"][hd]
         u = layer_norm(x, p + "ln2") @ w[p + "mlp.w1"] + w[p + "mlp.b1"]
         x = x + gelu(u) @ w[p + "mlp.w2"] + w[p + "mlp.b2"]
     xf = layer_norm(x, "lnf")
@@ -611,13 +695,8 @@ class TestHeadsAxis:
     def test_heads_are_stacked_once_per_model(self, tiny_ar_model):
         _, a = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), True, ()))
         _, b = bind_pass(tiny_ar_model, ScoreTerm((4, 5), True, ()))
-        assert a["blk0.wq"] is b["blk0.wq"]
+        assert a["blk0.wq"] is b["blk0.wq"] is tiny_ar_model.weights["blk0.wq"]
         assert a["blk1.wo"].shape == (2, 16, 32)
-        assert per_head(tiny_ar_model.hyper, tiny_ar_model.graph_weights) \
-            .keys() == tiny_ar_model.weights.keys()
-        for name, w in per_head(tiny_ar_model.hyper,
-                                tiny_ar_model.graph_weights).items():
-            assert np.array_equal(w, tiny_ar_model.weights[name])
 
 
 class TestInstances:
@@ -718,7 +797,7 @@ def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
             weights={**params.weights,
                      **{name: params.weights[name]
                         + (lr_t / training.BATCH_SIZE) * g
-                        for name, g in per_head(hp, acc).items()}})
+                        for name, g in acc.items()}})
     return params.weights, drawn
 
 
@@ -760,7 +839,7 @@ class TestBatchedTrainingStep:
                 terms.append(training._example_term(
                     DIFFUSION, diffusion_model.vocab, pairs[i], rng))
         loss, grads = training._batch_grads(params.hyper, params.vocab.pad,
-                                            params.graph_weights, terms)
+                                            params.weights, terms)
 
         reference = [per_example_grads(params, term) for term in terms]
         assert_close(loss, sum(r[0] for r in reference))
@@ -841,7 +920,7 @@ class TestOnePassPerStep:
                                         pair, rng) for pair in pairs]
         calls, _ = spy_passes(monkeypatch)
         training._batch_grads(diffusion_model.hyper, diffusion_model.vocab.pad,
-                              diffusion_model.graph_weights, terms)
+                              diffusion_model.weights, terms)
         d = diffusion_model.hyper.width
         assert calls == [("evaluate", (2, short, d)), ("grad", (2, short, d)),
                          ("evaluate", (3, long, d)), ("grad", (3, long, d))]
@@ -853,7 +932,7 @@ class TestOnePassPerStep:
         assert len(set(lengths)) > 1
         _, emb_grads = spy_passes(monkeypatch)
         training._batch_grads(tiny_ar_model.hyper, tiny_ar_model.vocab.pad,
-                              tiny_ar_model.graph_weights, terms)
+                              tiny_ar_model.weights, terms)
         (g,) = emb_grads
         assert g.shape[:2] == (len(terms), max(lengths))
         for rows, n in zip(g, lengths):
