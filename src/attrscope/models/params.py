@@ -112,9 +112,9 @@ class ModelParams:
         since nothing writes a model's weight arrays in place."""
         digest = hashlib.sha256()
         digest.update(json.dumps(_header_dict(self), sort_keys=True).encode())
-        for name, body in _file_arrays(self):
+        for name, array in _file_arrays(self):
             digest.update(name.encode())
-            digest.update(body)
+            digest.update(array)
         return digest.hexdigest()
 
 
@@ -164,12 +164,14 @@ def _stacked(hp: Hyperparams, arrays: dict[str, np.ndarray]) -> dict[str, np.nda
 
 
 def _file_arrays(params: ModelParams):
-    """(array name, little-endian f64 bytes) of each array in the model's
-    file, in file order: sorted by name."""
+    """(array name, array) of each array in the model's file, in file
+    order (sorted by name); each array is C-contiguous little-endian f64,
+    so its buffer is its bytes in the file, a view where the weight is
+    already so."""
     for name, weight, head, _ in sorted(_file_layout(params.hyper)):
         array = params.weights[weight]
         yield name, np.ascontiguousarray(
-            array if head is None else array[head]).astype("<f8").tobytes()
+            array if head is None else array[head], dtype="<f8")
 
 
 def _header_dict(params: ModelParams) -> dict:
@@ -189,7 +191,7 @@ def save_model(params: ModelParams, path: str) -> None:
     header = _header_dict(params)
     header["model_id"] = params.model_id
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(body for _, body in _file_arrays(params))
+    body = b"".join(array for _, array in _file_arrays(params))
     payload = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + body
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
