@@ -22,8 +22,8 @@ from attrscope.contract import (
 )
 from attrscope.models import (
     GreedyPolicy, InfeasiblePerturbationError, PromptedInstance,
-    StagePerturbation, ar_generate, diffusion_generate, teacher_forced_score,
-    trajectory_score,
+    StagePerturbation, ar_generate, diffusion_generate, instance_digest,
+    teacher_forced_score, trajectory_score,
 )
 from attrscope.models import transformer
 from attrscope.models.diffusion import (
@@ -242,6 +242,33 @@ class TestMapHygiene:
             AttributionMap(entries=bad_entries, contract_id=good.contract_id,
                            method=good.method, model_id=good.model_id,
                            instance_digest=good.instance_digest, seed=0)
+
+    def test_every_method_labels_its_map(self, tiny_ar_model, ar_instance,
+                                         diffusion_model, diff_instance):
+        """Each method's map names its contract, model, instance and seed,
+        and describes its method as sorted (key, value) pairs."""
+        local = make_named(SETTING_LOCAL, ar_instance, 1)
+        stage = make_named(SETTING_STAGE, diff_instance)
+        ar = (local, tiny_ar_model, ar_instance)
+        cases = [
+            (integrated_gradients(tiny_ar_model, ar_instance, local, steps=4),
+             ar, (("baseline", "pad_token"), ("name", "ig"), ("steps", 4))),
+            (grad_times_input(tiny_ar_model, ar_instance, local),
+             ar, (("name", "grad_x_input"),)),
+            (occlusion(tiny_ar_model, ar_instance, local, MASK_BASELINE),
+             ar, (("baseline", "mask_token"), ("name", "occlusion"))),
+            (stage_attribution(diffusion_model, diff_instance, stage,
+                               pert_kind="noise_schedule"),
+             (stage, diffusion_model, diff_instance),
+             (("commit_count", None), ("kind", "noise_schedule"),
+              ("name", "stage"), ("temperature", 1.0))),
+        ]
+        for attr_map, (contract, params, instance), method in cases:
+            assert attr_map.method == method
+            assert (attr_map.contract_id, attr_map.model_id,
+                    attr_map.instance_digest, attr_map.seed) == \
+                (canonical_id(contract).digest, params.model_id,
+                 instance_digest(instance), instance.seed)
 
     def test_classifier_contract_works(self, classifier_model, tiny_corpus):
         inst = PromptedInstance(prompt=tiny_corpus.heldout_pairs[0][0],

@@ -503,13 +503,13 @@ class TestPersistence:
         (hlen,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + hlen])
         assert header["weight_order"] == sorted(file_shapes(header["hyper"]))
-        assert any(name.endswith(f"wo{heads - 1}")
-                   for name in header["weight_order"])
         arrays = dict(file_arrays(header["hyper"], header["weight_order"],
                                   blob[12 + hlen:]))
-        for h in range(heads):
-            assert arrays[f"blk0.wk{h}"] == \
-                params.weights["blk0.wk"][h].astype("<f8").tobytes()
+        for name, w in params.weights.items():  # a stacked weight is 3-D
+            stored = (zip([f"{name}{h}" for h in range(heads)], w)
+                      if w.ndim == 3 else [(name, w)])
+            for array, value in stored:
+                assert arrays[array] == value.astype("<f8").tobytes(), array
 
     def test_per_head_weights_rejected(self, tiny_ar_model):
         weights = {}
