@@ -511,7 +511,7 @@ class TestPersistence:
             for array, value in stored:
                 assert arrays[array] == value.astype("<f8").tobytes(), array
 
-    def test_per_head_weights_rejected(self, tiny_ar_model):
+    def test_weights_named_by_head_rejected(self, tiny_ar_model):
         weights = {}
         for name, w in tiny_ar_model.weights.items():
             if name.endswith((".wq", ".wk", ".wv", ".wo")):
