@@ -80,6 +80,21 @@ def _map(params: ModelParams, instance: PromptedInstance,
         instance_digest=instance_digest(instance), seed=instance.seed)
 
 
+def map_mismatch(attr_map: AttributionMap, params: ModelParams,
+                 instance: PromptedInstance,
+                 contract: AttributionContract) -> str | None:
+    """What names the map's contract, model or instance differently from
+    the ones it is read under, or None when all three ids match."""
+    for name, want in (("contract_id", canonical_id(contract).digest),
+                       ("model_id", params.model_id),
+                       ("instance_digest", instance_digest(instance))):
+        have = getattr(attr_map, name)
+        if have != want:
+            return (f"its {name} {have[:12]} is not {want[:12]}, the one"
+                    " it is read under")
+    return None
+
+
 # -- differentiable score binding ----------------------------------------
 
 

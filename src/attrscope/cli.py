@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .attribution import BaselinePolicy, prefix_mass
+from .attribution import BaselinePolicy, map_mismatch, prefix_mass
 from .autodiff import NumericError
 from .contract import (
     ContractError, SETTING_LOCAL, SETTING_PROMPT_COND, canonical_id,
@@ -327,10 +327,9 @@ def cmd_render(args) -> int:
         raise CLIError(f"cannot read map file: {exc}", EXIT_IO) from exc
     except MapParseError as exc:
         raise CLIError(f"map file rejected: {exc}") from exc
-    if attr_map.contract_id != canonical_id(contract).digest:
-        raise CLIError("map was computed under a different contract")
-    if attr_map.model_id != params.model_id:
-        raise CLIError("map was computed under a different model")
+    mismatch = map_mismatch(attr_map, params, instance, contract)
+    if mismatch:
+        raise CLIError(f"map rejected: {mismatch}")
     html, text = render_heatmap(attr_map, instance, contract, params)
     out = _outdir(args)
     outputs = _write_outputs(out, {"heatmap.html": html, "heatmap.txt": text})

@@ -8,7 +8,7 @@ import numpy as np
 
 from .attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, grad_times_input,
-    integrated_gradients, occlusion, scores, stage_attribution,
+    integrated_gradients, map_mismatch, occlusion, scores, stage_attribution,
 )
 from .contract import (
     OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
@@ -134,9 +134,12 @@ def ranked_features(attr_map: AttributionMap) -> list[FeatureRef]:
     return [ref for ref, s in sorted(finite, key=lambda e: (-abs(e[1]), e[0]))]
 
 
-def _check_map(attr_map: AttributionMap, contract: AttributionContract) -> None:
-    if attr_map.contract_id != canonical_id(contract).digest:
-        raise EvaluationError("attribution map does not match the contract")
+def _check_map(attr_map: AttributionMap, params: ModelParams,
+               instance: PromptedInstance,
+               contract: AttributionContract) -> None:
+    mismatch = map_mismatch(attr_map, params, instance, contract)
+    if mismatch:
+        raise EvaluationError(f"attribution map rejected: {mismatch}")
 
 
 def _points(order: list[FeatureRef], eligible, K: int,
@@ -161,7 +164,7 @@ def _curves(attr_map: AttributionMap, params: ModelParams,
     """The curve of each (order, label) ordering in each mode, ordering by
     ordering. Each distinct set of perturbed features is perturbed and
     scored once, and every curve point reads its score from that table."""
-    _check_map(attr_map, contract)
+    _check_map(attr_map, params, instance, contract)
     if K > len(contract.eligible):
         raise EvaluationError("K exceeds the eligible set")
     curves = [(label, mode, _points(order, contract.eligible, K, mode))

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ModelParams, DIFFUSION
-from .transformer import ScoreTerm, check_context, run_groups, terms_score
+from .transformer import (
+    ScoreTerm, check_context, run_groups, table_key, terms_score,
+)
 
 ABLATE = "ablate"
 NOISE_SCHEDULE = "noise_schedule"
@@ -40,11 +42,17 @@ class StagePerturbation:
 
 @dataclass(frozen=True)
 class DenoisingTrajectory:
+    """A chain's commitments. ``tables`` holds the log-prob table of every
+    pass the chain that made it ran, under its ``transformer.table_key``
+    (model, input tokens, response rows), for the stage terms conditioned
+    on it to read; it takes no part in equality or in
+    ``instance_digest``."""
     num_steps: int
     response_len: int
     commit_tokens: tuple[int, ...]  # final token per slot
     commit_steps: tuple[int, ...]   # stage (1..T) at which each slot committed
     seed: int
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -132,16 +140,18 @@ def run_chains(params: ModelParams, chains, response_len: int,
     drawing from its own generator seeded with ``seed``. Each stage makes
     one batched masked_log_probs pass over the chains that predict a token
     there; a forced token needs no prediction. Each result has
-    ``max(chain.plan)`` stages."""
+    ``max(chain.plan)`` stages, and keeps the log-prob table of each pass
+    its chain ran."""
     chains = list(chains)
     mask_id = params.vocab.mask
     for chain in chains:
         if sum(chain.plan.values()) != response_len:
             raise ValueError("commit plan does not cover the response")
         check_context(params.hyper, len(chain.prompt) + response_len)
-    # per chain: slot tokens, the stage each slot committed at (0: open), rng
+    # per chain: slot tokens, the stage each slot committed at (0: open),
+    # rng, and the log-prob table of each pass, by model, input and rows
     runs = [([mask_id] * response_len, [0] * response_len,
-             np.random.default_rng(seed)) for _ in chains]
+             np.random.default_rng(seed), {}) for _ in chains]
 
     for t in range(max((max(chain.plan) for chain in chains), default=0), 0, -1):
         # per chain: the slots its schedule commits at t, or None when the
@@ -155,13 +165,17 @@ def run_chains(params: ModelParams, chains, response_len: int,
         rows = {}  # per predicting chain, the log-probs of each response slot
         if predict:
             # every response slot, not just a chain's open ones, so that a
-            # chain's pass never depends on the chains it runs beside
+            # chain's pass never depends on the chains it runs beside, and
+            # a stage term over the same state reads the same table
             n = len(chains[0].prompt)
-            rows = dict(zip(predict, masked_log_probs(
-                params, [list(chains[i].prompt) + runs[i][0] for i in predict],
-                range(n, n + response_len))))
+            response = tuple(range(n, n + response_len))
+            inputs = [tuple(chains[i].prompt) + tuple(runs[i][0]) for i in predict]
+            tables = masked_log_probs(params, inputs, response)
+            tables.flags.writeable = False  # kept, and read by later scores
+            for i, tokens, table in zip(predict, inputs, tables):
+                rows[i] = runs[i][3][table_key(params, tokens, response)] = table
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
-            slots, steps, rng = runs[i]
+            slots, steps, rng, _ = runs[i]
             if slots_at_t is None:
                 k = chain.plan.get(t, 0)
                 open_slots = [s for s in range(response_len) if steps[s] == 0]
@@ -190,8 +204,9 @@ def run_chains(params: ModelParams, chains, response_len: int,
     return [DenoisingTrajectory(num_steps=max(chain.plan),
                                 response_len=response_len,
                                 commit_tokens=tuple(slots),
-                                commit_steps=tuple(steps), seed=seed)
-            for chain, (slots, steps, _) in zip(chains, runs)]
+                                commit_steps=tuple(steps), seed=seed,
+                                tables=tables)
+            for chain, (slots, steps, _, tables) in zip(chains, runs)]
 
 
 def diffusion_generate(params: ModelParams, prompt, response_len: int,
@@ -205,7 +220,10 @@ def stage_term(prompt, schedule: DenoisingTrajectory,
                conditioning: DenoisingTrajectory, t: int,
                mask_id: int) -> ScoreTerm:
     """The tokens ``schedule`` commits at stage t, scored by one
-    bidirectional pass over ``conditioning``'s state z_t."""
+    bidirectional pass over ``conditioning``'s state z_t. The pass reads
+    every response slot, as a chain step over z_t does, so it runs on that
+    step's graph and reads the log-prob table ``conditioning`` kept of it,
+    when the chain made that step under the scoring model."""
     if not (1 <= t <= schedule.num_steps):
         raise ValueError(f"step {t} outside 1..{schedule.num_steps}")
     if conditioning.num_steps != schedule.num_steps:
@@ -215,7 +233,9 @@ def stage_term(prompt, schedule: DenoisingTrajectory,
         tokens=tuple(prompt) + tuple(conditioning.state_tokens(t, mask_id)),
         causal=False,
         targets=tuple((n + s, tok) for s, (tok, u) in enumerate(
-            zip(schedule.commit_tokens, schedule.commit_steps)) if u == t))
+            zip(schedule.commit_tokens, schedule.commit_steps)) if u == t),
+        rows=tuple(range(n, n + conditioning.response_len)),
+        tables=conditioning.tables)
 
 
 def stage_terms(prompt, schedule: DenoisingTrajectory,

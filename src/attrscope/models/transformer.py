@@ -22,12 +22,23 @@ head use.
 Every score, log-prob and embedding-gradient pass is bound as a pass
 group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
 ``_bind``, which training calls too, is the one place leaf values are built.
+
+Each distinct pass input runs through the model at most once. A score or
+log-prob read of a group that overrides no row is answered from the
+log-prob table of its input, when its term brings one or an identical
+input earlier in the same run_groups call has one: the table itself, or
+``(table * mask).sum()``, the graph's own ``mul`` and ``sum_all``. Batched
+passes equal unbatched ones, so a served value equals a fresh pass bit for
+bit. A diffusion chain keeps the table of every pass it ran, and a stage
+term over one of its states reads every response slot, as the chain's
+step did, so the term's graph and input are the step's. Embedding
+gradients always run their passes.
 """
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,11 +197,24 @@ class ScoreTerm:
     ``targets`` for a pass over ``tokens``. The pass reads the target rows
     and ``rows``, the further rows a "log_probs" read of it returns, and
     computes only those (see run_groups); a term that names no row reads
-    every row."""
+    every row.
+
+    ``tables`` holds log-prob tables of earlier passes in the term's
+    attention mode, each under its table_key; run_groups answers a read of
+    the term from the one of its own input and model, when there is one."""
     tokens: tuple[int, ...]
     causal: bool
     targets: tuple[tuple[int, int], ...]
     rows: tuple[int, ...] = ()
+    tables: dict | None = field(default=None, compare=False, repr=False)
+
+
+def table_key(params: ModelParams, tokens: tuple[int, ...],
+              rows: tuple[int, ...]) -> tuple:
+    """The key of the log-prob table of a pass of the model ``params``
+    over ``tokens`` whose rows are the sequence rows ``rows``
+    (``ForwardGraph.rows``)."""
+    return params.model_id, tokens, rows
 
 
 # Points per pass: run_groups packs the pass groups over one cached graph,
@@ -232,32 +256,76 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     embedding row to the vector that replaces it, (d,) for one pass or
     (B, d) for B passes, whose B values come back stacked. The groups over
     one cached graph (length, attention mode, rows read) share passes, in
-    order."""
+    order. A score or log-prob read of a group that overrides nothing runs
+    no pass when its term brings the log-prob table of its input (see
+    ScoreTerm.tables) or an earlier group has the same input: the graph and
+    the tokens it reads. Such a group's value is its input's table, or
+    ``(table * mask).sum()`` for a score, which equals its pass bit for
+    bit."""
     hp = params.hyper
+    keys = [_graph_key(hp, term) for term, _ in groups]
+    # per group that a log-prob table can answer, its pass input, and the
+    # table of each input whose term brings one
+    inputs: dict[int, tuple] = {}
+    tables: dict[tuple, np.ndarray] = {}
+    for i, ((term, overrides), key) in enumerate(zip(groups, keys)):
+        if read == "emb_grad" or overrides:
+            continue
+        inputs[i] = inp = key, term.tokens[:key[0]]
+        if term.tables and inp not in tables:
+            table = term.tables.get(table_key(
+                params, term.tokens, build_forward_graph(hp, *key).rows))
+            if table is not None:
+                tables[inp] = table
     sizes = []  # per group: B, or None for one unbatched pass
+    first: dict[tuple, int] = {}  # input -> the group whose pass runs it
+    served: dict[int, tuple] = {}  # group -> the input whose table answers it
     by_graph: dict[tuple, list[int]] = {}
-    for i, (term, overrides) in enumerate(groups):
+    for i, ((term, overrides), key) in enumerate(zip(groups, keys)):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
         if len(batch) > 1:
             raise ValueError("overrides of one pass group differ in batch size")
         sizes.append(batch.pop() if batch else None)
-        by_graph.setdefault(_graph_key(hp, term), []).append(i)
+        inp = inputs.get(i)
+        if inp is not None and (inp in tables or inp in first):
+            served[i] = inp
+            if inp in first:  # that group's pass keeps its table
+                served[first[inp]] = inp
+            continue
+        if inp is not None:
+            first[inp] = i
+        by_graph.setdefault(key, []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
     for key, members in by_graph.items():
         fg = build_forward_graph(hp, *key)
         points = [(i, k) for i in members for k in range(sizes[i] or 1)]
-        for first in range(0, len(points), POINTS_PER_PASS):
+        for start in range(0, len(points), POINTS_PER_PASS):
             _run_pass(params, fg, key[0], groups, read, pieces,
-                      points[first:first + POINTS_PER_PASS])
-    return [p[0][0] if n is None else p[0] if len(p) == 1 else np.concatenate(p)
-            for p, n in zip(pieces, sizes)]
+                      points[start:start + POINTS_PER_PASS], served)
+    tables.update((inp, pieces[i][0][0]) for inp, i in first.items()
+                  if i in served)
+    out = []
+    for i, (p, n) in enumerate(zip(pieces, sizes)):
+        if i in served:
+            table = tables[served[i]]
+            if read == "score":
+                fg = build_forward_graph(hp, *keys[i])
+                table = (table * _target_masks(hp, fg.rows,
+                                               [groups[i][0].targets])[0]).sum()
+            out.append(table)
+        else:
+            out.append(p[0][0] if n is None else p[0] if len(p) == 1
+                       else np.concatenate(p))
+    return out
 
 
 def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
-              read: str, pieces: list[list[np.ndarray]], points) -> None:
+              read: str, pieces: list[list[np.ndarray]], points,
+              tabled) -> None:
     """One pass over ``fg``, a graph over the first ``length`` tokens of
     each term, of ``points``, each (group, point); appends each group's
-    values in it, stacked, to the group's pieces."""
+    values in it, stacked, to the group's pieces: the log-prob table for a
+    group in ``tabled``, else what ``read`` names."""
     segments: dict[int, list[int]] = {}  # group -> its points in this pass
     for i, k in points:
         segments.setdefault(i, []).append(k)
@@ -273,15 +341,19 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     if len(ids) > len(segments):  # a group has several points in the pass
         masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
     vals = _bind(hp, params.weights, ids, masks, overrides)
-    if len(ids) == 1:  # numpy runs a one-point pass faster unbatched
+    one = len(ids) == 1  # numpy runs a one-point pass faster unbatched
+    if one:
         vals["emb"], vals["target_mask"] = vals["emb"][0], vals["target_mask"][0]
     if read == "emb_grad":
-        out = grad(fg.graph, fg.score, vals, wrt=("emb",))["emb"]
+        values, node = grad(fg.graph, fg.score, vals, wrt=("emb",)), "emb"
     else:
-        out = evaluate(fg.graph, vals)[getattr(fg, read)]
-    out = out[None] if len(ids) == 1 else out
+        values, node = evaluate(fg.graph, vals), getattr(fg, read)
+    at = 0
     for i, ks in segments.items():
-        piece, out = out[:len(ks)], out[len(ks):]
+        out = values[fg.log_probs if i in tabled else node]
+        out = out[None] if one else out
+        piece = out[at:at + len(ks)]
+        at += len(ks)
         full = len(groups[i][0].tokens)
         if read == "emb_grad" and full > length:
             # the rows the causal pass stopped before feed no row it reads

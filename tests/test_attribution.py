@@ -501,9 +501,12 @@ class TestBatchedOcclusion:
         assert attr_map.entries == tuple(
             (ref, s_actual - unbatched_value(bs, {ref: base_vec}))
             for ref in contract.eligible)
-        # the actual score and one per eligible feature, one point per term
+        # one point per term for each eligible feature and for the actual
+        # score, whose diffusion terms read the tables the instance's own
+        # chain kept of its passes over the same states
+        actual = 0 if instance.trajectory is not None else len(bs.terms)
         assert sum(len(pass_points(params, vals)) for vals in passes) \
-            == len(bs.terms) * (1 + len(contract.eligible))
+            == len(bs.terms) * len(contract.eligible) + actual
 
 
 def sequential_stage_entries(params, instance, contract, pert_kind,
@@ -561,7 +564,8 @@ class TestLockstepStageReruns:
 
 class TestPrunedGraphs:
     """A pass group runs on a graph that computes only the log-prob rows
-    its score reads, and a causal one stops at the last of them. Under
+    its term reads (its target rows and, for a diffusion stage term, every
+    response slot), and a causal one stops at the last of them. Under
     every setting that binds a score, its scores, the log-prob rows it
     reads and its embedding gradients equal one unbatched pass over the
     full graph within 1e-12, and the rows it stopped before get exactly
@@ -602,7 +606,10 @@ class TestPrunedGraphs:
         pruned = 0
         for instance, contract in self.instances(setting, params, tiny_corpus):
             for term in bind_score(params, instance, contract).terms:
-                read = sorted({row for row, _ in term.targets})
+                read = sorted({row for row, _ in term.targets}.union(term.rows))
+                if not term.causal:
+                    n = len(instance.prompt)
+                    assert read == list(range(n, len(term.tokens)))
                 length = read[-1] + 1 if term.causal else len(term.tokens)
                 fg = build_forward_graph(hp, *_graph_key(hp, term))
                 assert list(fg.rows) == read

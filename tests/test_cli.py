@@ -95,6 +95,62 @@ class TestPipeline:
         assert "local-next-token" in out and "prompt-conditioned" in out
 
 
+class TestRenderChecksEveryId:
+    """render reads a map only under the contract, model and instance it
+    was computed under. Two prompts of one length, with generations of one
+    length, share a contract id, so only the instance digest tells a map of
+    one from a map of the other."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("render-ids")
+        corpus = str(root / "corpus")
+        assert main(["gen-corpus", "--lexicon", "8", "--lengths", "2",
+                     "--n-pairs", "24", "--seed", "3",
+                     "--out", corpus]) == EXIT_OK
+        models = []
+        for seed in (0, 1):
+            out = str(root / f"model{seed}")
+            assert main(["train", "--corpus",
+                         os.path.join(corpus, "corpus.json"), "--kind", "ar",
+                         "--steps", "30", "--width", "16", "--layers", "1",
+                         "--seed", str(seed), "--out", out]) == EXIT_OK
+            models.append(os.path.join(out, "model.bin"))
+        contracts = {}
+        for prompt, gen in (("s3 s1", "t3 t1 EOS"), ("s5 s2", "t5 t2 EOS")):
+            path = root / f"{prompt.replace(' ', '')}.contract"
+            path.write_text("setting: prompt-conditioned\n"
+                            "target: 1\n"
+                            f"model: {models[0]}\n"
+                            f"prompt: TR: {prompt} SEP\n"
+                            f"gen-tokens: {gen}\n"
+                            "seed: 0\n")
+            contracts[prompt] = str(path)
+        attr = str(root / "attr")
+        assert main(["attribute", "--contract", contracts["s3 s1"],
+                     "--ig-steps", "4", "--out", attr]) == EXIT_OK
+        return {"models": models, "contracts": contracts,
+                "map": os.path.join(attr, "map.txt")}
+
+    def render(self, run, tmp_path, prompt, *model):
+        return main(["render", "--contract", run["contracts"][prompt],
+                     *model, "--map", run["map"],
+                     "--out", str(tmp_path / "rend")])
+
+    def test_own_run_renders(self, run, tmp_path):
+        assert self.render(run, tmp_path, "s3 s1") == EXIT_OK
+
+    def test_other_instance_refused(self, run, tmp_path, capsys):
+        assert self.render(run, tmp_path, "s5 s2") == EXIT_DIAGNOSTIC
+        assert "instance_digest" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "rend" / "heatmap.txt")
+
+    def test_other_model_refused(self, run, tmp_path, capsys):
+        assert self.render(run, tmp_path, "s3 s1",
+                           "--model", run["models"][1]) == EXIT_DIAGNOSTIC
+        assert "model_id" in capsys.readouterr().err
+
+
 class TestRerun:
     def test_rerun_bit_identical(self, workspace, tmp_path):
         first = str(tmp_path / "a")

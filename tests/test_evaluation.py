@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrscope import evaluation
+from attrscope.models import transformer
 from attrscope.attribution import (
     PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients, score,
 )
@@ -25,9 +26,15 @@ from attrscope.evaluation import (
     ranked_features,
 )
 from attrscope.models import (
-    GreedyPolicy, PromptedInstance, ar_generate, diffusion_generate,
-    masked_log_probs,
+    GreedyPolicy, InfeasiblePerturbationError, PromptedInstance,
+    StagePerturbation, ar_generate, diffusion_generate, init_params,
+    masked_log_probs, teacher_forced_score,
 )
+from attrscope.models.diffusion import (
+    PERT_KINDS, SUBSTITUTE_STEP, ChainSpec, perturbed_plan, run_chains,
+    stage_terms,
+)
+from attrscope.models.transformer import run_groups, table_key
 
 POLICY = PerturbationPolicy()
 MASK_BASELINE = BaselinePolicy("mask_token")
@@ -165,6 +172,25 @@ class TestCurves:
         with pytest.raises(EvaluationError):
             deletion_curve(attr_map, tiny_ar_model, ar_instance, c2, 1,
                            POLICY)
+
+    def test_map_model_and_instance_pairing_enforced(self, tiny_ar_model,
+                                                     ar_instance):
+        t = len(ar_instance.generation)
+        c = make_named(SETTING_PROMPT_COND, ar_instance, t)
+        other_model = init_params(tiny_ar_model.hyper, tiny_ar_model.vocab,
+                                  seed=9)
+        with pytest.raises(EvaluationError, match="model_id"):
+            deletion_curve(self.ig_map(other_model, ar_instance, c),
+                           tiny_ar_model, ar_instance, c, 1, POLICY)
+        # one prompt token replaced: the contract id is the same
+        prompt = list(ar_instance.prompt)
+        prompt[1] = prompt[1] + 1 if prompt[1] + 1 < len(tiny_ar_model.vocab) \
+            else prompt[1] - 1
+        other = replace(ar_instance, prompt=tuple(prompt))
+        assert make_named(SETTING_PROMPT_COND, other, t) == c
+        with pytest.raises(EvaluationError, match="instance_digest"):
+            insertion_curve(self.ig_map(tiny_ar_model, other, c),
+                            tiny_ar_model, ar_instance, c, 1, POLICY)
 
     def test_k_bounded_by_eligible(self, tiny_ar_model, ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance, 1)
@@ -447,3 +473,117 @@ class TestStateReplay:
                  if ref.kind == STATE_COMMITMENT} for features in feature_sets]
         assert [ctx.conditioning for ctx in contexts] == \
             replay_to_state(params, prompts, traj, t, subs)
+
+
+def counted_points(points):
+    """Patches transformer's ``evaluate`` to append the number of points of
+    each pass run_groups makes to ``points``."""
+    original = transformer.evaluate
+
+    def counting(graph, vals):
+        points.append(len(vals["emb"]) if vals["emb"].ndim == 3 else 1)
+        return original(graph, vals)
+
+    return mock.patch.object(transformer, "evaluate", counting)
+
+
+class TestServedTables:
+    """A stage term over a state a chain ran a pass over reads that pass's
+    log-prob table, and an input met earlier in one run_groups call reads
+    the table of its first pass: neither runs a pass, and each equals a
+    fresh pass bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_served_scores_equal_fresh_passes(self, diffusion_model, data):
+        params = diffusion_model
+        mask_id = params.vocab.mask
+        tokens = st.integers(0, params.hyper.vocab_size - 1)
+        prompt = tuple(data.draw(st.lists(tokens, min_size=1, max_size=5)))
+        seed = data.draw(st.integers(0, 3))
+        num_steps = data.draw(st.integers(1, 3))
+        traj = diffusion_generate(params, prompt,
+                                  data.draw(st.integers(num_steps, 4)),
+                                  num_steps, seed)
+        instance = PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
+        # every kind of chain whose states stage terms read: the
+        # generation, regenerated chains, stage re-runs of each kind and
+        # state-level replays
+        p2o = make_named(SETTING_P2O, instance)
+        state = make_named(SETTING_STATE, instance,
+                           data.draw(st.integers(1, num_steps)))
+        contexts = []
+        for contract, policy in ((p2o, PerturbationPolicy(rescoring=REGENERATE)),
+                                 (state, POLICY)):
+            feature_sets = data.draw(st.lists(
+                st.lists(st.sampled_from(contract.eligible), unique=True),
+                min_size=1, max_size=3))
+            contexts += perturb_sets(params, instance, contract, feature_sets,
+                                     policy)
+        plan = traj.commit_plan()
+        chains = []
+        for kind in PERT_KINDS:
+            for u in plan:
+                pert = StagePerturbation(
+                    u, kind, commit_count=data.draw(st.integers(0, plan[u] + 1)),
+                    temperature=0.8)
+                try:
+                    new_plan = perturbed_plan(plan, pert, traj.response_len)
+                except InfeasiblePerturbationError:
+                    continue
+                chains.append(ChainSpec(prompt, new_plan, substitute=pert
+                                        if kind == SUBSTITUTE_STEP else None))
+        reruns = run_chains(params, chains, traj.response_len, traj.seed)
+        cases = ([(prompt, traj)]
+                 + [(ctx.instance.prompt, ctx.conditioning) for ctx in contexts]
+                 + [(prompt, rerun) for rerun in reruns])
+        terms, fresh = [], []  # fresh: over chains without tables
+        for p, conditioning in cases:
+            bare = replace(conditioning, tables={})
+            for schedule in (traj, conditioning):
+                terms += stage_terms(p, schedule, conditioning, mask_id).values()
+                fresh += stage_terms(p, schedule, bare, mask_id).values()
+        assert terms == fresh  # tables take no part in equality
+        kept = {term.tokens for term in terms
+                if table_key(params, term.tokens, term.rows) in term.tables}
+        assert kept  # the generation's own stage terms at least
+        for read in ("score", "log_probs"):
+            points = []
+            with counted_points(points):
+                served = run_groups(params, [(term, {}) for term in terms],
+                                    read)
+            # one pass point per distinct input no chain kept a table of
+            assert sum(points) == len({term.tokens for term in terms} - kept)
+            for value, term in zip(served, fresh):
+                assert np.array_equal(value, run_groups(
+                    params, [(term, {})], read)[0])
+
+    def test_another_models_chain_serves_no_table(self, diffusion_model,
+                                                  diff_instance):
+        other = init_params(diffusion_model.hyper, diffusion_model.vocab,
+                            seed=11)
+        prompt, traj = diff_instance.prompt, diff_instance.trajectory
+        terms = stage_terms(prompt, traj, traj, other.vocab.mask).values()
+        points = []
+        with counted_points(points):
+            served = teacher_forced_score(other, prompt, traj, traj)
+        assert sum(points) == len(terms)
+        assert served == teacher_forced_score(
+            other, prompt, traj, replace(traj, tables={}))
+
+    def test_rescored_context_with_perturbed_prompt_runs_its_pass(
+            self, diffusion_model, diff_instance):
+        contract = make_named(SETTING_P2O, diff_instance)
+        contexts = perturb_sets(diffusion_model, diff_instance, contract,
+                                [[], contract.eligible[:1]], POLICY)
+        traj = diff_instance.trajectory
+        stages = len(stage_terms(diff_instance.prompt, traj, traj,
+                                 diffusion_model.vocab.mask))
+        points = []
+        with counted_points(points):
+            actual, perturbed = context_scores(diffusion_model, contexts)
+        # the unperturbed context reads its chain's tables
+        assert sum(points) == stages
+        bare = [replace(ctx, conditioning=replace(ctx.conditioning, tables={}))
+                for ctx in contexts]
+        assert [actual, perturbed] == context_scores(diffusion_model, bare)
