@@ -79,17 +79,20 @@ def _load_model(args, spec=None):
         raise CLIError(f"model file rejected: {exc}") from exc
 
 
-def _encode_prompt(params, text: str):
+def _encode(params, field: str, text: str):
+    """The token ids of ``text``, the value of the input ``field`` names."""
     if not text:
-        raise CLIError("contract file has no prompt text")
+        raise CLIError(f"{field} is empty")
     try:
         return tuple(params.vocab.encode(text))
     except KeyError as exc:
-        raise CLIError(f"prompt token not in the model vocabulary: {exc}") from exc
+        raise CLIError(f"a token of {field} is not in the model vocabulary:"
+                       f" {exc.args[0]}") from exc
 
 
 def _build_instance(spec, params) -> PromptedInstance:
-    prompt = _encode_prompt(params, spec.prompt_text or "")
+    prompt = _encode(params, "contract file prompt",
+                     spec.prompt_text or "")
     if params.kind == CLASSIFIER:
         if spec.class_index is None:
             raise CLIError("classifier instances need a class field")
@@ -97,15 +100,12 @@ def _build_instance(spec, params) -> PromptedInstance:
                                 class_target=spec.class_index)
     if params.kind == AR:
         if spec.gen_tokens is not None:
-            gen = _encode_prompt(params, spec.gen_tokens)
+            gen = _encode(params, "contract file gen-tokens", spec.gen_tokens)
         else:
-            if spec.generation == "greedy":
-                policy = GreedyPolicy()
-            elif spec.generation.startswith("sample:"):
-                policy = SamplePolicy(temperature=float(
-                    spec.generation.split(":", 1)[1]))
-            else:
-                raise CLIError(f"unknown generation source {spec.generation!r}")
+            # parse_contract_file admits greedy and sample:<t> alone
+            policy = (GreedyPolicy() if spec.generation == "greedy" else
+                      SamplePolicy(temperature=float(
+                          spec.generation.split(":", 1)[1])))
             gen = tuple(ar_generate(params, prompt, spec.max_len, policy,
                                     spec.seed))
         if not gen:
@@ -247,7 +247,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     params, _ = _load_model(args)
-    prompt = _encode_prompt(params, args.prompt)
+    prompt = _encode(params, "--prompt", args.prompt)
     if params.kind == AR:
         policy = (SamplePolicy(args.temperature)
                   if args.temperature is not None else GreedyPolicy())

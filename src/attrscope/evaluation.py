@@ -1,5 +1,6 @@
-"""Contract-matched faithfulness evaluation: perturbation operators,
-deletion/insertion curves, AOPC, and random-ordering baselines."""
+"""Contract-matched faithfulness evaluation: perturbation operators, and
+the faithfulness report, the one place deletion/insertion curves are drawn
+and scored with AOPC against random-ordering baselines."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -8,7 +9,7 @@ import numpy as np
 
 from .attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, grad_times_input,
-    integrated_gradients, map_mismatch, occlusion, scores, stage_attribution,
+    integrated_gradients, occlusion, scores, stage_attribution,
 )
 from .contract import (
     OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
@@ -49,7 +50,6 @@ class PerturbationPolicy:
 class PerturbedContext:
     """A perturbed copy of the instance, ready to be scored under the
     contract; C-members are never touched."""
-    contract: AttributionContract
     instance: PromptedInstance              # token-perturbed where applicable
     # diffusion only: the chain whose states the score is conditioned on
     # (state-level: replayed down to z_t; prompt-to-output: after the policy)
@@ -83,7 +83,7 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
                 gen[ref.index] = rep_tok
         inst = replace(instance, prompt=tuple(prompt),
                        generation=tuple(gen) if gen is not None else None)
-        contexts.append(PerturbedContext(contract=contract, instance=inst))
+        contexts.append(PerturbedContext(instance=inst))
 
     kind = contract.score_kind
     if kind not in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
@@ -111,12 +111,6 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
             for ctx, conditioning in zip(contexts, conditionings)]
 
 
-def context_scores(params: ModelParams, contexts) -> list[float]:
-    """The contract's score of each perturbed context, in batched passes."""
-    return scores(params, [(ctx.contract, ctx.instance, ctx.conditioning)
-                           for ctx in contexts])
-
-
 # -- curves ---------------------------------------------------------------
 
 
@@ -134,14 +128,6 @@ def ranked_features(attr_map: AttributionMap) -> list[FeatureRef]:
     return [ref for ref, s in sorted(finite, key=lambda e: (-abs(e[1]), e[0]))]
 
 
-def _check_map(attr_map: AttributionMap, params: ModelParams,
-               instance: PromptedInstance,
-               contract: AttributionContract) -> None:
-    mismatch = map_mismatch(attr_map, params, instance, contract)
-    if mismatch:
-        raise EvaluationError(f"attribution map rejected: {mismatch}")
-
-
 def _points(order: list[FeatureRef], eligible, K: int,
             mode: str) -> list[list[FeatureRef]]:
     """The perturbed features at k = 0..K: the top k of ``order`` (deletion),
@@ -156,45 +142,29 @@ def _points(order: list[FeatureRef], eligible, K: int,
     return points
 
 
-def _curves(attr_map: AttributionMap, params: ModelParams,
-            instance: PromptedInstance, contract: AttributionContract,
-            K: int, policy: PerturbationPolicy,
-            orderings: list[tuple[list[FeatureRef], str]],
-            modes: tuple[str, ...]) -> list[FaithfulnessCurve]:
-    """The curve of each (order, label) ordering in each mode, ordering by
-    ordering. Each distinct set of perturbed features is perturbed and
-    scored once, and every curve point reads its score from that table."""
-    _check_map(attr_map, params, instance, contract)
+def _curves(params: ModelParams, instance: PromptedInstance,
+            contract: AttributionContract, K: int, policy: PerturbationPolicy,
+            orderings: list[tuple[list[FeatureRef], str]]
+            ) -> list[FaithfulnessCurve]:
+    """The deletion and the insertion curve of each (order, label)
+    ordering, ordering by ordering. Each distinct set of perturbed features
+    is perturbed and scored once, and every curve point reads its score
+    from that table."""
     if K > len(contract.eligible):
         raise EvaluationError("K exceeds the eligible set")
     curves = [(label, mode, _points(order, contract.eligible, K, mode))
-              for order, label in orderings for mode in modes]
+              for order, label in orderings for mode in (DELETE, INSERT)]
     distinct: dict[frozenset, list[FeatureRef]] = {}
     for _, _, points in curves:
         for features in points:
             distinct.setdefault(frozenset(features), features)
     contexts = perturb_sets(params, instance, contract, distinct.values(), policy)
-    table = dict(zip(distinct, context_scores(params, contexts)))
+    table = dict(zip(distinct, scores(params, [
+        (contract, ctx.instance, ctx.conditioning) for ctx in contexts])))
     return [FaithfulnessCurve(
         k_values=tuple(range(K + 1)),
         scores=tuple(table[frozenset(features)] for features in points),
         ordering=label, mode=mode) for label, mode, points in curves]
-
-
-def deletion_curve(attr_map: AttributionMap, params: ModelParams,
-                   instance: PromptedInstance, contract: AttributionContract,
-                   K: int, policy: PerturbationPolicy) -> FaithfulnessCurve:
-    """Score the instance with the map's top-k features at baseline."""
-    return _curves(attr_map, params, instance, contract, K, policy,
-                   [(ranked_features(attr_map), "map")], (DELETE,))[0]
-
-
-def insertion_curve(attr_map: AttributionMap, params: ModelParams,
-                    instance: PromptedInstance, contract: AttributionContract,
-                    K: int, policy: PerturbationPolicy) -> FaithfulnessCurve:
-    """Dual of deletion: start all-eligible-at-baseline, restore top-k."""
-    return _curves(attr_map, params, instance, contract, K, policy,
-                   [(ranked_features(attr_map), "map")], (INSERT,))[0]
 
 
 def aopc(curve: FaithfulnessCurve) -> float:
@@ -271,8 +241,8 @@ def faithfulness_report(params: ModelParams, instance: PromptedInstance,
         rng = np.random.default_rng(seed * 1000 + i)
         orderings.append(([eligible[j] for j in rng.permutation(len(eligible))],
                           f"random:{seed * 1000 + i}"))
-    dele, inse, *randoms = _curves(attr_map, params, instance, contract, K,
-                                   policy, orderings, (DELETE, INSERT))
+    dele, inse, *randoms = _curves(params, instance, contract, K, policy,
+                                   orderings)
     rand_d, rand_i = randoms[0::2], randoms[1::2]
     return FaithfulnessReport(
         contract_id=cid, method=attr_map.method, K=K,

@@ -51,7 +51,7 @@ class ContractSpec:
     # instance binding
     model_path: str | None = None
     prompt_text: str | None = None
-    generation: str = "greedy"       # greedy | sample:<temp> | given
+    generation: str = "greedy"       # greedy | sample:<temp>
     gen_tokens: str | None = None
     max_len: int = 16
     response_len: int | None = None
@@ -139,6 +139,10 @@ def parse_contract_file(text: str) -> ParseResult:
             diags.append(Diagnostic(E_BAD_VALUE, "sample temperature must be a"
                                     f" finite number > 0, got {value!r}",
                                     fields["generation"][1]))
+    elif spec.generation != "greedy":
+        diags.append(Diagnostic(E_BAD_VALUE, "generation must be greedy or"
+                                f" sample:<t>, got {spec.generation!r}",
+                                fields["generation"][1]))
     spec.gen_tokens = take("gen-tokens")
     spec.max_len = take_int("max-len", 16)
     spec.response_len = take_int("response-len")

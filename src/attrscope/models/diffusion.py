@@ -43,10 +43,10 @@ class StagePerturbation:
 @dataclass(frozen=True)
 class DenoisingTrajectory:
     """A chain's commitments. ``tables`` holds the log-prob table of every
-    pass the chain that made it ran, under its ``transformer.table_key``
-    (model, input tokens, response rows), for the stage terms conditioned
-    on it to read; it takes no part in equality or in
-    ``instance_digest``."""
+    pass the chain that made it ran, under the ``transformer.table_key`` of
+    that pass's term (model, bidirectional graph over the response rows,
+    input tokens), for the stage terms conditioned on it to read; it takes
+    no part in equality or in ``instance_digest``."""
     num_steps: int
     response_len: int
     commit_tokens: tuple[int, ...]  # final token per slot
@@ -149,7 +149,7 @@ def run_chains(params: ModelParams, chains, response_len: int,
             raise ValueError("commit plan does not cover the response")
         check_context(params.hyper, len(chain.prompt) + response_len)
     # per chain: slot tokens, the stage each slot committed at (0: open),
-    # rng, and the log-prob table of each pass, by model, input and rows
+    # rng, and the log-prob table of each pass, by its table_key
     runs = [([mask_id] * response_len, [0] * response_len,
              np.random.default_rng(seed), {}) for _ in chains]
 
@@ -173,7 +173,8 @@ def run_chains(params: ModelParams, chains, response_len: int,
             tables = masked_log_probs(params, inputs, response)
             tables.flags.writeable = False  # kept, and read by later scores
             for i, tokens, table in zip(predict, inputs, tables):
-                rows[i] = runs[i][3][table_key(params, tokens, response)] = table
+                key = table_key(params, ScoreTerm(tokens, False, (), response))
+                rows[i] = runs[i][3][key] = table
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
             slots, steps, rng, _ = runs[i]
             if slots_at_t is None:

@@ -199,22 +199,14 @@ class ScoreTerm:
     computes only those (see run_groups); a term that names no row reads
     every row.
 
-    ``tables`` holds log-prob tables of earlier passes in the term's
-    attention mode, each under its table_key; run_groups answers a read of
-    the term from the one of its own input and model, when there is one."""
+    ``tables`` holds log-prob tables of earlier passes, each under the
+    table_key of the term its pass ran; run_groups answers a read of the
+    term from the one under the term's own table_key, when there is one."""
     tokens: tuple[int, ...]
     causal: bool
     targets: tuple[tuple[int, int], ...]
     rows: tuple[int, ...] = ()
     tables: dict | None = field(default=None, compare=False, repr=False)
-
-
-def table_key(params: ModelParams, tokens: tuple[int, ...],
-              rows: tuple[int, ...]) -> tuple:
-    """The key of the log-prob table of a pass of the model ``params``
-    over ``tokens`` whose rows are the sequence rows ``rows``
-    (``ForwardGraph.rows``)."""
-    return params.model_id, tokens, rows
 
 
 # Points per pass: run_groups packs the pass groups over one cached graph,
@@ -246,6 +238,14 @@ def _graph_key(hp: Hyperparams, term: ScoreTerm):
     return length, term.causal, None if len(rows) == length else tuple(rows)
 
 
+def table_key(params: ModelParams, term: ScoreTerm) -> tuple:
+    """The pass input of ``term``, which keys the log-prob table of its
+    pass: the model id, the key of the cached graph the pass runs on
+    (length, attention mode, rows read) and the tokens that graph reads."""
+    key = _graph_key(params.hyper, term)
+    return params.model_id, key, term.tokens[:key[0]]
+
+
 def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     """Per pass group, the value of its "score" node, its "log_probs" rows
     (the rows its term reads, in row order), or (``read`` "emb_grad") the
@@ -258,43 +258,36 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     one cached graph (length, attention mode, rows read) share passes, in
     order. A score or log-prob read of a group that overrides nothing runs
     no pass when its term brings the log-prob table of its input (see
-    ScoreTerm.tables) or an earlier group has the same input: the graph and
-    the tokens it reads. Such a group's value is its input's table, or
+    ScoreTerm.tables) or an earlier group has the same input. Both are
+    found under the term's table_key: the model, the graph and the tokens
+    it reads. Such a group's value is its input's table, or
     ``(table * mask).sum()`` for a score, which equals its pass bit for
     bit."""
     hp = params.hyper
-    keys = [_graph_key(hp, term) for term, _ in groups]
-    # per group that a log-prob table can answer, its pass input, and the
-    # table of each input whose term brings one
-    inputs: dict[int, tuple] = {}
+    inputs = [table_key(params, term) for term, _ in groups]
+    answerable = read != "emb_grad"  # a score or log-prob read
+    # the table of each input whose term brings one
     tables: dict[tuple, np.ndarray] = {}
-    for i, ((term, overrides), key) in enumerate(zip(groups, keys)):
-        if read == "emb_grad" or overrides:
-            continue
-        inputs[i] = inp = key, term.tokens[:key[0]]
-        if term.tables and inp not in tables:
-            table = term.tables.get(table_key(
-                params, term.tokens, build_forward_graph(hp, *key).rows))
-            if table is not None:
-                tables[inp] = table
+    for (term, overrides), inp in zip(groups, inputs):
+        if answerable and not overrides and term.tables and inp in term.tables:
+            tables.setdefault(inp, term.tables[inp])
     sizes = []  # per group: B, or None for one unbatched pass
     first: dict[tuple, int] = {}  # input -> the group whose pass runs it
     served: dict[int, tuple] = {}  # group -> the input whose table answers it
     by_graph: dict[tuple, list[int]] = {}
-    for i, ((term, overrides), key) in enumerate(zip(groups, keys)):
+    for i, ((term, overrides), inp) in enumerate(zip(groups, inputs)):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
         if len(batch) > 1:
             raise ValueError("overrides of one pass group differ in batch size")
         sizes.append(batch.pop() if batch else None)
-        inp = inputs.get(i)
-        if inp is not None and (inp in tables or inp in first):
-            served[i] = inp
-            if inp in first:  # that group's pass keeps its table
-                served[first[inp]] = inp
-            continue
-        if inp is not None:
+        if answerable and not overrides:
+            if inp in tables or inp in first:
+                served[i] = inp
+                if inp in first:  # that group's pass keeps its table
+                    served[first[inp]] = inp
+                continue
             first[inp] = i
-        by_graph.setdefault(key, []).append(i)
+        by_graph.setdefault(inp[1], []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
     for key, members in by_graph.items():
         fg = build_forward_graph(hp, *key)
@@ -309,7 +302,7 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
         if i in served:
             table = tables[served[i]]
             if read == "score":
-                fg = build_forward_graph(hp, *keys[i])
+                fg = build_forward_graph(hp, *inputs[i][1])
                 table = (table * _target_masks(hp, fg.rows,
                                                [groups[i][0].targets])[0]).sum()
             out.append(table)

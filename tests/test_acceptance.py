@@ -18,7 +18,7 @@ from attrscope.contract import (
     SETTING_SPAN, SETTING_STAGE, SETTING_STATE, make_named,
 )
 from attrscope.evaluation import (
-    PerturbationPolicy, deletion_curve, faithfulness_report, perturb_sets,
+    PerturbationPolicy, faithfulness_report, perturb_sets,
 )
 from attrscope.fileio import (
     E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP, E_UNKNOWN_SCORE,
@@ -298,15 +298,14 @@ class TestA6FaithfulnessDiscipline:
         inst = ar_instances(tiny_ar_model, tiny_corpus, 1)[0]
         # span-level evaluation performs zero generate calls
         span = make_named(SETTING_SPAN, inst)
-        attr_map = integrated_gradients(tiny_ar_model, inst, span, steps=4)
         generation_calls.clear()
-        deletion_curve(attr_map, tiny_ar_model, inst, span, 2, POLICY)
+        faithfulness_report(tiny_ar_model, inst, span,
+                            {"name": "ig", "steps": 4}, 2, POLICY, n_random=0)
         assert generation_calls == []
 
         # prompt-conditioned evaluation never mutates prefix tokens
         t = len(inst.generation)
         cond = make_named(SETTING_PROMPT_COND, inst, t)
-        cond_map = integrated_gradients(tiny_ar_model, inst, cond, steps=4)
         contexts = perturb_sets(tiny_ar_model, inst, cond,
                                 [list(cond.eligible)[:k]
                                  for k in range(len(cond.eligible) + 1)],

@@ -117,23 +117,27 @@ class TestRenderChecksEveryId:
                          "--seed", str(seed), "--out", out]) == EXIT_OK
             models.append(os.path.join(out, "model.bin"))
         contracts = {}
-        for prompt, gen in (("s3 s1", "t3 t1 EOS"), ("s5 s2", "t5 t2 EOS")):
-            path = root / f"{prompt.replace(' ', '')}.contract"
-            path.write_text("setting: prompt-conditioned\n"
-                            "target: 1\n"
+        for name, setting, prompt, gen in (
+                ("s3 s1", "prompt-conditioned", "s3 s1", "t3 t1 EOS"),
+                ("s5 s2", "prompt-conditioned", "s5 s2", "t5 t2 EOS"),
+                ("local", "local-next-token", "s3 s1", "t3 t1 EOS")):
+            path = root / f"{name.replace(' ', '')}.contract"
+            path.write_text(f"setting: {setting}\n"
+                            # at token 1 the two settings name one contract
+                            "target: 2\n"
                             f"model: {models[0]}\n"
                             f"prompt: TR: {prompt} SEP\n"
                             f"gen-tokens: {gen}\n"
                             "seed: 0\n")
-            contracts[prompt] = str(path)
+            contracts[name] = str(path)
         attr = str(root / "attr")
         assert main(["attribute", "--contract", contracts["s3 s1"],
                      "--ig-steps", "4", "--out", attr]) == EXIT_OK
         return {"models": models, "contracts": contracts,
                 "map": os.path.join(attr, "map.txt")}
 
-    def render(self, run, tmp_path, prompt, *model):
-        return main(["render", "--contract", run["contracts"][prompt],
+    def render(self, run, tmp_path, contract, *model):
+        return main(["render", "--contract", run["contracts"][contract],
                      *model, "--map", run["map"],
                      "--out", str(tmp_path / "rend")])
 
@@ -144,6 +148,10 @@ class TestRenderChecksEveryId:
         assert self.render(run, tmp_path, "s5 s2") == EXIT_DIAGNOSTIC
         assert "instance_digest" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "rend" / "heatmap.txt")
+
+    def test_other_contract_refused(self, run, tmp_path, capsys):
+        assert self.render(run, tmp_path, "local") == EXIT_DIAGNOSTIC
+        assert "contract_id" in capsys.readouterr().err
 
     def test_other_model_refused(self, run, tmp_path, capsys):
         assert self.render(run, tmp_path, "s3 s1",
@@ -191,12 +199,36 @@ class TestRerun:
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
 
 
+def rerun_writes_the_same(command, fields, argv, output):
+    """Whether ``rerun`` of the manifest of ``command`` run on a contract
+    file of ``fields`` with ``argv`` writes ``output`` with the same
+    bytes."""
+    with tempfile.TemporaryDirectory() as root:
+        contract = os.path.join(root, "c.contract")
+        with open(contract, "w") as fh:
+            fh.write(fields)
+        first, again = os.path.join(root, "a"), os.path.join(root, "b")
+        assert main([command, "--contract", contract, *argv,
+                     "--out", first]) == EXIT_OK
+        assert main(["rerun", "--manifest",
+                     os.path.join(first, "manifest.json"),
+                     "--out", again]) == EXIT_OK
+        with open(os.path.join(first, output), "rb") as a, \
+                open(os.path.join(again, output), "rb") as b:
+            return a.read() == b.read()
+
+
+AR_SETTINGS = ["local-next-token", "prompt-conditioned", "span-level-prompt"]
+
+
 class TestRerunProperty:
-    """``rerun`` of a generated ``attribute`` manifest writes the same map
-    bytes, over the three AR settings, the three embedding and token
-    methods, and prompts and generations of several lengths. The graph a
-    pass runs on depends on the rows its score reads, so this pins that
-    the choice is a function of the manifest's inputs."""
+    """``rerun`` of a generated ``attribute`` or ``evaluate`` manifest
+    writes the same map or report bytes, over the AR settings with
+    prompts and generations of several lengths, and for ``evaluate`` the
+    diffusion settings too, with every rescoring and stage kind. The graph
+    a pass runs on depends on the rows its score reads, and a served
+    log-prob table on the chain that kept it, so this pins that both are
+    functions of the manifest's inputs."""
 
     @pytest.fixture(scope="class")
     def model_file(self, tiny_ar_model, tmp_path_factory):
@@ -204,14 +236,17 @@ class TestRerunProperty:
         save_model(tiny_ar_model, path)
         return path
 
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_rerun_writes_the_same_map(self, model_file, tiny_ar_model, data):
-        vocab = tiny_ar_model.vocab
-        words = st.lists(st.sampled_from(vocab.tokens[2:]), min_size=1,
-                         max_size=5)
-        setting = data.draw(st.sampled_from(
-            ["local-next-token", "prompt-conditioned", "span-level-prompt"]))
+    @pytest.fixture(scope="class")
+    def diffusion_file(self, diffusion_model, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("rerun") / "diffusion.bin")
+        save_model(diffusion_model, path)
+        return path
+
+    @staticmethod
+    def ar_fields(data, model_file, vocab, setting, min_words=1):
+        """An AR contract file of ``setting`` over the model file."""
+        words = st.lists(st.sampled_from(vocab.tokens[2:]),
+                         min_size=min_words, max_size=5)
         fields = f"setting: {setting}\nmodel: {model_file}\n" \
             f"prompt: {' '.join(data.draw(words))}\nseed: 0\n"
         if data.draw(st.booleans()):
@@ -223,24 +258,64 @@ class TestRerunProperty:
             fields += f"generation: greedy\nmax-len: {data.draw(st.integers(1, 4))}\n"
         if setting != "span-level-prompt":
             fields += f"target: {data.draw(st.integers(1, gen_len))}\n"
+        return fields
+
+    @staticmethod
+    def method_flags(data):
+        """The flags of a drawn embedding or token method."""
         method = data.draw(st.sampled_from(["ig", "gxi", "occlusion"]))
         argv = ["--method", method, "--baseline",
                 data.draw(st.sampled_from(["pad", "mask"]))]
         if method == "ig":
             argv += ["--ig-steps", str(data.draw(st.integers(1, 12)))]
-        with tempfile.TemporaryDirectory() as root:
-            contract = os.path.join(root, "c.contract")
-            with open(contract, "w") as fh:
-                fh.write(fields)
-            first, again = os.path.join(root, "a"), os.path.join(root, "b")
-            assert main(["attribute", "--contract", contract, *argv,
-                         "--out", first]) == EXIT_OK
-            assert main(["rerun", "--manifest",
-                         os.path.join(first, "manifest.json"),
-                         "--out", again]) == EXIT_OK
-            with open(os.path.join(first, "map.txt"), "rb") as a, \
-                    open(os.path.join(again, "map.txt"), "rb") as b:
-                assert a.read() == b.read()
+        return argv
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rerun_writes_the_same_map(self, model_file, tiny_ar_model, data):
+        setting = data.draw(st.sampled_from(AR_SETTINGS))
+        fields = self.ar_fields(data, model_file, tiny_ar_model.vocab, setting)
+        assert rerun_writes_the_same("attribute", fields,
+                                     self.method_flags(data), "map.txt")
+
+    @pytest.mark.parametrize("setting, flags", [
+        *[(setting, []) for setting in AR_SETTINGS],
+        ("state-level", []), ("prompt-to-output", []),
+        ("prompt-to-output", ["--regenerate"]),
+        *[("denoising-stage", ["--stage-kind", kind])
+          for kind in ("ablate", "noise_schedule", "substitute_step")]])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rerun_writes_the_same_report(self, model_file, diffusion_file,
+                                          tiny_ar_model, setting, flags, data):
+        vocab = tiny_ar_model.vocab
+        if setting in AR_SETTINGS:
+            # at least two eligible features, so K may be 2
+            fields = self.ar_fields(data, model_file, vocab, setting,
+                                    min_words=2)
+        else:
+            prompt = data.draw(st.lists(st.sampled_from(vocab.tokens[2:]),
+                                        min_size=2, max_size=4))
+            # a stage map needs two stages for a stage before the last,
+            # the only kind that ablate and noise_schedule can perturb
+            least = 2 if setting == "denoising-stage" else 1
+            response_len = data.draw(st.integers(least, 3))
+            steps = data.draw(st.integers(least, response_len))
+            fields = f"setting: {setting}\nmodel: {diffusion_file}\n" \
+                f"prompt: {' '.join(prompt)}\nresponse-len: {response_len}\n" \
+                f"steps: {steps}\nseed: {data.draw(st.integers(0, 2))}\n"
+            if setting == "state-level":
+                fields += f"target: {data.draw(st.integers(1, steps))}\n"
+        if setting == "denoising-stage":
+            flags = ["--method", "stage", *flags]
+            if "noise_schedule" in flags:
+                flags += ["--commit-count", str(data.draw(st.integers(0, 2)))]
+        else:
+            flags = self.method_flags(data) + flags
+        flags += ["--k", str(data.draw(st.integers(1, 2))),
+                  "--random-orderings", str(data.draw(st.integers(0, 2))),
+                  "--seed", str(data.draw(st.integers(0, 2)))]
+        assert rerun_writes_the_same("evaluate", fields, flags, "report.txt")
 
 
 def recorder(calls):
@@ -503,6 +578,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
         assert "error: contract cannot bind to this instance" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gen_tokens, message", [
+        ("", "contract file gen-tokens is empty"),
+        ("s1 zebra", "a token of contract file gen-tokens is not in the"
+                     " model vocabulary: unknown token 'zebra'")])
+    def test_bad_gen_tokens_named(self, workspace, tmp_path, capsys,
+                                  gen_tokens, message):
+        contract = tmp_path / "c.contract"
+        contract.write_text(
+            "setting: prompt-conditioned\ntarget: 1\n"
+            f"model: {os.path.join(workspace['model'], 'model.bin')}\n"
+            f"prompt: TR: s1 SEP\ngen-tokens: {gen_tokens}\n")
+        assert main(["attribute", "--contract", str(contract),
+                     "--out", str(tmp_path / "o")]) == EXIT_DIAGNOSTIC
+        assert message in capsys.readouterr().err
 
     def test_prompt_outside_vocab(self, workspace, tmp_path):
         contract = tmp_path / "c.contract"

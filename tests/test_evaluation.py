@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from attrscope import evaluation
 from attrscope.models import transformer
 from attrscope.attribution import (
-    PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients, score,
+    PAD_BASELINE, BaselinePolicy, bind_score, score, scores,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
@@ -21,12 +21,12 @@ from attrscope.contract import (
 )
 from attrscope.evaluation import (
     DELETE, EvaluationError, FaithfulnessCurve, FaithfulnessReport, INSERT,
-    PerturbationPolicy, REGENERATE, aopc, compute_map, context_scores,
-    deletion_curve, faithfulness_report, insertion_curve, perturb_sets,
-    ranked_features,
+    PerturbationPolicy, REGENERATE, aopc, compute_map, faithfulness_report,
+    perturb_sets, ranked_features,
 )
+from attrscope.corpus import make_syn_corpus
 from attrscope.models import (
-    GreedyPolicy, InfeasiblePerturbationError, PromptedInstance,
+    GreedyPolicy, Hyperparams, InfeasiblePerturbationError, PromptedInstance,
     StagePerturbation, ar_generate, diffusion_generate, init_params,
     masked_log_probs, teacher_forced_score,
 )
@@ -34,7 +34,10 @@ from attrscope.models.diffusion import (
     PERT_KINDS, SUBSTITUTE_STEP, ChainSpec, perturbed_plan, run_chains,
     stage_terms,
 )
-from attrscope.models.transformer import run_groups, table_key
+from attrscope.models.params import DIFFUSION
+from attrscope.models.transformer import (
+    ScoreTerm, run_groups, table_key, terms_score,
+)
 
 POLICY = PerturbationPolicy()
 MASK_BASELINE = BaselinePolicy("mask_token")
@@ -77,7 +80,8 @@ class TestPerturb:
         on the unperturbed instance."""
         ctx = perturb_sets(params, instance, contract, [[]], POLICY)[0]
         live = score(contract, params, instance)
-        assert context_scores(params, [ctx]) == [live]
+        assert scores(params, [(contract, ctx.instance, ctx.conditioning)]) \
+            == [live]
         bs = bind_score(params, instance, contract)
         assert bs.values([{}]) == [live]
 
@@ -117,8 +121,13 @@ class TestPerturb:
 
 
 class TestCurves:
-    def ig_map(self, params, instance, contract, steps=16):
-        return integrated_gradients(params, instance, contract, steps=steps)
+    """Curves as faithfulness_report draws them, without random orderings."""
+
+    @staticmethod
+    def ig_report(params, instance, contract, K, policy=POLICY, steps=16):
+        return faithfulness_report(params, instance, contract,
+                                   {"name": "ig", "steps": steps}, K, policy,
+                                   n_random=0)
 
     @pytest.mark.parametrize("setting,needs_t", [(SETTING_LOCAL, True),
                                                  (SETTING_PROMPT_COND, True),
@@ -127,21 +136,16 @@ class TestCurves:
                                         setting, needs_t):
         t = len(ar_instance.generation) if needs_t else None
         c = make_named(setting, ar_instance, t)
-        attr_map = self.ig_map(tiny_ar_model, ar_instance, c)
         K = min(3, len(c.eligible))
-        curve = deletion_curve(attr_map, tiny_ar_model, ar_instance, c, K,
-                               POLICY)
+        curve = self.ig_report(tiny_ar_model, ar_instance, c, K).deletion
         assert curve.scores[0] == score(c, tiny_ar_model, ar_instance)
         assert curve.k_values == tuple(range(K + 1))
 
     def test_insertion_duality(self, tiny_ar_model, ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance, 1)
-        attr_map = self.ig_map(tiny_ar_model, ar_instance, c)
-        K = len(c.eligible)
-        dele = deletion_curve(attr_map, tiny_ar_model, ar_instance, c, K,
-                              POLICY)
-        inse = insertion_curve(attr_map, tiny_ar_model, ar_instance, c, K,
-                               POLICY)
+        report = self.ig_report(tiny_ar_model, ar_instance, c,
+                                len(c.eligible))
+        dele, inse = report.deletion, report.insertion
         # everything restored == nothing deleted; nothing restored == all deleted
         assert inse.scores[-1] == dele.scores[0]
         assert inse.scores[0] == dele.scores[-1]
@@ -149,55 +153,23 @@ class TestCurves:
     def test_state_level_curve_runs(self, diffusion_model, diff_instance):
         t = 1
         c = make_named(SETTING_STATE, diff_instance, t)
-        attr_map = self.ig_map(diffusion_model, diff_instance, c, steps=8)
         K = min(2, len(c.eligible))
-        curve = deletion_curve(attr_map, diffusion_model, diff_instance, c, K,
-                               POLICY)
+        curve = self.ig_report(diffusion_model, diff_instance, c, K,
+                               steps=8).deletion
         assert curve.scores[0] == score(c, diffusion_model, diff_instance)
 
     def test_prompt_to_output_regenerate(self, diffusion_model,
                                          diff_instance):
         c = make_named(SETTING_P2O, diff_instance)
-        attr_map = self.ig_map(diffusion_model, diff_instance, c, steps=8)
         regen = PerturbationPolicy(rescoring=REGENERATE)
-        curve = deletion_curve(attr_map, diffusion_model, diff_instance, c, 2,
-                               regen)
+        curve = self.ig_report(diffusion_model, diff_instance, c, 2, regen,
+                               steps=8).deletion
         assert curve.scores[0] == score(c, diffusion_model, diff_instance)
-
-    def test_map_contract_pairing_enforced(self, tiny_ar_model, ar_instance):
-        t = len(ar_instance.generation)
-        c1 = make_named(SETTING_LOCAL, ar_instance, t)
-        c2 = make_named(SETTING_PROMPT_COND, ar_instance, t)
-        attr_map = self.ig_map(tiny_ar_model, ar_instance, c1)
-        with pytest.raises(EvaluationError):
-            deletion_curve(attr_map, tiny_ar_model, ar_instance, c2, 1,
-                           POLICY)
-
-    def test_map_model_and_instance_pairing_enforced(self, tiny_ar_model,
-                                                     ar_instance):
-        t = len(ar_instance.generation)
-        c = make_named(SETTING_PROMPT_COND, ar_instance, t)
-        other_model = init_params(tiny_ar_model.hyper, tiny_ar_model.vocab,
-                                  seed=9)
-        with pytest.raises(EvaluationError, match="model_id"):
-            deletion_curve(self.ig_map(other_model, ar_instance, c),
-                           tiny_ar_model, ar_instance, c, 1, POLICY)
-        # one prompt token replaced: the contract id is the same
-        prompt = list(ar_instance.prompt)
-        prompt[1] = prompt[1] + 1 if prompt[1] + 1 < len(tiny_ar_model.vocab) \
-            else prompt[1] - 1
-        other = replace(ar_instance, prompt=tuple(prompt))
-        assert make_named(SETTING_PROMPT_COND, other, t) == c
-        with pytest.raises(EvaluationError, match="instance_digest"):
-            insertion_curve(self.ig_map(tiny_ar_model, other, c),
-                            tiny_ar_model, ar_instance, c, 1, POLICY)
 
     def test_k_bounded_by_eligible(self, tiny_ar_model, ar_instance):
         c = make_named(SETTING_PROMPT_COND, ar_instance, 1)
-        attr_map = self.ig_map(tiny_ar_model, ar_instance, c)
         with pytest.raises(EvaluationError):
-            deletion_curve(attr_map, tiny_ar_model, ar_instance, c,
-                           len(c.eligible) + 1, POLICY)
+            self.ig_report(tiny_ar_model, ar_instance, c, len(c.eligible) + 1)
 
 
 class TestAOPC:
@@ -225,9 +197,8 @@ class TestDiscipline:
     def test_span_eval_never_generates(self, tiny_ar_model, ar_instance,
                                        generation_calls):
         c = make_named(SETTING_SPAN, ar_instance)
-        attr_map = integrated_gradients(tiny_ar_model, ar_instance, c,
-                                        steps=8)
-        deletion_curve(attr_map, tiny_ar_model, ar_instance, c, 2, POLICY)
+        faithfulness_report(tiny_ar_model, ar_instance, c,
+                            {"name": "ig", "steps": 8}, 2, POLICY, n_random=0)
         assert generation_calls == []
 
     def test_prompt_conditioned_eval_never_touches_prefix(self, tiny_ar_model,
@@ -289,16 +260,17 @@ def sequential_report(params, instance, contract, method, K, policy,
     curves = []
     for order, label in orderings:
         for mode in (DELETE, INSERT):
-            scores = []
+            values = []
             for k in range(K + 1):
                 removed = order[:k]
                 if mode == INSERT:
                     removed = [ref for ref in eligible if ref not in order[:k]]
                 ctx = perturb_sets(params, instance, contract, [removed],
                                    policy)[0]
-                scores.append(context_scores(params, [ctx])[0])
+                values.append(scores(params, [(contract, ctx.instance,
+                                               ctx.conditioning)])[0])
             curves.append(FaithfulnessCurve(k_values=tuple(range(K + 1)),
-                                            scores=tuple(scores),
+                                            scores=tuple(values),
                                             ordering=label, mode=mode))
     dele, inse, *randoms = curves
     return FaithfulnessReport(
@@ -383,14 +355,14 @@ class TestBatchedReport:
             return perturb_sets_(params, instance, contract, feature_sets,
                                  policy)
 
-        def context_scores(params, contexts):
-            scored.append(contexts)
-            return context_scores_(params, contexts)
+        def scores(params, cases):
+            cases = list(cases)
+            scored.append(cases)
+            return scores_(params, cases)
 
-        perturb_sets_ = evaluation.perturb_sets
-        context_scores_ = evaluation.context_scores
+        perturb_sets_, scores_ = evaluation.perturb_sets, evaluation.scores
         with mock.patch.object(evaluation, "perturb_sets", perturb_sets), \
-                mock.patch.object(evaluation, "context_scores", context_scores):
+                mock.patch.object(evaluation, "scores", scores):
             report = faithfulness_report(params, instance, contract,
                                          {"name": "occlusion"}, K, policy,
                                          n_random=n_random, seed=0)
@@ -545,7 +517,7 @@ class TestServedTables:
                 fresh += stage_terms(p, schedule, bare, mask_id).values()
         assert terms == fresh  # tables take no part in equality
         kept = {term.tokens for term in terms
-                if table_key(params, term.tokens, term.rows) in term.tables}
+                if table_key(params, term) in term.tables}
         assert kept  # the generation's own stage terms at least
         for read in ("score", "log_probs"):
             points = []
@@ -581,9 +553,31 @@ class TestServedTables:
                                  diffusion_model.vocab.mask))
         points = []
         with counted_points(points):
-            actual, perturbed = context_scores(diffusion_model, contexts)
+            actual, perturbed = scores(diffusion_model, [
+                (contract, ctx.instance, ctx.conditioning) for ctx in contexts])
         # the unperturbed context reads its chain's tables
         assert sum(points) == stages
-        bare = [replace(ctx, conditioning=replace(ctx.conditioning, tables={}))
-                for ctx in contexts]
-        assert [actual, perturbed] == context_scores(diffusion_model, bare)
+        assert [actual, perturbed] == scores(diffusion_model, [
+            (contract, ctx.instance, replace(ctx.conditioning, tables={}))
+            for ctx in contexts])
+
+    def test_table_of_another_attention_mode_serves_no_term(self):
+        """A causal term over the tokens of a bidirectional chain step, with
+        the same rows, runs its own pass: tables are keyed by graph."""
+        corpus = make_syn_corpus(4, [1, 2], 50, seed=3)
+        hp = Hyperparams(kind=DIFFUSION, vocab_size=len(corpus.vocab),
+                         layers=1, heads=2, width=16, mlp_hidden=32,
+                         context_len=32)
+        params = init_params(hp, corpus.vocab, seed=0)
+        prompt, target = corpus.train_pairs[0]
+        traj = diffusion_generate(params, prompt, len(target), 2, seed=0)
+        n = len(prompt)
+        term = ScoreTerm(tuple(prompt) + (params.vocab.mask,) * len(target),
+                         causal=True, targets=((n, target[0]),),
+                         rows=tuple(range(n, n + len(target))),
+                         tables=traj.tables)
+        points = []
+        with counted_points(points):
+            served = terms_score(params, [term])
+        assert sum(points) == 1
+        assert served == terms_score(params, [replace(term, tables=None)])

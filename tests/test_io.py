@@ -118,6 +118,16 @@ class TestContractFiles:
             (E_BAD_VALUE, 3)]
         assert "sample temperature" in result.diagnostics[0].message
 
+    @pytest.mark.parametrize("value", ["beam", "given", "sample", ""])
+    def test_unknown_generation_rejected(self, value):
+        result = parse_contract_file(
+            "setting: prompt-conditioned\ntarget: 1\n"
+            f"generation: {value}\n")
+        assert [(d.code, d.line) for d in result.diagnostics] == [
+            (E_BAD_VALUE, 3)]
+        assert "generation must be greedy or sample:<t>" \
+            in result.diagnostics[0].message
+
     def test_sample_temperature_accepted(self):
         result = parse_contract_file(
             "setting: prompt-conditioned\ntarget: 1\ngeneration: sample:0.7\n")
