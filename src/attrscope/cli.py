@@ -28,7 +28,6 @@ from .evaluation import (
 from .fileio import (
     MapParseError, RunManifest, atomic_write_text, file_digest, parse_map,
     parse_contract_file, read_manifest, serialize_map, serialize_report,
-    write_manifest,
 )
 from .heatmap import render_heatmap
 from .models import (
@@ -161,39 +160,29 @@ def _method_config(args) -> dict:
     return method
 
 
-def _outdir(args) -> str:
-    out = args.out
+def _publish(args, files, *, model_id=None, contract_id=None, inputs=(),
+             seeds=None) -> None:
+    """Writes ``files``, each name's text or model, into the ``--out``
+    directory, then the manifest that records them, the run's argv and
+    the digest of each of ``inputs``; any I/O error is exit 4."""
     try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise CLIError(f"cannot create output directory: {exc}", EXIT_IO) from exc
-    return out
-
-
-def _write_outputs(out: str, files: dict[str, str]) -> list[str]:
-    try:
-        for name, text in files.items():
-            atomic_write_text(os.path.join(out, name), text)
+        os.makedirs(args.out, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(args.out, name)
+            if isinstance(content, str):
+                atomic_write_text(path, content)
+            else:
+                save_model(content, path)
+        manifest = RunManifest(
+            tool_version=__version__, command=args.command, argv=args._argv,
+            model_id=model_id, contract_id=contract_id,
+            input_digests={path: file_digest(path) for path in inputs},
+            seeds=seeds or {}, outputs=sorted(files),
+            timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
+        atomic_write_text(os.path.join(args.out, "manifest.json"),
+                          manifest.to_json())
     except OSError as exc:
         raise CLIError(f"cannot write outputs: {exc}", EXIT_IO) from exc
-    return sorted(files)
-
-
-def _emit_manifest(args, command: str, out: str, outputs: list[str],
-                   model_id=None, contract_id=None, inputs=(), seeds=None):
-    argv = list(getattr(args, "_argv", []))
-    digests = {}
-    for path in inputs:
-        try:
-            digests[path] = file_digest(path)
-        except OSError as exc:
-            raise CLIError(f"cannot digest input {path}: {exc}", EXIT_IO) from exc
-    manifest = RunManifest(
-        tool_version=__version__, command=command, argv=argv,
-        model_id=model_id, contract_id=contract_id, input_digests=digests,
-        seeds=seeds or {}, outputs=outputs,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    write_manifest(manifest, os.path.join(out, "manifest.json"))
 
 
 # -- subcommands ----------------------------------------------------------
@@ -202,12 +191,10 @@ def _emit_manifest(args, command: str, out: str, outputs: list[str],
 def cmd_gen_corpus(args) -> int:
     lengths = [int(x) for x in args.lengths.split(",")]
     corpus = make_syn_corpus(args.lexicon, lengths, args.n_pairs, args.seed)
-    out = _outdir(args)
     config = {"lexicon_size": args.lexicon, "lengths": lengths,
               "n_pairs": args.n_pairs, "seed": args.seed}
-    outputs = _write_outputs(out, {
-        "corpus.json": json.dumps(config, sort_keys=True) + "\n"})
-    _emit_manifest(args, "gen-corpus", out, outputs, seeds={"corpus": args.seed})
+    _publish(args, {"corpus.json": json.dumps(config, sort_keys=True) + "\n"},
+             seeds={"corpus": args.seed})
     print(f"corpus: {len(corpus.train_pairs)} train /"
           f" {len(corpus.heldout_pairs)} held-out pairs,"
           f" vocab {len(corpus.vocab)}")
@@ -234,12 +221,9 @@ def cmd_train(args) -> int:
                      mlp_hidden=2 * args.width, context_len=64)
     result = train(kind, list(corpus.train_pairs), corpus.vocab, hp,
                    seed=args.seed, steps=args.steps, lr=args.lr)
-    out = _outdir(args)
-    model_path = os.path.join(out, "model.bin")
-    save_model(result.params, model_path)
-    _emit_manifest(args, "train", out, ["model.bin"],
-                   model_id=result.params.model_id, inputs=[args.corpus],
-                   seeds={"train": args.seed})
+    _publish(args, {"model.bin": result.params},
+             model_id=result.params.model_id, inputs=[args.corpus],
+             seeds={"train": args.seed})
     print(f"trained {kind} model {result.params.model_id[:12]}"
           f"  final loss {result.final_loss:.4f}")
     return EXIT_OK
@@ -263,11 +247,9 @@ def cmd_generate(args) -> int:
         raise CLIError("generate applies to sequence models only")
     print(text)
     if args.out:
-        out = _outdir(args)
-        outputs = _write_outputs(out, {"generation.txt": text + "\n"})
-        _emit_manifest(args, "generate", out, outputs,
-                       model_id=params.model_id, inputs=[args.model],
-                       seeds={"decode": args.seed})
+        _publish(args, {"generation.txt": text + "\n"},
+                 model_id=params.model_id, inputs=[args.model],
+                 seeds={"decode": args.seed})
     return EXIT_OK
 
 
@@ -275,15 +257,12 @@ def cmd_attribute(args) -> int:
     spec, params, model_path, instance, (contract,) = _contract_run(args)
     attr_map = compute_map(params, instance, contract, _method_config(args))
     html, text = render_heatmap(attr_map, instance, contract, params)
-    out = _outdir(args)
-    outputs = _write_outputs(out, {"map.txt": serialize_map(attr_map),
-                                   "heatmap.html": html,
-                                   "heatmap.txt": text})
-    _emit_manifest(args, "attribute", out, outputs,
-                   model_id=params.model_id,
-                   contract_id=canonical_id(contract).digest,
-                   inputs=[args.contract, model_path],
-                   seeds={"instance": spec.seed, "method": args.seed})
+    _publish(args, {"map.txt": serialize_map(attr_map),
+                    "heatmap.html": html, "heatmap.txt": text},
+             model_id=params.model_id,
+             contract_id=canonical_id(contract).digest,
+             inputs=[args.contract, model_path],
+             seeds={"instance": spec.seed})
     print(text)
     return EXIT_OK
 
@@ -297,13 +276,10 @@ def cmd_evaluate(args) -> int:
                                  _method_config(args), args.k, policy,
                                  n_random=args.random_orderings,
                                  seed=args.seed)
-    out = _outdir(args)
-    outputs = _write_outputs(out, {"report.txt": serialize_report(report)})
-    _emit_manifest(args, "evaluate", out, outputs,
-                   model_id=params.model_id,
-                   contract_id=report.contract_id,
-                   inputs=[args.contract, model_path],
-                   seeds={"instance": spec.seed, "eval": args.seed})
+    _publish(args, {"report.txt": serialize_report(report)},
+             model_id=params.model_id, contract_id=report.contract_id,
+             inputs=[args.contract, model_path],
+             seeds={"instance": spec.seed, "eval": args.seed})
     if report.deletion_aopc is not None:
         line = (f"deletion AOPC {report.deletion_aopc:+.4f}"
                 f"  insertion AOPC {report.insertion_aopc:+.4f}")
@@ -331,12 +307,10 @@ def cmd_render(args) -> int:
     if mismatch:
         raise CLIError(f"map rejected: {mismatch}")
     html, text = render_heatmap(attr_map, instance, contract, params)
-    out = _outdir(args)
-    outputs = _write_outputs(out, {"heatmap.html": html, "heatmap.txt": text})
-    _emit_manifest(args, "render", out, outputs, model_id=params.model_id,
-                   contract_id=attr_map.contract_id,
-                   inputs=[args.contract, model_path, args.map],
-                   seeds={"instance": spec.seed})
+    _publish(args, {"heatmap.html": html, "heatmap.txt": text},
+             model_id=params.model_id, contract_id=attr_map.contract_id,
+             inputs=[args.contract, model_path, args.map],
+             seeds={"instance": spec.seed})
     print(text)
     return EXIT_OK
 
@@ -364,12 +338,9 @@ def cmd_demo_fallacy(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
-        out = _outdir(args)
-        outputs = _write_outputs(out, {"demo.txt": text})
-        _emit_manifest(args, "demo-fallacy", out, outputs,
-                       model_id=params.model_id,
-                       inputs=[args.contract, model_path],
-                       seeds={"instance": spec.seed})
+        _publish(args, {"demo.txt": text}, model_id=params.model_id,
+                 inputs=[args.contract, model_path],
+                 seeds={"instance": spec.seed})
     return EXIT_OK
 
 
@@ -426,7 +397,6 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                                             "substitute_step"),
                    default="ablate")
     p.add_argument("--commit-count", type=_int_at_least(0), default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", type=_int_at_least(2), default=8)
     p.add_argument("--lengths", default="1,2,3,4")
     p.add_argument("--n-pairs", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model on a corpus file")
@@ -451,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive_float, default=0.05)
     p.add_argument("--width", type=_int_at_least(1), default=64)
     p.add_argument("--layers", type=_int_at_least(1), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("generate", help="decode from a trained model")
@@ -461,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=_positive_float, default=None)
     p.add_argument("--response-len", type=_int_at_least(1), default=None)
     p.add_argument("--steps", type=_int_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("attribute", help="compute an attribution map")
@@ -476,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_flags(p)
     p.add_argument("--k", type=_int_at_least(1), default=None)
     p.add_argument("--random-orderings", type=_int_at_least(0), default=10)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--regenerate", action="store_true",
                    help="re-run the diffusion chain instead of rescoring")
     p.add_argument("--out", required=True)

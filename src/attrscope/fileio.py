@@ -6,8 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field, asdict
 
 from .attribution import AttributionMap
@@ -16,6 +14,7 @@ from .contract import (
     SCORE_PROCESS, SCORE_TARGET, SETTING_SCHEMA,
 )
 from .evaluation import FaithfulnessCurve, FaithfulnessReport
+from .models.params import _atomic_write
 
 MAP_HEADER = "attrscope-map v1"
 REPORT_HEADER = "attrscope-report v1"
@@ -112,16 +111,21 @@ def parse_contract_file(text: str) -> ParseResult:
     def take(key, default=None):
         return fields[key][0] if key in fields else default
 
-    def take_int(key, default=None):
+    def take_int(key, default=None, least=None):
         if key not in fields:
             return default
         value, lineno = fields[key]
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             diags.append(Diagnostic(E_BAD_VALUE, f"{key} must be an integer,"
                                     f" got {value!r}", lineno))
             return default
+        if least is not None and number < least:
+            diags.append(Diagnostic(E_BAD_VALUE, f"{key} must be >= {least},"
+                                    f" got {number}", lineno))
+            return default
+        return number
 
     spec = ContractSpec()
     spec.setting = take("setting")
@@ -144,11 +148,11 @@ def parse_contract_file(text: str) -> ParseResult:
                                 f" sample:<t>, got {spec.generation!r}",
                                 fields["generation"][1]))
     spec.gen_tokens = take("gen-tokens")
-    spec.max_len = take_int("max-len", 16)
-    spec.response_len = take_int("response-len")
-    spec.steps = take_int("steps")
+    spec.max_len = take_int("max-len", 16, least=1)
+    spec.response_len = take_int("response-len", least=1)
+    spec.steps = take_int("steps", least=1)
     spec.class_index = take_int("class")
-    spec.seed = take_int("seed", 0)
+    spec.seed = take_int("seed", 0, least=0)
 
     if spec.setting is not None:
         if spec.setting not in SETTING_SCHEMA:
@@ -402,16 +406,7 @@ def parse_report(text: str) -> FaithfulnessReport:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text.encode())
 
 
 def file_digest(path: str) -> str:
@@ -467,10 +462,6 @@ class RunManifest:
             "timestamp": isinstance(self.timestamp, str),
             "outputs": isinstance(self.outputs, list) and strs(self.outputs),
         }
-
-
-def write_manifest(manifest: RunManifest, path: str) -> None:
-    atomic_write_text(path, manifest.to_json())
 
 
 def read_manifest(path: str) -> RunManifest:

@@ -193,10 +193,16 @@ def save_model(params: ModelParams, path: str) -> None:
     header_bytes = json.dumps(header, sort_keys=True).encode()
     body = b"".join(array for _, array in _file_arrays(params))
     payload = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + body
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    _atomic_write(path, payload)
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Writes ``data`` to a temporary file beside ``path`` and renames it
+    over ``path``, so that ``path`` holds the old bytes or the new ones."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

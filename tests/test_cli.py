@@ -1,5 +1,6 @@
 """Command-line tests: the full pipeline in-process, exit codes, and
 manifest reruns."""
+import hashlib
 import json
 import os
 import tempfile
@@ -15,6 +16,7 @@ from attrscope.cli import (
     EXIT_DIAGNOSTIC, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
 )
 from attrscope.corpus import make_syn_corpus
+from attrscope.fileio import read_manifest
 from attrscope.models import (
     Hyperparams, ModelParams, init_params, load_model, save_model,
 )
@@ -93,6 +95,91 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "prefix mass" in out
         assert "local-next-token" in out and "prompt-conditioned" in out
+
+
+def sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestWritingCommandManifests:
+    """Each command that writes files writes a manifest naming the command,
+    the files it wrote beside it, the digest of each input and its seeds."""
+
+    @staticmethod
+    def command(workspace, name):
+        """(argv, inputs, seed keys) of the writing command ``name``."""
+        corpus = os.path.join(workspace["corpus"], "corpus.json")
+        model = os.path.join(workspace["model"], "model.bin")
+        contract = workspace["contract"]
+        if name == "render":
+            attr = str(workspace["root"] / "render-map")
+            if not os.path.exists(attr):
+                assert main(["attribute", "--contract", contract,
+                             "--ig-steps", "4", "--out", attr]) == EXIT_OK
+            map_file = os.path.join(attr, "map.txt")
+            return (["render", "--contract", contract, "--map", map_file],
+                    [contract, model, map_file], {"instance"})
+        return {
+            "gen-corpus": (["gen-corpus", "--lexicon", "3", "--lengths", "1",
+                            "--n-pairs", "4", "--seed", "2"], [], {"corpus"}),
+            "train": (["train", "--corpus", corpus, "--steps", "2",
+                       "--width", "8", "--layers", "1", "--seed", "1"],
+                      [corpus], {"train"}),
+            "generate": (["generate", "--model", model, "--prompt",
+                          "TR: s1 SEP", "--max-len", "2"], [model],
+                         {"decode"}),
+            "attribute": (["attribute", "--contract", contract,
+                           "--ig-steps", "4"], [contract, model],
+                          {"instance"}),
+            "evaluate": (["evaluate", "--contract", contract, "--ig-steps",
+                          "4", "--k", "1", "--random-orderings", "1"],
+                         [contract, model], {"instance", "eval"}),
+            "demo-fallacy": (["demo-fallacy", "--contract", contract,
+                              "--ig-steps", "2"], [contract, model],
+                             {"instance"}),
+        }[name]
+
+    WRITERS = ["gen-corpus", "train", "generate", "attribute", "evaluate",
+               "render", "demo-fallacy"]
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_manifest_names_the_command_outputs_inputs_and_seeds(
+            self, workspace, tmp_path, name):
+        out = str(tmp_path / "out")
+        argv, inputs, seed_keys = self.command(workspace, name)
+        assert main(argv + ["--out", out]) == EXIT_OK
+        manifest = read_manifest(os.path.join(out, "manifest.json"))
+        assert manifest.command == name
+        assert manifest.argv == argv
+        assert manifest.outputs == sorted(
+            set(os.listdir(out)) - {"manifest.json"})
+        assert manifest.input_digests == {path: sha256(path)
+                                          for path in inputs}
+        assert set(manifest.seeds) == seed_keys
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_out_naming_a_file_exits_4_and_leaves_no_temp_file(
+            self, workspace, tmp_path, name, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        argv, _, _ = self.command(workspace, name)
+        assert main(argv + ["--out", str(taken)]) == EXIT_IO
+        assert str(taken) in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["taken"]
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_failed_rename_exits_4_and_leaves_no_temp_file(
+            self, workspace, tmp_path, name):
+        """A directory named manifest.json fails the manifest's rename,
+        after the temporary file is written."""
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        argv, _, _ = self.command(workspace, name)
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert (out / "manifest.json").is_dir()
+        assert not [entry for entry in os.listdir(out)
+                    if entry.startswith("tmp")]
 
 
 class TestRenderChecksEveryId:
@@ -429,12 +516,24 @@ class TestNumericArguments:
         (["generate", "--response-len", "0"], "--response-len"),
         (["generate", "--steps", "-2"], "--steps"),
         (["attribute", "--commit-count", "-1"], "--commit-count"),
+        (["gen-corpus", "--seed", "-1"], "--seed"),
+        (["train", "--seed", "-1"], "--seed"),
+        (["generate", "--seed", "-1"], "--seed"),
+        (["evaluate", "--seed", "-1"], "--seed"),
     ])
     def test_out_of_range_rejected_naming_the_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--contract", "c.contract", "--out", "o"])
         assert exc.value.code == EXIT_DIAGNOSTIC
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    def test_attribute_takes_no_seed(self, capsys):
+        """No attribution method draws a random number."""
+        with pytest.raises(SystemExit) as exc:
+            main(["attribute", "--contract", "c.contract", "--seed", "0",
+                  "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["generate", "--temperature", "0"], "--temperature"),

@@ -20,7 +20,7 @@ from attrscope.fileio import (
     Diagnostic, E_BAD_VALUE, E_MISSING_FIELD, E_MISSING_TARGET, E_OVERLAP,
     E_UNKNOWN_FIELD, E_UNKNOWN_SCORE, MapParseError, RunManifest, atomic_write_text,
     parse_contract_file, parse_map, parse_report, read_manifest,
-    serialize_map, serialize_report, write_manifest,
+    serialize_map, serialize_report,
 )
 from attrscope.heatmap import render_heatmap
 from attrscope.models import (
@@ -127,6 +127,25 @@ class TestContractFiles:
             (E_BAD_VALUE, 3)]
         assert "generation must be greedy or sample:<t>" \
             in result.diagnostics[0].message
+
+    @pytest.mark.parametrize("key, value, least", [
+        ("max-len", "0", 1), ("response-len", "0", 1),
+        ("response-len", "-3", 1), ("steps", "0", 1), ("seed", "-1", 0)])
+    def test_out_of_range_integer_rejected(self, key, value, least):
+        result = parse_contract_file(
+            "setting: prompt-conditioned\ntarget: 1\n"
+            f"{key}: {value}\n")
+        assert [str(d) for d in result.diagnostics] == [
+            f"E_BAD_VALUE: {key} must be >= {least}, got {value} (line 3)"]
+
+    def test_least_integers_accepted(self):
+        result = parse_contract_file(
+            "setting: state-level\ntarget: 1\nmax-len: 1\n"
+            "response-len: 1\nsteps: 1\nseed: 0\n")
+        assert result.ok
+        spec = result.spec
+        assert (spec.max_len, spec.response_len, spec.steps, spec.seed) == \
+            (1, 1, 1, 0)
 
     def test_sample_temperature_accepted(self):
         result = parse_contract_file(
@@ -421,7 +440,7 @@ class TestManifests:
                                timestamp="2026-01-01T00:00:00+00:00",
                                outputs=["map.txt"])
         path = str(tmp_path / "manifest.json")
-        write_manifest(manifest, path)
+        atomic_write_text(path, manifest.to_json())
         assert read_manifest(path) == manifest
 
     def test_atomic_write_replaces(self, tmp_path):
