@@ -1,14 +1,29 @@
-"""Contract-layer tests: named constructors, validation, canonical IDs."""
+"""Contract-layer tests: named constructors, validation, canonical IDs,
+and the feature layout that maps and heatmaps are drawn on."""
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
+from attrscope.attribution import StageScoreError, _map, bind_score
 from attrscope.contract import (
     AttributionContract, ContractError, FeatureRef, PREFIX_TOKEN,
     PROMPT_TOKEN, SETTINGS, SETTING_CLASSIFIER, SETTING_LOCAL, SETTING_P2O,
     SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE, STAGE,
     STATE_COMMITMENT, TOKEN_LOG_PROB, canonical_id, make_named, validate,
 )
-from attrscope.models import DenoisingTrajectory, PromptedInstance
+from attrscope.heatmap import render_heatmap
+from attrscope.models import (
+    DenoisingTrajectory, Hyperparams, InfeasiblePerturbationError,
+    PromptedInstance, StagePerturbation, init_params,
+)
+from attrscope.models.diffusion import ABLATE, perturbed_plan
+from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
+from attrscope.models.vocab import make_vocab
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def random_instance(rng) -> PromptedInstance:
@@ -176,3 +191,106 @@ class TestCanonicalID:
             FeatureRef("nonsense", 0)
         with pytest.raises(ContractError):
             FeatureRef(STATE_COMMITMENT, 1)  # needs a slot
+
+
+# -- pinned feature layouts ------------------------------------------------
+
+LAYOUT_VOCAB = make_vocab(["TR:", "s0", "s1", "s2", "t0", "t1", "t2"])
+
+
+def layout_instances():
+    """Fixed instances of the three kinds: an AR pair, a classifier input
+    and three diffusion chains. Ablating stage 1 of each chain is
+    infeasible (it commits a slot and no later stage can take it over),
+    and stage 2 of the second chain commits nothing."""
+    def chain(prompt, tokens, steps, num_steps):
+        traj = DenoisingTrajectory(num_steps=num_steps, response_len=len(steps),
+                                   commit_tokens=tokens, commit_steps=steps,
+                                   seed=5)
+        return PromptedInstance(prompt=prompt, seed=5, trajectory=traj)
+    return {
+        "ar": PromptedInstance(prompt=(4, 5, 6, 2), seed=1,
+                               generation=(8, 9, 3)),
+        "classifier": PromptedInstance(prompt=(5, 6, 7), seed=0,
+                                       class_target=1),
+        "diffusion-a": chain((4, 6, 2), (9, 8, 10, 3), (3, 1, 2, 1), 3),
+        "diffusion-b": chain((4, 7, 5, 2), (10, 9, 3), (3, 3, 1), 3),
+        "diffusion-c": chain((5, 2), (8, 3), (1, 1), 1),
+    }
+
+
+def layout_settings(instance):
+    """Every named setting of the instance's kind, at every target t."""
+    if instance.kind == "classifier":
+        return [(SETTING_CLASSIFIER, None)]
+    if instance.kind == "autoregressive":
+        g = len(instance.generation)
+        return ([(SETTING_LOCAL, t) for t in range(1, g + 1)]
+                + [(SETTING_PROMPT_COND, t) for t in range(1, g + 1)]
+                + [(SETTING_SPAN, None)])
+    T = instance.trajectory.num_steps
+    return ([(SETTING_STATE, t) for t in range(1, T + 1)]
+            + [(SETTING_STAGE, None), (SETTING_P2O, None)])
+
+
+def layout_entries(instance, contract):
+    """A map's entries with fixed scores of both signs; a stage whose
+    ablation is infeasible gets None, as stage_attribution gives it."""
+    entries = []
+    for i, ref in enumerate(contract.eligible):
+        score = (-1) ** i * (i + 1) / 7
+        if ref.kind == STAGE:
+            traj = instance.trajectory
+            try:
+                perturbed_plan(traj.commit_plan(),
+                               StagePerturbation(stage=ref.index, kind=ABLATE),
+                               traj.response_len)
+            except InfeasiblePerturbationError:
+                score = None
+        entries.append((ref, score))
+    return entries
+
+
+def layout_digests() -> dict[str, dict[str, str | None]]:
+    """Per instance, setting and t: the SHA-256 of render_heatmap's HTML
+    and text of a map with layout_entries' scores, and of the sorted
+    (ref, (term, row) pairs) of bind_score's feature_rows (None where the
+    score has no binding)."""
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    out = {}
+    for name, instance in layout_instances().items():
+        kind = {"autoregressive": AR, "masked_diffusion": DIFFUSION,
+                "classifier": CLASSIFIER}[instance.kind]
+        params = init_params(Hyperparams(
+            kind=kind, vocab_size=len(LAYOUT_VOCAB), layers=1, heads=1,
+            width=4, mlp_hidden=4, context_len=16,
+            n_classes=3 if kind == CLASSIFIER else 0), LAYOUT_VOCAB, seed=0)
+        for setting, t in layout_settings(instance):
+            contract = make_named(setting, instance, t)
+            attr_map = _map(params, instance, contract,
+                            layout_entries(instance, contract), name="ig")
+            html, text = render_heatmap(attr_map, instance, contract, params)
+            try:
+                rows = bind_score(params, instance, contract).feature_rows
+                rows_digest = sha(json.dumps(
+                    [[ref.kind, ref.index, ref.slot, [list(p) for p in pairs]]
+                     for ref, pairs in sorted(rows.items())]))
+            except StageScoreError:
+                rows_digest = None
+            out[f"{name}/{setting}/t={t}"] = {
+                "html": sha(html), "text": sha(text),
+                "feature_rows": rows_digest}
+    return out
+
+
+class TestFeatureLayouts:
+    def test_heatmaps_and_feature_rows_keep_their_bytes(self):
+        """feature_layouts.json holds layout_digests() as computed by the
+        code from before contract.features, when the prompt, generation,
+        commitment and stage features were each enumerated in five
+        places: every heatmap and binding must keep its bytes."""
+        with open(os.path.join(FIXTURES, "feature_layouts.json")) as fh:
+            pinned = json.load(fh)
+        assert layout_digests() == pinned
