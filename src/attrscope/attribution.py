@@ -9,8 +9,8 @@ import numpy as np
 from .contract import (
     CLASS_LOG_PROB, KIND_PROCESS, OUTPUT_LOG_PROB, SPAN_LOG_PROB, STAGE,
     STAGE_DELTA, STATE_COMMITMENT, STATE_LOG_PROB, TOKEN_LOG_PROB,
-    PREFIX_TOKEN, PROMPT_TOKEN,
-    AttributionContract, ContractError, FeatureRef, canonical_id, validate,
+    PREFIX_TOKEN, PROMPT_TOKEN, AttributionContract, ContractError,
+    FeatureRef, canonical_id, features, validate,
 )
 from .models import (
     InfeasiblePerturbationError, ModelParams, PromptedInstance,
@@ -157,19 +157,17 @@ def bind_score(params: ModelParams, instance: PromptedInstance,
     if kind == STAGE_DELTA:
         raise StageScoreError("stage_delta has no single differentiable scalar")
     prompt = instance.prompt
-    n = len(prompt)
-    # each term, with the non-prompt features in its input as (ref, row)
-    if kind in (TOKEN_LOG_PROB, SPAN_LOG_PROB):
+    # each term, with which token features its input holds, by feature and row
+    if kind in (TOKEN_LOG_PROB, SPAN_LOG_PROB, CLASS_LOG_PROB):
         gen = instance.generation
         if kind == TOKEN_LOG_PROB:
             t = contract.target[1]
             term = token_term(prompt, gen[:t - 1], gen[t - 1])
-        else:
+        elif kind == SPAN_LOG_PROB:
             term = span_term(prompt, gen)
-        parts = [(term, [(FeatureRef(PREFIX_TOKEN, i), n + i)
-                         for i in range(len(term.tokens) - n)])]
-    elif kind == CLASS_LOG_PROB:
-        parts = [(class_term(prompt, contract.target[1]), [])]
+        else:
+            term = class_term(prompt, contract.target[1])
+        parts = [(term, lambda ref, row: row < len(term.tokens))]
     elif kind in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
         traj = instance.trajectory
         if conditioning is None:
@@ -180,20 +178,22 @@ def bind_score(params: ModelParams, instance: PromptedInstance,
             terms = {t: stage_term(prompt, traj, conditioning, t, mask_id)}
         else:
             terms = stage_terms(prompt, traj, conditioning, mask_id)
-        commits = [(FeatureRef(STATE_COMMITMENT, u, slot=s), n + s, u)
-                   for s, u in enumerate(traj.commit_steps)]
-        parts = [(term, [(ref, row) for ref, row, u in commits if u > t])
+        # stage t's pass holds the prompt and the slots committed before
+        # stage t ran
+        parts = [(term, lambda ref, row, t=t: ref.kind == PROMPT_TOKEN or (
+                      ref.kind == STATE_COMMITMENT and ref.index > t))
                  for t, term in terms.items()]
     else:
         raise ContractError(f"cannot bind score kind {kind!r}")
 
-    prompt_rows = [(FeatureRef(PROMPT_TOKEN, j), j) for j in range(n)]
-    rows: dict[FeatureRef, list[tuple[int, int]]] = {}
-    for i, (_, refs) in enumerate(parts):
-        for ref, row in prompt_rows + refs:
-            rows.setdefault(ref, []).append((i, row))
+    rows: dict[FeatureRef, tuple[tuple[int, int], ...]] = {}
+    for row, ref in enumerate(features(instance)):
+        held = tuple((i, row) for i, (_, holds) in enumerate(parts)
+                     if holds(ref, row))
+        if held:
+            rows[ref] = held
     return BoundScore(params=params, terms=[term for term, _ in parts],
-                      feature_rows={ref: tuple(r) for ref, r in rows.items()})
+                      feature_rows=rows)
 
 
 # -- score dispatch -------------------------------------------------------

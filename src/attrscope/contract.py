@@ -2,6 +2,7 @@
 eligible features as one validated, hashable value object."""
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -166,39 +167,11 @@ def validate(contract: AttributionContract,
         v.append(f"process/instance mismatch: {contract.process} vs {instance.kind} instance")
         return v
 
-    n = len(instance.prompt)
-    gen_len = len(instance.generation) if instance.generation is not None else 0
-    traj = instance.trajectory
-
-    def ref_ok(ref: FeatureRef) -> str | None:
-        if ref.kind == PROMPT_TOKEN:
-            if not (0 <= ref.index < n):
-                return f"{ref.label()} outside prompt"
-        elif ref.kind == PREFIX_TOKEN:
-            if instance.generation is None:
-                return f"{ref.label()} on a non-autoregressive instance"
-            if not (0 <= ref.index < gen_len):
-                return f"{ref.label()} outside generation"
-        elif ref.kind == STATE_COMMITMENT:
-            if traj is None:
-                return f"{ref.label()} on a non-diffusion instance"
-            if not (0 <= ref.slot < traj.response_len):
-                return f"{ref.label()} slot out of range"
-            if traj.commit_steps[ref.slot] != ref.index:
-                return f"{ref.label()} does not match the trajectory's commit step"
-        elif ref.kind == STAGE:
-            if traj is None:
-                return f"{ref.label()} on a non-diffusion instance"
-            if not (1 <= ref.index <= traj.num_steps):
-                return f"{ref.label()} outside 1..{traj.num_steps}"
-            if contract.process != P_DIFFUSION:
-                return "stage features require the diffusion process"
-        return None
-
+    known = set(features(instance))
     for ref in list(contract.eligible) + sorted(contract.held_fixed):
-        msg = ref_ok(ref)
-        if msg:
-            v.append(msg)
+        if ref not in known:
+            v.append(f"{ref.label()} is not a feature of this {instance.kind}"
+                     " instance")
 
     if contract.score_kind == STAGE_DELTA:
         if any(r.kind != STAGE for r in contract.eligible):
@@ -207,8 +180,9 @@ def validate(contract: AttributionContract,
         if any(r.kind == STAGE for r in contract.eligible):
             v.append("stage features are only eligible under stage_delta")
 
-    if tk == "token" and not (1 <= tv <= gen_len) and instance.generation is not None:
-        v.append(f"target token index {tv} outside 1..{gen_len}")
+    gen, traj = instance.generation, instance.trajectory
+    if tk == "token" and gen is not None and not (1 <= tv <= len(gen)):
+        v.append(f"target token index {tv} outside 1..{len(gen)}")
     if tk == "class" and instance.class_target is not None and tv != instance.class_target:
         v.append("target class disagrees with instance class_target")
     if tk == "state" and traj is not None and not (1 <= tv <= traj.num_steps):
@@ -234,25 +208,51 @@ def _target_index(setting: str, kind: str, instance: PromptedInstance,
     return t
 
 
+def features(instance: PromptedInstance) -> tuple[FeatureRef, ...]:
+    """Every feature of the instance. The token features come first, in
+    sequence order, so the i-th sits at row i of a pass over the instance:
+    the prompt tokens, then the generated tokens (autoregressive) or one
+    state commitment per response slot (diffusion). A diffusion instance's
+    stages 1..T follow."""
+    traj = instance.trajectory
+    return _features(len(instance.prompt), len(instance.generation or ()),
+                     traj.commit_steps if traj else (),
+                     traj.num_steps if traj else 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _features(prompt_len: int, gen_len: int, commit_steps: tuple[int, ...],
+              num_steps: int) -> tuple[FeatureRef, ...]:
+    # keyed on the shape alone: every perturbed copy of an instance shares it
+    return tuple(
+        [FeatureRef(PROMPT_TOKEN, i) for i in range(prompt_len)]
+        + [FeatureRef(PREFIX_TOKEN, i) for i in range(gen_len)]
+        + [FeatureRef(STATE_COMMITMENT, u, slot=s)
+           for s, u in enumerate(commit_steps)]
+        + [FeatureRef(STAGE, u) for u in range(1, num_steps + 1)])
+
+
+# feature group name -> whether a feature is in the group at target t: the
+# prefix is the generation before token t, the span all of it, and the
+# states the commitments visible in state z_t
+_GROUPS = {
+    "none": lambda ref, t: False,
+    "input": lambda ref, t: ref.kind == PROMPT_TOKEN,
+    "prompt": lambda ref, t: ref.kind == PROMPT_TOKEN,
+    "prefix": lambda ref, t: ref.kind == PREFIX_TOKEN and ref.index < t - 1,
+    "span": lambda ref, t: ref.kind == PREFIX_TOKEN,
+    "states": lambda ref, t: ref.kind == STATE_COMMITMENT and ref.index > t,
+    "stages": lambda ref, t: ref.kind == STAGE,
+}
+
+
 def _refs(name: str, instance: PromptedInstance,
           t: int | None) -> tuple[FeatureRef, ...]:
-    """The features a held-fixed or eligible name denotes on the instance:
-    "+" joins groups; prefix is the generation before token t, span all of
-    it, and states the commitments visible in state z_t."""
-    refs: list[FeatureRef] = []
-    traj = instance.trajectory
-    for part in name.split("+"):
-        if part in ("input", "prompt"):
-            refs += [FeatureRef(PROMPT_TOKEN, i) for i in range(len(instance.prompt))]
-        elif part in ("prefix", "span"):
-            end = t - 1 if part == "prefix" else len(instance.generation)
-            refs += [FeatureRef(PREFIX_TOKEN, i) for i in range(end)]
-        elif part == "states":
-            refs += [FeatureRef(STATE_COMMITMENT, u, slot=s)
-                     for s, u in enumerate(traj.commit_steps) if u > t]
-        elif part == "stages":
-            refs += [FeatureRef(STAGE, u) for u in range(1, traj.num_steps + 1)]
-    return tuple(refs)
+    """The features a held-fixed or eligible name denotes on the instance;
+    "+" joins groups."""
+    groups = [_GROUPS[part] for part in name.split("+")]
+    return tuple(ref for ref in features(instance)
+                 if any(group(ref, t) for group in groups))
 
 
 def make_named(setting: str, instance: PromptedInstance,

@@ -7,55 +7,35 @@ import html as _html
 
 from .attribution import AttributionMap
 from .contract import (
-    AttributionContract, FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, STAGE,
-    STATE_COMMITMENT,
+    AttributionContract, PREFIX_TOKEN, STAGE, STATE_COMMITMENT, features,
 )
 from .models import ModelParams, PromptedInstance
 
 _SHADES = " .:-=+*#%@"  # terminal intensity ramp, light to dark
 
 
-def _token_text(params: ModelParams, token_id: int) -> str:
-    return params.vocab.tokens[token_id]
-
-
 def _cells(attr_map: AttributionMap, instance: PromptedInstance,
            contract: AttributionContract, params: ModelParams):
-    """One cell per visible token: (text, score|None, fixed, target)."""
+    """One cell per feature the map is drawn on, the instance's tokens or,
+    for a stage map, its stages: (text, score|None, fixed, target)."""
     scores = dict(attr_map.entries)
-    fixed = contract.held_fixed
+    stages = bool(attr_map.entries) and attr_map.entries[0][0].kind == STAGE
+    traj = instance.trajectory
+    tokens = instance.prompt + (instance.generation
+                                or (traj.commit_tokens if traj else ()))
     tk, tv = contract.target
-
     cells = []
-    for i, tok in enumerate(instance.prompt):
-        ref = FeatureRef(PROMPT_TOKEN, i)
-        cells.append({"text": _token_text(params, tok),
-                      "score": scores.get(ref), "fixed": ref in fixed,
-                      "target": False})
-
-    if instance.generation is not None:
-        for i, tok in enumerate(instance.generation):
-            ref = FeatureRef(PREFIX_TOKEN, i)
-            is_target = (tk == "token" and tv == i + 1) or tk == "span"
-            cells.append({"text": _token_text(params, tok),
-                          "score": scores.get(ref), "fixed": ref in fixed,
-                          "target": is_target})
-    elif instance.trajectory is not None:
-        traj = instance.trajectory
-        for s in range(traj.response_len):
-            ref = FeatureRef(STATE_COMMITMENT, traj.commit_steps[s], slot=s)
-            is_target = (tk == "state" and traj.commit_steps[s] == tv) or tk == "output"
-            cells.append({"text": _token_text(params, traj.commit_tokens[s]),
-                          "score": scores.get(ref), "fixed": ref in fixed,
-                          "target": is_target})
-    return cells
-
-
-def _stage_cells(attr_map: AttributionMap):
-    cells = []
-    for ref, s in attr_map.entries:
-        cells.append({"text": f"stage {ref.index}", "score": s,
-                      "fixed": False, "target": False})
+    for row, ref in enumerate(features(instance)):
+        if (ref.kind == STAGE) != stages:
+            continue
+        text = (f"stage {ref.index}" if stages
+                else params.vocab.tokens[tokens[row]])
+        target = ((ref.kind == PREFIX_TOKEN
+                   and (tk == "span" or (tk == "token" and tv == ref.index + 1)))
+                  or (ref.kind == STATE_COMMITMENT
+                      and (tk == "output" or (tk == "state" and tv == ref.index))))
+        cells.append({"text": text, "score": scores.get(ref),
+                      "fixed": ref in contract.held_fixed, "target": target})
     return cells
 
 
@@ -76,11 +56,7 @@ def render_heatmap(attr_map: AttributionMap, instance: PromptedInstance,
                    contract: AttributionContract,
                    params: ModelParams) -> tuple[str, str]:
     """Return (html_text, terminal_text)."""
-    is_stage = bool(attr_map.entries) and attr_map.entries[0][0].kind == STAGE
-    if is_stage:
-        cells = _normalized(_stage_cells(attr_map))
-    else:
-        cells = _normalized(_cells(attr_map, instance, contract, params))
+    cells = _normalized(_cells(attr_map, instance, contract, params))
     return _render_html(cells, attr_map), _render_text(cells, attr_map)
 
 

@@ -139,7 +139,8 @@ class TestValidation:
             score_kind=c.score_kind, held_fixed=c.held_fixed,
             target=c.target, process=c.process,
             eligible=c.eligible + (FeatureRef(PROMPT_TOKEN, 9),))
-        assert any("outside prompt" in p for p in validate(bad, inst))
+        assert ("prompt_token[9] is not a feature of this autoregressive"
+                " instance" in validate(bad, inst))
 
     def test_process_instance_mismatch(self):
         ar_inst = PromptedInstance(prompt=(4,), seed=0, generation=(6,))
