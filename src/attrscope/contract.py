@@ -77,8 +77,11 @@ class FeatureRef:
     def __post_init__(self):
         if self.kind not in (PROMPT_TOKEN, PREFIX_TOKEN, STATE_COMMITMENT, STAGE):
             raise ContractError(f"unknown feature kind {self.kind!r}")
-        if self.kind == STATE_COMMITMENT and self.slot < 0:
-            raise ContractError("state_commitment needs a slot")
+        if self.kind == STATE_COMMITMENT:
+            if self.slot < 0:
+                raise ContractError("state_commitment needs a slot")
+        elif self.slot != -1:
+            raise ContractError(f"{self.kind} takes no slot, got {self.slot}")
 
     def label(self) -> str:
         if self.kind == STATE_COMMITMENT:

@@ -192,6 +192,10 @@ class TestCanonicalID:
             FeatureRef("nonsense", 0)
         with pytest.raises(ContractError):
             FeatureRef(STATE_COMMITMENT, 1)  # needs a slot
+        for kind in (PROMPT_TOKEN, PREFIX_TOKEN, STAGE):
+            for slot in (5, 0, -2):
+                with pytest.raises(ContractError, match="takes no slot"):
+                    FeatureRef(kind, 1, slot=slot)
 
 
 # -- pinned feature layouts ------------------------------------------------

@@ -21,8 +21,8 @@ from attrscope.contract import FeatureRef, PROMPT_TOKEN, STAGE, STATE_COMMITMENT
 from attrscope.corpus import make_syn_corpus
 from attrscope.evaluation import DELETE, INSERT, FaithfulnessCurve, FaithfulnessReport
 from attrscope.fileio import (
-    MapParseError, RunManifest, parse_map, parse_report, serialize_map,
-    serialize_report,
+    E_BAD_VALUE, MapParseError, RunManifest, parse_map, parse_report,
+    serialize_map, serialize_report,
 )
 from attrscope.models import Hyperparams, ModelIOError, init_params, load_model, save_model
 from attrscope.models.params import AR, MAGIC
@@ -208,6 +208,17 @@ class TestMapFileFuzz:
     def test_json_mutation_passes_the_digest_check(self):
         text = digest_document(SAMPLE_MAP, ("json", ("seed",), "4"))
         assert parse_map(text).seed == 4
+
+    @pytest.mark.parametrize("parse, sample, path", [
+        (parse_map, SAMPLE_MAP, ("entries", 0, 2)),       # a prompt token
+        (parse_report, SAMPLE_REPORT, ("stage_entries", 0, 2)),  # a stage
+    ], ids=["map", "report"])
+    @pytest.mark.parametrize("slot", ["0", "5"])
+    def test_slot_on_a_slotless_feature_rejected(self, parse, sample, path,
+                                                 slot):
+        with pytest.raises(MapParseError) as exc:
+            parse(digest_document(sample, ("json", path, slot)))
+        assert exc.value.code == E_BAD_VALUE
 
 
 class TestReportFileFuzz:
