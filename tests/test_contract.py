@@ -6,13 +6,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from attrscope.attribution import StageScoreError, _map, bind_score
+from attrscope.attribution import (
+    StageScoreError, _map, bind_score, map_mismatch,
+)
 from attrscope.contract import (
     AttributionContract, ContractError, FeatureRef, PREFIX_TOKEN,
     PROMPT_TOKEN, SETTINGS, SETTING_CLASSIFIER, SETTING_LOCAL, SETTING_P2O,
     SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE, SETTING_STATE, STAGE,
-    STATE_COMMITMENT, TOKEN_LOG_PROB, canonical_id, make_named, validate,
+    STATE_COMMITMENT, TOKEN_LOG_PROB, canonical_id, features, make_named,
+    validate,
 )
 from attrscope.heatmap import render_heatmap
 from attrscope.models import (
@@ -299,3 +303,121 @@ class TestFeatureLayouts:
         with open(os.path.join(FIXTURES, "feature_layouts.json")) as fh:
             pinned = json.load(fh)
         assert layout_digests() == pinned
+
+
+# -- the feature universe over generated instances --------------------------
+
+
+@st.composite
+def instance_pairs(draw):
+    """An instance of any kind, and another of equal shape (prompt and
+    generation lengths, commit steps, stage count and class target) whose
+    tokens and seed are drawn afresh."""
+    kind = draw(st.sampled_from(["ar", "diffusion", "classifier"]))
+    n = draw(st.integers(1, 5))
+    g = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 4).flatmap(lambda T: st.lists(
+        st.integers(1, T), min_size=T, max_size=5).map(lambda s: (T, s))))
+    class_target = draw(st.integers(0, 2))
+
+    def draw_instance():
+        prompt = tuple(draw(st.lists(st.integers(4, 11), min_size=n,
+                                     max_size=n)))
+        seed = draw(st.integers(0, 3))
+        if kind == "ar":
+            return PromptedInstance(prompt=prompt, seed=seed, generation=tuple(
+                draw(st.lists(st.integers(4, 11), min_size=g, max_size=g))))
+        if kind == "classifier":
+            return PromptedInstance(prompt=prompt, seed=seed,
+                                    class_target=class_target)
+        T, commit_steps = steps
+        traj = DenoisingTrajectory(
+            num_steps=T, response_len=len(commit_steps),
+            commit_tokens=tuple(draw(st.lists(
+                st.integers(4, 11), min_size=len(commit_steps),
+                max_size=len(commit_steps)))),
+            commit_steps=tuple(commit_steps), seed=seed)
+        return PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
+    return draw_instance(), draw_instance()
+
+
+def named_contracts(instance):
+    """Every named contract of the instance, at every target t."""
+    return [make_named(setting, instance, t)
+            for setting, t in layout_settings(instance)]
+
+
+def outside_refs(instance):
+    """Refs that are no feature of the instance: an index past the end of
+    each kind it has, a commitment with the wrong stage, stages 0 and past
+    T, and each kind the instance does not have."""
+    n, traj = len(instance.prompt), instance.trajectory
+    refs = [FeatureRef(PROMPT_TOKEN, n), FeatureRef(PROMPT_TOKEN, -1)]
+    if instance.generation is not None:
+        refs += [FeatureRef(PREFIX_TOKEN, len(instance.generation)),
+                 FeatureRef(STATE_COMMITMENT, 1, slot=0), FeatureRef(STAGE, 1)]
+    elif traj is not None:
+        T, u = traj.num_steps, traj.commit_steps[0]
+        refs += [FeatureRef(STATE_COMMITMENT, v, slot=0)
+                 for v in range(1, T + 2) if v != u]
+        refs += [FeatureRef(STATE_COMMITMENT, u, slot=traj.response_len),
+                 FeatureRef(STAGE, 0), FeatureRef(STAGE, T + 1),
+                 FeatureRef(PREFIX_TOKEN, 0)]
+    else:
+        refs += [FeatureRef(PREFIX_TOKEN, 0), FeatureRef(STAGE, 1)]
+    return refs
+
+
+class TestFeatureUniverse:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pair=instance_pairs())
+    def test_named_contracts_draw_on_the_features(self, pair):
+        instance, _ = pair
+        universe = set(features(instance))
+        for contract in named_contracts(instance):
+            assert set(contract.eligible) <= universe
+            assert contract.held_fixed <= universe
+            assert validate(contract, instance) == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pair=instance_pairs())
+    def test_each_ref_outside_them_is_named(self, pair):
+        instance, _ = pair
+        contract = named_contracts(instance)[0]
+        for ref in outside_refs(instance):
+            assert ref not in features(instance)
+            message = (f"{ref.label()} is not a feature of this"
+                       f" {instance.kind} instance")
+            for bad in (
+                    AttributionContract(
+                        score_kind=contract.score_kind,
+                        held_fixed=contract.held_fixed, target=contract.target,
+                        process=contract.process,
+                        eligible=contract.eligible + (ref,)),
+                    AttributionContract(
+                        score_kind=contract.score_kind,
+                        held_fixed=contract.held_fixed | {ref},
+                        target=contract.target, process=contract.process,
+                        eligible=contract.eligible)):
+                assert message in validate(bad, instance)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair=instance_pairs())
+    def test_map_refused_under_every_other_contract_and_instance(
+            self, pair, classifier_model):
+        """A map's contract id tells contracts apart; instances of equal
+        shape share every contract id, so only the instance digest tells
+        them apart."""
+        instance, other = pair
+        contracts = named_contracts(instance)
+        for contract in contracts:
+            attr_map = _map(classifier_model, instance, contract,
+                            [(ref, 0.0) for ref in contract.eligible])
+            for under in contracts:
+                same = canonical_id(under) == canonical_id(contract)
+                assert (map_mismatch(attr_map, classifier_model, instance,
+                                     under) is None) == same
+            assert canonical_id(contract) in map(canonical_id,
+                                                 named_contracts(other))
+            assert (map_mismatch(attr_map, classifier_model, other, contract)
+                    is None) == (other == instance)
