@@ -189,9 +189,8 @@ def _publish(args, files, *, model_id=None, contract_id=None, inputs=(),
 
 
 def cmd_gen_corpus(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
-    corpus = make_syn_corpus(args.lexicon, lengths, args.n_pairs, args.seed)
-    config = {"lexicon_size": args.lexicon, "lengths": lengths,
+    corpus = make_syn_corpus(args.lexicon, args.lengths, args.n_pairs, args.seed)
+    config = {"lexicon_size": args.lexicon, "lengths": args.lengths,
               "n_pairs": args.n_pairs, "seed": args.seed}
     _publish(args, {"corpus.json": json.dumps(config, sort_keys=True) + "\n"},
              seeds={"corpus": args.seed})
@@ -230,6 +229,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if (None not in (args.steps, args.response_len)
+            and args.steps > args.response_len):
+        raise CLIError(f"argument --steps: must be <= --response-len"
+                       f" ({args.response_len}), got {args.steps}")
     params, _ = _load_model(args)
     prompt = _encode(params, "--prompt", args.prompt)
     if params.kind == AR:
@@ -389,6 +392,16 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"  # argparse's "invalid float value" message
 
 
+def _lengths(text: str) -> list[int]:
+    """An argparse type: comma-separated integers >= 1, else a usage error
+    naming the flag."""
+    values = [int(x) if x.strip().isdecimal() else 0 for x in text.split(",")]
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers >= 1, got {text!r}")
+    return values
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=sorted(_METHODS), default="ig")
     p.add_argument("--ig-steps", type=_int_at_least(1), default=64)
@@ -409,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="write a synthetic translation corpus")
     p.add_argument("--lexicon", type=_int_at_least(2), default=8)
-    p.add_argument("--lengths", default="1,2,3,4")
+    p.add_argument("--lengths", type=_lengths, default="1,2,3,4")
     p.add_argument("--n-pairs", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)

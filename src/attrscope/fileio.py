@@ -151,6 +151,11 @@ def parse_contract_file(text: str) -> ParseResult:
     spec.max_len = take_int("max-len", 16, least=1)
     spec.response_len = take_int("response-len", least=1)
     spec.steps = take_int("steps", least=1)
+    if (None not in (spec.steps, spec.response_len)
+            and spec.steps > spec.response_len):
+        diags.append(Diagnostic(E_BAD_VALUE, "steps must be <= response-len"
+                                f" ({spec.response_len}), got {spec.steps}",
+                                fields["steps"][1]))
     spec.class_index = take_int("class")
     spec.seed = take_int("seed", 0, least=0)
 

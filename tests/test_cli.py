@@ -527,6 +527,20 @@ class TestNumericArguments:
         assert exc.value.code == EXIT_DIAGNOSTIC
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lengths", ["a,b", "1,,2", "0"])
+    def test_bad_lengths_rejected_naming_the_flag(self, lengths, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-corpus", "--lengths", lengths, "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert ("argument --lengths: must be comma-separated integers >= 1,"
+                f" got {lengths!r}" in capsys.readouterr().err)
+
+    def test_steps_above_response_len_rejected_naming_both(self, capsys):
+        assert main(["generate", "--model", "m.bin", "--prompt", "s0",
+                     "--response-len", "2", "--steps", "3"]) == EXIT_DIAGNOSTIC
+        assert ("argument --steps: must be <= --response-len (2), got 3"
+                in capsys.readouterr().err)
+
     def test_attribute_takes_no_seed(self, capsys):
         """No attribution method draws a random number."""
         with pytest.raises(SystemExit) as exc:

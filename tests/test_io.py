@@ -138,6 +138,12 @@ class TestContractFiles:
         assert [str(d) for d in result.diagnostics] == [
             f"E_BAD_VALUE: {key} must be >= {least}, got {value} (line 3)"]
 
+    def test_steps_above_response_len_rejected(self):
+        result = parse_contract_file(
+            "setting: state-level\ntarget: 1\nresponse-len: 2\nsteps: 3\n")
+        assert [str(d) for d in result.diagnostics] == [
+            "E_BAD_VALUE: steps must be <= response-len (2), got 3 (line 4)"]
+
     def test_least_integers_accepted(self):
         result = parse_contract_file(
             "setting: state-level\ntarget: 1\nmax-len: 1\n"
