@@ -54,14 +54,17 @@ def random_instance(rng) -> PromptedInstance:
 
 
 def settings_for(instance):
+    """Every named setting of the instance's kind, at every target t."""
     if instance.kind == "classifier":
         return [(SETTING_CLASSIFIER, None)]
     if instance.kind == "autoregressive":
-        t = len(instance.generation)
-        return [(SETTING_LOCAL, t), (SETTING_PROMPT_COND, t),
-                (SETTING_SPAN, None)]
+        g = len(instance.generation)
+        return ([(SETTING_LOCAL, t) for t in range(1, g + 1)]
+                + [(SETTING_PROMPT_COND, t) for t in range(1, g + 1)]
+                + [(SETTING_SPAN, None)])
     T = instance.trajectory.num_steps
-    return [(SETTING_STATE, T), (SETTING_STAGE, None), (SETTING_P2O, None)]
+    return ([(SETTING_STATE, t) for t in range(1, T + 1)]
+            + [(SETTING_STAGE, None), (SETTING_P2O, None)])
 
 
 class TestNamedConstructors:
@@ -228,20 +231,6 @@ def layout_instances():
     }
 
 
-def layout_settings(instance):
-    """Every named setting of the instance's kind, at every target t."""
-    if instance.kind == "classifier":
-        return [(SETTING_CLASSIFIER, None)]
-    if instance.kind == "autoregressive":
-        g = len(instance.generation)
-        return ([(SETTING_LOCAL, t) for t in range(1, g + 1)]
-                + [(SETTING_PROMPT_COND, t) for t in range(1, g + 1)]
-                + [(SETTING_SPAN, None)])
-    T = instance.trajectory.num_steps
-    return ([(SETTING_STATE, t) for t in range(1, T + 1)]
-            + [(SETTING_STAGE, None), (SETTING_P2O, None)])
-
-
 def layout_entries(instance, contract):
     """A map's entries with fixed scores of both signs; a stage whose
     ablation is infeasible gets None, as stage_attribution gives it."""
@@ -276,7 +265,7 @@ def layout_digests() -> dict[str, dict[str, str | None]]:
             kind=kind, vocab_size=len(LAYOUT_VOCAB), layers=1, heads=1,
             width=4, mlp_hidden=4, context_len=16,
             n_classes=3 if kind == CLASSIFIER else 0), LAYOUT_VOCAB, seed=0)
-        for setting, t in layout_settings(instance):
+        for setting, t in settings_for(instance):
             contract = make_named(setting, instance, t)
             attr_map = _map(params, instance, contract,
                             layout_entries(instance, contract), name="ig")
@@ -344,7 +333,7 @@ def instance_pairs(draw):
 def named_contracts(instance):
     """Every named contract of the instance, at every target t."""
     return [make_named(setting, instance, t)
-            for setting, t in layout_settings(instance)]
+            for setting, t in settings_for(instance)]
 
 
 def outside_refs(instance):
