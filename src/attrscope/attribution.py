@@ -23,7 +23,7 @@ from .models.diffusion import (
     run_chains, stage_term, stage_terms,
 )
 from .models.transformer import (
-    POINTS_PER_PASS, ScoreTerm, run_groups, score_sums,
+    ScoreTerm, pass_points, run_groups, score_sums,
 )
 
 
@@ -243,9 +243,10 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
     eligible = contract.eligible
 
     accum = {ref: None for ref in eligible}
-    for first in range(1, steps + 1, POINTS_PER_PASS):
+    size = pass_points(params.hyper, bs.terms)  # one pass at a time
+    for first in range(1, steps + 1, size):
         # the points' alphas (k - 0.5) / steps, one row per point
-        alphas = (np.arange(first, min(first + POINTS_PER_PASS, steps + 1))
+        alphas = (np.arange(first, min(first + size, steps + 1))
                   - 0.5)[:, None] / steps
         rows = {ref: base_vec + alphas * (bs.embedding(ref) - base_vec)
                 for ref in eligible}

@@ -18,18 +18,28 @@ named in ``wrt`` and no other: its backward pass skips every input that
 leads to none of them, so a caller that reads only the input embeddings
 computes no weight gradient.
 
-A forward pass keeps, besides every node's value, what the backward reads
-and would otherwise compute again: each ``gelu``'s tanh and each
-``layer_norm``'s mean and standard deviation. The backward reads them, in
-the forward's bits; they go when the forward's values go. Each kernel runs
-its arithmetic in a fixed order but writes into temporaries it allocated
-itself, not one new array per step.
+A forward pass keeps what its caller reads and drops every other value
+after its last reader (the memory plan of Chen et al. 2016).
+``evaluate(graph, leaf_values)`` keeps every node's value and what a
+backward into any leaf reads; ``evaluate(graph, leaf_values, outputs)``
+keeps only the ``outputs`` nodes, and with ``wrt`` as well, what a
+backward into the leaves named in ``wrt`` reads. A backward reads rule
+inputs' values, a node's own value, or only an input's shape, which the
+dropped slot keeps in a shape record; and each ``gelu``'s tanh and each
+``layer_norm``'s mean and standard deviation, which the forward computes
+anyway and the backward would otherwise compute again, in the forward's
+bits. ``grad`` runs such a forward itself, unless given one, and then
+drops each value after its last reader in the backward too. Leaf and
+const values are never dropped. Each kernel runs its arithmetic in a
+fixed order but writes into temporaries it allocated itself, not one new
+array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
-a pass plan: per set of batched leaves, the forward's kernel calls and the
-nodes that carry the batch axis; per ``wrt``, the backward's rule calls
-over the nodes a gradient into ``wrt`` flows through, with the inputs each
-rule computes a gradient for.
+a pass plan: per set of batched leaves and per set of values kept, the
+forward's kernel calls, the nodes that carry the batch axis and the values
+each forward and backward step drops; per ``wrt``, the backward's rule
+calls over the nodes a gradient into ``wrt`` flows through, with the
+inputs each rule computes a gradient for.
 
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
@@ -45,13 +55,15 @@ and ``NaN * 0`` are NaN), and softmax alone can turn one into a finite
 output (``exp(-inf) = 0``), so a non-finite op node anywhere shows in one
 of the checked nodes. When the check fails, the pass runs again with a
 check after every op node, so that ``NumericError`` names the first
-non-finite node. ``grad`` checks each gradient it returns. Every pass,
-forward or backward, checked or not, so runs with numpy's floating-point
-warnings off.
+non-finite node. The checked nodes stay until they are checked, even when
+the caller does not read them. ``grad`` checks each gradient it returns.
+Every pass, forward or backward, checked or not, so runs with numpy's
+floating-point warnings off.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -86,16 +98,34 @@ class Node:
 
 
 class ForwardPlan(NamedTuple):
-    """How a forward pass with a given set of batched leaves runs."""
+    """How a forward pass with a given set of batched leaves, keeping a
+    given set of values, runs."""
     batched: tuple[bool, ...]  # per node, whether it carries the batch axis
-    steps: list[tuple]         # per op node: (nid, kernel, input ids, saves)
+    # per op node: (nid, kernel, input ids, saves, drops, shapes): saves is
+    # None for a kernel that saves nothing, else whether the pass keeps
+    # what it saved; drops and shapes are the nodes whose values go after
+    # the step, to None and to a shape record
+    steps: list[tuple]
+    checked: tuple[tuple[int, ...], tuple[int, ...]]  # (drops, shapes) once checked
+    kept_for: frozenset | None  # the wrt a backward may read; None: every node
+    # per step of the backward plan into kept_for, the values no later step
+    # reads, which a backward that owns the pass drops; None for kept_for None
+    backward_drops: list[tuple[int, ...]] | None
 
 
 class Values(list):
-    """A forward pass's value of every node, indexed by node id; also, per
-    node, whether it carries the batch axis, and the arrays the pass keeps
-    for a backward, by node id."""
-    __slots__ = ("batched", "saved")
+    """A forward pass's values, indexed by node id: None or a shape record
+    where the pass dropped one; also the pass's plan, and the arrays it
+    keeps for a backward, by node id."""
+    __slots__ = ("plan", "saved")
+
+
+class _Shape:
+    """A dropped value whose shape a gradient rule still reads."""
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = shape
 
 
 class Graph:
@@ -112,27 +142,84 @@ class Graph:
         self.finite_checks: tuple[int, ...] = ()
         # a pass's values before it runs: each const node's, None elsewhere
         self._template: list = []
-        # pass plans by batched leaf ids and by wrt; a new node drops them
-        self._forward_plans: dict[frozenset, ForwardPlan] = {}
+        # pass plans by (batched leaf ids, outputs, wrt) and by wrt; a new
+        # node drops them
+        self._forward_plans: dict[tuple, ForwardPlan] = {}
         self._backward_plans: dict[frozenset, list[tuple]] = {}
 
-    def forward_plan(self, batched_leaves: frozenset[int]) -> ForwardPlan:
+    def forward_plan(self, batched_leaves: frozenset[int], outputs=None,
+                     wrt=None) -> ForwardPlan:
         """The plan of a forward pass whose batched leaves are the leaf
-        node ids ``batched_leaves``."""
-        plan = self._forward_plans.get(batched_leaves)
+        node ids ``batched_leaves``, keeping what ``evaluate`` with
+        ``outputs`` and ``wrt`` keeps."""
+        key = (batched_leaves, outputs, wrt)
+        plan = self._forward_plans.get(key)
         if plan is None:
-            batched: list[bool] = []
-            steps = []
-            for node in self.nodes:
-                if node.op in ("leaf", "const"):
-                    batched.append(node.nid in batched_leaves)
-                    continue
-                batched.append(any(batched[i] for i in node.inputs))
-                steps.append((node.nid, _kernel(node, batched[-1]),
-                              node.inputs, node.op in _SAVING))
-            plan = ForwardPlan(tuple(batched), steps)
-            self._forward_plans[batched_leaves] = plan
+            plan = self._forward_plans[key] = self._plan_forward(*key)
         return plan
+
+    def _plan_forward(self, batched_leaves, outputs, wrt) -> ForwardPlan:
+        kept_for = None if outputs is None else wrt or frozenset()
+        # what a backward into kept_for reads: whole values, by the last
+        # backward step that reads each, shapes alone, and the arrays
+        # saving kernels keep
+        read, shapes, saving = self._backward_reads(kept_for)
+        values = read.keys() | (outputs or ())
+        last: dict[int, int] = {}  # op node -> its last reader
+        for node in self.nodes:
+            for i in node.inputs:
+                last[i] = node.nid
+        # a checked node goes once the pass has checked it
+        kept = values | set(self.finite_checks)
+        drops: dict[int, list[int]] = {}
+        shaped: dict[int, list[int]] = {}
+        for i, reader in last.items():
+            if self.nodes[i].op not in ("leaf", "const") and i not in kept:
+                (shaped if i in shapes else drops).setdefault(
+                    reader, []).append(i)
+        batched: list[bool] = []
+        steps = []
+        for node in self.nodes:
+            if node.op in ("leaf", "const"):
+                batched.append(node.nid in batched_leaves)
+                continue
+            nid = node.nid
+            batched.append(any(batched[i] for i in node.inputs))
+            steps.append((nid, _kernel(node, batched[-1]), node.inputs,
+                          nid in saving if node.op in _SAVING else None,
+                          tuple(drops.get(nid, ())), tuple(shaped.get(nid, ()))))
+        after = [i for i in self.finite_checks if i not in values]
+        backward_drops = None
+        if kept_for is not None:
+            backward_drops = [()] * len(self.backward_plan(kept_for))
+            for i, k in read.items():
+                if self.nodes[i].op not in ("leaf", "const") and i not in outputs:
+                    backward_drops[k] += (i,)
+        return ForwardPlan(tuple(batched), steps,
+                           (tuple(i for i in after if i not in shapes),
+                            tuple(i for i in after if i in shapes)),
+                           kept_for, backward_drops)
+
+    def _backward_reads(self, wrt) -> tuple[dict, set, set]:
+        """For a backward into the leaves named in ``wrt``: the nodes whose
+        values it reads, each with the index of the last step of
+        ``backward_plan(wrt)`` that reads it; the nodes whose shapes alone
+        it reads; and those whose saved arrays it reads. Every node is
+        read, when ``wrt`` is None."""
+        if wrt is None:
+            every = range(len(self.nodes))
+            return dict.fromkeys(every), set(), set(every)
+        read, shapes, saving = {}, set(), set()
+        for k, (nid, _, inputs, want) in enumerate(self.backward_plan(wrt)):
+            reads_value, reads_shape, reads_own, reads_saved = _READS[
+                self.nodes[nid].op](want)
+            read.update((inputs[j], k) for j in reads_value)
+            shapes.update(inputs[j] for j in reads_shape)
+            if reads_own:
+                read[nid] = k
+            if reads_saved:
+                saving.add(nid)
+        return read, shapes - read.keys(), saving
 
     def backward_plan(self, wrt) -> list[tuple]:
         """The steps of a backward pass into the leaves named in ``wrt``:
@@ -388,17 +475,28 @@ def _kernel(node: Node, batched: bool):
     return _FORWARD[node.op]
 
 
-def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> Values:
+def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray],
+             outputs=None, wrt=None) -> Values:
     """Forward pass; returns one value per node, indexed by node id.
+
+    With ``outputs``, node ids, the pass keeps only their values, and with
+    ``wrt`` too, leaf names, what a backward into those leaves reads (see
+    grad); a dropped value reads None or a shape record. Without
+    ``outputs`` it keeps every node's value.
 
     A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
     batched leaf of one pass has the same B. Raises NumericError, naming
     the first non-finite op node, when any op node is non-finite."""
+    if outputs is None:
+        wrt = None
+    else:
+        outputs = tuple(outputs)
+        wrt = None if wrt is None else frozenset(wrt)
     try:
         with np.errstate(all="ignore"):
-            vals = _forward(graph, leaf_values, check_each=False)
+            vals = _forward(graph, leaf_values, False, outputs, wrt)
         if all(np.isfinite(vals[i]).all() for i in graph.finite_checks):
-            return vals
+            return _drop_checked(vals)
     except (GraphError, ValueError):
         # a malformed pass: the checked pass below raises the same error,
         # or a NumericError at an earlier node
@@ -406,7 +504,17 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray]) -> Values:
     # the checked pass raises at its first non-finite node, so the overflow
     # on the way there is not worth a warning
     with np.errstate(all="ignore"):
-        return _forward(graph, leaf_values, check_each=True)
+        return _drop_checked(_forward(graph, leaf_values, True, outputs, wrt))
+
+
+def _drop_checked(vals: Values) -> Values:
+    """``vals`` without the checked nodes its caller does not read."""
+    drops, shapes = vals.plan.checked
+    for i in drops:
+        vals[i] = None
+    for i in shapes:
+        vals[i] = _Shape(vals[i].shape)
+    return vals
 
 
 def _leaf_value(node: Node, leaf_values, batch: int | None):
@@ -427,10 +535,12 @@ def _leaf_value(node: Node, leaf_values, batch: int | None):
 
 
 def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
-             check_each: bool) -> Values:
-    """The forward pass; with ``check_each``, it raises NumericError at the
-    first op node with a non-finite value. A leaf that cannot be bound
-    raises once the op nodes before it have run."""
+             check_each: bool, outputs=None, wrt=None) -> Values:
+    """The forward pass, keeping what evaluate with ``outputs`` and
+    ``wrt`` (a tuple and a frozenset, or None) keeps, and each checked
+    node; with ``check_each``, it raises NumericError at the first op node
+    with a non-finite value. A leaf that cannot be bound raises once the
+    op nodes before it have run."""
     vals = Values(graph._template)
     batched: list[int] = []
     batch = error = None
@@ -444,21 +554,27 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
         if b is not None:
             batch = b
             batched.append(nid)
-    plan = graph.forward_plan(frozenset(batched))
+    plan = graph.forward_plan(frozenset(batched), outputs, wrt)
     saved = {}
-    for nid, kernel, inputs, saves in plan.steps:
+    for nid, kernel, inputs, saves, drops, shapes in plan.steps:
         if nid > stop:
             break
         v = kernel(*[vals[i] for i in inputs])
-        if saves:
-            v, saved[nid] = v
+        if saves is not None:
+            v, kept = v
+            if saves:
+                saved[nid] = kept
         if check_each and not np.all(np.isfinite(v)):
             raise NumericError(
                 f"non-finite output at node {nid} ({graph.nodes[nid].op})")
         vals[nid] = v
+        for i in drops:
+            vals[i] = None
+        for i in shapes:
+            vals[i] = _Shape(vals[i].shape)
     if error is not None:
         raise error
-    vals.batched, vals.saved = plan.batched, saved
+    vals.plan, vals.saved = plan, saved
     return vals
 
 
@@ -470,8 +586,10 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     that is no leaf, and NumericError, naming the leaf, when a returned
     gradient is non-finite.
 
-    ``forward``, when given, is ``evaluate(graph, leaf_values)``, whose
-    kept arrays the backward reads.
+    ``forward``, when given, is ``evaluate(graph, leaf_values)``, or
+    ``evaluate`` with the scalar among its ``outputs`` and ``wrt`` naming
+    these leaves or more; the backward reads the arrays it kept. Without
+    it, the forward keeps only the scalar and what the backward reads.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -479,15 +597,27 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     for name in wrt:
         if name not in graph.leaves:
             raise GraphError(f"grad asks for {name!r}, which is no leaf")
-    vals = forward if forward is not None else evaluate(graph, leaf_values)
+    key = frozenset(wrt)
+    if forward is None:
+        vals = evaluate(graph, leaf_values, (scalar_node,), key)
+    else:
+        vals, kept_for = forward, forward.plan.kept_for
+        if kept_for is not None and not (key <= kept_for
+                                         and vals[scalar_node] is not None):
+            raise GraphError("the given forward pass did not keep what"
+                             " this backward reads")
     out = vals[scalar_node]
-    if out.shape != () and not (out.ndim == 1 and vals.batched[scalar_node]):
+    batched = vals.plan.batched[scalar_node]
+    if out.shape != () and not (out.ndim == 1 and batched):
         raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
 
     # every gradient returned is checked below, so intermediate overflow
     # is not worth a warning
     with np.errstate(all="ignore"):
-        adj = _backward(graph.backward_plan(wrt), scalar_node, vals)
+        # a forward the caller gave is read, not consumed
+        adj = _backward(graph.backward_plan(key), scalar_node, vals,
+                        vals.plan.backward_drops if forward is None
+                        else itertools.repeat(()))
     result: dict[str, np.ndarray] = {}
     for name in wrt:
         node = graph.nodes[graph.leaves[name]]
@@ -500,23 +630,26 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     return result
 
 
-def _backward(steps: list[tuple], scalar_node: int,
-              vals: Values) -> dict[int, np.ndarray]:
+def _backward(steps: list[tuple], scalar_node: int, vals: Values,
+              drops) -> dict[int, np.ndarray]:
     """The adjoints, by node id, after running the backward plan ``steps``
-    from ``scalar_node``. The arrays the forward kept stay until ``vals``
-    goes: dropping each after its node's rule raised peak RSS, since the
-    small freed moments split the heap."""
+    from ``scalar_node``, which reads only what the forward kept for it;
+    after each step it drops from ``vals`` the values ``drops`` names for
+    that step, which no later step reads. The saved arrays stay until
+    ``vals`` goes: dropping each after its node's rule raised peak RSS,
+    since the small freed moments split the heap."""
     adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(vals[scalar_node])}
-    for nid, rule, inputs, want in steps:
+    for (nid, rule, inputs, want), dropped in zip(steps, drops):
         g = adj.pop(nid, None)
-        if g is None:
-            continue
-        contribs = rule(g, want, [vals[i] for i in inputs], vals[nid],
-                        vals.saved.get(nid))
-        for i, contrib in zip(inputs, contribs):
-            if contrib is not None:
-                prev = adj.get(i)
-                adj[i] = contrib if prev is None else prev + contrib
+        if g is not None:
+            contribs = rule(g, want, [vals[i] for i in inputs], vals[nid],
+                            vals.saved.get(nid))
+            for i, contrib in zip(inputs, contribs):
+                if contrib is not None:
+                    prev = adj.get(i)
+                    adj[i] = contrib if prev is None else prev + contrib
+        for i in dropped:
+            vals[i] = None
     return adj
 
 
@@ -644,9 +777,9 @@ def _affine_grad(g, want, ins, y, saved):
 
 
 def _sum_all_grad(g, want, ins, y, saved):
-    x = ins[0]
-    g = g.reshape(g.shape + (1,) * (x.ndim - g.ndim))
-    return (np.broadcast_to(g, x.shape).copy(),)
+    shape = ins[0].shape
+    g = g.reshape(g.shape + (1,) * (len(shape) - g.ndim))
+    return (np.broadcast_to(g, shape).copy(),)
 
 
 _RULES = {
@@ -656,6 +789,39 @@ _RULES = {
     "softmax": _softmax_grad, "log_softmax": _log_softmax_grad,
     "layer_norm": _layer_norm_grad, "affine": _affine_grad,
     "sum_all": _sum_all_grad,
+}
+
+
+def _wanted(want):
+    return tuple(k for k, w in enumerate(want) if w)
+
+
+def _product_reads(want):
+    """A product's gradient into one input reads the other's value."""
+    return ((1,) if want[0] else ()) + ((0,) if want[1] else ()), \
+        _wanted(want), False, False
+
+
+# What each rule reads, given ``want``: (the inputs whose values it reads,
+# those whose shapes it reads, whether it reads its node's value, whether
+# it reads what the node's kernel saved); a forward pass for a backward
+# keeps these and no more
+_READS = {
+    "add": lambda want: ((), _wanted(want), False, False),
+    "mul": _product_reads, "matmul": _product_reads,
+    "transpose": lambda want: ((), (), False, False),
+    "expand": lambda want: ((), (), False, False),
+    "sum_heads": lambda want: ((), (0,), False, False),
+    "rows": lambda want: ((), (0,), False, False),
+    "gelu": lambda want: ((0,), (), False, True),
+    "softmax": lambda want: ((), (), True, False),
+    "log_softmax": lambda want: ((), (), True, False),
+    "layer_norm": lambda want: (
+        ((0,) if want[0] or want[1] else ()) + ((1,) if want[0] else ()),
+        (), False, want[0] or want[1]),
+    "affine": lambda want: (
+        ((1,) if want[0] else ()) + ((0,) if want[1] else ()), (), False, False),
+    "sum_all": lambda want: ((), (0,), False, False),
 }
 
 

@@ -20,7 +20,7 @@ from .contract import (
     ContractError, SETTING_LOCAL, SETTING_PROMPT_COND, canonical_id,
     make_named, validate,
 )
-from .corpus import make_syn_corpus
+from .corpus import MAX_LENGTH, MAX_LEXICON, MAX_VOCAB, make_syn_corpus
 from .evaluation import (
     EvaluationError, PerturbationPolicy, REGENERATE, RESCORE, compute_map,
     faithfulness_report,
@@ -370,12 +370,16 @@ def cmd_rerun(args) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low, else a usage error naming the flag."""
+def _int_at_least(low: int, high: int | None = None, why: str = ""):
+    """An argparse type: an integer >= low (and <= high, for ``why``),
+    else a usage error naming the flag."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {high} ({why}), got {value}")
         return value
     parse.__name__ = "int"  # argparse's "invalid int value" message
     return parse
@@ -393,12 +397,16 @@ _positive_float.__name__ = "float"  # argparse's "invalid float value" message
 
 
 def _lengths(text: str) -> list[int]:
-    """An argparse type: comma-separated integers >= 1, else a usage error
-    naming the flag."""
+    """An argparse type: comma-separated integers >= 1, none above
+    corpus.MAX_LENGTH, else a usage error naming the flag."""
     values = [int(x) if x.strip().isdecimal() else 0 for x in text.split(",")]
     if min(values) < 1:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers >= 1, got {text!r}")
+    if max(values) > MAX_LENGTH:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_LENGTH} (pairs of 2 * length + 3 tokens fit the"
+            f" context window), got {max(values)}")
     return values
 
 
@@ -421,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic translation corpus")
-    p.add_argument("--lexicon", type=_int_at_least(2), default=8)
+    p.add_argument("--lexicon", type=_int_at_least(
+        2, MAX_LEXICON, f"a vocab of at most {MAX_VOCAB} tokens"), default=8)
     p.add_argument("--lengths", type=_lengths, default="1,2,3,4")
     p.add_argument("--n-pairs", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -11,6 +11,12 @@ from .models.params import Hyperparams
 from .models.vocab import Vocab, make_vocab
 
 MAX_VOCAB = 64
+# the largest lexicon within MAX_VOCAB: the vocab holds the specials and
+# TR: (5 tokens) and each lexicon entry's source and target token
+MAX_LEXICON = (MAX_VOCAB - 5) // 2
+# the longest source: a pair of source length L is a pass of 2L + 3 tokens
+# (prompt and target), which must fit the default context window
+MAX_LENGTH = (Hyperparams.context_len - 3) // 2
 HELDOUT_FRAC = 0.2  # share of the pairs held out from training
 _WORD = 2 ** 32  # the values of one raw next_uint32 word
 _WORDS_PER_BLOCK = 4096  # raw words drawn per bulk call
@@ -78,21 +84,18 @@ def make_syn_corpus(lexicon_size: int, lengths, n_pairs: int,
     give fewer distinct sequences or the draws keep repeating."""
     if not _is_int(lexicon_size) or lexicon_size < 2:
         raise ValueError("need a lexicon of at least 2 entries")
-    n_tokens = 5 + 2 * lexicon_size  # specials + TR: + lexicon
-    if n_tokens > MAX_VOCAB:
-        raise ValueError(f"vocab budget exceeded: {n_tokens} > {MAX_VOCAB}")
+    if lexicon_size > MAX_LEXICON:
+        raise ValueError(f"vocab budget exceeded: {5 + 2 * lexicon_size}"
+                         f" > {MAX_VOCAB}")
     if not _is_int(n_pairs) or n_pairs < 1:
         raise ValueError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     lengths = list(lengths)
     if not lengths or not all(_is_int(x) and x >= 1 for x in lengths):
         raise ValueError(f"lengths must be integers >= 1, got {lengths!r}")
     lengths = sorted(set(lengths))
-    # a pair of source length L is a pass of 2L + 3 tokens (prompt and
-    # target), and must fit the default context window
-    context = Hyperparams.context_len
-    if 2 * lengths[-1] + 3 > context:
+    if lengths[-1] > MAX_LENGTH:
         raise ValueError(f"length {lengths[-1]} gives pairs longer than the"
-                         f" {context}-token context window")
+                         f" {Hyperparams.context_len}-token context window")
 
     vocab = make_vocab(["TR:"]
                        + [f"s{i}" for i in range(lexicon_size)]

@@ -75,9 +75,9 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
         fg = build_forward_graph(hp, L, bucket[0].causal)
         vals = _bind(hp, leaves, ids, _target_masks(
             hp, fg.rows, [term.targets for term in bucket]), ())
-        forward = evaluate(fg.graph, vals)
-        loss -= float(forward[fg.score].sum())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
+        forward = evaluate(fg.graph, vals, (fg.score,), weights)
+        loss -= float(forward[fg.score].sum())
         for name, gval in grad(fg.graph, fg.score, vals, weights,
                                forward=forward).items():
             if name == "emb":  # (B, L, d): one row per token of each term

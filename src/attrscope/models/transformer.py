@@ -210,15 +210,28 @@ class ScoreTerm:
 
 
 # Points per pass: run_groups packs the pass groups over one cached graph,
-# IG's path points among them, into passes of at most this many. A pass
-# keeps every point's forward values (and, for IG, until its backward),
-# together with the arrays its backward reads (each gelu's tanh, each
-# layer norm's mean and std): for a 2-layer, width-64 model over 21
-# tokens, about 0.23 MB per point at 11 rows (0.02 MB of it kept for the
-# backward) and 1.7 MB at 64 rows (0.13 MB), less on a graph pruned to a
-# few rows. So peak memory grows with this number while the per-node
-# dispatch cost it saves shrinks.
-POINTS_PER_PASS = 8
+# IG's path points among them, into passes of at most POINTS_PER_PASS
+# points and at most ROWS_PER_PASS rows, points times the graph's length.
+# A score or log-prob pass keeps only the nodes it returns, and an
+# embedding-gradient pass what its backward reads (see autodiff): for a
+# 2-layer, width-64 model over 21 tokens, a pass's traced peak is about
+# 0.10 MB per point at 11 rows for a score and 0.22 MB for an embedding
+# gradient, and 0.41 and 0.97 MB at 64 rows. Peak memory grows with the
+# rows of a pass while the share of the per-pass dispatch cost each point
+# pays shrinks; the row budget keeps a long graph's passes near the
+# memory of a short one's.
+POINTS_PER_PASS = 16
+ROWS_PER_PASS = 128
+
+
+def _pass_size(length: int) -> int:
+    """The points of a pass over a graph of ``length`` rows."""
+    return max(1, min(POINTS_PER_PASS, ROWS_PER_PASS // length))
+
+
+def pass_points(hp: Hyperparams, terms) -> int:
+    """The points of a pass that fits the graph of each of ``terms``."""
+    return min(_pass_size(_graph_key(hp, term)[0]) for term in terms)
 
 
 def _graph_key(hp: Hyperparams, term: ScoreTerm):
@@ -292,9 +305,10 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     for key, members in by_graph.items():
         fg = build_forward_graph(hp, *key)
         points = [(i, k) for i in members for k in range(sizes[i] or 1)]
-        for start in range(0, len(points), POINTS_PER_PASS):
+        size = _pass_size(key[0])
+        for start in range(0, len(points), size):
             _run_pass(params, fg, key[0], groups, read, pieces,
-                      points[start:start + POINTS_PER_PASS], served)
+                      points[start:start + size], served)
     tables.update((inp, pieces[i][0][0]) for inp, i in first.items()
                   if i in served)
     out = []
@@ -340,7 +354,11 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     if read == "emb_grad":
         values, node = grad(fg.graph, fg.score, vals, wrt=("emb",)), "emb"
     else:
-        values, node = evaluate(fg.graph, vals), getattr(fg, read)
+        # the pass keeps only the nodes read below
+        node = getattr(fg, read)
+        outputs = (node, fg.log_probs) if tabled.keys() & segments.keys() \
+            else (node,)
+        values = evaluate(fg.graph, vals, outputs)
     at = 0
     for i, ks in segments.items():
         out = values[fg.log_probs if i in tabled else node]

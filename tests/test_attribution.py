@@ -30,7 +30,8 @@ from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains,
 )
 from attrscope.models.transformer import (
-    POINTS_PER_PASS, _graph_key, build_forward_graph, run_groups,
+    POINTS_PER_PASS, ROWS_PER_PASS, _graph_key, build_forward_graph,
+    run_groups,
 )
 from conftest import bind_pass
 
@@ -340,14 +341,15 @@ def recorded_passes(name):
 
 def pass_points(params, vals):
     """The (emb, target mask) of each point of a pass, after checking that
-    it binds at most POINTS_PER_PASS points (a one-point pass unbatched),
-    shares every weight leaf with the model, and takes pos from its
-    weight."""
+    it binds at most POINTS_PER_PASS points and ROWS_PER_PASS rows (a
+    one-point pass unbatched), shares every weight leaf with the model,
+    and takes pos from its weight."""
     weights = params.weights
     emb, mask = vals["emb"], vals["target_mask"]
     if emb.ndim == 2:
         emb, mask = emb[None], mask[None]
     assert emb.ndim == 3 and len(emb) <= POINTS_PER_PASS
+    assert len(emb) == 1 or len(emb) * emb.shape[1] <= ROWS_PER_PASS
     assert len(mask) == len(emb)
     assert vals.keys() == weights.keys() | {"target_mask"}
     assert np.shares_memory(vals["pos"], weights["pos"])
@@ -414,19 +416,21 @@ class TestBatchedPathLoop:
         assert attr_map.entries == sequential_ig(params, instance, contract,
                                                  baseline, steps)
 
-        # every pass binds at most 8 points and the model's own weights;
-        # each point has the eligible rows on the path and every other row
-        # at its actual value (held-fixed features and non-eligible context
-        # alike). Each batch of 8 path points packs the terms' points by
-        # graph (length, attention mode, rows read), in term order.
+        # every pass binds at most POINTS_PER_PASS points and the model's
+        # own weights; each point has the eligible rows on the path and
+        # every other row at its actual value (held-fixed features and
+        # non-eligible context alike). Each batch of one pass's path points
+        # packs the terms' points by graph (length, attention mode, rows
+        # read), in term order.
         bs = bind_score(params, instance, contract)
         base_vec = baseline.embedding(params)
         by_graph = {}
         for i, term in enumerate(bs.terms):
             by_graph.setdefault(_graph_key(params.hyper, term), []).append(i)
         expected = []  # (term, k) of each point, in pass order
-        for first in range(1, steps + 1, POINTS_PER_PASS):
-            ks = range(first, min(first + POINTS_PER_PASS, steps + 1))
+        size = transformer.pass_points(params.hyper, bs.terms)
+        for first in range(1, steps + 1, size):
+            ks = range(first, min(first + size, steps + 1))
             expected += [(i, k) for members in by_graph.values()
                          for i in members for k in ks]
         points = []  # (emb, target mask) of each point, in pass order

@@ -1,5 +1,7 @@
 """Gradient-engine unit tests: finite-difference checks per primitive,
-normalization identities, purity, non-finite handling, and the batch axis."""
+normalization identities, purity, non-finite handling, the batch axis and
+what a pass keeps."""
+import functools
 import warnings
 
 import numpy as np
@@ -536,6 +538,151 @@ class TestSavedValues:
         assert forward[s] == evaluate(g, leaves)[s]
 
 
+MODEL_PASSES = [
+    ("tiny_ar_model", True, ((5, 3), (2, 1))),
+    ("diffusion_model", False, ((2, 4), (4, 6))),
+    ("classifier_model", False, ((0, 1),)),
+]
+
+
+def batched(vals, batch, rng):
+    """``vals`` with ``batch`` points whose embeddings differ, or as they
+    are for None."""
+    if batch is None:
+        return vals
+    return {**vals,
+            "emb": vals["emb"] + 0.1 * rng.standard_normal(
+                (batch,) + vals["emb"].shape),
+            "target_mask": np.stack([vals["target_mask"]] * batch)}
+
+
+def arrays_kept(vals) -> int:
+    return sum(isinstance(v, np.ndarray) for v in vals)
+
+
+class TestLiveness:
+    """A pass keeps what its caller reads and drops every other value after
+    its last reader; what it keeps has the bits of a pass that keeps every
+    value."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("every_weight", [False, True])
+    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
+    def test_grad_after_a_freeing_forward_equals_keep_all(
+            self, model, causal, targets, every_weight, batch, request, rng):
+        params = request.getfixturevalue(model)
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets))
+        vals = batched(vals, batch, rng)
+        g = fg.graph
+        wrt = tuple(name for name in g.leaves if name != "target_mask") \
+            if every_weight else ("emb",)
+        keep_all = evaluate(g, vals)
+        freeing = evaluate(g, vals, (fg.score,), wrt)
+        assert np.array_equal(freeing[fg.score], keep_all[fg.score])
+        assert arrays_kept(freeing) < arrays_kept(keep_all) == len(g.nodes)
+        assert freeing.saved.keys() <= keep_all.saved.keys()
+        want = grad(g, fg.score, vals, wrt, forward=keep_all)
+        # grad's own forward, dropped from in its backward too, and a given
+        # one twice: the backward reads it and drops nothing from it
+        for got in (grad(g, fg.score, vals, wrt),
+                    grad(g, fg.score, vals, wrt, forward=freeing),
+                    grad(g, fg.score, vals, wrt, forward=freeing)):
+            assert tuple(got) == wrt
+            for name in wrt:
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_an_embedding_gradient_keeps_less_than_every_weights(
+            self, tiny_ar_model, rng):
+        tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(tiny_ar_model,
+                             ScoreTerm(tuple(tokens), True, ((5, 3),)))
+        weights = tuple(name for name in fg.graph.leaves
+                        if name != "target_mask")
+        emb = evaluate(fg.graph, vals, (fg.score,), ("emb",))
+        every = evaluate(fg.graph, vals, (fg.score,), weights)
+        assert arrays_kept(emb) < arrays_kept(every)
+
+    @pytest.mark.parametrize("every_weight", [False, True])
+    def test_a_backward_drops_each_kept_value_after_its_last_reader(
+            self, tiny_ar_model, every_weight, rng):
+        tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(tiny_ar_model,
+                             ScoreTerm(tuple(tokens), True, ((5, 3),)))
+        g = fg.graph
+        wrt = tuple(name for name in g.leaves if name != "target_mask") \
+            if every_weight else ("emb",)
+        forward = evaluate(g, vals, (fg.score,), wrt)
+        kept = {node.nid for node in g.nodes
+                if node.op not in ("leaf", "const")
+                and isinstance(forward[node.nid], np.ndarray)}
+        drops = [i for step in forward.plan.backward_drops for i in step]
+        # every kept value but the output goes once, at a step of the
+        # backward plan that reads it (a step before its last reader would
+        # leave that reader a None: see the test above)
+        assert sorted(drops) == sorted(kept - {fg.score})
+        steps = g.backward_plan(wrt)
+        for (nid, _, inputs, _), dropped in zip(steps,
+                                                 forward.plan.backward_drops):
+            assert all(i in inputs or i == nid for i in dropped)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
+    def test_a_forward_only_pass_keeps_its_outputs_alone(
+            self, model, causal, targets, batch, request, rng):
+        params = request.getfixturevalue(model)
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets))
+        vals = batched(vals, batch, rng)
+        g = fg.graph
+        keep_all = evaluate(g, vals)
+        for outputs in ((fg.score,), (fg.log_probs,),
+                        (fg.score, fg.log_probs)):
+            got = evaluate(g, vals, outputs)
+            assert got.saved == {}
+            for node in g.nodes:
+                if node.op in ("leaf", "const"):
+                    assert got[node.nid] is not None
+                elif node.nid in outputs:
+                    assert np.array_equal(got[node.nid], keep_all[node.nid])
+                else:
+                    assert got[node.nid] is None, node
+
+    def test_grad_refuses_a_forward_that_kept_too_little(self, tiny_ar_model,
+                                                         rng):
+        tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=4)
+        fg, vals = bind_pass(tiny_ar_model,
+                             ScoreTerm(tuple(tokens), True, ((3, 1),)))
+        g = fg.graph
+        for forward, wrt in [(evaluate(g, vals, (fg.score,)), ("emb",)),
+                             (evaluate(g, vals, (fg.score,), ("emb",)),
+                              ("emb", "out.w")),
+                             (evaluate(g, vals, (fg.log_probs,), ("emb",)),
+                              ("emb",))]:
+            with pytest.raises(GraphError, match="did not keep"):
+                grad(g, fg.score, vals, wrt, forward=forward)
+
+    def test_a_dropped_shape_is_kept_for_the_rules_that_read_it(self, rng):
+        # d(sum(x + y))/dy reads only the sum's and y's shapes; x + y is
+        # read by no kept node, so its value goes
+        g = Graph()
+        x = g.leaf((2, 3), "x")
+        y = g.leaf((3,), "y")
+        total = g.add(x, y)
+        s = g.sum_all(g.gelu(total))
+        leaves = {"x": rng.standard_normal((2, 3)),
+                  "y": rng.standard_normal(3)}
+        forward = evaluate(g, leaves, (s,), ("y",))
+        assert forward[total] is not None  # gelu's gradient reads its input
+        plain = g.add(x, y)
+        s2 = g.sum_all(plain)
+        forward = evaluate(g, leaves, (s2,), ("y",))
+        assert forward[plain].shape == (2, 3)
+        assert not isinstance(forward[plain], np.ndarray)
+        assert np.array_equal(grad(g, s2, leaves, ("y",), forward=forward)["y"],
+                              grad(g, s2, leaves, ("y",))["y"])
+
+
 def per_node_evaluate(graph: Graph, leaf_values) -> list:
     """The forward pass with a finiteness check after every op node: the
     reference for which passes evaluate rejects, and with what message."""
@@ -605,12 +752,16 @@ class TestFiniteness:
 
         expected = outcome(per_node_evaluate, fg.graph, vals)
         got = outcome(evaluate, fg.graph, vals)
+        # a pass that drops values rejects the same passes, at the same node
+        freeing = outcome(functools.partial(
+            evaluate, outputs=(fg.score,), wrt=("emb",)), fg.graph, vals)
         if isinstance(expected, str):
-            assert got == expected
+            assert got == freeing == expected
         else:
             assert not isinstance(got, str), got
             assert all(np.array_equal(a, b, equal_nan=True)
                        for a, b in zip(got, expected))
+            assert np.array_equal(freeing[fg.score], expected[fg.score])
 
     def test_finite_checks_are_the_outputs_and_softmax_inputs(self):
         g = Graph()

@@ -535,6 +535,27 @@ class TestNumericArguments:
         assert ("argument --lengths: must be comma-separated integers >= 1,"
                 f" got {lengths!r}" in capsys.readouterr().err)
 
+    def test_lengths_past_the_context_window_rejected_naming_the_flag(
+            self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-corpus", "--lengths", "2,40", "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert ("argument --lengths: must be <= 30 (pairs of 2 * length + 3"
+                " tokens fit the context window), got 40"
+                in capsys.readouterr().err)
+        assert main(["gen-corpus", "--lengths", "30", "--n-pairs", "1",
+                     "--out", str(tmp_path / "c")]) == 0
+
+    def test_lexicon_past_the_vocab_budget_rejected_naming_the_flag(
+            self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-corpus", "--lexicon", "40", "--out", "o"])
+        assert exc.value.code == EXIT_DIAGNOSTIC
+        assert ("argument --lexicon: must be <= 29 (a vocab of at most 64"
+                " tokens), got 40" in capsys.readouterr().err)
+        assert main(["gen-corpus", "--lexicon", "29", "--n-pairs", "1",
+                     "--out", str(tmp_path / "c")]) == 0
+
     def test_steps_above_response_len_rejected_naming_both(self, capsys):
         assert main(["generate", "--model", "m.bin", "--prompt", "s0",
                      "--response-len", "2", "--steps", "3"]) == EXIT_DIAGNOSTIC

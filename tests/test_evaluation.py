@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from attrscope import evaluation
 from attrscope.models import transformer
 from attrscope.attribution import (
-    PAD_BASELINE, BaselinePolicy, bind_score, score, scores,
+    PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients,
+    occlusion, score, scores,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
@@ -25,6 +26,7 @@ from attrscope.evaluation import (
     perturb_sets, ranked_features,
 )
 from attrscope.corpus import make_syn_corpus
+from attrscope.fileio import serialize_map, serialize_report
 from attrscope.models import (
     GreedyPolicy, Hyperparams, InfeasiblePerturbationError, PromptedInstance,
     StagePerturbation, ar_generate, diffusion_generate, init_params,
@@ -34,6 +36,7 @@ from attrscope.models.diffusion import (
     PERT_KINDS, SUBSTITUTE_STEP, ChainSpec, perturbed_plan, run_chains,
     stage_terms,
 )
+from attrscope.models import training
 from attrscope.models.params import DIFFUSION
 from attrscope.models.transformer import (
     ScoreTerm, run_groups, table_key, terms_score,
@@ -386,6 +389,70 @@ class TestBatchedReport:
             sorted(points, key=sorted)
 
 
+# (points, rows) per pass: one point, a size that splits IG's points
+# unevenly, the size before the row budget, the sizes in use, and a row
+# budget that gives graphs of different lengths different pass sizes
+PASS_SIZES = [(1, transformer.ROWS_PER_PASS), (3, transformer.ROWS_PER_PASS),
+              (8, transformer.ROWS_PER_PASS),
+              (transformer.POINTS_PER_PASS, transformer.ROWS_PER_PASS),
+              (transformer.POINTS_PER_PASS, 20)]
+
+
+@st.composite
+def pass_size_cases(draw, ar_params, diff_params, cls_params, corpus):
+    """A report case of any model kind (see report_cases; a classifier
+    instance under its one setting), IG steps, and the examples of a mean
+    loss of its model."""
+    if draw(st.booleans()):
+        params = cls_params
+        tokens = st.integers(0, params.hyper.vocab_size - 1)
+        instance = PromptedInstance(
+            prompt=tuple(draw(st.lists(tokens, min_size=1, max_size=5))),
+            seed=0, class_target=draw(st.integers(0, 2)))
+        contract = make_named(SETTING_CLASSIFIER, instance, None)
+        case = (params, instance, contract, {"name": "occlusion"},
+                draw(st.integers(1, len(contract.eligible))), POLICY,
+                draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+        examples = draw(st.lists(st.tuples(
+            st.lists(tokens, min_size=1, max_size=6).map(tuple),
+            st.integers(0, 2)), min_size=1, max_size=40))
+    else:
+        case = draw(report_cases(ar_params, diff_params))
+        pairs = list(corpus.train_pairs)
+        start = draw(st.integers(0, len(pairs) - 1))
+        examples = pairs[start:start + draw(st.integers(1, 40))]
+    return case, draw(st.integers(1, 20)), examples
+
+
+class TestPassSize:
+    """A point's bits do not depend on which points share its pass: maps,
+    reports and the mean loss are the same at every pass size."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_outputs_equal_at_every_pass_size(
+            self, tiny_ar_model, diffusion_model, classifier_model,
+            tiny_corpus, data):
+        case, steps, examples = data.draw(pass_size_cases(
+            tiny_ar_model, diffusion_model, classifier_model, tiny_corpus))
+        params, instance, contract, _, K, policy, n_random, seed = case
+        ig = {"name": "ig", "steps": steps}
+        outputs = []
+        for points, rows in PASS_SIZES:
+            with mock.patch.object(transformer, "POINTS_PER_PASS", points), \
+                    mock.patch.object(transformer, "ROWS_PER_PASS", rows):
+                outputs.append((
+                    serialize_map(integrated_gradients(
+                        params, instance, contract, steps=steps)),
+                    serialize_map(occlusion(params, instance, contract)),
+                    serialize_report(faithfulness_report(
+                        params, instance, contract, ig, K, policy,
+                        n_random=n_random, seed=seed)),
+                    training._mean_loss(params, examples, seed)))
+        for out in outputs[1:]:
+            assert out == outputs[0]
+
+
 def replay_to_state(params, prompts, traj, t, substitutions):
     """Re-run the chain from z_T down to z_t with the original slot schedule,
     once per (prompt, substitutions) pair; substituted commitments are
@@ -452,9 +519,9 @@ def counted_points(points):
     each pass run_groups makes to ``points``."""
     original = transformer.evaluate
 
-    def counting(graph, vals):
+    def counting(graph, vals, *args, **kwargs):
         points.append(len(vals["emb"]) if vals["emb"].ndim == 3 else 1)
-        return original(graph, vals)
+        return original(graph, vals, *args, **kwargs)
 
     return mock.patch.object(transformer, "evaluate", counting)
 

@@ -875,9 +875,9 @@ def spy_passes(monkeypatch):
     calls, emb_grads = [], []
     evaluate_fn, grad_fn = training.evaluate, training.grad
 
-    def evaluating(graph, vals):
+    def evaluating(graph, vals, *args, **kwargs):
         calls.append(("evaluate", vals["emb"].shape))
-        return evaluate_fn(graph, vals)
+        return evaluate_fn(graph, vals, *args, **kwargs)
 
     def differentiating(graph, node, vals, wrt, forward=None):
         calls.append(("grad", vals["emb"].shape))
