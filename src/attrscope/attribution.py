@@ -2,7 +2,7 @@
 path semantics, gradient-times-input, occlusion, and stage perturbation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,6 +153,23 @@ def bind_score(params: ModelParams, instance: PromptedInstance,
 
     ``conditioning`` is the chain whose states a diffusion score reads; by
     default the instance's own trajectory."""
+    parts = _score_parts(params, instance, contract, conditioning)
+    rows: dict[FeatureRef, tuple[tuple[int, int], ...]] = {}
+    for row, ref in enumerate(features(instance)):
+        held = tuple((i, row) for i, (_, holds) in enumerate(parts)
+                     if holds(ref, row))
+        if held:
+            rows[ref] = held
+    return BoundScore(params=params, terms=[term for term, _ in parts],
+                      feature_rows=rows)
+
+
+def _score_parts(params: ModelParams, instance: PromptedInstance,
+                 contract: AttributionContract,
+                 conditioning: DenoisingTrajectory | None) -> list:
+    """The contract's score as (term, holds) pairs, one per term, as in
+    bind_score; ``holds(ref, row)`` says whether the term's input holds the
+    token feature ``ref`` at row ``row``."""
     kind = contract.score_kind
     if kind == STAGE_DELTA:
         raise StageScoreError("stage_delta has no single differentiable scalar")
@@ -185,15 +202,7 @@ def bind_score(params: ModelParams, instance: PromptedInstance,
                  for t, term in terms.items()]
     else:
         raise ContractError(f"cannot bind score kind {kind!r}")
-
-    rows: dict[FeatureRef, tuple[tuple[int, int], ...]] = {}
-    for row, ref in enumerate(features(instance)):
-        held = tuple((i, row) for i, (_, holds) in enumerate(parts)
-                     if holds(ref, row))
-        if held:
-            rows[ref] = held
-    return BoundScore(params=params, terms=[term for term, _ in parts],
-                      feature_rows=rows)
+    return parts
 
 
 # -- score dispatch -------------------------------------------------------
@@ -219,11 +228,12 @@ def scores(params: ModelParams, cases) -> list[float]:
     """The score of each (contract, instance, conditioning) case, with
     ``conditioning`` as in bind_score; the passes of all cases are scored
     together in batched passes."""
-    bound = []
+    group_lists = []
     for contract, instance, conditioning in cases:
         _check(contract, params, instance)
-        bound.append(bind_score(params, instance, contract, conditioning))
-    return score_sums(params, [bs.with_rows({}) for bs in bound])
+        group_lists.append([(term, {}) for term, _ in _score_parts(
+            params, instance, contract, conditioning)])
+    return score_sums(params, group_lists)
 
 
 # -- methods --------------------------------------------------------------
@@ -252,8 +262,11 @@ def integrated_gradients(params: ModelParams, instance: PromptedInstance,
                 for ref in eligible}
         grads = bs.grad(eligible, rows)
         for ref in eligible:
-            for g in grads[ref]:  # in k order, as a sequential loop adds them
-                accum[ref] = g if accum[ref] is None else accum[ref] + g
+            # in k order, as a sequential loop adds them: accumulate adds
+            # one point at a time, never pairwise
+            stack = grads[ref] if accum[ref] is None else np.concatenate(
+                [accum[ref][None], grads[ref]])
+            accum[ref] = np.add.accumulate(stack)[-1]
 
     entries = [(ref, float(np.dot(bs.embedding(ref) - base_vec,
                                   accum[ref] / steps)))
@@ -283,17 +296,47 @@ def grad_times_input(params: ModelParams, instance: PromptedInstance,
     return _map(params, instance, contract, entries, name="grad_x_input")
 
 
+def with_tokens(instance: PromptedInstance, refs,
+                token: int) -> PromptedInstance:
+    """The instance with the prompt and generated tokens among ``refs``
+    replaced by ``token``; refs of other kinds are left to the caller."""
+    prompt = list(instance.prompt)
+    gen = list(instance.generation) if instance.generation is not None else None
+    for ref in refs:
+        if ref.kind == PROMPT_TOKEN:
+            prompt[ref.index] = token
+        elif ref.kind == PREFIX_TOKEN:
+            gen[ref.index] = token
+    return replace(instance, prompt=tuple(prompt),
+                   generation=tuple(gen) if gen is not None else None)
+
+
+def _occluded(instance: PromptedInstance, ref: FeatureRef, token: int):
+    """The (instance, conditioning) that hold ``token`` in place of the
+    feature ``ref``: a prompt or generated token in the instance, a state
+    commitment in a copy of the instance's chain, whose states then hold
+    ``token`` at its slot while the score's targets stay the chain's own."""
+    if ref.kind != STATE_COMMITMENT:
+        return with_tokens(instance, [ref], token), None
+    traj = instance.trajectory
+    return instance, replace(traj, commit_tokens=tuple(
+        token if s == ref.slot else tok
+        for s, tok in enumerate(traj.commit_tokens)))
+
+
 def occlusion(params: ModelParams, instance: PromptedInstance,
               contract: AttributionContract,
               baseline: BaselinePolicy = PAD_BASELINE) -> AttributionMap:
-    """S(actual) - S(feature's token replaced by the baseline token)."""
+    """S(actual) - S(feature's token replaced by the baseline token), over
+    token inputs (see _occluded), so a deletion's passes have table keys,
+    as a curve point's do."""
     if baseline.kind == "zero_embedding":
         raise ValueError("occlusion works in token space; use pad or mask baseline")
     _check(contract, params, instance)
-    bs = bind_score(params, instance, contract)
-    base_vec = baseline.embedding(params)
-    s_actual, *s_occ = bs.values(
-        [{}] + [{ref: base_vec} for ref in contract.eligible])
+    token = baseline.token_id(params)
+    s_actual, *s_occ = scores(params, [(contract, instance, None)] + [
+        (contract, *_occluded(instance, ref, token))
+        for ref in contract.eligible])
     entries = [(ref, s_actual - s) for ref, s in zip(contract.eligible, s_occ)]
     return _map(params, instance, contract, entries,
                 name="occlusion", baseline=baseline.kind)
@@ -327,7 +370,8 @@ def stage_attribution(params: ModelParams, instance: PromptedInstance,
         chains[ref] = ChainSpec(
             prompt, new_plan,
             substitute=pert if pert_kind == SUBSTITUTE_STEP else None)
-    reruns = run_chains(params, chains.values(), traj.response_len, traj.seed)
+    reruns = run_chains(params, chains.values(), traj.response_len, traj.seed,
+                        traj.tables)
     # the original output's teacher-forced score under each re-run's states
     perturbed = dict(zip(chains, score_sums(params, [
         [(term, {}) for term in

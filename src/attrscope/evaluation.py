@@ -9,10 +9,10 @@ import numpy as np
 
 from .attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, grad_times_input,
-    integrated_gradients, occlusion, scores, stage_attribution,
+    integrated_gradients, occlusion, scores, stage_attribution, with_tokens,
 )
 from .contract import (
-    OUTPUT_LOG_PROB, PREFIX_TOKEN, PROMPT_TOKEN, STAGE, STAGE_DELTA,
+    OUTPUT_LOG_PROB, STAGE, STAGE_DELTA,
     STATE_COMMITMENT, STATE_LOG_PROB,
     AttributionContract, FeatureRef, canonical_id,
 )
@@ -72,18 +72,8 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
         raise EvaluationError("stage features are perturbed via stage_attribution")
 
     rep_tok = policy.replacement.token_id(params)
-    contexts = []
-    for features in feature_sets:
-        prompt = list(instance.prompt)
-        gen = list(instance.generation) if instance.generation is not None else None
-        for ref in features:
-            if ref.kind == PROMPT_TOKEN:
-                prompt[ref.index] = rep_tok
-            elif ref.kind == PREFIX_TOKEN:
-                gen[ref.index] = rep_tok
-        inst = replace(instance, prompt=tuple(prompt),
-                       generation=tuple(gen) if gen is not None else None)
-        contexts.append(PerturbedContext(instance=inst))
+    contexts = [PerturbedContext(instance=with_tokens(instance, features, rep_tok))
+                for features in feature_sets]
 
     kind = contract.score_kind
     if kind not in (STATE_LOG_PROB, OUTPUT_LOG_PROB):
@@ -106,7 +96,8 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
         chains = [ChainSpec(ctx.instance.prompt, plan) for ctx in contexts]
     else:
         return [replace(ctx, conditioning=traj) for ctx in contexts]
-    conditionings = run_chains(params, chains, traj.response_len, traj.seed)
+    conditionings = run_chains(params, chains, traj.response_len, traj.seed,
+                               traj.tables)
     return [replace(ctx, conditioning=conditioning)
             for ctx, conditioning in zip(contexts, conditionings)]
 
@@ -198,8 +189,26 @@ class FaithfulnessReport:
     seed: int = 0
 
 
+def _with_store(instance: PromptedInstance) -> PromptedInstance:
+    """The instance an op works on. A diffusion instance's chain gets a
+    copy of its store of log-prob tables, which every pass of the op reads
+    and fills (see ``DenoisingTrajectory.tables``); the caller's chain keeps
+    its own."""
+    traj = instance.trajectory
+    if traj is None:
+        return instance
+    return replace(instance, trajectory=replace(traj, tables=dict(traj.tables)))
+
+
 def compute_map(params: ModelParams, instance: PromptedInstance,
                 contract: AttributionContract, method: dict) -> AttributionMap:
+    """The map ``method`` names (its "name" and settings) of the instance
+    under the contract."""
+    return _compute_map(params, _with_store(instance), contract, method)
+
+
+def _compute_map(params: ModelParams, instance: PromptedInstance,
+                 contract: AttributionContract, method: dict) -> AttributionMap:
     name = method.get("name")
     baseline = BaselinePolicy(method.get("baseline", "pad_token"))
     if name == "ig":
@@ -222,7 +231,11 @@ def faithfulness_report(params: ModelParams, instance: PromptedInstance,
                         contract: AttributionContract, method: dict,
                         K: int | None, policy: PerturbationPolicy,
                         n_random: int = 10, seed: int = 0) -> FaithfulnessReport:
-    attr_map = compute_map(params, instance, contract, method)
+    """The map's deletion and insertion curves, with AOPC, beside those of
+    ``n_random`` random orderings; a stage map's entries alone. The map and
+    the curves share one store of log-prob tables (see _with_store)."""
+    instance = _with_store(instance)
+    attr_map = _compute_map(params, instance, contract, method)
     cid = canonical_id(contract).digest
 
     if contract.score_kind == STAGE_DELTA:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .params import ModelParams, DIFFUSION
 from .transformer import (
-    ScoreTerm, check_context, run_groups, table_key, terms_score,
+    ScoreTerm, check_context, run_groups, terms_score,
 )
 
 ABLATE = "ablate"
@@ -42,11 +42,13 @@ class StagePerturbation:
 
 @dataclass(frozen=True)
 class DenoisingTrajectory:
-    """A chain's commitments. ``tables`` holds the log-prob table of every
-    pass the chain that made it ran, under the ``transformer.table_key`` of
-    that pass's term (model, bidirectional graph over the response rows,
-    input tokens), for the stage terms conditioned on it to read; it takes
-    no part in equality or in ``instance_digest``."""
+    """A chain's commitments. ``tables`` is the store of log-prob tables,
+    each under the ``transformer.table_key`` of its pass's term, that the
+    run which made the chain read and filled; it holds the table of every
+    pass the chain ran. Stage terms conditioned on the chain read it and
+    fill it. An ``evaluate`` op or a map works on a copy of its instance's
+    store (``evaluation._with_store``). It takes no part in equality or in
+    ``instance_digest``."""
     num_steps: int
     response_len: int
     commit_tokens: tuple[int, ...]  # final token per slot
@@ -84,11 +86,13 @@ def _require_diffusion(params: ModelParams) -> None:
         raise ValueError(f"operation requires a masked-diffusion model, got {params.kind}")
 
 
-def masked_log_probs(params: ModelParams, sequences,
-                     positions) -> np.ndarray:
+def masked_log_probs(params: ModelParams, sequences, positions,
+                     store: dict | None = None) -> np.ndarray:
     """Bidirectional log-probabilities of equal-length token sequences at
     the sorted ``positions``, in batched passes that compute only those
-    rows; shape (N, len(positions), vocab)."""
+    rows; shape (N, len(positions), vocab). A sequence whose table
+    ``store`` holds runs no pass, and each pass leaves its table there (see
+    ``transformer.run_groups``)."""
     _require_diffusion(params)
     sequences = [tuple(tokens) for tokens in sequences]
     if len({len(tokens) for tokens in sequences}) != 1:
@@ -97,8 +101,9 @@ def masked_log_probs(params: ModelParams, sequences,
     if not rows or list(rows) != sorted(set(rows)):
         raise ValueError("positions must be sorted, distinct and at least one")
     return np.stack(run_groups(
-        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows),
-                  {}) for tokens in sequences], "log_probs"))
+        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows,
+                            tables=store), {}) for tokens in sequences],
+        "log_probs"))
 
 
 def default_commit_plan(response_len: int, num_steps: int) -> dict[int, int]:
@@ -134,24 +139,25 @@ def run_chain(params: ModelParams, prompt, response_len: int,
                       response_len, seed)[0]
 
 
-def run_chains(params: ModelParams, chains, response_len: int,
-               seed: int) -> list[DenoisingTrajectory]:
+def run_chains(params: ModelParams, chains, response_len: int, seed: int,
+               store: dict | None = None) -> list[DenoisingTrajectory]:
     """Run the unmasking chains of equal-length prompts in lockstep, each
     drawing from its own generator seeded with ``seed``. Each stage makes
     one batched masked_log_probs pass over the chains that predict a token
-    there; a forced token needs no prediction. Each result has
-    ``max(chain.plan)`` stages, and keeps the log-prob table of each pass
-    its chain ran."""
+    there; a forced token needs no prediction. The passes read and fill
+    ``store`` (by default a new one), and each result has
+    ``max(chain.plan)`` stages and ``store`` as its tables."""
     chains = list(chains)
+    if store is None:
+        store = {}
     mask_id = params.vocab.mask
     for chain in chains:
         if sum(chain.plan.values()) != response_len:
             raise ValueError("commit plan does not cover the response")
         check_context(params.hyper, len(chain.prompt) + response_len)
-    # per chain: slot tokens, the stage each slot committed at (0: open),
-    # rng, and the log-prob table of each pass, by its table_key
-    runs = [([mask_id] * response_len, [0] * response_len,
-             np.random.default_rng(seed), {}) for _ in chains]
+    # per chain: slot tokens and the stage each slot committed at (0: open)
+    runs = [([mask_id] * response_len, [0] * response_len) for _ in chains]
+    rngs = {}  # per chain, its generator, made at its first draw
 
     for t in range(max((max(chain.plan) for chain in chains), default=0), 0, -1):
         # per chain: the slots its schedule commits at t, or None when the
@@ -168,15 +174,11 @@ def run_chains(params: ModelParams, chains, response_len: int,
             # chain's pass never depends on the chains it runs beside, and
             # a stage term over the same state reads the same table
             n = len(chains[0].prompt)
-            response = tuple(range(n, n + response_len))
             inputs = [tuple(chains[i].prompt) + tuple(runs[i][0]) for i in predict]
-            tables = masked_log_probs(params, inputs, response)
-            tables.flags.writeable = False  # kept, and read by later scores
-            for i, tokens, table in zip(predict, inputs, tables):
-                key = table_key(params, ScoreTerm(tokens, False, (), response))
-                rows[i] = runs[i][3][key] = table
+            rows = dict(zip(predict, masked_log_probs(
+                params, inputs, range(n, n + response_len), store)))
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
-            slots, steps, rng, _ = runs[i]
+            slots, steps = runs[i]
             if slots_at_t is None:
                 k = chain.plan.get(t, 0)
                 open_slots = [s for s in range(response_len) if steps[s] == 0]
@@ -196,7 +198,9 @@ def run_chains(params: ModelParams, chains, response_len: int,
                     logp = rows[i][s] / chain.substitute.temperature
                     p = np.exp(logp - logp.max())
                     p /= p.sum()
-                    tok = int(rng.choice(len(p), p=p))
+                    if i not in rngs:
+                        rngs[i] = np.random.default_rng(seed)
+                    tok = int(rngs[i].choice(len(p), p=p))
                 else:
                     tok = int(np.argmax(rows[i][s]))
                 slots[s] = tok
@@ -206,8 +210,8 @@ def run_chains(params: ModelParams, chains, response_len: int,
                                 response_len=response_len,
                                 commit_tokens=tuple(slots),
                                 commit_steps=tuple(steps), seed=seed,
-                                tables=tables)
-            for chain, (slots, steps, _, tables) in zip(chains, runs)]
+                                tables=store)
+            for chain, (slots, steps) in zip(chains, runs)]
 
 
 def diffusion_generate(params: ModelParams, prompt, response_len: int,

@@ -110,25 +110,24 @@ class ModelParams:
     def model_id(self) -> str:
         """SHA-256 of the header and the weights; hashed once per model,
         since nothing writes a model's weight arrays in place."""
-        digest = hashlib.sha256()
-        digest.update(json.dumps(_header_dict(self), sort_keys=True).encode())
-        for name, array in _file_arrays(self):
-            digest.update(name.encode())
-            digest.update(array)
-        return digest.hexdigest()
+        layout = _file_layout(self.hyper)
+        return _model_digest(self, layout, (
+            array for _, array in _file_arrays(self, layout)))
 
 
 def init_params(hp: Hyperparams, vocab: Vocab, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
     arrays = {}
-    for name, _, _, shape in _file_layout(hp):  # the file's draw order
+    layout = _file_layout(hp)
+    for name, _, _, shape in layout:  # the file's draw order
         if name.endswith(".g"):
             arrays[name] = np.ones(shape)
         elif name.endswith((".b", ".b1", ".b2")):
             arrays[name] = np.zeros(shape)
         else:
             arrays[name] = rng.normal(0.0, 0.02, size=shape)
-    return ModelParams(hyper=hp, vocab=vocab, weights=_stacked(hp, arrays))
+    return ModelParams(hyper=hp, vocab=vocab,
+                       weights=_stacked(hp, arrays, layout))
 
 
 # -- persistence ---------------------------------------------------------
@@ -155,26 +154,28 @@ def _file_layout(hp: Hyperparams) -> list[tuple[str, str, int | None, tuple]]:
     return layout
 
 
-def _stacked(hp: Hyperparams, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The weights, from a model file's arrays keyed by array name."""
+def _stacked(hp: Hyperparams, arrays: dict[str, np.ndarray],
+             layout) -> dict[str, np.ndarray]:
+    """The weights, from a model file's arrays keyed by array name; the
+    file's ``layout`` is ``_file_layout(hp)``."""
     weights = {w: np.empty(shape) for w, shape in weight_shapes(hp).items()}
-    for name, weight, head, _ in _file_layout(hp):
+    for name, weight, head, _ in layout:
         weights[weight][() if head is None else head] = arrays[name]
     return weights
 
 
-def _file_arrays(params: ModelParams):
+def _file_arrays(params: ModelParams, layout):
     """(array name, array) of each array in the model's file, in file
-    order (sorted by name); each array is C-contiguous little-endian f64,
-    so its buffer is its bytes in the file, a view where the weight is
-    already so."""
-    for name, weight, head, _ in sorted(_file_layout(params.hyper)):
+    order (sorted by name), for the file's ``layout``; each array is
+    C-contiguous little-endian f64, so its buffer is its bytes in the file,
+    a view where the weight is already so."""
+    for name, weight, head, _ in sorted(layout):
         array = params.weights[weight]
         yield name, np.ascontiguousarray(
             array if head is None else array[head], dtype="<f8")
 
 
-def _header_dict(params: ModelParams) -> dict:
+def _header_dict(params: ModelParams, layout) -> dict:
     return {
         "hyper": asdict(params.hyper),
         "vocab": {
@@ -182,16 +183,29 @@ def _header_dict(params: ModelParams) -> dict:
             "pad": params.vocab.pad, "mask": params.vocab.mask,
             "sep": params.vocab.sep, "eos": params.vocab.eos,
         },
-        "weight_order": sorted(name for name, *_ in _file_layout(params.hyper)),
+        "weight_order": sorted(name for name, *_ in layout),
     }
+
+
+def _model_digest(params: ModelParams, layout, buffers) -> str:
+    """The model id: SHA-256 of the header (less its model_id), then the
+    name and bytes of each array, in file order; ``buffers`` yields the
+    arrays' bytes in that order."""
+    digest = hashlib.sha256(
+        json.dumps(_header_dict(params, layout), sort_keys=True).encode())
+    for (name, *_), buffer in zip(sorted(layout), buffers):
+        digest.update(name.encode())
+        digest.update(buffer)
+    return digest.hexdigest()
 
 
 def save_model(params: ModelParams, path: str) -> None:
     """Single self-describing file: header JSON + little-endian f64 weights."""
-    header = _header_dict(params)
+    layout = _file_layout(params.hyper)
+    header = _header_dict(params, layout)
     header["model_id"] = params.model_id
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(array for _, array in _file_arrays(params))
+    body = b"".join(array for _, array in _file_arrays(params, layout))
     payload = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + body
     _atomic_write(path, payload)
 
@@ -226,27 +240,32 @@ def load_model(path: str) -> ModelParams:
         v = header["vocab"]
         vocab = Vocab(tokens=tuple(v["tokens"]), pad=v["pad"], mask=v["mask"],
                       sep=v["sep"], eos=v["eos"])
-        layout = sorted(_file_layout(hp))
-        if header["weight_order"] != [name for name, *_ in layout]:
+        layout = _file_layout(hp)
+        in_file = sorted(layout)
+        if header["weight_order"] != [name for name, *_ in in_file]:
             raise ModelIOError("weight_order does not list the model's weights"
                                " in sorted order")
-        counts = [int(np.prod(shape)) for *_, shape in layout]
+        counts = [int(np.prod(shape)) for *_, shape in in_file]
         if len(blob) - 12 - hlen != 8 * sum(counts):
             raise ModelIOError(f"weight body is {len(blob) - 12 - hlen} bytes,"
                                f" expected {8 * sum(counts)}")
-        arrays = {}
+        arrays, buffers = {}, []  # each array's bytes, a slice of the file's
         offset = 12 + hlen
-        for (name, _, _, shape), count in zip(layout, counts):
+        for (name, _, _, shape), count in zip(in_file, counts):
             arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
                                          offset=offset).reshape(shape)
+            buffers.append(memoryview(blob)[offset:offset + 8 * count])
             offset += count * 8
-        params = ModelParams(hyper=hp, vocab=vocab, weights=_stacked(hp, arrays))
+        params = ModelParams(hyper=hp, vocab=vocab,
+                             weights=_stacked(hp, arrays, layout))
         model_id = header["model_id"]
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as exc:
         # ValueError covers bad UTF-8 and bad JSON; a JSON number of 1e999
         # reads as inf, and int(inf) raises OverflowError
         raise ModelIOError(f"corrupt header: {exc}") from exc
-    if params.model_id != model_id:
+    # the id hashes the bytes the weights were read from
+    if _model_digest(params, layout, buffers) != model_id:
         raise ModelIOError("model_id hash mismatch; file corrupted")
+    object.__setattr__(params, "model_id", model_id)  # verified: no re-hash
     return params

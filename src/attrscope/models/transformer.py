@@ -23,14 +23,17 @@ Every score, log-prob and embedding-gradient pass is bound as a pass
 group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
 ``_bind``, which training calls too, is the one place leaf values are built.
 
-Each distinct pass input runs through the model at most once. A score or
-log-prob read of a group that overrides no row is answered from the
-log-prob table of its input, when its term brings one or an identical
-input earlier in the same run_groups call has one: the table itself, or
+Within one ``evaluate`` op or attribution map, each distinct input of a
+score or log-prob pass runs through the model at most once. A read of a
+group that overrides no row is answered from the log-prob table of its
+input, when the store its term carries holds one or an identical input
+earlier in the same run_groups call has one: the table itself, or
 ``(table * mask).sum()``, the graph's own ``mul`` and ``sum_all``. Batched
 passes equal unbatched ones, so a served value equals a fresh pass bit for
-bit. A diffusion chain keeps the table of every pass it ran, and a stage
-term over one of its states reads every response slot, as the chain's
+bit. Every other such read leaves its table in the store. An op's store
+starts from the tables of its instance's chain, and the op's chain
+re-runs, stage terms and token-space occlusion all read and fill it; a
+stage term over a chain's state reads every response slot, as the chain's
 step did, so the term's graph and input are the step's. Embedding
 gradients always run their passes.
 """
@@ -199,9 +202,10 @@ class ScoreTerm:
     computes only those (see run_groups); a term that names no row reads
     every row.
 
-    ``tables`` holds log-prob tables of earlier passes, each under the
-    table_key of the term its pass ran; run_groups answers a read of the
-    term from the one under the term's own table_key, when there is one."""
+    ``tables`` is a store of log-prob tables of passes, each under the
+    table_key of the term its pass ran: run_groups answers a read of the
+    term from the one under the term's own table_key, when there is one,
+    and else puts the table of the term's pass there."""
     tokens: tuple[int, ...]
     causal: bool
     targets: tuple[tuple[int, int], ...]
@@ -270,16 +274,17 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     (B, d) for B passes, whose B values come back stacked. The groups over
     one cached graph (length, attention mode, rows read) share passes, in
     order. A score or log-prob read of a group that overrides nothing runs
-    no pass when its term brings the log-prob table of its input (see
-    ScoreTerm.tables) or an earlier group has the same input. Both are
-    found under the term's table_key: the model, the graph and the tokens
-    it reads. Such a group's value is its input's table, or
+    no pass when the store its term carries (see ScoreTerm.tables) holds
+    the log-prob table of its input or an earlier group has the same input.
+    Both are found under the term's table_key: the model, the graph and
+    the tokens it reads. Such a group's value is its input's table, or
     ``(table * mask).sum()`` for a score, which equals its pass bit for
-    bit."""
+    bit. Every such read leaves the table of its input in the store its
+    term carries."""
     hp = params.hyper
     inputs = [table_key(params, term) for term, _ in groups]
     answerable = read != "emb_grad"  # a score or log-prob read
-    # the table of each input whose term brings one
+    # the table of each input whose term's store holds one
     tables: dict[tuple, np.ndarray] = {}
     for (term, overrides), inp in zip(groups, inputs):
         if answerable and not overrides and term.tables and inp in term.tables:
@@ -287,6 +292,7 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     sizes = []  # per group: B, or None for one unbatched pass
     first: dict[tuple, int] = {}  # input -> the group whose pass runs it
     served: dict[int, tuple] = {}  # group -> the input whose table answers it
+    keep: set[int] = set()  # the groups whose pass keeps its table
     by_graph: dict[tuple, list[int]] = {}
     for i, ((term, overrides), inp) in enumerate(zip(groups, inputs)):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
@@ -297,20 +303,25 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
             if inp in tables or inp in first:
                 served[i] = inp
                 if inp in first:  # that group's pass keeps its table
-                    served[first[inp]] = inp
+                    keep.add(first[inp])
                 continue
             first[inp] = i
+            if term.tables is not None:
+                keep.add(i)
         by_graph.setdefault(inp[1], []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
+    kept: dict[int, np.ndarray] = {}  # group -> the table its pass kept
     for key, members in by_graph.items():
         fg = build_forward_graph(hp, *key)
         points = [(i, k) for i in members for k in range(sizes[i] or 1)]
         size = _pass_size(key[0])
         for start in range(0, len(points), size):
             _run_pass(params, fg, key[0], groups, read, pieces,
-                      points[start:start + size], served)
-    tables.update((inp, pieces[i][0][0]) for inp, i in first.items()
-                  if i in served)
+                      points[start:start + size], keep, kept)
+    tables.update((inputs[i], table) for i, table in kept.items())
+    for (term, overrides), inp in zip(groups, inputs):
+        if term.tables is not None and not overrides and inp in tables:
+            term.tables.setdefault(inp, tables[inp])
     out = []
     for i, (p, n) in enumerate(zip(pieces, sizes)):
         if i in served:
@@ -328,11 +339,11 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
 
 def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
               read: str, pieces: list[list[np.ndarray]], points,
-              tabled) -> None:
+              keep: set[int], kept: dict[int, np.ndarray]) -> None:
     """One pass over ``fg``, a graph over the first ``length`` tokens of
     each term, of ``points``, each (group, point); appends each group's
-    values in it, stacked, to the group's pieces: the log-prob table for a
-    group in ``tabled``, else what ``read`` names."""
+    values in it, stacked, to the group's pieces, and puts the log-prob
+    table of each group in ``keep`` in ``kept``, read-only."""
     segments: dict[int, list[int]] = {}  # group -> its points in this pass
     for i, k in points:
         segments.setdefault(i, []).append(k)
@@ -356,12 +367,15 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     else:
         # the pass keeps only the nodes read below
         node = getattr(fg, read)
-        outputs = (node, fg.log_probs) if tabled.keys() & segments.keys() \
-            else (node,)
+        outputs = (node, fg.log_probs) if keep & segments.keys() else (node,)
         values = evaluate(fg.graph, vals, outputs)
     at = 0
     for i, ks in segments.items():
-        out = values[fg.log_probs if i in tabled else node]
+        if i in keep:  # one point, unbatched or at ``at``
+            table = values[fg.log_probs] if one else values[fg.log_probs][at]
+            table.flags.writeable = False  # kept, and read by later passes
+            kept[i] = table
+        out = values[node]
         out = out[None] if one else out
         piece = out[at:at + len(ks)]
         at += len(ks)

@@ -3,6 +3,7 @@ separation, stage perturbations, map hygiene, and batched IG and occlusion
 and lockstep stage re-runs against sequential loops."""
 import contextlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from attrscope.models.diffusion import (
 )
 from attrscope.models.transformer import (
     POINTS_PER_PASS, ROWS_PER_PASS, _graph_key, build_forward_graph,
-    run_groups,
+    run_groups, table_key,
 )
 from conftest import bind_pass
 
@@ -497,6 +498,7 @@ class TestBatchedOcclusion:
                   SETTING_CLASSIFIER: classifier_model}
         params, instance, contract, _, _ = data.draw(ig_cases(models))
         baseline = data.draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE]))
+        kept = set(instance.trajectory.tables) if instance.trajectory else set()
         with recorded_passes("evaluate") as passes:
             attr_map = occlusion(params, instance, contract, baseline=baseline)
         bs = bind_score(params, instance, contract)
@@ -505,12 +507,20 @@ class TestBatchedOcclusion:
         assert attr_map.entries == tuple(
             (ref, s_actual - unbatched_value(bs, {ref: base_vec}))
             for ref in contract.eligible)
-        # one point per term for each eligible feature and for the actual
-        # score, whose diffusion terms read the tables the instance's own
-        # chain kept of its passes over the same states
-        actual = 0 if instance.trajectory is not None else len(bs.terms)
+        # one point per distinct input among the actual score's terms and
+        # each deletion's, where the feature's rows hold the baseline
+        # token, less the inputs whose tables the instance's own chain kept
+        token = baseline.token_id(params)
+        inputs = set()
+        for ref in [None, *contract.eligible]:
+            rows = dict(bs.feature_rows[ref]) if ref else {}
+            for i, term in enumerate(bs.terms):
+                tokens = list(term.tokens)
+                if i in rows:
+                    tokens[rows[i]] = token
+                inputs.add(table_key(params, replace(term, tokens=tuple(tokens))))
         assert sum(len(pass_points(params, vals)) for vals in passes) \
-            == len(bs.terms) * len(contract.eligible) + actual
+            == len(inputs - kept)
 
 
 def sequential_stage_entries(params, instance, contract, pert_kind,

@@ -2,6 +2,7 @@
 identities, discipline guarantees, report plumbing, the batched report
 against a sequential point-by-point reference, and state-level conditioning
 chains against a stage-by-stage replay."""
+import contextlib
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrscope import evaluation
-from attrscope.models import transformer
+from attrscope.models import diffusion, transformer
 from attrscope.attribution import (
     PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients,
     occlusion, score, scores,
@@ -55,6 +56,15 @@ def ar_instance(tiny_ar_model, tiny_corpus):
 
 @pytest.fixture(scope="module")
 def diff_instance(diffusion_model, tiny_corpus):
+    prompt = tiny_corpus.heldout_pairs[0][0]
+    traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
+    return PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
+
+
+@pytest.fixture()
+def own_diff_instance(diffusion_model, tiny_corpus):
+    """diff_instance made again for one test, so that the store of its
+    chain holds no table that another test's passes left there."""
     prompt = tiny_corpus.heldout_pairs[0][0]
     traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
     return PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
@@ -586,22 +596,27 @@ class TestServedTables:
         kept = {term.tokens for term in terms
                 if table_key(params, term) in term.tables}
         assert kept  # the generation's own stage terms at least
+        # one pass point per distinct input no store held a table of; the
+        # score read leaves each input's table in its term's store, so the
+        # log-prob read after it runs none
+        expected = len({term.tokens for term in terms} - kept)
         for read in ("score", "log_probs"):
             points = []
             with counted_points(points):
                 served = run_groups(params, [(term, {}) for term in terms],
                                     read)
-            # one pass point per distinct input no chain kept a table of
-            assert sum(points) == len({term.tokens for term in terms} - kept)
+            assert sum(points) == expected
+            assert all(table_key(params, term) in term.tables for term in terms)
+            expected = 0
             for value, term in zip(served, fresh):
                 assert np.array_equal(value, run_groups(
                     params, [(term, {})], read)[0])
 
     def test_another_models_chain_serves_no_table(self, diffusion_model,
-                                                  diff_instance):
+                                                  own_diff_instance):
         other = init_params(diffusion_model.hyper, diffusion_model.vocab,
                             seed=11)
-        prompt, traj = diff_instance.prompt, diff_instance.trajectory
+        prompt, traj = own_diff_instance.prompt, own_diff_instance.trajectory
         terms = stage_terms(prompt, traj, traj, other.vocab.mask).values()
         points = []
         with counted_points(points):
@@ -611,12 +626,12 @@ class TestServedTables:
             other, prompt, traj, replace(traj, tables={}))
 
     def test_rescored_context_with_perturbed_prompt_runs_its_pass(
-            self, diffusion_model, diff_instance):
-        contract = make_named(SETTING_P2O, diff_instance)
-        contexts = perturb_sets(diffusion_model, diff_instance, contract,
+            self, diffusion_model, own_diff_instance):
+        contract = make_named(SETTING_P2O, own_diff_instance)
+        contexts = perturb_sets(diffusion_model, own_diff_instance, contract,
                                 [[], contract.eligible[:1]], POLICY)
-        traj = diff_instance.trajectory
-        stages = len(stage_terms(diff_instance.prompt, traj, traj,
+        traj = own_diff_instance.trajectory
+        stages = len(stage_terms(own_diff_instance.prompt, traj, traj,
                                  diffusion_model.vocab.mask))
         points = []
         with counted_points(points):
@@ -648,3 +663,127 @@ class TestServedTables:
             served = terms_score(params, [term])
         assert sum(points) == 1
         assert served == terms_score(params, [replace(term, tables=None)])
+
+
+@st.composite
+def op_cases(draw, params):
+    """(instance, contract, method, K, policy, n_random, seed) of an
+    evaluate op on a generated diffusion instance: each diffusion setting,
+    prompt-to-output and stage maps under both rescorings, each method the
+    setting admits, pad and mask replacements."""
+    setting, rescoring = draw(st.sampled_from([
+        (SETTING_STATE, evaluation.RESCORE), (SETTING_P2O, evaluation.RESCORE),
+        (SETTING_P2O, REGENERATE), (SETTING_STAGE, evaluation.RESCORE),
+        (SETTING_STAGE, REGENERATE)]))
+    tokens = st.integers(0, params.hyper.vocab_size - 1)
+    prompt = tuple(draw(st.lists(tokens, min_size=1, max_size=5)))
+    seed = draw(st.integers(0, 3))
+    num_steps = draw(st.integers(1, 3))
+    traj = diffusion_generate(params, prompt,
+                              draw(st.integers(num_steps, 4)), num_steps, seed)
+    instance = PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
+    t = draw(st.integers(1, num_steps)) if setting == SETTING_STATE else None
+    contract = make_named(setting, instance, t)
+    if setting == SETTING_STAGE:
+        method = {"name": "stage", "kind": draw(st.sampled_from(PERT_KINDS)),
+                  "temperature": 0.8}
+        if method["kind"] == "noise_schedule":
+            method["commit_count"] = draw(st.integers(0, 2))
+    else:
+        method = draw(st.sampled_from([
+            {"name": "occlusion", "baseline": "pad_token"},
+            {"name": "occlusion", "baseline": "mask_token"},
+            {"name": "grad_x_input"}, {"name": "ig", "steps": 3}]))
+    policy = PerturbationPolicy(
+        replacement=draw(st.sampled_from([PAD_BASELINE, MASK_BASELINE])),
+        rescoring=rescoring)
+    K = draw(st.integers(1, len(contract.eligible)))
+    return (instance, contract, method, K, policy, draw(st.integers(0, 4)),
+            draw(st.integers(0, 3)))
+
+
+@contextlib.contextmanager
+def no_store():
+    """Runs every pass group without the store its term carries: each op
+    then reads no table and leaves none, and de-duplicates only inside one
+    run_groups call."""
+    original = transformer.run_groups
+
+    def bare(params, groups, read):
+        return original(params, [(replace(term, tables=None), overrides)
+                                 for term, overrides in groups], read)
+
+    with mock.patch.object(transformer, "run_groups", bare), \
+            mock.patch.object(diffusion, "run_groups", bare):
+        yield
+
+
+@contextlib.contextmanager
+def pass_inputs(inputs):
+    """Appends to ``inputs`` the table_key of each point that a score or
+    log-prob pass runs for a group that overrides no embedding row."""
+    original = transformer._run_pass
+
+    def recording(params, fg, length, groups, read, pieces, points, *rest):
+        if read != "emb_grad":
+            inputs.extend(transformer.table_key(params, groups[i][0])
+                          for i, _ in points if not groups[i][1])
+        return original(params, fg, length, groups, read, pieces, points,
+                        *rest)
+
+    with mock.patch.object(transformer, "_run_pass", recording):
+        yield
+
+
+class TestOpStore:
+    """An evaluate op, or a map on its own, reads and fills one store of
+    log-prob tables: no input runs twice in it, its bytes equal those of a
+    run without the store, and the caller's chain keeps its own tables."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_each_input_runs_once_and_bytes_equal_a_run_without_store(
+            self, diffusion_model, data):
+        params = diffusion_model
+        instance, contract, method, K, policy, n_random, seed = data.draw(
+            op_cases(params))
+        tables = instance.trajectory.tables
+        before = dict(tables)
+        inputs = []
+        with pass_inputs(inputs):
+            report = serialize_report(faithfulness_report(
+                params, instance, contract, method, K, policy,
+                n_random=n_random, seed=seed))
+        assert len(inputs) == len(set(inputs))
+        assert not set(inputs) & before.keys()
+        attr_map = serialize_map(compute_map(params, instance, contract,
+                                             method))
+        assert instance.trajectory.tables is tables and tables == before
+        with no_store():
+            assert report == serialize_report(faithfulness_report(
+                params, instance, contract, method, K, policy,
+                n_random=n_random, seed=seed))
+            assert attr_map == serialize_map(compute_map(
+                params, instance, contract, method))
+
+    # one fixed instance per benchmark case: (setting, t, method, rescoring)
+    # -> the points its op runs, and runs without the store
+    @pytest.mark.parametrize("setting, t, method, rescoring, points, bare", [
+        (SETTING_STATE, 1, {"name": "occlusion"}, evaluation.RESCORE, 103, 113),
+        (SETTING_P2O, None, {"name": "occlusion"}, evaluation.RESCORE, 84, 102),
+        (SETTING_P2O, None, {"name": "occlusion"}, REGENERATE, 84, 186),
+        (SETTING_STAGE, None, {"name": "stage", "kind": "ablate"},
+         evaluation.RESCORE, 0, 8)])
+    def test_points_per_op(self, diffusion_model, own_diff_instance, setting,
+                           t, method, rescoring, points, bare):
+        contract = make_named(setting, own_diff_instance, t)
+        counts = []
+        for store in (contextlib.nullcontext(), no_store()):
+            counted = []
+            with store, counted_points(counted):
+                faithfulness_report(diffusion_model, own_diff_instance,
+                                    contract, method, 3, PerturbationPolicy(
+                                        rescoring=rescoring),
+                                    n_random=10, seed=0)
+            counts.append(sum(counted))
+        assert counts == [points, bare]
