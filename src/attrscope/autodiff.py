@@ -318,7 +318,7 @@ class Graph:
         ShapeError."""
         rows = np.asarray(rows, dtype=np.int64)
         if (rows.ndim != 1 or not len(rows) or rows.min() < 0
-                or len(np.unique(rows)) != len(rows)):
+                or len(set(rows.tolist())) != len(rows)):
             raise GraphError(f"rows must be distinct row indices, got {rows}")
         return self._push("rows", (a,), const=rows)
 

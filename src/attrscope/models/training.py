@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,8 +11,8 @@ from .autoregressive import span_term
 from .classifier import class_term
 from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
 from .transformer import (
-    _CACHE, ScoreTerm, _bind, _target_masks, build_forward_graph,
-    check_context, terms_score,
+    _CACHE, ScoreTerm, _bind, _graph_key, _target_masks, build_forward_graph,
+    terms_score,
 )
 from .vocab import Vocab
 
@@ -29,7 +29,8 @@ BATCH_SIZE = 8         # examples per SGD step
 def _example_term(kind: str, vocab: Vocab, example,
                   rng: np.random.Generator) -> ScoreTerm:
     """The score term one training example maximises, for a model of
-    ``kind`` over ``vocab``."""
+    ``kind`` over ``vocab``. A diffusion term reads every row: pruned to its
+    masked slots, almost every term would have a graph of its own."""
     if kind == AR:
         prompt, target = example
         return span_term(prompt, target)
@@ -44,7 +45,8 @@ def _example_term(kind: str, vocab: Vocab, example,
         for s in masked:
             tokens[n + s] = vocab.mask
         return ScoreTerm(tokens=tuple(tokens), causal=False,
-                         targets=tuple((n + s, response[s]) for s in masked))
+                         targets=tuple((n + s, response[s]) for s in masked),
+                         rows=tuple(range(len(tokens))))
     tokens, label = example
     return class_term(tokens, label)
 
@@ -55,11 +57,14 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
     gradient, keyed by weight, at the weights ``leaves`` (as
     ``ModelParams.weights`` holds them).
 
-    Every causal term runs in one forward and one backward pass, right-padded
-    with the ``pad`` id to the longest: a causal row never attends to a later
-    one, and pad rows are in no target, so they change no real row and get
-    exactly zero gradient. Padding would change what a bidirectional row
-    attends to, so bidirectional terms run in one pass per length."""
+    Every causal term runs in one forward and one backward pass, cut or
+    right-padded with the ``pad`` id to the ``_graph_key`` graph that reads
+    every row from the first any term reads to the last, one graph per
+    (longest length, first read row): a causal row never attends to a
+    later one, and pad rows are in no target, so they change no real row
+    and get exactly zero gradient. Padding would change what a
+    bidirectional row attends to, so bidirectional terms run in one full
+    pass per length."""
     buckets: dict[int | None, list[ScoreTerm]] = {}
     for term in terms:
         buckets.setdefault(None if term.causal else len(term.tokens),
@@ -67,12 +72,15 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
     loss = 0.0
     acc: dict[str, np.ndarray] = {}
     for bucket in buckets.values():
-        L = max(len(term.tokens) for term in bucket)
-        check_context(hp, L)
+        read = {row for term in bucket for row, _ in term.targets}.union(
+            *(term.rows for term in bucket))
+        L, causal, rows = _graph_key(hp, ScoreTerm(
+            max((term.tokens for term in bucket), key=len), bucket[0].causal,
+            (), tuple(range(min(read), max(read) + 1))))
         ids = np.full((len(bucket), L), pad)
         for row, term in zip(ids, bucket):
-            row[:len(term.tokens)] = term.tokens
-        fg = build_forward_graph(hp, L, bucket[0].causal)
+            row[:min(L, len(term.tokens))] = term.tokens[:L]
+        fg = build_forward_graph(hp, L, causal, rows)
         vals = _bind(hp, leaves, ids, _target_masks(
             hp, fg.rows, [term.targets for term in bucket]), ())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
@@ -93,13 +101,9 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
 
 
 def _mean_loss(params: ModelParams, corpus, seed: int) -> float:
+    """Minus the mean score of the corpus's terms, as drawn."""
     rng = np.random.default_rng(seed)  # fixed seed: a loss comparable across runs
-    # every row read, so the full graphs the SGD steps use: a diffusion
-    # term's masked slots differ from term to term, and graphs pruned to
-    # them would give almost every term a graph and a pass of its own
-    terms = (replace(term, rows=tuple(range(len(term.tokens))))
-             for term in (_example_term(params.kind, params.vocab, example, rng)
-                          for example in corpus))
+    terms = [_example_term(params.kind, params.vocab, ex, rng) for ex in corpus]
     return -terms_score(params, terms) / len(corpus)
 
 
@@ -114,7 +118,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     """SGD with cosine decay; deterministic given (corpus, hp, seed).
 
     Each step draws BATCH_SIZE examples and ascends their summed score by
-    one forward and one backward pass over all of them (one per length for
+    one forward and one backward pass over all of them, which computes
+    only the rows their scores read (one full pass per length for
     bidirectional terms; see ``_batch_grads``). The weights are held as the
     score graph's leaves throughout, and made a ModelParams once, at the
     end."""

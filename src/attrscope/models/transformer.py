@@ -11,13 +11,13 @@ target mask is a leaf no caller asks a gradient of: one forward pass of a
 score is a ScoreTerm, naming the tokens and the (row, column) log-prob
 entries it sums.
 
-A pass computes only the log-prob rows it reads. In the last block, keys
-and values stay on every row, while the query, the attention output, the
-MLP, the final layer norm and the output head run on the read rows alone.
-A causal pass also stops at its last read row: no earlier row attends to a
-later one, so the graph is built at length ``max(rows) + 1``. The graph of
-every row is the full graph, which training and the classifier's pooled
-head use.
+A pass computes only the log-prob rows it reads, a training pass too. In
+the last block, keys and values stay on every row, while the query, the
+attention output, the MLP, the final layer norm and the output head run on
+the read rows alone. A causal pass also stops at its last read row: no
+earlier row attends to a later one, so the graph is built at length
+``max(rows) + 1``. Diffusion training (its terms read every row) and the
+classifier's pooled head use the full graph, the graph of every row.
 
 Every score, log-prob and embedding-gradient pass is bound as a pass
 group, a ScoreTerm plus embedding-row overrides, and run by run_groups;

@@ -1,5 +1,6 @@
 """Model-layer tests: decoding, scores, the denoising chain, persistence,
 and training behavior."""
+import hashlib
 import json
 import math
 import os
@@ -327,7 +328,8 @@ class TestGraphCache:
         assert self.graphs_run(classifier_model,
                                [(class_term(prompt, 1), {})]) == [full.graph]
 
-    @pytest.mark.parametrize("kind", [AR, DIFFUSION])
+    # an AR step's graph is pruned: test_ar_training_runs_the_graphs_it_reads
+    @pytest.mark.parametrize("kind", [DIFFUSION])
     def test_training_builds_no_pruned_graph(self, tiny_corpus, kind):
         # the SGD steps and the final loss alike
         hp = Hyperparams(kind=kind, vocab_size=len(tiny_corpus.vocab),
@@ -347,6 +349,59 @@ class TestGraphCache:
             assert "rows" not in {node.op for node in graph.nodes}
             length = graph.nodes[graph.leaves["emb"]].shape[0]
             assert graph is build_forward_graph(hp, length, kind == AR).graph
+
+    def test_ar_training_runs_the_graphs_it_reads(self, tiny_corpus,
+                                                  monkeypatch):
+        """Each SGD step runs on the graph of the rows from the first its
+        terms read to the last, which ends at its last target row; the
+        final loss runs each term on the graph of the rows it reads, as
+        run_groups would run it."""
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
+                         heads=2, width=8, mlp_hidden=16, context_len=16)
+        drawn = record_terms(monkeypatch)
+        graphs = {training: [], transformer: []}
+        for module, seen in graphs.items():
+            def recording(graph, *args, _original=module.evaluate,
+                          _seen=seen, **kwargs):
+                _seen.append(graph)
+                return _original(graph, *args, **kwargs)
+            monkeypatch.setattr(module, "evaluate", recording)
+        steps, B = 3, training.BATCH_SIZE
+        train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+              seed=0, steps=steps, lr=0.05)
+
+        assert graphs[training] == [
+            read_graph(hp, drawn[i * B:(i + 1) * B]).graph
+            for i in range(steps)]
+        # no span term reads row 0, so every step's last block is cut
+        assert all("rows" in {node.op for node in graph.nodes}
+                   for graph in graphs[training])
+        final = drawn[steps * B:]
+        assert len(final) == len(tiny_corpus.train_pairs[:64])
+        assert {id(graph) for graph in graphs[transformer]} == {
+            id(read_graph(hp, [term]).graph) for term in final}
+
+    def test_ar_training_keeps_a_graph_per_longest_length_and_first_row(
+            self, corpus, monkeypatch):
+        """On the benchmark's corpus and model shape, a 20-step warm-up and
+        two 80-step runs, as the ar-train workload makes them: every graph
+        AR training leaves is the one of its longest length and first read
+        row, and the count is pinned."""
+        monkeypatch.setattr(transformer, "_CACHE", {})
+        hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab))
+        for seed, steps in ((0, 20), (1000, 80), (1001, 80)):
+            train(AR, list(corpus.train_pairs), corpus.vocab, hp, seed=seed,
+                  steps=steps, lr=0.05)
+        keys = list(transformer._CACHE)
+        assert {key[:1] + key[2:3] for key in keys} == {(hp, True)}
+        starts = set()
+        for _, length, _, rows in keys:
+            start = 0 if rows is None else rows[0]
+            assert rows in (None, tuple(range(start, length)))
+            starts.add((length, start))
+        # the steps' (10, 3) and (10, 4); the final loss's (6, 3), (8, 4)
+        # and (10, 5), which steps over source length 4 alone share
+        assert len(starts) == len(keys) == 5
 
 
 class TestPerturbedPlans:
@@ -625,6 +680,44 @@ class TestModelFileFormat:
         assert init.model_id == meta["init_model_id"]
 
 
+def kernel_probe() -> str:
+    """SHA-256 of numpy's version and of what its float kernels give on
+    fixed inputs: exp, log and tanh, and GEMMs of a width-64 model's
+    shapes. Hosts whose kernels round alike give equal digests."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-8.0, 8.0, 4096)
+    a, b = rng.uniform(-1.0, 1.0, (88, 64)), rng.uniform(-1.0, 1.0, (64, 128))
+    q, k = rng.uniform(-1.0, 1.0, (2, 8, 2, 11, 32))
+    digest = hashlib.sha256(np.__version__.encode())
+    for value in (np.exp(x), np.log(np.abs(x)), np.tanh(x), a @ b,
+                  a.T @ (a @ b), (a @ b) @ b.T, q @ k.mT):
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainedModelIds:
+    """trained_models.json holds the model_id and final loss of a tiny AR
+    and a tiny diffusion model trained at fixed seeds, as its "how" says,
+    so a change that moves training's bits shows here. Bits depend on
+    numpy's kernels, so the ids are checked on hosts whose kernels give the
+    fixture's kernel_probe; the final losses are checked everywhere."""
+
+    @pytest.mark.parametrize("kind", [AR, DIFFUSION])
+    def test_training_keeps_its_bits(self, tiny_corpus, kind):
+        with open(os.path.join(FIXTURES, "trained_models.json")) as fh:
+            meta = json.load(fh)
+        pinned = meta["models"][kind]
+        hp = Hyperparams(kind=kind, vocab_size=len(tiny_corpus.vocab),
+                         **meta["hyperparams"])
+        result = train(kind, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+                       hp, seed=pinned["seed"], steps=20, lr=0.05)
+        assert abs(result.final_loss - pinned["final_loss"]) <= 1e-9
+        if kernel_probe() != meta["kernel_probe"]:
+            pytest.skip("numpy's kernels here round otherwise than those"
+                        " the pinned ids were computed with")
+        assert result.params.model_id == pinned["model_id"]
+
+
 def random_model(kind, vocab, heads, seed, layers=2):
     """A model whose every weight, gains and biases included, is drawn at
     random, so no head or affine term is trivial."""
@@ -814,6 +907,14 @@ def record_terms(monkeypatch):
     return drawn
 
 
+def read_graph(hp, terms):
+    """The graph an SGD step over the causal ``terms`` runs on: it computes
+    the rows from the first any term reads to the last, where it ends."""
+    read = sorted(row for term in terms for row, _ in term.targets)
+    return build_forward_graph(hp, read[-1] + 1, True,
+                               range(read[0], read[-1] + 1))
+
+
 def assert_close(got, expected, rtol=1e-12):
     assert np.max(np.abs(got - expected)) <= rtol * max(1.0, np.max(np.abs(expected)))
 
@@ -869,43 +970,142 @@ class TestBatchedTrainingStep:
             assert_close(w, expected[name], rtol=1e-10)
 
 
+def full_graph_step(params, terms):
+    """The SGD step on full graphs: causal terms right-padded with the pad
+    id to the longest, bidirectional ones in one pass per length, every row
+    of every block computed. The reference for the pruned step."""
+    hp, leaves = params.hyper, params.weights
+    buckets, loss, acc = {}, 0.0, {}
+    for term in terms:
+        buckets.setdefault(None if term.causal else len(term.tokens),
+                           []).append(term)
+    for bucket in buckets.values():
+        L = max(len(term.tokens) for term in bucket)
+        ids = np.array([term.tokens + (params.vocab.pad,) * (L - len(term.tokens))
+                        for term in bucket])
+        fg = build_forward_graph(hp, L, bucket[0].causal)
+        assert "rows" not in {node.op for node in fg.graph.nodes}
+        vals = transformer._bind(hp, leaves, ids, transformer._target_masks(
+            hp, fg.rows, [term.targets for term in bucket]), ())
+        weights = [name for name in fg.graph.leaves if name != "target_mask"]
+        forward = evaluate(fg.graph, vals, (fg.score,), weights)
+        loss -= float(forward[fg.score].sum())
+        for name, gval in grad(fg.graph, fg.score, vals, weights,
+                               forward=forward).items():
+            if name == "emb":
+                gval, rows = np.zeros_like(leaves["emb"]), gval
+                np.add.at(gval, ids.reshape(-1), rows.reshape(-1, hp.width))
+            elif name == "pos":
+                gval, rows = np.zeros_like(leaves["pos"]), gval
+                gval[:L] = rows
+            acc[name] = acc[name] + gval if name in acc else gval
+    return loss, acc
+
+
+class TestPrunedTrainingStep:
+    """The pruned SGD step equals the full-graph step: up to rounding for
+    causal terms, whose graph is cut, and bit for bit for bidirectional
+    ones, whose graph is not."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_ar_batches_equal_the_full_graph_step(self, tiny_ar_model, data):
+        """1-8 causal terms of mixed or of equal lengths, each reading a
+        drawn set of rows, so the rows read may have gaps: the step runs
+        one pass, on the graph of every row from the first read to the
+        last."""
+        params = tiny_ar_model
+        V = params.hyper.vocab_size
+        n = data.draw(st.integers(1, training.BATCH_SIZE))
+        length = st.integers(2, 12)
+        lengths = ([data.draw(length)] * n if data.draw(st.booleans())
+                   else data.draw(st.lists(length, min_size=n, max_size=n)))
+        terms = []
+        for L in lengths:
+            tokens = data.draw(st.lists(st.integers(0, V - 1), min_size=L,
+                                        max_size=L))
+            rows = data.draw(st.lists(st.integers(0, L - 1), min_size=1,
+                                      max_size=L, unique=True))
+            terms.append(ScoreTerm(tuple(tokens), True, tuple(
+                (row, data.draw(st.integers(0, V - 1))) for row in sorted(rows))))
+        with pytest.MonkeyPatch.context() as mp:
+            _, _, graphs = spy_passes(mp)
+            loss, grads = training._batch_grads(
+                params.hyper, params.vocab.pad, params.weights, terms)
+        assert graphs == [read_graph(params.hyper, terms).graph] * 2
+        expected_loss, expected = full_graph_step(params, terms)
+        assert_close(loss, expected_loss)
+        assert grads.keys() == expected.keys()
+        for name, g in grads.items():
+            assert_close(g, expected[name])
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_diffusion_batches_equal_it_bit_for_bit(self, diffusion_model,
+                                                   tiny_corpus, data):
+        pairs = tiny_corpus.train_pairs
+        if data.draw(st.booleans()):  # terms of one length
+            n = len(data.draw(st.sampled_from(pairs))[0])
+            pairs = [pair for pair in pairs if len(pair[0]) == n]
+        picks = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                   max_size=training.BATCH_SIZE))
+        rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+        terms = [training._example_term(DIFFUSION, diffusion_model.vocab,
+                                        pair, rng) for pair in picks]
+        loss, grads = training._batch_grads(
+            diffusion_model.hyper, diffusion_model.vocab.pad,
+            diffusion_model.weights, terms)
+        expected_loss, expected = full_graph_step(diffusion_model, terms)
+        assert loss == expected_loss
+        assert grads.keys() == expected.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, expected[name])
+
+
 def spy_passes(monkeypatch):
     """Spies on training's evaluate and grad: each call appends the pass's
-    kind and its emb leaf's shape, and grad's its emb gradient too."""
-    calls, emb_grads = [], []
+    kind and its emb leaf's shape, and its graph, and grad's its emb
+    gradient too."""
+    calls, emb_grads, graphs = [], [], []
     evaluate_fn, grad_fn = training.evaluate, training.grad
 
     def evaluating(graph, vals, *args, **kwargs):
         calls.append(("evaluate", vals["emb"].shape))
+        graphs.append(graph)
         return evaluate_fn(graph, vals, *args, **kwargs)
 
     def differentiating(graph, node, vals, wrt, forward=None):
         calls.append(("grad", vals["emb"].shape))
+        graphs.append(graph)
         out = grad_fn(graph, node, vals, wrt, forward=forward)
         emb_grads.append(out["emb"])
         return out
 
     monkeypatch.setattr(training, "evaluate", evaluating)
     monkeypatch.setattr(training, "grad", differentiating)
-    return calls, emb_grads
+    return calls, emb_grads, graphs
 
 
 class TestOnePassPerStep:
     def test_an_ar_step_is_one_padded_pass(self, tiny_corpus, monkeypatch):
         """train() on an AR corpus makes one evaluate and one grad per step,
-        both over all the step's terms at the longest term's length."""
+        both over all the step's terms up to its last target row, on the
+        graph that computes the rows from its first target row on."""
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         drawn = record_terms(monkeypatch)
-        calls, _ = spy_passes(monkeypatch)
+        calls, _, graphs = spy_passes(monkeypatch)
         steps, B = 5, training.BATCH_SIZE
         train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
               seed=2, steps=steps, lr=0.05)
-        lengths = [[len(term.tokens) for term in drawn[i * B:(i + 1) * B]]
-                   for i in range(steps)]
-        assert any(len(set(step)) > 1 for step in lengths)  # padding happened
-        assert calls == [(kind, (B, max(step), hp.width))
-                         for step in lengths for kind in ("evaluate", "grad")]
+        batches = [drawn[i * B:(i + 1) * B] for i in range(steps)]
+        # padding happened
+        assert any(len({len(term.tokens) for term in batch}) > 1
+                   for batch in batches)
+        fgs = [read_graph(hp, batch) for batch in batches]
+        assert calls == [(kind, (B, fg.rows[-1] + 1, hp.width))
+                         for fg in fgs for kind in ("evaluate", "grad")]
+        assert graphs == [fg.graph for fg in fgs for _ in range(2)]
 
     def test_bidirectional_terms_get_one_pass_per_length(
             self, diffusion_model, tiny_corpus, monkeypatch):
@@ -918,7 +1118,7 @@ class TestOnePassPerStep:
         rng = np.random.default_rng(0)
         terms = [training._example_term(DIFFUSION, diffusion_model.vocab,
                                         pair, rng) for pair in pairs]
-        calls, _ = spy_passes(monkeypatch)
+        calls, _, _ = spy_passes(monkeypatch)
         training._batch_grads(diffusion_model.hyper, diffusion_model.vocab.pad,
                               diffusion_model.weights, terms)
         d = diffusion_model.hyper.width
@@ -930,12 +1130,15 @@ class TestOnePassPerStep:
         terms = [span_term(*pair) for pair in tiny_corpus.train_pairs[:8]]
         lengths = [len(term.tokens) for term in terms]
         assert len(set(lengths)) > 1
-        _, emb_grads = spy_passes(monkeypatch)
+        _, emb_grads, _ = spy_passes(monkeypatch)
         training._batch_grads(tiny_ar_model.hyper, tiny_ar_model.vocab.pad,
                               tiny_ar_model.weights, terms)
         (g,) = emb_grads
-        assert g.shape[:2] == (len(terms), max(lengths))
+        # the pass ends at the last target row, before the longest terms'
+        # last token
+        assert g.shape[:2] == (len(terms), max(lengths) - 1)
         for rows, n in zip(g, lengths):
-            assert np.all(rows[n:] == 0.0)
-            # a term's last token is read by no target row; the rest are
+            # the rows after a term's last target row, n - 2, feed no row it
+            # reads; every row up to it is read
+            assert np.all(rows[n - 1:] == 0.0)
             assert np.all(np.any(rows[:n - 1] != 0.0, axis=-1))
