@@ -13,10 +13,10 @@ bias)`` and ``affine(x, w, b)`` (``x @ w + b``) are one node each.
 ``rows(x, rows)`` takes constant rows, ``x[..., rows, :]``, so a graph can
 compute only the rows its output reads.
 
-``grad(graph, node, leaf_values, wrt)`` returns the gradient of each leaf
-named in ``wrt`` and no other: its backward pass skips every input that
-leads to none of them, so a caller that reads only the input embeddings
-computes no weight gradient.
+``grad(graph, node, leaf_values, wrt)`` returns the node's value and the
+gradient of each leaf named in ``wrt`` and no other: its backward pass
+skips every input that leads to none of them, so a caller that reads only
+the input embeddings computes no weight gradient.
 
 A forward pass keeps what its caller reads and drops every other value
 after its last reader (the memory plan of Chen et al. 2016).
@@ -28,11 +28,11 @@ inputs' values, a node's own value, or only an input's shape, which the
 dropped slot keeps in a shape record; and each ``gelu``'s tanh and each
 ``layer_norm``'s mean and standard deviation, which the forward computes
 anyway and the backward would otherwise compute again, in the forward's
-bits. ``grad`` runs such a forward itself, unless given one, and then
-drops each value after its last reader in the backward too. Leaf and
-const values are never dropped. Each kernel runs its arithmetic in a
-fixed order but writes into temporaries it allocated itself, not one new
-array per step.
+bits. ``grad`` runs such a forward itself, and then drops each value
+after its last reader in the backward too, a reader of its value or of
+its shape alike. Leaf and const values are never dropped. Each kernel
+runs its arithmetic in a fixed order but writes into temporaries it
+allocated itself, not one new array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
 a pass plan: per set of batched leaves and per set of values kept, the
@@ -63,7 +63,6 @@ floating-point warnings off.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -107,9 +106,9 @@ class ForwardPlan(NamedTuple):
     # the step, to None and to a shape record
     steps: list[tuple]
     checked: tuple[tuple[int, ...], tuple[int, ...]]  # (drops, shapes) once checked
-    kept_for: frozenset | None  # the wrt a backward may read; None: every node
-    # per step of the backward plan into kept_for, the values no later step
-    # reads, which a backward that owns the pass drops; None for kept_for None
+    # per step of the backward plan into the wrt the pass keeps for, the
+    # values no later step reads, which grad drops; None for a pass that
+    # keeps every value
     backward_drops: list[tuple[int, ...]] | None
 
 
@@ -198,28 +197,30 @@ class Graph:
         return ForwardPlan(tuple(batched), steps,
                            (tuple(i for i in after if i not in shapes),
                             tuple(i for i in after if i in shapes)),
-                           kept_for, backward_drops)
+                           backward_drops)
 
     def _backward_reads(self, wrt) -> tuple[dict, set, set]:
         """For a backward into the leaves named in ``wrt``: the nodes whose
         values it reads, each with the index of the last step of
-        ``backward_plan(wrt)`` that reads it; the nodes whose shapes alone
-        it reads; and those whose saved arrays it reads. Every node is
-        read, when ``wrt`` is None."""
+        ``backward_plan(wrt)`` that reads its value or its shape; the nodes
+        whose shapes alone it reads; and those whose saved arrays it
+        reads. Every node is read, when ``wrt`` is None."""
         if wrt is None:
             every = range(len(self.nodes))
             return dict.fromkeys(every), set(), set(every)
-        read, shapes, saving = {}, set(), set()
+        last, by_value, saving = {}, set(), set()
         for k, (nid, _, inputs, want) in enumerate(self.backward_plan(wrt)):
             reads_value, reads_shape, reads_own, reads_saved = _READS[
                 self.nodes[nid].op](want)
-            read.update((inputs[j], k) for j in reads_value)
-            shapes.update(inputs[j] for j in reads_shape)
+            last.update((inputs[j], k) for j in reads_value + reads_shape)
+            by_value.update(inputs[j] for j in reads_value)
             if reads_own:
-                read[nid] = k
+                last[nid] = k
+                by_value.add(nid)
             if reads_saved:
                 saving.add(nid)
-        return read, shapes - read.keys(), saving
+        read = {i: k for i, k in last.items() if i in by_value}
+        return read, last.keys() - by_value, saving
 
     def backward_plan(self, wrt) -> list[tuple]:
         """The steps of a backward pass into the leaves named in ``wrt``:
@@ -579,17 +580,13 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
 
 
 def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
-         wrt, forward: Values | None = None) -> dict[str, np.ndarray]:
-    """d(scalar)/d(leaf) for each leaf named in ``wrt``, in that order;
-    zeros for a leaf the scalar does not read. The backward pass skips
-    every input that leads to none of them. Raises GraphError for a name
-    that is no leaf, and NumericError, naming the leaf, when a returned
-    gradient is non-finite.
-
-    ``forward``, when given, is ``evaluate(graph, leaf_values)``, or
-    ``evaluate`` with the scalar among its ``outputs`` and ``wrt`` naming
-    these leaves or more; the backward reads the arrays it kept. Without
-    it, the forward keeps only the scalar and what the backward reads.
+         wrt) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The scalar's value and d(scalar)/d(leaf) for each leaf named in
+    ``wrt``, in that order; zeros for a leaf the scalar does not read. The
+    forward keeps only the scalar and what the backward reads, and the
+    backward pass skips every input that leads to none of the leaves.
+    Raises GraphError for a name that is no leaf, and NumericError, naming
+    the leaf, when a returned gradient is non-finite.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -598,14 +595,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
         if name not in graph.leaves:
             raise GraphError(f"grad asks for {name!r}, which is no leaf")
     key = frozenset(wrt)
-    if forward is None:
-        vals = evaluate(graph, leaf_values, (scalar_node,), key)
-    else:
-        vals, kept_for = forward, forward.plan.kept_for
-        if kept_for is not None and not (key <= kept_for
-                                         and vals[scalar_node] is not None):
-            raise GraphError("the given forward pass did not keep what"
-                             " this backward reads")
+    vals = evaluate(graph, leaf_values, (scalar_node,), key)
     out = vals[scalar_node]
     batched = vals.plan.batched[scalar_node]
     if out.shape != () and not (out.ndim == 1 and batched):
@@ -614,10 +604,8 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     # every gradient returned is checked below, so intermediate overflow
     # is not worth a warning
     with np.errstate(all="ignore"):
-        # a forward the caller gave is read, not consumed
         adj = _backward(graph.backward_plan(key), scalar_node, vals,
-                        vals.plan.backward_drops if forward is None
-                        else itertools.repeat(()))
+                        vals.plan.backward_drops)
     result: dict[str, np.ndarray] = {}
     for name in wrt:
         node = graph.nodes[graph.leaves[name]]
@@ -627,7 +615,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
         elif not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for leaf {name!r}")
         result[name] = g
-    return result
+    return out, result
 
 
 def _backward(steps: list[tuple], scalar_node: int, vals: Values,

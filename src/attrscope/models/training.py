@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import NumericError, evaluate, grad
+from ..autodiff import NumericError, grad
 from .autoregressive import span_term
 from .classifier import class_term
 from .params import AR, DIFFUSION, Hyperparams, ModelParams, init_params
@@ -84,10 +84,9 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
         vals = _bind(hp, leaves, ids, _target_masks(
             hp, fg.rows, [term.targets for term in bucket]), ())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
-        forward = evaluate(fg.graph, vals, (fg.score,), weights)
-        loss -= float(forward[fg.score].sum())
-        for name, gval in grad(fg.graph, fg.score, vals, weights,
-                               forward=forward).items():
+        score, grads = grad(fg.graph, fg.score, vals, weights)
+        loss -= float(score.sum())
+        for name, gval in grads.items():
             if name == "emb":  # (B, L, d): one row per token of each term
                 ge = np.zeros_like(leaves["emb"])
                 np.add.at(ge, ids.reshape(-1), gval.reshape(-1, gval.shape[-1]))

@@ -363,7 +363,7 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     if one:
         vals["emb"], vals["target_mask"] = vals["emb"][0], vals["target_mask"][0]
     if read == "emb_grad":
-        values, node = grad(fg.graph, fg.score, vals, wrt=("emb",)), "emb"
+        values, node = grad(fg.graph, fg.score, vals, wrt=("emb",))[1], "emb"
     else:
         # the pass keeps only the nodes read below
         node = getattr(fg, read)

@@ -100,7 +100,7 @@ class TestA1GradientCorrectness:
                                                               name))))
             vals = {name: rng.standard_normal(shapes[name])
                     for name in g.leaves}
-            grads = grad(g, s, vals, tuple(vals))
+            _, grads = grad(g, s, vals, tuple(vals))
 
             def f(vals):
                 return float(evaluate(g, vals)[s])
@@ -121,7 +121,7 @@ class TestA1GradientCorrectness:
         g = Graph()
         s = g.sum_all(g.gelu(g.rows(g.leaf((4, 4), "a"), (2, 0))))
         xs = rng.standard_normal((3, 4, 4))
-        ga = grad(g, s, {"a": xs}, ("a",))["a"]
+        ga = grad(g, s, {"a": xs}, ("a",))[1]["a"]
         assert ga.shape == xs.shape
         for _ in range(per_input):
             idx = tuple(int(rng.integers(n)) for n in xs.shape)
@@ -144,7 +144,7 @@ class TestA1GradientCorrectness:
             tuple(tokens), True, ((len(tokens) - 1, target),)))
         checked_leaves = ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
                           "lnf.g")
-        grads = grad(fg.graph, fg.score, base_vals, checked_leaves)
+        _, grads = grad(fg.graph, fg.score, base_vals, checked_leaves)
 
         def f(vals):
             return float(evaluate(fg.graph, vals)[fg.score])

@@ -293,7 +293,7 @@ def unbatched_grad(bs, refs, rows):
         fg, vals = bind_pass(bs.params, term, overrides, pruned=True)
         g = np.zeros((len(term.tokens), bs.params.hyper.width))
         g[:len(vals["emb"])] = grad(fg.graph, fg.score, vals,
-                                    wrt=("emb",))["emb"]
+                                    wrt=("emb",))[1]["emb"]
         emb_grads.append(g)
     out = {}
     for ref in refs:
@@ -658,7 +658,7 @@ class TestPrunedGraphs:
             assert log_probs[k].shape == (len(read), params.hyper.vocab_size)
             assert np.max(np.abs(log_probs[k] - full[fg.log_probs][read])) \
                 <= 1e-12
-            g = grad(fg.graph, fg.score, vals, ("emb",))["emb"]
+            g = grad(fg.graph, fg.score, vals, ("emb",))[1]["emb"]
             assert emb_grad[k].shape == g.shape
             assert np.max(np.abs(emb_grad[k] - g)) <= 1e-12
             assert not emb_grad[k][length:].any()

@@ -2,6 +2,7 @@
 normalization identities, purity, non-finite handling, the batch axis and
 what a pass keeps."""
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ def check_unary(build, shape, rng, n_entries=6, rtol=1e-5):
     def f(xv):
         return float(evaluate(g, {"x": xv})[s])
 
-    gx = grad(g, s, {"x": val}, ("x",))["x"]
+    gx = grad(g, s, {"x": val}, ("x",))[1]["x"]
     flat = [tuple(int(i) for i in idx)
             for idx in rng.integers(0, shape, size=(n_entries, len(shape)))]
     for idx, fd in fd_grad(f, val, flat).items():
@@ -73,7 +74,7 @@ class TestPrimitiveGradients:
             b = g.leaf((4,), "b")
             s = g.sum_all(getattr(g, op)(a, b))
             av, bv = rng.standard_normal((3, 4)), rng.standard_normal(4)
-            gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
+            _, gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
 
             def f_b(bv2):
                 return float(evaluate(g, {"a": av, "b": bv2})[s])
@@ -87,7 +88,7 @@ class TestPrimitiveGradients:
         b = g.leaf((4, 2), "b")
         s = g.sum_all(g.gelu(g.matmul(a, b)))
         av, bv = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-        gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
+        _, gs = grad(g, s, {"a": av, "b": bv}, ("a", "b"))
 
         def f(av2):
             return float(evaluate(g, {"a": av2, "b": bv})[s])
@@ -105,7 +106,7 @@ class TestPrimitiveGradients:
         for trial in range(100):
             xv = rng.standard_normal((5, 5))
             wv = rng.standard_normal((5, 5))
-            gx = grad(g, s, {"x": xv, "w": wv}, ("x",))["x"]
+            gx = grad(g, s, {"x": xv, "w": wv}, ("x",))[1]["x"]
 
             def f(xv2):
                 return float(evaluate(g, {"x": xv2, "w": wv})[s])
@@ -255,7 +256,7 @@ class TestKernelBits:
 
         ins = [vals[name] for name in names]
         assert np.array_equal(evaluate(g, vals)[out], forward(*ins))
-        grads = grad(g, s, vals, names)
+        _, grads = grad(g, s, vals, names)
         for name, got, want in zip(names, grads.values(),
                                    backward(vals["c"], *ins)):
             assert np.array_equal(got, want), name
@@ -349,10 +350,10 @@ class TestGraphMechanics:
         leaves = {"x": rng.standard_normal((2, 2)), "m": np.ones((2, 2)),
                   "unread": np.ones(3)}
         for wrt in [("x",), ("m", "x"), ("unread",), ()]:
-            gs = grad(g, s, leaves, wrt)
+            _, gs = grad(g, s, leaves, wrt)
             assert tuple(gs) == wrt
-        assert np.array_equal(grad(g, s, leaves, ("m",))["m"], leaves["x"])
-        assert np.array_equal(grad(g, s, leaves, ("unread",))["unread"],
+        assert np.array_equal(grad(g, s, leaves, ("m",))[1]["m"], leaves["x"])
+        assert np.array_equal(grad(g, s, leaves, ("unread",))[1]["unread"],
                               np.zeros(3))
         for bad in [("y",), ("x", "y")]:
             with pytest.raises(GraphError, match="no leaf"):
@@ -375,8 +376,8 @@ class TestBatchAxis:
         embs = vals["emb"] + 0.1 * rng.standard_normal((5,) + vals["emb"].shape)
 
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
-        batched = grad(fg.graph, fg.score, {**vals, "emb": embs}, weights)
-        slices = [grad(fg.graph, fg.score, {**vals, "emb": e}, weights)
+        _, batched = grad(fg.graph, fg.score, {**vals, "emb": embs}, weights)
+        slices = [grad(fg.graph, fg.score, {**vals, "emb": e}, weights)[1]
                   for e in embs]
         assert batched["emb"].shape == embs.shape
         assert np.array_equal(batched["emb"], np.stack([s["emb"] for s in slices]))
@@ -425,8 +426,8 @@ class TestBatchAxis:
         assert out.shape == (5,)
         assert np.array_equal(out, [evaluate(g, {"x": xv, "w": wv})[s]
                                     for xv in xs])
-        batched = grad(g, s, {"x": xs, "w": wv}, ("x", "w"))
-        slices = [grad(g, s, {"x": xv, "w": wv}, ("x", "w")) for xv in xs]
+        _, batched = grad(g, s, {"x": xs, "w": wv}, ("x", "w"))
+        slices = [grad(g, s, {"x": xv, "w": wv}, ("x", "w"))[1] for xv in xs]
         assert np.array_equal(batched["x"], np.stack([d["x"] for d in slices]))
         assert np.allclose(batched["w"], sum(d["w"] for d in slices),
                            rtol=1e-12, atol=1e-12)
@@ -464,9 +465,9 @@ class TestRequestedGradients:
                     "emb": vals["emb"] + 0.1 * rng.standard_normal(
                         (batch,) + vals["emb"].shape),
                     "target_mask": np.stack([vals["target_mask"]] * batch)}
-        full = grad(fg.graph, fg.score, vals, tuple(fg.graph.leaves))
+        _, full = grad(fg.graph, fg.score, vals, tuple(fg.graph.leaves))
         assert tuple(full) == tuple(fg.graph.leaves)
-        emb = grad(fg.graph, fg.score, vals, ("emb",))
+        _, emb = grad(fg.graph, fg.score, vals, ("emb",))
         assert tuple(emb) == ("emb",)
         assert np.array_equal(emb["emb"], full["emb"])
 
@@ -525,18 +526,6 @@ class TestSavedValues:
         grad(fg.graph, fg.score, vals, wrt)
         assert calls == {"moments": 5, "tanh": 2}
 
-    def test_a_given_forward_is_read_not_consumed(self, rng):
-        g = Graph()
-        x = g.leaf((2, 5), "x")
-        s = g.sum_all(affine_layer_norm(g, g.gelu(x)))
-        leaves = {"x": rng.standard_normal((2, 5))}
-        forward = evaluate(g, leaves)
-        alone = grad(g, s, leaves, ("x",))["x"]
-        for _ in range(2):
-            given = grad(g, s, leaves, ("x",), forward=forward)["x"]
-            assert np.array_equal(given, alone)
-        assert forward[s] == evaluate(g, leaves)[s]
-
 
 MODEL_PASSES = [
     ("tiny_ar_model", True, ((5, 3), (2, 1))),
@@ -560,19 +549,33 @@ def arrays_kept(vals) -> int:
     return sum(isinstance(v, np.ndarray) for v in vals)
 
 
+def keep_all_grads(g, s, vals, wrt) -> dict:
+    """d(s)/d(leaf) for each leaf named in ``wrt``, from a backward that
+    reads a pass keeping every value and drops none: the reference for
+    grad, whose passes keep and drop by the liveness plan."""
+    adj = autodiff._backward(g.backward_plan(wrt), s, evaluate(g, vals),
+                             itertools.repeat(()))
+    leaves = [g.nodes[g.leaves[name]] for name in wrt]
+    return {leaf.name: adj.get(leaf.nid, np.zeros(leaf.shape))
+            for leaf in leaves}
+
+
 class TestLiveness:
     """A pass keeps what its caller reads and drops every other value after
     its last reader; what it keeps has the bits of a pass that keeps every
     value."""
 
     @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("pruned", [False, True])
     @pytest.mark.parametrize("every_weight", [False, True])
     @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
     def test_grad_after_a_freeing_forward_equals_keep_all(
-            self, model, causal, targets, every_weight, batch, request, rng):
+            self, model, causal, targets, every_weight, pruned, batch,
+            request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
-        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets))
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets),
+                             pruned=pruned)
         vals = batched(vals, batch, rng)
         g = fg.graph
         wrt = tuple(name for name in g.leaves if name != "target_mask") \
@@ -582,15 +585,31 @@ class TestLiveness:
         assert np.array_equal(freeing[fg.score], keep_all[fg.score])
         assert arrays_kept(freeing) < arrays_kept(keep_all) == len(g.nodes)
         assert freeing.saved.keys() <= keep_all.saved.keys()
-        want = grad(g, fg.score, vals, wrt, forward=keep_all)
-        # grad's own forward, dropped from in its backward too, and a given
-        # one twice: the backward reads it and drops nothing from it
-        for got in (grad(g, fg.score, vals, wrt),
-                    grad(g, fg.score, vals, wrt, forward=freeing),
-                    grad(g, fg.score, vals, wrt, forward=freeing)):
-            assert tuple(got) == wrt
-            for name in wrt:
-                assert np.array_equal(got[name], want[name]), name
+        want = keep_all_grads(g, fg.score, vals, wrt)
+        # grad's own forward, dropped from in its backward too
+        _, got = grad(g, fg.score, vals, wrt)
+        assert tuple(got) == wrt
+        for name in wrt:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
+    def test_grad_returns_the_scalars_value(self, model, causal, targets,
+                                            pruned, batch, request, rng):
+        params = request.getfixturevalue(model)
+        tokens = rng.integers(0, params.hyper.vocab_size, size=6)
+        fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, targets),
+                             pruned=pruned)
+        vals = batched(vals, batch, rng)
+        g = fg.graph
+        expected = evaluate(g, vals, (fg.score,))[fg.score]
+        assert expected.shape == (() if batch is None else (batch,))
+        for wrt in (("emb",),
+                    tuple(name for name in g.leaves if name != "target_mask")):
+            value, _ = grad(g, fg.score, vals, wrt)
+            assert value.shape == expected.shape
+            assert np.all(value == expected)
 
     def test_an_embedding_gradient_keeps_less_than_every_weights(
             self, tiny_ar_model, rng):
@@ -603,12 +622,14 @@ class TestLiveness:
         every = evaluate(fg.graph, vals, (fg.score,), weights)
         assert arrays_kept(emb) < arrays_kept(every)
 
+    @pytest.mark.parametrize("pruned", [False, True])
     @pytest.mark.parametrize("every_weight", [False, True])
     def test_a_backward_drops_each_kept_value_after_its_last_reader(
-            self, tiny_ar_model, every_weight, rng):
+            self, tiny_ar_model, every_weight, pruned, rng):
         tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=6)
         fg, vals = bind_pass(tiny_ar_model,
-                             ScoreTerm(tuple(tokens), True, ((5, 3),)))
+                             ScoreTerm(tuple(tokens), True, ((5, 3), (2, 1))),
+                             pruned=pruned)
         g = fg.graph
         wrt = tuple(name for name in g.leaves if name != "target_mask") \
             if every_weight else ("emb",)
@@ -622,9 +643,17 @@ class TestLiveness:
         # leave that reader a None: see the test above)
         assert sorted(drops) == sorted(kept - {fg.score})
         steps = g.backward_plan(wrt)
-        for (nid, _, inputs, _), dropped in zip(steps,
-                                                 forward.plan.backward_drops):
+        gone = set()
+        for (nid, _, inputs, want), dropped in zip(steps,
+                                                    forward.plan.backward_drops):
             assert all(i in inputs or i == nid for i in dropped)
+            # no step reads a value, or a value's shape, that an earlier
+            # step dropped: in a pruned graph, a block's input is read by
+            # shape alone after the key and value products read it
+            value, shape, own, _ = autodiff._READS[g.nodes[nid].op](want)
+            assert gone.isdisjoint(inputs[j] for j in value + shape), nid
+            assert not (own and nid in gone), nid
+            gone.update(dropped)
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
@@ -648,20 +677,6 @@ class TestLiveness:
                 else:
                     assert got[node.nid] is None, node
 
-    def test_grad_refuses_a_forward_that_kept_too_little(self, tiny_ar_model,
-                                                         rng):
-        tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=4)
-        fg, vals = bind_pass(tiny_ar_model,
-                             ScoreTerm(tuple(tokens), True, ((3, 1),)))
-        g = fg.graph
-        for forward, wrt in [(evaluate(g, vals, (fg.score,)), ("emb",)),
-                             (evaluate(g, vals, (fg.score,), ("emb",)),
-                              ("emb", "out.w")),
-                             (evaluate(g, vals, (fg.log_probs,), ("emb",)),
-                              ("emb",))]:
-            with pytest.raises(GraphError, match="did not keep"):
-                grad(g, fg.score, vals, wrt, forward=forward)
-
     def test_a_dropped_shape_is_kept_for_the_rules_that_read_it(self, rng):
         # d(sum(x + y))/dy reads only the sum's and y's shapes; x + y is
         # read by no kept node, so its value goes
@@ -679,8 +694,8 @@ class TestLiveness:
         forward = evaluate(g, leaves, (s2,), ("y",))
         assert forward[plain].shape == (2, 3)
         assert not isinstance(forward[plain], np.ndarray)
-        assert np.array_equal(grad(g, s2, leaves, ("y",), forward=forward)["y"],
-                              grad(g, s2, leaves, ("y",))["y"])
+        assert np.array_equal(grad(g, s2, leaves, ("y",))[1]["y"],
+                              keep_all_grads(g, s2, leaves, ("y",))["y"])
 
 
 def per_node_evaluate(graph: Graph, leaf_values) -> list:

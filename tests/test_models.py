@@ -20,7 +20,7 @@ from attrscope.models import (
     load_model, masked_log_probs, save_model, span_log_prob, trajectory_score,
     train, teacher_forced_score, TrainingDiverged,
 )
-from attrscope import attribution
+from attrscope import attribution, autodiff
 from attrscope.attribution import stage_attribution
 from attrscope.autodiff import evaluate, grad
 from attrscope.contract import SETTING_STAGE, make_named
@@ -336,12 +336,14 @@ class TestGraphCache:
                          layers=1, heads=2, width=8, mlp_hidden=16,
                          context_len=16)
         graphs = []
-        for module in (training, transformer):
-            def recording(graph, *args, _original=module.evaluate, **kwargs):
+        # the SGD steps' passes run in grad, the final loss's in evaluate
+        for module, name in ((training, "grad"), (transformer, "evaluate")):
+            def recording(graph, *args, _original=getattr(module, name),
+                          **kwargs):
                 graphs.append(graph)
                 return _original(graph, *args, **kwargs)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(module, "evaluate", recording)
+                mp.setattr(module, name, recording)
                 train(kind, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
                       hp, seed=0, steps=3, lr=0.05)
         assert graphs
@@ -360,12 +362,12 @@ class TestGraphCache:
                          heads=2, width=8, mlp_hidden=16, context_len=16)
         drawn = record_terms(monkeypatch)
         graphs = {training: [], transformer: []}
-        for module, seen in graphs.items():
-            def recording(graph, *args, _original=module.evaluate,
+        for (module, seen), name in zip(graphs.items(), ("grad", "evaluate")):
+            def recording(graph, *args, _original=getattr(module, name),
                           _seen=seen, **kwargs):
                 _seen.append(graph)
                 return _original(graph, *args, **kwargs)
-            monkeypatch.setattr(module, "evaluate", recording)
+            monkeypatch.setattr(module, name, recording)
         steps, B = 3, training.BATCH_SIZE
         train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
               seed=0, steps=steps, lr=0.05)
@@ -854,11 +856,10 @@ def per_example_grads(params, term):
     """One example's loss (minus its score) and gradient, from its own
     forward and backward pass: the reference for the batched step."""
     fg, vals = bind_pass(params, term)
-    forward = evaluate(fg.graph, vals)
     full = {}
     weights = [name for name in fg.graph.leaves if name != "target_mask"]
-    for name, gval in grad(fg.graph, fg.score, vals, weights,
-                           forward=forward).items():
+    score, grads = grad(fg.graph, fg.score, vals, weights)
+    for name, gval in grads.items():
         if name == "emb":
             full[name] = np.zeros_like(params.weights["emb"])
             np.add.at(full[name], np.asarray(term.tokens, dtype=int), gval)
@@ -867,7 +868,7 @@ def per_example_grads(params, term):
             full[name][:len(term.tokens)] = gval
         else:
             full[name] = gval
-    return -float(forward[fg.score]), full
+    return -float(score), full
 
 
 def per_example_train(kind, corpus, vocab, hp, seed, steps, lr):
@@ -988,10 +989,9 @@ def full_graph_step(params, terms):
         vals = transformer._bind(hp, leaves, ids, transformer._target_masks(
             hp, fg.rows, [term.targets for term in bucket]), ())
         weights = [name for name in fg.graph.leaves if name != "target_mask"]
-        forward = evaluate(fg.graph, vals, (fg.score,), weights)
-        loss -= float(forward[fg.score].sum())
-        for name, gval in grad(fg.graph, fg.score, vals, weights,
-                               forward=forward).items():
+        score, grads = grad(fg.graph, fg.score, vals, weights)
+        loss -= float(score.sum())
+        for name, gval in grads.items():
             if name == "emb":
                 gval, rows = np.zeros_like(leaves["emb"]), gval
                 np.add.at(gval, ids.reshape(-1), rows.reshape(-1, hp.width))
@@ -1032,7 +1032,7 @@ class TestPrunedTrainingStep:
             _, _, graphs = spy_passes(mp)
             loss, grads = training._batch_grads(
                 params.hyper, params.vocab.pad, params.weights, terms)
-        assert graphs == [read_graph(params.hyper, terms).graph] * 2
+        assert graphs == [read_graph(params.hyper, terms).graph]
         expected_loss, expected = full_graph_step(params, terms)
         assert_close(loss, expected_loss)
         assert grads.keys() == expected.keys()
@@ -1063,34 +1063,35 @@ class TestPrunedTrainingStep:
 
 
 def spy_passes(monkeypatch):
-    """Spies on training's evaluate and grad: each call appends the pass's
-    kind and its emb leaf's shape, and its graph, and grad's its emb
-    gradient too."""
+    """Spies on training's grad and on every forward pass autodiff runs:
+    each call appends its kind and its emb leaf's shape, and grad's its
+    graph and its emb gradient too. A forward that grad runs for itself
+    shows as the evaluate after that grad."""
     calls, emb_grads, graphs = [], [], []
-    evaluate_fn, grad_fn = training.evaluate, training.grad
+    evaluate_fn, grad_fn = autodiff.evaluate, training.grad
 
     def evaluating(graph, vals, *args, **kwargs):
         calls.append(("evaluate", vals["emb"].shape))
-        graphs.append(graph)
         return evaluate_fn(graph, vals, *args, **kwargs)
 
-    def differentiating(graph, node, vals, wrt, forward=None):
+    def differentiating(graph, node, vals, wrt):
         calls.append(("grad", vals["emb"].shape))
         graphs.append(graph)
-        out = grad_fn(graph, node, vals, wrt, forward=forward)
-        emb_grads.append(out["emb"])
+        out = grad_fn(graph, node, vals, wrt)
+        emb_grads.append(out[1]["emb"])
         return out
 
-    monkeypatch.setattr(training, "evaluate", evaluating)
+    monkeypatch.setattr(autodiff, "evaluate", evaluating)
     monkeypatch.setattr(training, "grad", differentiating)
     return calls, emb_grads, graphs
 
 
 class TestOnePassPerStep:
     def test_an_ar_step_is_one_padded_pass(self, tiny_corpus, monkeypatch):
-        """train() on an AR corpus makes one evaluate and one grad per step,
-        both over all the step's terms up to its last target row, on the
-        graph that computes the rows from its first target row on."""
+        """train() on an AR corpus makes one grad per step, which runs its
+        one forward pass, both over all the step's terms up to its last
+        target row, on the graph that computes the rows from its first
+        target row on."""
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         drawn = record_terms(monkeypatch)
@@ -1104,8 +1105,8 @@ class TestOnePassPerStep:
                    for batch in batches)
         fgs = [read_graph(hp, batch) for batch in batches]
         assert calls == [(kind, (B, fg.rows[-1] + 1, hp.width))
-                         for fg in fgs for kind in ("evaluate", "grad")]
-        assert graphs == [fg.graph for fg in fgs for _ in range(2)]
+                         for fg in fgs for kind in ("grad", "evaluate")]
+        assert graphs == [fg.graph for fg in fgs]
 
     def test_bidirectional_terms_get_one_pass_per_length(
             self, diffusion_model, tiny_corpus, monkeypatch):
@@ -1122,8 +1123,8 @@ class TestOnePassPerStep:
         training._batch_grads(diffusion_model.hyper, diffusion_model.vocab.pad,
                               diffusion_model.weights, terms)
         d = diffusion_model.hyper.width
-        assert calls == [("evaluate", (2, short, d)), ("grad", (2, short, d)),
-                         ("evaluate", (3, long, d)), ("grad", (3, long, d))]
+        assert calls == [("grad", (2, short, d)), ("evaluate", (2, short, d)),
+                         ("grad", (3, long, d)), ("evaluate", (3, long, d))]
 
     def test_pad_rows_get_exactly_zero_gradient(self, tiny_ar_model,
                                                 tiny_corpus, monkeypatch):
