@@ -10,7 +10,7 @@ from .contract import (
     CLASS_LOG_PROB, KIND_PROCESS, OUTPUT_LOG_PROB, SPAN_LOG_PROB, STAGE,
     STAGE_DELTA, STATE_COMMITMENT, STATE_LOG_PROB, TOKEN_LOG_PROB,
     PREFIX_TOKEN, PROMPT_TOKEN, AttributionContract, ContractError,
-    FeatureRef, canonical_id, features, validate,
+    FeatureRef, canonical_id, features, instance_shape, validate,
 )
 from .models import (
     InfeasiblePerturbationError, ModelParams, PromptedInstance,
@@ -227,10 +227,16 @@ def score(contract: AttributionContract, params: ModelParams,
 def scores(params: ModelParams, cases) -> list[float]:
     """The score of each (contract, instance, conditioning) case, with
     ``conditioning`` as in bind_score; the passes of all cases are scored
-    together in batched passes."""
+    together in batched passes. Each contract is checked once per instance
+    shape (see contract.instance_shape): a perturbed context is its
+    instance with tokens replaced."""
     group_lists = []
+    checked = {}  # key -> contract, held so that no id is reused
     for contract, instance, conditioning in cases:
-        _check(contract, params, instance)
+        key = (id(contract), instance_shape(instance))
+        if key not in checked:
+            _check(contract, params, instance)
+            checked[key] = contract
         group_lists.append([(term, {}) for term, _ in _score_parts(
             params, instance, contract, conditioning)])
     return score_sums(params, group_lists)

@@ -6,12 +6,17 @@ named so the same graph can be re-evaluated with different leaf values,
 which is what the attribution path loop needs.
 
 The ops are the transformer's, built to keep the node count small, since
-each node costs a Python dispatch per pass: ``expand`` inserts a heads
-axis before the rows, so one ``matmul`` against an (H, d, dh) weight runs
-every head, and ``sum_heads`` sums that axis; ``layer_norm(x, gain,
-bias)`` and ``affine(x, w, b)`` (``x @ w + b``) are one node each.
-``rows(x, rows)`` takes constant rows, ``x[..., rows, :]``, so a graph can
-compute only the rows its output reads.
+each node costs a Python dispatch per pass. Attention is four ops on a
+heads axis that sits before the rows: ``heads(x, w)`` projects (..., L, d)
+rows through an (H, d, dh) weight into every head, ``scores(q, k, scale)``
+is ``q @ k.mT * scale``, ``softmax(x, mask)`` adds a constant mask before
+its softmax, and ``merge_heads(x, w)`` projects each head through an (H,
+dh, d) weight and sums the heads. The gradient into the weight of
+``heads`` and ``merge_heads`` is one GEMM over every point and row, as
+``affine``'s is. ``layer_norm(x, gain, bias)`` and ``affine(x, w, b)``
+(``x @ w + b``) are one node each. ``rows(x, rows)`` takes constant rows,
+``x[..., rows, :]``, so a graph can compute only the rows its output
+reads. An op's constant (rows, scale, mask) is its node's payload.
 
 ``grad(graph, node, leaf_values, wrt)`` returns the node's value and the
 gradient of each leaf named in ``wrt`` and no other: its backward pass
@@ -282,23 +287,32 @@ class Graph:
     def matmul(self, a: int, b: int) -> int:
         return self._push("matmul", (a, b))
 
-    def transpose(self, a: int) -> int:
-        return self._push("transpose", (a,))
+    def heads(self, a: int, w: int) -> int:
+        """``a[..., None, :, :] @ w``: (..., L, d) rows through an unbatched
+        (H, d, dh) weight become (..., H, L, dh), a heads axis before the
+        rows."""
+        return self._push("heads", (a, w))
 
-    def expand(self, a: int) -> int:
-        """Insert a heads axis: (..., L, d) becomes (..., 1, L, d)."""
-        return self._push("expand", (a,))
+    def merge_heads(self, a: int, w: int) -> int:
+        """``(a @ w).sum(-3)``: (..., H, L, dh) through an unbatched (H, dh,
+        d) weight become (..., L, d), summed over the heads."""
+        return self._push("merge_heads", (a, w))
 
-    def sum_heads(self, a: int) -> int:
-        """Sum over the heads axis: (..., H, L, d) becomes (..., L, d)."""
-        return self._push("sum_heads", (a,))
+    def scores(self, q: int, k: int, scale: float) -> int:
+        """``(q @ k.mT) * scale``: attention scores of (..., H, R, dh)
+        queries against (..., H, L, dh) keys, (..., H, R, L)."""
+        return self._push("scores", (q, k),
+                          const=np.asarray(scale, dtype=np.float64))
 
     def gelu(self, a: int) -> int:
         return self._push("gelu", (a,))
 
-    def softmax(self, a: int) -> int:
-        """Softmax over the last axis."""
-        return self._push("softmax", (a,))
+    def softmax(self, a: int, mask=None) -> int:
+        """Softmax over the last axis, of ``a + mask`` for a constant
+        ``mask`` whose shape is that of the last axes of ``a``."""
+        if mask is not None:
+            mask = np.asarray(mask, dtype=np.float64)
+        return self._push("softmax", (a,), const=mask)
 
     def log_softmax(self, a: int) -> int:
         return self._push("log_softmax", (a,))
@@ -357,20 +371,28 @@ def _matmul(a, b):
     return a @ b
 
 
-def _transpose(x):
-    return x.mT
+def _heads(x, w):
+    """``x[..., None, :, :] @ w``."""
+    if x.ndim < 2 or w.ndim != 3 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"heads shapes {x.shape}, {w.shape}")
+    return x[..., None, :, :] @ w
 
 
-def _expand(x):
-    if x.ndim < 2:
-        raise ShapeError(f"expand needs an (L, d) operand, got {x.shape}")
-    return x[..., None, :, :]
+def _merge_heads(x, w):
+    """``(x @ w).sum(-3)``."""
+    if (x.ndim < 3 or w.ndim != 3 or x.shape[-3] != w.shape[0]
+            or x.shape[-1] != w.shape[1]):
+        raise ShapeError(f"merge_heads shapes {x.shape}, {w.shape}")
+    return (x @ w).sum(axis=-3)
 
 
-def _sum_heads(x):
-    if x.ndim < 3:
-        raise ShapeError(f"sum_heads needs an (H, L, d) operand, got {x.shape}")
-    return x.sum(axis=-3)
+def _scores(q, k, scale):
+    """``(q @ k.mT) * scale``."""
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"scores shapes {q.shape}, {k.shape}")
+    s = q @ k.mT
+    s *= scale
+    return s
 
 
 def _rows(x, rows):
@@ -394,9 +416,17 @@ def _gelu(x):
     return y, t
 
 
-def _softmax(x):
-    """``e / e.sum(-1)`` for ``e = exp(x - x.max(-1))``."""
-    e = x - x.max(axis=-1, keepdims=True)
+def _softmax(x, mask=None):
+    """``e / e.sum(-1)`` for ``e = exp(z - z.max(-1))``, where ``z = x +
+    mask``, or ``x`` without a mask."""
+    if mask is None:
+        e = x - x.max(axis=-1, keepdims=True)
+    else:
+        if x.shape[x.ndim - mask.ndim:] != mask.shape:
+            raise ShapeError(f"softmax mask of shape {mask.shape} on an"
+                             f" operand of shape {x.shape}")
+        e = x + mask
+        e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -456,24 +486,31 @@ def _sum_points(x):
 
 _FORWARD = {
     "add": operator.add, "mul": operator.mul, "matmul": _matmul,
-    "transpose": _transpose, "expand": _expand, "sum_heads": _sum_heads,
-    "gelu": _gelu,
+    "heads": _heads, "merge_heads": _merge_heads, "scores": _scores,
+    "rows": _rows, "gelu": _gelu,
     "softmax": _softmax, "log_softmax": _log_softmax,
     "layer_norm": _layer_norm, "affine": _affine,
 }
 _SAVING = frozenset({"gelu", "layer_norm"})
+# the keyword under which an op's kernel and rule take its node's payload
+_PAYLOAD = {"rows": "rows", "scores": "scale", "softmax": "mask"}
+
+
+def _with_payload(fn, node: Node):
+    """``fn``, given the payload of ``node`` when it has one."""
+    if node.const is None:
+        return fn
+    return functools.partial(fn, **{_PAYLOAD[node.op]: node.const})
 
 
 def _kernel(node: Node, batched: bool):
     """The forward kernel of op node ``node``, which carries the batch axis
     when ``batched``."""
-    if node.op == "rows":
-        return functools.partial(_rows, rows=node.const)
     if node.op == "sum_all":
         return _sum_points if batched else _sum
     if node.op not in _FORWARD:
         raise GraphError(f"unknown op {node.op!r}")
-    return _FORWARD[node.op]
+    return _with_payload(_FORWARD[node.op], node)
 
 
 def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray],
@@ -586,7 +623,8 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     forward keeps only the scalar and what the backward reads, and the
     backward pass skips every input that leads to none of the leaves.
     Raises GraphError for a name that is no leaf, and NumericError, naming
-    the leaf, when a returned gradient is non-finite.
+    the leaf, when a returned gradient is non-finite. No returned gradient
+    shares memory with another, so a caller may scale each in place.
 
     In a batched pass the target is one scalar per point, shape (B,), and
     each point's gradient is seeded with 1."""
@@ -607,6 +645,7 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
         adj = _backward(graph.backward_plan(key), scalar_node, vals,
                         vals.plan.backward_drops)
     result: dict[str, np.ndarray] = {}
+    owners: set[int] = set()  # ids of the arrays returned so far, or their bases
     for name in wrt:
         node = graph.nodes[graph.leaves[name]]
         g = adj.get(node.nid)
@@ -614,6 +653,12 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
             g = np.zeros(node.shape)
         elif not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for leaf {name!r}")
+        else:
+            # an add's rule hands its adjoint to both inputs
+            owner = id(g if g.base is None else g.base)
+            if owner in owners:
+                g = g.copy()
+            owners.add(owner)
         result[name] = g
     return out, result
 
@@ -668,16 +713,40 @@ def _matmul_grad(g, want, ins, y, saved):
             _unbroadcast(a.mT @ g, b.shape) if want[1] else None)
 
 
-def _transpose_grad(g, want, ins, y, saved):
-    return (g.mT,)
+def _heads_grad(g, want, ins, y, saved):
+    """Into x, ``(g @ w.mT).sum(-3)``. Into w, per head, the rows of every
+    point of x against that head's rows of g: one GEMM per head, which
+    gives the C-contiguous (H, d, dh)."""
+    x, w = ins
+    gw = None
+    if want[1]:
+        H, dh = g.shape[-3], g.shape[-1]
+        # (..., H, L, dh) -> (H, N, dh), N the rows of every point
+        gw = (x.reshape(-1, x.shape[-1]).T
+              @ np.moveaxis(g, -3, 0).reshape(H, -1, dh))
+    return ((g @ w.mT).sum(axis=-3) if want[0] else None), gw
 
 
-def _expand_grad(g, want, ins, y, saved):
-    return (g[..., 0, :, :],)
+def _merge_heads_grad(g, want, ins, y, saved):
+    """Into x, ``g[..., None, :, :] @ w.mT``. Into w, every head's rows of
+    every point of x against g: one (H dh, N) x (N, d) GEMM, N the rows of
+    every point, which is the C-contiguous (H, dh, d)."""
+    x, w = ins
+    gw = None
+    if want[1]:
+        H, dh = w.shape[:2]
+        xs = x.swapaxes(-3, -2).reshape(-1, H * dh)  # (N, H dh)
+        gw = (xs.T @ g.reshape(-1, g.shape[-1])).reshape(w.shape)
+    return (g[..., None, :, :] @ w.mT if want[0] else None), gw
 
 
-def _sum_heads_grad(g, want, ins, y, saved):
-    return (np.broadcast_to(g[..., None, :, :], ins[0].shape),)
+def _scores_grad(g, want, ins, y, saved, scale):
+    """With ``gs = g * scale``: into q, ``gs @ k``; into k, ``(q.mT @
+    gs).mT``."""
+    q, k = ins
+    gs = g * scale
+    return (_unbroadcast(gs @ k, q.shape) if want[0] else None,
+            _unbroadcast(q.mT @ gs, k.mT.shape).mT if want[1] else None)
 
 
 def _rows_grad(g, want, ins, y, saved, rows):
@@ -706,8 +775,9 @@ def _gelu_grad(g, want, ins, y, t):
     return (d,)
 
 
-def _softmax_grad(g, want, ins, y, saved):
-    """``y * (g - (g * y).sum(-1))``."""
+def _softmax_grad(g, want, ins, y, saved, mask=None):
+    """``y * (g - (g * y).sum(-1))``; a mask adds a constant, so the
+    gradient does not read it."""
     d = g * y
     np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
     d *= y
@@ -772,8 +842,8 @@ def _sum_all_grad(g, want, ins, y, saved):
 
 _RULES = {
     "add": _add_grad, "mul": _mul_grad, "matmul": _matmul_grad,
-    "transpose": _transpose_grad, "expand": _expand_grad,
-    "sum_heads": _sum_heads_grad, "gelu": _gelu_grad,
+    "heads": _heads_grad, "merge_heads": _merge_heads_grad,
+    "scores": _scores_grad, "rows": _rows_grad, "gelu": _gelu_grad,
     "softmax": _softmax_grad, "log_softmax": _log_softmax_grad,
     "layer_norm": _layer_norm_grad, "affine": _affine_grad,
     "sum_all": _sum_all_grad,
@@ -797,9 +867,8 @@ def _product_reads(want):
 _READS = {
     "add": lambda want: ((), _wanted(want), False, False),
     "mul": _product_reads, "matmul": _product_reads,
-    "transpose": lambda want: ((), (), False, False),
-    "expand": lambda want: ((), (), False, False),
-    "sum_heads": lambda want: ((), (0,), False, False),
+    "heads": _product_reads, "merge_heads": _product_reads,
+    "scores": _product_reads,
     "rows": lambda want: ((), (0,), False, False),
     "gelu": lambda want: ((0,), (), False, True),
     "softmax": lambda want: ((), (), True, False),
@@ -815,8 +884,6 @@ _READS = {
 
 def _rule(node: Node):
     """The gradient rule of op node ``node``."""
-    if node.op == "rows":
-        return functools.partial(_rows_grad, rows=node.const)
     if node.op not in _RULES:
         raise GraphError(f"no gradient rule for op {node.op!r}")
-    return _RULES[node.op]
+    return _with_payload(_RULES[node.op], node)

@@ -211,6 +211,17 @@ def _target_index(setting: str, kind: str, instance: PromptedInstance,
     return t
 
 
+def instance_shape(instance: PromptedInstance) -> tuple:
+    """All that validate reads of an instance: its kind, the shape its
+    features are keyed on, its generation length, class target and stage
+    count. Instances of equal shape pass or fail validate alike."""
+    gen, traj = instance.generation, instance.trajectory
+    return (instance.kind, len(instance.prompt),
+            None if gen is None else len(gen),
+            None if traj is None else (traj.commit_steps, traj.num_steps),
+            instance.class_target)
+
+
 def features(instance: PromptedInstance) -> tuple[FeatureRef, ...]:
     """Every feature of the instance. The token features come first, in
     sequence order, so the i-th sits at row i of a pass over the instance:

@@ -64,7 +64,8 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
     later one, and pad rows are in no target, so they change no real row
     and get exactly zero gradient. Padding would change what a
     bidirectional row attends to, so bidirectional terms run in one full
-    pass per length."""
+    pass per length. Each gradient is an array of its own, none a view of
+    another."""
     buckets: dict[int | None, list[ScoreTerm]] = {}
     for term in terms:
         buckets.setdefault(None if term.causal else len(term.tokens),
@@ -88,14 +89,20 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
         loss -= float(score.sum())
         for name, gval in grads.items():
             if name == "emb":  # (B, L, d): one row per token of each term
-                ge = np.zeros_like(leaves["emb"])
-                np.add.at(ge, ids.reshape(-1), gval.reshape(-1, gval.shape[-1]))
-                gval = ge
-            elif name == "pos":
-                gp = np.zeros_like(leaves["pos"])
-                gp[:L] = gval
-                gval = gp
-            acc[name] = acc[name] + gval if name in acc else gval
+                # one GEMM: each id's one-hot against the rows it fed
+                flat = ids.reshape(-1)
+                onehot = np.zeros((len(leaves["emb"]), len(flat)))
+                onehot[flat, np.arange(len(flat))] = 1.0
+                gval = onehot @ gval.reshape(len(flat), -1)
+            elif name == "pos":  # into the L rows the pass read alone
+                if name not in acc:
+                    acc[name] = np.zeros_like(leaves[name])
+                acc[name][:L] += gval
+                continue
+            if name in acc:
+                acc[name] += gval
+            else:
+                acc[name] = gval
     return loss, acc
 
 
@@ -127,7 +134,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     if hp.kind != kind:
         raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
-    # each step rebinds the weights
+    # each step writes the weights in place: no model holds them until the
+    # last step is done
     leaves = dict(init_params(hp, vocab, seed).weights)
     last_loss = math.nan
 
@@ -142,11 +150,13 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (last finite: {last_loss})") from exc
         last_loss = batch_loss / BATCH_SIZE
-        # ascend the score, i.e. descend the loss; the next pass checks the
-        # weights' finiteness, so overflow here is not worth a warning
+        # ascend the score, i.e. descend the loss: ``w + (lr_t / BATCH_SIZE)
+        # * g``, in place. The next pass checks the weights' finiteness, so
+        # overflow here is not worth a warning
         with np.errstate(all="ignore"):
             for name, gval in acc.items():
-                leaves[name] = leaves[name] + (lr_t / BATCH_SIZE) * gval
+                gval *= lr_t / BATCH_SIZE
+                leaves[name] += gval
 
     params = ModelParams(hyper=hp, vocab=vocab, weights=leaves)
     eval_corpus = list(corpus[: min(64, len(corpus))])

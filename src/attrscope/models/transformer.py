@@ -97,8 +97,7 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
         mask = np.triu(np.full((seq_len, seq_len), NEG_MASK), k=1)
     else:
         mask = np.zeros((seq_len, seq_len))
-    mask_c = g.const(mask)
-    scale_c = g.const(1.0 / np.sqrt(dh))
+    scale = 1.0 / np.sqrt(dh)
 
     def layer_norm(xid: int, name: str) -> int:
         return g.layer_norm(xid, g.leaf((d,), name + ".g"),
@@ -110,20 +109,19 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
     for i in range(hp.layers):
         p = f"blk{i}."
         # every head at once: the heads axis sits before the rows
-        h = g.expand(layer_norm(x, p + "ln1"))
-        hq, mask_q = h, mask_c
+        h = layer_norm(x, p + "ln1")
+        hq, mask_q = h, mask
         if rows is not None and i == hp.layers - 1:
             # from here on only the read rows: their queries attend to the
             # keys and values of every row
             hq, x = g.rows(h, rows), g.rows(x, rows)
-            mask_q = g.const(mask[list(rows)])
-        q = g.matmul(hq, g.leaf((H, d, dh), p + "wq"))
-        k = g.matmul(h, g.leaf((H, d, dh), p + "wk"))
-        v = g.matmul(h, g.leaf((H, d, dh), p + "wv"))
-        s = g.mul(g.matmul(q, g.transpose(k)), scale_c)
-        a = g.softmax(g.add(s, mask_q))
-        o = g.matmul(g.matmul(a, v), g.leaf((H, dh, d), p + "wo"))
-        x = g.add(x, g.sum_heads(o))
+            mask_q = mask[list(rows)]
+        q = g.heads(hq, g.leaf((H, d, dh), p + "wq"))
+        k = g.heads(h, g.leaf((H, d, dh), p + "wk"))
+        v = g.heads(h, g.leaf((H, d, dh), p + "wv"))
+        a = g.softmax(g.scores(q, k, scale), mask_q)
+        o = g.merge_heads(g.matmul(a, v), g.leaf((H, dh, d), p + "wo"))
+        x = g.add(x, o)
 
         m = hp.mlp_hidden
         u = affine(layer_norm(x, p + "ln2"), (d, m), p + "mlp.w1", p + "mlp.b1")

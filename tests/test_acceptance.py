@@ -74,7 +74,7 @@ class TestA1GradientCorrectness:
         # -- primitives: 13 random entries of each input of every op the
         # transformer graph builds, each op made a scalar through gelu
         shapes = {"a": (4, 4), "b": (4, 4), "gain": (4,), "bias": (4,),
-                  "heads": (2, 4, 4)}
+                  "heads": (2, 4, 4), "heads2": (2, 4, 4)}
         primitives = {
             "add": lambda g, x: g.add(x("a"), x("b")),
             "mul": lambda g, x: g.mul(x("a"), x("b")),
@@ -82,13 +82,18 @@ class TestA1GradientCorrectness:
             "gelu": lambda g, x: g.gelu(x("a")),
             "softmax": lambda g, x: g.softmax(x("a")),
             "log_softmax": lambda g, x: g.log_softmax(x("a")),
-            "transpose": lambda g, x: g.transpose(x("a")),
             "layer_norm": lambda g, x: g.layer_norm(x("a"), x("gain"),
                                                     x("bias")),
             "affine": lambda g, x: g.affine(x("a"), x("b"), x("bias")),
-            # an (L, d) operand against per-head weights, as in attention
-            "expand": lambda g, x: g.matmul(g.expand(x("a")), x("heads")),
-            "sum_heads": lambda g, x: g.sum_heads(x("heads")),
+            # attention's ops: (L, d) rows through per-head weights, heads
+            # through per-head weights and summed, scaled scores of
+            # queries against keys, and a softmax under a fixed mask
+            "heads": lambda g, x: g.heads(x("a"), x("heads")),
+            "merge_heads": lambda g, x: g.merge_heads(x("heads"),
+                                                      x("heads2")),
+            "scores": lambda g, x: g.scores(x("heads"), x("heads2"), 0.5),
+            "masked_softmax": lambda g, x: g.softmax(
+                x("a"), np.linspace(-2.0, 2.0, 16).reshape(4, 4)),
             # rows 1 and 2 are not taken: their gradient is zero
             "rows": lambda g, x: g.rows(x("a"), (3, 0)),
         }
@@ -132,7 +137,7 @@ class TestA1GradientCorrectness:
                   - evaluate(g, {"a": xm})[s][idx[0]]) / (2 * FD_STEP)
             assert abs(ga[idx] - fd) / max(1.0, abs(fd)) <= 1e-4, idx
             checked += 1
-        assert checked == 21 * per_input
+        assert checked == 24 * per_input
 
         # -- full 2-layer transformer score vs finite differences: the
         # score node with a one-hot target mask, log p(target | tokens)

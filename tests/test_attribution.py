@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import attrscope.attribution as attribution_mod
 from attrscope.autodiff import evaluate, grad
 from attrscope.attribution import (
     AttributionMap, BaselinePolicy, PAD_BASELINE, StageScoreError,
     baseline_endpoint_score, bind_score, grad_times_input,
-    integrated_gradients, occlusion, prefix_mass, score, stage_attribution,
+    integrated_gradients, occlusion, prefix_mass, score, scores,
+    stage_attribution,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
     SETTING_P2O, SETTING_PROMPT_COND, SETTING_SPAN, SETTING_STAGE,
-    SETTING_STATE, canonical_id, make_named,
+    SETTING_STATE, ContractError, canonical_id, instance_shape, make_named,
+    validate,
 )
 from attrscope.models import (
     GreedyPolicy, InfeasiblePerturbationError, PromptedInstance,
@@ -662,3 +665,71 @@ class TestPrunedGraphs:
             assert emb_grad[k].shape == g.shape
             assert np.max(np.abs(emb_grad[k] - g)) <= 1e-12
             assert not emb_grad[k][length:].any()
+
+
+class TestValidateOncePerShape:
+    """scores checks each (contract, instance shape) once, and raises
+    exactly when, and with the message, a check of every case would."""
+
+    @pytest.fixture(scope="class")
+    def pools(self, tiny_ar_model, tiny_corpus, diffusion_model):
+        instances = []
+        for prompt, _ in tiny_corpus.heldout_pairs[:2]:
+            gen = tuple(ar_generate(tiny_ar_model, prompt, 4, GreedyPolicy(),
+                                    seed=0))
+            instances.append(PromptedInstance(prompt=prompt, seed=0,
+                                              generation=gen))
+        traj = diffusion_generate(diffusion_model,
+                                  tiny_corpus.heldout_pairs[0][0], 3, 2, seed=0)
+        diffusion = PromptedInstance(prompt=tiny_corpus.heldout_pairs[0][0],
+                                     seed=0, trajectory=traj)
+        # each contract with the instance it was made for
+        pairs = [(make_named(setting, inst, t), inst)
+                 for inst in instances
+                 for setting, t in ((SETTING_LOCAL, 1), (SETTING_LOCAL, 4),
+                                    (SETTING_PROMPT_COND, 2),
+                                    (SETTING_SPAN, None))]
+        pairs.append((make_named(SETTING_STATE, diffusion, 1), diffusion))
+        return pairs
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_raises_exactly_where_a_check_per_case_does(
+            self, tiny_ar_model, pools, data):
+        vocab = tiny_ar_model.hyper.vocab_size
+        cases = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            contract, inst = data.draw(st.sampled_from(pools))
+            if data.draw(st.integers(0, 3)) == 0:  # another contract's instance
+                inst = data.draw(st.sampled_from(pools))[1]
+            if inst.generation is not None:
+                # perturbed: tokens replaced, and at times the generation
+                # cut short, which changes its shape
+                gen = list(inst.generation)
+                for i in data.draw(st.lists(st.integers(0, len(gen) - 1),
+                                            max_size=2)):
+                    gen[i] = data.draw(st.integers(0, vocab - 1))
+                if data.draw(st.booleans()):
+                    gen = gen[:data.draw(st.integers(1, len(gen)))]
+                inst = replace(inst, generation=tuple(gen))
+            cases.append((contract, inst, None))
+        expected = None
+        for contract, inst, _ in cases:
+            try:
+                attribution_mod._check(contract, tiny_ar_model, inst)
+            except ContractError as exc:
+                expected = str(exc)
+                break
+        calls = []
+        with mock.patch.object(attribution_mod, "validate",
+                               side_effect=lambda c, i: calls.append(1)
+                               or validate(c, i)):
+            try:
+                scores(tiny_ar_model, cases)
+                got = None
+            except ContractError as exc:
+                got = str(exc)
+        assert got == expected
+        distinct = {(id(c), instance_shape(i)) for c, i, _ in cases}
+        assert len(calls) <= len(distinct)

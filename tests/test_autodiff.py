@@ -58,7 +58,9 @@ UNARY = {
     "softmax": Graph.softmax,
     "log_softmax": Graph.log_softmax,
     "layer_norm": affine_layer_norm,
-    "transpose": Graph.transpose,
+    # the softmax of x plus a fixed mask, as attention's
+    "masked_softmax": lambda g, x: g.softmax(
+        x, np.linspace(-3.0, 3.0, 20).reshape(4, 5)),
 }
 
 
@@ -262,6 +264,122 @@ class TestKernelBits:
             assert np.array_equal(got, want), name
 
 
+# The attention ops against the chains of plain ops they stand for, as
+# those ran: each returns the chain's value and, given the adjoint ``g``,
+# its gradient into each activation input; ``payload`` is the op's scale or
+# mask.
+
+def chain_heads(x, w, g, payload):
+    a = x[..., None, :, :]  # expand, then matmul
+    return a @ w, (autodiff._unbroadcast(g @ w.mT, a.shape)[..., 0, :, :],)
+
+
+def chain_merge_heads(x, w, g, payload):
+    o = x @ w  # matmul, then sum_heads
+    go = np.broadcast_to(g[..., None, :, :], o.shape)
+    return o.sum(axis=-3), (autodiff._unbroadcast(go @ w.mT, x.shape),)
+
+
+def chain_scores(q, k, g, payload):
+    kt = k.mT  # transpose, matmul, then mul by a const
+    m = q @ kt
+    gm = autodiff._unbroadcast(g * payload, m.shape)
+    return m * payload, (autodiff._unbroadcast(gm @ kt.mT, q.shape),
+                         autodiff._unbroadcast(q.mT @ gm, kt.shape).mT)
+
+
+def chain_softmax(x, g, payload):
+    z = x + payload  # add a const, then softmax
+    return ref_softmax(z), ref_softmax_grad(g, z)
+
+
+def per_point_heads(x, g):
+    """Into an (H, d, dh) weight: per point and head, x against g."""
+    xs, gs = (x[None], g[None]) if x.ndim == 2 else (x, g)
+    return sum(np.stack([xb.T @ gb[h] for h in range(len(gb))])
+               for xb, gb in zip(xs, gs))
+
+
+def per_point_merge_heads(x, g):
+    """Into an (H, dh, d) weight: per point and head, x against g."""
+    xs, gs = (x[None], g[None]) if x.ndim == 3 else (x, g)
+    return sum(np.stack([xb[h].T @ gb for h in range(len(xb))])
+               for xb, gb in zip(xs, gs))
+
+
+class TestAttentionOps:
+    """heads, merge_heads, scores and the masked softmax give, forward and
+    into their activations, the bits of the chain of plain ops each stands
+    for; their weight gradients, one GEMM over every point and row, equal
+    the per-point, per-head sums to rounding."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("op", ["heads", "merge_heads", "scores",
+                                    "softmax"])
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(H=st.integers(1, 3), L=st.integers(1, 5), d=st.integers(1, 6),
+           dh=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_each_op_equals_its_chain(self, op, batch, H, L, d, dh, seed,
+                                      data):
+        rng = np.random.default_rng(seed)
+        # the op's first input is a leaf's rows, when drawn (a pruned last
+        # block's queries): R of its L rows
+        rows = data.draw(st.none() | st.lists(
+            st.integers(0, L - 1), min_size=1, max_size=L, unique=True))
+        R = L if rows is None else len(rows)
+        lead = () if batch is None else (batch,)
+        first, second, out_shape, payload = {
+            "heads": ((L, d), (H, d, dh), (H, R, dh), None),
+            "merge_heads": ((H, L, dh), (H, dh, d), (R, d), None),
+            "scores": ((H, L, dh), (H, L, dh), (H, R, L), 0.5 / np.sqrt(dh)),
+            "softmax": ((H, L, L), None, (H, R, L),
+                        np.triu(np.full((L, L), -1e9), 1)[
+                            slice(None) if rows is None else rows]),
+        }[op]
+        g = Graph()
+        x = g.leaf(first, "x")
+        xr = x if rows is None else g.rows(x, rows)
+        if op == "softmax":
+            out = g.softmax(xr, payload)
+        else:
+            y = g.leaf(second, "y")
+            out = (g.scores(xr, y, payload) if op == "scores"
+                   else getattr(g, op)(xr, y))
+        s = g.sum_all(g.mul(out, g.leaf(out_shape, "c")))
+        vals = {"x": 3 * rng.standard_normal(lead + first),
+                "c": rng.standard_normal(lead + out_shape)}
+        if op == "scores":  # keys of every point
+            vals["y"] = rng.standard_normal(lead + second)
+        elif op != "softmax":  # an unbatched weight
+            vals["y"] = rng.standard_normal(second)
+        names = tuple(n for n in ("x", "y") if n in vals)
+        xv = vals["x"] if rows is None else vals["x"][..., rows, :]
+        ins = [xv] + ([vals["y"]] if "y" in vals else [])
+        chain = {"heads": chain_heads, "merge_heads": chain_merge_heads,
+                 "scores": chain_scores}.get(op)
+        want, grads_want = (chain_softmax(xv, vals["c"], payload)
+                            if chain is None
+                            else chain(*ins, vals["c"], payload))
+
+        assert np.array_equal(evaluate(g, vals)[out], want)
+        _, got = grad(g, s, vals, names)
+        gx = grads_want[0]
+        if rows is not None:
+            gx = np.zeros(vals["x"].shape)
+            gx[..., rows, :] = grads_want[0]
+        assert np.array_equal(got["x"], gx)
+        if op == "scores":
+            assert np.array_equal(got["y"], grads_want[1])
+        elif op != "softmax":
+            per_point = (per_point_heads if op == "heads"
+                         else per_point_merge_heads)(xv, vals["c"])
+            assert got["y"].shape == second and got["y"].flags.c_contiguous
+            assert np.max(np.abs(got["y"] - per_point)) \
+                <= 1e-12 * np.max(np.abs(per_point))
+
+
 class TestGraphMechanics:
     def test_evaluate_is_pure(self, rng):
         g = Graph()
@@ -314,8 +432,22 @@ class TestGraphMechanics:
         (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (4, 2), (3,)]),
         (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (3, 2), (2,)]),
         (lambda g, x, y, z: g.affine(x, y, z), [(3, 4), (2, 4, 2), (2,)]),
-        (lambda g, x, y, z: g.expand(x), [(4,), (1,), (1,)]),
-        (lambda g, x, y, z: g.sum_heads(x), [(3, 4), (1,), (1,)]),
+        # heads: a one-dim operand, a weight of another width, a two-dim
+        # (unstacked) weight
+        (lambda g, x, y, z: g.heads(x, y), [(4,), (2, 4, 3), (1,)]),
+        (lambda g, x, y, z: g.heads(x, y), [(3, 4), (2, 5, 3), (1,)]),
+        (lambda g, x, y, z: g.heads(x, y), [(3, 4), (4, 3), (1,)]),
+        # merge_heads: an operand with no heads axis, heads that differ in
+        # number or width from the weight's
+        (lambda g, x, y, z: g.merge_heads(x, y), [(3, 4), (2, 4, 5), (1,)]),
+        (lambda g, x, y, z: g.merge_heads(x, y), [(3, 2, 4), (2, 4, 5), (1,)]),
+        (lambda g, x, y, z: g.merge_heads(x, y), [(2, 3, 4), (2, 3, 5), (1,)]),
+        # scores: queries and keys of other widths, a one-dim key
+        (lambda g, x, y, z: g.scores(x, y, 0.5), [(2, 3, 4), (2, 5, 3), (1,)]),
+        (lambda g, x, y, z: g.scores(x, y, 0.5), [(2, 3, 4), (4,), (1,)]),
+        # a softmax mask whose shape is not that of the operand's last axes
+        (lambda g, x, y, z: g.softmax(x, np.zeros((4, 3))), [(3, 4), (1,), (1,)]),
+        (lambda g, x, y, z: g.softmax(x, np.zeros((2, 3, 4))), [(3, 4), (1,), (1,)]),
         # a row index past the operand's rows, and a one-dim operand
         (lambda g, x, y, z: g.rows(x, (0, 3)), [(3, 4), (1,), (1,)]),
         (lambda g, x, y, z: g.rows(x, (0,)), [(4,), (1,), (1,)]),
@@ -358,6 +490,27 @@ class TestGraphMechanics:
         for bad in [("y",), ("x", "y")]:
             with pytest.raises(GraphError, match="no leaf"):
                 grad(g, s, leaves, bad)
+
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_returned_gradients_share_no_memory(self, batch, rng):
+        # an add hands its adjoint to both inputs: x and y would get one
+        # array, and the reshaped y a view of it
+        g = Graph()
+        x = g.leaf((2, 3), "x")
+        y = g.leaf((2, 3), "y")
+        z = g.leaf((1, 2, 3), "z")
+        s = g.sum_all(g.gelu(g.add(g.add(x, y), z)))
+        lead = () if batch is None else (batch,)
+        leaves = {"x": rng.standard_normal(lead + (2, 3)),
+                  "y": rng.standard_normal(lead + (2, 3)),
+                  "z": rng.standard_normal((1, 2, 3))}
+        _, grads = grad(g, s, leaves, ("x", "y", "z"))
+        assert np.array_equal(grads["x"], grads["y"])
+        assert np.array_equal(grads["z"].reshape(2, 3),
+                              grads["x"].reshape(-1, 2, 3).sum(axis=0))
+        for a, b in itertools.combinations(grads.values(), 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestBatchAxis:

@@ -685,14 +685,21 @@ class TestModelFileFormat:
 def kernel_probe() -> str:
     """SHA-256 of numpy's version and of what its float kernels give on
     fixed inputs: exp, log and tanh, and GEMMs of a width-64 model's
-    shapes. Hosts whose kernels round alike give equal digests."""
+    shapes, among them the weight gradients folded over a step's rows:
+    per head, (d, N) x (N, dh), one (H dh, N) x (N, d), and the one-hot
+    embedding gradient. Hosts whose kernels round alike give equal
+    digests."""
     rng = np.random.default_rng(0)
     x = rng.uniform(-8.0, 8.0, 4096)
     a, b = rng.uniform(-1.0, 1.0, (88, 64)), rng.uniform(-1.0, 1.0, (64, 128))
     q, k = rng.uniform(-1.0, 1.0, (2, 8, 2, 11, 32))
+    heads = rng.uniform(-1.0, 1.0, (2, 88, 32))
+    c = rng.uniform(-1.0, 1.0, (88, 64))
+    onehot = np.eye(24)[rng.integers(0, 24, 88)].T
     digest = hashlib.sha256(np.__version__.encode())
     for value in (np.exp(x), np.log(np.abs(x)), np.tanh(x), a @ b,
-                  a.T @ (a @ b), (a @ b) @ b.T, q @ k.mT):
+                  a.T @ (a @ b), (a @ b) @ b.T, q @ k.mT, a.T @ heads,
+                  c.T @ a, onehot @ a):
         digest.update(value.tobytes())
     return digest.hexdigest()
 
@@ -948,6 +955,29 @@ class TestBatchedTrainingStep:
         assert grads.keys() == reference[0][1].keys()
         for name, g in grads.items():
             assert_close(g, sum(r[1][name] for r in reference))
+
+    def test_the_sgd_step_writes_the_weights_in_place(self, tiny_corpus,
+                                                      monkeypatch):
+        """Each step adds its scaled gradient into the weight arrays train
+        started from; the model it returns holds those arrays."""
+        hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab),
+                         layers=1, heads=2, width=16, mlp_hidden=32,
+                         context_len=16)
+        started = {}
+
+        def init(*args):
+            params = init_params(*args)
+            started.update(params.weights)
+            return params
+
+        monkeypatch.setattr(training, "init_params", init)
+        before = {name: w.copy() for name, w in
+                  init_params(hp, tiny_corpus.vocab, 4).weights.items()}
+        result = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+                       hp, seed=4, steps=2, lr=0.05)
+        for name, w in result.params.weights.items():
+            assert w is started[name], name
+            assert not np.array_equal(w, before[name]), name
 
     @pytest.mark.parametrize("kind", [AR, DIFFUSION])
     def test_training_draws_the_same_terms(self, tiny_corpus, monkeypatch,
