@@ -36,6 +36,7 @@ from .models import (
     train,
 )
 from .models.params import AR, CLASSIFIER, DIFFUSION
+from .models.training import DEFAULT_LR
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC = 2
@@ -66,12 +67,11 @@ def _load_contract_spec(path: str):
     return result.spec
 
 
-def _load_model(args, spec=None):
-    path = getattr(args, "model", None) or (spec.model_path if spec else None)
-    if path is None:
-        raise CLIError("no model: pass --model or a model path in the contract file")
+def _load_model(path: str):
+    """The model at ``path``, its ``model_id`` checked against the bytes
+    read; an unreadable file is exit 4, a rejected one exit 2."""
     try:
-        return load_model(path), path
+        return load_model(path)
     except OSError as exc:
         raise CLIError(f"cannot read model file: {exc}", EXIT_IO) from exc
     except ModelIOError as exc:
@@ -141,7 +141,10 @@ def _contract_run(args, settings=None):
     elif spec.setting not in settings:
         raise CLIError(f"{args.command} needs a {' or '.join(settings)}"
                        " contract file")
-    params, model_path = _load_model(args, spec)
+    model_path = args.model or spec.model_path
+    if model_path is None:
+        raise CLIError("no model: pass --model or a model path in the contract file")
+    params = _load_model(model_path)
     instance = _build_instance(spec, params)
     contracts = [_bound_contract(setting, spec.target, instance)
                  for setting in settings]
@@ -160,11 +163,14 @@ def _method_config(args) -> dict:
     return method
 
 
-def _publish(args, files, *, model_id=None, contract_id=None, inputs=(),
-             seeds=None) -> None:
+def _publish(args, files, *, model_id=None, model_path=None,
+             contract_id=None, inputs=(), seeds=None) -> None:
     """Writes ``files``, each name's text or model, into the ``--out``
     directory, then the manifest that records them, the run's argv and
-    the digest of each of ``inputs``; any I/O error is exit 4."""
+    the digest of each input: the file SHA-256 of each of ``inputs``, and
+    for the model the run read from ``model_path``, its ``model_id``,
+    which ``load_model`` checked against the bytes the run used. Any I/O
+    error is exit 4."""
     try:
         os.makedirs(args.out, exist_ok=True)
         for name, content in files.items():
@@ -173,10 +179,13 @@ def _publish(args, files, *, model_id=None, contract_id=None, inputs=(),
                 atomic_write_text(path, content)
             else:
                 save_model(content, path)
+        digests = {path: file_digest(path) for path in inputs}
+        if model_path is not None:
+            digests[model_path] = model_id
         manifest = RunManifest(
             tool_version=__version__, command=args.command, argv=args._argv,
             model_id=model_id, contract_id=contract_id,
-            input_digests={path: file_digest(path) for path in inputs},
+            input_digests=digests,
             seeds=seeds or {}, outputs=sorted(files),
             timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
         atomic_write_text(os.path.join(args.out, "manifest.json"),
@@ -233,7 +242,7 @@ def cmd_generate(args) -> int:
             and args.steps > args.response_len):
         raise CLIError(f"argument --steps: must be <= --response-len"
                        f" ({args.response_len}), got {args.steps}")
-    params, _ = _load_model(args)
+    params = _load_model(args.model)
     prompt = _encode(params, "--prompt", args.prompt)
     if params.kind == AR:
         policy = (SamplePolicy(args.temperature)
@@ -251,7 +260,7 @@ def cmd_generate(args) -> int:
     print(text)
     if args.out:
         _publish(args, {"generation.txt": text + "\n"},
-                 model_id=params.model_id, inputs=[args.model],
+                 model_id=params.model_id, model_path=args.model,
                  seeds={"decode": args.seed})
     return EXIT_OK
 
@@ -262,9 +271,9 @@ def cmd_attribute(args) -> int:
     html, text = render_heatmap(attr_map, instance, contract, params)
     _publish(args, {"map.txt": serialize_map(attr_map),
                     "heatmap.html": html, "heatmap.txt": text},
-             model_id=params.model_id,
+             model_id=params.model_id, model_path=model_path,
              contract_id=canonical_id(contract).digest,
-             inputs=[args.contract, model_path],
+             inputs=[args.contract],
              seeds={"instance": spec.seed})
     print(text)
     return EXIT_OK
@@ -280,8 +289,8 @@ def cmd_evaluate(args) -> int:
                                  n_random=args.random_orderings,
                                  seed=args.seed)
     _publish(args, {"report.txt": serialize_report(report)},
-             model_id=params.model_id, contract_id=report.contract_id,
-             inputs=[args.contract, model_path],
+             model_id=params.model_id, model_path=model_path,
+             contract_id=report.contract_id, inputs=[args.contract],
              seeds={"instance": spec.seed, "eval": args.seed})
     if report.deletion_aopc is not None:
         line = (f"deletion AOPC {report.deletion_aopc:+.4f}"
@@ -311,8 +320,8 @@ def cmd_render(args) -> int:
         raise CLIError(f"map rejected: {mismatch}")
     html, text = render_heatmap(attr_map, instance, contract, params)
     _publish(args, {"heatmap.html": html, "heatmap.txt": text},
-             model_id=params.model_id, contract_id=attr_map.contract_id,
-             inputs=[args.contract, model_path, args.map],
+             model_id=params.model_id, model_path=model_path,
+             contract_id=attr_map.contract_id, inputs=[args.contract, args.map],
              seeds={"instance": spec.seed})
     print(text)
     return EXIT_OK
@@ -342,7 +351,7 @@ def cmd_demo_fallacy(args) -> int:
     print(text, end="")
     if args.out:
         _publish(args, {"demo.txt": text}, model_id=params.model_id,
-                 inputs=[args.contract, model_path],
+                 model_path=model_path, inputs=[args.contract],
                  seeds={"instance": spec.seed})
     return EXIT_OK
 
@@ -358,10 +367,14 @@ def cmd_rerun(args) -> int:
         raise CLIError("manifest rejected: it records a rerun; rerun the"
                        " original run's manifest instead")
     for path, digest in manifest.input_digests.items():
-        try:
-            now = file_digest(path)
-        except OSError as exc:
-            raise CLIError(f"manifest input missing: {exc}", EXIT_IO) from exc
+        if digest == manifest.model_id:  # a model, recorded by its checked id
+            now = _load_model(path).model_id
+        else:
+            try:
+                now = file_digest(path)
+            except OSError as exc:
+                raise CLIError(f"manifest input missing: {exc}",
+                               EXIT_IO) from exc
         if now != digest:
             raise CLIError(f"input changed since the original run: {path}")
     return main(manifest.argv + ["--out", args.out])
@@ -440,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--kind", choices=("ar", "diffusion"), default="ar")
     p.add_argument("--steps", type=_int_at_least(1), default=2500)
-    p.add_argument("--lr", type=_positive_float, default=0.05)
+    p.add_argument("--lr", type=_positive_float, default=DEFAULT_LR)
     p.add_argument("--width", type=_int_at_least(1), default=64)
     p.add_argument("--layers", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -245,7 +246,7 @@ def load_model(path: str) -> ModelParams:
         if header["weight_order"] != [name for name, *_ in in_file]:
             raise ModelIOError("weight_order does not list the model's weights"
                                " in sorted order")
-        counts = [int(np.prod(shape)) for *_, shape in in_file]
+        counts = [math.prod(shape) for *_, shape in in_file]
         if len(blob) - 12 - hlen != 8 * sum(counts):
             raise ModelIOError(f"weight body is {len(blob) - 12 - hlen} bytes,"
                                f" expected {8 * sum(counts)}")

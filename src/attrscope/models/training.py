@@ -22,6 +22,7 @@ class TrainingDiverged(Exception):
 
 
 _LOSS_CACHE = _CACHE  # the one graph cache; attrbench/run.py clears it by this name
+DEFAULT_LR = 0.05      # the peak learning rate train and `train --lr` default to
 LR_FLOOR_FRAC = 0.02   # the decayed rate never drops below this fraction of lr
 BATCH_SIZE = 8         # examples per SGD step
 
@@ -120,7 +121,7 @@ class TrainResult:
 
 
 def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
-          steps: int = 2000, lr: float = 0.5) -> TrainResult:
+          steps: int = 2000, lr: float = DEFAULT_LR) -> TrainResult:
     """SGD with cosine decay; deterministic given (corpus, hp, seed).
 
     Each step draws BATCH_SIZE examples and ascends their summed score by

@@ -3,6 +3,7 @@ manifest reruns."""
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -103,7 +104,9 @@ def sha256(path: str) -> str:
 
 class TestWritingCommandManifests:
     """Each command that writes files writes a manifest naming the command,
-    the files it wrote beside it, the digest of each input and its seeds."""
+    the files it wrote beside it, the digest of each input and its seeds.
+    A model input's digest is its model_id, any other input's its file
+    SHA-256."""
 
     @staticmethod
     def command(workspace, name):
@@ -153,9 +156,33 @@ class TestWritingCommandManifests:
         assert manifest.argv == argv
         assert manifest.outputs == sorted(
             set(os.listdir(out)) - {"manifest.json"})
-        assert manifest.input_digests == {path: sha256(path)
-                                          for path in inputs}
+        model = os.path.join(workspace["model"], "model.bin")
+        assert manifest.input_digests == {
+            path: load_model(path).model_id if path == model else sha256(path)
+            for path in inputs}
         assert set(manifest.seeds) == seed_keys
+
+    @pytest.mark.parametrize("name", ["attribute", "evaluate"])
+    def test_the_model_file_is_read_once_and_never_digested(
+            self, workspace, tmp_path, monkeypatch, name):
+        model = os.path.join(workspace["model"], "model.bin")
+        opened, digested = [], []
+        real_open, real_digest = open, cli.file_digest
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def spy_digest(path):
+            digested.append(path)
+            return real_digest(path)
+
+        monkeypatch.setattr("builtins.open", spy_open)
+        monkeypatch.setattr(cli, "file_digest", spy_digest)
+        argv, _, _ = self.command(workspace, name)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert opened.count(model) == 1
+        assert digested == [workspace["contract"]]
 
     @pytest.mark.parametrize("name", WRITERS)
     def test_out_naming_a_file_exits_4_and_leaves_no_temp_file(
@@ -274,6 +301,75 @@ class TestRerun:
         Path(manifest_path).write_text(json.dumps(data))
         assert main(["rerun", "--manifest", manifest_path,
                      "--out", str(tmp_path / "b")]) == EXIT_DIAGNOSTIC
+
+    @staticmethod
+    def attribute_on_a_copy(workspace, tmp_path):
+        """(model, manifest): a copy of the workspace model, and the
+        manifest of an attribute run on it, written to ``tmp_path/a``."""
+        model = str(tmp_path / "model.bin")
+        shutil.copyfile(os.path.join(workspace["model"], "model.bin"), model)
+        out = str(tmp_path / "a")
+        assert main(["attribute", "--contract", workspace["contract"],
+                     "--model", model, "--ig-steps", "4",
+                     "--out", out]) == EXIT_OK
+        return model, os.path.join(out, "manifest.json")
+
+    @staticmethod
+    def rerun(manifest, tmp_path):
+        return main(["rerun", "--manifest", manifest,
+                     "--out", str(tmp_path / "b")])
+
+    def test_rerun_refuses_a_model_with_a_flipped_weight_byte(
+            self, workspace, tmp_path, capsys):
+        model, manifest = self.attribute_on_a_copy(workspace, tmp_path)
+        blob = bytearray(Path(model).read_bytes())
+        blob[-1] ^= 1  # the last weight's lowest mantissa bit
+        Path(model).write_bytes(bytes(blob))
+        assert self.rerun(manifest, tmp_path) == EXIT_DIAGNOSTIC
+        assert "model file rejected" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "b")
+
+    def test_rerun_refuses_another_model_saved_over_the_path(
+            self, workspace, tmp_path, capsys):
+        model, manifest = self.attribute_on_a_copy(workspace, tmp_path)
+        params = load_model(model)
+        save_model(init_params(params.hyper, params.vocab, seed=9), model)
+        assert self.rerun(manifest, tmp_path) == EXIT_DIAGNOSTIC
+        assert (f"input changed since the original run: {model}"
+                in capsys.readouterr().err)
+
+    def test_a_model_recorded_by_its_file_digest_still_reruns(
+            self, workspace, tmp_path):
+        """A manifest written before models were recorded by model_id."""
+        model, manifest = self.attribute_on_a_copy(workspace, tmp_path)
+        data = json.loads(Path(manifest).read_text())
+        assert data["input_digests"][model] == data["model_id"]
+        data["input_digests"][model] = sha256(model)
+        Path(manifest).write_text(json.dumps(data))
+        assert self.rerun(manifest, tmp_path) == EXIT_OK
+        for name in ("map.txt", "heatmap.html", "heatmap.txt"):
+            assert (Path(tmp_path, "a", name).read_bytes()
+                    == Path(tmp_path, "b", name).read_bytes())
+
+    def test_a_model_replaced_after_loading_is_recorded_as_loaded(
+            self, workspace, tmp_path, monkeypatch):
+        """The manifest names the weights the run used, not the file that
+        lies at the model's path when the manifest is written."""
+        loaded = []
+
+        def load_then_replace(path):
+            params = load_model(path)
+            loaded.append(params.model_id)
+            save_model(init_params(params.hyper, params.vocab, seed=9), path)
+            return params
+
+        monkeypatch.setattr(cli, "load_model", load_then_replace)
+        model, manifest_path = self.attribute_on_a_copy(workspace, tmp_path)
+        monkeypatch.undo()
+        manifest = read_manifest(manifest_path)
+        assert manifest.input_digests[model] == manifest.model_id == loaded[0]
+        assert load_model(model).model_id != loaded[0]
+        assert self.rerun(manifest_path, tmp_path) == EXIT_DIAGNOSTIC
 
     def test_rerun_of_a_rerun_manifest_rejected(self, tmp_path):
         path = str(tmp_path / "manifest.json")

@@ -179,6 +179,22 @@ class TestModelFileFuzz:
             fh.write(model_file(tiny_model, ("json", ("vocab", "pad"), "4")))
         assert load_model(path).vocab.pad == 4
 
+    @pytest.mark.parametrize("field, value", [
+        # pos, (context_len, width) = (2**61 + 8, 8), has 2**64 + 64
+        # elements, which int64 arithmetic wraps to the 64 the file holds
+        ("context_len", 2**61 + 8),
+        ("vocab_size", 2**62),
+        ("mlp_hidden", 2**64),
+    ])
+    def test_sizes_past_int64_fail_the_body_length_check(
+            self, tiny_model, workdir, field, value):
+        path = str(workdir / "huge.bin")
+        with open(path, "wb") as fh:
+            fh.write(model_file(tiny_model,
+                                ("json", ("hyper", field), str(value))))
+        with pytest.raises(ModelIOError, match="weight body is"):
+            load_model(path)
+
     def test_deep_header_exits_2(self, tiny_model, workdir, capsys):
         path = str(workdir / "deep.bin")
         with open(path, "wb") as fh:

@@ -1,6 +1,7 @@
 """Model-layer tests: decoding, scores, the denoising chain, persistence,
 and training behavior."""
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from attrscope.models.transformer import (
     ContextOverflowError, ScoreTerm, build_forward_graph, check_context,
     run_groups, score_sums, terms_score,
 )
-from attrscope.cli import EXIT_DIAGNOSTIC, main
+from attrscope.cli import EXIT_DIAGNOSTIC, build_parser, main
 from conftest import bind_pass, file_arrays, file_model_id, file_shapes
 
 
@@ -827,6 +828,25 @@ class TestTraining:
 
         # zero steps: the loss of the initial weights
         assert final_loss(40) < final_loss(0)
+
+    def test_the_default_rate_lowers_the_loss_at_the_benchmark_shape(
+            self, corpus):
+        """80 steps at the default rate, on the benchmark's corpus and the
+        model shape `train` builds by default, end below the untrained
+        loss. A rate ten times the CLI's ends at a finite loss above 1e14
+        here, so it would raise no TrainingDiverged either."""
+        hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab), layers=2,
+                         heads=2, width=64, mlp_hidden=128, context_len=64)
+        def final_loss(steps):
+            return train(AR, list(corpus.train_pairs), corpus.vocab, hp,
+                         seed=0, steps=steps).final_loss
+
+        # the CLI's --lr default is train's
+        assert build_parser().parse_args(
+            ["train", "--corpus", "c", "--out", "o"]).lr == \
+            inspect.signature(train).parameters["lr"].default
+        trained = final_loss(80)
+        assert math.isfinite(trained) and trained < final_loss(0)
 
     def test_divergence_names_the_step(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
