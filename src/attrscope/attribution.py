@@ -376,8 +376,7 @@ def stage_attribution(params: ModelParams, instance: PromptedInstance,
         chains[ref] = ChainSpec(
             prompt, new_plan,
             substitute=pert if pert_kind == SUBSTITUTE_STEP else None)
-    reruns = run_chains(params, chains.values(), traj.response_len, traj.seed,
-                        traj.tables)
+    reruns = run_chains(params, chains.values(), traj.response_len, traj.seed)
     # the original output's teacher-forced score under each re-run's states
     perturbed = dict(zip(chains, score_sums(params, [
         [(term, {}) for term in

@@ -37,6 +37,7 @@ from .models import (
 )
 from .models.params import AR, CLASSIFIER, DIFFUSION
 from .models.training import DEFAULT_LR
+from .models.transformer import op
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC = 2
@@ -67,9 +68,12 @@ def _load_contract_spec(path: str):
     return result.spec
 
 
-def _load_model(path: str):
+def _load_model(args, path: str):
     """The model at ``path``, its ``model_id`` checked against the bytes
-    read; an unreadable file is exit 4, a rejected one exit 2."""
+    read, or the one that ``rerun`` read and checked from ``path`` before
+    the command ran; an unreadable file is exit 4, a rejected one exit 2."""
+    if path in args._models:
+        return args._models[path]
     try:
         return load_model(path)
     except OSError as exc:
@@ -144,7 +148,7 @@ def _contract_run(args, settings=None):
     model_path = args.model or spec.model_path
     if model_path is None:
         raise CLIError("no model: pass --model or a model path in the contract file")
-    params = _load_model(model_path)
+    params = _load_model(args, model_path)
     instance = _build_instance(spec, params)
     contracts = [_bound_contract(setting, spec.target, instance)
                  for setting in settings]
@@ -242,7 +246,7 @@ def cmd_generate(args) -> int:
             and args.steps > args.response_len):
         raise CLIError(f"argument --steps: must be <= --response-len"
                        f" ({args.response_len}), got {args.steps}")
-    params = _load_model(args.model)
+    params = _load_model(args, args.model)
     prompt = _encode(params, "--prompt", args.prompt)
     if params.kind == AR:
         policy = (SamplePolicy(args.temperature)
@@ -265,6 +269,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@op()  # the instance's generation too
 def cmd_attribute(args) -> int:
     spec, params, model_path, instance, (contract,) = _contract_run(args)
     attr_map = compute_map(params, instance, contract, _method_config(args))
@@ -279,6 +284,7 @@ def cmd_attribute(args) -> int:
     return EXIT_OK
 
 
+@op()  # the instance's generation too
 def cmd_evaluate(args) -> int:
     spec, params, model_path, instance, (contract,) = _contract_run(args)
     policy = PerturbationPolicy(
@@ -366,9 +372,11 @@ def cmd_rerun(args) -> int:
     if manifest.argv[:1] == ["rerun"]:
         raise CLIError("manifest rejected: it records a rerun; rerun the"
                        " original run's manifest instead")
+    models = {}  # each model input, as read and checked here
     for path, digest in manifest.input_digests.items():
         if digest == manifest.model_id:  # a model, recorded by its checked id
-            now = _load_model(path).model_id
+            models[path] = _load_model(args, path)
+            now = models[path].model_id
         else:
             try:
                 now = file_digest(path)
@@ -377,7 +385,7 @@ def cmd_rerun(args) -> int:
                                EXIT_IO) from exc
         if now != digest:
             raise CLIError(f"input changed since the original run: {path}")
-    return main(manifest.argv + ["--out", args.out])
+    return _run(manifest.argv + ["--out", args.out], models)
 
 
 # -- argument parsing -----------------------------------------------------
@@ -512,11 +520,18 @@ _PARSER: argparse.ArgumentParser | None = None  # built by the first main call
 
 def main(argv=None) -> int:
     """Runs one command; may be called any number of times in a process."""
+    return _run(sys.argv[1:] if argv is None else argv, {})
+
+
+def _run(argv, models) -> int:
+    """Runs the command of ``argv`` with ``models``, each model already
+    read and checked, by path, in place of reading that path again."""
     global _PARSER
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = list(argv)
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    args._models = models
     # stash the argv minus the output directory for the manifest
     stripped = []
     skip = False

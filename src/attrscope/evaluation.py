@@ -18,6 +18,7 @@ from .contract import (
 )
 from .models import ModelParams, PromptedInstance
 from .models.diffusion import ChainSpec, DenoisingTrajectory, run_chains
+from .models.transformer import op
 
 DELETE = "delete_to_baseline"
 INSERT = "insert_from_baseline"
@@ -96,8 +97,7 @@ def perturb_sets(params: ModelParams, instance: PromptedInstance,
         chains = [ChainSpec(ctx.instance.prompt, plan) for ctx in contexts]
     else:
         return [replace(ctx, conditioning=traj) for ctx in contexts]
-    conditionings = run_chains(params, chains, traj.response_len, traj.seed,
-                               traj.tables)
+    conditionings = run_chains(params, chains, traj.response_len, traj.seed)
     return [replace(ctx, conditioning=conditioning)
             for ctx, conditioning in zip(contexts, conditionings)]
 
@@ -189,26 +189,11 @@ class FaithfulnessReport:
     seed: int = 0
 
 
-def _with_store(instance: PromptedInstance) -> PromptedInstance:
-    """The instance an op works on. A diffusion instance's chain gets a
-    copy of its store of log-prob tables, which every pass of the op reads
-    and fills (see ``DenoisingTrajectory.tables``); the caller's chain keeps
-    its own."""
-    traj = instance.trajectory
-    if traj is None:
-        return instance
-    return replace(instance, trajectory=replace(traj, tables=dict(traj.tables)))
-
-
+@op()
 def compute_map(params: ModelParams, instance: PromptedInstance,
                 contract: AttributionContract, method: dict) -> AttributionMap:
     """The map ``method`` names (its "name" and settings) of the instance
-    under the contract."""
-    return _compute_map(params, _with_store(instance), contract, method)
-
-
-def _compute_map(params: ModelParams, instance: PromptedInstance,
-                 contract: AttributionContract, method: dict) -> AttributionMap:
+    under the contract, in one op (see ``transformer.op``)."""
     name = method.get("name")
     baseline = BaselinePolicy(method.get("baseline", "pad_token"))
     if name == "ig":
@@ -227,15 +212,15 @@ def _compute_map(params: ModelParams, instance: PromptedInstance,
     raise ValueError(f"unknown method {name!r}")
 
 
+@op()
 def faithfulness_report(params: ModelParams, instance: PromptedInstance,
                         contract: AttributionContract, method: dict,
                         K: int | None, policy: PerturbationPolicy,
                         n_random: int = 10, seed: int = 0) -> FaithfulnessReport:
     """The map's deletion and insertion curves, with AOPC, beside those of
     ``n_random`` random orderings; a stage map's entries alone. The map and
-    the curves share one store of log-prob tables (see _with_store)."""
-    instance = _with_store(instance)
-    attr_map = _compute_map(params, instance, contract, method)
+    the curves run in one op (see ``transformer.op``)."""
+    attr_map = compute_map(params, instance, contract, method)
     cid = canonical_id(contract).digest
 
     if contract.score_kind == STAGE_DELTA:

@@ -42,19 +42,12 @@ class StagePerturbation:
 
 @dataclass(frozen=True)
 class DenoisingTrajectory:
-    """A chain's commitments. ``tables`` is the store of log-prob tables,
-    each under the ``transformer.table_key`` of its pass's term, that the
-    run which made the chain read and filled; it holds the table of every
-    pass the chain ran. Stage terms conditioned on the chain read it and
-    fill it. An ``evaluate`` op or a map works on a copy of its instance's
-    store (``evaluation._with_store``). It takes no part in equality or in
-    ``instance_digest``."""
+    """A chain's commitments."""
     num_steps: int
     response_len: int
     commit_tokens: tuple[int, ...]  # final token per slot
     commit_steps: tuple[int, ...]   # stage (1..T) at which each slot committed
     seed: int
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -86,13 +79,12 @@ def _require_diffusion(params: ModelParams) -> None:
         raise ValueError(f"operation requires a masked-diffusion model, got {params.kind}")
 
 
-def masked_log_probs(params: ModelParams, sequences, positions,
-                     store: dict | None = None) -> np.ndarray:
+def masked_log_probs(params: ModelParams, sequences, positions) -> np.ndarray:
     """Bidirectional log-probabilities of equal-length token sequences at
     the sorted ``positions``, in batched passes that compute only those
-    rows; shape (N, len(positions), vocab). A sequence whose table
-    ``store`` holds runs no pass, and each pass leaves its table there (see
-    ``transformer.run_groups``)."""
+    rows; shape (N, len(positions), vocab). In an op, a sequence whose
+    table the op's store holds runs no pass, and each pass leaves its
+    table there (see ``transformer.run_groups``)."""
     _require_diffusion(params)
     sequences = [tuple(tokens) for tokens in sequences]
     if len({len(tokens) for tokens in sequences}) != 1:
@@ -101,8 +93,8 @@ def masked_log_probs(params: ModelParams, sequences, positions,
     if not rows or list(rows) != sorted(set(rows)):
         raise ValueError("positions must be sorted, distinct and at least one")
     return np.stack(run_groups(
-        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows,
-                            tables=store), {}) for tokens in sequences],
+        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows),
+                  {}) for tokens in sequences],
         "log_probs"))
 
 
@@ -139,17 +131,14 @@ def run_chain(params: ModelParams, prompt, response_len: int,
                       response_len, seed)[0]
 
 
-def run_chains(params: ModelParams, chains, response_len: int, seed: int,
-               store: dict | None = None) -> list[DenoisingTrajectory]:
+def run_chains(params: ModelParams, chains, response_len: int,
+               seed: int) -> list[DenoisingTrajectory]:
     """Run the unmasking chains of equal-length prompts in lockstep, each
     drawing from its own generator seeded with ``seed``. Each stage makes
     one batched masked_log_probs pass over the chains that predict a token
-    there; a forced token needs no prediction. The passes read and fill
-    ``store`` (by default a new one), and each result has
-    ``max(chain.plan)`` stages and ``store`` as its tables."""
+    there; a forced token needs no prediction. Each result has
+    ``max(chain.plan)`` stages."""
     chains = list(chains)
-    if store is None:
-        store = {}
     mask_id = params.vocab.mask
     for chain in chains:
         if sum(chain.plan.values()) != response_len:
@@ -176,7 +165,7 @@ def run_chains(params: ModelParams, chains, response_len: int, seed: int,
             n = len(chains[0].prompt)
             inputs = [tuple(chains[i].prompt) + tuple(runs[i][0]) for i in predict]
             rows = dict(zip(predict, masked_log_probs(
-                params, inputs, range(n, n + response_len), store)))
+                params, inputs, range(n, n + response_len))))
         for i, (chain, slots_at_t) in enumerate(zip(chains, fixed)):
             slots, steps = runs[i]
             if slots_at_t is None:
@@ -209,8 +198,7 @@ def run_chains(params: ModelParams, chains, response_len: int, seed: int,
     return [DenoisingTrajectory(num_steps=max(chain.plan),
                                 response_len=response_len,
                                 commit_tokens=tuple(slots),
-                                commit_steps=tuple(steps), seed=seed,
-                                tables=store)
+                                commit_steps=tuple(steps), seed=seed)
             for chain, (slots, steps) in zip(chains, runs)]
 
 
@@ -227,8 +215,8 @@ def stage_term(prompt, schedule: DenoisingTrajectory,
     """The tokens ``schedule`` commits at stage t, scored by one
     bidirectional pass over ``conditioning``'s state z_t. The pass reads
     every response slot, as a chain step over z_t does, so it runs on that
-    step's graph and reads the log-prob table ``conditioning`` kept of it,
-    when the chain made that step under the scoring model."""
+    step's graph and has that step's input: in an op that ran the step
+    under the scoring model, it reads the log-prob table the step kept."""
     if not (1 <= t <= schedule.num_steps):
         raise ValueError(f"step {t} outside 1..{schedule.num_steps}")
     if conditioning.num_steps != schedule.num_steps:
@@ -239,8 +227,7 @@ def stage_term(prompt, schedule: DenoisingTrajectory,
         causal=False,
         targets=tuple((n + s, tok) for s, (tok, u) in enumerate(
             zip(schedule.commit_tokens, schedule.commit_steps)) if u == t),
-        rows=tuple(range(n, n + conditioning.response_len)),
-        tables=conditioning.tables)
+        rows=tuple(range(n, n + conditioning.response_len)))
 
 
 def stage_terms(prompt, schedule: DenoisingTrajectory,

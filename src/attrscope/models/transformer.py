@@ -23,25 +23,26 @@ Every score, log-prob and embedding-gradient pass is bound as a pass
 group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
 ``_bind``, which training calls too, is the one place leaf values are built.
 
-Within one ``evaluate`` op or attribution map, each distinct input of a
-score or log-prob pass runs through the model at most once. A read of a
-group that overrides no row is answered from the log-prob table of its
-input, when the store its term carries holds one or an identical input
-earlier in the same run_groups call has one: the table itself, or
-``(table * mask).sum()``, the graph's own ``mul`` and ``sum_all``. Batched
-passes equal unbatched ones, so a served value equals a fresh pass bit for
-bit. Every other such read leaves its table in the store. An op's store
-starts from the tables of its instance's chain, and the op's chain
-re-runs, stage terms and token-space occlusion all read and fill it; a
-stage term over a chain's state reads every response slot, as the chain's
-step did, so the term's graph and input are the step's. Embedding
-gradients always run their passes.
+Within one op (see ``op``), each distinct input of a score or log-prob
+pass runs through the model at most once. The op's store holds the
+log-prob table of each such input, under its ``table_key``, and
+run_groups alone reads and fills it: a read of a group that overrides no
+row is answered from the table of its input when the store, or an
+identical input earlier in the same run_groups call, has one: the table
+itself, or ``(table * mask).sum()``, the graph's own ``mul`` and
+``sum_all``. Batched passes equal unbatched ones, so a served value equals
+a fresh pass bit for bit. A stage term over a chain's state reads every
+response slot, as the chain's step did, so the term's graph and input are
+the step's. Outside an op no table outlives its run_groups call.
+Embedding gradients always run their passes.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,17 +199,11 @@ class ScoreTerm:
     ``targets`` for a pass over ``tokens``. The pass reads the target rows
     and ``rows``, the further rows a "log_probs" read of it returns, and
     computes only those (see run_groups); a term that names no row reads
-    every row.
-
-    ``tables`` is a store of log-prob tables of passes, each under the
-    table_key of the term its pass ran: run_groups answers a read of the
-    term from the one under the term's own table_key, when there is one,
-    and else puts the table of the term's pass there."""
+    every row."""
     tokens: tuple[int, ...]
     causal: bool
     targets: tuple[tuple[int, int], ...]
     rows: tuple[int, ...] = ()
-    tables: dict | None = field(default=None, compare=False, repr=False)
 
 
 # Points per pass: run_groups packs the pass groups over one cached graph,
@@ -261,6 +256,28 @@ def table_key(params: ModelParams, term: ScoreTerm) -> tuple:
     return params.model_id, key, term.tokens[:key[0]]
 
 
+# The store of the open op, or None outside any op.
+_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "op_store", default=None)
+
+
+@contextlib.contextmanager
+def op():
+    """Runs its body in one op: opens a fresh store of log-prob tables, or
+    joins the op already open, and on leaving the op it opened closes the
+    store again, on an exception too. Works as a decorator as well:
+    ``compute_map``, ``faithfulness_report`` and the ``attribute`` and
+    ``evaluate`` commands each run in one op; ``train`` runs in none."""
+    if _STORE.get() is not None:
+        yield
+        return
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
 def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     """Per pass group, the value of its "score" node, its "log_probs" rows
     (the rows its term reads, in row order), or (``read`` "emb_grad") the
@@ -272,25 +289,22 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     (B, d) for B passes, whose B values come back stacked. The groups over
     one cached graph (length, attention mode, rows read) share passes, in
     order. A score or log-prob read of a group that overrides nothing runs
-    no pass when the store its term carries (see ScoreTerm.tables) holds
-    the log-prob table of its input or an earlier group has the same input.
-    Both are found under the term's table_key: the model, the graph and
-    the tokens it reads. Such a group's value is its input's table, or
+    no pass when the store of the open op (see ``op``) holds the log-prob
+    table of its input or an earlier group has the same input. Both are
+    found under the term's table_key: the model, the graph and the tokens
+    it reads. Such a group's value is its input's table, or
     ``(table * mask).sum()`` for a score, which equals its pass bit for
-    bit. Every such read leaves the table of its input in the store its
-    term carries."""
+    bit. In an op, every such read leaves the table of its input in the
+    op's store."""
     hp = params.hyper
     inputs = [table_key(params, term) for term, _ in groups]
     answerable = read != "emb_grad"  # a score or log-prob read
-    # the table of each input whose term's store holds one
-    tables: dict[tuple, np.ndarray] = {}
-    for (term, overrides), inp in zip(groups, inputs):
-        if answerable and not overrides and term.tables and inp in term.tables:
-            tables.setdefault(inp, term.tables[inp])
+    store = _STORE.get()
+    tables = {} if store is None else store  # input -> its log-prob table
     sizes = []  # per group: B, or None for one unbatched pass
     first: dict[tuple, int] = {}  # input -> the group whose pass runs it
     served: dict[int, tuple] = {}  # group -> the input whose table answers it
-    keep: set[int] = set()  # the groups whose pass keeps its table
+    keep: dict[int, tuple] = {}  # group -> the input whose table its pass keeps
     by_graph: dict[tuple, list[int]] = {}
     for i, ((term, overrides), inp) in enumerate(zip(groups, inputs)):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
@@ -301,25 +315,20 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
             if inp in tables or inp in first:
                 served[i] = inp
                 if inp in first:  # that group's pass keeps its table
-                    keep.add(first[inp])
+                    keep[first[inp]] = inp
                 continue
             first[inp] = i
-            if term.tables is not None:
-                keep.add(i)
+            if store is not None:
+                keep[i] = inp
         by_graph.setdefault(inp[1], []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
-    kept: dict[int, np.ndarray] = {}  # group -> the table its pass kept
     for key, members in by_graph.items():
         fg = build_forward_graph(hp, *key)
         points = [(i, k) for i in members for k in range(sizes[i] or 1)]
         size = _pass_size(key[0])
         for start in range(0, len(points), size):
             _run_pass(params, fg, key[0], groups, read, pieces,
-                      points[start:start + size], keep, kept)
-    tables.update((inputs[i], table) for i, table in kept.items())
-    for (term, overrides), inp in zip(groups, inputs):
-        if term.tables is not None and not overrides and inp in tables:
-            term.tables.setdefault(inp, tables[inp])
+                      points[start:start + size], keep, tables)
     out = []
     for i, (p, n) in enumerate(zip(pieces, sizes)):
         if i in served:
@@ -337,11 +346,12 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
 
 def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
               read: str, pieces: list[list[np.ndarray]], points,
-              keep: set[int], kept: dict[int, np.ndarray]) -> None:
+              keep: dict[int, tuple], tables: dict) -> None:
     """One pass over ``fg``, a graph over the first ``length`` tokens of
     each term, of ``points``, each (group, point); appends each group's
     values in it, stacked, to the group's pieces, and puts the log-prob
-    table of each group in ``keep`` in ``kept``, read-only."""
+    table of each group in ``keep`` in ``tables``, read-only, under the
+    input ``keep`` names."""
     segments: dict[int, list[int]] = {}  # group -> its points in this pass
     for i, k in points:
         segments.setdefault(i, []).append(k)
@@ -365,14 +375,14 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
     else:
         # the pass keeps only the nodes read below
         node = getattr(fg, read)
-        outputs = (node, fg.log_probs) if keep & segments.keys() else (node,)
+        outputs = (node, fg.log_probs) if segments.keys() & keep else (node,)
         values = evaluate(fg.graph, vals, outputs)
     at = 0
     for i, ks in segments.items():
         if i in keep:  # one point, unbatched or at ``at``
             table = values[fg.log_probs] if one else values[fg.log_probs][at]
             table.flags.writeable = False  # kept, and read by later passes
-            kept[i] = table
+            tables[keep[i]] = table
         out = values[node]
         out = out[None] if one else out
         piece = out[at:at + len(ks)]

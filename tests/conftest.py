@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from attrscope.corpus import make_syn_corpus
 from attrscope.models import (
     Hyperparams, ar_generate, diffusion_generate, init_params, train,
+    transformer,
 )
 from attrscope.models.params import AR, CLASSIFIER, DIFFUSION
 from attrscope.models.transformer import (
@@ -32,6 +34,18 @@ def bind_pass(params, term, rows=None, pruned=False):
                  [(row, vec) for row, vec in (rows or {}).items()
                   if row < length])
     return fg, vals
+
+
+def counted_points(points):
+    """Patches transformer's ``evaluate`` to append the number of points of
+    each pass run_groups makes to ``points``."""
+    original = transformer.evaluate
+
+    def counting(graph, vals, *args, **kwargs):
+        points.append(len(vals["emb"]) if vals["emb"].ndim == 3 else 1)
+        return original(graph, vals, *args, **kwargs)
+
+    return mock.patch.object(transformer, "evaluate", counting)
 
 
 def file_shapes(hyper: dict) -> dict[str, tuple[int, ...]]:

@@ -324,9 +324,8 @@ class TestA6FaithfulnessDiscipline:
         seen_seeds = []
         original_run_chains = attribution_mod.run_chains
 
-        def spy(params, chains, response_len, seed, store=None):
-            reruns = original_run_chains(params, chains, response_len, seed,
-                                         store)
+        def spy(params, chains, response_len, seed):
+            reruns = original_run_chains(params, chains, response_len, seed)
             seen_seeds.extend(new.seed for new in reruns)
             return reruns
 

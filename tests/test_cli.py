@@ -13,15 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrscope import cli
+from attrscope.autodiff import NumericError
 from attrscope.cli import (
     EXIT_DIAGNOSTIC, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main,
 )
+from attrscope.contract import SETTING_P2O, SETTING_STATE, make_named
 from attrscope.corpus import make_syn_corpus
+from attrscope.evaluation import PerturbationPolicy, faithfulness_report
 from attrscope.fileio import read_manifest
 from attrscope.models import (
-    Hyperparams, ModelParams, init_params, load_model, save_model,
+    Hyperparams, ModelParams, PromptedInstance, diffusion_generate,
+    init_params, load_model, save_model, transformer,
 )
 from attrscope.models.params import CLASSIFIER
+from conftest import counted_points
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +185,16 @@ class TestWritingCommandManifests:
         monkeypatch.setattr("builtins.open", spy_open)
         monkeypatch.setattr(cli, "file_digest", spy_digest)
         argv, _, _ = self.command(workspace, name)
-        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        out = str(tmp_path / "out")
+        assert main(argv + ["--out", out]) == EXIT_OK
         assert opened.count(model) == 1
         assert digested == [workspace["contract"]]
+        # a rerun runs the command on the model it read to check its id
+        opened.clear()
+        assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == EXIT_OK
+        assert opened.count(model) == 1
+        assert model not in digested
 
     @pytest.mark.parametrize("name", WRITERS)
     def test_out_naming_a_file_exits_4_and_leaves_no_temp_file(
@@ -499,6 +511,92 @@ class TestRerunProperty:
                   "--random-orderings", str(data.draw(st.integers(0, 2))),
                   "--seed", str(data.draw(st.integers(0, 2)))]
         assert rerun_writes_the_same("evaluate", fields, flags, "report.txt")
+
+
+class TestOpScope:
+    """``attribute`` and ``evaluate`` each run in one op (see
+    ``transformer.op``), from the generation of their instance on, and
+    ``main`` leaves no op open, however the command ends. ``train`` runs
+    outside any op."""
+
+    @pytest.fixture(scope="class")
+    def contract_file(self, diffusion_model, tiny_corpus, tmp_path_factory):
+        """A contract file of ``setting`` on the diffusion model, whose
+        prompt is the first held-out prompt of the corpus."""
+        root = tmp_path_factory.mktemp("op")
+        model = str(root / "diffusion.bin")
+        save_model(diffusion_model, model)
+        prompt = diffusion_model.vocab.decode(tiny_corpus.heldout_pairs[0][0])
+
+        def write(setting, extra=""):
+            path = root / f"{setting}.contract"
+            path.write_text(f"setting: {setting}\nmodel: {model}\n"
+                            f"prompt: {prompt}\nresponse-len: 4\nsteps: 3\n"
+                            f"seed: 0\n{extra}")
+            return str(path)
+        return write
+
+    def test_evaluate_runs_the_points_of_one_library_op(
+            self, diffusion_model, tiny_corpus, contract_file, tmp_path):
+        prompt = tiny_corpus.heldout_pairs[0][0]
+        library, command = [], []
+        with transformer.op(), counted_points(library):
+            traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
+            instance = PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
+            faithfulness_report(diffusion_model, instance,
+                                make_named(SETTING_P2O, instance),
+                                {"name": "occlusion", "baseline": "pad_token"},
+                                2, PerturbationPolicy(), n_random=2, seed=0)
+        with counted_points(command):
+            assert main(["evaluate", "--contract", contract_file(SETTING_P2O),
+                         "--method", "occlusion", "--k", "2",
+                         "--random-orderings", "2",
+                         "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert sum(command) == sum(library) > 0
+
+    @pytest.mark.parametrize("name", ["attribute", "evaluate"])
+    @pytest.mark.parametrize("fault, code", [
+        (None, EXIT_OK), ("target", EXIT_DIAGNOSTIC), ("numeric", EXIT_NUMERIC)])
+    def test_main_closes_the_op_it_opened(self, contract_file, tmp_path,
+                                          monkeypatch, name, fault, code):
+        """Every pass of the command runs in an op, the generation's too,
+        and none is open once ``main`` returns. A target past the last
+        stage fails the contract after the generation ran; a non-finite
+        value aborts the first pass."""
+        in_op = []
+        original = transformer.evaluate
+
+        def recording(graph, *args, **kwargs):
+            in_op.append(transformer._STORE.get() is not None)
+            if fault == "numeric":
+                raise NumericError("non-finite value")
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(transformer, "evaluate", recording)
+        target = 9 if fault == "target" else 1
+        argv = [name, "--contract",
+                contract_file(SETTING_STATE, f"target: {target}\n"),
+                "--method", "occlusion", "--out", str(tmp_path / "out")]
+        if name == "evaluate":
+            argv += ["--k", "1", "--random-orderings", "1"]
+        assert main(argv) == code
+        assert in_op and all(in_op)
+        assert transformer._STORE.get() is None
+
+    def test_train_keeps_no_table(self, workspace, tmp_path, monkeypatch):
+        keeps = []
+        original = transformer._run_pass
+
+        def recording(*args):
+            keeps.append(args[-2])  # the groups whose tables the pass keeps
+            return original(*args)
+
+        monkeypatch.setattr(transformer, "_run_pass", recording)
+        assert main(["train", "--corpus",
+                     os.path.join(workspace["corpus"], "corpus.json"),
+                     "--steps", "2", "--width", "8", "--layers", "1",
+                     "--out", str(tmp_path / "model")]) == EXIT_OK
+        assert keeps and not any(keeps)
 
 
 def recorder(calls):

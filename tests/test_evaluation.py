@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrscope import evaluation
-from attrscope.models import diffusion, transformer
+from attrscope.models import transformer
 from attrscope.attribution import (
     PAD_BASELINE, BaselinePolicy, bind_score, integrated_gradients,
-    occlusion, score, scores,
+    occlusion, score, scores, stage_attribution, with_tokens,
 )
 from attrscope.contract import (
     FeatureRef, PREFIX_TOKEN, PROMPT_TOKEN, SETTING_CLASSIFIER, SETTING_LOCAL,
@@ -42,6 +42,7 @@ from attrscope.models.params import DIFFUSION
 from attrscope.models.transformer import (
     ScoreTerm, run_groups, table_key, terms_score,
 )
+from conftest import counted_points
 
 POLICY = PerturbationPolicy()
 MASK_BASELINE = BaselinePolicy("mask_token")
@@ -54,20 +55,17 @@ def ar_instance(tiny_ar_model, tiny_corpus):
     return PromptedInstance(prompt=prompt, seed=0, generation=gen)
 
 
+def generate_diff_instance(params, corpus):
+    """A diffusion instance with a 4-slot, 3-stage chain; in an op, the
+    chain's passes leave their tables in the op's store."""
+    prompt = corpus.heldout_pairs[0][0]
+    traj = diffusion_generate(params, prompt, 4, 3, seed=0)
+    return PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
+
+
 @pytest.fixture(scope="module")
 def diff_instance(diffusion_model, tiny_corpus):
-    prompt = tiny_corpus.heldout_pairs[0][0]
-    traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
-    return PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
-
-
-@pytest.fixture()
-def own_diff_instance(diffusion_model, tiny_corpus):
-    """diff_instance made again for one test, so that the store of its
-    chain holds no table that another test's passes left there."""
-    prompt = tiny_corpus.heldout_pairs[0][0]
-    traj = diffusion_generate(diffusion_model, prompt, 4, 3, seed=0)
-    return PromptedInstance(prompt=prompt, seed=0, trajectory=traj)
+    return generate_diff_instance(diffusion_model, tiny_corpus)
 
 
 class TestPerturb:
@@ -524,23 +522,11 @@ class TestStateReplay:
             replay_to_state(params, prompts, traj, t, subs)
 
 
-def counted_points(points):
-    """Patches transformer's ``evaluate`` to append the number of points of
-    each pass run_groups makes to ``points``."""
-    original = transformer.evaluate
-
-    def counting(graph, vals, *args, **kwargs):
-        points.append(len(vals["emb"]) if vals["emb"].ndim == 3 else 1)
-        return original(graph, vals, *args, **kwargs)
-
-    return mock.patch.object(transformer, "evaluate", counting)
-
-
 class TestServedTables:
-    """A stage term over a state a chain ran a pass over reads that pass's
-    log-prob table, and an input met earlier in one run_groups call reads
-    the table of its first pass: neither runs a pass, and each equals a
-    fresh pass bit for bit."""
+    """In an op, a stage term over a state a chain ran a pass over reads
+    that pass's log-prob table, and an input met earlier in one run_groups
+    call reads the table of its first pass: neither runs a pass, and each
+    equals a fresh pass, made outside the op, bit for bit."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -548,100 +534,108 @@ class TestServedTables:
         params = diffusion_model
         mask_id = params.vocab.mask
         tokens = st.integers(0, params.hyper.vocab_size - 1)
-        prompt = tuple(data.draw(st.lists(tokens, min_size=1, max_size=5)))
-        seed = data.draw(st.integers(0, 3))
-        num_steps = data.draw(st.integers(1, 3))
-        traj = diffusion_generate(params, prompt,
-                                  data.draw(st.integers(num_steps, 4)),
-                                  num_steps, seed)
-        instance = PromptedInstance(prompt=prompt, seed=seed, trajectory=traj)
-        # every kind of chain whose states stage terms read: the
-        # generation, regenerated chains, stage re-runs of each kind and
-        # state-level replays
-        p2o = make_named(SETTING_P2O, instance)
-        state = make_named(SETTING_STATE, instance,
-                           data.draw(st.integers(1, num_steps)))
-        contexts = []
-        for contract, policy in ((p2o, PerturbationPolicy(rescoring=REGENERATE)),
-                                 (state, POLICY)):
-            feature_sets = data.draw(st.lists(
-                st.lists(st.sampled_from(contract.eligible), unique=True),
-                min_size=1, max_size=3))
-            contexts += perturb_sets(params, instance, contract, feature_sets,
-                                     policy)
-        plan = traj.commit_plan()
-        chains = []
-        for kind in PERT_KINDS:
-            for u in plan:
-                pert = StagePerturbation(
-                    u, kind, commit_count=data.draw(st.integers(0, plan[u] + 1)),
-                    temperature=0.8)
-                try:
-                    new_plan = perturbed_plan(plan, pert, traj.response_len)
-                except InfeasiblePerturbationError:
-                    continue
-                chains.append(ChainSpec(prompt, new_plan, substitute=pert
-                                        if kind == SUBSTITUTE_STEP else None))
-        reruns = run_chains(params, chains, traj.response_len, traj.seed)
-        cases = ([(prompt, traj)]
-                 + [(ctx.instance.prompt, ctx.conditioning) for ctx in contexts]
-                 + [(prompt, rerun) for rerun in reruns])
-        terms, fresh = [], []  # fresh: over chains without tables
-        for p, conditioning in cases:
-            bare = replace(conditioning, tables={})
-            for schedule in (traj, conditioning):
-                terms += stage_terms(p, schedule, conditioning, mask_id).values()
-                fresh += stage_terms(p, schedule, bare, mask_id).values()
-        assert terms == fresh  # tables take no part in equality
-        kept = {term.tokens for term in terms
-                if table_key(params, term) in term.tables}
-        assert kept  # the generation's own stage terms at least
-        # one pass point per distinct input no store held a table of; the
-        # score read leaves each input's table in its term's store, so the
-        # log-prob read after it runs none
-        expected = len({term.tokens for term in terms} - kept)
-        for read in ("score", "log_probs"):
-            points = []
-            with counted_points(points):
-                served = run_groups(params, [(term, {}) for term in terms],
-                                    read)
-            assert sum(points) == expected
-            assert all(table_key(params, term) in term.tables for term in terms)
-            expected = 0
-            for value, term in zip(served, fresh):
+        with transformer.op():
+            prompt = tuple(data.draw(st.lists(tokens, min_size=1, max_size=5)))
+            seed = data.draw(st.integers(0, 3))
+            num_steps = data.draw(st.integers(1, 3))
+            traj = diffusion_generate(params, prompt,
+                                      data.draw(st.integers(num_steps, 4)),
+                                      num_steps, seed)
+            instance = PromptedInstance(prompt=prompt, seed=seed,
+                                        trajectory=traj)
+            # every kind of chain whose states stage terms read: the
+            # generation, regenerated chains, stage re-runs of each kind
+            # and state-level replays
+            p2o = make_named(SETTING_P2O, instance)
+            state = make_named(SETTING_STATE, instance,
+                               data.draw(st.integers(1, num_steps)))
+            contexts = []
+            for contract, policy in (
+                    (p2o, PerturbationPolicy(rescoring=REGENERATE)),
+                    (state, POLICY)):
+                feature_sets = data.draw(st.lists(
+                    st.lists(st.sampled_from(contract.eligible), unique=True),
+                    min_size=1, max_size=3))
+                contexts += perturb_sets(params, instance, contract,
+                                         feature_sets, policy)
+            plan = traj.commit_plan()
+            chains = []
+            for kind in PERT_KINDS:
+                for u in plan:
+                    pert = StagePerturbation(
+                        u, kind,
+                        commit_count=data.draw(st.integers(0, plan[u] + 1)),
+                        temperature=0.8)
+                    try:
+                        new_plan = perturbed_plan(plan, pert, traj.response_len)
+                    except InfeasiblePerturbationError:
+                        continue
+                    chains.append(ChainSpec(prompt, new_plan, substitute=pert
+                                            if kind == SUBSTITUTE_STEP else None))
+            reruns = run_chains(params, chains, traj.response_len, traj.seed)
+            cases = ([(prompt, traj)]
+                     + [(ctx.instance.prompt, ctx.conditioning)
+                        for ctx in contexts]
+                     + [(prompt, rerun) for rerun in reruns])
+            terms = []
+            for p, conditioning in cases:
+                for schedule in (traj, conditioning):
+                    terms += stage_terms(p, schedule, conditioning,
+                                         mask_id).values()
+            store = transformer._STORE.get()
+            kept = {term.tokens for term in terms
+                    if table_key(params, term) in store}
+            assert kept  # the generation's own stage terms at least
+            # one pass point per distinct input the op's store held no
+            # table of; the score read leaves each input's table there, so
+            # the log-prob read after it runs none
+            expected = len({term.tokens for term in terms} - kept)
+            served = {}
+            for read in ("score", "log_probs"):
+                points = []
+                with counted_points(points):
+                    served[read] = run_groups(
+                        params, [(term, {}) for term in terms], read)
+                assert sum(points) == expected
+                assert all(table_key(params, term) in store for term in terms)
+                expected = 0
+        for read, values in served.items():
+            for value, term in zip(values, terms):
                 assert np.array_equal(value, run_groups(
                     params, [(term, {})], read)[0])
 
     def test_another_models_chain_serves_no_table(self, diffusion_model,
-                                                  own_diff_instance):
+                                                  tiny_corpus):
         other = init_params(diffusion_model.hyper, diffusion_model.vocab,
                             seed=11)
-        prompt, traj = own_diff_instance.prompt, own_diff_instance.trajectory
-        terms = stage_terms(prompt, traj, traj, other.vocab.mask).values()
         points = []
-        with counted_points(points):
-            served = teacher_forced_score(other, prompt, traj, traj)
+        with transformer.op():
+            instance = generate_diff_instance(diffusion_model, tiny_corpus)
+            prompt, traj = instance.prompt, instance.trajectory
+            terms = stage_terms(prompt, traj, traj, other.vocab.mask).values()
+            with counted_points(points):
+                served = teacher_forced_score(other, prompt, traj, traj)
         assert sum(points) == len(terms)
-        assert served == teacher_forced_score(
-            other, prompt, traj, replace(traj, tables={}))
+        assert served == teacher_forced_score(other, prompt, traj, traj)
 
     def test_rescored_context_with_perturbed_prompt_runs_its_pass(
-            self, diffusion_model, own_diff_instance):
-        contract = make_named(SETTING_P2O, own_diff_instance)
-        contexts = perturb_sets(diffusion_model, own_diff_instance, contract,
-                                [[], contract.eligible[:1]], POLICY)
-        traj = own_diff_instance.trajectory
-        stages = len(stage_terms(own_diff_instance.prompt, traj, traj,
-                                 diffusion_model.vocab.mask))
+            self, diffusion_model, tiny_corpus):
         points = []
-        with counted_points(points):
-            actual, perturbed = scores(diffusion_model, [
-                (contract, ctx.instance, ctx.conditioning) for ctx in contexts])
-        # the unperturbed context reads its chain's tables
+        with transformer.op():
+            instance = generate_diff_instance(diffusion_model, tiny_corpus)
+            contract = make_named(SETTING_P2O, instance)
+            contexts = perturb_sets(diffusion_model, instance, contract,
+                                    [[], contract.eligible[:1]], POLICY)
+            traj = instance.trajectory
+            stages = len(stage_terms(instance.prompt, traj, traj,
+                                     diffusion_model.vocab.mask))
+            cases = [(contract, ctx.instance, ctx.conditioning)
+                     for ctx in contexts]
+            with counted_points(points):
+                served = scores(diffusion_model, cases)
+        # the unperturbed context reads the tables of its chain's passes
         assert sum(points) == stages
-        assert [actual, perturbed] == scores(diffusion_model, [
-            (contract, ctx.instance, replace(ctx.conditioning, tables={}))
-            for ctx in contexts])
+        assert served == scores(diffusion_model, cases)
 
     def test_table_of_another_attention_mode_serves_no_term(self):
         """A causal term over the tokens of a bidirectional chain step, with
@@ -652,17 +646,17 @@ class TestServedTables:
                          context_len=32)
         params = init_params(hp, corpus.vocab, seed=0)
         prompt, target = corpus.train_pairs[0]
-        traj = diffusion_generate(params, prompt, len(target), 2, seed=0)
         n = len(prompt)
         term = ScoreTerm(tuple(prompt) + (params.vocab.mask,) * len(target),
                          causal=True, targets=((n, target[0]),),
-                         rows=tuple(range(n, n + len(target))),
-                         tables=traj.tables)
+                         rows=tuple(range(n, n + len(target))))
         points = []
-        with counted_points(points):
-            served = terms_score(params, [term])
+        with transformer.op():
+            diffusion_generate(params, prompt, len(target), 2, seed=0)
+            with counted_points(points):
+                served = terms_score(params, [term])
         assert sum(points) == 1
-        assert served == terms_score(params, [replace(term, tables=None)])
+        assert served == terms_score(params, [term])
 
 
 @st.composite
@@ -702,20 +696,11 @@ def op_cases(draw, params):
             draw(st.integers(0, 3)))
 
 
-@contextlib.contextmanager
 def no_store():
-    """Runs every pass group without the store its term carries: each op
-    then reads no table and leaves none, and de-duplicates only inside one
-    run_groups call."""
-    original = transformer.run_groups
-
-    def bare(params, groups, read):
-        return original(params, [(replace(term, tables=None), overrides)
-                                 for term, overrides in groups], read)
-
-    with mock.patch.object(transformer, "run_groups", bare), \
-            mock.patch.object(diffusion, "run_groups", bare):
-        yield
+    """Runs every op without its store: an op then reads no table and
+    leaves none, and de-duplicates only inside one run_groups call."""
+    return mock.patch.object(transformer, "_STORE",
+                             mock.Mock(**{"get.return_value": None}))
 
 
 @contextlib.contextmanager
@@ -735,30 +720,64 @@ def pass_inputs(inputs):
         yield
 
 
+class TestDirectCalls:
+    """A call outside an op leaves nothing behind: two identical calls on
+    one diffusion instance each run the same pass points."""
+
+    @pytest.mark.parametrize("name", ["occlusion", "stage_attribution",
+                                      "perturb_sets", "scores"])
+    def test_a_second_call_runs_as_many_points(self, diffusion_model,
+                                               tiny_corpus, name):
+        params = diffusion_model
+        instance = generate_diff_instance(params, tiny_corpus)
+        p2o = make_named(SETTING_P2O, instance)
+        state = make_named(SETTING_STATE, instance, 1)
+        # each call passes over inputs the generation did not: the stage
+        # re-runs commit 3 slots at stage 3, so they reach new states
+        calls = {
+            "occlusion": lambda: occlusion(params, instance, p2o),
+            "stage_attribution": lambda: stage_attribution(
+                params, instance, make_named(SETTING_STAGE, instance),
+                "noise_schedule", commit_count=3),
+            "perturb_sets": lambda: perturb_sets(
+                params, instance, state, [[ref] for ref in state.eligible],
+                POLICY),
+            "scores": lambda: scores(params, [
+                (p2o, with_tokens(instance, [ref], params.vocab.pad), None)
+                for ref in p2o.eligible]),
+        }
+        counts = []
+        for _ in range(2):
+            counted = []
+            with counted_points(counted):
+                calls[name]()
+            counts.append(sum(counted))
+        assert counts[0] == counts[1] > 0
+
+
 class TestOpStore:
     """An evaluate op, or a map on its own, reads and fills one store of
-    log-prob tables: no input runs twice in it, its bytes equal those of a
-    run without the store, and the caller's chain keeps its own tables."""
+    log-prob tables: no input runs twice in it, its generation's inputs
+    included, and its bytes equal those of a run without the store."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_each_input_runs_once_and_bytes_equal_a_run_without_store(
             self, diffusion_model, data):
         params = diffusion_model
-        instance, contract, method, K, policy, n_random, seed = data.draw(
-            op_cases(params))
-        tables = instance.trajectory.tables
-        before = dict(tables)
         inputs = []
-        with pass_inputs(inputs):
-            report = serialize_report(faithfulness_report(
-                params, instance, contract, method, K, policy,
-                n_random=n_random, seed=seed))
+        with transformer.op():
+            instance, contract, method, K, policy, n_random, seed = data.draw(
+                op_cases(params))
+            generated = set(transformer._STORE.get())
+            with pass_inputs(inputs):
+                report = serialize_report(faithfulness_report(
+                    params, instance, contract, method, K, policy,
+                    n_random=n_random, seed=seed))
         assert len(inputs) == len(set(inputs))
-        assert not set(inputs) & before.keys()
+        assert not set(inputs) & generated
         attr_map = serialize_map(compute_map(params, instance, contract,
                                              method))
-        assert instance.trajectory.tables is tables and tables == before
         with no_store():
             assert report == serialize_report(faithfulness_report(
                 params, instance, contract, method, K, policy,
@@ -766,24 +785,27 @@ class TestOpStore:
             assert attr_map == serialize_map(compute_map(
                 params, instance, contract, method))
 
-    # one fixed instance per benchmark case: (setting, t, method, rescoring)
-    # -> the points its op runs, and runs without the store
+    # one op around the generation and the report of one fixed instance
+    # per benchmark case: (setting, t, method, rescoring) -> the points
+    # its report runs, and runs without the store
     @pytest.mark.parametrize("setting, t, method, rescoring, points, bare", [
         (SETTING_STATE, 1, {"name": "occlusion"}, evaluation.RESCORE, 103, 113),
         (SETTING_P2O, None, {"name": "occlusion"}, evaluation.RESCORE, 84, 102),
         (SETTING_P2O, None, {"name": "occlusion"}, REGENERATE, 84, 186),
         (SETTING_STAGE, None, {"name": "stage", "kind": "ablate"},
          evaluation.RESCORE, 0, 8)])
-    def test_points_per_op(self, diffusion_model, own_diff_instance, setting,
-                           t, method, rescoring, points, bare):
-        contract = make_named(setting, own_diff_instance, t)
+    def test_points_per_op(self, diffusion_model, tiny_corpus, setting, t,
+                           method, rescoring, points, bare):
         counts = []
         for store in (contextlib.nullcontext(), no_store()):
             counted = []
-            with store, counted_points(counted):
-                faithfulness_report(diffusion_model, own_diff_instance,
-                                    contract, method, 3, PerturbationPolicy(
-                                        rescoring=rescoring),
-                                    n_random=10, seed=0)
+            with store, transformer.op():
+                instance = generate_diff_instance(diffusion_model, tiny_corpus)
+                contract = make_named(setting, instance, t)
+                with counted_points(counted):
+                    faithfulness_report(diffusion_model, instance, contract,
+                                        method, 3, PerturbationPolicy(
+                                            rescoring=rescoring),
+                                        n_random=10, seed=0)
             counts.append(sum(counted))
         assert counts == [points, bare]

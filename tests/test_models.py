@@ -444,8 +444,8 @@ class TestPerturbedPlans:
         contract = make_named(SETTING_STAGE, inst)
         reruns = []
 
-        def spy(params, chains, response_len, seed, store=None):
-            out = run_chains_(params, chains, response_len, seed, store)
+        def spy(params, chains, response_len, seed):
+            out = run_chains_(params, chains, response_len, seed)
             reruns.append(out)
             return out
 
