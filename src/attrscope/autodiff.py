@@ -18,10 +18,12 @@ dh, d) weight and sums the heads. The gradient into the weight of
 ``x[..., rows, :]``, so a graph can compute only the rows its output
 reads. An op's constant (rows, scale, mask) is its node's payload.
 
-``grad(graph, node, leaf_values, wrt)`` returns the node's value and the
-gradient of each leaf named in ``wrt`` and no other: its backward pass
-skips every input that leads to none of them, so a caller that reads only
-the input embeddings computes no weight gradient.
+``grad(graph, node, leaf_values, wrt, seed)`` is a vector-Jacobian
+product: it returns the node's value and the gradient of ``sum(value *
+seed)`` in each leaf named in ``wrt`` and no other, for a seed of the
+value's shape. Its backward pass skips every input that leads to none of
+those leaves, so a caller that reads only the input embeddings computes no
+weight gradient.
 
 A forward pass keeps what its caller reads and drops every other value
 after its last reader (the memory plan of Chen et al. 2016).
@@ -40,18 +42,17 @@ runs its arithmetic in a fixed order but writes into temporaries it
 allocated itself, not one new array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
-a pass plan: per set of batched leaves and per set of values kept, the
-forward's kernel calls, the nodes that carry the batch axis and the values
-each forward and backward step drops; per ``wrt``, the backward's rule
-calls over the nodes a gradient into ``wrt`` flows through, with the
+a pass plan: per set of values kept, the forward's kernel calls and the
+values each forward and backward step drops; per ``wrt``, the backward's
+rule calls over the nodes a gradient into ``wrt`` flows through, with the
 inputs each rule computes a gradient for.
 
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
 (``matmul`` is stacked ``@``, reductions run over trailing axes), so one
 pass evaluates B points: a node carries the batch axis when a leaf it
-depends on does, and ``sum_all`` gives one scalar per point. Gradients
-into unbatched leaves are summed over the batch.
+depends on does, and a seed of its value's shape seeds each point's slice
+alone. Gradients into unbatched leaves are summed over the batch.
 
 A pass checks finiteness once, at its end: on the graph's output nodes,
 which no other node reads, and on the input of each ``softmax``. Every
@@ -102,9 +103,7 @@ class Node:
 
 
 class ForwardPlan(NamedTuple):
-    """How a forward pass with a given set of batched leaves, keeping a
-    given set of values, runs."""
-    batched: tuple[bool, ...]  # per node, whether it carries the batch axis
+    """How a forward pass keeping a given set of values runs."""
     # per op node: (nid, kernel, input ids, saves, drops, shapes): saves is
     # None for a kernel that saves nothing, else whether the pass keeps
     # what it saved; drops and shapes are the nodes whose values go after
@@ -146,23 +145,20 @@ class Graph:
         self.finite_checks: tuple[int, ...] = ()
         # a pass's values before it runs: each const node's, None elsewhere
         self._template: list = []
-        # pass plans by (batched leaf ids, outputs, wrt) and by wrt; a new
-        # node drops them
+        # pass plans by (outputs, wrt) and by wrt; a new node drops them
         self._forward_plans: dict[tuple, ForwardPlan] = {}
         self._backward_plans: dict[frozenset, list[tuple]] = {}
 
-    def forward_plan(self, batched_leaves: frozenset[int], outputs=None,
-                     wrt=None) -> ForwardPlan:
-        """The plan of a forward pass whose batched leaves are the leaf
-        node ids ``batched_leaves``, keeping what ``evaluate`` with
+    def forward_plan(self, outputs=None, wrt=None) -> ForwardPlan:
+        """The plan of a forward pass keeping what ``evaluate`` with
         ``outputs`` and ``wrt`` keeps."""
-        key = (batched_leaves, outputs, wrt)
+        key = (outputs, wrt)
         plan = self._forward_plans.get(key)
         if plan is None:
             plan = self._forward_plans[key] = self._plan_forward(*key)
         return plan
 
-    def _plan_forward(self, batched_leaves, outputs, wrt) -> ForwardPlan:
+    def _plan_forward(self, outputs, wrt) -> ForwardPlan:
         kept_for = None if outputs is None else wrt or frozenset()
         # what a backward into kept_for reads: whole values, by the last
         # backward step that reads each, shapes alone, and the arrays
@@ -181,15 +177,12 @@ class Graph:
             if self.nodes[i].op not in ("leaf", "const") and i not in kept:
                 (shaped if i in shapes else drops).setdefault(
                     reader, []).append(i)
-        batched: list[bool] = []
         steps = []
         for node in self.nodes:
             if node.op in ("leaf", "const"):
-                batched.append(node.nid in batched_leaves)
                 continue
             nid = node.nid
-            batched.append(any(batched[i] for i in node.inputs))
-            steps.append((nid, _kernel(node, batched[-1]), node.inputs,
+            steps.append((nid, _kernel(node), node.inputs,
                           nid in saving if node.op in _SAVING else None,
                           tuple(drops.get(nid, ())), tuple(shaped.get(nid, ()))))
         after = [i for i in self.finite_checks if i not in values]
@@ -199,7 +192,7 @@ class Graph:
             for i, k in read.items():
                 if self.nodes[i].op not in ("leaf", "const") and i not in outputs:
                     backward_drops[k] += (i,)
-        return ForwardPlan(tuple(batched), steps,
+        return ForwardPlan(steps,
                            (tuple(i for i in after if i not in shapes),
                             tuple(i for i in after if i in shapes)),
                            backward_drops)
@@ -281,9 +274,6 @@ class Graph:
     def add(self, a: int, b: int) -> int:
         return self._push("add", (a, b))
 
-    def mul(self, a: int, b: int) -> int:
-        return self._push("mul", (a, b))
-
     def matmul(self, a: int, b: int) -> int:
         return self._push("matmul", (a, b))
 
@@ -336,10 +326,6 @@ class Graph:
                 or len(set(rows.tolist())) != len(rows)):
             raise GraphError(f"rows must be distinct row indices, got {rows}")
         return self._push("rows", (a,), const=rows)
-
-    def sum_all(self, a: int) -> int:
-        """Sum over the trailing axes: a scalar per point."""
-        return self._push("sum_all", (a,))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -475,17 +461,8 @@ def _affine(x, w, b):
     return y
 
 
-def _sum(x):
-    return np.asarray(x.sum())
-
-
-def _sum_points(x):
-    """A batched ``sum_all``: one sum per point."""
-    return x.reshape(len(x), -1).sum(axis=-1)
-
-
 _FORWARD = {
-    "add": operator.add, "mul": operator.mul, "matmul": _matmul,
+    "add": operator.add, "matmul": _matmul,
     "heads": _heads, "merge_heads": _merge_heads, "scores": _scores,
     "rows": _rows, "gelu": _gelu,
     "softmax": _softmax, "log_softmax": _log_softmax,
@@ -503,11 +480,8 @@ def _with_payload(fn, node: Node):
     return functools.partial(fn, **{_PAYLOAD[node.op]: node.const})
 
 
-def _kernel(node: Node, batched: bool):
-    """The forward kernel of op node ``node``, which carries the batch axis
-    when ``batched``."""
-    if node.op == "sum_all":
-        return _sum_points if batched else _sum
+def _kernel(node: Node):
+    """The forward kernel of op node ``node``."""
     if node.op not in _FORWARD:
         raise GraphError(f"unknown op {node.op!r}")
     return _with_payload(_FORWARD[node.op], node)
@@ -580,7 +554,6 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
     with a non-finite value. A leaf that cannot be bound raises once the
     op nodes before it have run."""
     vals = Values(graph._template)
-    batched: list[int] = []
     batch = error = None
     stop = len(vals)
     for nid in graph.leaves.values():
@@ -589,10 +562,8 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
         except GraphError as exc:
             stop, error = nid, exc
             break
-        if b is not None:
-            batch = b
-            batched.append(nid)
-    plan = graph.forward_plan(frozenset(batched), outputs, wrt)
+        batch = batch if b is None else b
+    plan = graph.forward_plan(outputs, wrt)
     saved = {}
     for nid, kernel, inputs, saves, drops, shapes in plan.steps:
         if nid > stop:
@@ -616,45 +587,49 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
     return vals
 
 
-def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
-         wrt) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The scalar's value and d(scalar)/d(leaf) for each leaf named in
-    ``wrt``, in that order; zeros for a leaf the scalar does not read. The
-    forward keeps only the scalar and what the backward reads, and the
+def grad(graph: Graph, node: int, leaf_values: dict[str, np.ndarray],
+         wrt, seed) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The node's value and, for each leaf named in ``wrt``, in that order,
+    the gradient of ``sum(value * seed)`` in it: a vector-Jacobian product
+    seeded with ``seed``, which has the value's shape; zeros for a leaf the
+    node does not read. In a batched pass the value and the seed carry the
+    batch axis, so each point's slice of the seed seeds that point alone.
+    The forward keeps only the node and what the backward reads, and the
     backward pass skips every input that leads to none of the leaves.
-    Raises GraphError for a name that is no leaf, and NumericError, naming
-    the leaf, when a returned gradient is non-finite. No returned gradient
-    shares memory with another, so a caller may scale each in place.
-
-    In a batched pass the target is one scalar per point, shape (B,), and
-    each point's gradient is seeded with 1."""
+    Raises GraphError for a name that is no leaf, ShapeError for a seed of
+    another shape, and NumericError, naming the leaf, when a returned
+    gradient is non-finite. No returned gradient shares memory with another
+    or with the seed, which grad leaves as it was, so a caller may scale
+    each in place."""
     wrt = tuple(wrt)
     for name in wrt:
         if name not in graph.leaves:
             raise GraphError(f"grad asks for {name!r}, which is no leaf")
     key = frozenset(wrt)
-    vals = evaluate(graph, leaf_values, (scalar_node,), key)
-    out = vals[scalar_node]
-    batched = vals.plan.batched[scalar_node]
-    if out.shape != () and not (out.ndim == 1 and batched):
-        raise GraphError(f"grad target node {scalar_node} is not scalar (shape {out.shape})")
+    vals = evaluate(graph, leaf_values, (node,), key)
+    out = vals[node]
+    seed = np.asarray(seed, dtype=np.float64)
+    if seed.shape != out.shape:
+        raise ShapeError(f"grad seed of shape {seed.shape} for node {node}"
+                         f" of shape {out.shape}")
 
     # every gradient returned is checked below, so intermediate overflow
     # is not worth a warning
     with np.errstate(all="ignore"):
-        adj = _backward(graph.backward_plan(key), scalar_node, vals,
+        adj = _backward(graph.backward_plan(key), node, seed, vals,
                         vals.plan.backward_drops)
+    # ids of the arrays returned so far and of the seed, or their bases: an
+    # add's rule hands its adjoint, the seed too, to both inputs
+    owners = {id(seed if seed.base is None else seed.base)}
     result: dict[str, np.ndarray] = {}
-    owners: set[int] = set()  # ids of the arrays returned so far, or their bases
     for name in wrt:
-        node = graph.nodes[graph.leaves[name]]
-        g = adj.get(node.nid)
+        leaf = graph.nodes[graph.leaves[name]]
+        g = adj.get(leaf.nid)
         if g is None:
-            g = np.zeros(node.shape)
+            g = np.zeros(leaf.shape)
         elif not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for leaf {name!r}")
         else:
-            # an add's rule hands its adjoint to both inputs
             owner = id(g if g.base is None else g.base)
             if owner in owners:
                 g = g.copy()
@@ -663,15 +638,16 @@ def grad(graph: Graph, scalar_node: int, leaf_values: dict[str, np.ndarray],
     return out, result
 
 
-def _backward(steps: list[tuple], scalar_node: int, vals: Values,
+def _backward(steps: list[tuple], node: int, seed: np.ndarray, vals: Values,
               drops) -> dict[int, np.ndarray]:
     """The adjoints, by node id, after running the backward plan ``steps``
-    from ``scalar_node``, which reads only what the forward kept for it;
-    after each step it drops from ``vals`` the values ``drops`` names for
-    that step, which no later step reads. The saved arrays stay until
+    from ``node`` seeded with ``seed``, which no rule writes to. The plan
+    reads only what the forward kept for it; after each step it drops from
+    ``vals`` the values ``drops`` names for that step, which no later step
+    reads. The saved arrays stay until
     ``vals`` goes: dropping each after its node's rule raised peak RSS,
     since the small freed moments split the heap."""
-    adj: dict[int, np.ndarray] = {scalar_node: np.ones_like(vals[scalar_node])}
+    adj: dict[int, np.ndarray] = {node: seed}
     for (nid, rule, inputs, want), dropped in zip(steps, drops):
         g = adj.pop(nid, None)
         if g is not None:
@@ -699,12 +675,6 @@ def _add_grad(g, want, ins, y, saved):
     a, b = ins
     return (_unbroadcast(g, a.shape) if want[0] else None,
             _unbroadcast(g, b.shape) if want[1] else None)
-
-
-def _mul_grad(g, want, ins, y, saved):
-    a, b = ins
-    return (_unbroadcast(g * b, a.shape) if want[0] else None,
-            _unbroadcast(g * a, b.shape) if want[1] else None)
 
 
 def _matmul_grad(g, want, ins, y, saved):
@@ -834,19 +804,12 @@ def _affine_grad(g, want, ins, y, saved):
             _row_sum(g) if want[2] else None)
 
 
-def _sum_all_grad(g, want, ins, y, saved):
-    shape = ins[0].shape
-    g = g.reshape(g.shape + (1,) * (len(shape) - g.ndim))
-    return (np.broadcast_to(g, shape).copy(),)
-
-
 _RULES = {
-    "add": _add_grad, "mul": _mul_grad, "matmul": _matmul_grad,
+    "add": _add_grad, "matmul": _matmul_grad,
     "heads": _heads_grad, "merge_heads": _merge_heads_grad,
     "scores": _scores_grad, "rows": _rows_grad, "gelu": _gelu_grad,
     "softmax": _softmax_grad, "log_softmax": _log_softmax_grad,
     "layer_norm": _layer_norm_grad, "affine": _affine_grad,
-    "sum_all": _sum_all_grad,
 }
 
 
@@ -866,7 +829,7 @@ def _product_reads(want):
 # keeps these and no more
 _READS = {
     "add": lambda want: ((), _wanted(want), False, False),
-    "mul": _product_reads, "matmul": _product_reads,
+    "matmul": _product_reads,
     "heads": _product_reads, "merge_heads": _product_reads,
     "scores": _product_reads,
     "rows": lambda want: ((), (0,), False, False),
@@ -878,7 +841,6 @@ _READS = {
         (), False, want[0] or want[1]),
     "affine": lambda want: (
         ((1,) if want[0] else ()) + ((0,) if want[1] else ()), (), False, False),
-    "sum_all": lambda want: ((), (0,), False, False),
 }
 
 

@@ -83,11 +83,12 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
         for row, term in zip(ids, bucket):
             row[:min(L, len(term.tokens))] = term.tokens[:L]
         fg = build_forward_graph(hp, L, causal, rows)
-        vals = _bind(hp, leaves, ids, _target_masks(
-            hp, fg.rows, [term.targets for term in bucket]), ())
-        weights = [name for name in fg.graph.leaves if name != "target_mask"]
-        score, grads = grad(fg.graph, fg.score, vals, weights)
-        loss -= float(score.sum())
+        masks = _target_masks(hp, fg.rows, [term.targets for term in bucket])
+        # each term's score is its table against its mask: the backward of
+        # the tables seeded with the masks gives the summed score's gradient
+        table, grads = grad(fg.graph, fg.log_probs, _bind(hp, leaves, ids, ()),
+                            fg.graph.leaves, masks)
+        loss -= float((table * masks).reshape(len(bucket), -1).sum(-1).sum())
         for name, gval in grads.items():
             if name == "emb":  # (B, L, d): one row per token of each term
                 # one GEMM: each id's one-hot against the rows it fed

@@ -1,15 +1,16 @@
 """Transformer forward passes expressed as autodiff graphs, ending in the
-one score every contract score and the training loss are built from.
+log-prob table every contract score and the training loss are read from.
 
 Graphs depend only on (hyperparams, sequence length, attention mode, the
 rows they compute), so they are cached and re-evaluated with different
 leaf values. The weights and the per-token input embeddings are leaves;
 each layer's attention weights hold every head on a leading axis, as
 ``ModelParams.weights`` keeps them, so every head runs in the same nodes.
-Each graph ends in ``score = sum(log_probs * target_mask)``, where the
-target mask is a leaf no caller asks a gradient of: one forward pass of a
-score is a ScoreTerm, naming the tokens and the (row, column) log-prob
-entries it sums.
+Each graph ends in its ``log_softmax`` table. One forward pass of a score
+is a ScoreTerm, naming the tokens and the (row, column) log-prob entries
+it sums: its score is ``(table * mask).sum()`` for the term's target mask,
+1 at each of those entries, and the gradient of the score is the table's
+backward seeded with that mask (see ``autodiff.grad``).
 
 A pass computes only the log-prob rows it reads, a training pass too. In
 the last block, keys and values stay on every row, while the query, the
@@ -19,22 +20,21 @@ earlier row attends to a later one, so the graph is built at length
 ``max(rows) + 1``. Diffusion training (its terms read every row) and the
 classifier's pooled head use the full graph, the graph of every row.
 
-Every score, log-prob and embedding-gradient pass is bound as a pass
-group, a ScoreTerm plus embedding-row overrides, and run by run_groups;
-``_bind``, which training calls too, is the one place leaf values are built.
+Every log-prob and embedding-gradient pass is bound as a pass group, a
+ScoreTerm plus embedding-row overrides, and run by run_groups; ``_bind``,
+which training calls too, is the one place leaf values are built.
+score_sums, the one place a score is computed, reads the tables.
 
-Within one op (see ``op``), each distinct input of a score or log-prob
-pass runs through the model at most once. The op's store holds the
-log-prob table of each such input, under its ``table_key``, and
-run_groups alone reads and fills it: a read of a group that overrides no
-row is answered from the table of its input when the store, or an
-identical input earlier in the same run_groups call, has one: the table
-itself, or ``(table * mask).sum()``, the graph's own ``mul`` and
-``sum_all``. Batched passes equal unbatched ones, so a served value equals
-a fresh pass bit for bit. A stage term over a chain's state reads every
-response slot, as the chain's step did, so the term's graph and input are
-the step's. Outside an op no table outlives its run_groups call.
-Embedding gradients always run their passes.
+Within one op (see ``op``), each distinct input of a log-prob pass runs
+through the model at most once. The op's store holds the log-prob table of
+each such input, under its ``table_key``, and run_groups alone reads and
+fills it: a read of a group that overrides no row is answered from the
+table of its input when the store, or an identical input earlier in the
+same run_groups call, has one. Batched passes equal unbatched ones, so a
+served table equals a fresh pass bit for bit. A stage term over a chain's
+state reads every response slot, as the chain's step did, so the term's
+graph and input are the step's. Outside an op no table outlives its
+run_groups call. Embedding gradients always run their passes.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ class ContextOverflowError(ValueError):
 class ForwardGraph:
     graph: Graph
     log_probs: int  # log_softmax node: (len(rows), V), or (1, C) for classifiers
-    score: int      # scalar: sum(log_probs * target_mask)
     rows: tuple[int, ...]  # the sequence row of each log-prob row
 
 
@@ -69,7 +68,7 @@ _CACHE: dict[tuple, ForwardGraph] = {}
 
 def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
                         rows=None) -> ForwardGraph:
-    """The cached score graph over ``seq_len`` tokens whose log-prob table
+    """The cached graph over ``seq_len`` tokens whose log-prob table
     holds only the sorted sequence rows ``rows``. Every row, or None, gives
     the full graph, which is a classifier's only graph."""
     if rows is not None:
@@ -136,15 +135,8 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
     else:
         logits = affine(xf, (d, hp.vocab_size), "out.w", "out.b")
         table_rows = tuple(range(seq_len)) if rows is None else rows
-    lsm = g.log_softmax(logits)
-    target_mask = g.leaf((len(table_rows), _columns(hp)), "target_mask")
-    score = g.sum_all(g.mul(lsm, target_mask))
-
-    return ForwardGraph(graph=g, log_probs=lsm, score=score, rows=table_rows)
-
-
-def _columns(hp: Hyperparams) -> int:
-    return hp.n_classes if hp.kind == CLASSIFIER else hp.vocab_size
+    return ForwardGraph(graph=g, log_probs=g.log_softmax(logits),
+                        rows=table_rows)
 
 
 def check_context(hp: Hyperparams, length: int) -> None:
@@ -156,11 +148,11 @@ def check_context(hp: Hyperparams, length: int) -> None:
 
 
 def _target_masks(hp: Hyperparams, rows, target_lists) -> np.ndarray:
-    """One target-mask leaf value per list of score targets, stacked, for a
-    log-prob table of the sequence rows ``rows`` (``ForwardGraph.rows``):
-    1 at each (row, column) log-prob entry the pass's score sums, else 0."""
+    """One target mask per list of score targets, stacked, for a log-prob
+    table of the sequence rows ``rows`` (``ForwardGraph.rows``): 1 at each
+    (row, column) log-prob entry the pass's score sums, else 0."""
     target_lists = list(target_lists)
-    cols = _columns(hp)
+    cols = hp.n_classes if hp.kind == CLASSIFIER else hp.vocab_size
     masks = np.zeros((len(target_lists), len(rows), cols))
     at = {row: i for i, row in enumerate(rows)}
     for mask, targets in zip(masks, target_lists):
@@ -173,7 +165,7 @@ def _target_masks(hp: Hyperparams, rows, target_lists) -> np.ndarray:
 
 
 def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
-          target_mask: np.ndarray, overrides) -> dict[str, np.ndarray]:
+          overrides) -> dict[str, np.ndarray]:
     """Leaf values for a pass over the token ids ``ids``, of shape (L,), or
     (B, L) for a batched pass, taken from the weights ``leaves`` (as
     ``ModelParams.weights`` holds them): the embeddings are the emb rows of the
@@ -189,7 +181,6 @@ def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
     vals = dict(leaves)
     vals["emb"] = emb
     vals["pos"] = leaves["pos"][:ids.shape[-1]]
-    vals["target_mask"] = target_mask
     return vals
 
 
@@ -197,8 +188,8 @@ def _bind(hp: Hyperparams, leaves: dict[str, np.ndarray], ids,
 class ScoreTerm:
     """One forward pass of a score: the sum of ``log_probs[row, col]`` over
     ``targets`` for a pass over ``tokens``. The pass reads the target rows
-    and ``rows``, the further rows a "log_probs" read of it returns, and
-    computes only those (see run_groups); a term that names no row reads
+    and ``rows``, the further rows its log-prob table holds, and computes
+    only those (see run_groups); a term that names no row reads
     every row."""
     tokens: tuple[int, ...]
     causal: bool
@@ -209,14 +200,13 @@ class ScoreTerm:
 # Points per pass: run_groups packs the pass groups over one cached graph,
 # IG's path points among them, into passes of at most POINTS_PER_PASS
 # points and at most ROWS_PER_PASS rows, points times the graph's length.
-# A score or log-prob pass keeps only the nodes it returns, and an
-# embedding-gradient pass what its backward reads (see autodiff): for a
-# 2-layer, width-64 model over 21 tokens, a pass's traced peak is about
-# 0.10 MB per point at 11 rows for a score and 0.22 MB for an embedding
-# gradient, and 0.41 and 0.97 MB at 64 rows. Peak memory grows with the
-# rows of a pass while the share of the per-pass dispatch cost each point
-# pays shrinks; the row budget keeps a long graph's passes near the
-# memory of a short one's.
+# A log-prob pass keeps only the table it returns, and an embedding-gradient
+# pass what its backward reads (see autodiff): for a 2-layer, width-64
+# model over 21 tokens, a pass's traced peak is about 0.10 MB per point at
+# 11 rows for a score and 0.22 MB for an embedding gradient, and 0.41 and
+# 0.97 MB at 64 rows. Peak memory grows with the rows of a pass while the
+# share of the per-pass dispatch cost each point pays shrinks; the row
+# budget keeps a long graph's passes near the memory of a short one's.
 POINTS_PER_PASS = 16
 ROWS_PER_PASS = 128
 
@@ -279,47 +269,38 @@ def op():
 
 
 def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
-    """Per pass group, the value of its "score" node, its "log_probs" rows
-    (the rows its term reads, in row order), or (``read`` "emb_grad") the
-    gradient of its score in its embeddings: (L, d) for a term of L tokens,
-    exactly zero in the rows after a causal pass's last read row.
+    """Per pass group, its "log_probs" table (the rows its term reads, in
+    row order) or, with ``read`` "emb_grad", the gradient of its score in
+    its embeddings: (L, d) for a term of L tokens, exactly zero in the rows
+    after a causal pass's last read row.
 
     A pass group is a (ScoreTerm, overrides) pair; ``overrides`` maps an
     embedding row to the vector that replaces it, (d,) for one pass or
     (B, d) for B passes, whose B values come back stacked. The groups over
     one cached graph (length, attention mode, rows read) share passes, in
-    order. A score or log-prob read of a group that overrides nothing runs
-    no pass when the store of the open op (see ``op``) holds the log-prob
-    table of its input or an earlier group has the same input. Both are
-    found under the term's table_key: the model, the graph and the tokens
-    it reads. Such a group's value is its input's table, or
-    ``(table * mask).sum()`` for a score, which equals its pass bit for
-    bit. In an op, every such read leaves the table of its input in the
-    op's store."""
+    order. A log-prob read of a group that overrides nothing runs no pass
+    when the store of the open op (see ``op``) holds the table of its input
+    or an earlier group has the same input. Both are found under the term's
+    table_key: the model, the graph and the tokens it reads. Such a group's
+    table is read-only, and in an op it stays in the op's store."""
+    if read not in ("log_probs", "emb_grad"):
+        raise ValueError(f"unknown read {read!r}")
     hp = params.hyper
     inputs = [table_key(params, term) for term, _ in groups]
-    answerable = read != "emb_grad"  # a score or log-prob read
     store = _STORE.get()
     tables = {} if store is None else store  # input -> its log-prob table
+    fresh: dict[tuple, int] = {}  # input -> the group whose pass runs it
     sizes = []  # per group: B, or None for one unbatched pass
-    first: dict[tuple, int] = {}  # input -> the group whose pass runs it
-    served: dict[int, tuple] = {}  # group -> the input whose table answers it
-    keep: dict[int, tuple] = {}  # group -> the input whose table its pass keeps
     by_graph: dict[tuple, list[int]] = {}
     for i, ((term, overrides), inp) in enumerate(zip(groups, inputs)):
         batch = {len(v) for v in overrides.values() if v.ndim == 2} if overrides else ()
         if len(batch) > 1:
             raise ValueError("overrides of one pass group differ in batch size")
         sizes.append(batch.pop() if batch else None)
-        if answerable and not overrides:
-            if inp in tables or inp in first:
-                served[i] = inp
-                if inp in first:  # that group's pass keeps its table
-                    keep[first[inp]] = inp
+        if read == "log_probs" and not overrides:
+            if inp in tables or inp in fresh:
                 continue
-            first[inp] = i
-            if store is not None:
-                keep[i] = inp
+            fresh[inp] = i
         by_graph.setdefault(inp[1], []).append(i)
     pieces: list[list[np.ndarray]] = [[] for _ in groups]
     for key, members in by_graph.items():
@@ -328,16 +309,15 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
         size = _pass_size(key[0])
         for start in range(0, len(points), size):
             _run_pass(params, fg, key[0], groups, read, pieces,
-                      points[start:start + size], keep, tables)
+                      points[start:start + size])
+    for inp, i in fresh.items():
+        table = pieces[i][0][0]
+        table.flags.writeable = False  # kept, and read by later groups
+        tables[inp] = table
     out = []
-    for i, (p, n) in enumerate(zip(pieces, sizes)):
-        if i in served:
-            table = tables[served[i]]
-            if read == "score":
-                fg = build_forward_graph(hp, *inputs[i][1])
-                table = (table * _target_masks(hp, fg.rows,
-                                               [groups[i][0].targets])[0]).sum()
-            out.append(table)
+    for (_, overrides), inp, p, n in zip(groups, inputs, pieces, sizes):
+        if read == "log_probs" and not overrides:
+            out.append(tables[inp])
         else:
             out.append(p[0][0] if n is None else p[0] if len(p) == 1
                        else np.concatenate(p))
@@ -345,13 +325,10 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
 
 
 def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
-              read: str, pieces: list[list[np.ndarray]], points,
-              keep: dict[int, tuple], tables: dict) -> None:
+              read: str, pieces: list[list[np.ndarray]], points) -> None:
     """One pass over ``fg``, a graph over the first ``length`` tokens of
     each term, of ``points``, each (group, point); appends each group's
-    values in it, stacked, to the group's pieces, and puts the log-prob
-    table of each group in ``keep`` in ``tables``, read-only, under the
-    input ``keep`` names."""
+    values in it, stacked, to the group's pieces."""
     segments: dict[int, list[int]] = {}  # group -> its points in this pass
     for i, k in points:
         segments.setdefault(i, []).append(k)
@@ -363,28 +340,24 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
                       for row, vec in replaced.items() if row < length]
         ids += [term.tokens[:length]] * len(ks)
     hp = params.hyper
-    masks = _target_masks(hp, fg.rows, [groups[i][0].targets for i in segments])
-    if len(ids) > len(segments):  # a group has several points in the pass
-        masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
-    vals = _bind(hp, params.weights, ids, masks, overrides)
+    vals = _bind(hp, params.weights, ids, overrides)
     one = len(ids) == 1  # numpy runs a one-point pass faster unbatched
     if one:
-        vals["emb"], vals["target_mask"] = vals["emb"][0], vals["target_mask"][0]
+        vals["emb"] = vals["emb"][0]
     if read == "emb_grad":
-        values, node = grad(fg.graph, fg.score, vals, wrt=("emb",))[1], "emb"
+        # each point's score is its table against its term's target mask
+        masks = _target_masks(hp, fg.rows,
+                              [groups[i][0].targets for i in segments])
+        if len(ids) > len(segments):  # a group has several points in the pass
+            masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
+        out = grad(fg.graph, fg.log_probs, vals, ("emb",),
+                   masks[0] if one else masks)[1]["emb"]
     else:
-        # the pass keeps only the nodes read below
-        node = getattr(fg, read)
-        outputs = (node, fg.log_probs) if segments.keys() & keep else (node,)
-        values = evaluate(fg.graph, vals, outputs)
+        # the pass keeps only the table
+        out = evaluate(fg.graph, vals, (fg.log_probs,))[fg.log_probs]
+    out = out[None] if one else out
     at = 0
     for i, ks in segments.items():
-        if i in keep:  # one point, unbatched or at ``at``
-            table = values[fg.log_probs] if one else values[fg.log_probs][at]
-            table.flags.writeable = False  # kept, and read by later passes
-            tables[keep[i]] = table
-        out = values[node]
-        out = out[None] if one else out
         piece = out[at:at + len(ks)]
         at += len(ks)
         full = len(groups[i][0].tokens)
@@ -397,13 +370,21 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
 
 
 def score_sums(params: ModelParams, group_lists) -> list[float]:
-    """For each list of pass groups (see run_groups), the sum of their
-    scores, added in list order. The groups of all lists are run together."""
-    values = iter(run_groups(params, [group for groups in group_lists
-                                      for group in groups], "score"))
+    """For each list of pass groups (see run_groups), each overriding rows
+    with (d,) vectors or none, the sum of their scores, added in list
+    order. A group's score is ``(table * mask).sum()``, its log-prob table
+    against its term's target mask. The groups of all lists are run
+    together."""
+    hp = params.hyper
+    groups = [group for groups in group_lists for group in groups]
+    scores = []
+    for (term, _), table in zip(groups, run_groups(params, groups, "log_probs")):
+        rows = build_forward_graph(hp, *_graph_key(hp, term)).rows
+        mask = _target_masks(hp, rows, [term.targets])[0]
+        scores.append(float((table * mask).sum()))
+    scores = iter(scores)
     # plain left-to-right adds: sum() compensates on Python >= 3.12
-    return [functools.reduce(operator.add,
-                             [float(next(values)) for _ in groups], 0.0)
+    return [functools.reduce(operator.add, [next(scores) for _ in groups], 0.0)
             for groups in group_lists]
 
 

@@ -18,10 +18,12 @@ from attrscope.models.transformer import (
 
 
 def bind_pass(params, term, rows=None, pruned=False):
-    """The cached score graph of one unbatched pass over the ScoreTerm
-    ``term`` and its leaf values, bound by ``transformer._bind`` on the
-    model's own weights; ``rows`` maps an embedding row to the (d,) vector
-    that replaces it. The graph is the full one over every token, or with
+    """The cached graph of one unbatched pass over the ScoreTerm ``term``,
+    its leaf values, bound by ``transformer._bind`` on the model's own
+    weights, and the term's target mask over the graph's log-prob table:
+    the term's score is ``(table * mask).sum()``, and the mask seeds its
+    gradient. ``rows`` maps an embedding row to the (d,) vector that
+    replaces it. The graph is the full one over every token, or with
     ``pruned`` the one run_groups runs the term's passes on, which computes
     only the rows the term reads and, causal, stops at the last of them."""
     hp = params.hyper
@@ -29,11 +31,10 @@ def bind_pass(params, term, rows=None, pruned=False):
     length, causal, graph_rows = (_graph_key(hp, term) if pruned else
                                   (len(term.tokens), term.causal, None))
     fg = build_forward_graph(hp, length, causal, graph_rows)
-    mask = _target_masks(hp, fg.rows, [term.targets])[0]
-    vals = _bind(hp, params.weights, term.tokens[:length], mask,
+    vals = _bind(hp, params.weights, term.tokens[:length],
                  [(row, vec) for row, vec in (rows or {}).items()
                   if row < length])
-    return fg, vals
+    return fg, vals, _target_masks(hp, fg.rows, [term.targets])[0]
 
 
 def counted_points(points):

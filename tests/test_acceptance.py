@@ -72,12 +72,12 @@ class TestA1GradientCorrectness:
     def test_A1_primitives_and_transformer_match_finite_differences(
             self, tiny_ar_model, rng):
         # -- primitives: 13 random entries of each input of every op the
-        # transformer graph builds, each op made a scalar through gelu
+        # transformer graph builds, each op through gelu, seeded with a
+        # random array c: the gradient of sum(gelu(op) * c)
         shapes = {"a": (4, 4), "b": (4, 4), "gain": (4,), "bias": (4,),
                   "heads": (2, 4, 4), "heads2": (2, 4, 4)}
         primitives = {
             "add": lambda g, x: g.add(x("a"), x("b")),
-            "mul": lambda g, x: g.mul(x("a"), x("b")),
             "matmul": lambda g, x: g.matmul(x("a"), x("b")),
             "gelu": lambda g, x: g.gelu(x("a")),
             "softmax": lambda g, x: g.softmax(x("a")),
@@ -101,14 +101,14 @@ class TestA1GradientCorrectness:
         checked = 0
         for opname, build in primitives.items():
             g = Graph()
-            s = g.sum_all(g.gelu(build(g, lambda name: g.leaf(shapes[name],
-                                                              name))))
+            y = g.gelu(build(g, lambda name: g.leaf(shapes[name], name)))
             vals = {name: rng.standard_normal(shapes[name])
                     for name in g.leaves}
-            _, grads = grad(g, s, vals, tuple(vals))
+            c = rng.standard_normal(evaluate(g, vals)[y].shape)
+            _, grads = grad(g, y, vals, tuple(vals), c)
 
             def f(vals):
-                return float(evaluate(g, vals)[s])
+                return float((evaluate(g, vals)[y] * c).sum())
 
             for name in g.leaves:
                 for _ in range(per_input):
@@ -122,37 +122,43 @@ class TestA1GradientCorrectness:
                         <= 1e-4, (opname, name)
                     checked += 1
         # the rows op on a batched operand: 3 points of an (L, d) leaf,
-        # each point's scalar against its own entries
+        # each point's seeded sum against its own entries
         g = Graph()
-        s = g.sum_all(g.gelu(g.rows(g.leaf((4, 4), "a"), (2, 0))))
+        y = g.gelu(g.rows(g.leaf((4, 4), "a"), (2, 0)))
         xs = rng.standard_normal((3, 4, 4))
-        ga = grad(g, s, {"a": xs}, ("a",))[1]["a"]
+        c = rng.standard_normal((3, 2, 4))
+        ga = grad(g, y, {"a": xs}, ("a",), c)[1]["a"]
         assert ga.shape == xs.shape
+
+        def f_point(xv, k):
+            return float((evaluate(g, {"a": xv})[y][k] * c[k]).sum())
+
         for _ in range(per_input):
             idx = tuple(int(rng.integers(n)) for n in xs.shape)
             xp, xm = xs.copy(), xs.copy()
             xp[idx] += FD_STEP
             xm[idx] -= FD_STEP
-            fd = (evaluate(g, {"a": xp})[s][idx[0]]
-                  - evaluate(g, {"a": xm})[s][idx[0]]) / (2 * FD_STEP)
+            fd = (f_point(xp, idx[0]) - f_point(xm, idx[0])) / (2 * FD_STEP)
             assert abs(ga[idx] - fd) / max(1.0, abs(fd)) <= 1e-4, idx
             checked += 1
-        assert checked == 24 * per_input
+        assert checked == 22 * per_input
 
         # -- full 2-layer transformer score vs finite differences: the
-        # score node with a one-hot target mask, log p(target | tokens)
+        # log-prob table against a one-hot target mask, which seeds its
+        # gradient, log p(target | tokens)
         params = tiny_ar_model
         tokens = [4, 5, 2, 6]
         target = 7
         fg = build_fresh_forward_graph(params.hyper, len(tokens), causal=True)
-        _, base_vals = bind_pass(params, ScoreTerm(
+        _, base_vals, mask = bind_pass(params, ScoreTerm(
             tuple(tokens), True, ((len(tokens) - 1, target),)))
         checked_leaves = ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
                           "lnf.g")
-        _, grads = grad(fg.graph, fg.score, base_vals, checked_leaves)
+        _, grads = grad(fg.graph, fg.log_probs, base_vals, checked_leaves,
+                        mask)
 
         def f(vals):
-            return float(evaluate(fg.graph, vals)[fg.score])
+            return float((evaluate(fg.graph, vals)[fg.log_probs] * mask).sum())
 
         checked = 0
         for name in checked_leaves:

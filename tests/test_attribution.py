@@ -35,7 +35,7 @@ from attrscope.models.diffusion import (
 )
 from attrscope.models.transformer import (
     POINTS_PER_PASS, ROWS_PER_PASS, _graph_key, build_forward_graph,
-    run_groups, table_key,
+    run_groups, score_sums, table_key,
 )
 from conftest import bind_pass
 
@@ -293,10 +293,10 @@ def unbatched_grad(bs, refs, rows):
     graph's last read row get zero."""
     emb_grads = []
     for term, overrides in bs.with_rows(rows):
-        fg, vals = bind_pass(bs.params, term, overrides, pruned=True)
+        fg, vals, mask = bind_pass(bs.params, term, overrides, pruned=True)
         g = np.zeros((len(term.tokens), bs.params.hyper.width))
-        g[:len(vals["emb"])] = grad(fg.graph, fg.score, vals,
-                                    wrt=("emb",))[1]["emb"]
+        g[:len(vals["emb"])] = grad(fg.graph, fg.log_probs, vals, ("emb",),
+                                    mask)[1]["emb"]
         emb_grads.append(g)
     out = {}
     for ref in refs:
@@ -331,37 +331,43 @@ def sequential_ig(params, instance, contract, baseline, steps):
 @contextlib.contextmanager
 def recorded_passes(name):
     """Records the leaf values of every pass that run_groups makes through
-    transformer's ``evaluate`` or ``grad``."""
+    transformer's ``evaluate`` or ``grad``, each with the seed of its
+    backward, or None for a forward pass."""
     original = getattr(transformer, name)
     passes = []
 
     def recording(graph, *args, **kwargs):
-        passes.append(args[0] if name == "evaluate" else args[1])
+        passes.append((args[0], None) if name == "evaluate"
+                      else (args[1], args[3]))
         return original(graph, *args, **kwargs)
 
     with mock.patch.object(transformer, name, recording):
         yield passes
 
 
-def pass_points(params, vals):
-    """The (emb, target mask) of each point of a pass, after checking that
-    it binds at most POINTS_PER_PASS points and ROWS_PER_PASS rows (a
+def pass_points(params, vals, seed=None):
+    """The emb of each point of a pass and, given the pass's ``seed``, the
+    target mask that seeds the point's backward, after checking that it
+    binds at most POINTS_PER_PASS points and ROWS_PER_PASS rows (a
     one-point pass unbatched), shares every weight leaf with the model,
     and takes pos from its weight."""
     weights = params.weights
-    emb, mask = vals["emb"], vals["target_mask"]
+    emb = vals["emb"]
     if emb.ndim == 2:
-        emb, mask = emb[None], mask[None]
+        emb = emb[None]
+        seed = None if seed is None else seed[None]
     assert emb.ndim == 3 and len(emb) <= POINTS_PER_PASS
     assert len(emb) == 1 or len(emb) * emb.shape[1] <= ROWS_PER_PASS
-    assert len(mask) == len(emb)
-    assert vals.keys() == weights.keys() | {"target_mask"}
+    assert vals.keys() == weights.keys()
     assert np.shares_memory(vals["pos"], weights["pos"])
     assert np.array_equal(vals["pos"], weights["pos"][:emb.shape[1]])
     for name, value in vals.items():
-        if name not in ("emb", "pos", "target_mask"):
+        if name not in ("emb", "pos"):
             assert value is weights[name], name
-    return list(zip(emb, mask))
+    if seed is None:
+        return list(emb)
+    assert len(seed) == len(emb)
+    return list(zip(emb, seed))
 
 
 @st.composite
@@ -438,12 +444,12 @@ class TestBatchedPathLoop:
             expected += [(i, k) for members in by_graph.values()
                          for i in members for k in ks]
         points = []  # (emb, target mask) of each point, in pass order
-        for vals in passes:
-            points += pass_points(params, vals)
+        for vals, seed in passes:
+            points += pass_points(params, vals, seed)
         assert len(points) == len(expected)
         for (emb, mask), (i, k) in zip(points, expected):
             term = bs.terms[i]
-            _, actual = bind_pass(params, term, pruned=True)
+            _, actual, actual_mask = bind_pass(params, term, pruned=True)
             path = actual["emb"].copy()
             for ref in contract.eligible:
                 for ref_term, row in bs.feature_rows[ref]:
@@ -451,7 +457,7 @@ class TestBatchedPathLoop:
                         x = bs.embedding(ref)
                         path[row] = base_vec + (k - 0.5) / steps * (x - base_vec)
             assert np.array_equal(emb, path)
-            assert np.array_equal(mask, actual["target_mask"])
+            assert np.array_equal(mask, actual_mask)
 
 
 class TestCompletenessProperty:
@@ -484,8 +490,8 @@ def unbatched_value(bs, rows):
     per term on the graph run_groups runs the term on."""
     total = 0.0
     for term, overrides in bs.with_rows(rows):
-        fg, vals = bind_pass(bs.params, term, overrides, pruned=True)
-        total += float(evaluate(fg.graph, vals)[fg.score])
+        fg, vals, mask = bind_pass(bs.params, term, overrides, pruned=True)
+        total += float((evaluate(fg.graph, vals)[fg.log_probs] * mask).sum())
     return total
 
 
@@ -521,7 +527,7 @@ class TestBatchedOcclusion:
                 if i in rows:
                     tokens[rows[i]] = token
                 inputs.add(table_key(params, replace(term, tokens=tuple(tokens))))
-        assert sum(len(pass_points(params, vals)) for vals in passes) \
+        assert sum(len(pass_points(params, vals)) for vals, _ in passes) \
             == len(inputs)
 
 
@@ -641,7 +647,6 @@ class TestPrunedGraphs:
     @staticmethod
     def check(params, term, overrides, read, length):
         groups = [(term, overrides)]
-        score, = run_groups(params, groups, "score")
         log_probs, = run_groups(params, groups, "log_probs")
         emb_grad, = run_groups(params, groups, "emb_grad")
         batch = {len(v) for v in overrides.values() if v.ndim == 2}
@@ -650,17 +655,18 @@ class TestPrunedGraphs:
                       for k in range(batch.pop())]
         else:
             points = [overrides]
-            score, log_probs, emb_grad = (score[None], log_probs[None],
-                                          emb_grad[None])
-        assert len(score) == len(log_probs) == len(emb_grad) == len(points)
+            log_probs, emb_grad = log_probs[None], emb_grad[None]
+        assert len(log_probs) == len(emb_grad) == len(points)
+        # a score reads (d,) overrides: one group per point
+        scores = score_sums(params, [[(term, point)] for point in points])
         for k, point in enumerate(points):
-            fg, vals = bind_pass(params, term, point)
+            fg, vals, mask = bind_pass(params, term, point)
             full = evaluate(fg.graph, vals)
-            assert abs(score[k] - full[fg.score]) <= 1e-12
+            assert abs(scores[k] - (full[fg.log_probs] * mask).sum()) <= 1e-12
             assert log_probs[k].shape == (len(read), params.hyper.vocab_size)
             assert np.max(np.abs(log_probs[k] - full[fg.log_probs][read])) \
                 <= 1e-12
-            g = grad(fg.graph, fg.score, vals, ("emb",))[1]["emb"]
+            g = grad(fg.graph, fg.log_probs, vals, ("emb",), mask)[1]["emb"]
             assert emb_grad[k].shape == g.shape
             assert np.max(np.abs(emb_grad[k] - g)) <= 1e-12
             assert not emb_grad[k][length:].any()

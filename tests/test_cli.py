@@ -23,7 +23,7 @@ from attrscope.evaluation import PerturbationPolicy, faithfulness_report
 from attrscope.fileio import read_manifest
 from attrscope.models import (
     Hyperparams, ModelParams, PromptedInstance, diffusion_generate,
-    init_params, load_model, save_model, transformer,
+    init_params, load_model, save_model, training, transformer,
 )
 from attrscope.models.params import CLASSIFIER
 from conftest import counted_points
@@ -584,19 +584,20 @@ class TestOpScope:
         assert transformer._STORE.get() is None
 
     def test_train_keeps_no_table(self, workspace, tmp_path, monkeypatch):
-        keeps = []
-        original = transformer._run_pass
+        """No pass of ``train`` runs with an op store open, so none keeps
+        a table: the SGD steps' passes, nor its final loss's."""
+        in_op = []
+        for module, name in ((training, "grad"), (transformer, "evaluate")):
+            def recording(*args, _original=getattr(module, name), **kwargs):
+                in_op.append(transformer._STORE.get() is not None)
+                return _original(*args, **kwargs)
 
-        def recording(*args):
-            keeps.append(args[-2])  # the groups whose tables the pass keeps
-            return original(*args)
-
-        monkeypatch.setattr(transformer, "_run_pass", recording)
+            monkeypatch.setattr(module, name, recording)
         assert main(["train", "--corpus",
                      os.path.join(workspace["corpus"], "corpus.json"),
                      "--steps", "2", "--width", "8", "--layers", "1",
                      "--out", str(tmp_path / "model")]) == EXIT_OK
-        assert keeps and not any(keeps)
+        assert len(in_op) > 2 and not any(in_op)
 
 
 def recorder(calls):

@@ -40,7 +40,7 @@ from attrscope.models.diffusion import (
 from attrscope.models import training
 from attrscope.models.params import DIFFUSION
 from attrscope.models.transformer import (
-    ScoreTerm, run_groups, table_key, terms_score,
+    ScoreTerm, run_groups, score_sums, table_key, terms_score,
 )
 from conftest import counted_points
 
@@ -587,22 +587,24 @@ class TestServedTables:
                     if table_key(params, term) in store}
             assert kept  # the generation's own stage terms at least
             # one pass point per distinct input the op's store held no
-            # table of; the score read leaves each input's table there, so
-            # the log-prob read after it runs none
+            # table of; the scores leave each input's table there, so the
+            # log-prob read after them runs none
             expected = len({term.tokens for term in terms} - kept)
-            served = {}
-            for read in ("score", "log_probs"):
-                points = []
-                with counted_points(points):
-                    served[read] = run_groups(
-                        params, [(term, {}) for term in terms], read)
-                assert sum(points) == expected
-                assert all(table_key(params, term) in store for term in terms)
-                expected = 0
-        for read, values in served.items():
-            for value, term in zip(values, terms):
-                assert np.array_equal(value, run_groups(
-                    params, [(term, {})], read)[0])
+            groups = [[(term, {})] for term in terms]
+            points = []
+            with counted_points(points):
+                scores = score_sums(params, groups)
+            assert sum(points) == expected
+            assert all(table_key(params, term) in store for term in terms)
+            points = []
+            with counted_points(points):
+                tables = run_groups(params, [(term, {}) for term in terms],
+                                    "log_probs")
+            assert sum(points) == 0
+        for value, table, group in zip(scores, tables, groups):
+            assert value == score_sums(params, [group])[0]
+            assert np.array_equal(table, run_groups(params, group,
+                                                    "log_probs")[0])
 
     def test_another_models_chain_serves_no_table(self, diffusion_model,
                                                   tiny_corpus):

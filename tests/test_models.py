@@ -165,8 +165,8 @@ class TestBatchedPasses:
         rows = masked_log_probs(diffusion_model, seqs, range(6))
         assert rows.shape == (19, 6, diffusion_model.hyper.vocab_size)
         for tokens, batched in zip(seqs, rows):
-            fg, vals = bind_pass(diffusion_model,
-                                 ScoreTerm(tuple(tokens), False, ()))
+            fg, vals, _ = bind_pass(diffusion_model,
+                                    ScoreTerm(tuple(tokens), False, ()))
             assert np.array_equal(batched,
                                   evaluate(fg.graph, vals)[fg.log_probs])
 
@@ -208,15 +208,17 @@ class TestBatchedPasses:
         vocab, d = params.hyper.vocab_size, params.hyper.width
 
         def unbatched(term, rows):
-            """One unbatched pass per point of the group, on the graph
-            run_groups runs the term on."""
+            """The log-prob table of one unbatched pass per point of the
+            group, stacked for a batched group, on the graph run_groups
+            runs the term on, and (unbatched) the score it gives."""
             batch = {len(vec) for vec in rows.values() if vec.ndim == 2}
             if batch:
-                return [unbatched(term, {row: vec[k]
-                                         for row, vec in rows.items()})
-                        for k in range(batch.pop())]
-            fg, vals = bind_pass(params, term, rows, pruned=True)
-            return float(evaluate(fg.graph, vals)[fg.score])
+                return np.stack([unbatched(term, {row: vec[k]
+                                                  for row, vec in rows.items()})[0]
+                                 for k in range(batch.pop())]), None
+            fg, vals, mask = bind_pass(params, term, rows, pruned=True)
+            table = evaluate(fg.graph, vals)[fg.log_probs]
+            return table, float((table * mask).sum())
 
         for overrides in ("none", "row", "batched", "mixed"):
             lists = []
@@ -238,14 +240,15 @@ class TestBatchedPasses:
                 lists.append(groups)
 
             flat = [group for groups in lists for group in groups]
-            assert [v.tolist() for v in run_groups(params, flat, "score")] \
-                == [unbatched(*group) for group in flat]
+            for table, group in zip(run_groups(params, flat, "log_probs"),
+                                    flat):
+                assert np.array_equal(table, unbatched(*group)[0])
             if overrides in ("none", "row"):  # one score per group
                 sums = []
                 for groups in lists:
                     total = 0.0
                     for group in groups:
-                        total += unbatched(*group)
+                        total += unbatched(*group)[1]
                     sums.append(total)
                 assert score_sums(params, lists) == sums
 
@@ -254,12 +257,20 @@ class TestLogProbReads:
     """A log-prob read names its rows and gets only those, within 1e-12
     of the full graph's table."""
 
+    def test_a_pass_reads_its_table_or_its_embedding_gradient(self,
+                                                              tiny_ar_model):
+        # a score is no read: score_sums computes it from the table
+        groups = [(ScoreTerm((4, 5, 6), True, ((2, 7),)), {})]
+        for read in ("score", "emb", ""):
+            with pytest.raises(ValueError, match="unknown read"):
+                run_groups(tiny_ar_model, groups, read)
+
     def test_next_log_probs_are_the_full_graphs_last_row(self, tiny_ar_model,
                                                          tiny_corpus):
         prompt = sample_prompt(tiny_corpus)
         for prefix in ([], [5], [5, 6, 7]):
             tokens = tuple(prompt) + tuple(prefix)
-            fg, vals = bind_pass(tiny_ar_model, ScoreTerm(tokens, True, ()))
+            fg, vals, _ = bind_pass(tiny_ar_model, ScoreTerm(tokens, True, ()))
             full = evaluate(fg.graph, vals)[fg.log_probs]
             got = ar_next_log_probs(tiny_ar_model, prompt, prefix)
             assert got.shape == (tiny_ar_model.hyper.vocab_size,)
@@ -296,7 +307,7 @@ class TestGraphCache:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transformer, "evaluate", recording)
-            run_groups(params, groups, "score")
+            run_groups(params, groups, "log_probs")
         return graphs
 
     def test_every_row_read_is_the_full_graph(self, tiny_ar_model,
@@ -789,15 +800,15 @@ class TestHeadsAxis:
         rng = np.random.default_rng(heads)
         for length in (1, 5, 9):
             tokens = rng.integers(0, len(tiny_corpus.vocab), size=length)
-            fg, vals = bind_pass(params, ScoreTerm(tuple(tokens), causal, ()))
+            fg, vals, _ = bind_pass(params, ScoreTerm(tuple(tokens), causal, ()))
             got = evaluate(fg.graph, vals)[fg.log_probs]
             expected = per_head_log_probs(params, tokens, causal)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_heads_are_stacked_once_per_model(self, tiny_ar_model):
-        _, a = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), True, ()))
-        _, b = bind_pass(tiny_ar_model, ScoreTerm((4, 5), True, ()))
+        _, a, _ = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), True, ()))
+        _, b, _ = bind_pass(tiny_ar_model, ScoreTerm((4, 5), True, ()))
         assert a["blk0.wq"] is b["blk0.wq"] is tiny_ar_model.weights["blk0.wq"]
         assert a["blk1.wo"].shape == (2, 16, 32)
 
@@ -882,10 +893,10 @@ class TestTraining:
 def per_example_grads(params, term):
     """One example's loss (minus its score) and gradient, from its own
     forward and backward pass: the reference for the batched step."""
-    fg, vals = bind_pass(params, term)
+    fg, vals, mask = bind_pass(params, term)
     full = {}
-    weights = [name for name in fg.graph.leaves if name != "target_mask"]
-    score, grads = grad(fg.graph, fg.score, vals, weights)
+    table, grads = grad(fg.graph, fg.log_probs, vals, fg.graph.leaves, mask)
+    score = (table * mask).sum()
     for name, gval in grads.items():
         if name == "emb":
             full[name] = np.zeros_like(params.weights["emb"])
@@ -1036,11 +1047,12 @@ def full_graph_step(params, terms):
                         for term in bucket])
         fg = build_forward_graph(hp, L, bucket[0].causal)
         assert "rows" not in {node.op for node in fg.graph.nodes}
-        vals = transformer._bind(hp, leaves, ids, transformer._target_masks(
-            hp, fg.rows, [term.targets for term in bucket]), ())
-        weights = [name for name in fg.graph.leaves if name != "target_mask"]
-        score, grads = grad(fg.graph, fg.score, vals, weights)
-        loss -= float(score.sum())
+        masks = transformer._target_masks(hp, fg.rows,
+                                          [term.targets for term in bucket])
+        table, grads = grad(fg.graph, fg.log_probs,
+                            transformer._bind(hp, leaves, ids, ()),
+                            fg.graph.leaves, masks)
+        loss -= float((table * masks).reshape(len(bucket), -1).sum(-1).sum())
         for name, gval in grads.items():
             if name == "emb":
                 gval, rows = np.zeros_like(leaves["emb"]), gval
@@ -1124,10 +1136,10 @@ def spy_passes(monkeypatch):
         calls.append(("evaluate", vals["emb"].shape))
         return evaluate_fn(graph, vals, *args, **kwargs)
 
-    def differentiating(graph, node, vals, wrt):
+    def differentiating(graph, node, vals, wrt, seed):
         calls.append(("grad", vals["emb"].shape))
         graphs.append(graph)
-        out = grad_fn(graph, node, vals, wrt)
+        out = grad_fn(graph, node, vals, wrt, seed)
         emb_grads.append(out[1]["emb"])
         return out
 
