@@ -25,27 +25,29 @@ value's shape. Its backward pass skips every input that leads to none of
 those leaves, so a caller that reads only the input embeddings computes no
 weight gradient.
 
-A forward pass keeps what its caller reads and drops every other value
-after its last reader (the memory plan of Chen et al. 2016).
-``evaluate(graph, leaf_values)`` keeps every node's value and what a
-backward into any leaf reads; ``evaluate(graph, leaf_values, outputs)``
-keeps only the ``outputs`` nodes, and with ``wrt`` as well, what a
-backward into the leaves named in ``wrt`` reads. A backward reads rule
-inputs' values, a node's own value, or only an input's shape, which the
-dropped slot keeps in a shape record; and each ``gelu``'s tanh and each
-``layer_norm``'s mean and standard deviation, which the forward computes
-anyway and the backward would otherwise compute again, in the forward's
-bits. ``grad`` runs such a forward itself, and then drops each value
-after its last reader in the backward too, a reader of its value or of
-its shape alike. Leaf and const values are never dropped. Each kernel
-runs its arithmetic in a fixed order but writes into temporaries it
-allocated itself, not one new array per step.
+A pass keeps what its caller reads and drops every other value after its
+last reader (the memory plan of Chen et al. 2016), forward or backward
+alike: one plan walks the forward's steps and then the backward's, and
+finds each value's last reader and the last step that reads its shape
+alone. After its last reader a value goes, to a shape record when a
+later step reads its shape, else to None. ``evaluate(graph,
+leaf_values)`` keeps every node's value and what a backward into any leaf
+reads; ``evaluate(graph, leaf_values, outputs)`` keeps only the
+``outputs`` nodes, and with ``wrt`` as well, what a backward into the
+leaves named in ``wrt`` reads. A backward reads rule inputs' values, a
+node's own value, or only an input's shape; and each ``gelu``'s tanh and
+each ``layer_norm``'s mean and standard deviation, which the forward
+computes anyway and the backward would otherwise compute again, in the
+forward's bits. ``grad`` runs such a forward itself and then its
+backward, which drops by the same plan. Leaf and const values are never
+dropped. Each kernel runs its arithmetic in a fixed order but writes into
+temporaries it allocated itself, not one new array per step.
 
 What a pass over a graph does is worked out once and kept on the Graph as
 a pass plan: per set of values kept, the forward's kernel calls and the
-values each forward and backward step drops; per ``wrt``, the backward's
-rule calls over the nodes a gradient into ``wrt`` flows through, with the
-inputs each rule computes a gradient for.
+values that go after each forward and backward step; per ``wrt``, the
+backward's rule calls over the nodes a gradient into ``wrt`` flows
+through, with the inputs each rule computes a gradient for.
 
 A leaf value may carry one leading batch axis: shape ``(B,) + shape``
 instead of the leaf's ``shape``. Every op acts on each batch slice alone
@@ -54,17 +56,16 @@ pass evaluates B points: a node carries the batch axis when a leaf it
 depends on does, and a seed of its value's shape seeds each point's slice
 alone. Gradients into unbatched leaves are summed over the batch.
 
-A pass checks finiteness once, at its end: on the graph's output nodes,
-which no other node reads, and on the input of each ``softmax``. Every
-other op turns a non-finite input into a non-finite output (``inf * 0``
-and ``NaN * 0`` are NaN), and softmax alone can turn one into a finite
-output (``exp(-inf) = 0``), so a non-finite op node anywhere shows in one
-of the checked nodes. When the check fails, the pass runs again with a
-check after every op node, so that ``NumericError`` names the first
-non-finite node. The checked nodes stay until they are checked, even when
-the caller does not read them. ``grad`` checks each gradient it returns.
-Every pass, forward or backward, checked or not, so runs with numpy's
-floating-point warnings off.
+A pass checks finiteness on the op nodes that no node reads and on the
+op input of each ``softmax``, each at its own step. Every other op turns
+a non-finite input into a non-finite output (``inf * 0`` and ``NaN * 0``
+are NaN), and softmax alone can turn one into a finite output
+(``exp(-inf) = 0``), so a non-finite op node anywhere shows in one of the
+checked nodes. When one is non-finite, the pass runs again with a check
+after every op node, so that ``NumericError`` names the first non-finite
+node. ``grad`` checks each gradient it returns. Every pass, forward or
+backward, checked or not, so runs with numpy's floating-point warnings
+off.
 """
 from __future__ import annotations
 
@@ -103,17 +104,15 @@ class Node:
 
 
 class ForwardPlan(NamedTuple):
-    """How a forward pass keeping a given set of values runs."""
-    # per op node: (nid, kernel, input ids, saves, drops, shapes): saves is
-    # None for a kernel that saves nothing, else whether the pass keeps
-    # what it saved; drops and shapes are the nodes whose values go after
-    # the step, to None and to a shape record
+    """How a pass keeping a given set of values runs: per op node, (nid,
+    kernel, input ids, saves, checked, gone), where saves is None for a
+    kernel that saves nothing, else whether the pass keeps what it saved,
+    and checked whether the step checks its value for finiteness; and per
+    step of the backward plan into the wrt the pass keeps for, its gone.
+    A step's gone holds a (node id, shaped) pair per value that goes after
+    it: to a shape record when shaped, else to None."""
     steps: list[tuple]
-    checked: tuple[tuple[int, ...], tuple[int, ...]]  # (drops, shapes) once checked
-    # per step of the backward plan into the wrt the pass keeps for, the
-    # values no later step reads, which grad drops; None for a pass that
-    # keeps every value
-    backward_drops: list[tuple[int, ...]] | None
+    backward_gone: list[tuple]
 
 
 class Values(list):
@@ -137,12 +136,6 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.leaves: dict[str, int] = {}
-        # the op nodes a pass checks for finiteness: the output nodes and
-        # the softmax inputs (a softmax reads its input, so the two are
-        # disjoint), kept as the graph is built
-        self._unread: dict[int, None] = {}
-        self._softmax_inputs: dict[int, None] = {}
-        self.finite_checks: tuple[int, ...] = ()
         # a pass's values before it runs: each const node's, None elsewhere
         self._template: list = []
         # pass plans by (outputs, wrt) and by wrt; a new node drops them
@@ -159,66 +152,44 @@ class Graph:
         return plan
 
     def _plan_forward(self, outputs, wrt) -> ForwardPlan:
-        kept_for = None if outputs is None else wrt or frozenset()
-        # what a backward into kept_for reads: whole values, by the last
-        # backward step that reads each, shapes alone, and the arrays
-        # saving kernels keep
-        read, shapes, saving = self._backward_reads(kept_for)
-        values = read.keys() | (outputs or ())
-        last: dict[int, int] = {}  # op node -> its last reader
-        for node in self.nodes:
-            for i in node.inputs:
-                last[i] = node.nid
-        # a checked node goes once the pass has checked it
-        kept = values | set(self.finite_checks)
-        drops: dict[int, list[int]] = {}
-        shaped: dict[int, list[int]] = {}
-        for i, reader in last.items():
-            if self.nodes[i].op not in ("leaf", "const") and i not in kept:
-                (shaped if i in shapes else drops).setdefault(
-                    reader, []).append(i)
-        steps = []
-        for node in self.nodes:
-            if node.op in ("leaf", "const"):
-                continue
-            nid = node.nid
-            steps.append((nid, _kernel(node), node.inputs,
-                          nid in saving if node.op in _SAVING else None,
-                          tuple(drops.get(nid, ())), tuple(shaped.get(nid, ()))))
-        after = [i for i in self.finite_checks if i not in values]
-        backward_drops = None
-        if kept_for is not None:
-            backward_drops = [()] * len(self.backward_plan(kept_for))
-            for i, k in read.items():
-                if self.nodes[i].op not in ("leaf", "const") and i not in outputs:
-                    backward_drops[k] += (i,)
-        return ForwardPlan(steps,
-                           (tuple(i for i in after if i not in shapes),
-                            tuple(i for i in after if i in shapes)),
-                           backward_drops)
-
-    def _backward_reads(self, wrt) -> tuple[dict, set, set]:
-        """For a backward into the leaves named in ``wrt``: the nodes whose
-        values it reads, each with the index of the last step of
-        ``backward_plan(wrt)`` that reads its value or its shape; the nodes
-        whose shapes alone it reads; and those whose saved arrays it
-        reads. Every node is read, when ``wrt`` is None."""
-        if wrt is None:
-            every = range(len(self.nodes))
-            return dict.fromkeys(every), set(), set(every)
-        last, by_value, saving = {}, set(), set()
-        for k, (nid, _, inputs, want) in enumerate(self.backward_plan(wrt)):
+        ops = [node for node in self.nodes if node.op not in ("leaf", "const")]
+        backward = [] if outputs is None else self.backward_plan(wrt or ())
+        # by step, the forward's op steps and then the backward's: each
+        # value's last reader (its own step, when none reads it), the last
+        # step that reads its shape alone, and the nodes whose saved arrays
+        # a step reads
+        last, shape_read, saving = {}, {}, set()
+        for k, node in enumerate(ops):
+            last[node.nid] = k
+            last.update(dict.fromkeys(node.inputs, k))
+        # a step checks its value when no node reads it or a softmax does:
+        # every other op turns a non-finite input into a non-finite output
+        checked = {node.nid for k, node in enumerate(ops) if last[node.nid] == k}
+        checked.update(node.inputs[0] for node in ops if node.op == "softmax")
+        for k, (nid, _, inputs, want) in enumerate(backward, len(ops)):
             reads_value, reads_shape, reads_own, reads_saved = _READS[
                 self.nodes[nid].op](want)
-            last.update((inputs[j], k) for j in reads_value + reads_shape)
-            by_value.update(inputs[j] for j in reads_value)
+            last.update((inputs[j], k) for j in reads_value)
+            shape_read.update((inputs[j], k) for j in reads_shape)
             if reads_own:
                 last[nid] = k
-                by_value.add(nid)
             if reads_saved:
                 saving.add(nid)
-        read = {i: k for i, k in last.items() if i in by_value}
-        return read, last.keys() - by_value, saving
+        kept = outputs
+        if outputs is None:  # every value stays, and what each kernel saved
+            kept = saving = range(len(self.nodes))
+        # after its last reader a value goes, to a shape record when a
+        # later step reads its shape
+        gone: list[list] = [[] for _ in range(len(ops) + len(backward))]
+        for node in ops:
+            if node.nid not in kept:
+                k = last[node.nid]
+                gone[k].append((node.nid, shape_read.get(node.nid, k) > k))
+        steps = [(node.nid, _kernel(node), node.inputs,
+                  node.nid in saving if node.op in _SAVING else None,
+                  node.nid in checked, tuple(gone[k]))
+                 for k, node in enumerate(ops)]
+        return ForwardPlan(steps, [tuple(g) for g in gone[len(ops):]])
 
     def backward_plan(self, wrt) -> list[tuple]:
         """The steps of a backward pass into the leaves named in ``wrt``:
@@ -252,13 +223,6 @@ class Graph:
         self._template.append(const if op == "const" else None)
         self._forward_plans.clear()
         self._backward_plans.clear()
-        for i in inputs:
-            self._unread.pop(i, None)
-        if op not in ("leaf", "const"):
-            self._unread[node.nid] = None
-            if op == "softmax" and self.nodes[inputs[0]].op not in ("leaf", "const"):
-                self._softmax_inputs[inputs[0]] = None
-            self.finite_checks = (*self._softmax_inputs, *self._unread)
         return node.nid
 
     def leaf(self, shape, name: str) -> int:
@@ -498,35 +462,26 @@ def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray],
 
     A leaf value has the leaf's shape or, batched, ``(B,) + shape``; every
     batched leaf of one pass has the same B. Raises NumericError, naming
-    the first non-finite op node, when any op node is non-finite."""
+    the first non-finite op node, when any op node is non-finite: the pass
+    checks the nodes no node reads and the softmax inputs, each at its own
+    step, and when one is non-finite it runs again with a check after
+    every op node."""
     if outputs is None:
         wrt = None
     else:
         outputs = tuple(outputs)
         wrt = None if wrt is None else frozenset(wrt)
+    # either pass raises at a non-finite node, so the overflow on the way
+    # there is not worth a warning
     try:
         with np.errstate(all="ignore"):
-            vals = _forward(graph, leaf_values, False, outputs, wrt)
-        if all(np.isfinite(vals[i]).all() for i in graph.finite_checks):
-            return _drop_checked(vals)
-    except (GraphError, ValueError):
-        # a malformed pass: the checked pass below raises the same error,
-        # or a NumericError at an earlier node
+            return _forward(graph, leaf_values, False, outputs, wrt)
+    except (GraphError, ValueError, NumericError):
+        # a malformed or non-finite pass: the checked pass below raises the
+        # same error, or a NumericError at an earlier node
         pass
-    # the checked pass raises at its first non-finite node, so the overflow
-    # on the way there is not worth a warning
     with np.errstate(all="ignore"):
-        return _drop_checked(_forward(graph, leaf_values, True, outputs, wrt))
-
-
-def _drop_checked(vals: Values) -> Values:
-    """``vals`` without the checked nodes its caller does not read."""
-    drops, shapes = vals.plan.checked
-    for i in drops:
-        vals[i] = None
-    for i in shapes:
-        vals[i] = _Shape(vals[i].shape)
-    return vals
+        return _forward(graph, leaf_values, True, outputs, wrt)
 
 
 def _leaf_value(node: Node, leaf_values, batch: int | None):
@@ -549,10 +504,10 @@ def _leaf_value(node: Node, leaf_values, batch: int | None):
 def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
              check_each: bool, outputs=None, wrt=None) -> Values:
     """The forward pass, keeping what evaluate with ``outputs`` and
-    ``wrt`` (a tuple and a frozenset, or None) keeps, and each checked
-    node; with ``check_each``, it raises NumericError at the first op node
-    with a non-finite value. A leaf that cannot be bound raises once the
-    op nodes before it have run."""
+    ``wrt`` (a tuple and a frozenset, or None) keeps; it raises
+    NumericError at the first non-finite node its plan checks, or with
+    ``check_each`` at the first non-finite op node. A leaf that cannot be
+    bound raises once the op nodes before it have run."""
     vals = Values(graph._template)
     batch = error = None
     stop = len(vals)
@@ -565,7 +520,7 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
         batch = batch if b is None else b
     plan = graph.forward_plan(outputs, wrt)
     saved = {}
-    for nid, kernel, inputs, saves, drops, shapes in plan.steps:
+    for nid, kernel, inputs, saves, checked, gone in plan.steps:
         if nid > stop:
             break
         v = kernel(*[vals[i] for i in inputs])
@@ -573,14 +528,12 @@ def _forward(graph: Graph, leaf_values: dict[str, np.ndarray],
             v, kept = v
             if saves:
                 saved[nid] = kept
-        if check_each and not np.all(np.isfinite(v)):
+        if (checked or check_each) and not np.isfinite(v).all():
             raise NumericError(
                 f"non-finite output at node {nid} ({graph.nodes[nid].op})")
         vals[nid] = v
-        for i in drops:
-            vals[i] = None
-        for i in shapes:
-            vals[i] = _Shape(vals[i].shape)
+        for i, shaped in gone:
+            vals[i] = _Shape(vals[i].shape) if shaped else None
     if error is not None:
         raise error
     vals.plan, vals.saved = plan, saved
@@ -617,7 +570,7 @@ def grad(graph: Graph, node: int, leaf_values: dict[str, np.ndarray],
     # is not worth a warning
     with np.errstate(all="ignore"):
         adj = _backward(graph.backward_plan(key), node, seed, vals,
-                        vals.plan.backward_drops)
+                        vals.plan.backward_gone)
     # ids of the arrays returned so far and of the seed, or their bases: an
     # add's rule hands its adjoint, the seed too, to both inputs
     owners = {id(seed if seed.base is None else seed.base)}
@@ -639,16 +592,16 @@ def grad(graph: Graph, node: int, leaf_values: dict[str, np.ndarray],
 
 
 def _backward(steps: list[tuple], node: int, seed: np.ndarray, vals: Values,
-              drops) -> dict[int, np.ndarray]:
+              gones) -> dict[int, np.ndarray]:
     """The adjoints, by node id, after running the backward plan ``steps``
     from ``node`` seeded with ``seed``, which no rule writes to. The plan
-    reads only what the forward kept for it; after each step it drops from
-    ``vals`` the values ``drops`` names for that step, which no later step
-    reads. The saved arrays stay until
+    reads only what the forward kept for it; after each step the values
+    in that step's gone (see ForwardPlan), which no later step reads, go
+    from ``vals`` as the forward's do. The saved arrays stay until
     ``vals`` goes: dropping each after its node's rule raised peak RSS,
     since the small freed moments split the heap."""
     adj: dict[int, np.ndarray] = {node: seed}
-    for (nid, rule, inputs, want), dropped in zip(steps, drops):
+    for (nid, rule, inputs, want), gone in zip(steps, gones):
         g = adj.pop(nid, None)
         if g is not None:
             contribs = rule(g, want, [vals[i] for i in inputs], vals[nid],
@@ -657,8 +610,8 @@ def _backward(steps: list[tuple], node: int, seed: np.ndarray, vals: Values,
                 if contrib is not None:
                     prev = adj.get(i)
                     adj[i] = contrib if prev is None else prev + contrib
-        for i in dropped:
-            vals[i] = None
+        for i, shaped in gone:
+            vals[i] = _Shape(vals[i].shape) if shaped else None
     return adj
 
 

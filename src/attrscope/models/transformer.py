@@ -341,21 +341,16 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
         ids += [term.tokens[:length]] * len(ks)
     hp = params.hyper
     vals = _bind(hp, params.weights, ids, overrides)
-    one = len(ids) == 1  # numpy runs a one-point pass faster unbatched
-    if one:
-        vals["emb"] = vals["emb"][0]
     if read == "emb_grad":
         # each point's score is its table against its term's target mask
         masks = _target_masks(hp, fg.rows,
                               [groups[i][0].targets for i in segments])
         if len(ids) > len(segments):  # a group has several points in the pass
             masks = masks.repeat([len(ks) for ks in segments.values()], axis=0)
-        out = grad(fg.graph, fg.log_probs, vals, ("emb",),
-                   masks[0] if one else masks)[1]["emb"]
+        out = grad(fg.graph, fg.log_probs, vals, ("emb",), masks)[1]["emb"]
     else:
         # the pass keeps only the table
         out = evaluate(fg.graph, vals, (fg.log_probs,))[fg.log_probs]
-    out = out[None] if one else out
     at = 0
     for i, ks in segments.items():
         piece = out[at:at + len(ks)]

@@ -348,14 +348,11 @@ def recorded_passes(name):
 def pass_points(params, vals, seed=None):
     """The emb of each point of a pass and, given the pass's ``seed``, the
     target mask that seeds the point's backward, after checking that it
-    binds at most POINTS_PER_PASS points and ROWS_PER_PASS rows (a
-    one-point pass unbatched), shares every weight leaf with the model,
-    and takes pos from its weight."""
+    binds at most POINTS_PER_PASS points and ROWS_PER_PASS rows, each
+    pass batched, shares every weight leaf with the model, and takes pos
+    from its weight."""
     weights = params.weights
     emb = vals["emb"]
-    if emb.ndim == 2:
-        emb = emb[None]
-        seed = None if seed is None else seed[None]
     assert emb.ndim == 3 and len(emb) <= POINTS_PER_PASS
     assert len(emb) == 1 or len(emb) * emb.shape[1] <= ROWS_PER_PASS
     assert vals.keys() == weights.keys()

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from attrscope import autodiff
 from attrscope.autodiff import (
     _GELU_C, _LN_EPS, _SAVING, Graph, GraphError, NumericError, ShapeError,
-    _forward, _kernel, evaluate, grad,
+    _kernel, evaluate, grad,
 )
 from attrscope.models.transformer import ScoreTerm, build_forward_graph
 from conftest import bind_pass
@@ -749,10 +749,88 @@ def keep_all_grads(g, node, vals, wrt, seed) -> dict:
             for leaf in leaves}
 
 
+@st.composite
+def liveness_cases(draw):
+    """A small graph drawn from every op, on (rows, n) nodes over an (n, n)
+    leaf "x" that may carry a batch axis; its leaf values, the outputs a
+    pass keeps, one of them to seed and the leaves to differentiate
+    into."""
+    n, heads, dh = (draw(st.integers(1, 3)) for _ in range(3))
+    batch = draw(st.sampled_from([None, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    g = Graph()
+    vals = {"x": rng.standard_normal((n, n) if batch is None
+                                     else (batch, n, n))}
+
+    def weight(*shape):
+        name = f"w{len(vals)}"
+        vals[name] = rng.standard_normal(shape)
+        return g.leaf(shape, name)
+
+    # (node, rows) of each node an op may read
+    pool = [(g.leaf((n, n), "x"), n), (g.const(rng.standard_normal((n, n))), n)]
+    for _ in range(draw(st.integers(1, 6))):
+        a, r = draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(["add", "matmul", "attention", "rows",
+                                   "gelu", "log_softmax", "softmax",
+                                   "layer_norm", "affine"]))
+        if op == "add":
+            same = [b for b, rb in pool if rb == r]
+            b = draw(st.sampled_from(same + [None]))
+            out = g.add(a, weight(n) if b is None else b)  # None: broadcast
+        elif op == "matmul":
+            square = [b for b, rb in pool if rb == n]
+            b = draw(st.sampled_from(square + [None]))
+            out = g.matmul(a, weight(n, n) if b is None else b)
+        elif op == "attention":
+            read = draw(st.lists(st.integers(0, r - 1), min_size=1,
+                                 max_size=r, unique=True))
+            q = g.heads(g.rows(a, sorted(read)) if len(read) < r else a,
+                        weight(heads, n, dh))
+            mask = np.where(rng.random((len(read), r)) < 0.3, -np.inf, 0.0)
+            mask[:, draw(st.integers(0, r - 1))] = 0.0  # a row attends
+            probs = g.softmax(g.scores(q, g.heads(a, weight(heads, n, dh)),
+                                       0.5), mask)
+            att = g.matmul(probs, g.heads(a, weight(heads, n, dh)))
+            out, r = g.merge_heads(att, weight(heads, dh, n)), len(read)
+        elif op == "rows":
+            read = draw(st.lists(st.integers(0, r - 1), min_size=1,
+                                 max_size=r, unique=True))
+            out, r = g.rows(a, read), len(read)
+        elif op == "layer_norm":
+            out = g.layer_norm(a, weight(n), weight(n))
+        elif op == "affine":
+            out = g.affine(a, weight(n, n), weight(n))
+        else:
+            out = getattr(g, op)(a)
+        pool.append((out, r))
+    ops = [node.nid for node in g.nodes if node.op not in ("leaf", "const")]
+    outputs = tuple(draw(st.lists(st.sampled_from(ops), min_size=1,
+                                  max_size=2, unique=True)))
+    wrt = tuple(draw(st.lists(st.sampled_from(sorted(g.leaves)), unique=True)))
+    return g, vals, outputs, draw(st.sampled_from(outputs)), wrt
+
+
 class TestLiveness:
     """A pass keeps what its caller reads and drops every other value after
     its last reader; what it keeps has the bits of a pass that keeps every
     value."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=liveness_cases(), key=st.integers(0, 2 ** 16))
+    def test_a_pass_over_a_generated_graph_equals_keep_all(self, case, key):
+        g, vals, outputs, node, wrt = case
+        keep_all = evaluate(g, vals)
+        freeing = evaluate(g, vals, outputs, wrt)
+        for i in outputs:
+            assert np.array_equal(freeing[i], keep_all[i]), i
+        seed = np.random.default_rng(key).standard_normal(keep_all[node].shape)
+        value, got = grad(g, node, vals, wrt, seed)
+        assert np.array_equal(value, keep_all[node])
+        want = keep_all_grads(g, node, vals, wrt, seed)
+        for name in wrt:
+            assert np.array_equal(got[name], want[name]), name
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("pruned", [False, True])
@@ -822,23 +900,24 @@ class TestLiveness:
         kept = {node.nid for node in g.nodes
                 if node.op not in ("leaf", "const")
                 and isinstance(forward[node.nid], np.ndarray)}
-        drops = [i for step in forward.plan.backward_drops for i in step]
+        gones = forward.plan.backward_gone
         # every kept value but the output goes once, at a step of the
         # backward plan that reads it (a step before its last reader would
         # leave that reader a None: see the test above)
-        assert sorted(drops) == sorted(kept - {fg.log_probs})
-        steps = g.backward_plan(wrt)
-        gone = set()
-        for (nid, _, inputs, want), dropped in zip(steps,
-                                                    forward.plan.backward_drops):
-            assert all(i in inputs or i == nid for i in dropped)
-            # no step reads a value, or a value's shape, that an earlier
-            # step dropped: in a pruned graph, a block's input is read by
-            # shape alone after the key and value products read it
+        assert sorted(i for gone in gones for i, _ in gone) == \
+            sorted(kept - {fg.log_probs})
+        to_none, to_shape = set(), set()
+        for (nid, _, inputs, want), gone in zip(g.backward_plan(wrt), gones):
             value, shape, own, _ = autodiff._READS[g.nodes[nid].op](want)
-            assert gone.isdisjoint(inputs[j] for j in value + shape), nid
-            assert not (own and nid in gone), nid
-            gone.update(dropped)
+            read = {inputs[j] for j in value} | ({nid} if own else set())
+            assert {i for i, _ in gone} <= read, nid
+            # no step reads a value that has gone, or the shape of a value
+            # that went to None: in a pruned graph, a block's input is read
+            # by shape alone after the key and value products read it
+            assert read.isdisjoint(to_none | to_shape), nid
+            assert to_none.isdisjoint(inputs[j] for j in shape), nid
+            for i, shaped in gone:
+                (to_shape if shaped else to_none).add(i)
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
@@ -883,6 +962,33 @@ class TestLiveness:
         seed = rng.standard_normal((2, 3))
         assert np.array_equal(grad(g, s2, leaves, ("y",), seed)[1]["y"],
                               keep_all_grads(g, s2, leaves, ("y",), seed)["y"])
+
+    def test_a_value_read_by_shape_after_its_last_reader_is_a_shape_record(
+            self, monkeypatch, rng):
+        # a grad into x and w reads h by value at q's rule and then by
+        # shape alone at p's
+        g = Graph()
+        x = g.leaf((3, 3), "x")
+        w = g.leaf((3, 3), "w")
+        h = g.gelu(x)
+        p = g.add(h, w)
+        q = g.matmul(p, h)
+        seen = []
+
+        def add_grad(*args):
+            seen.append(args[2][0])
+            return autodiff._add_grad(*args)
+
+        monkeypatch.setitem(autodiff._RULES, "add", add_grad)
+        leaves = {"x": rng.standard_normal((3, 3)),
+                  "w": rng.standard_normal((3, 3))}
+        seed = rng.standard_normal((3, 3))
+        _, got = grad(g, q, leaves, ("x", "w"), seed)
+        assert len(seen) == 1 and seen[0].shape == (3, 3)
+        assert not isinstance(seen[0], np.ndarray)
+        want = keep_all_grads(g, q, leaves, ("x", "w"), seed)
+        for name in ("x", "w"):
+            assert np.array_equal(got[name], want[name]), name
 
 
 def per_node_evaluate(graph: Graph, leaf_values) -> list:
@@ -967,7 +1073,12 @@ class TestFiniteness:
         sm = g.softmax(shifted)
         side = g.gelu(x)          # read by no node
         s = g.gelu(sm)
-        assert sorted(g.finite_checks) == [shifted, side, s]
+        # whatever a pass keeps, its plan checks the same steps
+        for outputs, wrt in ((None, None), ((s,), None),
+                             ((sm,), frozenset({"x"}))):
+            steps = g.forward_plan(outputs, wrt).steps
+            assert [nid for nid, _, _, _, checked, _ in steps
+                    if checked] == [shifted, side, s]
 
     def test_softmax_hides_minus_inf_yet_the_pass_is_rejected(self):
         g = Graph()
@@ -979,7 +1090,8 @@ class TestFiniteness:
         mask[0, 1] = -np.inf
         leaves = {"x": np.ones((2, 3)), "m": mask}
         # exp(-inf) = 0, so the output node alone is finite
-        assert np.isfinite(_forward(g, leaves, check_each=False)[s]).all()
+        with np.errstate(all="ignore"):
+            assert np.isfinite(_kernel(g.nodes[s])(np.ones((2, 3)) + mask)).all()
         message = f"non-finite output at node {shifted} (add)"
         assert outcome(per_node_evaluate, g, leaves) == message
         assert outcome(evaluate, g, leaves) == message
