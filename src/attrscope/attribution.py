@@ -19,8 +19,8 @@ from .models import (
 from .models.autoregressive import span_term, token_term
 from .models.classifier import class_term
 from .models.diffusion import (
-    SUBSTITUTE_STEP, ChainSpec, DenoisingTrajectory, perturbed_plan,
-    run_chains, stage_term, stage_terms,
+    NOISE_SCHEDULE, SUBSTITUTE_STEP, ChainSpec, DenoisingTrajectory,
+    perturbed_plan, run_chains, stage_term, stage_terms,
 )
 from .models.transformer import (
     ScoreTerm, pass_points, run_groups, score_sums,
@@ -147,13 +147,10 @@ class BoundScore:
 
 
 def bind_score(params: ModelParams, instance: PromptedInstance,
-               contract: AttributionContract,
-               conditioning: DenoisingTrajectory | None = None) -> BoundScore:
-    """The contract's score as terms over the instance's embeddings.
-
-    ``conditioning`` is the chain whose states a diffusion score reads; by
-    default the instance's own trajectory."""
-    parts = _score_parts(params, instance, contract, conditioning)
+               contract: AttributionContract) -> BoundScore:
+    """The contract's score as terms over the instance's embeddings; a
+    diffusion score reads the states of the instance's own trajectory."""
+    parts = _score_parts(params, instance, contract, None)
     rows: dict[FeatureRef, tuple[tuple[int, int], ...]] = {}
     for row, ref in enumerate(features(instance)):
         held = tuple((i, row) for i, (_, holds) in enumerate(parts)
@@ -169,7 +166,9 @@ def _score_parts(params: ModelParams, instance: PromptedInstance,
                  conditioning: DenoisingTrajectory | None) -> list:
     """The contract's score as (term, holds) pairs, one per term, as in
     bind_score; ``holds(ref, row)`` says whether the term's input holds the
-    token feature ``ref`` at row ``row``."""
+    token feature ``ref`` at row ``row``. ``conditioning`` is the chain
+    whose states a diffusion score reads; None: the instance's own
+    trajectory."""
     kind = contract.score_kind
     if kind == STAGE_DELTA:
         raise StageScoreError("stage_delta has no single differentiable scalar")
@@ -226,7 +225,7 @@ def score(contract: AttributionContract, params: ModelParams,
 
 def scores(params: ModelParams, cases) -> list[float]:
     """The score of each (contract, instance, conditioning) case, with
-    ``conditioning`` as in bind_score; the passes of all cases are scored
+    ``conditioning`` as in _score_parts; the passes of all cases are scored
     together in batched passes. Each contract is checked once per instance
     shape (see contract.instance_shape): a perturbed context is its
     instance with tokens replaced."""
@@ -365,12 +364,12 @@ def stage_attribution(params: ModelParams, instance: PromptedInstance,
     chains = {}  # feasible stage ref -> its perturbed chain
     for ref in contract.eligible:
         t = ref.index
-        count = plan[t] if (pert_kind == "noise_schedule" and commit_count is None) \
+        count = plan[t] if (pert_kind == NOISE_SCHEDULE and commit_count is None) \
             else commit_count
         pert = StagePerturbation(stage=t, kind=pert_kind, commit_count=count,
                                  temperature=temperature)
         try:
-            new_plan = perturbed_plan(plan, pert, traj.response_len)
+            new_plan = perturbed_plan(plan, pert)
         except InfeasiblePerturbationError:
             continue
         chains[ref] = ChainSpec(

@@ -73,7 +73,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -167,8 +167,8 @@ class Graph:
         checked = {node.nid for k, node in enumerate(ops) if last[node.nid] == k}
         checked.update(node.inputs[0] for node in ops if node.op == "softmax")
         for k, (nid, _, inputs, want) in enumerate(backward, len(ops)):
-            reads_value, reads_shape, reads_own, reads_saved = _READS[
-                self.nodes[nid].op](want)
+            reads_value, reads_shape, reads_own, reads_saved = _OPS[
+                self.nodes[nid].op].reads(want)
             last.update((inputs[j], k) for j in reads_value)
             shape_read.update((inputs[j], k) for j in reads_shape)
             if reads_own:
@@ -185,10 +185,10 @@ class Graph:
             if node.nid not in kept:
                 k = last[node.nid]
                 gone[k].append((node.nid, shape_read.get(node.nid, k) > k))
-        steps = [(node.nid, _kernel(node), node.inputs,
-                  node.nid in saving if node.op in _SAVING else None,
+        steps = [(node.nid, op.kernel, node.inputs,
+                  node.nid in saving if op.saves else None,
                   node.nid in checked, tuple(gone[k]))
-                 for k, node in enumerate(ops)]
+                 for k, (node, op) in enumerate(zip(ops, map(_op, ops)))]
         return ForwardPlan(steps, [tuple(g) for g in gone[len(ops):]])
 
     def backward_plan(self, wrt) -> list[tuple]:
@@ -207,7 +207,7 @@ class Graph:
             for node in reversed(self.nodes):
                 if needed[node.nid] and node.op not in ("leaf", "const"):
                     want = tuple(needed[i] for i in node.inputs)
-                    plan.append((node.nid, _rule(node), node.inputs,
+                    plan.append((node.nid, _op(node).rule, node.inputs,
                                  wants.setdefault(want, want)))
             self._backward_plans[key] = plan
         return plan
@@ -311,9 +311,9 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
 # -- forward kernels -------------------------------------------------------
 #
 # A kernel takes its op's input values and returns the node's value; the
-# kernels of the ops in _SAVING return (value, what the backward reads).
-# Where a docstring gives an expression, the kernel runs its operations in
-# that order, so it gives that expression's bits.
+# kernels of the ops that save (see _Op) return (value, what the backward
+# reads). Where a docstring gives an expression, the kernel runs its
+# operations in that order, so it gives that expression's bits.
 
 def _matmul(a, b):
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -423,32 +423,6 @@ def _affine(x, w, b):
     y = x @ w
     y += b
     return y
-
-
-_FORWARD = {
-    "add": operator.add, "matmul": _matmul,
-    "heads": _heads, "merge_heads": _merge_heads, "scores": _scores,
-    "rows": _rows, "gelu": _gelu,
-    "softmax": _softmax, "log_softmax": _log_softmax,
-    "layer_norm": _layer_norm, "affine": _affine,
-}
-_SAVING = frozenset({"gelu", "layer_norm"})
-# the keyword under which an op's kernel and rule take its node's payload
-_PAYLOAD = {"rows": "rows", "scores": "scale", "softmax": "mask"}
-
-
-def _with_payload(fn, node: Node):
-    """``fn``, given the payload of ``node`` when it has one."""
-    if node.const is None:
-        return fn
-    return functools.partial(fn, **{_PAYLOAD[node.op]: node.const})
-
-
-def _kernel(node: Node):
-    """The forward kernel of op node ``node``."""
-    if node.op not in _FORWARD:
-        raise GraphError(f"unknown op {node.op!r}")
-    return _with_payload(_FORWARD[node.op], node)
 
 
 def evaluate(graph: Graph, leaf_values: dict[str, np.ndarray],
@@ -757,15 +731,6 @@ def _affine_grad(g, want, ins, y, saved):
             _row_sum(g) if want[2] else None)
 
 
-_RULES = {
-    "add": _add_grad, "matmul": _matmul_grad,
-    "heads": _heads_grad, "merge_heads": _merge_heads_grad,
-    "scores": _scores_grad, "rows": _rows_grad, "gelu": _gelu_grad,
-    "softmax": _softmax_grad, "log_softmax": _log_softmax_grad,
-    "layer_norm": _layer_norm_grad, "affine": _affine_grad,
-}
-
-
 def _wanted(want):
     return tuple(k for k, w in enumerate(want) if w)
 
@@ -776,29 +741,52 @@ def _product_reads(want):
         _wanted(want), False, False
 
 
-# What each rule reads, given ``want``: (the inputs whose values it reads,
-# those whose shapes it reads, whether it reads its node's value, whether
-# it reads what the node's kernel saved); a forward pass for a backward
-# keeps these and no more
-_READS = {
-    "add": lambda want: ((), _wanted(want), False, False),
-    "matmul": _product_reads,
-    "heads": _product_reads, "merge_heads": _product_reads,
-    "scores": _product_reads,
-    "rows": lambda want: ((), (0,), False, False),
-    "gelu": lambda want: ((0,), (), False, True),
-    "softmax": lambda want: ((), (), True, False),
-    "log_softmax": lambda want: ((), (), True, False),
-    "layer_norm": lambda want: (
+class _Op(NamedTuple):
+    """One op: its forward kernel and gradient rule; what the rule reads,
+    given ``want``: (the inputs whose values it reads, those whose shapes
+    it reads, whether it reads its node's value, whether it reads what the
+    node's kernel saved), which a forward pass for a backward keeps and no
+    more; whether the kernel saves, returning (value, what the backward
+    reads); and the keyword under which kernel and rule take the node's
+    payload."""
+    kernel: Callable
+    rule: Callable
+    reads: Callable
+    saves: bool = False
+    payload: str | None = None
+
+
+_OPS = {
+    "add": _Op(operator.add, _add_grad,
+               lambda want: ((), _wanted(want), False, False)),
+    "matmul": _Op(_matmul, _matmul_grad, _product_reads),
+    "heads": _Op(_heads, _heads_grad, _product_reads),
+    "merge_heads": _Op(_merge_heads, _merge_heads_grad, _product_reads),
+    "scores": _Op(_scores, _scores_grad, _product_reads, payload="scale"),
+    "rows": _Op(_rows, _rows_grad, lambda want: ((), (0,), False, False),
+                payload="rows"),
+    "gelu": _Op(_gelu, _gelu_grad, lambda want: ((0,), (), False, True),
+                saves=True),
+    "softmax": _Op(_softmax, _softmax_grad,
+                   lambda want: ((), (), True, False), payload="mask"),
+    "log_softmax": _Op(_log_softmax, _log_softmax_grad,
+                       lambda want: ((), (), True, False)),
+    "layer_norm": _Op(_layer_norm, _layer_norm_grad, lambda want: (
         ((0,) if want[0] or want[1] else ()) + ((1,) if want[0] else ()),
-        (), False, want[0] or want[1]),
-    "affine": lambda want: (
-        ((1,) if want[0] else ()) + ((0,) if want[1] else ()), (), False, False),
+        (), False, want[0] or want[1]), saves=True),
+    "affine": _Op(_affine, _affine_grad, lambda want: (
+        ((1,) if want[0] else ()) + ((0,) if want[1] else ()), (), False, False)),
 }
 
 
-def _rule(node: Node):
-    """The gradient rule of op node ``node``."""
-    if node.op not in _RULES:
-        raise GraphError(f"no gradient rule for op {node.op!r}")
-    return _with_payload(_RULES[node.op], node)
+def _op(node: Node) -> _Op:
+    """The record of op node ``node``, its kernel and rule given the
+    node's payload when it has one."""
+    if node.op not in _OPS:
+        raise GraphError(f"unknown op {node.op!r}")
+    op = _OPS[node.op]
+    if node.const is None:
+        return op
+    payload = {op.payload: node.const}
+    return op._replace(kernel=functools.partial(op.kernel, **payload),
+                       rule=functools.partial(op.rule, **payload))

@@ -35,6 +35,7 @@ from .models import (
     TrainingDiverged, ar_generate, diffusion_generate, load_model, save_model,
     train,
 )
+from .models.diffusion import ABLATE, PERT_KINDS
 from .models.params import AR, CLASSIFIER, DIFFUSION
 from .models.training import DEFAULT_LR
 from .models.transformer import op
@@ -231,8 +232,8 @@ def cmd_train(args) -> int:
     hp = Hyperparams(kind=kind, vocab_size=len(corpus.vocab),
                      layers=args.layers, heads=2, width=args.width,
                      mlp_hidden=2 * args.width, context_len=64)
-    result = train(kind, list(corpus.train_pairs), corpus.vocab, hp,
-                   seed=args.seed, steps=args.steps, lr=args.lr)
+    result = train(list(corpus.train_pairs), corpus.vocab, hp, seed=args.seed,
+                   steps=args.steps, lr=args.lr)
     _publish(args, {"model.bin": result.params},
              model_id=result.params.model_id, inputs=[args.corpus],
              seeds={"train": args.seed})
@@ -435,9 +436,7 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=sorted(_METHODS), default="ig")
     p.add_argument("--ig-steps", type=_int_at_least(1), default=64)
     p.add_argument("--baseline", choices=sorted(_BASELINES), default="pad")
-    p.add_argument("--stage-kind", choices=("ablate", "noise_schedule",
-                                            "substitute_step"),
-                   default="ablate")
+    p.add_argument("--stage-kind", choices=PERT_KINDS, default=ABLATE)
     p.add_argument("--commit-count", type=_int_at_least(0), default=None)
 
 

@@ -7,6 +7,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .models.instance import PromptedInstance
+from .models.params import AR, CLASSIFIER, DIFFUSION
 
 # score kinds
 CLASS_LOG_PROB = "class_log_prob"
@@ -24,9 +25,8 @@ P_AUTOREGRESSIVE = "autoregressive"
 P_DIFFUSION = "diffusion"
 PROCESS_KINDS = (P_CLASSIFIER, P_AUTOREGRESSIVE, P_DIFFUSION)
 # model and instance kind -> the process it runs
-KIND_PROCESS = {"autoregressive": P_AUTOREGRESSIVE,
-                "masked_diffusion": P_DIFFUSION,
-                "classifier": P_CLASSIFIER}
+KIND_PROCESS = {AR: P_AUTOREGRESSIVE, DIFFUSION: P_DIFFUSION,
+                CLASSIFIER: P_CLASSIFIER}
 
 # feature kinds
 PROMPT_TOKEN = "prompt_token"

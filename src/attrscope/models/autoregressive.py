@@ -19,16 +19,14 @@ def ar_next_log_probs(params: ModelParams, prompt, prefix) -> np.ndarray:
     that computes the last row alone."""
     _require_ar(params)
     tokens = tuple(prompt) + tuple(prefix)
-    term = ScoreTerm(tokens=tokens, causal=True, targets=(),
-                     rows=(len(tokens) - 1,))
+    term = ScoreTerm(tokens=tokens, targets=(), rows=(len(tokens) - 1,))
     return run_groups(params, [(term, {})], "log_probs")[0][0]
 
 
 def token_term(prompt, prefix, target: int) -> ScoreTerm:
     """log p(target | prompt, prefix): the last row of one causal pass."""
     tokens = tuple(prompt) + tuple(prefix)
-    return ScoreTerm(tokens=tokens, causal=True,
-                     targets=((len(tokens) - 1, target),))
+    return ScoreTerm(tokens=tokens, targets=((len(tokens) - 1, target),))
 
 
 def span_term(prompt, span) -> ScoreTerm:
@@ -39,7 +37,7 @@ def span_term(prompt, span) -> ScoreTerm:
     if not span:
         raise ValueError("span must be non-empty")
     n = len(prompt)
-    return ScoreTerm(tokens=tuple(prompt) + tuple(span), causal=True,
+    return ScoreTerm(tokens=tuple(prompt) + tuple(span),
                      targets=tuple((n + i - 1, tok) for i, tok in enumerate(span)))
 
 

@@ -44,7 +44,6 @@ class StagePerturbation:
 class DenoisingTrajectory:
     """A chain's commitments."""
     num_steps: int
-    response_len: int
     commit_tokens: tuple[int, ...]  # final token per slot
     commit_steps: tuple[int, ...]   # stage (1..T) at which each slot committed
     seed: int
@@ -52,13 +51,15 @@ class DenoisingTrajectory:
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        if len(self.commit_tokens) != self.response_len:
-            raise ValueError("commit_tokens length mismatch")
         if len(self.commit_steps) != self.response_len:
             raise ValueError("commit_steps length mismatch")
         for u in self.commit_steps:
             if not (1 <= u <= self.num_steps):
                 raise ValueError(f"commit step {u} outside 1..{self.num_steps}")
+
+    @property
+    def response_len(self) -> int:
+        return len(self.commit_tokens)
 
     def state_tokens(self, t: int, mask_id: int) -> list[int]:
         """Slot tokens of state z_t; uncommitted slots carry the MASK id."""
@@ -93,8 +94,8 @@ def masked_log_probs(params: ModelParams, sequences, positions) -> np.ndarray:
     if not rows or list(rows) != sorted(set(rows)):
         raise ValueError("positions must be sorted, distinct and at least one")
     return np.stack(run_groups(
-        params, [(ScoreTerm(tokens=tokens, causal=False, targets=(), rows=rows),
-                  {}) for tokens in sequences],
+        params, [(ScoreTerm(tokens=tokens, targets=(), rows=rows), {})
+                 for tokens in sequences],
         "log_probs"))
 
 
@@ -196,7 +197,6 @@ def run_chains(params: ModelParams, chains, response_len: int,
                 steps[s] = t
 
     return [DenoisingTrajectory(num_steps=max(chain.plan),
-                                response_len=response_len,
                                 commit_tokens=tuple(slots),
                                 commit_steps=tuple(steps), seed=seed)
             for chain, (slots, steps) in zip(chains, runs)]
@@ -224,7 +224,6 @@ def stage_term(prompt, schedule: DenoisingTrajectory,
     n = len(prompt)
     return ScoreTerm(
         tokens=tuple(prompt) + tuple(conditioning.state_tokens(t, mask_id)),
-        causal=False,
         targets=tuple((n + s, tok) for s, (tok, u) in enumerate(
             zip(schedule.commit_tokens, schedule.commit_steps)) if u == t),
         rows=tuple(range(n, n + conditioning.response_len)))
@@ -255,8 +254,8 @@ def trajectory_score(params: ModelParams, prompt,
     return teacher_forced_score(params, prompt, trajectory, trajectory)
 
 
-def perturbed_plan(plan: dict[int, int], pert: StagePerturbation,
-                   response_len: int) -> dict[int, int]:
+def perturbed_plan(plan: dict[int, int],
+                   pert: StagePerturbation) -> dict[int, int]:
     """Rebalanced commit plan; raises when the chain cannot stay completable."""
     t = pert.stage
     if t not in plan:
@@ -268,7 +267,7 @@ def perturbed_plan(plan: dict[int, int], pert: StagePerturbation,
     target = 0 if pert.kind == ABLATE else int(pert.commit_count)
     if target < 0:
         raise InfeasiblePerturbationError("negative commit count")
-    remaining_at_t = response_len - sum(k for u, k in plan.items() if u > t)
+    remaining_at_t = sum(k for u, k in plan.items() if u <= t)
     if target > remaining_at_t:
         raise InfeasiblePerturbationError(
             f"stage {t} cannot commit {target}; only {remaining_at_t} slots open")
@@ -287,18 +286,14 @@ def perturbed_plan(plan: dict[int, int], pert: StagePerturbation,
             new[u] += 1
     elif delta < 0:
         to_remove = -delta
-        # round-robin removal starting from the latest-running stage; each
-        # round removes at least one commit or raises
+        # round-robin removal starting from the latest-running stage; the
+        # later stages hold at least -delta commits, since target is at
+        # most remaining_at_t
         while to_remove > 0:
-            progressed = False
             for u in later:
                 if to_remove == 0:
                     break
                 if new[u] > 0:
                     new[u] -= 1
                     to_remove -= 1
-                    progressed = True
-            if not progressed:
-                raise InfeasiblePerturbationError(
-                    "later stages have no commits left to remove")
     return new

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .diffusion import DenoisingTrajectory
+from .params import AR, CLASSIFIER, DIFFUSION
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,10 @@ class PromptedInstance:
     @property
     def kind(self) -> str:
         if self.generation is not None:
-            return "autoregressive"
+            return AR
         if self.trajectory is not None:
-            return "masked_diffusion"
-        return "classifier"
+            return DIFFUSION
+        return CLASSIFIER
 
 
 def instance_digest(instance: PromptedInstance) -> str:

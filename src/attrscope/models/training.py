@@ -45,7 +45,7 @@ def _example_term(kind: str, vocab: Vocab, example,
             masked = [int(rng.integers(len(response)))]
         for s in masked:
             tokens[n + s] = vocab.mask
-        return ScoreTerm(tokens=tuple(tokens), causal=False,
+        return ScoreTerm(tokens=tuple(tokens),
                          targets=tuple((n + s, response[s]) for s in masked),
                          rows=tuple(range(len(tokens))))
     tokens, label = example
@@ -58,31 +58,31 @@ def _batch_grads(hp: Hyperparams, pad: int, leaves: dict[str, np.ndarray],
     gradient, keyed by weight, at the weights ``leaves`` (as
     ``ModelParams.weights`` holds them).
 
-    Every causal term runs in one forward and one backward pass, cut or
+    An AR model's terms run in one forward and one backward pass, cut or
     right-padded with the ``pad`` id to the ``_graph_key`` graph that reads
     every row from the first any term reads to the last, one graph per
     (longest length, first read row): a causal row never attends to a
     later one, and pad rows are in no target, so they change no real row
     and get exactly zero gradient. Padding would change what a
-    bidirectional row attends to, so bidirectional terms run in one full
+    bidirectional row attends to, so another model's terms run in one full
     pass per length. Each gradient is an array of its own, none a view of
     another."""
     buckets: dict[int | None, list[ScoreTerm]] = {}
     for term in terms:
-        buckets.setdefault(None if term.causal else len(term.tokens),
+        buckets.setdefault(None if hp.kind == AR else len(term.tokens),
                            []).append(term)
     loss = 0.0
     acc: dict[str, np.ndarray] = {}
     for bucket in buckets.values():
         read = {row for term in bucket for row, _ in term.targets}.union(
             *(term.rows for term in bucket))
-        L, causal, rows = _graph_key(hp, ScoreTerm(
-            max((term.tokens for term in bucket), key=len), bucket[0].causal,
-            (), tuple(range(min(read), max(read) + 1))))
+        L, rows = _graph_key(hp, ScoreTerm(
+            max((term.tokens for term in bucket), key=len), (),
+            tuple(range(min(read), max(read) + 1))))
         ids = np.full((len(bucket), L), pad)
         for row, term in zip(ids, bucket):
             row[:min(L, len(term.tokens))] = term.tokens[:L]
-        fg = build_forward_graph(hp, L, causal, rows)
+        fg = build_forward_graph(hp, L, rows)
         masks = _target_masks(hp, fg.rows, [term.targets for term in bucket])
         # each term's score is its table against its mask: the backward of
         # the tables seeded with the masks gives the summed score's gradient
@@ -121,9 +121,10 @@ class TrainResult:
     final_loss: float
 
 
-def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
+def train(corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
           steps: int = 2000, lr: float = DEFAULT_LR) -> TrainResult:
-    """SGD with cosine decay; deterministic given (corpus, hp, seed).
+    """SGD with cosine decay of a model of kind ``hp.kind``; deterministic
+    given (corpus, hp, seed).
 
     Each step draws BATCH_SIZE examples and ascends their summed score by
     one forward and one backward pass over all of them, which computes
@@ -133,8 +134,6 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
     end."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    if hp.kind != kind:
-        raise ValueError("hyperparams kind disagrees with requested kind")
     rng = np.random.default_rng(seed)
     # each step writes the weights in place: no model holds them until the
     # last step is done
@@ -145,7 +144,8 @@ def train(kind: str, corpus, vocab: Vocab, hp: Hyperparams, seed: int, *,
         lr_t = max(lr * LR_FLOOR_FRAC,
                    0.5 * lr * (1.0 + math.cos(math.pi * step / steps)))
         idx = rng.integers(0, len(corpus), size=BATCH_SIZE)
-        terms = [_example_term(kind, vocab, corpus[int(j)], rng) for j in idx]
+        terms = [_example_term(hp.kind, vocab, corpus[int(j)], rng)
+                 for j in idx]
         try:
             batch_loss, acc = _batch_grads(hp, vocab.pad, leaves, terms)
         except NumericError as exc:

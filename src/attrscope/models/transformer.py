@@ -1,11 +1,13 @@
 """Transformer forward passes expressed as autodiff graphs, ending in the
 log-prob table every contract score and the training loss are read from.
 
-Graphs depend only on (hyperparams, sequence length, attention mode, the
-rows they compute), so they are cached and re-evaluated with different
-leaf values. The weights and the per-token input embeddings are leaves;
-each layer's attention weights hold every head on a leading axis, as
-``ModelParams.weights`` keeps them, so every head runs in the same nodes.
+Graphs depend only on (hyperparams, sequence length, the rows they
+compute), so they are cached and re-evaluated with different leaf values.
+The model kind fixes the attention mode: an AR model's passes are causal,
+every other model's bidirectional. The weights and the per-token input
+embeddings are leaves; each layer's attention weights hold every head on
+a leading axis, as ``ModelParams.weights`` keeps them, so every head runs
+in the same nodes.
 Each graph ends in its ``log_softmax`` table. One forward pass of a score
 is a ScoreTerm, naming the tokens and the (row, column) log-prob entries
 it sums: its score is ``(table * mask).sum()`` for the term's target mask,
@@ -15,7 +17,7 @@ backward seeded with that mask (see ``autodiff.grad``).
 A pass computes only the log-prob rows it reads, a training pass too. In
 the last block, keys and values stay on every row, while the query, the
 attention output, the MLP, the final layer norm and the output head run on
-the read rows alone. A causal pass also stops at its last read row: no
+the read rows alone. An AR pass also stops at its last read row: no
 earlier row attends to a later one, so the graph is built at length
 ``max(rows) + 1``. Diffusion training (its terms read every row) and the
 classifier's pooled head use the full graph, the graph of every row.
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Graph, evaluate, grad
-from .params import Hyperparams, ModelParams, CLASSIFIER
+from .params import AR, CLASSIFIER, Hyperparams, ModelParams
 
 NEG_MASK = -1e9  # additive attention mask; large but finite
 
@@ -66,7 +68,7 @@ class ForwardGraph:
 _CACHE: dict[tuple, ForwardGraph] = {}
 
 
-def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
+def build_forward_graph(hp: Hyperparams, seq_len: int,
                         rows=None) -> ForwardGraph:
     """The cached graph over ``seq_len`` tokens whose log-prob table
     holds only the sorted sequence rows ``rows``. Every row, or None, gives
@@ -75,15 +77,15 @@ def build_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
         rows = tuple(rows)
         if hp.kind == CLASSIFIER or rows == tuple(range(seq_len)):
             rows = None
-    key = (hp, seq_len, causal, rows)
+    key = (hp, seq_len, rows)
     if key in _CACHE:
         return _CACHE[key]
-    fg = build_fresh_forward_graph(hp, seq_len, causal, rows)
+    fg = build_fresh_forward_graph(hp, seq_len, rows)
     _CACHE[key] = fg
     return fg
 
 
-def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
+def build_fresh_forward_graph(hp: Hyperparams, seq_len: int,
                               rows=None) -> ForwardGraph:
     """Uncached variant of build_forward_graph, for the rows it passes: a
     tuple of some of the rows, or None."""
@@ -93,7 +95,7 @@ def build_fresh_forward_graph(hp: Hyperparams, seq_len: int, causal: bool,
     pos = g.leaf((seq_len, d), "pos")
     x = g.add(emb, pos)
 
-    if causal:
+    if hp.kind == AR:
         mask = np.triu(np.full((seq_len, seq_len), NEG_MASK), k=1)
     else:
         mask = np.zeros((seq_len, seq_len))
@@ -192,7 +194,6 @@ class ScoreTerm:
     only those (see run_groups); a term that names no row reads
     every row."""
     tokens: tuple[int, ...]
-    causal: bool
     targets: tuple[tuple[int, int], ...]
     rows: tuple[int, ...] = ()
 
@@ -222,26 +223,26 @@ def pass_points(hp: Hyperparams, terms) -> int:
 
 
 def _graph_key(hp: Hyperparams, term: ScoreTerm):
-    """(length, attention mode, rows) of the cached graph that passes over
-    ``term`` run on: the rows are the log-prob rows it reads (None: every
-    row), and a causal graph ends at the last of them."""
+    """(length, rows) of the cached graph that passes over ``term`` run
+    on: the rows are the log-prob rows it reads (None: every row), and an
+    AR model's graph ends at the last of them."""
     length = len(term.tokens)
     check_context(hp, length)
     rows = sorted({row for row, _ in term.targets}.union(term.rows))
     if hp.kind == CLASSIFIER or not rows:
-        return length, term.causal, None
+        return length, None
     if rows[0] < 0 or rows[-1] >= length:
         raise ValueError(f"log-prob rows {rows} outside a pass over"
                          f" {length} tokens")
-    if term.causal:
+    if hp.kind == AR:
         length = rows[-1] + 1
-    return length, term.causal, None if len(rows) == length else tuple(rows)
+    return length, None if len(rows) == length else tuple(rows)
 
 
 def table_key(params: ModelParams, term: ScoreTerm) -> tuple:
     """The pass input of ``term``, which keys the log-prob table of its
     pass: the model id, the key of the cached graph the pass runs on
-    (length, attention mode, rows read) and the tokens that graph reads."""
+    (length, rows read) and the tokens that graph reads."""
     key = _graph_key(params.hyper, term)
     return params.model_id, key, term.tokens[:key[0]]
 
@@ -272,15 +273,15 @@ def run_groups(params: ModelParams, groups, read: str) -> list[np.ndarray]:
     """Per pass group, its "log_probs" table (the rows its term reads, in
     row order) or, with ``read`` "emb_grad", the gradient of its score in
     its embeddings: (L, d) for a term of L tokens, exactly zero in the rows
-    after a causal pass's last read row.
+    after an AR pass's last read row.
 
     A pass group is a (ScoreTerm, overrides) pair; ``overrides`` maps an
     embedding row to the vector that replaces it, (d,) for one pass or
     (B, d) for B passes, whose B values come back stacked. The groups over
-    one cached graph (length, attention mode, rows read) share passes, in
-    order. A log-prob read of a group that overrides nothing runs no pass
-    when the store of the open op (see ``op``) holds the table of its input
-    or an earlier group has the same input. Both are found under the term's
+    one cached graph (length, rows read) share passes, in order. A
+    log-prob read of a group that overrides nothing runs no pass when the
+    store of the open op (see ``op``) holds the table of its input or an
+    earlier group has the same input. Both are found under the term's
     table_key: the model, the graph and the tokens it reads. Such a group's
     table is read-only, and in an op it stays in the op's store."""
     if read not in ("log_probs", "emb_grad"):
@@ -357,7 +358,7 @@ def _run_pass(params: ModelParams, fg: ForwardGraph, length: int, groups,
         at += len(ks)
         full = len(groups[i][0].tokens)
         if read == "emb_grad" and full > length:
-            # the rows the causal pass stopped before feed no row it reads
+            # the rows the AR pass stopped before feed no row it reads
             piece = np.concatenate(
                 [piece, np.zeros((len(ks), full - length, piece.shape[-1]))],
                 axis=1)

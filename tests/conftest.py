@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from attrscope.corpus import make_syn_corpus
 from attrscope.models import (
@@ -16,6 +17,13 @@ from attrscope.models.transformer import (
     _bind, _graph_key, _target_masks, build_forward_graph, check_context,
 )
 
+# Every property test reports the first failing example it generates,
+# unshrunk: shrinking a failure of a derandomised property over graphs or
+# models can run for minutes and grow the process by hundreds of MB
+settings.register_profile(
+    "unshrunk", phases=[phase for phase in Phase if phase is not Phase.shrink])
+settings.load_profile("unshrunk")
+
 
 def bind_pass(params, term, rows=None, pruned=False):
     """The cached graph of one unbatched pass over the ScoreTerm ``term``,
@@ -25,12 +33,13 @@ def bind_pass(params, term, rows=None, pruned=False):
     gradient. ``rows`` maps an embedding row to the (d,) vector that
     replaces it. The graph is the full one over every token, or with
     ``pruned`` the one run_groups runs the term's passes on, which computes
-    only the rows the term reads and, causal, stops at the last of them."""
+    only the rows the term reads and, for an AR model, stops at the last of
+    them."""
     hp = params.hyper
     check_context(hp, len(term.tokens))
-    length, causal, graph_rows = (_graph_key(hp, term) if pruned else
-                                  (len(term.tokens), term.causal, None))
-    fg = build_forward_graph(hp, length, causal, graph_rows)
+    length, graph_rows = (_graph_key(hp, term) if pruned else
+                          (len(term.tokens), None))
+    fg = build_forward_graph(hp, length, graph_rows)
     vals = _bind(hp, params.weights, term.tokens[:length],
                  [(row, vec) for row, vec in (rows or {}).items()
                   if row < length])
@@ -107,7 +116,7 @@ def ar_model(corpus):
     acceptance tests); expensive, built once per session."""
     hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab), layers=2, heads=2,
                      width=64, mlp_hidden=128, context_len=64)
-    result = train(AR, list(corpus.train_pairs), corpus.vocab, hp, seed=0,
+    result = train(list(corpus.train_pairs), corpus.vocab, hp, seed=0,
                    steps=2500, lr=0.05)
     return result.params
 
@@ -123,7 +132,7 @@ def tiny_ar_model(tiny_corpus):
     well-behaved scores, not accuracy."""
     hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=2,
                      heads=2, width=32, mlp_hidden=64, context_len=32)
-    result = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+    result = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                    seed=1, steps=80, lr=0.05)
     return result.params
 
@@ -133,8 +142,8 @@ def diffusion_model(tiny_corpus):
     hp = Hyperparams(kind=DIFFUSION, vocab_size=len(tiny_corpus.vocab),
                      layers=2, heads=2, width=32, mlp_hidden=64,
                      context_len=32)
-    result = train(DIFFUSION, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
-                   hp, seed=2, steps=120, lr=0.05)
+    result = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                   seed=2, steps=120, lr=0.05)
     return result.params
 
 

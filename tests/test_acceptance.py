@@ -149,9 +149,9 @@ class TestA1GradientCorrectness:
         params = tiny_ar_model
         tokens = [4, 5, 2, 6]
         target = 7
-        fg = build_fresh_forward_graph(params.hyper, len(tokens), causal=True)
+        fg = build_fresh_forward_graph(params.hyper, len(tokens))
         _, base_vals, mask = bind_pass(params, ScoreTerm(
-            tuple(tokens), True, ((len(tokens) - 1, target),)))
+            tuple(tokens), ((len(tokens) - 1, target),)))
         checked_leaves = ("emb", "blk0.wq", "blk0.wo", "blk1.mlp.w1", "out.w",
                           "lnf.g")
         _, grads = grad(fg.graph, fg.log_probs, base_vals, checked_leaves,
@@ -403,7 +403,7 @@ class TestA7StageSanity:
             for ref, s in attr_map.entries:
                 pert = StagePerturbation(ref.index, "ablate")
                 try:
-                    plan = perturbed_plan(traj.commit_plan(), pert, L)
+                    plan = perturbed_plan(traj.commit_plan(), pert)
                 except InfeasiblePerturbationError:
                     assert s is None
                     continue

@@ -33,6 +33,7 @@ from attrscope.models import transformer
 from attrscope.models.diffusion import (
     ChainSpec, perturbed_plan, run_chains,
 )
+from attrscope.models.params import AR
 from attrscope.models.transformer import (
     POINTS_PER_PASS, ROWS_PER_PASS, _graph_key, build_forward_graph,
     run_groups, score_sums, table_key,
@@ -289,7 +290,7 @@ class TestMapHygiene:
 
 def unbatched_grad(bs, refs, rows):
     """BoundScore.grad from one unbatched forward+backward pass per term,
-    on the graph run_groups runs the term on; the rows after a causal
+    on the graph run_groups runs the term on; the rows after an AR
     graph's last read row get zero."""
     emb_grads = []
     for term, overrides in bs.with_rows(rows):
@@ -427,8 +428,8 @@ class TestBatchedPathLoop:
         # own weights; each point has the eligible rows on the path and
         # every other row at its actual value (held-fixed features and
         # non-eligible context alike). Each batch of one pass's path points
-        # packs the terms' points by graph (length, attention mode, rows
-        # read), in term order.
+        # packs the terms' points by graph (length, rows read), in term
+        # order.
         bs = bind_score(params, instance, contract)
         base_vec = baseline.embedding(params)
         by_graph = {}
@@ -542,7 +543,7 @@ def sequential_stage_entries(params, instance, contract, pert_kind,
         pert = StagePerturbation(ref.index, pert_kind, commit_count=count,
                                  temperature=temperature)
         try:
-            new_plan = perturbed_plan(plan, pert, traj.response_len)
+            new_plan = perturbed_plan(plan, pert)
         except InfeasiblePerturbationError:
             entries.append((ref, None))
             continue
@@ -584,7 +585,7 @@ class TestLockstepStageReruns:
 class TestPrunedGraphs:
     """A pass group runs on a graph that computes only the log-prob rows
     its term reads (its target rows and, for a diffusion stage term, every
-    response slot), and a causal one stops at the last of them. Under
+    response slot), and an AR model's stops at the last of them. Under
     every setting that binds a score, its scores, the log-prob rows it
     reads and its embedding gradients equal one unbatched pass over the
     full graph within 1e-12, and the rows it stopped before get exactly
@@ -621,15 +622,16 @@ class TestPrunedGraphs:
         params = (diffusion_model if setting in (SETTING_STATE, SETTING_P2O)
                   else tiny_ar_model)
         hp, d = params.hyper, params.hyper.width
+        causal = params.kind == AR
         rng = np.random.default_rng(7)
         pruned = 0
         for instance, contract in self.instances(setting, params, tiny_corpus):
             for term in bind_score(params, instance, contract).terms:
                 read = sorted({row for row, _ in term.targets}.union(term.rows))
-                if not term.causal:
+                if not causal:
                     n = len(instance.prompt)
                     assert read == list(range(n, len(term.tokens)))
-                length = read[-1] + 1 if term.causal else len(term.tokens)
+                length = read[-1] + 1 if causal else len(term.tokens)
                 fg = build_forward_graph(hp, *_graph_key(hp, term))
                 assert list(fg.rows) == read
                 pruned += len(fg.rows) < len(term.tokens)

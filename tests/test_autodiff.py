@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from attrscope import autodiff
 from attrscope.autodiff import (
-    _GELU_C, _LN_EPS, _SAVING, Graph, GraphError, NumericError, ShapeError,
-    _kernel, evaluate, grad,
+    _GELU_C, _LN_EPS, Graph, GraphError, NumericError, ShapeError, _op,
+    evaluate, grad,
 )
 from attrscope.models.transformer import ScoreTerm, build_forward_graph
 from conftest import bind_pass
@@ -544,17 +544,17 @@ class TestGraphMechanics:
 class TestBatchAxis:
     """A leading batch axis on a leaf evaluates every slice on its own."""
 
-    @pytest.mark.parametrize("model, causal, targets", [
-        ("tiny_ar_model", True, ((5, 3),)),
-        ("diffusion_model", False, ((2, 4), (4, 6))),
-        ("classifier_model", False, ((0, 1),)),
+    @pytest.mark.parametrize("model, targets", [
+        ("tiny_ar_model", ((5, 3),)),
+        ("diffusion_model", ((2, 4), (4, 6))),
+        ("classifier_model", ((0, 1),)),
     ])
-    def test_score_graph_grad_equals_stacked_slices(self, model, causal,
-                                                    targets, request, rng):
+    def test_score_graph_grad_equals_stacked_slices(self, model, targets,
+                                                    request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(params,
-                                   ScoreTerm(tuple(tokens), causal, targets))
+                                   ScoreTerm(tuple(tokens), targets))
         embs = vals["emb"] + 0.1 * rng.standard_normal((5,) + vals["emb"].shape)
 
         weights = tuple(fg.graph.leaves)
@@ -644,17 +644,17 @@ class TestRequestedGradients:
     no work the requested gradients depend on."""
 
     @pytest.mark.parametrize("batch", [None, 4])
-    @pytest.mark.parametrize("model, causal, targets", [
-        ("tiny_ar_model", True, ((5, 3), (2, 1))),
-        ("diffusion_model", False, ((2, 4), (4, 6))),
-        ("classifier_model", False, ((0, 1),)),
+    @pytest.mark.parametrize("model, targets", [
+        ("tiny_ar_model", ((5, 3), (2, 1))),
+        ("diffusion_model", ((2, 4), (4, 6))),
+        ("classifier_model", ((0, 1),)),
     ])
-    def test_emb_only_equals_the_full_backward(self, model, causal, targets,
+    def test_emb_only_equals_the_full_backward(self, model, targets,
                                                batch, request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(params,
-                                   ScoreTerm(tuple(tokens), causal, targets))
+                                   ScoreTerm(tuple(tokens), targets))
         vals, seed = batched(vals, mask, batch, rng)
         _, full = grad(fg.graph, fg.log_probs, vals, tuple(fg.graph.leaves),
                        seed)
@@ -665,7 +665,7 @@ class TestRequestedGradients:
 
 
     def test_only_the_path_from_emb_is_walked(self, tiny_ar_model):
-        fg = build_forward_graph(tiny_ar_model.hyper, 4, causal=True)
+        fg = build_forward_graph(tiny_ar_model.hyper, 4)
         steps = fg.graph.backward_plan(("emb",))
         walked = [nid for nid, _, _, _ in steps]
         wanted = {i for _, _, inputs, want in steps
@@ -695,7 +695,7 @@ class TestSavedValues:
         params = tiny_ar_model
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(params,
-                                   ScoreTerm(tuple(tokens), True, ((5, 3),)))
+                                   ScoreTerm(tuple(tokens), ((5, 3),)))
         vals, seed = batched(vals, mask, batch, rng)
         ops = [node.op for node in fg.graph.nodes]
         assert (ops.count("layer_norm"), ops.count("gelu")) == (5, 2)
@@ -716,9 +716,9 @@ class TestSavedValues:
 
 
 MODEL_PASSES = [
-    ("tiny_ar_model", True, ((5, 3), (2, 1))),
-    ("diffusion_model", False, ((2, 4), (4, 6))),
-    ("classifier_model", False, ((0, 1),)),
+    ("tiny_ar_model", ((5, 3), (2, 1))),
+    ("diffusion_model", ((2, 4), (4, 6))),
+    ("classifier_model", ((0, 1),)),
 ]
 
 
@@ -835,14 +835,14 @@ class TestLiveness:
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("pruned", [False, True])
     @pytest.mark.parametrize("every_weight", [False, True])
-    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
+    @pytest.mark.parametrize("model, targets", MODEL_PASSES)
     def test_grad_after_a_freeing_forward_equals_keep_all(
-            self, model, causal, targets, every_weight, pruned, batch,
+            self, model, targets, every_weight, pruned, batch,
             request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(
-            params, ScoreTerm(tuple(tokens), causal, targets), pruned=pruned)
+            params, ScoreTerm(tuple(tokens), targets), pruned=pruned)
         vals, seed = batched(vals, mask, batch, rng)
         g = fg.graph
         wrt = tuple(g.leaves) if every_weight else ("emb",)
@@ -860,13 +860,13 @@ class TestLiveness:
 
     @pytest.mark.parametrize("batch", [None, 3])
     @pytest.mark.parametrize("pruned", [False, True])
-    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
-    def test_grad_returns_the_nodes_value(self, model, causal, targets,
+    @pytest.mark.parametrize("model, targets", MODEL_PASSES)
+    def test_grad_returns_the_nodes_value(self, model, targets,
                                           pruned, batch, request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(
-            params, ScoreTerm(tuple(tokens), causal, targets), pruned=pruned)
+            params, ScoreTerm(tuple(tokens), targets), pruned=pruned)
         vals, seed = batched(vals, mask, batch, rng)
         g = fg.graph
         expected = evaluate(g, vals, (fg.log_probs,))[fg.log_probs]
@@ -880,7 +880,7 @@ class TestLiveness:
             self, tiny_ar_model, rng):
         tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=6)
         fg, vals, _ = bind_pass(tiny_ar_model,
-                                ScoreTerm(tuple(tokens), True, ((5, 3),)))
+                                ScoreTerm(tuple(tokens), ((5, 3),)))
         emb = evaluate(fg.graph, vals, (fg.log_probs,), ("emb",))
         every = evaluate(fg.graph, vals, (fg.log_probs,),
                          tuple(fg.graph.leaves))
@@ -892,7 +892,7 @@ class TestLiveness:
             self, tiny_ar_model, every_weight, pruned, rng):
         tokens = rng.integers(0, tiny_ar_model.hyper.vocab_size, size=6)
         fg, vals, _ = bind_pass(tiny_ar_model,
-                                ScoreTerm(tuple(tokens), True, ((5, 3), (2, 1))),
+                                ScoreTerm(tuple(tokens), ((5, 3), (2, 1))),
                                 pruned=pruned)
         g = fg.graph
         wrt = tuple(g.leaves) if every_weight else ("emb",)
@@ -908,7 +908,7 @@ class TestLiveness:
             sorted(kept - {fg.log_probs})
         to_none, to_shape = set(), set()
         for (nid, _, inputs, want), gone in zip(g.backward_plan(wrt), gones):
-            value, shape, own, _ = autodiff._READS[g.nodes[nid].op](want)
+            value, shape, own, _ = autodiff._OPS[g.nodes[nid].op].reads(want)
             read = {inputs[j] for j in value} | ({nid} if own else set())
             assert {i for i, _ in gone} <= read, nid
             # no step reads a value that has gone, or the shape of a value
@@ -920,13 +920,13 @@ class TestLiveness:
                 (to_shape if shaped else to_none).add(i)
 
     @pytest.mark.parametrize("batch", [None, 3])
-    @pytest.mark.parametrize("model, causal, targets", MODEL_PASSES)
+    @pytest.mark.parametrize("model, targets", MODEL_PASSES)
     def test_a_forward_only_pass_keeps_its_outputs_alone(
-            self, model, causal, targets, batch, request, rng):
+            self, model, targets, batch, request, rng):
         params = request.getfixturevalue(model)
         tokens = rng.integers(0, params.hyper.vocab_size, size=6)
         fg, vals, mask = bind_pass(params,
-                                   ScoreTerm(tuple(tokens), causal, targets))
+                                   ScoreTerm(tuple(tokens), targets))
         vals, _ = batched(vals, mask, batch, rng)
         g = fg.graph
         keep_all = evaluate(g, vals)
@@ -979,7 +979,8 @@ class TestLiveness:
             seen.append(args[2][0])
             return autodiff._add_grad(*args)
 
-        monkeypatch.setitem(autodiff._RULES, "add", add_grad)
+        monkeypatch.setitem(autodiff._OPS, "add",
+                            autodiff._OPS["add"]._replace(rule=add_grad))
         leaves = {"x": rng.standard_normal((3, 3)),
                   "w": rng.standard_normal((3, 3))}
         seed = rng.standard_normal((3, 3))
@@ -1001,8 +1002,9 @@ def per_node_evaluate(graph: Graph, leaf_values) -> list:
         elif node.op == "const":
             v = node.const
         else:
-            v = _kernel(node)(*[vals[i] for i in node.inputs])
-            if node.op in _SAVING:
+            op = _op(node)
+            v = op.kernel(*[vals[i] for i in node.inputs])
+            if op.saves:
                 v = v[0]
             if not np.all(np.isfinite(v)):
                 raise NumericError(f"non-finite output at node {node.nid} ({node.op})")
@@ -1037,8 +1039,7 @@ class TestFiniteness:
         tokens = data.draw(st.lists(
             st.integers(0, params.hyper.vocab_size - 1),
             min_size=length, max_size=length))
-        fg, vals, _ = bind_pass(params, ScoreTerm(
-            tuple(tokens), data.draw(st.booleans()), ((0, 0),)))
+        fg, vals, _ = bind_pass(params, ScoreTerm(tuple(tokens), ((0, 0),)))
         batch = data.draw(st.sampled_from([None, 1, 3]))
         if batch is not None:
             vals = {**vals, "emb": np.stack([vals["emb"]] * batch)}
@@ -1091,7 +1092,8 @@ class TestFiniteness:
         leaves = {"x": np.ones((2, 3)), "m": mask}
         # exp(-inf) = 0, so the output node alone is finite
         with np.errstate(all="ignore"):
-            assert np.isfinite(_kernel(g.nodes[s])(np.ones((2, 3)) + mask)).all()
+            kernel = _op(g.nodes[s]).kernel
+            assert np.isfinite(kernel(np.ones((2, 3)) + mask)).all()
         message = f"non-finite output at node {shifted} (add)"
         assert outcome(per_node_evaluate, g, leaves) == message
         assert outcome(evaluate, g, leaves) == message

@@ -46,7 +46,7 @@ def random_instance(rng) -> PromptedInstance:
     T = int(rng.integers(1, L + 1))
     plan_stages = sorted(rng.choice(range(1, T + 1), size=L))
     traj = DenoisingTrajectory(
-        num_steps=T, response_len=L,
+        num_steps=T,
         commit_tokens=tuple(int(x) for x in rng.integers(4, 12, size=L)),
         commit_steps=tuple(int(u) for u in plan_stages),
         seed=int(rng.integers(100)))
@@ -97,8 +97,7 @@ class TestNamedConstructors:
         assert all(r.kind == PREFIX_TOKEN for r in c.held_fixed)
 
     def test_state_level_eligibility_tracks_commit_step(self):
-        traj = DenoisingTrajectory(num_steps=3, response_len=3,
-                                   commit_tokens=(7, 8, 9),
+        traj = DenoisingTrajectory(num_steps=3, commit_tokens=(7, 8, 9),
                                    commit_steps=(3, 2, 1), seed=0)
         inst = PromptedInstance(prompt=(4,), seed=0, trajectory=traj)
         c = make_named(SETTING_STATE, inst, 2)
@@ -107,8 +106,7 @@ class TestNamedConstructors:
         assert [(r.index, r.slot) for r in commits] == [(3, 0)]
 
     def test_stage_setting_enumerates_stages(self):
-        traj = DenoisingTrajectory(num_steps=3, response_len=3,
-                                   commit_tokens=(7, 8, 9),
+        traj = DenoisingTrajectory(num_steps=3, commit_tokens=(7, 8, 9),
                                    commit_steps=(3, 2, 1), seed=0)
         inst = PromptedInstance(prompt=(4,), seed=0, trajectory=traj)
         c = make_named(SETTING_STAGE, inst)
@@ -156,7 +154,7 @@ class TestValidation:
         assert validate(c, cls_inst) != []
 
     def test_stage_features_only_under_stage_score(self):
-        traj = DenoisingTrajectory(num_steps=2, response_len=2,
+        traj = DenoisingTrajectory(num_steps=2,
                                    commit_tokens=(7, 8), commit_steps=(2, 1),
                                    seed=0)
         inst = PromptedInstance(prompt=(4,), seed=0, trajectory=traj)
@@ -216,7 +214,7 @@ def layout_instances():
     infeasible (it commits a slot and no later stage can take it over),
     and stage 2 of the second chain commits nothing."""
     def chain(prompt, tokens, steps, num_steps):
-        traj = DenoisingTrajectory(num_steps=num_steps, response_len=len(steps),
+        traj = DenoisingTrajectory(num_steps=num_steps,
                                    commit_tokens=tokens, commit_steps=steps,
                                    seed=5)
         return PromptedInstance(prompt=prompt, seed=5, trajectory=traj)
@@ -241,8 +239,7 @@ def layout_entries(instance, contract):
             traj = instance.trajectory
             try:
                 perturbed_plan(traj.commit_plan(),
-                               StagePerturbation(stage=ref.index, kind=ABLATE),
-                               traj.response_len)
+                               StagePerturbation(stage=ref.index, kind=ABLATE))
             except InfeasiblePerturbationError:
                 score = None
         entries.append((ref, score))
@@ -321,7 +318,7 @@ def instance_pairs(draw):
                                     class_target=class_target)
         T, commit_steps = steps
         traj = DenoisingTrajectory(
-            num_steps=T, response_len=len(commit_steps),
+            num_steps=T,
             commit_tokens=tuple(draw(st.lists(
                 st.integers(4, 11), min_size=len(commit_steps),
                 max_size=len(commit_steps)))),

@@ -26,10 +26,9 @@ from attrscope.evaluation import (
     PerturbationPolicy, REGENERATE, aopc, compute_map, faithfulness_report,
     perturb_sets, ranked_features,
 )
-from attrscope.corpus import make_syn_corpus
 from attrscope.fileio import serialize_map, serialize_report
 from attrscope.models import (
-    GreedyPolicy, Hyperparams, InfeasiblePerturbationError, PromptedInstance,
+    GreedyPolicy, InfeasiblePerturbationError, PromptedInstance,
     StagePerturbation, ar_generate, diffusion_generate, init_params,
     masked_log_probs, teacher_forced_score,
 )
@@ -38,9 +37,8 @@ from attrscope.models.diffusion import (
     stage_terms,
 )
 from attrscope.models import training
-from attrscope.models.params import DIFFUSION
 from attrscope.models.transformer import (
-    ScoreTerm, run_groups, score_sums, table_key, terms_score,
+    run_groups, score_sums, table_key,
 )
 from conftest import counted_points
 
@@ -567,7 +565,7 @@ class TestServedTables:
                         commit_count=data.draw(st.integers(0, plan[u] + 1)),
                         temperature=0.8)
                     try:
-                        new_plan = perturbed_plan(plan, pert, traj.response_len)
+                        new_plan = perturbed_plan(plan, pert)
                     except InfeasiblePerturbationError:
                         continue
                     chains.append(ChainSpec(prompt, new_plan, substitute=pert
@@ -638,27 +636,6 @@ class TestServedTables:
         # the unperturbed context reads the tables of its chain's passes
         assert sum(points) == stages
         assert served == scores(diffusion_model, cases)
-
-    def test_table_of_another_attention_mode_serves_no_term(self):
-        """A causal term over the tokens of a bidirectional chain step, with
-        the same rows, runs its own pass: tables are keyed by graph."""
-        corpus = make_syn_corpus(4, [1, 2], 50, seed=3)
-        hp = Hyperparams(kind=DIFFUSION, vocab_size=len(corpus.vocab),
-                         layers=1, heads=2, width=16, mlp_hidden=32,
-                         context_len=32)
-        params = init_params(hp, corpus.vocab, seed=0)
-        prompt, target = corpus.train_pairs[0]
-        n = len(prompt)
-        term = ScoreTerm(tuple(prompt) + (params.vocab.mask,) * len(target),
-                         causal=True, targets=((n, target[0]),),
-                         rows=tuple(range(n, n + len(target))))
-        points = []
-        with transformer.op():
-            diffusion_generate(params, prompt, len(target), 2, seed=0)
-            with counted_points(points):
-                served = terms_score(params, [term])
-        assert sum(points) == 1
-        assert served == terms_score(params, [term])
 
 
 @st.composite

@@ -55,8 +55,7 @@ class TestContractFiles:
     def test_explicit_schematic_equals_named(self):
         """Every named setting, spelled out as its five fields, resolves to
         the same contract as make_named and as its ``setting:`` file."""
-        traj = DenoisingTrajectory(num_steps=3, response_len=4,
-                                   commit_tokens=(7, 8, 9, 10),
+        traj = DenoisingTrajectory(num_steps=3, commit_tokens=(7, 8, 9, 10),
                                    commit_steps=(3, 2, 2, 1), seed=0)
         instances = {
             "autoregressive": PromptedInstance(prompt=(4, 5, 6), seed=0,

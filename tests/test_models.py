@@ -28,7 +28,8 @@ from attrscope.contract import SETTING_STAGE, make_named
 from attrscope.models.autoregressive import span_term, token_term
 from attrscope.models.classifier import class_term
 from attrscope.models.diffusion import (
-    ChainSpec, perturbed_plan, run_chains, stage_term,
+    ABLATE, PERT_KINDS, SUBSTITUTE_STEP, ChainSpec,
+    perturbed_plan, run_chains, stage_term,
 )
 from attrscope.models import params as model_params, training, transformer
 from attrscope.models.params import (
@@ -166,7 +167,7 @@ class TestBatchedPasses:
         assert rows.shape == (19, 6, diffusion_model.hyper.vocab_size)
         for tokens, batched in zip(seqs, rows):
             fg, vals, _ = bind_pass(diffusion_model,
-                                    ScoreTerm(tuple(tokens), False, ()))
+                                    ScoreTerm(tuple(tokens), ()))
             assert np.array_equal(batched,
                                   evaluate(fg.graph, vals)[fg.log_probs])
 
@@ -199,11 +200,13 @@ class TestBatchedPasses:
         assert run_chains(diffusion_model, chains, 5, 7) == [
             run_chains(diffusion_model, [chain], 5, 7)[0] for chain in chains]
 
-    def test_score_sums_equal_unbatched_passes(self, tiny_ar_model):
-        # per kind of overrides, 3 lists of pass groups, 21 in all: causal
-        # and bidirectional terms over two sequence lengths, several groups
-        # to a pass, and batched groups of 1-11 points that straddle passes
-        params = tiny_ar_model
+    @pytest.mark.parametrize("model", ["tiny_ar_model", "diffusion_model"])
+    def test_score_sums_equal_unbatched_passes(self, model, request):
+        # per kind of overrides, 3 lists of pass groups, 21 in all: terms
+        # over two sequence lengths, several groups to a pass, and batched
+        # groups of 1-11 points that straddle passes; causal passes on the
+        # AR model, bidirectional on the diffusion model
+        params = request.getfixturevalue(model)
         rng = np.random.default_rng(2)
         vocab, d = params.hyper.vocab_size, params.hyper.width
 
@@ -225,10 +228,8 @@ class TestBatchedPasses:
             for n_groups in (9, 1, 11):
                 groups = []
                 for n in rng.integers(2, 4, size=n_groups):
-                    span = span_term(tuple(rng.integers(0, vocab, size=n)),
+                    term = span_term(tuple(rng.integers(0, vocab, size=n)),
                                      tuple(rng.integers(0, vocab, size=n)))
-                    term = ScoreTerm(span.tokens, bool(rng.integers(2)),
-                                     span.targets)
                     kind = (overrides if overrides != "mixed" else
                             ("none", "row", "batched")[rng.integers(3)])
                     shape = {"none": None, "row": (d,),
@@ -260,7 +261,7 @@ class TestLogProbReads:
     def test_a_pass_reads_its_table_or_its_embedding_gradient(self,
                                                               tiny_ar_model):
         # a score is no read: score_sums computes it from the table
-        groups = [(ScoreTerm((4, 5, 6), True, ((2, 7),)), {})]
+        groups = [(ScoreTerm((4, 5, 6), ((2, 7),)), {})]
         for read in ("score", "emb", ""):
             with pytest.raises(ValueError, match="unknown read"):
                 run_groups(tiny_ar_model, groups, read)
@@ -270,7 +271,7 @@ class TestLogProbReads:
         prompt = sample_prompt(tiny_corpus)
         for prefix in ([], [5], [5, 6, 7]):
             tokens = tuple(prompt) + tuple(prefix)
-            fg, vals, _ = bind_pass(tiny_ar_model, ScoreTerm(tokens, True, ()))
+            fg, vals, _ = bind_pass(tiny_ar_model, ScoreTerm(tokens, ()))
             full = evaluate(fg.graph, vals)[fg.log_probs]
             got = ar_next_log_probs(tiny_ar_model, prompt, prefix)
             assert got.shape == (tiny_ar_model.hyper.vocab_size,)
@@ -312,20 +313,20 @@ class TestGraphCache:
 
     def test_every_row_read_is_the_full_graph(self, tiny_ar_model,
                                               diffusion_model):
-        for params, causal in ((tiny_ar_model, True), (diffusion_model, False)):
+        for params in (tiny_ar_model, diffusion_model):
             hp = params.hyper
             tokens = (4, 5, 6, 7, 8)
             # a causal pass reading rows 0-3 stops there: the full graph of 4
-            n = 4 if causal else 5
-            term = ScoreTerm(tokens, causal, tuple((r, 3) for r in range(n)))
+            n = 4 if params.kind == AR else 5
+            term = ScoreTerm(tokens, tuple((r, 3) for r in range(n)))
             graphs = self.graphs_run(params, [(term, {})])
-            assert graphs == [build_forward_graph(hp, n, causal).graph]
-            assert build_forward_graph(hp, n, causal, range(n)) \
-                is build_forward_graph(hp, n, causal)
+            assert graphs == [build_forward_graph(hp, n).graph]
+            assert build_forward_graph(hp, n, range(n)) \
+                is build_forward_graph(hp, n)
             # reading fewer rows takes a graph of its own
-            fewer = ScoreTerm(tokens, causal, ((1, 3), (3, 2)))
+            fewer = ScoreTerm(tokens, ((1, 3), (3, 2)))
             graph, = self.graphs_run(params, [(fewer, {})])
-            assert build_forward_graph(hp, n, causal, (1, 3)).graph is graph
+            assert build_forward_graph(hp, n, (1, 3)).graph is graph
             assert graph is not graphs[0]
             assert [node.op for node in graph.nodes].count("rows") == 2
 
@@ -333,8 +334,8 @@ class TestGraphCache:
                                                   tiny_corpus):
         hp = classifier_model.hyper
         prompt = tuple(sample_prompt(tiny_corpus))
-        full = build_forward_graph(hp, len(prompt), False)
-        assert build_forward_graph(hp, len(prompt), False, (0,)) is full
+        full = build_forward_graph(hp, len(prompt))
+        assert build_forward_graph(hp, len(prompt), (0,)) is full
         assert "rows" not in {node.op for node in full.graph.nodes}
         assert full.rows == (0,)
         assert self.graphs_run(classifier_model,
@@ -356,13 +357,13 @@ class TestGraphCache:
                 return _original(graph, *args, **kwargs)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(module, name, recording)
-                train(kind, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
-                      hp, seed=0, steps=3, lr=0.05)
+                train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                      seed=0, steps=3, lr=0.05)
         assert graphs
         for graph in graphs:
             assert "rows" not in {node.op for node in graph.nodes}
             length = graph.nodes[graph.leaves["emb"]].shape[0]
-            assert graph is build_forward_graph(hp, length, kind == AR).graph
+            assert graph is build_forward_graph(hp, length).graph
 
     def test_ar_training_runs_the_graphs_it_reads(self, tiny_corpus,
                                                   monkeypatch):
@@ -381,7 +382,7 @@ class TestGraphCache:
                 return _original(graph, *args, **kwargs)
             monkeypatch.setattr(module, name, recording)
         steps, B = 3, training.BATCH_SIZE
-        train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+        train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
               seed=0, steps=steps, lr=0.05)
 
         assert graphs[training] == [
@@ -404,12 +405,12 @@ class TestGraphCache:
         monkeypatch.setattr(transformer, "_CACHE", {})
         hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab))
         for seed, steps in ((0, 20), (1000, 80), (1001, 80)):
-            train(AR, list(corpus.train_pairs), corpus.vocab, hp, seed=seed,
+            train(list(corpus.train_pairs), corpus.vocab, hp, seed=seed,
                   steps=steps, lr=0.05)
         keys = list(transformer._CACHE)
-        assert {key[:1] + key[2:3] for key in keys} == {(hp, True)}
+        assert {key[0] for key in keys} == {hp}
         starts = set()
-        for _, length, _, rows in keys:
+        for _, length, rows in keys:
             start = 0 if rows is None else rows[0]
             assert rows in (None, tuple(range(start, length)))
             starts.add((length, start))
@@ -418,34 +419,107 @@ class TestGraphCache:
         assert len(starts) == len(keys) == 5
 
 
+def response_len_perturbed_plan(plan, pert, response_len):
+    """perturbed_plan as it was when its caller passed the response length
+    and the slots open at t were counted from it: the reference for
+    perturbed_plan, which counts them from the plan."""
+    t = pert.stage
+    if t not in plan:
+        raise ValueError(f"stage {t} not in plan")
+    new = dict(plan)
+    if pert.kind == SUBSTITUTE_STEP:
+        return new
+
+    target = 0 if pert.kind == ABLATE else int(pert.commit_count)
+    if target < 0:
+        raise InfeasiblePerturbationError("negative commit count")
+    remaining_at_t = response_len - sum(k for u, k in plan.items() if u > t)
+    if target > remaining_at_t:
+        raise InfeasiblePerturbationError(
+            f"stage {t} cannot commit {target}; only {remaining_at_t} slots open")
+    delta = plan[t] - target
+    later = range(1, t)
+    if delta != 0 and not later:
+        raise InfeasiblePerturbationError(
+            f"stage {t} is the last stage; no later stage can absorb {delta} commits")
+    new[t] = target
+    if delta > 0:
+        base, rem = divmod(delta, len(later))
+        for u in later:
+            new[u] += base
+        for u in later[:rem]:
+            new[u] += 1
+    elif delta < 0:
+        to_remove = -delta
+        while to_remove > 0:
+            progressed = False
+            for u in later:
+                if to_remove == 0:
+                    break
+                if new[u] > 0:
+                    new[u] -= 1
+                    to_remove -= 1
+                    progressed = True
+            if not progressed:
+                raise InfeasiblePerturbationError(
+                    "later stages have no commits left to remove")
+    return new
+
+
+def plan_outcome(fn, *args):
+    """The plan ``fn`` returns, or InfeasiblePerturbationError when it
+    raises that."""
+    try:
+        return fn(*args)
+    except InfeasiblePerturbationError:
+        return InfeasiblePerturbationError
+
+
 class TestPerturbedPlans:
     def test_ablate_rebalances(self):
         plan = {3: 2, 2: 2, 1: 1}
-        new = perturbed_plan(plan, StagePerturbation(3, "ablate"), 5)
+        new = perturbed_plan(plan, StagePerturbation(3, "ablate"))
         assert new[3] == 0 and sum(new.values()) == 5
 
     def test_ablate_last_stage_infeasible(self):
         plan = {1: 3}
         with pytest.raises(InfeasiblePerturbationError):
-            perturbed_plan(plan, StagePerturbation(1, "ablate"), 3)
+            perturbed_plan(plan, StagePerturbation(1, "ablate"))
 
     def test_noise_schedule_identity(self):
         plan = {3: 2, 2: 2, 1: 1}
         new = perturbed_plan(plan, StagePerturbation(3, "noise_schedule",
-                                                     commit_count=2), 5)
+                                                     commit_count=2))
         assert new == plan
 
     def test_noise_schedule_increase(self):
         plan = {2: 2, 1: 2}
         new = perturbed_plan(plan, StagePerturbation(2, "noise_schedule",
-                                                     commit_count=4), 4)
+                                                     commit_count=4))
         assert new == {2: 4, 1: 0}
 
     def test_noise_schedule_overcommit_infeasible(self):
         plan = {2: 2, 1: 2}
         with pytest.raises(InfeasiblePerturbationError):
             perturbed_plan(plan, StagePerturbation(1, "noise_schedule",
-                                                   commit_count=5), 4)
+                                                   commit_count=5))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    def test_equals_the_response_length_form(self, counts):
+        """Over a full plan of stages T..1, every kind, stage and commit
+        count from 0 to one past the response length: the same plan, or
+        the same InfeasiblePerturbationError, as the reference given the
+        plan's total."""
+        plan = dict(zip(range(len(counts), 0, -1), counts))
+        total = sum(counts)
+        for t in plan:
+            for kind in PERT_KINDS:
+                for count in range(total + 2):
+                    pert = StagePerturbation(t, kind, commit_count=count)
+                    assert plan_outcome(perturbed_plan, plan, pert) == \
+                        plan_outcome(response_len_perturbed_plan, plan, pert,
+                                     total), (plan, pert)
 
     def test_perturbed_chain_uses_original_seed(self, diffusion_model,
                                                 tiny_corpus, monkeypatch):
@@ -675,8 +749,9 @@ class TestModelFileFormat:
         path, meta = fixture
         params = load_model(path)
         assert params.model_id == meta["model_id"]
+        # the pinned score is of a causal pass, which the AR model runs
+        assert meta["term"]["causal"] and params.kind == AR
         term = ScoreTerm(tokens=tuple(meta["term"]["tokens"]),
-                         causal=meta["term"]["causal"],
                          targets=tuple(map(tuple, meta["term"]["targets"])))
         assert abs(terms_score(params, [term]) - meta["score"]) <= 1e-12
 
@@ -730,8 +805,8 @@ class TestTrainedModelIds:
         pinned = meta["models"][kind]
         hp = Hyperparams(kind=kind, vocab_size=len(tiny_corpus.vocab),
                          **meta["hyperparams"])
-        result = train(kind, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
-                       hp, seed=pinned["seed"], steps=20, lr=0.05)
+        result = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+                       seed=pinned["seed"], steps=20, lr=0.05)
         assert abs(result.final_loss - pinned["final_loss"]) <= 1e-9
         if kernel_probe() != meta["kernel_probe"]:
             pytest.skip("numpy's kernels here round otherwise than those"
@@ -752,10 +827,10 @@ def random_model(kind, vocab, heads, seed, layers=2):
     return ModelParams(hyper=hp, vocab=vocab, weights=weights)
 
 
-def per_head_log_probs(params, tokens, causal):
+def per_head_log_probs(params, tokens):
     """The transformer's log-prob table in plain numpy, one head at a time,
-    each head's weights read from its row of the stacked weights: the
-    reference for the heads-axis graph."""
+    each head's weights read from its row of the stacked weights, causal
+    for an AR model: the reference for the heads-axis graph."""
     hp, w = params.hyper, params.weights
     L = len(tokens)
 
@@ -772,7 +847,8 @@ def per_head_log_probs(params, tokens, causal):
         return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
                                         * (x + 0.044715 * x ** 3)))
 
-    mask = np.triu(np.full((L, L), -1e9), k=1) if causal else np.zeros((L, L))
+    mask = (np.triu(np.full((L, L), -1e9), k=1) if hp.kind == AR
+            else np.zeros((L, L)))
     x = w["emb"][list(tokens)] + w["pos"][:L]
     for i in range(hp.layers):
         p = f"blk{i}."
@@ -792,23 +868,21 @@ def per_head_log_probs(params, tokens, causal):
 
 class TestHeadsAxis:
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    @pytest.mark.parametrize("kind, causal", [(AR, True), (DIFFUSION, False),
-                                              (CLASSIFIER, False)])
-    def test_graph_equals_a_per_head_loop(self, tiny_corpus, kind, causal,
-                                          heads):
+    @pytest.mark.parametrize("kind", [AR, DIFFUSION, CLASSIFIER])
+    def test_graph_equals_a_per_head_loop(self, tiny_corpus, kind, heads):
         params = random_model(kind, tiny_corpus.vocab, heads, seed=heads)
         rng = np.random.default_rng(heads)
         for length in (1, 5, 9):
             tokens = rng.integers(0, len(tiny_corpus.vocab), size=length)
-            fg, vals, _ = bind_pass(params, ScoreTerm(tuple(tokens), causal, ()))
+            fg, vals, _ = bind_pass(params, ScoreTerm(tuple(tokens), ()))
             got = evaluate(fg.graph, vals)[fg.log_probs]
-            expected = per_head_log_probs(params, tokens, causal)
+            expected = per_head_log_probs(params, tokens)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_heads_are_stacked_once_per_model(self, tiny_ar_model):
-        _, a, _ = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), True, ()))
-        _, b, _ = bind_pass(tiny_ar_model, ScoreTerm((4, 5), True, ()))
+        _, a, _ = bind_pass(tiny_ar_model, ScoreTerm((1, 2, 3), ()))
+        _, b, _ = bind_pass(tiny_ar_model, ScoreTerm((4, 5), ()))
         assert a["blk0.wq"] is b["blk0.wq"] is tiny_ar_model.weights["blk0.wq"]
         assert a["blk1.wo"].shape == (2, 16, 32)
 
@@ -834,7 +908,7 @@ class TestTraining:
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         def final_loss(steps):
-            return train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+            return train(list(tiny_corpus.train_pairs), tiny_corpus.vocab,
                          hp, seed=0, steps=steps, lr=0.05).final_loss
 
         # zero steps: the loss of the initial weights
@@ -849,7 +923,7 @@ class TestTraining:
         hp = Hyperparams(kind=AR, vocab_size=len(corpus.vocab), layers=2,
                          heads=2, width=64, mlp_hidden=128, context_len=64)
         def final_loss(steps):
-            return train(AR, list(corpus.train_pairs), corpus.vocab, hp,
+            return train(list(corpus.train_pairs), corpus.vocab, hp,
                          seed=0, steps=steps).final_loss
 
         # the CLI's --lr default is train's
@@ -865,7 +939,7 @@ class TestTraining:
         with np.errstate(all="ignore"), \
                 pytest.raises(TrainingDiverged,
                               match="non-finite loss at step 6 ") as info:
-            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+            train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                   seed=0, steps=20, lr=1e30)
         assert "non-finite output at node" in str(info.value.__cause__)
 
@@ -876,16 +950,16 @@ class TestTraining:
                          heads=2, width=16, mlp_hidden=32, context_len=16)
         with pytest.raises(TrainingDiverged,
                            match="non-finite final loss after 1 steps") as info:
-            train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+            train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                   seed=0, steps=1, lr=1e308)
         assert "non-finite output at node" in str(info.value.__cause__)
 
     def test_training_deterministic(self, tiny_corpus):
         hp = Hyperparams(kind=AR, vocab_size=len(tiny_corpus.vocab), layers=1,
                          heads=2, width=16, mlp_hidden=32, context_len=16)
-        a = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+        a = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                   seed=0, steps=10, lr=0.05)
-        b = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+        b = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
                   seed=0, steps=10, lr=0.05)
         assert a.params.model_id == b.params.model_id
 
@@ -950,8 +1024,7 @@ def read_graph(hp, terms):
     """The graph an SGD step over the causal ``terms`` runs on: it computes
     the rows from the first any term reads to the last, where it ends."""
     read = sorted(row for term in terms for row, _ in term.targets)
-    return build_forward_graph(hp, read[-1] + 1, True,
-                               range(read[0], read[-1] + 1))
+    return build_forward_graph(hp, read[-1] + 1, range(read[0], read[-1] + 1))
 
 
 def assert_close(got, expected, rtol=1e-12):
@@ -963,8 +1036,9 @@ class TestBatchedTrainingStep:
     @given(data=st.data())
     def test_equals_per_example_passes(self, tiny_ar_model, diffusion_model,
                                        tiny_corpus, data):
-        """A minibatch of mixed lengths, AR (causal) and diffusion (masked,
-        bidirectional) terms alike, on either model."""
+        """A minibatch of mixed lengths, span terms and masked diffusion
+        terms alike, on either model: causal passes on the AR model,
+        bidirectional on the diffusion model."""
         params = data.draw(st.sampled_from([tiny_ar_model, diffusion_model]))
         pairs = tiny_corpus.train_pairs
         picks = data.draw(st.lists(st.integers(0, len(pairs) - 1),
@@ -1004,7 +1078,7 @@ class TestBatchedTrainingStep:
         monkeypatch.setattr(training, "init_params", init)
         before = {name: w.copy() for name, w in
                   init_params(hp, tiny_corpus.vocab, 4).weights.items()}
-        result = train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab,
+        result = train(list(tiny_corpus.train_pairs), tiny_corpus.vocab,
                        hp, seed=4, steps=2, lr=0.05)
         for name, w in result.params.weights.items():
             assert w is started[name], name
@@ -1024,7 +1098,7 @@ class TestBatchedTrainingStep:
             kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3, lr=0.05)
 
         drawn = record_terms(monkeypatch)
-        result = train(kind, corpus, tiny_corpus.vocab, hp, seed=4, steps=3,
+        result = train(corpus, tiny_corpus.vocab, hp, seed=4, steps=3,
                        lr=0.05)
         # the terms after the SGD steps' are the final mean loss's
         assert drawn[:len(expected_terms)] == expected_terms
@@ -1039,13 +1113,13 @@ def full_graph_step(params, terms):
     hp, leaves = params.hyper, params.weights
     buckets, loss, acc = {}, 0.0, {}
     for term in terms:
-        buckets.setdefault(None if term.causal else len(term.tokens),
+        buckets.setdefault(None if hp.kind == AR else len(term.tokens),
                            []).append(term)
     for bucket in buckets.values():
         L = max(len(term.tokens) for term in bucket)
         ids = np.array([term.tokens + (params.vocab.pad,) * (L - len(term.tokens))
                         for term in bucket])
-        fg = build_forward_graph(hp, L, bucket[0].causal)
+        fg = build_forward_graph(hp, L)
         assert "rows" not in {node.op for node in fg.graph.nodes}
         masks = transformer._target_masks(hp, fg.rows,
                                           [term.targets for term in bucket])
@@ -1088,7 +1162,7 @@ class TestPrunedTrainingStep:
                                         max_size=L))
             rows = data.draw(st.lists(st.integers(0, L - 1), min_size=1,
                                       max_size=L, unique=True))
-            terms.append(ScoreTerm(tuple(tokens), True, tuple(
+            terms.append(ScoreTerm(tuple(tokens), tuple(
                 (row, data.draw(st.integers(0, V - 1))) for row in sorted(rows))))
         with pytest.MonkeyPatch.context() as mp:
             _, _, graphs = spy_passes(mp)
@@ -1159,7 +1233,7 @@ class TestOnePassPerStep:
         drawn = record_terms(monkeypatch)
         calls, _, graphs = spy_passes(monkeypatch)
         steps, B = 5, training.BATCH_SIZE
-        train(AR, list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
+        train(list(tiny_corpus.train_pairs), tiny_corpus.vocab, hp,
               seed=2, steps=steps, lr=0.05)
         batches = [drawn[i * B:(i + 1) * B] for i in range(steps)]
         # padding happened
